@@ -20,7 +20,9 @@ use rsched_cluster::{
 };
 use rsched_parallel::ThreadPool;
 use rsched_schedulers::{ConservativeBackfill, EasyBackfill, Fcfs, Sjf};
-use rsched_sim::{run_simulation, CapacityCalendar, RunningSummary, SimOptions, SystemView};
+use rsched_sim::{
+    run_simulation, CapacityCalendar, RunningSummary, SimOptions, Simulation, SystemView,
+};
 use rsched_simkit::{SimDuration, SimTime};
 use rsched_workloads::swf::{SwfJob, SwfReader, SwfTrace};
 use rsched_workloads::synth::{polaris_synth_text, polaris_synth_workload};
@@ -177,9 +179,8 @@ fn simulate_conservative_backfill_10k(c: &mut Criterion) {
 }
 
 /// EASY with the strict shadow-time veto at 10k jobs: policy-side
-/// candidate filtering (sharded once the queue is deep enough) plus the
-/// kernel-side `strict_backfill` validation served from the actual-end
-/// capacity calendar.
+/// candidate filtering plus the kernel-side `strict_backfill` validation
+/// served from the actual-end capacity calendar.
 fn simulate_easy_backfill_10k(c: &mut Criterion) {
     let jobs = heavy_tail_jobs(10_000);
     let cluster = ClusterConfig::polaris();
@@ -287,7 +288,7 @@ fn simulate_fcfs_heavy_tail_100k(c: &mut Criterion) {
 }
 
 /// The zero-copy claim, isolated: constructing a borrowed view over a
-/// 10k-deep queue vs the compat path's owned deep copy of the same state.
+/// 10k-deep queue costs the same as over an empty one.
 fn view_build(c: &mut Criterion) {
     let waiting: Vec<JobSpec> = (0..10_000)
         .map(|i| {
@@ -402,18 +403,15 @@ fn swf_stream_ingest_1m(c: &mut Criterion) {
 fn simulate_fcfs_polaris_synth_1m(c: &mut Criterion) {
     let jobs = polaris_synth_workload(1_000_000, 2025);
     let cluster = ClusterConfig::polaris();
-    // One placement query per job plus epilogue queries outgrows the
-    // default budget; the budget guards livelock, not scale.
-    let options = SimOptions {
-        max_queries: 16_000_000,
-        ..SimOptions::default()
-    };
     let mut group = c.benchmark_group("scale");
     group.sample_size(2);
     group.bench_function("simulate_fcfs_polaris_synth_1m", |b| {
         b.iter(|| {
             std::hint::black_box(
-                run_simulation(cluster, &jobs, &mut Fcfs::default(), &options).expect("completes"),
+                Simulation::new(cluster)
+                    .jobs(&jobs)
+                    .run(&mut Fcfs::default())
+                    .expect("completes"),
             )
         })
     });

@@ -74,8 +74,11 @@ impl Topology {
     }
 
     /// `true` if this is the flat topology (no classes declared).
+    ///
+    /// O(1): [`with_class`](Self::with_class), the only writer, fills slots
+    /// front to back, so slot 0 decides. Every per-job fit test asks this.
     pub fn is_flat(&self) -> bool {
-        self.classes.iter().all(Option::is_none)
+        self.classes[0].is_none()
     }
 
     /// Append a node class (builder style). Classes occupy node indices in

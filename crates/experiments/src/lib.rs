@@ -20,14 +20,11 @@
 #![deny(unsafe_code)]
 
 pub mod artifact;
-pub mod compat;
 pub mod figures;
 pub mod options;
 pub mod output;
 pub mod runner;
 
-#[allow(deprecated)]
-pub use compat::{policy_seed, run_policy, scenario_jobs, SchedulerKind};
 pub use options::ExperimentOptions;
 pub use rsched_registry::{builtins, names, PolicyContext, PolicyRegistry, RegistryError};
 pub use runner::{

@@ -9,16 +9,11 @@ use rsched_cluster::{ClusterConfig, JobSpec};
 use rsched_metrics::{normalize_against, MetricsReport, NormalizedReport};
 use rsched_parallel::ThreadPool;
 use rsched_registry::{builtins, PolicyContext, PolicyRegistry, RegistryError};
-use rsched_sim::{SimOptions, SimStats, Simulation};
+use rsched_sim::{SimStats, Simulation};
 use rsched_simkit::rng::SeedTree;
 use rsched_workloads::{scenario_builtins, ArrivalMode, ScenarioContext, WorkloadError};
 
 pub use rsched_cpsolver::SolverConfig;
-
-// The pre-registry, enum-addressed shims stay importable from their old
-// paths.
-#[allow(deprecated)]
-pub use crate::compat::{policy_seed, run_policy, scenario_jobs, SchedulerKind};
 
 /// LLM overhead numbers extracted from a run (paper §3.7) — re-exported
 /// from the policy trait's uniform [`overhead_report`] hook.
@@ -79,7 +74,6 @@ pub fn run_with_registry(
         .to_string();
     let outcome = Simulation::new(cluster)
         .jobs(jobs)
-        .options(SimOptions::default())
         .run(policy.as_mut())
         .unwrap_or_else(|e| {
             panic!(

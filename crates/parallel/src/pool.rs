@@ -71,15 +71,6 @@ impl ThreadPool {
         ThreadPool::new(threads)
     }
 
-    /// A pool sized to the machine (`available_parallelism`, min 1).
-    #[deprecated(
-        since = "0.1.0",
-        note = "renamed to `ThreadPool::available_parallelism`"
-    )]
-    pub fn with_default_parallelism() -> Self {
-        ThreadPool::available_parallelism()
-    }
-
     /// Number of worker threads.
     pub fn threads(&self) -> usize {
         self.handles.len()
@@ -347,8 +338,5 @@ mod tests {
     fn default_parallelism_is_positive() {
         let pool = ThreadPool::available_parallelism();
         assert!(pool.threads() >= 1);
-        #[allow(deprecated)]
-        let legacy = ThreadPool::with_default_parallelism();
-        assert_eq!(legacy.threads(), pool.threads());
     }
 }

@@ -11,7 +11,7 @@
 //!     fn name(&self) -> &str { "greedy" }
 //!     fn decide(&mut self, view: &SystemView<'_>) -> Action {
 //!         if view.all_jobs_started() { return Action::Stop; }
-//!         match view.first_eligible() {
+//!         match view.eligible_now().next() {
 //!             Some(j) => Action::StartJob(j.id),
 //!             None => Action::Delay,
 //!         }
@@ -44,7 +44,9 @@ use crate::simulator::{SimError, SimOptions};
 pub struct Simulation<'a> {
     config: ClusterConfig,
     jobs: &'a [JobSpec],
-    options: SimOptions,
+    /// `None` until [`options`](Self::options) is called: `run` then uses
+    /// the defaults with the query budget sized to the workload.
+    options: Option<SimOptions>,
     observers: Vec<&'a mut dyn SimObserver>,
     telemetry: rsched_telemetry::TelemetrySink,
 }
@@ -55,7 +57,7 @@ impl<'a> Simulation<'a> {
         Simulation {
             config,
             jobs: &[],
-            options: SimOptions::default(),
+            options: None,
             observers: Vec::new(),
             telemetry: rsched_telemetry::TelemetrySink::disabled(),
         }
@@ -67,9 +69,13 @@ impl<'a> Simulation<'a> {
         self
     }
 
-    /// Override the simulator knobs (defaults to [`SimOptions::default`]).
+    /// Override the simulator knobs; they are honoured verbatim. Without
+    /// this call the run uses [`SimOptions::default`], except that the
+    /// livelock budget [`max_queries`](SimOptions::max_queries) grows with
+    /// the workload (`max(1_000_000, 16 × jobs)`) so that a trace-scale
+    /// replay does not exhaust a budget meant to catch a stuck policy.
     pub fn options(mut self, options: SimOptions) -> Self {
-        self.options = options;
+        self.options = Some(options);
         self
     }
 
@@ -94,15 +100,28 @@ impl<'a> Simulation<'a> {
     /// completes (or the run fails), streaming callbacks to the attached
     /// observers along the way.
     pub fn run(mut self, policy: &mut dyn SchedulingPolicy) -> Result<SimOutcome, SimError> {
+        let options = self.options.unwrap_or_else(|| SimOptions {
+            max_queries: query_budget_for(self.jobs.len()),
+            ..SimOptions::default()
+        });
         crate::simulator::simulate_with_telemetry(
             self.config,
             self.jobs,
             policy,
-            &self.options,
+            &options,
             &mut self.observers,
             self.telemetry,
         )
     }
+}
+
+/// The query budget of a run that set no options: the default, or 16
+/// queries per job once that is larger. A healthy policy spends one
+/// placement query per job plus a bounded number of retries and epilogue
+/// queries, so 16× leaves the budget what it is for — catching livelock.
+fn query_budget_for(jobs: usize) -> usize {
+    jobs.saturating_mul(16)
+        .max(SimOptions::default().max_queries)
 }
 
 #[cfg(test)]
@@ -122,7 +141,7 @@ mod tests {
             if view.all_jobs_started() {
                 return Action::Stop;
             }
-            match view.first_eligible() {
+            match view.eligible_now().next() {
                 Some(j) => Action::StartJob(j.id),
                 None => Action::Delay,
             }
@@ -157,6 +176,31 @@ mod tests {
         assert_eq!(a.records, b.records);
         assert_eq!(a.decisions, b.decisions);
         assert_eq!(a.stats, b.stats);
+    }
+
+    #[test]
+    fn unset_options_size_the_query_budget_from_the_workload() {
+        let floor = SimOptions::default().max_queries;
+        assert_eq!(query_budget_for(0), floor);
+        assert_eq!(query_budget_for(floor / 16), floor);
+        assert_eq!(query_budget_for(1_000_000), 16_000_000);
+        assert_eq!(query_budget_for(usize::MAX), usize::MAX);
+    }
+
+    #[test]
+    fn explicit_query_budget_is_honoured_verbatim() {
+        // Four jobs need four placement queries; a budget of 3 must trip
+        // rather than be widened by the derivation.
+        let jobs = jobs();
+        let err = Simulation::new(ClusterConfig::new(8, 64))
+            .jobs(&jobs)
+            .options(SimOptions {
+                max_queries: 3,
+                ..SimOptions::default()
+            })
+            .run(&mut Greedy)
+            .unwrap_err();
+        assert_eq!(err, SimError::QueryBudgetExhausted { limit: 3 });
     }
 
     #[test]

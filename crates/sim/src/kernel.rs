@@ -14,8 +14,8 @@
 //!   pre-loads arrivals as events and jumps the clock to the next event —
 //!   time is free, so a 100k-job year replays in a fraction of a second
 //!   and a 1M-job synthetic Polaris stream in seconds (the wait queue is
-//!   struct-of-arrays with dense demand columns, and deep flat-topology
-//!   placement scans shard across cores bit-identically — see
+//!   struct-of-arrays with dense demand columns that the one serial
+//!   placement scan walks behind O(1) watermarks — see
 //!   [`crate::store::JobStore`] and [`crate::scan`]);
 //! * the **service driver** (`rsched-service`) feeds arrivals from a live
 //!   submission channel and ticks on a real (or manually advanced) clock,

@@ -25,14 +25,13 @@
 //! [`SystemView`] that *borrows* the simulator's incrementally-maintained
 //! queue/running/completed state (plus the O(1) [`CompletedStats`]
 //! aggregate), so a policy query costs nothing in allocation no matter how
-//! deep the queue is. The pre-refactor owned snapshot survives as the
-//! deprecated [`compat::OwnedSystemView`].
+//! deep the queue is. "Does anything waiting fit?" is answered by one
+//! serial column [`scan`] behind O(1) min-demand watermarks.
 
 #![deny(missing_docs)]
 #![deny(unsafe_code)]
 
 pub mod builder;
-pub mod compat;
 pub mod events;
 pub mod kernel;
 pub mod observer;
@@ -46,8 +45,6 @@ pub mod store;
 pub mod view;
 
 pub use builder::Simulation;
-#[allow(deprecated)]
-pub use compat::OwnedSystemView;
 pub use events::SimEvent;
 pub use kernel::KernelState;
 pub use observer::{CountingObserver, ProgressObserver, SimObserver};
@@ -57,7 +54,7 @@ pub use profile::{
     CalendarPoint, CalendarRef, CalendarStamp, CapacityCalendar, CapacityLedger,
     ReservationProfile, ReservedStep,
 };
-pub use scan::{ScanOutcome, PARALLEL_SCAN_MIN};
+pub use scan::ScanOutcome;
 pub use simulator::{job_is_feasible, run_simulation, validate_workload, SimError, SimOptions};
 pub use store::JobStore;
 pub use view::{CompletedStats, RunningSummary, SystemView};

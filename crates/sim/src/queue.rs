@@ -178,16 +178,14 @@ impl WaitQueue {
             return false;
         }
         // Flat clusters admit the dense-column scan: `can_fit` is exactly
-        // the two column comparisons, so the store's SoA mirror (and, past
-        // the depth threshold, the sharded parallel scan) is bit-identical
-        // to probing the full specs.
+        // the two column comparisons, so the store's SoA mirror gives the
+        // same answer as probing the full specs.
         if cluster.config().is_flat() {
-            let out = scan::first_fit_flat(
+            let out = scan::first_fit_flat_serial(
                 &self.jobs.nodes()[self.head..],
                 &self.jobs.memory_gb()[self.head..],
                 free_nodes,
                 free_memory_gb,
-                scan::scan_workers(),
             );
             if out.first_fit.is_some() {
                 // Early exit: a partial scan's minima would not be a sound
@@ -258,7 +256,8 @@ impl RunningSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rsched_cluster::{ClusterConfig, UserId};
+    use proptest::prelude::*;
+    use rsched_cluster::{ClusterConfig, NodeClass, UserId};
     use rsched_simkit::{SimDuration, SimTime};
 
     fn spec(id: u32, submit_s: u64, nodes: u32, mem: u64) -> JobSpec {
@@ -421,5 +420,90 @@ mod tests {
             .map(|j| (j.submit.as_secs(), j.id.0))
             .collect();
         assert_eq!(got, expect);
+    }
+
+    const CLASSES: [NodeClass; 3] = [NodeClass::Cpu, NodeClass::Gpu, NodeClass::BigMem];
+
+    /// A waiting job drawn from three raw numbers: up to the whole flat
+    /// machine (16 nodes / 128 GB), or up to 64 nodes with an optional
+    /// class pin on the classed one.
+    fn arbitrary_job(classed: bool, id: u32, a: u32, b: u64, c: u64) -> JobSpec {
+        if !classed {
+            return spec(id, c, 1 + a % 16, 1 + b % 128);
+        }
+        let job = spec(id, c, 1 + a % 64, b % 200);
+        match CLASSES.get((a / 64 % 4) as usize) {
+            Some(&class) => job.with_class(class),
+            None => job,
+        }
+    }
+
+    /// A cluster at an arbitrary free level: one blocker on the flat
+    /// machine, one class-pinned blocker per class on `mixed_256`.
+    fn cluster_at(classed: bool, a: u32, b: u64, c: u64) -> ClusterState {
+        let (config, blockers) = if classed {
+            let blockers = [a % 193, b as u32 % 49, c as u32 % 17]
+                .into_iter()
+                .zip(CLASSES)
+                .zip(0u32..)
+                .map(|((nodes, class), i)| spec(u32::MAX - i, 0, nodes, 0).with_class(class))
+                .collect();
+            (ClusterConfig::mixed_256(), blockers)
+        } else {
+            let blocker = spec(u32::MAX, 0, a % 17, b % 129);
+            (ClusterConfig::new(16, 128), vec![blocker])
+        };
+        let mut cluster = ClusterState::new(config);
+        for blocker in blockers.iter().filter(|j| j.nodes > 0) {
+            cluster
+                .start_job(blocker, SimTime::ZERO)
+                .expect("blockers stay within the machine");
+        }
+        cluster
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The one scan left and its short-circuit, as an invariant: under
+        /// any interleaving of inserts, ranked inserts, removals and probes
+        /// at any free level, `any_fits` is the brute-force answer and the
+        /// watermarks never exceed the true column minima.
+        #[test]
+        fn any_fits_is_brute_force_and_watermarks_bound_the_minima(
+            classed in 0u8..2,
+            ops in prop::collection::vec((0u8..4, 0u32..1000, 0u64..1000, 0u64..50), 1..200),
+        ) {
+            let classed = classed == 1;
+            let mut q = WaitQueue::new();
+            let mut next_id = 0u32;
+            for (kind, a, b, c) in ops {
+                match kind {
+                    0 | 1 => {
+                        let job = arbitrary_job(classed, next_id, a, b, c);
+                        next_id += 1;
+                        if kind == 0 {
+                            q.insert(job);
+                        } else {
+                            q.insert_ranked(job, b % 3);
+                        }
+                    }
+                    2 if !q.is_empty() => {
+                        q.remove_at(a as usize % q.len());
+                    }
+                    2 => {}
+                    _ => {
+                        let cluster = cluster_at(classed, a, b, c);
+                        let expect = q.as_slice().iter().any(|j| cluster.can_fit(j));
+                        prop_assert_eq!(q.any_fits(&cluster), expect);
+                    }
+                }
+                let live = q.as_slice();
+                let min_nodes = live.iter().map(|j| j.nodes).min().unwrap_or(u32::MAX);
+                let min_memory_gb = live.iter().map(|j| j.memory_gb).min().unwrap_or(u64::MAX);
+                prop_assert!(q.min_nodes <= min_nodes);
+                prop_assert!(q.min_memory_gb <= min_memory_gb);
+            }
+        }
     }
 }

@@ -1,92 +1,48 @@
-//! Dense **placement-scan primitives** over [`JobStore`](crate::store)
-//! columns — the hot loop of a saturated replay, with an optional
-//! parallel path that is bit-identical to the serial one by construction.
+//! The dense **placement scan** over [`JobStore`](crate::store) columns —
+//! the hot loop of a saturated replay.
 //!
 //! On a flat cluster, "does job *j* fit right now?" is exactly
 //! `nodes[j] ≤ free_nodes && memory_gb[j] ≤ free_memory_gb`
 //! (`FirstFitAllocator::can_fit`), so a fit scan over the dense columns
-//! computes the same answer as a scan over the full specs. The parallel
-//! path splits the columns into contiguous chunks, scans them on scoped
-//! threads, and reduces **by lowest index** — the first-fitting position
-//! is the same job the serial left-to-right scan would have stopped at,
-//! and the no-fit minima are exact because every chunk then scanned to
-//! its end. Callers therefore get one contract regardless of path:
+//! computes the same answer as a scan over the full specs while touching
+//! 12 bytes per job instead of a whole [`JobSpec`](rsched_cluster::JobSpec).
+//! The contract:
 //!
-//! * `first_fit` is the index the serial scan finds, or `None`;
+//! * `first_fit` is the index a left-to-right scan stops at, or `None`;
 //! * when `None`, `min_nodes`/`min_memory_gb` are the exact column minima
-//!   (the watermark re-tightening in the wait queue relies on);
-//!   when a fit is found they are meaningless (the serial scan would have
-//!   early-exited) and must not be read.
+//!   (the watermark re-tightening in the wait queue relies on them);
+//!   when a fit is found they cover only the prefix before it and must
+//!   not be read.
 //!
-//! Parallelism only pays once the queue is deep: below
-//! [`PARALLEL_SCAN_MIN`] live jobs (or with one worker) the serial loop
-//! runs inline with zero thread traffic.
+//! There is one scan and it is a plain loop: 16 384 rows cost ~25 µs, well
+//! under what spawning and joining threads per epoch costs, so nothing
+//! here fans out. Parallelism in this workspace lives one level up, across
+//! independent campaign cells (`rsched-parallel`).
 
-use std::num::NonZeroUsize;
-use std::sync::OnceLock;
-
-use rsched_cluster::JobSpec;
-
-/// Queue depth below which the parallel path is never taken: thread
-/// spawn + join costs more than scanning this many `(u32, u64)` pairs.
-pub const PARALLEL_SCAN_MIN: usize = 8192;
-
-/// Result of a flat fit scan (serial or parallel — same contract).
+/// Result of a flat fit scan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ScanOutcome {
-    /// Index of the first job that fits, in scan order — identical to the
-    /// serial left-to-right result. `None` if nothing fits.
+    /// Index of the first job that fits, in scan order. `None` if nothing
+    /// fits.
     pub first_fit: Option<usize>,
     /// Exact minimum of the node column. **Only valid when `first_fit` is
-    /// `None`** (a found fit early-exits the serial scan, so no sound
-    /// minima exist).
+    /// `None`** (a found fit ends the scan early, so no sound minima
+    /// exist).
     pub min_nodes: u32,
     /// Exact minimum of the memory column, same validity rule.
     pub min_memory_gb: u64,
 }
 
-/// Workers available to placement scans: `RSCHED_SCAN_WORKERS` if set
-/// (clamped to ≥ 1), else `available_parallelism`. Cached after first use.
-pub fn scan_workers() -> usize {
-    static WORKERS: OnceLock<usize> = OnceLock::new();
-    *WORKERS.get_or_init(|| {
-        if let Ok(v) = std::env::var("RSCHED_SCAN_WORKERS") {
-            if let Ok(n) = v.trim().parse::<usize>() {
-                return n.max(1);
-            }
-        }
-        std::thread::available_parallelism()
-            .map(NonZeroUsize::get)
-            .unwrap_or(1)
-    })
-}
-
-/// Scan the aligned demand columns against the free resources, choosing
-/// the serial or parallel path by depth and worker count. Both paths
-/// return identical [`ScanOutcome`]s.
-pub fn first_fit_flat(
-    nodes: &[u32],
-    memory_gb: &[u64],
-    free_nodes: u32,
-    free_memory_gb: u64,
-    workers: usize,
-) -> ScanOutcome {
-    debug_assert_eq!(nodes.len(), memory_gb.len());
-    if workers > 1 && nodes.len() >= PARALLEL_SCAN_MIN {
-        first_fit_flat_parallel(nodes, memory_gb, free_nodes, free_memory_gb, workers)
-    } else {
-        first_fit_flat_serial(nodes, memory_gb, free_nodes, free_memory_gb)
-    }
-}
-
-/// The reference left-to-right scan: early-exits at the first fit;
-/// computes exact minima only when nothing fits.
+/// Scan the aligned demand columns left to right against the free
+/// resources: early-exits at the first fit; computes exact minima only
+/// when nothing fits.
 pub fn first_fit_flat_serial(
     nodes: &[u32],
     memory_gb: &[u64],
     free_nodes: u32,
     free_memory_gb: u64,
 ) -> ScanOutcome {
+    debug_assert_eq!(nodes.len(), memory_gb.len());
     let mut min_nodes = u32::MAX;
     let mut min_memory_gb = u64::MAX;
     for (i, (&n, &m)) in nodes.iter().zip(memory_gb).enumerate() {
@@ -107,195 +63,46 @@ pub fn first_fit_flat_serial(
     }
 }
 
-/// The sharded scan: contiguous chunks on scoped threads, reduced by
-/// lowest chunk start. Each chunk early-exits locally; chunk minima are
-/// only folded into the result when **no** chunk found a fit, in which
-/// case every chunk scanned to its end and the fold is the exact global
-/// minimum — the same pair the serial full scan computes.
-pub fn first_fit_flat_parallel(
+// The two forwards below keep the frozen `benchmark/src/probes.rs` — their
+// only caller — compiling; the next `benchmark`-archetype PR drops them
+// together with the probe that compares them. Nothing in the workspace may
+// call them.
+
+/// Forwards to [`first_fit_flat_serial`]; `workers` is ignored.
+#[doc(hidden)]
+pub fn first_fit_flat(
     nodes: &[u32],
     memory_gb: &[u64],
     free_nodes: u32,
     free_memory_gb: u64,
-    workers: usize,
+    _workers: usize,
 ) -> ScanOutcome {
-    let len = nodes.len();
-    let chunks = workers.clamp(1, len.max(1));
-    let chunk_len = len.div_ceil(chunks);
-    let mut results: Vec<(usize, ScanOutcome)> = Vec::with_capacity(chunks);
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(chunks);
-        for (idx, (n_chunk, m_chunk)) in nodes
-            .chunks(chunk_len)
-            .zip(memory_gb.chunks(chunk_len))
-            .enumerate()
-        {
-            let start = idx * chunk_len;
-            handles.push(scope.spawn(move || {
-                (
-                    start,
-                    first_fit_flat_serial(n_chunk, m_chunk, free_nodes, free_memory_gb),
-                )
-            }));
-        }
-        for h in handles {
-            results.push(h.join().expect("scan worker panicked"));
-        }
-    });
-    // Chunks were pushed in order; the first chunk reporting a fit holds
-    // the globally lowest index because chunks are contiguous slices.
-    for &(start, out) in &results {
-        if let Some(at) = out.first_fit {
-            return ScanOutcome {
-                first_fit: Some(start + at),
-                min_nodes: u32::MAX,
-                min_memory_gb: u64::MAX,
-            };
-        }
-    }
-    results.iter().fold(
-        ScanOutcome {
-            first_fit: None,
-            min_nodes: u32::MAX,
-            min_memory_gb: u64::MAX,
-        },
-        |acc, &(_, out)| ScanOutcome {
-            first_fit: None,
-            min_nodes: acc.min_nodes.min(out.min_nodes),
-            min_memory_gb: acc.min_memory_gb.min(out.min_memory_gb),
-        },
-    )
+    first_fit_flat_serial(nodes, memory_gb, free_nodes, free_memory_gb)
 }
 
-/// First index in `specs` whose flat demand fits the free resources —
-/// the position `specs.iter().position(|j| fits)` finds — choosing the
-/// serial or sharded path by depth and worker count. Used by
-/// [`SystemView::first_eligible`](crate::SystemView::first_eligible),
-/// where the queue is borrowed as full specs rather than dense columns.
-pub fn first_fit_specs(
-    specs: &[JobSpec],
-    free_nodes: u32,
-    free_memory_gb: u64,
-    workers: usize,
-) -> Option<usize> {
-    let fits = |j: &JobSpec| j.nodes <= free_nodes && j.memory_gb <= free_memory_gb;
-    if workers <= 1 || specs.len() < PARALLEL_SCAN_MIN {
-        return specs.iter().position(fits);
-    }
-    let chunks = workers.min(specs.len());
-    let chunk_len = specs.len().div_ceil(chunks);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = specs
-            .chunks(chunk_len)
-            .enumerate()
-            .map(|(idx, chunk)| {
-                scope.spawn(move || chunk.iter().position(fits).map(|at| idx * chunk_len + at))
-            })
-            .collect();
-        // Chunks are contiguous and joined in order: the first hit is the
-        // globally lowest index — the job the serial scan stops at.
-        handles
-            .into_iter()
-            .find_map(|h| h.join().expect("scan worker panicked"))
-    })
-}
-
-/// First index in `specs` satisfying `pred` — the position
-/// `specs.iter().position(pred)` finds — choosing the serial or sharded
-/// path by depth and worker count. The generalized form of
-/// [`first_fit_specs`] for callers whose eligibility test is more than
-/// the two flat column comparisons (EASY's backfill candidate filter:
-/// fits now ∧ not the head ∧ not dominated by an epoch rejection).
-///
-/// The predicate must be pure (same answer for the same job throughout
-/// the call) — chunks evaluate it concurrently and in no fixed order.
-pub fn first_match_specs<P>(specs: &[JobSpec], pred: P, workers: usize) -> Option<usize>
-where
-    P: Fn(&JobSpec) -> bool + Sync,
-{
-    if workers <= 1 || specs.len() < PARALLEL_SCAN_MIN {
-        return specs.iter().position(&pred);
-    }
-    let chunks = workers.min(specs.len());
-    let chunk_len = specs.len().div_ceil(chunks);
-    std::thread::scope(|scope| {
-        let pred = &pred;
-        let handles: Vec<_> = specs
-            .chunks(chunk_len)
-            .enumerate()
-            .map(|(idx, chunk)| {
-                scope.spawn(move || chunk.iter().position(pred).map(|at| idx * chunk_len + at))
-            })
-            .collect();
-        // Chunks are contiguous and joined in order: the first hit is the
-        // globally lowest index — the job the serial scan stops at.
-        handles
-            .into_iter()
-            .find_map(|h| h.join().expect("scan worker panicked"))
-    })
-}
-
-/// Index of the minimum-`key` job among those satisfying `pred` — exactly
-/// what `specs.iter().filter(pred).min_by_key(key)` selects — sharded by
-/// depth and worker count. EASY-SJBF's shortest-candidate pick with key
-/// `(walltime, submit, id)`.
-///
-/// Both paths resolve key ties to the **lowest index**: the serial
-/// `min_by` keeps the first minimum it sees, and the parallel reduce folds
-/// per-chunk first-minima in chunk order, which is the same element. (With
-/// a unique component in the key — the job id — ties cannot occur at all.)
-pub fn min_match_specs<P, K, F>(specs: &[JobSpec], pred: P, key: F, workers: usize) -> Option<usize>
-where
-    P: Fn(&JobSpec) -> bool + Sync,
-    K: Ord + Send,
-    F: Fn(&JobSpec) -> K + Sync,
-{
-    let chunk_min = |chunk: &[JobSpec], base: usize| -> Option<(K, usize)> {
-        chunk
-            .iter()
-            .enumerate()
-            .filter(|(_, j)| pred(j))
-            .map(|(i, j)| (key(j), base + i))
-            .min_by(|a, b| a.0.cmp(&b.0))
-    };
-    if workers <= 1 || specs.len() < PARALLEL_SCAN_MIN {
-        return chunk_min(specs, 0).map(|(_, at)| at);
-    }
-    let chunks = workers.min(specs.len());
-    let chunk_len = specs.len().div_ceil(chunks);
-    std::thread::scope(|scope| {
-        let chunk_min = &chunk_min;
-        let handles: Vec<_> = specs
-            .chunks(chunk_len)
-            .enumerate()
-            .map(|(idx, chunk)| scope.spawn(move || chunk_min(chunk, idx * chunk_len)))
-            .collect();
-        handles
-            .into_iter()
-            .filter_map(|h| h.join().expect("scan worker panicked"))
-            .min_by(|a, b| a.0.cmp(&b.0))
-            .map(|(_, at)| at)
-    })
+/// Always 1: the scan never fans out.
+#[doc(hidden)]
+pub fn scan_workers() -> usize {
+    1
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rsched_simkit::{SimDuration, SimTime};
 
     fn columns(demands: &[(u32, u64)]) -> (Vec<u32>, Vec<u64>) {
         demands.iter().map(|&(n, m)| (n, m)).unzip()
     }
 
     #[test]
-    fn serial_finds_first_fit_in_scan_order() {
+    fn finds_first_fit_in_scan_order() {
         let (n, m) = columns(&[(8, 64), (4, 32), (2, 8), (1, 4)]);
         let out = first_fit_flat_serial(&n, &m, 4, 32);
         assert_eq!(out.first_fit, Some(1), "job 0 too wide, job 1 fits");
     }
 
     #[test]
-    fn serial_no_fit_yields_exact_minima() {
+    fn no_fit_yields_exact_minima() {
         let (n, m) = columns(&[(8, 64), (4, 512), (6, 32)]);
         let out = first_fit_flat_serial(&n, &m, 2, 16);
         assert_eq!(out.first_fit, None);
@@ -309,138 +116,5 @@ mod tests {
         assert_eq!(out.first_fit, None);
         assert_eq!(out.min_nodes, u32::MAX);
         assert_eq!(out.min_memory_gb, u64::MAX);
-    }
-
-    /// The pinned contract: for arbitrary columns and free levels, the
-    /// parallel scan returns the serial scan's `first_fit`, and exact
-    /// serial minima whenever nothing fits — across worker counts, on
-    /// slices far below `PARALLEL_SCAN_MIN` (forced via the direct entry
-    /// point).
-    #[test]
-    fn parallel_matches_serial_for_all_worker_counts() {
-        // Deterministic pseudo-random columns, including exact boundary
-        // demands (== free level) and saturated stretches.
-        let mut x = 0x2545F4914F6CDD1Du64;
-        let mut next = move || {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            x
-        };
-        for len in [1usize, 2, 3, 7, 64, 1000] {
-            let nodes: Vec<u32> = (0..len).map(|_| (next() % 16) as u32 + 1).collect();
-            let mems: Vec<u64> = (0..len).map(|_| (next() % 128) + 1).collect();
-            for (free_n, free_m) in [(0u32, 0u64), (1, 64), (8, 32), (16, 128), (5, 5)] {
-                let serial = first_fit_flat_serial(&nodes, &mems, free_n, free_m);
-                for workers in [1usize, 2, 3, 8, 33] {
-                    let par = first_fit_flat_parallel(&nodes, &mems, free_n, free_m, workers);
-                    assert_eq!(par.first_fit, serial.first_fit, "len {len} w {workers}");
-                    if serial.first_fit.is_none() {
-                        assert_eq!(par.min_nodes, serial.min_nodes);
-                        assert_eq!(par.min_memory_gb, serial.min_memory_gb);
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn spec_scan_matches_iterator_position_across_worker_counts() {
-        let spec =
-            |n: u32, m: u64| JobSpec::new(0, 0, SimTime::ZERO, SimDuration::from_secs(60), n, m);
-        // Big enough to cross PARALLEL_SCAN_MIN so workers > 1 really
-        // shards; the fitting job sits deep in the third quarter.
-        let mut specs: Vec<JobSpec> = (0..PARALLEL_SCAN_MIN + 100)
-            .map(|_| spec(64, 4096))
-            .collect();
-        let target = PARALLEL_SCAN_MIN / 2 + 777;
-        specs[target] = spec(1, 1);
-        specs[target + 50] = spec(1, 1); // a later fit must not win
-        let expect = specs.iter().position(|j| j.nodes <= 2 && j.memory_gb <= 8);
-        assert_eq!(expect, Some(target));
-        for workers in [1usize, 2, 3, 8] {
-            assert_eq!(
-                first_fit_specs(&specs, 2, 8, workers),
-                Some(target),
-                "workers {workers}"
-            );
-        }
-        assert_eq!(first_fit_specs(&specs, 0, 0, 4), None, "nothing fits");
-    }
-
-    #[test]
-    fn predicate_scan_matches_iterator_position_across_worker_counts() {
-        let spec =
-            |n: u32, m: u64| JobSpec::new(0, 0, SimTime::ZERO, SimDuration::from_secs(60), n, m);
-        let mut specs: Vec<JobSpec> = (0..PARALLEL_SCAN_MIN + 64)
-            .map(|_| spec(64, 4096))
-            .collect();
-        let target = PARALLEL_SCAN_MIN / 3 + 11;
-        specs[target] = spec(2, 8);
-        specs[target + 9] = spec(2, 8);
-        // An arbitrary predicate beyond the flat fit: fits AND even nodes.
-        let pred = |j: &JobSpec| j.nodes <= 2 && j.memory_gb <= 8;
-        let expect = specs.iter().position(pred);
-        assert_eq!(expect, Some(target));
-        for workers in [1usize, 2, 3, 8] {
-            assert_eq!(
-                first_match_specs(&specs, pred, workers),
-                Some(target),
-                "workers {workers}"
-            );
-        }
-        assert_eq!(first_match_specs(&specs, |_| false, 4), None);
-    }
-
-    #[test]
-    fn min_match_matches_filter_min_by_key_across_worker_counts() {
-        // Deterministic pseudo-random walltimes; key includes the id so it
-        // is unique, exactly as the SJBF pick uses it.
-        let mut x = 0x9E3779B97F4A7C15u64;
-        let mut next = move || {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            x
-        };
-        let specs: Vec<JobSpec> = (0..PARALLEL_SCAN_MIN + 500)
-            .map(|i| {
-                JobSpec::new(
-                    i as u32,
-                    0,
-                    SimTime::ZERO,
-                    SimDuration::from_secs(next() % 1000 + 1),
-                    (next() % 16) as u32 + 1,
-                    (next() % 64) + 1,
-                )
-            })
-            .collect();
-        let pred = |j: &JobSpec| j.nodes <= 8 && j.memory_gb <= 32;
-        let key = |j: &JobSpec| (j.walltime, j.submit, j.id);
-        let expect = specs
-            .iter()
-            .enumerate()
-            .filter(|(_, j)| pred(j))
-            .min_by_key(|(_, j)| key(j))
-            .map(|(i, _)| i);
-        assert!(expect.is_some());
-        for workers in [1usize, 2, 3, 8, 33] {
-            assert_eq!(
-                min_match_specs(&specs, pred, key, workers),
-                expect,
-                "workers {workers}"
-            );
-        }
-        assert_eq!(min_match_specs(&specs, |_| false, key, 4), None);
-    }
-
-    #[test]
-    fn dispatch_stays_serial_below_the_depth_threshold() {
-        // Indirect but meaningful: the dispatcher must give identical
-        // results either side of the threshold; here we just pin that a
-        // small scan with many workers still returns the serial answer.
-        let (n, m) = columns(&[(4, 32), (1, 1)]);
-        let out = first_fit_flat(&n, &m, 2, 16, 64);
-        assert_eq!(out.first_fit, Some(1));
     }
 }

@@ -11,9 +11,7 @@
 //! O(1) regardless of queue depth, and a 100k-job trace no longer pays an
 //! O(n) deep copy per policy query. Policies that only need completed-job
 //! aggregates read the O(1) [`CompletedStats`] and never touch the record
-//! slice at all. Callers that genuinely need an owned snapshot (the PR-2
-//! era API) can still get one through the deprecated
-//! [`to_owned`](SystemView::to_owned) compatibility path.
+//! slice at all.
 
 use rsched_cluster::{
     ClusterConfig, Demand, JobId, JobRecord, JobSpec, NodeClass, UserId, MAX_CLASSES,
@@ -146,26 +144,6 @@ impl<'a> SystemView<'a> {
         self.waiting.iter().filter(|j| self.fits_now(j))
     }
 
-    /// The first waiting job (in queue order) that fits right now —
-    /// `eligible_now().next()`, but on a flat cluster with a deep queue
-    /// the scan is sharded across threads and reduced by lowest queue
-    /// position, so the result is bit-identical to the serial scan (see
-    /// [`scan`](crate::scan)). Greedy first-fit policies should prefer
-    /// this over `eligible_now().next()` for million-job replays.
-    pub fn first_eligible(&self) -> Option<&'a JobSpec> {
-        if self.config.topology.is_flat() {
-            crate::scan::first_fit_specs(
-                self.waiting,
-                self.free_nodes,
-                self.free_memory_gb,
-                crate::scan::scan_workers(),
-            )
-            .map(|at| &self.waiting[at])
-        } else {
-            self.eligible_now().next()
-        }
-    }
-
     /// `true` once every job has arrived and been started (the paper's
     /// condition for a valid `Stop`).
     pub fn all_jobs_started(&self) -> bool {
@@ -224,39 +202,6 @@ impl<'a> SystemView<'a> {
                     self.running,
                 ))
             }
-        }
-    }
-
-    /// Deep-copy this snapshot into the PR-2 era owned form.
-    ///
-    /// O(n) in queue/record counts — exactly the per-query cost the
-    /// borrowed view exists to avoid. Only for callers that must outlive
-    /// the `decide` borrow (e.g. policies that defer work to another
-    /// thread).
-    ///
-    /// Note this inherent method deliberately **shadows** the std
-    /// [`ToOwned`] blanket impl (`SystemView` derives [`Clone`]):
-    /// `view.to_owned()` resolves here and returns an
-    /// [`OwnedSystemView`](crate::compat::OwnedSystemView), while generic
-    /// code bound on `T: ToOwned` still gets a `SystemView` clone. The
-    /// shadowing is the compatibility point — PR-2 era call sites written
-    /// against the owned snapshot keep compiling — and the deprecation
-    /// warning marks every such call site for migration.
-    #[deprecated(note = "the borrowed SystemView<'_> is zero-copy; clone into an \
-                OwnedSystemView only when the snapshot must outlive `decide`")]
-    #[allow(deprecated)]
-    pub fn to_owned(&self) -> crate::compat::OwnedSystemView {
-        crate::compat::OwnedSystemView {
-            now: self.now,
-            config: self.config,
-            free_nodes: self.free_nodes,
-            free_memory_gb: self.free_memory_gb,
-            free_by_class: self.free_by_class,
-            waiting: self.waiting.to_vec(),
-            running: self.running.to_vec(),
-            completed: self.completed.to_vec(),
-            pending_arrivals: self.pending_arrivals,
-            total_jobs: self.total_jobs,
         }
     }
 }

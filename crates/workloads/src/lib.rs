@@ -32,15 +32,11 @@
 //! assert!(scenario_builtins().contains("Bursty-Idle"));
 //! assert_eq!(scenario_builtins().len(), names::ALL_BUILTIN.len());
 //! ```
-//!
-//! The enum-addressed legacy API ([`ScenarioKind`], [`generate`]) survives
-//! as deprecated shims in [`compat`], bit-identical to the registry path.
 
 #![deny(missing_docs)]
 #![deny(unsafe_code)]
 
 pub mod arrivals;
-pub mod compat;
 pub mod error;
 pub mod polaris;
 pub mod registry;
@@ -51,8 +47,6 @@ pub mod trace;
 pub mod users;
 
 pub use arrivals::{ArrivalMode, ArrivalProcess};
-#[allow(deprecated)]
-pub use compat::{generate, ScenarioKind};
 pub use error::WorkloadError;
 pub use registry::{
     builtins as scenario_builtins, names, ScenarioContext, ScenarioGenerator, ScenarioInfo,

@@ -6,8 +6,7 @@
 //!
 //! Scenarios are addressed **by name** through the
 //! [`ScenarioRegistry`](crate::ScenarioRegistry); this module holds the
-//! builtin definitions and the deterministic generation core. The legacy
-//! enum-addressed path lives in [`crate::compat`].
+//! builtin definitions and the deterministic generation core.
 
 use rsched_cluster::{ClusterConfig, JobSpec, NodeClass, ResourceVec};
 use rsched_simkit::dist::{Categorical, Clamped, Gamma, LogNormal, Sample, Uniform};
@@ -359,18 +358,12 @@ pub(crate) static BUILTIN_SCENARIOS: [BuiltinScenario; 12] = [
     },
 ];
 
-/// Look up a builtin synthetic scenario by slug.
-pub(crate) fn lookup_builtin(slug: &str) -> Option<&'static BuiltinScenario> {
-    BUILTIN_SCENARIOS.iter().find(|s| s.slug == slug)
-}
-
 /// Generate one workload instance from a builtin definition.
 ///
 /// Determinism: the `(slug, n, mode, seed)` tuple fully determines the
 /// output; shapes, arrivals and users draw from independent derived streams
 /// so changing `n` does not reshuffle earlier jobs. The seed tree is keyed
-/// by the scenario slug, which is why the name-addressed registry path is
-/// bit-identical to the legacy enum-addressed one.
+/// by the scenario slug.
 pub(crate) fn generate_builtin(spec: &BuiltinScenario, ctx: &ScenarioContext) -> Workload {
     let n = ctx.n;
     let tree = SeedTree::new(ctx.seed).subtree(spec.slug, 0);

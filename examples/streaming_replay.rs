@@ -18,7 +18,6 @@
 use std::time::Instant;
 
 use reasoned_scheduler::prelude::*;
-use reasoned_scheduler::sim::SimOptions;
 use reasoned_scheduler::workloads::swf::SwfReader;
 use reasoned_scheduler::workloads::synth::polaris_synth_text;
 
@@ -54,21 +53,15 @@ fn main() {
         started.elapsed()
     );
 
-    // Stage 3: the FCFS replay on the Polaris machine. The query budget
-    // guards livelock, not scale — size it to the trace.
+    // Stage 3: the FCFS replay on the Polaris machine.
     let cluster = ClusterConfig::polaris();
     let registry = PolicyRegistry::with_builtins();
     let mut policy = registry
         .build("FCFS", &PolicyContext::new(&jobs, cluster).with_seed(seed))
         .expect("builtin policy");
-    let options = SimOptions {
-        max_queries: (jobs.len() * 16).max(1_000_000),
-        ..SimOptions::default()
-    };
     let started = Instant::now();
     let outcome = Simulation::new(cluster)
         .jobs(&jobs)
-        .options(options)
         .run(policy.as_mut())
         .expect("replay completes");
     let elapsed = started.elapsed();

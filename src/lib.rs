@@ -114,8 +114,6 @@ pub mod prelude {
         ServiceConfig, ServiceCore, ServiceDaemon, ServiceObserver, ServiceReport, SubmitHandle,
         TenantConfig, TenantId, WallClock,
     };
-    #[allow(deprecated)]
-    pub use rsched_sim::OwnedSystemView;
     pub use rsched_sim::{
         run_simulation, Action, CompletedStats, CountingObserver, DecisionRecord, RunningSummary,
         SchedulingPolicy, SimObserver, SimOptions, SimOutcome, Simulation, SystemView,
@@ -125,8 +123,6 @@ pub mod prelude {
         DelayReason, EpochOutcome, EpochTrace, LogHistogram, MetricsRegistry, MetricsSnapshot,
         TelemetrySink,
     };
-    #[allow(deprecated)]
-    pub use rsched_workloads::{generate, ScenarioKind};
     pub use rsched_workloads::{
         scenario_builtins, ArrivalMode, ScenarioContext, ScenarioRegistry, Workload, WorkloadError,
     };

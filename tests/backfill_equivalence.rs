@@ -18,10 +18,9 @@
 //!   `earliest_window` against the quadratic candidate loop, on
 //!   arbitrarily reserved (non-monotone) skylines.
 //! * An `#[ignore]`d release-mode `polaris_synth:50000` stream pins the
-//!   EASY family — queue depths there cross the sharded-scan threshold —
-//!   plus a 5k-job Conservative cell (the quadratic reference makes 50k
-//!   intractable): `cargo test --release --test backfill_equivalence --
-//!   --ignored`.
+//!   EASY family on queues thousands of jobs deep, plus a 5k-job
+//!   Conservative cell (the quadratic reference makes 50k intractable):
+//!   `cargo test --release --test backfill_equivalence -- --ignored`.
 
 use proptest::prelude::*;
 use reasoned_scheduler::cluster::{ClusterConfig, JobId, JobSpec};
@@ -443,10 +442,8 @@ fn calendar_backfill_matches_reference_on_a_polaris_stream() {
 }
 
 /// Release-mode deep-stream differential — the EASY family over a
-/// `polaris_synth:50000` stream (queue depths cross the sharded-scan
-/// threshold, so the scoped-thread candidate scan is exercised against the
-/// serial reference), plus a 5k Conservative cell (the O(profile²)
-/// reference cannot face 50k):
+/// `polaris_synth:50000` stream (queues thousands of jobs deep), plus a
+/// 5k Conservative cell (the O(profile²) reference cannot face 50k):
 ///
 /// ```text
 /// cargo test --release --test backfill_equivalence -- --ignored

@@ -51,15 +51,6 @@ fn workload_types_construct() {
 }
 
 #[test]
-#[allow(deprecated)]
-fn deprecated_workload_shims_still_resolve() {
-    // The enum-addressed legacy path stays importable from the prelude.
-    let workload: Workload = generate(ScenarioKind::HeterogeneousMix, 4, ArrivalMode::Static, 1);
-    assert_eq!(workload.jobs.len(), 4);
-    assert!(ScenarioKind::all().len() >= 7);
-}
-
-#[test]
 fn llm_types_construct() {
     let mut llm: SimulatedLlm = SimulatedLlm::claude37(11);
     // `LanguageModel` is the prelude's trait handle to any backend.

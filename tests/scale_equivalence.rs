@@ -7,19 +7,18 @@
 //! * full simulations over streaming- vs eager-converted jobs, across
 //!   3 policies × 2 scenarios × 2 seeds, compared field-for-field down to
 //!   the f64 bit patterns of the integrated utilization curves;
-//! * a sharded (2-worker) campaign run vs the serial (1-worker) run of
-//!   the same grid, compared as `summary.json` bytes;
-//! * the sharded parallel placement scan vs the serial left-to-right
-//!   scan, on real synthetic-workload demand columns deep enough to cross
-//!   the parallel threshold;
+//! * a campaign whose cells are sharded over a 2-worker pool vs the
+//!   1-worker run of the same grid, compared as `summary.json` bytes;
 //! * an `#[ignore]`d release-mode 1M-job FCFS replay smoke with a
-//!   wall-clock bound (`cargo test --release -- --ignored million_job`).
+//!   wall-clock bound (`cargo test --release -- --ignored million_job`),
+//!   run by CI: a per-epoch fan-out in the kernel blows the bound on any
+//!   multi-core runner.
 
 use reasoned_scheduler::campaign::{Campaign, CampaignSpec, NullObserver};
 use reasoned_scheduler::cluster::ClusterConfig;
 use reasoned_scheduler::parallel::ThreadPool;
 use reasoned_scheduler::registry::{PolicyContext, PolicyRegistry};
-use reasoned_scheduler::sim::{scan, SimOptions, SimOutcome, Simulation};
+use reasoned_scheduler::sim::{SimOutcome, Simulation};
 use reasoned_scheduler::workloads::swf::{SwfReader, SwfTrace};
 use reasoned_scheduler::workloads::synth::{polaris_synth_text, polaris_synth_workload};
 
@@ -178,45 +177,6 @@ seeds = [2025, 2026]
     let _ = std::fs::remove_dir_all(&base);
 }
 
-/// The parallel placement scan against the serial reference, on real
-/// synthetic demand columns deep enough to engage the sharded path.
-#[test]
-fn parallel_placement_scan_matches_serial_on_deep_queues() {
-    let jobs = polaris_synth_workload(scan::PARALLEL_SCAN_MIN + 4_000, 2025);
-    let nodes: Vec<u32> = jobs.iter().map(|j| j.nodes).collect();
-    let memory: Vec<u64> = jobs.iter().map(|j| j.memory_gb).collect();
-    // Free levels from "nothing fits" through "head fits": each must give
-    // the same first-fit index and, when nothing fits, the same exact
-    // minima for the watermark re-tightening.
-    for (free_nodes, free_memory) in [(0u32, 0u64), (1, 2), (4, 64), (32, 1024), (560, 286_720)] {
-        let serial = scan::first_fit_flat_serial(&nodes, &memory, free_nodes, free_memory);
-        for workers in [2usize, 3, 8] {
-            let par =
-                scan::first_fit_flat_parallel(&nodes, &memory, free_nodes, free_memory, workers);
-            assert_eq!(
-                par.first_fit, serial.first_fit,
-                "free ({free_nodes}, {free_memory}) workers {workers}"
-            );
-            if serial.first_fit.is_none() {
-                assert_eq!(par.min_nodes, serial.min_nodes);
-                assert_eq!(par.min_memory_gb, serial.min_memory_gb);
-            }
-        }
-        // The spec-slice variant (SystemView::first_eligible's engine)
-        // agrees with the straightforward iterator scan.
-        let expect = jobs
-            .iter()
-            .position(|j| j.nodes <= free_nodes && j.memory_gb <= free_memory);
-        for workers in [1usize, 2, 8] {
-            assert_eq!(
-                scan::first_fit_specs(&jobs, free_nodes, free_memory, workers),
-                expect,
-                "spec scan, free ({free_nodes}, {free_memory}) workers {workers}"
-            );
-        }
-    }
-}
-
 /// Release-mode scale smoke: a 1M-job FCFS replay of the synthetic
 /// Polaris stream must complete — correctly — inside a generous
 /// wall-clock bound (the BENCH_scale.json 1M tier records the real
@@ -239,12 +199,6 @@ fn million_job_fcfs_replay_completes_within_bound() {
     let started = std::time::Instant::now();
     let outcome = Simulation::new(cluster)
         .jobs(&jobs)
-        // One placement query per job plus epilogue queries outgrows the
-        // default 1M query budget; the budget guards livelock, not scale.
-        .options(SimOptions {
-            max_queries: 16_000_000,
-            ..SimOptions::default()
-        })
         .run(policy.as_mut())
         .expect("replay completes");
     let elapsed = started.elapsed();

@@ -1,9 +1,8 @@
 //! The workload-side tentpole's contracts, tested from outside the
 //! workspace:
 //!
-//! * all seven legacy scenarios resolve by name through the
-//!   `ScenarioRegistry` with workloads **bit-identical** to the deprecated
-//!   enum-addressed path;
+//! * every builtin scenario resolves by name through the
+//!   `ScenarioRegistry`, case- and separator-insensitively;
 //! * an SWF fixture trace runs end to end through `run_named`/`run_matrix`
 //!   and lands in a per-cell JSON artifact;
 //! * third-party scenarios register by name and flow through the
@@ -34,36 +33,6 @@ fn quick_solver() -> SolverConfig {
         sa_iteration_cap: 800,
         exact_max_tasks: 6,
         ..SolverConfig::default()
-    }
-}
-
-#[test]
-#[allow(deprecated)]
-fn legacy_scenarios_resolve_by_name_bit_identically() {
-    // The acceptance contract: for every legacy scenario, every mode, the
-    // registry path reproduces the enum path exactly — same jobs (all
-    // fields), same provenance.
-    for kind in ScenarioKind::all() {
-        for mode in [ArrivalMode::Static, ArrivalMode::Dynamic] {
-            for seed in [0u64, 7, 2025] {
-                let via_enum = generate(kind, 30, mode, seed);
-                let via_registry = scenario_builtins()
-                    .generate(
-                        kind.slug(),
-                        &ScenarioContext::new(30).with_mode(mode).with_seed(seed),
-                    )
-                    .expect("legacy scenario is builtin");
-                assert_eq!(
-                    via_enum.jobs,
-                    via_registry.jobs,
-                    "{} (mode {mode:?}, seed {seed})",
-                    kind.slug()
-                );
-                assert_eq!(via_enum.scenario, via_registry.scenario);
-                assert_eq!(via_enum.mode, via_registry.mode);
-                assert_eq!(via_enum.seed, via_registry.seed);
-            }
-        }
     }
 }
 
