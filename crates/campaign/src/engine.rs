@@ -1,5 +1,5 @@
 //! The campaign engine: expand the spec into its grid, serve cells from
-//! the content-addressed cache, execute the misses on the work-stealing
+//! the content-addressed cache, execute the misses on the thread
 //! pool, and merge **in grid order regardless of completion order** — so
 //! a campaign's output is a pure function of its spec, not of thread
 //! scheduling.

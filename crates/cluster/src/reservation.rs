@@ -6,7 +6,7 @@
 //! *shadow start* — the earliest time the head job could start given the
 //! currently running jobs' completion times.
 
-use rsched_simkit::{SimDuration, SimTime};
+use rsched_simkit::SimTime;
 
 use crate::allocator::PlacementRequest;
 use crate::cluster::ClusterState;
@@ -255,22 +255,6 @@ pub fn free_by_class_at(cluster: &ClusterState, t: SimTime) -> [u32; MAX_CLASSES
     free
 }
 
-/// The minimum delay a queue head would suffer if `candidate` ran first on
-/// an otherwise idle machine — a diagnostic used by the reasoning traces.
-pub fn head_delay_if_backfilled(
-    cluster: &ClusterState,
-    now: SimTime,
-    candidate: &JobSpec,
-    head: &JobSpec,
-) -> SimDuration {
-    let shadow = shadow_start(cluster, now, Demand::from(head));
-    if backfill_is_safe(cluster, now, candidate, head) {
-        return SimDuration::ZERO;
-    }
-    let candidate_end = now + candidate.walltime;
-    candidate_end.saturating_since(shadow)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -343,10 +327,6 @@ mod tests {
         let head = spec(10, 500, 4, 8);
         let cand = spec(11, 30, 1, 8);
         assert!(backfill_is_safe(&c, SimTime::ZERO, &cand, &head));
-        assert_eq!(
-            head_delay_if_backfilled(&c, SimTime::ZERO, &cand, &head),
-            SimDuration::ZERO
-        );
     }
 
     #[test]
@@ -365,7 +345,6 @@ mod tests {
         };
         let cand = spec(11, 500, 1, 24);
         assert!(!backfill_is_safe(&c, SimTime::ZERO, &cand, &head));
-        assert!(head_delay_if_backfilled(&c, SimTime::ZERO, &cand, &head) > SimDuration::ZERO);
     }
 
     #[test]

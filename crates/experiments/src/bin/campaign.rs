@@ -5,7 +5,7 @@
 //! ```
 //!
 //! The grid (policies × scenarios × jobs × seeds) executes on a
-//! machine-sized work-stealing pool with a per-cell result cache under
+//! machine-sized thread pool with a per-cell result cache under
 //! `results/campaigns/<name>/cells/` — rerunning skips every
 //! already-computed cell and reproduces `summary.json` byte for byte.
 //! Progress streams to stderr; the per-`(scenario, jobs)` Pareto-rank

@@ -169,7 +169,15 @@ fn main() {
                     report.dropped_requests,
                     report.ticks,
                 );
-                println!("tick latency: {}", report.tick_latency);
+                let t = report.tick_latency;
+                println!(
+                    "tick latency: n={} mean={:.3}ms p50={:.3}ms p99={:.3}ms max={:.3}ms",
+                    t.count,
+                    t.sum as f64 / t.count.max(1) as f64 / 1e6,
+                    t.p50 as f64 / 1e6,
+                    t.p99 as f64 / 1e6,
+                    t.max as f64 / 1e6,
+                );
                 println!(
                     "kernel: queries={} placements={} backfills={} delays={} epochs={}",
                     report.stats.queries,

@@ -145,7 +145,7 @@ impl MatrixCell {
     }
 }
 
-/// Run many cells in parallel on the work-stealing pool, preserving input
+/// Run many cells in parallel on the thread pool, preserving input
 /// order. Cells resolve against the shared builtin registry.
 pub fn run_matrix(cells: Vec<MatrixCell>, pool: &ThreadPool) -> Vec<RunResult> {
     pool.par_map(cells, |cell| {

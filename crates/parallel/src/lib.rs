@@ -1,18 +1,14 @@
 //! # rsched-parallel
 //!
-//! A small work-stealing thread pool used to fan the experiment matrix
-//! (scheduler × scenario × size × seed) across cores. Each experiment cell
-//! stays single-threaded and deterministic; only the sweep is parallel.
+//! A small thread pool used to fan the experiment matrix (scheduler ×
+//! scenario × size × seed) across cores. Each experiment cell stays
+//! single-threaded and deterministic; only the sweep is parallel.
 //!
-//! Built from scratch on `crossbeam`'s work-stealing deques and
-//! `parking_lot` parking, in the spirit of the workspace's hpc-parallel
-//! guides (Rayon's architecture, *Rust Atomics and Locks*' discipline):
-//!
-//! * one local [`Worker`](crossbeam::deque::Worker) deque per thread,
-//! * a shared [`Injector`](crossbeam::deque::Injector) for external
-//!   submissions,
-//! * random-order stealing between workers,
-//! * condvar parking when the system runs dry.
+//! Built on `std::sync` alone: one shared `VecDeque` of boxed tasks behind
+//! a `Mutex`, a `Condvar` idle workers park on, and a shutdown flag under
+//! the same lock. Every task the pool sees is a whole campaign or figure
+//! cell (milliseconds of work) against a sub-microsecond queue operation,
+//! so one lock is the whole design.
 //!
 //! [`ThreadPool::par_map`] returns results in **input order** no matter
 //! which worker finished first — the foundation of the sharded campaign

@@ -1,31 +1,36 @@
-//! The work-stealing pool.
+//! The pool: one shared FIFO of boxed tasks behind a mutex, a condvar to
+//! park idle workers on, and a shutdown flag under the same lock.
 
+use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc;
-use std::sync::Arc;
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
-use std::time::Duration;
-
-use crossbeam::deque::{Injector, Stealer, Worker};
-use parking_lot::{Condvar, Mutex};
 
 type Task = Box<dyn FnOnce() + Send + 'static>;
 
+struct Queue {
+    tasks: VecDeque<Task>,
+    shutdown: bool,
+}
+
 struct Shared {
-    injector: Injector<Task>,
-    stealers: Vec<Stealer<Task>>,
-    shutdown: AtomicBool,
-    sleep_lock: Mutex<()>,
+    queue: Mutex<Queue>,
     wakeup: Condvar,
 }
 
-/// A fixed-size work-stealing thread pool.
+impl Shared {
+    /// Tasks run outside the lock, so it is never poisoned by one; a
+    /// poisoned guard is still taken rather than panicking inside `Drop`.
+    fn locked(&self) -> MutexGuard<'_, Queue> {
+        self.queue.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// A fixed-size thread pool over one shared task queue.
 ///
 /// Tasks are `'static` closures; results flow back through channels (see
-/// [`ThreadPool::par_map`]). Dropping the pool drains nothing: it signals
-/// shutdown and joins the workers, so submit-side code should finish its
-/// batches (e.g. via `par_map`) before letting the pool go.
+/// [`ThreadPool::par_map`]). Dropping the pool is the one way to stop it:
+/// the workers finish whatever is still queued, then exit and are joined.
 pub struct ThreadPool {
     shared: Arc<Shared>,
     handles: Vec<JoinHandle<()>>,
@@ -38,23 +43,19 @@ impl ThreadPool {
     /// Panics if `threads == 0`.
     pub fn new(threads: usize) -> Self {
         assert!(threads > 0, "pool needs at least one thread");
-        let workers: Vec<Worker<Task>> = (0..threads).map(|_| Worker::new_fifo()).collect();
-        let stealers: Vec<Stealer<Task>> = workers.iter().map(|w| w.stealer()).collect();
         let shared = Arc::new(Shared {
-            injector: Injector::new(),
-            stealers,
-            shutdown: AtomicBool::new(false),
-            sleep_lock: Mutex::new(()),
+            queue: Mutex::new(Queue {
+                tasks: VecDeque::new(),
+                shutdown: false,
+            }),
             wakeup: Condvar::new(),
         });
-        let handles = workers
-            .into_iter()
-            .enumerate()
-            .map(|(index, local)| {
+        let handles = (0..threads)
+            .map(|index| {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("rsched-worker-{index}"))
-                    .spawn(move || worker_loop(index, local, shared))
+                    .spawn(move || worker_loop(&shared))
                     .expect("spawning pool worker")
             })
             .collect();
@@ -78,7 +79,7 @@ impl ThreadPool {
 
     /// Submit one fire-and-forget task.
     pub fn spawn<F: FnOnce() + Send + 'static>(&self, task: F) {
-        self.shared.injector.push(Box::new(task));
+        self.shared.locked().tasks.push_back(Box::new(task));
         self.shared.wakeup.notify_one();
     }
 
@@ -119,88 +120,46 @@ impl ThreadPool {
             .map(|(i, r)| r.unwrap_or_else(|| panic!("task {i} never delivered a result")))
             .collect()
     }
+}
 
-    /// Gracefully shut the pool down: signal the workers and join every
-    /// thread. Queued tasks that a worker has already picked up (or can
-    /// pick up before observing the signal) still run; parked workers wake
-    /// and exit.
-    ///
-    /// Idempotent — a second call (or the implicit one in `Drop`) is a
-    /// no-op. Long-lived owners like the service daemon call this
-    /// explicitly so shutdown happens at a chosen point with any join
-    /// panics surfaced here rather than during unwinding.
-    pub fn shutdown(&mut self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
+impl Drop for ThreadPool {
+    fn drop(&mut self) {
+        self.shared.locked().shutdown = true;
         self.shared.wakeup.notify_all();
         for handle in self.handles.drain(..) {
             let _ = handle.join();
         }
     }
-
-    /// `true` once [`shutdown`](Self::shutdown) has joined the workers.
-    pub fn is_shut_down(&self) -> bool {
-        self.handles.is_empty()
-    }
 }
 
-impl Drop for ThreadPool {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-fn worker_loop(index: usize, local: Worker<Task>, shared: Arc<Shared>) {
+fn worker_loop(shared: &Shared) {
+    let mut queue = shared.locked();
     loop {
-        if let Some(task) = find_task(index, &local, &shared) {
+        if let Some(task) = queue.tasks.pop_front() {
+            drop(queue);
             // A panicking task must not kill the worker; par_map transports
             // the payload separately.
             let _ = catch_unwind(AssertUnwindSafe(task));
-            continue;
-        }
-        if shared.shutdown.load(Ordering::SeqCst) {
+            queue = shared.locked();
+        } else if queue.shutdown {
             return;
-        }
-        // Nothing to do: park until a push or shutdown wakes us. The
-        // timeout re-checks for missed wakeups.
-        let mut guard = shared.sleep_lock.lock();
-        if shared.shutdown.load(Ordering::SeqCst) || !shared.injector.is_empty() {
-            continue;
-        }
-        shared.wakeup.wait_for(&mut guard, Duration::from_millis(5));
-    }
-}
-
-fn find_task(index: usize, local: &Worker<Task>, shared: &Shared) -> Option<Task> {
-    if let Some(task) = local.pop() {
-        return Some(task);
-    }
-    // Refill from the injector (batch steal amortizes contention), then try
-    // peers.
-    loop {
-        match shared.injector.steal_batch_and_pop(local) {
-            crossbeam::deque::Steal::Success(task) => return Some(task),
-            crossbeam::deque::Steal::Empty => break,
-            crossbeam::deque::Steal::Retry => continue,
+        } else {
+            // Both `spawn` and `Drop` change the queue under the lock this
+            // guard holds, so no wake-up can fall between the checks above
+            // and the wait: no timeout is needed.
+            queue = shared
+                .wakeup
+                .wait(queue)
+                .unwrap_or_else(PoisonError::into_inner);
         }
     }
-    let peers = shared.stealers.len();
-    for offset in 1..peers {
-        let victim = (index + offset) % peers;
-        loop {
-            match shared.stealers[victim].steal() {
-                crossbeam::deque::Steal::Success(task) => return Some(task),
-                crossbeam::deque::Steal::Empty => break,
-                crossbeam::deque::Steal::Retry => continue,
-            }
-        }
-    }
-    None
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::time::Duration;
 
     #[test]
     fn par_map_preserves_order() {
@@ -288,21 +247,22 @@ mod tests {
     }
 
     #[test]
-    fn explicit_shutdown_joins_and_is_idempotent() {
-        let mut pool = ThreadPool::new(3);
-        assert!(!pool.is_shut_down());
-        let counter = Arc::new(AtomicUsize::new(0));
-        let c = Arc::clone(&counter);
-        pool.par_map((0..64).collect::<Vec<u32>>(), move |_| {
-            c.fetch_add(1, Ordering::SeqCst)
-        });
-        pool.shutdown();
-        assert!(pool.is_shut_down());
-        assert_eq!(counter.load(Ordering::SeqCst), 64, "batch ran fully");
-        // Second call (and the implicit Drop) must be no-ops, not hangs.
-        pool.shutdown();
-        assert!(pool.is_shut_down());
-        drop(pool);
+    fn spawn_wakes_a_fully_parked_pool_every_time() {
+        // The campaign engine's path: `spawn`, not `par_map`, into a pool
+        // whose workers have all gone to sleep. No poll hides a lost
+        // wake-up, so each task must report back promptly on its own.
+        let pool = ThreadPool::new(2);
+        let (tx, rx) = mpsc::channel::<usize>();
+        for i in 0..20 {
+            std::thread::sleep(Duration::from_millis(10));
+            let tx = tx.clone();
+            pool.spawn(move || tx.send(i).expect("receiver alive"));
+            assert_eq!(
+                rx.recv_timeout(Duration::from_secs(1)),
+                Ok(i),
+                "task {i} was not picked up by a parked worker"
+            );
+        }
     }
 
     #[test]

@@ -28,13 +28,12 @@ use rsched_sim::{
     job_is_feasible, Action, SchedulingPolicy, SimError, SimEvent, SimOptions, SimOutcome, SimStats,
 };
 use rsched_simkit::{SimDuration, SimTime};
-use rsched_telemetry::{export, MetricsRegistry, TelemetrySink};
+use rsched_telemetry::{export, HistSummary, LogHistogram, MetricsRegistry, TelemetrySink};
 
 use crate::admission::{AdmissionConfig, AdmissionController, AdmissionError};
 use crate::clock::ServiceClock;
 use crate::ingest::{ingest_channel, ServiceRequest, Submission, SubmitHandle};
 use crate::observer::{ServiceObserver, TickStats};
-use crate::telemetry::{LatencyRecorder, LatencySummary};
 use crate::tenant::TenantId;
 
 /// Service configuration.
@@ -112,8 +111,8 @@ pub struct ServiceReport {
     pub end_time: SimTime,
     /// Kernel counters (queries, placements, backfills, …).
     pub stats: SimStats,
-    /// Wall-clock decision-tick latency aggregates.
-    pub tick_latency: LatencySummary,
+    /// Wall-clock decision-tick latency aggregates, in nanoseconds.
+    pub tick_latency: HistSummary,
 }
 
 /// The single-threaded scheduler service around one [`KernelState`].
@@ -138,7 +137,7 @@ pub struct ServiceCore {
     admitted: usize,
     rejected: usize,
     ticks: u64,
-    latency: LatencyRecorder,
+    latency: LogHistogram,
     last_now: SimTime,
     /// Shared telemetry sink; disabled by default (one pointer check per
     /// call site). [`set_telemetry`](ServiceCore::set_telemetry) installs a
@@ -179,7 +178,7 @@ impl ServiceCore {
             admitted: 0,
             rejected: 0,
             ticks: 0,
-            latency: LatencyRecorder::new(),
+            latency: LogHistogram::new(),
             last_now: start,
             telemetry: TelemetrySink::disabled(),
             config,
@@ -378,7 +377,7 @@ impl ServiceCore {
         let pending = self.pending_hint();
         let mut decisions = 0usize;
         let mut verdict = Ok(());
-        if self.kernel.should_query(now, pending, &self.config.sim) {
+        if self.kernel.should_query(now, pending) {
             let first_new = self.kernel.decisions_len();
             verdict = self.kernel.run_epoch(
                 now,
@@ -525,7 +524,7 @@ impl ServiceCore {
         registry.set_counter("service_ticks_total", self.ticks);
         registry.set_gauge("service_queue_depth", self.kernel.waiting_len() as i64);
         registry.set_gauge("service_running_jobs", self.kernel.running_count() as i64);
-        registry.install_histogram("service_tick_nanos", self.latency.histogram());
+        registry.install_histogram("service_tick_nanos", &self.latency);
         export::prometheus(&registry.snapshot(), "rsched_")
     }
 

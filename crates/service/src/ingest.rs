@@ -1,4 +1,4 @@
-//! The submission front-end: a lock-free-style MPSC channel between any
+//! The submission front-end: a mutex-backed MPSC channel between any
 //! number of client threads and the single scheduler loop.
 //!
 //! Producers hold cloneable [`SubmitHandle`]s; the service core drains the

@@ -10,7 +10,8 @@
 //! queue; this crate drives it from a live MPSC submission channel on a
 //! pluggable [`ServiceClock`]:
 //!
-//! * [`SubmitHandle`] — cloneable, lock-free front door for producers;
+//! * [`SubmitHandle`] — cloneable front door for producers (a
+//!   mutex-backed MPSC channel);
 //! * [`AdmissionController`] — per-tenant token-bucket rate limits,
 //!   queue-depth caps, and typed [`AdmissionError`] rejections;
 //! * [`tenant::FairShare`] — usage-decayed tenant priority,
@@ -19,8 +20,9 @@
 //! * [`ServiceDaemon`] — the core on its own thread, with graceful drain;
 //! * [`replay()`] — a trace pushed through the service driver at exact event
 //!   times, bit-equivalent to `rsched_sim::run_simulation`;
-//! * [`ServiceObserver`] / [`LatencySummary`] — streaming per-tick
-//!   telemetry and decision-latency quantiles.
+//! * [`ServiceObserver`] / [`ServiceReport::tick_latency`] — streaming
+//!   per-tick telemetry and decision-latency quantiles (a
+//!   [`rsched_telemetry::LogHistogram`] summary).
 
 #![deny(missing_docs)]
 #![deny(unsafe_code)]
@@ -32,7 +34,6 @@ pub mod daemon;
 pub mod ingest;
 pub mod observer;
 pub mod replay;
-pub mod telemetry;
 pub mod tenant;
 
 pub use admission::{AdmissionConfig, AdmissionController, AdmissionError};
@@ -42,5 +43,4 @@ pub use daemon::ServiceDaemon;
 pub use ingest::{ServiceRequest, ServiceStopped, Submission, SubmitHandle};
 pub use observer::{CountingServiceObserver, ServiceObserver, TickStats};
 pub use replay::{replay, replay_with_telemetry};
-pub use telemetry::{LatencyRecorder, LatencySummary};
 pub use tenant::{FairShare, FairShareConfig, RateLimit, TenantConfig, TenantId};

@@ -28,8 +28,8 @@
 
 use rsched_cluster::reservation::Demand;
 use rsched_cluster::{
-    backfill_is_safe, classed_overlap_fits, nodes_per_slot, shadow_start, ClusterConfig,
-    ClusterState, JobId, JobRecord, JobSpec, StartError, StepIntegral, MAX_CLASSES,
+    classed_overlap_fits, nodes_per_slot, ClusterConfig, ClusterState, JobId, JobRecord, JobSpec,
+    StartError, StepIntegral, MAX_CLASSES,
 };
 use rsched_simkit::{EventQueue, SimTime};
 use rsched_telemetry::{DelayReason, EpochOutcome, EpochTrace, TelemetrySink};
@@ -174,12 +174,11 @@ impl KernelState {
 
     /// Should the policy be consulted this tick?
     ///
-    /// Mirrors the paper's query discipline (§3.7.1): under
-    /// [`query_only_when_placeable`](SimOptions::query_only_when_placeable),
-    /// saturated states (jobs waiting but nothing fits) skip the query —
-    /// the queue's min-demand watermark proves most of them in O(1) — and
-    /// an empty queue is only queried once nothing more is pending, to
-    /// offer the final `Stop`. A kernel that has stopped never queries.
+    /// The paper's query discipline (§3.7.1): saturated states (jobs
+    /// waiting but nothing fits) skip the query — the queue's min-demand
+    /// watermark proves most of them in O(1) — and an empty queue is only
+    /// queried once nothing more is pending, to offer the final `Stop`. A
+    /// kernel that has stopped never queries.
     ///
     /// `pending_arrivals` is the driver's count of jobs known to be still
     /// on their way (unsent workload jobs for the simulator; a nonzero
@@ -190,37 +189,27 @@ impl KernelState {
     /// so the trace explains the skipped query — recorded whether or not a
     /// telemetry sink is attached, keeping [`epochs`](Self::epochs)
     /// deterministic.
-    pub fn should_query(
-        &mut self,
-        now: SimTime,
-        pending_arrivals: usize,
-        options: &SimOptions,
-    ) -> bool {
+    pub fn should_query(&mut self, now: SimTime, pending_arrivals: usize) -> bool {
         if self.stopped {
             return false;
         }
-        let placeable = self.queue.any_fits(&self.cluster);
-        if options.query_only_when_placeable {
-            if placeable || (self.queue.is_empty() && pending_arrivals == 0) {
-                true
-            } else {
-                if !self.queue.is_empty() {
-                    let queue_len = self.queue.len() as u32;
-                    let trace = EpochTrace {
-                        time: now,
-                        outcome: EpochOutcome::Saturated,
-                        reason: Some(DelayReason::WatermarkSaturated { queue_len }),
-                        queue_len,
-                        queries: 0,
-                    };
-                    self.epochs.push(trace);
-                    self.telemetry.count_epoch(&trace);
-                }
-                false
-            }
-        } else {
-            !self.queue.is_empty() || pending_arrivals == 0
+        if self.queue.is_empty() {
+            return pending_arrivals == 0;
         }
+        if self.queue.any_fits(&self.cluster) {
+            return true;
+        }
+        let queue_len = self.queue.len() as u32;
+        let trace = EpochTrace {
+            time: now,
+            outcome: EpochOutcome::Saturated,
+            reason: Some(DelayReason::WatermarkSaturated { queue_len }),
+            queue_len,
+            queries: 0,
+        };
+        self.epochs.push(trace);
+        self.telemetry.count_epoch(&trace);
+        false
     }
 
     /// One decision epoch at time `now`: query the policy, validate and
@@ -238,6 +227,11 @@ impl KernelState {
         policy: &mut dyn SchedulingPolicy,
         options: &SimOptions,
     ) -> Result<(), SimError> {
+        /// After this many consecutive rejected actions in one epoch the
+        /// kernel forces a `Delay` — bounding the retry loop of paper §2.4
+        /// so a confused policy cannot livelock.
+        const MAX_CONSECUTIVE_INVALID: usize = 5;
+
         self.stats.epochs += 1;
         let _epoch_span = self.telemetry.span("kernel.epoch", now);
         let mut consecutive_invalid = 0usize;
@@ -302,10 +296,7 @@ impl KernelState {
                     if self.queue.is_empty() && pending_arrivals > 0 {
                         break EpochClose::Placed;
                     }
-                    if options.query_only_when_placeable
-                        && !self.queue.is_empty()
-                        && !self.queue.any_fits(&self.cluster)
-                    {
+                    if !self.queue.is_empty() && !self.queue.any_fits(&self.cluster) {
                         // Saturated again: skip the redundant Delay round-trip.
                         break EpochClose::Placed;
                     }
@@ -323,7 +314,7 @@ impl KernelState {
                 Err(_) => {
                     self.stats.rejections += 1;
                     consecutive_invalid += 1;
-                    if consecutive_invalid >= options.max_invalid_per_epoch {
+                    if consecutive_invalid >= MAX_CONSECUTIVE_INVALID {
                         // Force a delay: the policy is confused; move time on.
                         self.stats.delays += 1;
                         break EpochClose::Forced;
@@ -442,8 +433,9 @@ impl KernelState {
                     // calendar instead of re-sweeping `cluster.running()`
                     // per proposal: the shadow is the head's earliest fit
                     // on that skyline, and the overlap check reads the
-                    // skyline level at the shadow. Debug builds pin both
-                    // against the original cluster sweep.
+                    // skyline level at the shadow. The cluster sweep stays
+                    // in `rsched_cluster::reservation` as the reference that
+                    // `tests/kernel_equivalence.rs` replays against.
                     let topology = self.cluster.config().topology;
                     let calendar = self.ledger.actual(
                         now,
@@ -457,11 +449,6 @@ impl KernelState {
                     } else {
                         calendar.earliest_fit_classed(&topology, &head_demand)
                     };
-                    debug_assert_eq!(
-                        shadow,
-                        shadow_start(&self.cluster, now, head_demand),
-                        "calendar shadow diverged from the cluster sweep"
-                    );
                     let safe = shadow == SimTime::MAX
                         || now + spec.walltime <= shadow
                         || if topology.is_flat() {
@@ -477,11 +464,6 @@ impl KernelState {
                                 &head_demand,
                             )
                         };
-                    debug_assert_eq!(
-                        safe,
-                        backfill_is_safe(&self.cluster, now, &spec, &head),
-                        "calendar backfill validation diverged from the cluster math"
-                    );
                     if !safe {
                         return Err(RejectReason::WouldDelayHead {
                             job: spec.id,

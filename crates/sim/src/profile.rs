@@ -50,8 +50,9 @@
 //! Everything here is pinned bit-identical to the structures it replaced:
 //! the skyline matches the old per-decide `free_profile` rebuild point for
 //! point (`tests/backfill_equivalence.rs` proptests), and the shadow math
-//! matches `rsched_cluster::{shadow_start, backfill_is_safe}` (debug
-//! asserts in the kernel plus `tests/kernel_equivalence.rs`).
+//! matches `rsched_cluster::{shadow_start, backfill_is_safe}`
+//! (`tests/kernel_equivalence.rs`, accept and refuse paths, flat and
+//! classed).
 
 use std::cell::{Ref, RefCell};
 

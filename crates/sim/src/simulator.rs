@@ -35,18 +35,8 @@ use crate::policy::SchedulingPolicy;
 /// Simulator knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct SimOptions {
-    /// After this many consecutive rejected actions in one decision epoch,
-    /// the simulator forces a `Delay` — bounding the retry loop of paper
-    /// §2.4 so a confused policy cannot livelock.
-    pub max_invalid_per_epoch: usize,
     /// Hard cap on total policy queries across the run.
     pub max_queries: usize,
-    /// Query the policy only when at least one waiting job fits the free
-    /// resources (or when everything has been started, to allow `Stop`).
-    /// This is the paper's behaviour — its per-model call counts equal the
-    /// job count (§3.7.1), so saturated states advance time without an LLM
-    /// round-trip. Disable to consult the policy at every event.
-    pub query_only_when_placeable: bool,
     /// Validate `BackfillJob` with the EASY shadow-time test (the backfill
     /// must not delay the queue head's reserved start). The paper's
     /// constraint module checks only resource feasibility and eligibility
@@ -58,9 +48,7 @@ pub struct SimOptions {
 impl Default for SimOptions {
     fn default() -> Self {
         SimOptions {
-            max_invalid_per_epoch: 5,
             max_queries: 1_000_000,
-            query_only_when_placeable: true,
             strict_backfill: false,
         }
     }
@@ -192,10 +180,11 @@ pub(crate) fn simulate_with_telemetry(
         // Decision epoch: consult the policy while jobs are waiting, or —
         // once everything has arrived — to give it the chance to `Stop`
         // (the paper's traces show a final Stop query with an empty queue).
-        // Under `query_only_when_placeable`, saturated states (jobs waiting
-        // but nothing fits) skip the query and advance time directly; the
-        // queue's min-demand watermark proves most of them in O(1).
-        if kernel.should_query(now, pending_arrivals, options) {
+        // Saturated states (jobs waiting but nothing fits) skip the query
+        // and advance time directly — the paper's per-model call counts
+        // equal the job count (§3.7.1); the queue's min-demand watermark
+        // proves most of them in O(1).
+        if kernel.should_query(now, pending_arrivals) {
             let first_new = kernel.decisions_len();
             let verdict = kernel.run_epoch(now, pending_arrivals, jobs.len(), policy, options);
             // Stream the epoch's decisions (even when the epoch errored,
@@ -711,9 +700,7 @@ mod tests {
             &jobs,
             &mut DelayForever,
             &SimOptions {
-                max_invalid_per_epoch: 5,
                 max_queries: 3,
-                query_only_when_placeable: true,
                 strict_backfill: false,
             },
         )

@@ -1,19 +1,15 @@
 //! Offline shim for the `crossbeam` crate.
 //!
 //! The build environment has no network access to crates.io, so the
-//! workspace vendors the *subsets* of crossbeam it actually uses:
+//! workspace vendors the one *subset* of crossbeam it actually uses:
+//! [`channel`] — the unbounded MPSC channel (`unbounded`, `Sender`,
+//! `Receiver` with `try_recv`/`recv`/`recv_timeout`), backing the
+//! `rsched-service` submission front-end.
 //!
-//! * [`deque`] — `Worker` (FIFO), `Stealer`, `Injector`, and the `Steal`
-//!   result enum, backing the `rsched-parallel` work-stealing pool;
-//! * [`channel`] — the unbounded MPSC channel (`unbounded`, `Sender`,
-//!   `Receiver` with `try_recv`/`recv`/`recv_timeout`), backing the
-//!   `rsched-service` submission front-end.
-//!
-//! The implementations trade crossbeam's lock-free structures for
-//! `Mutex`/`Condvar` — correct and contention-safe, just slower under
-//! heavy contention. The workspace's pool pushes coarse-grained experiment
-//! cells and the service front-end drains in large batches per tick, so
-//! the locks are not a practical bottleneck.
+//! The implementation trades crossbeam's lock-free structure for a
+//! `Mutex`/`Condvar` pair — correct and contention-safe, just slower under
+//! heavy contention. The service front-end drains in large batches per
+//! tick, so the lock is not a practical bottleneck.
 //!
 //! Swap this path dependency for the real crate when a registry is
 //! available; no call sites need to change.
@@ -303,190 +299,6 @@ pub mod channel {
             got.sort_unstable();
             got.dedup();
             assert_eq!(got.len(), 1000, "no message duplicated or lost");
-        }
-    }
-}
-
-/// Work-stealing double-ended queues (API-compatible subset).
-pub mod deque {
-    use std::collections::VecDeque;
-    use std::sync::{Arc, Mutex, PoisonError};
-
-    fn locked<T>(queue: &Mutex<VecDeque<T>>) -> std::sync::MutexGuard<'_, VecDeque<T>> {
-        queue.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Outcome of a steal attempt.
-    pub enum Steal<T> {
-        /// The queue was observed empty.
-        Empty,
-        /// One task was stolen.
-        Success(T),
-        /// The attempt lost a race and should be retried.
-        ///
-        /// The mutex-backed shim never loses races, so this variant is
-        /// never constructed — it exists so `match` arms written against
-        /// real crossbeam compile unchanged.
-        Retry,
-    }
-
-    /// A worker-local FIFO queue with an owner-side `pop` and thief-side
-    /// [`Stealer`] handles.
-    pub struct Worker<T> {
-        queue: Arc<Mutex<VecDeque<T>>>,
-    }
-
-    impl<T> Worker<T> {
-        /// Creates a FIFO worker queue.
-        pub fn new_fifo() -> Self {
-            Worker {
-                queue: Arc::new(Mutex::new(VecDeque::new())),
-            }
-        }
-
-        /// Pushes a task onto the back of the local queue.
-        pub fn push(&self, task: T) {
-            locked(&self.queue).push_back(task);
-        }
-
-        /// Pops a task from the front of the local queue (FIFO order).
-        pub fn pop(&self) -> Option<T> {
-            locked(&self.queue).pop_front()
-        }
-
-        /// Whether the local queue is empty.
-        pub fn is_empty(&self) -> bool {
-            locked(&self.queue).is_empty()
-        }
-
-        /// Creates a thief-side handle to this queue.
-        pub fn stealer(&self) -> Stealer<T> {
-            Stealer {
-                queue: Arc::clone(&self.queue),
-            }
-        }
-    }
-
-    /// A thief-side handle to a [`Worker`] queue.
-    pub struct Stealer<T> {
-        queue: Arc<Mutex<VecDeque<T>>>,
-    }
-
-    impl<T> Stealer<T> {
-        /// Steals one task from the front of the victim queue.
-        pub fn steal(&self) -> Steal<T> {
-            match locked(&self.queue).pop_front() {
-                Some(task) => Steal::Success(task),
-                None => Steal::Empty,
-            }
-        }
-
-        /// Whether the victim queue is empty.
-        pub fn is_empty(&self) -> bool {
-            locked(&self.queue).is_empty()
-        }
-    }
-
-    impl<T> Clone for Stealer<T> {
-        fn clone(&self) -> Self {
-            Stealer {
-                queue: Arc::clone(&self.queue),
-            }
-        }
-    }
-
-    /// A shared injector queue for submissions from outside the pool.
-    pub struct Injector<T> {
-        queue: Mutex<VecDeque<T>>,
-    }
-
-    impl<T> Default for Injector<T> {
-        fn default() -> Self {
-            Injector::new()
-        }
-    }
-
-    impl<T> Injector<T> {
-        /// Creates an empty injector.
-        pub fn new() -> Self {
-            Injector {
-                queue: Mutex::new(VecDeque::new()),
-            }
-        }
-
-        /// Pushes a task onto the back of the injector.
-        pub fn push(&self, task: T) {
-            locked(&self.queue).push_back(task);
-        }
-
-        /// Whether the injector is empty.
-        pub fn is_empty(&self) -> bool {
-            locked(&self.queue).is_empty()
-        }
-
-        /// Steals one task, moving a batch of follow-up tasks into `local`
-        /// to amortize future contention.
-        pub fn steal_batch_and_pop(&self, local: &Worker<T>) -> Steal<T> {
-            const BATCH: usize = 16;
-            let mut queue = locked(&self.queue);
-            match queue.pop_front() {
-                None => Steal::Empty,
-                Some(first) => {
-                    let mut moved = 0;
-                    while moved < BATCH {
-                        match queue.pop_front() {
-                            Some(task) => {
-                                local.push(task);
-                                moved += 1;
-                            }
-                            None => break,
-                        }
-                    }
-                    Steal::Success(first)
-                }
-            }
-        }
-    }
-
-    #[cfg(test)]
-    mod tests {
-        use super::*;
-
-        #[test]
-        fn worker_is_fifo() {
-            let w = Worker::new_fifo();
-            w.push(1);
-            w.push(2);
-            assert_eq!(w.pop(), Some(1));
-            assert_eq!(w.pop(), Some(2));
-            assert_eq!(w.pop(), None);
-        }
-
-        #[test]
-        fn stealer_sees_worker_tasks() {
-            let w = Worker::new_fifo();
-            let s = w.stealer();
-            w.push(7);
-            match s.steal() {
-                Steal::Success(v) => assert_eq!(v, 7),
-                _ => panic!("expected a stolen task"),
-            }
-            assert!(matches!(s.steal(), Steal::Empty));
-        }
-
-        #[test]
-        fn injector_batch_refills_local() {
-            let inj = Injector::new();
-            for i in 0..40 {
-                inj.push(i);
-            }
-            let local = Worker::new_fifo();
-            match inj.steal_batch_and_pop(&local) {
-                Steal::Success(first) => assert_eq!(first, 0),
-                _ => panic!("expected success"),
-            }
-            // A batch moved into the local queue, preserving order.
-            assert_eq!(local.pop(), Some(1));
         }
     }
 }

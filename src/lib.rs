@@ -23,7 +23,7 @@
 //!   and external-process backends).
 //! * [`agent`] — the paper's contribution: the ReAct scheduling agent.
 //! * [`registry`] — the open, string-keyed policy registry.
-//! * [`parallel`] — the work-stealing pool for experiment sweeps.
+//! * [`parallel`] — the std-only thread pool for experiment sweeps.
 //! * [`service`] — the decision kernel as a long-running multi-tenant
 //!   scheduler daemon: MPSC ingest, per-tenant admission control,
 //!   fair-share ranking, graceful drain, and a replay driver that is

@@ -462,7 +462,6 @@ fn deep_polaris_stream_matches_reference_in_release() {
     let options = SimOptions {
         strict_backfill: true,
         max_queries: 16_000_000,
-        ..SimOptions::default()
     };
     for (mut calendar, mut reference) in [
         (

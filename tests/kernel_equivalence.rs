@@ -34,6 +34,9 @@ enum Applied {
     Stop,
 }
 
+/// The kernel's bound on consecutive rejected actions per epoch (§2.4).
+const MAX_CONSECUTIVE_INVALID: usize = 5;
+
 /// The pre-refactor kernel, reimplemented the obvious O(n²) way on the
 /// public API: clone-heavy snapshots, full re-sorts, full rescans. Slow by
 /// design — it is the semantic oracle the incremental kernel must match
@@ -88,11 +91,7 @@ fn reference_simulate(
 
         // Straight-line placeability: scan the whole queue.
         let placeable = waiting.iter().any(|j| cluster.can_fit(j));
-        let should_query = if options.query_only_when_placeable {
-            placeable || (waiting.is_empty() && pending_arrivals == 0)
-        } else {
-            !waiting.is_empty() || pending_arrivals == 0
-        };
+        let should_query = placeable || (waiting.is_empty() && pending_arrivals == 0);
         if !stopped && should_query {
             stats.epochs += 1;
             let mut consecutive_invalid = 0usize;
@@ -110,7 +109,10 @@ fn reference_simulate(
                         id: r.spec.id,
                         user: r.spec.user,
                         nodes: r.spec.nodes,
-                        memory_gb: r.spec.memory_gb,
+                        // What the cluster debited: the request on flat
+                        // machines, the hosting classes' capacity on
+                        // classed ones.
+                        memory_gb: r.allocation.memory_gb,
                         start: r.start,
                         submit: r.spec.submit,
                         expected_end: r.start + r.spec.walltime,
@@ -172,10 +174,7 @@ fn reference_simulate(
                         if waiting.is_empty() && pending_arrivals > 0 {
                             break;
                         }
-                        if options.query_only_when_placeable
-                            && !waiting.is_empty()
-                            && !waiting.iter().any(|j| cluster.can_fit(j))
-                        {
+                        if !waiting.is_empty() && !waiting.iter().any(|j| cluster.can_fit(j)) {
                             break;
                         }
                     }
@@ -190,7 +189,7 @@ fn reference_simulate(
                     Err(_) => {
                         stats.rejections += 1;
                         consecutive_invalid += 1;
-                        if consecutive_invalid >= options.max_invalid_per_epoch {
+                        if consecutive_invalid >= MAX_CONSECUTIVE_INVALID {
                             stats.delays += 1;
                             break;
                         }
@@ -343,8 +342,49 @@ fn assert_outcomes_identical(a: &SimOutcome, b: &SimOutcome, label: &str) {
     );
 }
 
+/// Scripted input for the strict-backfill validator: proposes
+/// `BackfillJob` for every waiting job that fits, whether or not it would
+/// delay the queue head. EASY itself only proposes safe backfills, so this
+/// is what drives the `WouldDelayHead { shadow }` refusal. A job refused at
+/// one instant is not proposed again until the clock moves.
+#[derive(Default)]
+struct BackfillEverything {
+    at: SimTime,
+    refused: Vec<JobId>,
+}
+
+impl SchedulingPolicy for BackfillEverything {
+    fn name(&self) -> &str {
+        "backfill-everything"
+    }
+
+    fn decide(&mut self, view: &SystemView<'_>) -> Action {
+        if view.now != self.at {
+            self.at = view.now;
+            self.refused.clear();
+        }
+        if view.all_jobs_started() {
+            return Action::Stop;
+        }
+        match view.eligible_now().find(|j| !self.refused.contains(&j.id)) {
+            Some(job) => Action::BackfillJob(job.id),
+            None => Action::Delay,
+        }
+    }
+
+    fn observe(&mut self, outcome: &ActionOutcome) {
+        if let (Action::BackfillJob(id), Some(_)) = (outcome.action, &outcome.rejected) {
+            self.refused.push(id);
+        }
+    }
+}
+
 /// All builtin policies × 4 scenarios × 3 seeds: the incremental kernel
-/// and the straight-line reference produce bit-identical outcomes.
+/// and the straight-line reference produce bit-identical outcomes. Then
+/// the scripted backfill-everything input under `strict_backfill`, flat
+/// and classed: the kernel validates against the capacity calendar, the
+/// reference against the `rsched_cluster::reservation` sweeps, and both
+/// the accepted backfills and every `WouldDelayHead { shadow }` must agree.
 #[test]
 fn incremental_kernel_matches_straight_line_reference() {
     let scenarios = [
@@ -387,6 +427,57 @@ fn incremental_kernel_matches_straight_line_reference() {
                 assert_outcomes_identical(&a, &b, &label);
             }
         }
+    }
+
+    let strict = SimOptions {
+        strict_backfill: true,
+        ..SimOptions::default()
+    };
+    for (cluster, scenario) in [
+        (ClusterConfig::paper_default(), "heterogeneous_mix"),
+        (ClusterConfig::mixed_256(), "gpu_skewed_hetmix"),
+    ] {
+        let (mut accepted, mut refused) = (0, 0);
+        for seed in 1u64..=3 {
+            let label = format!("backfill-everything on {scenario}/seed {seed}");
+            let jobs = scenario_builtins()
+                .generate(
+                    scenario,
+                    &ScenarioContext::new(64)
+                        .with_mode(ArrivalMode::Dynamic)
+                        .with_seed(seed),
+                )
+                .expect("builtin scenario")
+                .jobs;
+            let a = run_simulation(cluster, &jobs, &mut BackfillEverything::default(), &strict)
+                .unwrap_or_else(|e| panic!("{label} (incremental): {e}"));
+            let b = reference_simulate(cluster, &jobs, &mut BackfillEverything::default(), &strict)
+                .unwrap_or_else(|e| panic!("{label} (reference): {e}"));
+            assert_outcomes_identical(&a, &b, &label);
+            // A backfill of the head itself skips the validator; count the
+            // ones that overtook an earlier-submitted job still waiting.
+            accepted += a
+                .records
+                .iter()
+                .filter(|b| {
+                    a.records.iter().any(|h| {
+                        (h.spec.submit, h.spec.id) < (b.spec.submit, b.spec.id)
+                            && h.spec.submit <= b.start
+                            && b.start < h.start
+                    })
+                })
+                .count();
+            refused += a
+                .decisions
+                .iter()
+                .filter(|d| matches!(d.rejected, Some(RejectReason::WouldDelayHead { .. })))
+                .count();
+        }
+        assert!(
+            accepted > 0 && refused > 0,
+            "{scenario}: the input must drive both validator paths \
+             ({accepted} accepted, {refused} refused)"
+        );
     }
 }
 

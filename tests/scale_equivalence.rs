@@ -179,8 +179,8 @@ seeds = [2025, 2026]
 
 /// Release-mode scale smoke: a 1M-job FCFS replay of the synthetic
 /// Polaris stream must complete — correctly — inside a generous
-/// wall-clock bound (the BENCH_scale.json 1M tier records the real
-/// figure). Run with:
+/// wall-clock bound (`examples/streaming_replay -- 1000000` prints the
+/// real figure). Run with:
 ///
 /// ```text
 /// cargo test --release --test scale_equivalence -- --ignored million_job

@@ -26,7 +26,7 @@ fn daemon_drains_500_job_burst_across_three_tenants() {
     let daemon = ServiceDaemon::spawn(config, clock, || Box::new(Fcfs::default()));
     let handle = daemon.handle();
 
-    // Three producer threads, one tenant each, sharing the lock-free
+    // Three producer threads, one tenant each, sharing the one
     // ingest channel.
     let producers: Vec<_> = (0u32..3)
         .map(|tenant| {
