@@ -14,14 +14,14 @@ use crate::action::parse_completion;
 use crate::constraints::render_feedback;
 use crate::overhead::OverheadTracker;
 use crate::prompt::PromptBuilder;
-use crate::scratchpad::Scratchpad;
+use crate::scratchpad::{Scratchpad, DEFAULT_TOKEN_BUDGET};
 use crate::trace::DecisionTrace;
 
 /// Agent knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct AgentOptions {
-    /// Scratchpad rendering budget in tokens (the paper ran O4-Mini with a
-    /// 100 k context; the default leaves headroom for the state sections).
+    /// Scratchpad rendering budget in tokens; [`DEFAULT_TOKEN_BUDGET`]
+    /// unless set.
     pub scratchpad_token_budget: u32,
     /// Whether to keep full decision traces (Figure 2 material).
     pub record_trace: bool,
@@ -30,7 +30,7 @@ pub struct AgentOptions {
 impl Default for AgentOptions {
     fn default() -> Self {
         AgentOptions {
-            scratchpad_token_budget: 80_000,
+            scratchpad_token_budget: DEFAULT_TOKEN_BUDGET,
             record_trace: true,
         }
     }
@@ -41,7 +41,13 @@ pub struct ReActAgent {
     name: String,
     llm: Box<dyn LanguageModel>,
     scratchpad: Scratchpad,
+    /// The prompt of the current step; one buffer, refilled every step.
+    prompt: String,
     overhead: OverheadTracker,
+    /// Whether the last step recorded a call that still awaits its
+    /// verdict: a failed call records none, and the verdict on its forced
+    /// `Delay` must not land on an earlier call's record.
+    verdict_pending: bool,
     trace: DecisionTrace,
     options: AgentOptions,
     /// Completions that failed to parse or errored (diagnostic).
@@ -54,7 +60,9 @@ impl ReActAgent {
         ReActAgent {
             name: llm.model_name().to_string(),
             scratchpad: Scratchpad::new(options.scratchpad_token_budget),
+            prompt: String::new(),
             overhead: OverheadTracker::new(),
+            verdict_pending: false,
             trace: DecisionTrace::new(),
             options,
             llm,
@@ -72,10 +80,11 @@ impl ReActAgent {
     /// `Delay`, with the problem recorded as scratchpad feedback.
     pub fn step(&mut self, view: &SystemView<'_>) -> Action {
         let now = view.now.as_secs();
-        let prompt = PromptBuilder::render(view, &self.scratchpad);
-        let completion = match self.llm.complete(&prompt) {
+        PromptBuilder::render_into(&mut self.prompt, view, &self.scratchpad);
+        let completion = match self.llm.complete(&self.prompt) {
             Ok(c) => c,
             Err(e) => {
+                self.verdict_pending = false;
                 self.malformed_completions += 1;
                 self.scratchpad
                     .push_feedback(now, &format!("LLM call failed ({e}); defaulting to Delay."));
@@ -88,6 +97,7 @@ impl ReActAgent {
             completion.completion_tokens,
             view.waiting.len(),
         );
+        self.verdict_pending = true;
         match parse_completion(&completion.text) {
             Ok(parsed) => {
                 let action_text = parsed.action.to_string();
@@ -122,7 +132,9 @@ impl ReActAgent {
 
     /// Absorb the simulator's verdict on the last proposed action.
     pub fn absorb(&mut self, outcome: &ActionOutcome) {
-        self.overhead.set_last_verdict(outcome.accepted());
+        if std::mem::take(&mut self.verdict_pending) {
+            self.overhead.set_last_verdict(outcome.accepted());
+        }
         if let Some(reason) = &outcome.rejected {
             let feedback = render_feedback(&outcome.action, reason);
             self.scratchpad
@@ -152,6 +164,7 @@ impl ReActAgent {
     pub fn reset(&mut self) {
         self.scratchpad.clear();
         self.overhead.clear();
+        self.verdict_pending = false;
         self.trace.clear();
         self.malformed_completions = 0;
     }
@@ -161,9 +174,12 @@ impl ReActAgent {
 mod tests {
     use super::*;
     use rsched_cluster::{ClusterConfig, JobId, JobSpec};
+    use rsched_llm::backend::{Completion, LlmError};
     use rsched_llm::script::ScriptedBackend;
     use rsched_sim::RejectReason;
     use rsched_simkit::{SimDuration, SimTime};
+    use std::cell::RefCell;
+    use std::rc::Rc;
 
     fn waiting_jobs() -> Vec<JobSpec> {
         vec![JobSpec::new(
@@ -268,6 +284,88 @@ mod tests {
         let action = agent.step(&view_with_waiting(&waiting_jobs()));
         assert_eq!(action, Action::Delay);
         assert!(agent.scratchpad().render().contains("LLM call failed"));
+    }
+
+    /// The Fig. 5/6 latency panel keeps accepted placements only. A call
+    /// that fails records nothing, so the verdict on its forced `Delay`
+    /// has no record of its own to land on — and must not land on the
+    /// previous call's.
+    #[test]
+    fn failed_call_leaves_earlier_verdicts_alone() {
+        let backend = ScriptedBackend::new(["Thought: go\nAction: StartJob(job_id=9)"]);
+        let mut agent = ReActAgent::new(Box::new(backend), AgentOptions::default());
+        let waiting = waiting_jobs();
+        let action = agent.step(&view_with_waiting(&waiting));
+        agent.absorb(&ActionOutcome {
+            time: SimTime::ZERO,
+            action,
+            rejected: Some(RejectReason::InsufficientResources {
+                job: JobId(9),
+                needed_nodes: 256,
+                needed_memory_gb: 2,
+                free_nodes: 100,
+                free_memory_gb: 2048,
+            }),
+        });
+        // The script is exhausted: this call errs and degrades to `Delay`,
+        // which the simulator accepts.
+        let action = agent.step(&view_with_waiting(&waiting));
+        assert_eq!(action, Action::Delay);
+        agent.absorb(&ActionOutcome {
+            time: SimTime::ZERO,
+            action,
+            rejected: None,
+        });
+        assert_eq!(agent.overhead().call_count(), 1);
+        assert_eq!(agent.overhead().calls()[0].accepted, Some(false));
+        assert!(agent.overhead().placement_latencies().is_empty());
+    }
+
+    /// Always delays, and keeps every prompt it was handed where the test
+    /// can still read them once the model is boxed into the agent.
+    struct RecordingModel(Rc<RefCell<Vec<String>>>);
+
+    impl LanguageModel for RecordingModel {
+        fn model_name(&self) -> &str {
+            "recording"
+        }
+
+        fn complete(&mut self, prompt: &str) -> Result<Completion, LlmError> {
+            self.0.borrow_mut().push(prompt.to_string());
+            Ok(Completion {
+                text: "Thought: nothing fits; wait for a release\nAction: Delay".to_string(),
+                prompt_tokens: 0,
+                completion_tokens: 0,
+                latency_secs: 0.0,
+            })
+        }
+    }
+
+    /// The agent refills one prompt buffer: every prompt the model sees
+    /// must still be exactly what a fresh `PromptBuilder::render` gives,
+    /// also when it is shorter than the one before it.
+    #[test]
+    fn reused_prompt_buffer_carries_no_residue() {
+        let seen = Rc::default();
+        let mut agent = ReActAgent::new(
+            Box::new(RecordingModel(Rc::clone(&seen))),
+            AgentOptions::default(),
+        );
+        let waiting = waiting_jobs();
+        for _ in 0..40 {
+            let view = view_with_waiting(&waiting);
+            let expected = PromptBuilder::render(&view, agent.scratchpad());
+            agent.step(&view);
+            assert_eq!(seen.borrow().last(), Some(&expected));
+        }
+        let long = seen.borrow().last().map_or(0, String::len);
+        agent.reset();
+        // Shorter in both the history and the waiting section.
+        let view = view_with_waiting(&[]);
+        agent.step(&view);
+        let fresh = PromptBuilder::render(&view, &Scratchpad::default());
+        assert_eq!(seen.borrow().last(), Some(&fresh));
+        assert!(fresh.contains("(nothing yet)") && fresh.len() < long);
     }
 
     #[test]

@@ -18,10 +18,18 @@ use crate::scratchpad::Scratchpad;
 pub struct PromptBuilder;
 
 impl PromptBuilder {
-    /// Render the full prompt for one decision epoch. Reads entirely
-    /// through the view's borrows — nothing is cloned.
+    /// Render the full prompt for one decision epoch into a new string.
     pub fn render(view: &SystemView<'_>, scratchpad: &Scratchpad) -> String {
-        let mut p = String::with_capacity(4096);
+        let mut p = String::new();
+        Self::render_into(&mut p, view, scratchpad);
+        p
+    }
+
+    /// Replace the contents of `p` with the full prompt for one decision
+    /// epoch, so a caller that asks every epoch can keep one buffer. Reads
+    /// entirely through the view's borrows — nothing is cloned.
+    pub fn render_into(p: &mut String, view: &SystemView<'_>, scratchpad: &Scratchpad) {
+        p.clear();
         let _ = writeln!(
             p,
             "You are an expert HPC resource manager, and your task is to schedule jobs \
@@ -82,7 +90,7 @@ impl PromptBuilder {
         }
 
         let _ = writeln!(p, "\n# Scratchpad (Decision History)");
-        let _ = writeln!(p, "{}", scratchpad.render());
+        scratchpad.write_lines(p);
 
         let _ = writeln!(
             p,
@@ -113,7 +121,6 @@ impl PromptBuilder {
              Action: <your action>",
             view.config.nodes, view.config.memory_gb
         );
-        p
     }
 }
 

@@ -136,13 +136,13 @@ pub fn parse_prompt(text: &str) -> Result<ParsedPrompt, ParseError> {
                     out.capacity_memory_gb = memory;
                     saw_capacity = true;
                 } else if let Some(rest) = trimmed.strip_prefix("Current time: ") {
-                    out.now_secs = parse_u64(rest, "current time")?;
+                    out.now_secs = parse_num(rest, "current time")?;
                     saw_time = true;
                 } else if let Some(rest) = trimmed.strip_prefix("Available Nodes: ") {
-                    out.available_nodes = parse_u64(rest, "available nodes")? as u32;
+                    out.available_nodes = parse_num(rest, "available nodes")?;
                 } else if let Some(rest) = trimmed.strip_prefix("Available Memory: ") {
                     let rest = rest.strip_suffix(" GB").unwrap_or(rest);
-                    out.available_memory_gb = parse_u64(rest, "available memory")?;
+                    out.available_memory_gb = parse_num(rest, "available memory")?;
                 }
             }
             Section::Running => {
@@ -167,7 +167,7 @@ pub fn parse_prompt(text: &str) -> Result<ParsedPrompt, ParseError> {
                 if let Some(rest) = trimmed.strip_prefix("[t=") {
                     if let Some((ts, body)) = rest.split_once("] ") {
                         if let Some(feedback) = body.strip_prefix("Feedback: ") {
-                            let t = parse_u64(ts, "scratchpad timestamp")?;
+                            let t = parse_num(ts, "scratchpad timestamp")?;
                             out.feedback.push((t, feedback.to_string()));
                         }
                     }
@@ -186,9 +186,15 @@ pub fn parse_prompt(text: &str) -> Result<ParsedPrompt, ParseError> {
     Ok(out)
 }
 
-fn parse_u64(text: &str, what: &str) -> Result<u64, ParseError> {
+/// A decimal number of the width its field has; one too large for the
+/// field is an error, never a wrapped value.
+fn parse_num<T>(text: &str, what: &str) -> Result<T, ParseError>
+where
+    T: std::str::FromStr,
+    T::Err: std::fmt::Display,
+{
     text.trim()
-        .parse::<u64>()
+        .parse()
         .map_err(|e| err(format!("bad {what} `{text}`: {e}")))
 }
 
@@ -197,11 +203,11 @@ fn parse_capacity(text: &str) -> Result<(u32, u64), ParseError> {
     let (nodes_part, mem_part) = text
         .split_once(", ")
         .ok_or_else(|| err(format!("bad capacity line `{text}`")))?;
-    let nodes = parse_u64(
+    let nodes = parse_num(
         nodes_part.strip_suffix(" nodes").unwrap_or(nodes_part),
         "capacity nodes",
-    )? as u32;
-    let memory = parse_u64(
+    )?;
+    let memory = parse_num(
         mem_part.strip_suffix(" GB memory").unwrap_or(mem_part),
         "capacity memory",
     )?;
@@ -221,10 +227,25 @@ fn parse_completed(text: &str) -> Result<(usize, usize, usize), ParseError> {
         .strip_suffix(" not yet submitted")
         .unwrap_or(pending_part);
     Ok((
-        parse_u64(done, "completed count")? as usize,
-        parse_u64(total, "total jobs")? as usize,
-        parse_u64(pending, "pending arrivals")? as usize,
+        parse_num(done, "completed count")?,
+        parse_num(total, "total jobs")?,
+        parse_num(pending, "pending arrivals")?,
     ))
+}
+
+/// The `", "`-separated fields of one job line: exactly `N` of them.
+fn split_fields<const N: usize>(line: &str) -> Result<[&str; N], ParseError> {
+    let mut parts = line.split(", ");
+    let mut fields = [""; N];
+    for field in &mut fields {
+        *field = parts
+            .next()
+            .ok_or_else(|| err(format!("too few fields in job entry `{line}`")))?;
+    }
+    if parts.next().is_some() {
+        return Err(err(format!("too many fields in job entry `{line}`")));
+    }
+    Ok(fields)
 }
 
 /// `"46: user_3, 256 nodes, 128 GB, started t=0, expected end t=10000"`.
@@ -232,18 +253,14 @@ fn parse_running(rest: &str) -> Result<ParsedRunningJob, ParseError> {
     let (id_part, fields) = rest
         .split_once(": ")
         .ok_or_else(|| err(format!("bad running entry `{rest}`")))?;
-    let id = parse_u64(id_part, "running job id")? as u32;
-    let parts: Vec<&str> = fields.split(", ").collect();
-    if parts.len() != 5 {
-        return Err(err(format!("bad running entry fields `{fields}`")));
-    }
+    let [user, nodes, memory, started, expected_end] = split_fields(fields)?;
     Ok(ParsedRunningJob {
-        id,
-        user: parse_user(parts[0])?,
-        nodes: parse_suffixed(parts[1], " nodes")? as u32,
-        memory_gb: parse_suffixed(parts[2], " GB")?,
-        started_secs: parse_prefixed(parts[3], "started t=")?,
-        expected_end_secs: parse_prefixed(parts[4], "expected end t=")?,
+        id: parse_num(id_part, "running job id")?,
+        user: parse_user(user)?,
+        nodes: parse_suffixed(nodes, " nodes")?,
+        memory_gb: parse_suffixed(memory, " GB")?,
+        started_secs: parse_prefixed(started, "started t=")?,
+        expected_end_secs: parse_prefixed(expected_end, "expected end t=")?,
     })
 }
 
@@ -252,27 +269,15 @@ fn parse_waiting(rest: &str) -> Result<ParsedWaitingJob, ParseError> {
     let (id_part, fields) = rest
         .split_once(": ")
         .ok_or_else(|| err(format!("bad waiting entry `{rest}`")))?;
-    let id = parse_u64(id_part, "waiting job id")? as u32;
-    let parts: Vec<&str> = fields.split(", ").collect();
-    if parts.len() != 6 {
-        return Err(err(format!("bad waiting entry fields `{fields}`")));
-    }
-    let walltime = parts[3]
-        .strip_prefix("walltime ")
-        .and_then(|s| s.strip_suffix(" s"))
-        .ok_or_else(|| err(format!("bad walltime `{}`", parts[3])))?;
-    let waiting = parts[5]
-        .strip_prefix("waiting ")
-        .and_then(|s| s.strip_suffix(" s"))
-        .ok_or_else(|| err(format!("bad waiting field `{}`", parts[5])))?;
+    let [user, nodes, memory, walltime, submitted, waiting] = split_fields(fields)?;
     Ok(ParsedWaitingJob {
-        id,
-        user: parse_user(parts[0])?,
-        nodes: parse_suffixed(parts[1], " nodes")? as u32,
-        memory_gb: parse_suffixed(parts[2], " GB")?,
-        walltime_secs: parse_u64(walltime, "walltime")?,
-        submitted_secs: parse_prefixed(parts[4], "submitted t=")?,
-        waiting_secs: parse_u64(waiting, "waiting time")?,
+        id: parse_num(id_part, "waiting job id")?,
+        user: parse_user(user)?,
+        nodes: parse_suffixed(nodes, " nodes")?,
+        memory_gb: parse_suffixed(memory, " GB")?,
+        walltime_secs: parse_seconds(walltime, "walltime ")?,
+        submitted_secs: parse_prefixed(submitted, "submitted t=")?,
+        waiting_secs: parse_seconds(waiting, "waiting ")?,
     })
 }
 
@@ -280,21 +285,34 @@ fn parse_user(text: &str) -> Result<u32, ParseError> {
     let id = text
         .strip_prefix("user_")
         .ok_or_else(|| err(format!("bad user `{text}`")))?;
-    Ok(parse_u64(id, "user id")? as u32)
+    parse_num(id, "user id")
 }
 
-fn parse_suffixed(text: &str, suffix: &str) -> Result<u64, ParseError> {
+/// `"<prefix><n> s"`.
+fn parse_seconds(text: &str, prefix: &str) -> Result<u64, ParseError> {
+    let v = text
+        .strip_prefix(prefix)
+        .and_then(|s| s.strip_suffix(" s"))
+        .ok_or_else(|| err(format!("expected `{prefix}<n> s` in `{text}`")))?;
+    parse_num(v, "seconds")
+}
+
+fn parse_suffixed<T>(text: &str, suffix: &str) -> Result<T, ParseError>
+where
+    T: std::str::FromStr,
+    T::Err: std::fmt::Display,
+{
     let v = text
         .strip_suffix(suffix)
         .ok_or_else(|| err(format!("expected `{suffix}` in `{text}`")))?;
-    parse_u64(v, "suffixed value")
+    parse_num(v, "suffixed value")
 }
 
 fn parse_prefixed(text: &str, prefix: &str) -> Result<u64, ParseError> {
     let v = text
         .strip_prefix(prefix)
         .ok_or_else(|| err(format!("expected `{prefix}` in `{text}`")))?;
-    parse_u64(v, "prefixed value")
+    parse_num(v, "prefixed value")
 }
 
 #[cfg(test)]
@@ -414,6 +432,48 @@ Waiting Jobs (eligible to schedule):
 ";
         let e = parse_prompt(prompt).unwrap_err();
         assert!(e.message.contains("waiting"), "{e}");
+    }
+
+    /// 2^32 + 9 read into a `u32` by `as` is job 9 — a job the prompt
+    /// never listed. Every 32-bit field must refuse instead.
+    #[test]
+    fn numbers_too_wide_for_their_field_are_errors_not_wrapped() {
+        let good = sample_prompt();
+        assert!(parse_prompt(&good).is_ok());
+        for (field, wide) in [
+            ("- Job 32: user_6", "- Job 4294967328: user_6"),
+            ("- Job 46: user_3", "- Job 4294967342: user_3"),
+            ("user_6, 256 nodes", "user_4294967302, 256 nodes"),
+            ("user_6, 256 nodes", "user_6, 4294967552 nodes"),
+            ("user_3, 18 nodes", "user_3, 4294967314 nodes"),
+            (
+                "System capacity: 256 nodes",
+                "System capacity: 4294967552 nodes",
+            ),
+            ("Available Nodes: 238", "Available Nodes: 4294967534"),
+        ] {
+            assert!(good.contains(field), "sample prompt lost `{field}`");
+            let e = parse_prompt(&good.replace(field, wide)).unwrap_err();
+            assert!(e.message.contains("too large"), "`{wide}`: {e}");
+        }
+    }
+
+    #[test]
+    fn job_lines_must_hold_exactly_their_fields() {
+        let good = sample_prompt();
+        for (field, changed) in [
+            (", waiting 1554 s", ""),
+            (", waiting 1554 s", ", waiting 1554 s, priority 3"),
+            (", expected end t=10000", ""),
+            (
+                ", expected end t=10000",
+                ", expected end t=10000, on 18 nodes",
+            ),
+        ] {
+            assert!(good.contains(field), "sample prompt lost `{field}`");
+            let e = parse_prompt(&good.replace(field, changed)).unwrap_err();
+            assert!(e.message.contains("fields in job entry"), "{e}");
+        }
     }
 
     #[test]

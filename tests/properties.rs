@@ -407,6 +407,25 @@ proptest! {
             prop_assert_eq!(p.memory_gb, s.memory_gb);
             prop_assert_eq!(p.walltime_secs, s.walltime.as_secs());
         }
+
+        // The agent refills one prompt buffer every step. Whatever the
+        // buffer held — here a longer prompt, with a history — the refill
+        // is byte for byte what a fresh render gives.
+        let mut history = Scratchpad::default();
+        for spec in &waiting_specs {
+            history.push_thought(now, &format!("job {} has waited\nlong enough", spec.id.0));
+            history.push_action(now, &Action::StartJob(spec.id).to_string());
+        }
+        history.push_feedback(now, "job 3 cannot be started — requires 256 Nodes");
+        let mut buffer = String::new();
+        PromptBuilder::render_into(&mut buffer, &view, &history);
+        prop_assert_eq!(&buffer, &PromptBuilder::render(&view, &history));
+        prop_assert!(buffer.len() > text.len());
+        let with_history = parse_prompt(&buffer).expect("builder output parses");
+        prop_assert_eq!(&with_history.waiting, &parsed.waiting);
+        prop_assert_eq!(with_history.feedback.len(), 1);
+        PromptBuilder::render_into(&mut buffer, &view, &Scratchpad::default());
+        prop_assert_eq!(&buffer, &text);
     }
 }
 
