@@ -206,6 +206,48 @@ fn slot_compatible(
     req.class.is_none_or(|c| c == spec.class) && spec.capacity.dominates(demand)
 }
 
+/// A set of topology slots, one bit per slot — what
+/// [`compatible_slots`] returns. `Ord`, so it can key an ordered index.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub struct SlotSet(u8);
+
+const _: () = assert!(MAX_CLASSES <= u8::BITS as usize);
+
+impl SlotSet {
+    /// `true` if `slot` is in the set.
+    pub fn contains(self, slot: usize) -> bool {
+        self.0 & (1 << slot) != 0
+    }
+
+    /// The free nodes of the set's slots, summed.
+    pub fn free_nodes(self, free: &[u32; MAX_CLASSES]) -> u32 {
+        (0..MAX_CLASSES)
+            .filter(|&slot| self.contains(slot))
+            .map(|slot| free[slot])
+            .sum()
+    }
+}
+
+/// The slots whose nodes may host `req`: the class pin matches (or there
+/// is none) and the per-node capacity covers the
+/// [effective demand](PlacementRequest::effective_per_node). A property of
+/// the request and the topology alone — no free count enters it — and the
+/// whole of feasibility: the request fits free counts `free` exactly when
+/// `req.nodes <= compatible_slots(topology, req).free_nodes(free)`
+/// (`plan_take` below decides only *where* the nodes come from). That is
+/// what lets a wait queue answer "does anything fit?" from counts keyed by
+/// slot set instead of probing each job.
+pub fn compatible_slots(topology: &Topology, req: &PlacementRequest) -> SlotSet {
+    let demand = req.effective_per_node();
+    let mut slots = 0u8;
+    for (slot, spec) in topology.classes() {
+        if slot_compatible(req, &spec, &demand) {
+            slots |= 1 << slot;
+        }
+    }
+    SlotSet(slots)
+}
+
 /// The per-class node take for `req` against free counts `free`: the first
 /// compatible class that can host the whole request (class-homogeneous,
 /// the preferred shape), else a greedy topology-order span across
@@ -852,5 +894,58 @@ mod tests {
         assert_eq!(classed.free_by_class(), [4, 3, 2, 0]);
         classed.check_invariants();
         flat.check_invariants();
+    }
+
+    use proptest::prelude::*;
+
+    const KINDS: [NodeClass; 3] = [NodeClass::Cpu, NodeClass::Gpu, NodeClass::BigMem];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The identity a wait-queue index rests on, checked against the
+        /// code that allocates: over any topology, free counts and request
+        /// (zero nodes included), the request fits exactly when its node
+        /// count is within the free nodes of its compatible slots — and a
+        /// plan only ever takes from those slots.
+        #[test]
+        fn fits_iff_nodes_within_free_compatible_slots(
+            classes in prop::collection::vec(
+                (0usize..3, 1u32..12, (0u32..3, 0u32..5, 0u64..150, 0u32..5), 0u32..12),
+                1..MAX_CLASSES + 1,
+            ),
+            nodes in 0u32..40,
+            memory_gb in 0u64..400,
+            per_node in (0u32..3, 0u32..5, 0u64..150, 0u32..5),
+            pin in 0usize..4,
+        ) {
+            let mut topology = Topology::flat();
+            let mut free = [0u32; MAX_CLASSES];
+            for (slot, &(kind, count, (cpus, gpus, mem, bb), busy)) in classes.iter().enumerate() {
+                topology = topology.with_class(NodeClassSpec {
+                    class: KINDS[kind],
+                    count,
+                    capacity: ResourceVec::new(cpus * 32, gpus, mem, bb),
+                });
+                free[slot] = count - busy % (count + 1);
+            }
+            let (cpus, gpus, mem, bb) = per_node;
+            let req = PlacementRequest {
+                nodes,
+                memory_gb,
+                per_node: ResourceVec::new(cpus * 32, gpus, mem, bb),
+                class: KINDS.get(pin).copied(),
+            };
+            let slots = compatible_slots(&topology, &req);
+            let plan = plan_take(&topology, &free, &req);
+            prop_assert_eq!(nodes <= slots.free_nodes(&free), plan.is_some());
+            if let Some(take) = plan {
+                prop_assert_eq!(take.iter().sum::<u32>(), nodes);
+                for slot in 0..MAX_CLASSES {
+                    prop_assert!(take[slot] <= free[slot]);
+                    prop_assert!(take[slot] == 0 || slots.contains(slot));
+                }
+            }
+        }
     }
 }

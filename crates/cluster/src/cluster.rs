@@ -370,7 +370,14 @@ impl ClusterState {
     pub fn check_invariants(&self) {
         self.allocator.check_invariants();
         let node_demand: u32 = self.running.values().map(|j| j.spec.nodes).sum();
-        let mem_demand: u64 = self.running.values().map(|j| j.spec.memory_gb).sum();
+        // Classed memory is node-attached: a zero-node job holds none there
+        // (`ClassedAllocator::try_allocate`), whatever it declares.
+        let mem_demand: u64 = self
+            .running
+            .values()
+            .filter(|j| self.config.is_flat() || j.spec.nodes > 0)
+            .map(|j| j.spec.memory_gb)
+            .sum();
         assert!(
             node_demand <= self.config.nodes,
             "node capacity violated: {node_demand} > {}",
@@ -581,9 +588,14 @@ mod tests {
         // A scalar job lands in the cpu class.
         c.start_job(&spec(2, 100, 8, 8), SimTime::ZERO).expect("ok");
         assert_eq!(c.free_by_class(), [184, 44, 16, 0]);
+        // A zero-node job holds nothing, so its memory is never short.
+        c.start_job(&spec(3, 100, 0, 1 << 40), SimTime::ZERO)
+            .expect("consumes nothing");
+        assert_eq!(c.free_by_class(), [184, 44, 16, 0]);
         c.check_invariants();
         c.complete_job(JobId(1), SimTime::from_secs(100));
         c.complete_job(JobId(2), SimTime::from_secs(100));
+        c.complete_job(JobId(3), SimTime::from_secs(100));
         assert_eq!(c.free_by_class(), [192, 48, 16, 0]);
         assert_eq!(c.free_memory_gb(), c.config().memory_gb);
         c.check_invariants();

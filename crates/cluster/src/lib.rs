@@ -65,7 +65,8 @@ pub mod topology;
 pub mod utilization;
 
 pub use allocator::{
-    Allocation, ClassedAllocator, FirstFitAllocator, NodeAllocator, PlacementRequest,
+    compatible_slots, Allocation, ClassedAllocator, FirstFitAllocator, NodeAllocator,
+    PlacementRequest, SlotSet,
 };
 pub use cluster::{ClusterConfig, ClusterState, CompletedStats, RunningJob, StartError};
 pub use job::{GroupId, JobId, JobRecord, JobSpec, UserId};

@@ -84,7 +84,7 @@ impl KernelState {
         KernelState {
             cluster: ClusterState::new(config),
             events: EventQueue::new(),
-            queue: WaitQueue::new(),
+            queue: WaitQueue::new(config.topology),
             running: RunningSet::new(),
             ledger: CapacityLedger::new(),
             node_integral: StepIntegral::new(start, 0.0),
@@ -175,8 +175,9 @@ impl KernelState {
     /// Should the policy be consulted this tick?
     ///
     /// The paper's query discipline (§3.7.1): saturated states (jobs
-    /// waiting but nothing fits) skip the query — the queue's min-demand
-    /// watermark proves most of them in O(1) — and an empty queue is only
+    /// waiting but nothing fits) skip the query — the queue's fit summary
+    /// proves most of them in O(1) on a flat machine and all of them in
+    /// O(2^classes) on a classed one — and an empty queue is only
     /// queried once nothing more is pending, to offer the final `Stop`. A
     /// kernel that has stopped never queries.
     ///
@@ -184,7 +185,7 @@ impl KernelState {
     /// on their way (unsent workload jobs for the simulator; a nonzero
     /// sentinel for a live daemon that cannot know).
     ///
-    /// When the watermark short-circuit fires (jobs waiting, nothing fits)
+    /// When the queue is saturated (jobs waiting, nothing fits)
     /// a [`EpochOutcome::Saturated`] provenance record is appended at `now`
     /// so the trace explains the skipped query — recorded whether or not a
     /// telemetry sink is attached, keeping [`epochs`](Self::epochs)

@@ -26,7 +26,9 @@
 //! queue/running/completed state (plus the O(1) [`CompletedStats`]
 //! aggregate), so a policy query costs nothing in allocation no matter how
 //! deep the queue is. "Does anything waiting fit?" is answered by one
-//! serial column [`scan`] behind O(1) min-demand watermarks.
+//! serial column [`scan`] behind O(1) min-demand watermarks on a flat
+//! machine, and by a lookup in an exact per-compatibility index on a
+//! classed one.
 
 #![deny(missing_docs)]
 #![deny(unsafe_code)]

@@ -1,5 +1,7 @@
 //! Incrementally-maintained simulator state: the sorted waiting queue with
-//! its min-demand watermark, and the running-summary cache.
+//! its fit summary (min-demand watermarks on a flat machine, an exact
+//! per-compatibility index on a classed one), and the running-summary
+//! cache.
 //!
 //! These are the data structures behind the zero-copy kernel, shared by
 //! **both drivers** since the service split: the virtual-time simulator and
@@ -11,8 +13,11 @@
 //!
 //! * [`WaitQueue`] keeps jobs sorted by `(rank, submit, id)` via
 //!   binary-search insertion, pops the head in O(1) amortized via a head
-//!   offset, and short-circuits "does anything fit?" with conservative
-//!   min-demand watermarks. The **rank** is a fair-share priority tag:
+//!   offset, and answers "does anything fit?" without probing the jobs:
+//!   conservative min-demand watermarks ahead of a dense column scan on a
+//!   flat machine, a lookup in an exact count of waiting jobs per
+//!   compatible-slot set on a classed one. The **rank** is a fair-share
+//!   priority tag:
 //!   the virtual-time simulator always inserts at rank 0, which makes the
 //!   order exactly the paper's `(submit, id)` arrival order; the
 //!   multi-tenant service daemon inserts with usage-decayed tenant ranks so
@@ -24,7 +29,12 @@
 //! Both expose their contents as slices, which is what lets
 //! [`SystemView`](crate::SystemView) borrow instead of clone.
 
-use rsched_cluster::{ClusterState, JobId, JobSpec};
+use std::collections::BTreeMap;
+use std::ops::Bound::{Excluded, Unbounded};
+
+use rsched_cluster::{
+    compatible_slots, ClusterState, JobId, JobSpec, PlacementRequest, SlotSet, Topology,
+};
 use rsched_simkit::SimTime;
 
 use crate::scan;
@@ -35,7 +45,11 @@ use crate::view::RunningSummary;
 ///
 /// With every rank 0 (the simulator's only mode) this is exactly the
 /// `(submit, id)` arrival order the paper's policies assume.
-#[derive(Debug, Default)]
+///
+/// The queue is built for one machine and summarizes its jobs for that
+/// machine's fit test: the watermarks on a flat topology, the index on a
+/// classed one — never both.
+#[derive(Debug)]
 pub(crate) struct WaitQueue {
     /// SoA-packed backing storage; the live queue is `jobs[head..]`.
     /// The store's dense demand columns feed the flat-cluster fit scan.
@@ -46,24 +60,41 @@ pub(crate) struct WaitQueue {
     /// just advance this; the buffer is compacted when the dead prefix
     /// outgrows the live queue.
     head: usize,
-    /// Conservative lower bound on the minimum node demand over the queue:
-    /// never above the true minimum (insertions tighten it, removals may
-    /// leave it stale-low), so `free < watermark` soundly proves nothing
-    /// fits. Reset when the queue drains.
+    /// Flat machines. Conservative lower bound on the minimum node demand
+    /// over the queue: never above the true minimum (insertions tighten
+    /// it, removals may leave it stale-low), so `free < watermark` soundly
+    /// proves nothing fits. Reset when the queue drains.
     min_nodes: u32,
     /// Same, for memory.
     min_memory_gb: u64,
+    /// The machine's node classes; flat selects the watermarks above,
+    /// classed the index below.
+    topology: Topology,
+    /// Classed machines. How many waiting jobs have each
+    /// `(compatible slots, nodes)` — all the allocator's fit test reads of
+    /// a job (see [`compatible_slots`]). Exact: inserts and removals keep
+    /// it equal to a recount of the live queue, zero counts are dropped.
+    index: BTreeMap<(SlotSet, u32), u32>,
 }
 
 impl WaitQueue {
-    pub(crate) fn new() -> Self {
+    /// An empty queue for a machine with this topology.
+    pub(crate) fn new(topology: Topology) -> Self {
         WaitQueue {
             jobs: JobStore::new(),
             ranks: Vec::new(),
             head: 0,
             min_nodes: u32::MAX,
             min_memory_gb: u64::MAX,
+            topology,
+            index: BTreeMap::new(),
         }
+    }
+
+    /// The index key of `job` on this queue's (classed) machine.
+    fn index_key(&self, job: &JobSpec) -> (SlotSet, u32) {
+        let slots = compatible_slots(&self.topology, &PlacementRequest::from(job));
+        (slots, job.nodes)
     }
 
     pub(crate) fn as_slice(&self) -> &[JobSpec] {
@@ -108,8 +139,12 @@ impl WaitQueue {
     /// path, with `rank` a usage-decayed fair-share tag (lower sorts
     /// earlier).
     pub(crate) fn insert_ranked(&mut self, job: JobSpec, rank: u64) {
-        self.min_nodes = self.min_nodes.min(job.nodes);
-        self.min_memory_gb = self.min_memory_gb.min(job.memory_gb);
+        if self.topology.is_flat() {
+            self.min_nodes = self.min_nodes.min(job.nodes);
+            self.min_memory_gb = self.min_memory_gb.min(job.memory_gb);
+        } else {
+            *self.index.entry(self.index_key(&job)).or_insert(0) += 1;
+        }
         let at = match self.position((rank, job.submit, job.id)) {
             Ok(_) => unreachable!("duplicate job ids are rejected before insertion"),
             Err(at) => at,
@@ -119,12 +154,13 @@ impl WaitQueue {
     }
 
     /// Remove the job at `index` of [`as_slice`](Self::as_slice), returning
-    /// it. O(1) amortized at the head, O(index) elsewhere — interior
-    /// removals are backfills, which sit within the schedulers'
-    /// reservation depth of the head, so the prefix left of the removed
-    /// job is short while the tail right of it can span the whole queue.
-    /// Rotating the prefix right and advancing the head offset removes
-    /// the job without ever touching that tail.
+    /// it. O(1) amortized at the head, O(index) elsewhere: rotating the
+    /// prefix left of the job right by one and advancing the head offset
+    /// never touches the tail behind it. The prefix is short for FCFS and
+    /// for backfills near the head, but nothing bounds it — SJF's minimum
+    /// and an EASY backfill can sit anywhere in the queue, and on an
+    /// 8000-deep queue the rotation is then the cost of the removal
+    /// (about 4 µs each on the benchmark's `sjf_8k`).
     ///
     /// # Panics
     /// Panics if `index` is out of bounds.
@@ -137,6 +173,17 @@ impl WaitQueue {
         }
         let job = self.jobs.specs()[self.head].clone();
         self.head += 1;
+        if !self.topology.is_flat() {
+            let key = self.index_key(&job);
+            let count = self
+                .index
+                .get_mut(&key)
+                .expect("a waiting job was counted at insertion");
+            *count -= 1;
+            if *count == 0 {
+                self.index.remove(&key);
+            }
+        }
         // Compact once the dead prefix dominates, keeping amortized
         // O(1) head pops without unbounded memory retention.
         if self.head > 32 && self.head * 2 > self.jobs.len() {
@@ -155,21 +202,42 @@ impl WaitQueue {
     }
 
     /// `true` if at least one waiting job fits the cluster's free resources
-    /// right now. The watermarks prove the common saturated case in O(1);
-    /// otherwise the scan early-exits at the first fit.
+    /// right now — `any(can_fit)` over the queue, for every input.
     ///
-    /// A scan that walks the *whole* queue without finding a fit has seen
-    /// every job, so it re-tightens the (possibly stale-low) watermarks to
-    /// the exact minima as a side effect, for free — removals can therefore
-    /// only degrade the short-circuit until the next saturated scan, never
-    /// permanently.
+    /// **Classed machine**: a lookup, no scan. A job fits exactly when its
+    /// `nodes` is within the free nodes of its compatible slots, so among
+    /// the jobs sharing a slot set only the smallest `nodes` matters, and
+    /// the index — ordered by `(slots, nodes)` — holds it as the first key
+    /// of each set: one probe per set present (at most 2^classes).
+    /// Nothing else is consulted: the scalar watermarks would be wrong
+    /// here, since a zero-node job fits whatever its `memory_gb`.
     ///
-    /// The watermarks stay sound on classed clusters: a class's free count
-    /// never exceeds the machine-wide free total, and classed memory is
-    /// charged per whole node, so `free_nodes < min_nodes` or
-    /// `free_memory_gb < min_memory_gb` still proves nothing can place.
+    /// **Flat machine**: the watermarks prove the common saturated case
+    /// in O(1); otherwise the dense column scan early-exits at the first
+    /// fit. A scan that walks the *whole* queue without finding a fit has
+    /// seen every job, so it re-tightens the (possibly stale-low)
+    /// watermarks to the exact minima as a side effect, for free —
+    /// removals can therefore only degrade the short-circuit until the
+    /// next saturated scan, never permanently.
     pub(crate) fn any_fits(&mut self, cluster: &ClusterState) -> bool {
+        debug_assert_eq!(cluster.config().topology, self.topology);
         if self.is_empty() {
+            return false;
+        }
+        if !self.topology.is_flat() {
+            let free = cluster.free_by_class();
+            let mut smallest = self.index.first_key_value();
+            while let Some((&(slots, nodes), _)) = smallest {
+                if nodes <= slots.free_nodes(&free) {
+                    return true;
+                }
+                // On to the next slot set: the first key past every
+                // `nodes` of this one.
+                smallest = self
+                    .index
+                    .range((Excluded((slots, u32::MAX)), Unbounded))
+                    .next();
+            }
             return false;
         }
         let free_nodes = cluster.free_nodes();
@@ -177,37 +245,21 @@ impl WaitQueue {
         if free_nodes < self.min_nodes || free_memory_gb < self.min_memory_gb {
             return false;
         }
-        // Flat clusters admit the dense-column scan: `can_fit` is exactly
-        // the two column comparisons, so the store's SoA mirror gives the
-        // same answer as probing the full specs.
-        if cluster.config().is_flat() {
-            let out = scan::first_fit_flat_serial(
-                &self.jobs.nodes()[self.head..],
-                &self.jobs.memory_gb()[self.head..],
-                free_nodes,
-                free_memory_gb,
-            );
-            if out.first_fit.is_some() {
-                // Early exit: a partial scan's minima would not be a sound
-                // watermark, so only complete (no-fit) scans update it.
-                return true;
-            }
-            self.min_nodes = out.min_nodes;
-            self.min_memory_gb = out.min_memory_gb;
-            return false;
+        // `can_fit` is exactly the two column comparisons, so the store's
+        // SoA mirror gives the same answer as probing the full specs.
+        let out = scan::first_fit_flat_serial(
+            &self.jobs.nodes()[self.head..],
+            &self.jobs.memory_gb()[self.head..],
+            free_nodes,
+            free_memory_gb,
+        );
+        if out.first_fit.is_some() {
+            // Early exit: a partial scan's minima would not be a sound
+            // watermark, so only complete (no-fit) scans update it.
+            return true;
         }
-        let mut min_nodes = u32::MAX;
-        let mut min_memory_gb = u64::MAX;
-        for job in self.as_slice() {
-            if cluster.can_fit(job) {
-                // Early exit, as above.
-                return true;
-            }
-            min_nodes = min_nodes.min(job.nodes);
-            min_memory_gb = min_memory_gb.min(job.memory_gb);
-        }
-        self.min_nodes = min_nodes;
-        self.min_memory_gb = min_memory_gb;
+        self.min_nodes = out.min_nodes;
+        self.min_memory_gb = out.min_memory_gb;
         false
     }
 }
@@ -257,7 +309,7 @@ impl RunningSet {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use rsched_cluster::{ClusterConfig, NodeClass, UserId};
+    use rsched_cluster::{ClusterConfig, NodeClass, ResourceVec, UserId};
     use rsched_simkit::{SimDuration, SimTime};
 
     fn spec(id: u32, submit_s: u64, nodes: u32, mem: u64) -> JobSpec {
@@ -282,7 +334,7 @@ mod tests {
 
     #[test]
     fn insert_keeps_submit_then_id_order() {
-        let mut q = WaitQueue::new();
+        let mut q = WaitQueue::new(Topology::flat());
         for j in [spec(5, 10, 1, 1), spec(2, 10, 1, 1), spec(9, 3, 1, 1)] {
             q.insert(j);
         }
@@ -293,7 +345,7 @@ mod tests {
 
     #[test]
     fn ranked_insert_sorts_by_rank_before_submit() {
-        let mut q = WaitQueue::new();
+        let mut q = WaitQueue::new(Topology::flat());
         // Tenant with heavy usage (rank 500) submitted earliest; light
         // tenants (rank 0) later — light tenants still sort first.
         q.insert_ranked(spec(1, 0, 1, 1), 500);
@@ -306,7 +358,7 @@ mod tests {
 
     #[test]
     fn head_removal_is_offset_based_and_compacts() {
-        let mut q = WaitQueue::new();
+        let mut q = WaitQueue::new(Topology::flat());
         for i in 0..100u32 {
             q.insert(spec(i, i as u64, 1, 1));
         }
@@ -321,7 +373,7 @@ mod tests {
 
     #[test]
     fn middle_removal_preserves_order() {
-        let mut q = WaitQueue::new();
+        let mut q = WaitQueue::new(Topology::flat());
         for i in 0..5u32 {
             q.insert(spec(i, 0, 1, 1));
         }
@@ -337,7 +389,7 @@ mod tests {
         let mut busy = cluster.clone();
         busy.start_job(&spec(99, 0, 6, 32), SimTime::ZERO).unwrap();
 
-        let mut q = WaitQueue::new();
+        let mut q = WaitQueue::new(Topology::flat());
         assert!(!q.any_fits(&busy), "empty queue never fits");
         q.insert(spec(1, 0, 4, 8)); // needs 4 nodes; only 2 free
         q.insert(spec(2, 0, 8, 8));
@@ -362,7 +414,7 @@ mod tests {
         busy.start_job(&spec(99, 0, 7, 32), SimTime::ZERO).unwrap();
         // 1 node / 32 GB free.
 
-        let mut q = WaitQueue::new();
+        let mut q = WaitQueue::new(Topology::flat());
         q.insert(spec(1, 0, 1, 8)); // the small job that pins the watermark
         q.insert(spec(2, 0, 4, 8));
         q.insert(spec(3, 0, 6, 8));
@@ -406,7 +458,7 @@ mod tests {
     fn rank_zero_path_matches_pure_submit_id_order() {
         // The virtual-time driver's invariant: with all ranks 0, the queue
         // order is exactly the PR-4 era (submit, id) order.
-        let mut q = WaitQueue::new();
+        let mut q = WaitQueue::new(Topology::flat());
         let mut expect: Vec<(u64, u32)> = Vec::new();
         for i in 0..40u32 {
             let submit = (i as u64 * 37) % 17;
@@ -425,13 +477,18 @@ mod tests {
     const CLASSES: [NodeClass; 3] = [NodeClass::Cpu, NodeClass::Gpu, NodeClass::BigMem];
 
     /// A waiting job drawn from three raw numbers: up to the whole flat
-    /// machine (16 nodes / 128 GB), or up to 64 nodes with an optional
-    /// class pin on the classed one.
+    /// machine (16 nodes / 128 GB), or — on the classed one — 0 to 63
+    /// nodes with an optional class pin and an optional per-node demand
+    /// that only the gpu or only the bigmem class can host.
     fn arbitrary_job(classed: bool, id: u32, a: u32, b: u64, c: u64) -> JobSpec {
         if !classed {
             return spec(id, c, 1 + a % 16, 1 + b % 128);
         }
-        let job = spec(id, c, 1 + a % 64, b % 200);
+        let job = spec(id, c, a % 64, b % 200).with_per_node(match a / 256 % 3 {
+            0 => ResourceVec::ZERO,
+            1 => ResourceVec::new(0, 1 + a % 4, 0, 0),
+            _ => ResourceVec::new(0, 0, 0, 3 + a % 2),
+        });
         match CLASSES.get((a / 64 % 4) as usize) {
             Some(&class) => job.with_class(class),
             None => job,
@@ -465,17 +522,18 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
-        /// The one scan left and its short-circuit, as an invariant: under
-        /// any interleaving of inserts, ranked inserts, removals and probes
-        /// at any free level, `any_fits` is the brute-force answer and the
-        /// watermarks never exceed the true column minima.
+        /// The fit summary as an invariant: under any interleaving of
+        /// inserts, ranked inserts, removals and probes at any free level,
+        /// `any_fits` is the brute-force answer; on the flat machine the
+        /// watermarks never exceed the true column minima, on the classed
+        /// one the index is a recount of the live jobs.
         #[test]
         fn any_fits_is_brute_force_and_watermarks_bound_the_minima(
             classed in 0u8..2,
             ops in prop::collection::vec((0u8..4, 0u32..1000, 0u64..1000, 0u64..50), 1..200),
         ) {
             let classed = classed == 1;
-            let mut q = WaitQueue::new();
+            let mut q = WaitQueue::new(cluster_at(classed, 0, 0, 0).config().topology);
             let mut next_id = 0u32;
             for (kind, a, b, c) in ops {
                 match kind {
@@ -499,10 +557,19 @@ mod tests {
                     }
                 }
                 let live = q.as_slice();
-                let min_nodes = live.iter().map(|j| j.nodes).min().unwrap_or(u32::MAX);
-                let min_memory_gb = live.iter().map(|j| j.memory_gb).min().unwrap_or(u64::MAX);
-                prop_assert!(q.min_nodes <= min_nodes);
-                prop_assert!(q.min_memory_gb <= min_memory_gb);
+                if classed {
+                    let mut recount = BTreeMap::new();
+                    for job in live {
+                        *recount.entry(q.index_key(job)).or_insert(0u32) += 1;
+                    }
+                    prop_assert_eq!(&q.index, &recount);
+                } else {
+                    let min_nodes = live.iter().map(|j| j.nodes).min().unwrap_or(u32::MAX);
+                    let min_memory_gb = live.iter().map(|j| j.memory_gb).min().unwrap_or(u64::MAX);
+                    prop_assert!(q.min_nodes <= min_nodes);
+                    prop_assert!(q.min_memory_gb <= min_memory_gb);
+                    prop_assert!(q.index.is_empty());
+                }
             }
         }
     }
