@@ -13,8 +13,10 @@ use rsched_cpsolver::SolverConfig;
 use rsched_metrics::{Metric, MetricsReport};
 use rsched_simkit::rng::SeedTree;
 
-/// Bumped whenever the cached-cell layout changes incompatibly.
-pub const CACHE_FORMAT: u32 = 1;
+/// Bumped whenever the cached-cell layout changes incompatibly, or a
+/// policy's schedules do (2: the solver behind `OR-Tools` decodes on the
+/// shared timetable and starts tasks the old decoder placed late).
+pub const CACHE_FORMAT: u32 = 2;
 
 /// One `(policy, scenario, jobs, seed)` coordinate of the campaign grid.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -71,9 +71,7 @@ pub use allocator::{
 pub use cluster::{ClusterConfig, ClusterState, CompletedStats, RunningJob, StartError};
 pub use job::{GroupId, JobId, JobRecord, JobSpec, UserId};
 pub use node::NodeMask;
-pub use reservation::{
-    backfill_is_safe, classed_overlap_fits, free_by_class_at, nodes_per_slot, shadow_start, Demand,
-};
+pub use reservation::{classed_overlap_fits, nodes_per_slot, Demand};
 pub use resources::ResourceVec;
 pub use topology::{NodeClass, NodeClassSpec, Topology, MAX_CLASSES};
 pub use utilization::StepIntegral;

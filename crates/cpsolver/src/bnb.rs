@@ -6,9 +6,8 @@
 //! is what makes the solver "globally optimal for small workloads" like the
 //! paper's OR-Tools baseline.
 
-use crate::cumulative::Profile;
 use crate::model::{Instance, Schedule};
-use crate::sgs::decode_with_makespan;
+use crate::sgs::{decode_with_makespan, Timetable};
 
 /// Result of an exact search.
 #[derive(Debug, Clone)]
@@ -62,8 +61,8 @@ impl BranchAndBound {
         };
         let mut order: Vec<usize> = Vec::with_capacity(instance.len());
         let mut used = vec![false; instance.len()];
-        let profile = Profile::new(instance.node_capacity, instance.memory_capacity);
-        dfs(&mut state, &mut order, &mut used, &profile, 0);
+        let timetable = Timetable::new(instance);
+        dfs(&mut state, &mut order, &mut used, &timetable, 0);
         let (schedule, makespan) = decode_with_makespan(instance, &state.best_order);
         debug_assert_eq!(makespan, state.best_makespan);
         BnbResult {
@@ -79,7 +78,7 @@ fn dfs(
     state: &mut SearchState<'_>,
     order: &mut Vec<usize>,
     used: &mut [bool],
-    profile: &Profile,
+    timetable: &Timetable,
     partial_makespan: u64,
 ) {
     if state.exhausted {
@@ -137,17 +136,16 @@ fn dfs(
         if duplicate_of_earlier {
             continue;
         }
-        let start = profile.earliest_fit(ti);
-        let end = start + ti.duration;
+        let end = timetable.earliest_start(ti) + ti.duration;
         let child_makespan = partial_makespan.max(end);
         if child_makespan >= state.best_makespan {
             continue;
         }
-        let mut child_profile = profile.clone();
-        child_profile.place(ti, start);
+        let mut child_timetable = timetable.clone();
+        child_timetable.place(ti);
         used[i] = true;
         order.push(i);
-        dfs(state, order, used, &child_profile, child_makespan);
+        dfs(state, order, used, &child_timetable, child_makespan);
         order.pop();
         used[i] = false;
     }

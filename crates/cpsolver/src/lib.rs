@@ -42,7 +42,6 @@
 pub mod anneal;
 pub mod bnb;
 pub mod bounds;
-pub mod cumulative;
 pub mod genetic;
 pub mod listsched;
 pub mod model;

@@ -6,8 +6,60 @@
 //! decodes to an optimal one — which is why the metaheuristics search
 //! permutation space.
 
-use crate::cumulative::Profile;
-use crate::model::{Instance, Schedule};
+use rsched_simkit::{ReservationProfile, SimDuration, SimTime};
+
+use crate::model::{Instance, Schedule, Task};
+
+/// The solver's timetable: the workspace's one reservation overlay
+/// ([`ReservationProfile`], shared with conservative backfilling) laid over
+/// a one-point base — the empty machine from time zero. Task times are
+/// integer milliseconds, which is what `SimTime` counts.
+#[derive(Debug, Clone)]
+pub(crate) struct Timetable {
+    base: [(SimTime, u32, u64); 1],
+    reserved: ReservationProfile,
+}
+
+impl Timetable {
+    pub(crate) fn new(instance: &Instance) -> Self {
+        Timetable {
+            base: [(
+                SimTime::ZERO,
+                instance.node_capacity,
+                instance.memory_capacity,
+            )],
+            reserved: ReservationProfile::new(),
+        }
+    }
+
+    /// The earliest start `≥ task.release` from which the task fits for
+    /// its whole duration beside everything placed so far.
+    pub(crate) fn earliest_start(&self, task: &Task) -> u64 {
+        self.reserved
+            .earliest_window(
+                &self.base,
+                SimTime::from_millis(task.release),
+                task.nodes,
+                task.memory,
+                SimDuration::from_millis(task.duration),
+            )
+            .as_millis()
+    }
+
+    /// Book the task at its [`earliest_start`](Self::earliest_start) and
+    /// return that start.
+    pub(crate) fn place(&mut self, task: &Task) -> u64 {
+        self.reserved
+            .place(
+                &self.base,
+                SimTime::from_millis(task.release),
+                task.nodes,
+                task.memory,
+                SimDuration::from_millis(task.duration),
+            )
+            .as_millis()
+    }
+}
 
 /// Decode `order` (indices into `instance.tasks`) into a schedule.
 ///
@@ -26,13 +78,10 @@ pub fn decode(instance: &Instance, order: &[usize]) -> Schedule {
         },
         "order must be a permutation"
     );
-    let mut profile = Profile::new(instance.node_capacity, instance.memory_capacity);
+    let mut timetable = Timetable::new(instance);
     let mut starts = vec![0u64; instance.len()];
     for &idx in order {
-        let task = &instance.tasks[idx];
-        let start = profile.earliest_fit(task);
-        profile.place(task, start);
-        starts[idx] = start;
+        starts[idx] = timetable.place(&instance.tasks[idx]);
     }
     Schedule { starts }
 }
@@ -47,7 +96,6 @@ pub fn decode_with_makespan(instance: &Instance, order: &[usize]) -> (Schedule, 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::Task;
 
     fn task(id: u32, duration: u64, nodes: u32, memory: u64) -> Task {
         Task {
@@ -112,6 +160,19 @@ mod tests {
         let inst = Instance::new(vec![t1], 4, 16);
         let s = decode(&inst, &[0]);
         assert_eq!(s.starts[0], 100);
+    }
+
+    /// A task that ends and a task that starts at one instant do not both
+    /// count there: task 2 fits from 0 beside task 1 and hands its nodes to
+    /// task 0 at 10.
+    #[test]
+    fn an_end_and_a_start_at_one_instant_do_not_stack() {
+        let mut t0 = task(0, 10, 2, 1);
+        t0.release = 10;
+        let inst = Instance::new(vec![t0, task(1, 10, 2, 1), task(2, 20, 2, 1)], 4, 16);
+        let (s, mk) = decode_with_makespan(&inst, &[0, 1, 2]);
+        assert_eq!(s.starts, [10, 0, 0]);
+        assert_eq!(mk, 20);
     }
 
     #[test]

@@ -222,9 +222,13 @@ impl SchedulingPolicy for ConservativeBackfill {
             // `place` reserves unconditionally; that is harmless on the
             // startable early return, because the overlay is cleared at
             // the top of every pass.
-            let start = self
-                .profile
-                .place(&base, job.nodes, job.memory_gb, job.walltime);
+            let start = self.profile.place(
+                base.points(),
+                view.now,
+                job.nodes,
+                job.memory_gb,
+                job.walltime,
+            );
             if start <= view.now && candidates & (1 << i) != 0 {
                 if !self.shortest_first {
                     // Arrival order: the first startable job is the pick —

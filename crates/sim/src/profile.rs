@@ -1,12 +1,7 @@
 //! The shared, incrementally-maintained **capacity calendar**: the
 //! free-capacity skyline over time that every backfilling consumer reads.
 //!
-//! Before this module, each backfill consumer rebuilt its own availability
-//! structure from scratch on every policy query: `ConservativeBackfill`
-//! re-sorted the whole running set and re-derived all reservations per
-//! `decide`, and the kernel's `strict_backfill` validation re-ran an
-//! `O(R log R)` shadow sweep per proposal. The calendar centralizes that
-//! work in one place with two costs instead:
+//! The calendar keeps that work in one place, at two costs:
 //!
 //! * **maintenance** — the kernel owns a [`CapacityLedger`] and tells it
 //!   about every job start and completion; the ledger keeps its release
@@ -27,37 +22,37 @@
 //!   [`SystemView::capacity_calendar`](crate::SystemView::capacity_calendar));
 //! * the **actual** calendar releases capacity at each job's true end —
 //!   the cluster ledger's completion schedule, which is what the kernel's
-//!   shadow-time validation has always used
-//!   ([`shadow_start`](rsched_cluster::shadow_start) sweeps
-//!   `cluster.running()` ends).
+//!   shadow-time validation reads.
 //!
 //! Consumers that *overlay* tentative reservations (conservative
 //! backfilling) never clone or mutate the cached base. They keep a
-//! reusable [`ReservationProfile`] — a step function of *reserved totals*
-//! laid over the immutable base — and call
-//! [`place`](ReservationProfile::place) per job: a fused
-//! locate-and-reserve that walks base points and overlay steps as two
-//! sorted cursors scoped to each base segment, finds the earliest window
-//! whose effective level (base minus reserved) admits the demand, and
-//! splices the new reservation in around the insertion hint the search
-//! already computed. Steady-state passes allocate nothing; clearing the
-//! overlay between passes is an `O(1)` truncate. The mutating
+//! reusable [`ReservationProfile`] — the workspace's one timetable, which
+//! lives in [`rsched_simkit::timetable`] because the solver's schedule
+//! decoder runs on it too — and call
+//! [`place`](ReservationProfile::place) per job over the calendar's
+//! [`points`](CapacityCalendar::points): a fused locate-and-reserve that
+//! finds the earliest window whose effective level (base minus reserved)
+//! admits the demand and splices the new reservation in around the
+//! insertion hint the search already computed. The mutating
 //! [`reserve`](CapacityCalendar::reserve) +
 //! [`earliest_window`](CapacityCalendar::earliest_window) pair remains for
-//! callers that genuinely want a scratch calendar (and as the proptest
-//! model the overlay is pinned against).
+//! callers that genuinely want a scratch calendar, and as the proptest
+//! model the overlay is pinned against
+//! (`overlay_matches_a_cloned_calendar` in
+//! `tests/backfill_equivalence.rs`).
 //!
-//! Everything here is pinned bit-identical to the structures it replaced:
-//! the skyline matches the old per-decide `free_profile` rebuild point for
-//! point (`tests/backfill_equivalence.rs` proptests), and the shadow math
-//! matches `rsched_cluster::{shadow_start, backfill_is_safe}`
+//! The skyline is pinned point for point against a from-scratch rebuild
+//! (`tests/backfill_equivalence.rs` proptests), and the shadow math
+//! against the straight-line reference kernel's completion sweeps
 //! (`tests/kernel_equivalence.rs`, accept and refuse paths, flat and
 //! classed).
 
 use std::cell::{Ref, RefCell};
 
 use rsched_cluster::{Demand, JobId, Topology, MAX_CLASSES};
-use rsched_simkit::{SimDuration, SimTime};
+use rsched_simkit::{BasePoint, SimDuration, SimTime};
+
+pub use rsched_simkit::{ReservationProfile, ReservedStep};
 
 use crate::view::RunningSummary;
 
@@ -67,8 +62,7 @@ use crate::view::RunningSummary;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CalendarPoint {
     /// When this capacity level begins. Capacity released at `t` is free
-    /// *at* `t` (jobs ending exactly at `t` count as released), matching
-    /// [`rsched_cluster::reservation::free_at`].
+    /// *at* `t` (jobs ending exactly at `t` count as released).
     pub time: SimTime,
     /// Free nodes over `[time, next.time)`.
     pub free_nodes: u32,
@@ -79,6 +73,21 @@ pub struct CalendarPoint {
     /// clusters and on fallback calendars built from a bare
     /// [`SystemView`](crate::SystemView).
     pub free_by_class: [u32; MAX_CLASSES],
+}
+
+/// The scalar columns are what a [`ReservationProfile`] is laid over.
+impl BasePoint for CalendarPoint {
+    fn time(&self) -> SimTime {
+        self.time
+    }
+
+    fn free_nodes(&self) -> u32 {
+        self.free_nodes
+    }
+
+    fn free_memory_gb(&self) -> u64 {
+        self.free_memory_gb
+    }
 }
 
 /// One future capacity release: `(time, id)`-sorted inside the ledger.
@@ -212,8 +221,7 @@ impl CapacityCalendar {
     }
 
     /// The capacity level in force at time `t`: the last point with
-    /// `time <= t` (releases at `t` are already counted — the
-    /// [`free_at`](rsched_cluster::reservation::free_at) convention).
+    /// `time <= t` (releases at `t` are already counted).
     /// Clamps to the first point for `t` before the calendar start.
     pub fn at(&self, t: SimTime) -> &CalendarPoint {
         let idx = self.points.partition_point(|p| p.time <= t);
@@ -241,9 +249,8 @@ impl CapacityCalendar {
     }
 
     /// Earliest time at which `demand` fits the per-class free counts —
-    /// the classed shadow time, sweeping the (merged) release points the
-    /// way [`shadow_start`](rsched_cluster::shadow_start) sweeps raw
-    /// completions. `SimTime::MAX` if no point ever hosts the demand.
+    /// the classed shadow time, one sweep over the (merged) release
+    /// points. `SimTime::MAX` if no point ever hosts the demand.
     pub fn earliest_fit_classed(&self, topology: &Topology, demand: &Demand) -> SimTime {
         for p in &self.points {
             if demand.fits_classes(topology, &p.free_by_class) {
@@ -329,365 +336,6 @@ impl CapacityCalendar {
         self.points.windows(2).all(|w| {
             w[0].free_nodes <= w[1].free_nodes && w[0].free_memory_gb <= w[1].free_memory_gb
         })
-    }
-}
-
-/// One step of the reserved-amount step function inside a
-/// [`ReservationProfile`]: the total tentatively reserved `(nodes,
-/// memory_gb)` in force from [`time`](ReservedStep::time) until the next
-/// step. Before the first step nothing is reserved; after the last step
-/// the amounts are zero again (every reservation inserts its own end
-/// boundary).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ReservedStep {
-    /// When these reserved totals take effect.
-    pub time: SimTime,
-    /// Total reserved memory (GB) over `[time, next.time)`.
-    pub memory_gb: u64,
-    /// Total reserved nodes over the same span.
-    pub nodes: u32,
-}
-
-/// A reusable reservation overlay over a **monotone base calendar** — the
-/// structure the conservative pass layers its tentative reservations
-/// onto.
-///
-/// Cloning the full [`CapacityCalendar`] per policy query was the hot
-/// spot of the 10k conservative tier: every query paid an allocation, a
-/// 48-bytes-per-point copy, and then `O(P)` anchor walks and point
-/// memmoves against the wide clone. This overlay never copies the base at
-/// all. It stores only the *reserved-amount step function* — at most two
-/// small steps per reservation, cleared and refilled in place across
-/// queries — and evaluates the free level at time `t` as
-/// `base.at(t) ⊖ reserved_at(t)` (saturating). Because the base is
-/// monotone per column, [`earliest_window`](Self::earliest_window) can
-/// binary-search the base for capacity thresholds and only ever has to
-/// *examine* reservation boundaries, so a query costs
-/// `O(S log P)` in the number of overlay steps instead of `O(P)` walks
-/// over the merged skyline.
-///
-/// The candidate anchor set (base point times plus reservation boundaries
-/// past the calendar start) and the evaluated levels are exactly those of
-/// a cloned calendar mutated with [`CapacityCalendar::reserve`], so the
-/// returned windows — and therefore the schedules — are bit-identical:
-/// pinned by the `overlay_matches_a_cloned_calendar` proptest in
-/// `tests/backfill_equivalence.rs` and the policy-level differential
-/// harness around it. (Saturating subtraction of the summed amounts
-/// equals the clone's sequential per-reservation saturation:
-/// `x ⊖ a ⊖ b = x ⊖ (a + b)`.)
-#[derive(Debug, Clone, Default)]
-pub struct ReservationProfile {
-    steps: Vec<ReservedStep>,
-}
-
-impl ReservationProfile {
-    /// A fresh, empty overlay (nothing reserved anywhere).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Drop all reservations, keeping the buffer for reuse.
-    pub fn clear(&mut self) {
-        self.steps.clear();
-    }
-
-    /// The reserved-amount steps, strictly ascending in time.
-    pub fn steps(&self) -> &[ReservedStep] {
-        &self.steps
-    }
-
-    /// Total reserved `(nodes, memory_gb)` in force at time `t`.
-    pub fn reserved_at(&self, t: SimTime) -> (u32, u64) {
-        let i = self.steps.partition_point(|s| s.time <= t);
-        match i {
-            0 => (0, 0),
-            i => (self.steps[i - 1].nodes, self.steps[i - 1].memory_gb),
-        }
-    }
-
-    /// Add a tentative reservation of `(nodes, memory_gb)` over
-    /// `[start, end)`: two binary-searched boundary insertions plus an
-    /// addition over the covered steps — the overlay-side mirror of
-    /// [`CapacityCalendar::reserve`]'s segment update.
-    pub fn reserve(&mut self, start: SimTime, end: SimTime, nodes: u32, memory_gb: u64) {
-        self.insert_boundary(start);
-        self.insert_boundary(end);
-        let lo = self.steps.partition_point(|s| s.time < start);
-        let hi = self.steps.partition_point(|s| s.time < end);
-        for s in &mut self.steps[lo..hi] {
-            s.nodes += nodes;
-            s.memory_gb += memory_gb;
-        }
-    }
-
-    /// Insert a step boundary at `t` carrying the preceding amounts, if
-    /// absent. Unlike the calendar's boundary rule there is no `Err(0)`
-    /// special case: a step before the base start just records zero-delta
-    /// territory and is excluded from anchor candidacy by
-    /// [`earliest_window`](Self::earliest_window)'s `max(_, base start)`
-    /// clamps instead.
-    fn insert_boundary(&mut self, t: SimTime) {
-        match self.steps.binary_search_by_key(&t, |s| s.time) {
-            Ok(_) => {}
-            Err(i) => {
-                let step = match i {
-                    0 => ReservedStep {
-                        time: t,
-                        memory_gb: 0,
-                        nodes: 0,
-                    },
-                    i => ReservedStep {
-                        time: t,
-                        ..self.steps[i - 1]
-                    },
-                };
-                self.steps.insert(i, step);
-            }
-        }
-    }
-
-    /// Earliest candidate time from which `(nodes, memory_gb)` stays
-    /// available under `base ⊖ reservations` for a whole `walltime`
-    /// window — the conservative reservation placement, bit-identical to
-    /// [`CapacityCalendar::earliest_window`] on a cloned-and-reserved
-    /// calendar (the candidate set — base point times plus reservation
-    /// boundaries past the calendar start — and the evaluated levels are
-    /// exactly the merged skyline's).
-    ///
-    /// Exploits base monotonicity twice, then walks with linear merged
-    /// cursors (no per-probe binary search). *Front skip*: candidates
-    /// before the first base point fitting the bare demand fail at
-    /// themselves under any reservation load, so the anchor starts at
-    /// that `partition_point` instead of crawling the skyline front.
-    /// *Window scan*: past a feasible anchor the base only rises, so
-    /// inside the window only reservation boundaries with nonzero
-    /// amounts can fail — base points and zero steps are skipped without
-    /// a probe. Cost per query is `O(log P + affected region)` instead of
-    /// the `O(P)` full-skyline walk.
-    ///
-    /// # Panics
-    /// Panics if the demand never fits — impossible for demands within
-    /// machine capacity, because past the last reservation boundary the
-    /// base's final point is the fully free machine.
-    pub fn earliest_window(
-        &self,
-        base: &CapacityCalendar,
-        nodes: u32,
-        memory_gb: u64,
-        walltime: SimDuration,
-    ) -> SimTime {
-        self.locate(base, nodes, memory_gb, walltime).0
-    }
-
-    /// Find the earliest window **and** subtract the reservation over it in
-    /// one call — the conservative pass's per-job operation. Equivalent to
-    /// [`earliest_window`](Self::earliest_window) followed by
-    /// [`reserve`](Self::reserve) over `[start, start + walltime)`, but the
-    /// query's final cursor position seeds the boundary insertions, so the
-    /// reserve side pays one short-suffix binary search and a single
-    /// combined shift instead of two full searches and two tail memmoves.
-    pub fn place(
-        &mut self,
-        base: &CapacityCalendar,
-        nodes: u32,
-        memory_gb: u64,
-        walltime: SimDuration,
-    ) -> SimTime {
-        let (start, si) = self.locate(base, nodes, memory_gb, walltime);
-        self.reserve_hinted(start, start + walltime, nodes, memory_gb, si);
-        start
-    }
-
-    /// The cursor walk behind [`earliest_window`](Self::earliest_window)
-    /// and [`place`](Self::place): returns the window start and the index
-    /// of the first step past it (the reserve-side insertion hint).
-    fn locate(
-        &self,
-        base: &CapacityCalendar,
-        nodes: u32,
-        memory_gb: u64,
-        walltime: SimDuration,
-    ) -> (SimTime, usize) {
-        let bp = base.points();
-        let steps = self.steps.as_slice();
-        debug_assert!(!bp.is_empty(), "base calendars are never empty");
-        // Front skip: the first base point admitting the bare demand.
-        let mut bi = bp.partition_point(|p| p.free_nodes < nodes || p.free_memory_gb < memory_gb);
-        if bi == bp.len() {
-            unreachable!("the base calendar's final point is the fully-free machine");
-        }
-        // Cursor invariants: `t` is the current candidate time, `bp[bi]`
-        // is the base point in force at `t`, `si` is the first step with
-        // `time > t`, and `(res_n, res_m)` are the reserved amounts in
-        // force at `t`.
-        let mut t = bp[bi].time;
-        let mut si = steps.partition_point(|s| s.time <= t);
-        let (mut res_n, mut res_m) = match si {
-            0 => (0, 0),
-            i => (steps[i - 1].nodes, steps[i - 1].memory_gb),
-        };
-        'anchor: loop {
-            // Anchor search over the merged candidates (step times plus
-            // base point times), segment by segment: within one base
-            // segment the free level is constant, so the crawl is a tight
-            // scan of the steps inside it against two fixed slack bounds.
-            // Termination mirrors the merged-walk argument: the final
-            // base point is the fully free machine and the amounts past
-            // the last step are zero (every reservation inserts its own
-            // end boundary), so every in-capacity demand anchors before
-            // either cursor can run off its sequence.
-            loop {
-                let p = &bp[bi];
-                if p.free_nodes.saturating_sub(res_n) >= nodes
-                    && p.free_memory_gb.saturating_sub(res_m) >= memory_gb
-                {
-                    break;
-                }
-                let seg_end = match bp.get(bi + 1) {
-                    Some(p) => p.time,
-                    None => SimTime::MAX,
-                };
-                let mut found = false;
-                while let Some(s) = steps.get(si) {
-                    if s.time >= seg_end {
-                        break;
-                    }
-                    si += 1;
-                    res_n = s.nodes;
-                    res_m = s.memory_gb;
-                    if p.free_nodes.saturating_sub(res_n) >= nodes
-                        && p.free_memory_gb.saturating_sub(res_m) >= memory_gb
-                    {
-                        t = s.time;
-                        found = true;
-                        break;
-                    }
-                }
-                if found {
-                    break;
-                }
-                // No fit in this segment: the next candidate is the next
-                // base point. A step landing exactly on it belongs to the
-                // in-force amounts there (steps are consumed up to and
-                // including `t`); otherwise the amounts carry over.
-                bi += 1;
-                t = bp[bi].time;
-                if let Some(s) = steps.get(si) {
-                    if s.time <= t {
-                        res_n = s.nodes;
-                        res_m = s.memory_gb;
-                        si += 1;
-                    }
-                }
-            }
-            // Window scan: only nonzero reservation boundaries can fail
-            // in `(t, t + walltime)` — the base only rises past the
-            // anchor, so base points and zero steps inherit feasibility
-            // from their segment's left edge.
-            let end = t + walltime;
-            let (mut wbi, mut wsi) = (bi, si);
-            loop {
-                let Some(s) = steps.get(wsi) else {
-                    return (t, si);
-                };
-                if s.time >= end {
-                    return (t, si);
-                }
-                if s.nodes != 0 || s.memory_gb != 0 {
-                    while wbi + 1 < bp.len() && bp[wbi + 1].time <= s.time {
-                        wbi += 1;
-                    }
-                    let p = &bp[wbi];
-                    if p.free_nodes.saturating_sub(s.nodes) < nodes
-                        || p.free_memory_gb.saturating_sub(s.memory_gb) < memory_gb
-                    {
-                        // First failing window point: resume the anchor crawl
-                        // there — it fails its own anchor test (the same
-                        // comparison that just failed), so the crawl
-                        // moves straight past it to the next merged
-                        // candidate.
-                        t = s.time;
-                        bi = wbi;
-                        si = wsi + 1;
-                        res_n = s.nodes;
-                        res_m = s.memory_gb;
-                        continue 'anchor;
-                    }
-                }
-                wsi += 1;
-            }
-        }
-    }
-
-    /// [`reserve`](Self::reserve) seeded with `si` — the first step index
-    /// with `time > start`, as returned by the locate walk. Both boundary
-    /// positions follow from the hint (the end needs one binary search
-    /// over the suffix past it), and the two insertions share one combined
-    /// element shift.
-    fn reserve_hinted(
-        &mut self,
-        start: SimTime,
-        end: SimTime,
-        nodes: u32,
-        memory_gb: u64,
-        si: usize,
-    ) {
-        let steps = &mut self.steps;
-        debug_assert!(steps[..si].iter().all(|s| s.time <= start));
-        debug_assert!(steps[si..].iter().all(|s| s.time > start));
-        // Start boundary: in force at `start` is step `si - 1` (or zero
-        // territory); an exact-time match means the boundary exists.
-        let (a, ins_a, start_amt) = match si {
-            0 => (0, true, (0u32, 0u64)),
-            i if steps[i - 1].time == start => (i - 1, false, (0, 0)),
-            i => (i, true, (steps[i - 1].nodes, steps[i - 1].memory_gb)),
-        };
-        // End boundary: positions keyed to the *pre-insertion* vector. The
-        // carried amounts are whatever is in force just before `end`,
-        // which boundary insertion never changes.
-        let b = si + steps[si..].partition_point(|s| s.time < end);
-        let ins_b = !matches!(steps.get(b), Some(s) if s.time == end);
-        let end_amt = match b {
-            0 => (0u32, 0u64),
-            i => (steps[i - 1].nodes, steps[i - 1].memory_gb),
-        };
-        let extra = usize::from(ins_a) + usize::from(ins_b);
-        if extra > 0 {
-            let old_len = steps.len();
-            steps.resize(
-                old_len + extra,
-                ReservedStep {
-                    time: SimTime::MAX,
-                    memory_gb: 0,
-                    nodes: 0,
-                },
-            );
-            // One tail shift covers both insertions; the short stretch
-            // between the boundaries moves once more only when the start
-            // boundary is new.
-            steps.copy_within(b..old_len, b + extra);
-            if ins_b {
-                steps[b + usize::from(ins_a)] = ReservedStep {
-                    time: end,
-                    memory_gb: end_amt.1,
-                    nodes: end_amt.0,
-                };
-            }
-            if ins_a {
-                steps.copy_within(a..b, a + 1);
-                steps[a] = ReservedStep {
-                    time: start,
-                    memory_gb: start_amt.1,
-                    nodes: start_amt.0,
-                };
-            }
-        }
-        // Post-insertion, `[a, b + ins_a)` is exactly the `[start, end)`
-        // span; the end boundary itself stays untouched (exclusive end).
-        for s in &mut steps[a..b + usize::from(ins_a)] {
-            s.nodes += nodes;
-            s.memory_gb += memory_gb;
-        }
     }
 }
 
@@ -1101,22 +749,24 @@ mod tests {
 
     #[test]
     fn reservation_profile_mirrors_calendar_overlay_arithmetic() {
-        // Same base, same reservation sequence: the reserved-amount
-        // overlay and a cloned calendar must agree on every window and
+        // Same base, same demand sequence: the reserved-amount overlay's
+        // fused `place` and a cloned calendar driven through
+        // `earliest_window` + `reserve` must agree on every window and
         // every level.
         let base = build_flat(0, (1, 8), &[(120, 3, 24), (300, 4, 32)]);
         let mut cal = base.clone();
         let mut overlay = ReservationProfile::new();
-        for &(s, e, n, m) in &[
-            (0u64, 90u64, 3u32, 24u64),
-            (120, 260, 6, 40),
-            (90, 130, 2, 8),
-        ] {
-            cal.reserve(t(s), t(e), n, m);
-            overlay.reserve(t(s), t(e), n, m);
+        for &(n, m, w) in &[(3u32, 24u64, 90u64), (6, 40, 140), (2, 8, 40), (1, 8, 400)] {
+            let start = cal.earliest_window(n, m, d(w));
+            cal.reserve(start, start + d(w), n, m);
+            assert_eq!(
+                overlay.place(base.points(), t(0), n, m, d(w)),
+                start,
+                "window for ({n}, {m}) x {w}s"
+            );
         }
         for probe in [
-            0u64, 50, 89, 90, 119, 120, 129, 130, 259, 260, 299, 300, 400,
+            0u64, 50, 89, 90, 119, 120, 129, 130, 259, 260, 299, 300, 400, 700,
         ] {
             let p = cal.at(t(probe));
             let (res_nodes, res_mem) = overlay.reserved_at(t(probe));
@@ -1133,14 +783,17 @@ mod tests {
         for &(n, m, w) in &[(1u32, 1u64, 10u64), (3, 24, 100), (8, 64, 50), (5, 40, 400)] {
             assert_eq!(
                 cal.earliest_window(n, m, d(w)),
-                overlay.earliest_window(&base, n, m, d(w)),
+                overlay.earliest_window(base.points(), t(0), n, m, d(w)),
                 "window for ({n}, {m}) x {w}s"
             );
         }
         // A clear drops the reservations and re-tracks the bare base.
         overlay.clear();
         assert!(overlay.steps().is_empty());
-        assert_eq!(overlay.earliest_window(&base, 8, 64, d(10)), t(300));
+        assert_eq!(
+            overlay.earliest_window(base.points(), t(0), 8, 64, d(10)),
+            t(300)
+        );
     }
 
     #[test]

@@ -23,6 +23,10 @@
 //!   trace and result files.
 //! * [`json`] — the byte-stable JSON fragment rules (string escaping,
 //!   six-decimal floats) shared by every artifact writer.
+//! * [`timetable`] — tentative reservations over a free-capacity step
+//!   function ([`ReservationProfile`]): the earliest-window search and
+//!   splice shared by conservative backfilling and the solver's serial
+//!   schedule generation.
 //!
 //! Everything here is deterministic given a seed: the same root seed
 //! reproduces every experiment in the workspace bit-for-bit.
@@ -37,11 +41,13 @@ pub mod json;
 pub mod rng;
 pub mod stats;
 pub mod time;
+pub mod timetable;
 
 pub use event::EventQueue;
 pub use rng::{Rng, RngExt, SeedTree, SplitMix64, Xoshiro256PlusPlus};
 pub use stats::{BoxplotStats, Histogram, RunningStats};
 pub use time::{SimDuration, SimTime};
+pub use timetable::{BasePoint, ReservationProfile, ReservedStep};
 
 /// Commonly used items, for glob import in downstream crates.
 pub mod prelude {

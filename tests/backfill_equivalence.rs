@@ -615,10 +615,12 @@ proptest! {
         }
     }
 
-    /// The `ReservationProfile` overlay (what the conservative pass
-    /// actually mutates) stays bit-identical to a cloned
-    /// `CapacityCalendar` under interleaved window queries and reserves:
-    /// same placements, same effective levels.
+    /// The `ReservationProfile` overlay's fused `place` (the one call the
+    /// conservative pass and the solver's decoder make) stays
+    /// bit-identical to a cloned `CapacityCalendar` driven through
+    /// `earliest_window` + `reserve`: same windows, same effective levels.
+    /// `not_before` is modelled on the clone by blocking the whole machine
+    /// up to it.
     #[test]
     fn overlay_matches_a_cloned_calendar(
         rel in releases(),
@@ -641,20 +643,30 @@ proptest! {
         );
         let mut cloned = base.clone();
         let mut overlay = ReservationProfile::new();
-        for (start_s, len_s, nodes, mem) in res {
-            // Query before each reserve the way the policy does, with the
-            // demand capped at machine capacity (both placement loops
+        for (not_before_s, wall_s, nodes, mem) in res {
+            // Query before each placement the way the policy does, with
+            // the demand capped at machine capacity (both placement loops
             // assume the final point admits the job).
             for &(n, m, wall_s) in &demands {
                 let wall = SimDuration::from_secs(wall_s);
                 prop_assert_eq!(
-                    overlay.earliest_window(&base, n.min(16), m.min(128), wall),
+                    overlay.earliest_window(base.points(), now, n.min(16), m.min(128), wall),
                     cloned.earliest_window(n.min(16), m.min(128), wall)
                 );
             }
-            let (start, end) = (t(start_s), t(start_s + len_s));
-            cloned.reserve(start, end, nodes, mem);
-            overlay.reserve(start, end, nodes, mem);
+            // Instants on either side of the calendar start: the policy
+            // searches from `now`, the solver from each task's release.
+            let (not_before, wall) = (t(not_before_s), SimDuration::from_secs(wall_s));
+            let mut blocked = cloned.clone();
+            if not_before > now {
+                blocked.reserve(now, not_before, u32::MAX, u64::MAX);
+            }
+            let start = blocked.earliest_window(nodes, mem, wall);
+            cloned.reserve(start, start + wall, nodes, mem);
+            prop_assert_eq!(
+                overlay.place(base.points(), not_before, nodes, mem, wall),
+                start
+            );
             // Effective levels agree at every boundary of either side.
             for &(pt, pn, pm) in &scalar_points(&cloned) {
                 let (res_n, res_m) = overlay.reserved_at(pt);

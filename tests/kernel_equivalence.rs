@@ -13,7 +13,8 @@
 
 use reasoned_scheduler::cluster::reservation::Demand;
 use reasoned_scheduler::cluster::{
-    backfill_is_safe, shadow_start, ClusterState, CompletedStats, StartError, StepIntegral,
+    classed_overlap_fits, nodes_per_slot, ClusterState, CompletedStats, StartError, StepIntegral,
+    MAX_CLASSES,
 };
 use reasoned_scheduler::cpsolver::SolverConfig;
 use reasoned_scheduler::prelude::*;
@@ -310,6 +311,90 @@ fn reference_apply(
             start(cluster, events, waiting, &spec)?;
             Ok(Applied::Placement)
         }
+    }
+}
+
+/// Free `(nodes, memory)` at `t`: what is free now plus every running job
+/// that has ended by `t` (ending exactly at `t` counts as released).
+fn free_at(cluster: &ClusterState, t: SimTime) -> (u32, u64) {
+    let mut free = (cluster.free_nodes(), cluster.free_memory_gb());
+    for j in cluster.running().filter(|j| j.end <= t) {
+        free.0 += j.spec.nodes;
+        free.1 += j.spec.memory_gb;
+    }
+    free
+}
+
+/// [`free_at`] per topology class, each node returned to the class that
+/// hosted it. Classed clusters only.
+fn free_by_class_at(cluster: &ClusterState, t: SimTime) -> [u32; MAX_CLASSES] {
+    let topology = cluster.config().topology;
+    let mut free = cluster.free_by_class();
+    for j in cluster.running().filter(|j| j.end <= t) {
+        let released = nodes_per_slot(&topology, &j.allocation.nodes);
+        for (slot, n) in released.into_iter().enumerate() {
+            free[slot] += n;
+        }
+    }
+    free
+}
+
+/// The reference's shadow time: the earliest instant `demand` could start,
+/// assuming running jobs release resources exactly at their recorded end
+/// times and nothing else starts in between — `now` or the first
+/// completion at which the demand fits what is free then, recomputed from
+/// the running set per probe (the kernel reads its incrementally
+/// maintained capacity calendar instead). `SimTime::MAX` if it never fits.
+fn shadow_start(cluster: &ClusterState, now: SimTime, demand: Demand) -> SimTime {
+    let mut ends: Vec<SimTime> = cluster.running().map(|j| j.end).collect();
+    ends.sort();
+    let fits_at = |t: SimTime| {
+        if cluster.config().is_flat() {
+            let (nodes, mem) = free_at(cluster, t);
+            demand.nodes <= nodes && demand.memory_gb <= mem
+        } else {
+            let free = free_by_class_at(cluster, t);
+            demand.fits_classes(&cluster.config().topology, &free)
+        }
+    };
+    // Ends before `now` cannot occur in the simulator; `max` keeps the
+    // sweep total anyway.
+    std::iter::once(now)
+        .chain(ends.into_iter().map(|end| end.max(now)))
+        .find(|&t| fits_at(t))
+        .unwrap_or(SimTime::MAX)
+}
+
+/// The reference's EASY backfilling test: may `candidate` start now
+/// without delaying the shadow start of `head`? `true` iff it fits the
+/// current free resources and either finishes (by its *walltime estimate*)
+/// no later than the head's shadow start, or leaves the head's demand
+/// covered at the shadow time even while it runs.
+fn backfill_is_safe(
+    cluster: &ClusterState,
+    now: SimTime,
+    candidate: &JobSpec,
+    head: &JobSpec,
+) -> bool {
+    if !cluster.can_fit(candidate) {
+        return false;
+    }
+    let shadow = shadow_start(cluster, now, Demand::from(head));
+    // A head that can never run cannot be delayed.
+    if shadow == SimTime::MAX || now + candidate.walltime <= shadow {
+        return true;
+    }
+    if cluster.config().is_flat() {
+        let (nodes, mem) = free_at(cluster, shadow);
+        nodes >= candidate.nodes + head.nodes && mem >= candidate.memory_gb + head.memory_gb
+    } else {
+        classed_overlap_fits(
+            &cluster.config().topology,
+            &cluster.free_by_class(),
+            free_by_class_at(cluster, shadow),
+            &Demand::from(candidate),
+            &Demand::from(head),
+        )
     }
 }
 

@@ -223,21 +223,24 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Every permutation decodes to a feasible schedule whose makespan
-    /// dominates the instance lower bound.
+    /// dominates the instance lower bound, and every task sits at its
+    /// *earliest* feasible start given the tasks placed before it.
     #[test]
     fn sgs_decodings_are_feasible(
-        specs in prop::collection::vec((1u64..200, 1u32..4, 1u64..12, 0u64..100), 1..12),
+        specs in prop::collection::vec((1u64..200, 1u32..4, 1u64..12, 0u64..100, 0u8..2), 1..12),
         seed in 0u64..1000
     ) {
         let tasks: Vec<Task> = specs
             .iter()
             .enumerate()
-            .map(|(i, &(dur, nodes, mem, release))| Task {
-                id: i as u32,
-                duration: dur,
-                nodes,
-                memory: mem,
-                release,
+            .map(|(i, &(dur, nodes, mem, release, grid))| {
+                // Half the tasks sit on a 50 ms grid, so that ends, starts
+                // and releases coincide.
+                let (duration, release) = match grid {
+                    0 => (dur, release),
+                    _ => (dur.div_ceil(50) * 50, release / 50 * 50),
+                };
+                Task { id: i as u32, duration, nodes, memory: mem, release }
             })
             .collect();
         let inst = Instance::new(tasks, 4, 16);
@@ -251,6 +254,36 @@ proptest! {
         let (schedule, makespan) = reasoned_scheduler::cpsolver::sgs::decode_with_makespan(&inst, &order);
         prop_assert!(schedule.is_feasible(&inst));
         prop_assert!(makespan >= reasoned_scheduler::cpsolver::bounds::lower_bound(&inst));
+        // Earliestness, by brute force: replaying the order, no candidate
+        // instant — the release, or a start or end of a task already placed
+        // — before the decoded start admits the task for its whole duration.
+        let span = |j: usize| (schedule.starts[j], schedule.starts[j] + inst.tasks[j].duration);
+        for (k, &i) in order.iter().enumerate() {
+            let (task, placed) = (&inst.tasks[i], &order[..k]);
+            let usage_at = |probe: u64| {
+                placed
+                    .iter()
+                    .filter(|&&j| span(j).0 <= probe && probe < span(j).1)
+                    .fold((0u32, 0u64), |(n, m), &j| (n + inst.tasks[j].nodes, m + inst.tasks[j].memory))
+            };
+            // Usage only rises at a start: the window's first instant and
+            // the placed starts inside it are the instants to check.
+            let fits_from = |s: u64| {
+                placed
+                    .iter()
+                    .map(|&j| span(j).0)
+                    .chain([s])
+                    .filter(|&probe| s <= probe && probe < s + task.duration)
+                    .all(|probe| {
+                        let (nodes, memory) = usage_at(probe);
+                        nodes + task.nodes <= 4 && memory + task.memory <= 16
+                    })
+            };
+            let candidates = placed.iter().flat_map(|&j| [span(j).0, span(j).1]).chain([task.release]);
+            for c in candidates.filter(|&c| task.release <= c && c < schedule.starts[i]) {
+                prop_assert!(!fits_from(c), "task {i} fits at {c}, decoded to {}", schedule.starts[i]);
+            }
+        }
     }
 }
 
