@@ -214,6 +214,12 @@ pub struct SlotSet(u8);
 const _: () = assert!(MAX_CLASSES <= u8::BITS as usize);
 
 impl SlotSet {
+    /// The set as a bit mask, bit `slot` set for each member — a compact,
+    /// order-preserving form for packed index keys.
+    pub fn bits(self) -> u8 {
+        self.0
+    }
+
     /// `true` if `slot` is in the set.
     pub fn contains(self, slot: usize) -> bool {
         self.0 & (1 << slot) != 0

@@ -207,6 +207,7 @@ mod tests {
             total_jobs: 1,
             calendar: None,
             telemetry: None,
+            queue: None,
         }
     }
 

@@ -185,6 +185,7 @@ mod tests {
                 total_jobs: 80,
                 calendar: None,
                 telemetry: None,
+                queue: None,
             }
         }
     }

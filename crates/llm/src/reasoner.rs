@@ -257,14 +257,21 @@ fn score_candidates(
     scores
 }
 
-/// Pull a job id out of a feedback message like
-/// `"job 32 cannot be started — requires …"`.
+/// Pull the refused job's id out of a feedback message like `"Action:
+/// StartJob failed (not enough resources) — Job 32 cannot be started —
+/// requires …"`: the first ASCII-case-insensitive `"job "` that a number
+/// follows. The `Job` of `StartJob failed` and of `(job not in queue)` is
+/// followed by none and is passed over. Offsets are taken on the message's
+/// own bytes, so no text can put one inside a character.
 fn extract_job_id(message: &str) -> Option<u32> {
-    let lower = message.to_lowercase();
-    let idx = lower.find("job ")?;
-    let rest = &message[idx + 4..];
-    let digits: String = rest.chars().take_while(|c| c.is_ascii_digit()).collect();
-    digits.parse().ok()
+    let words = message.as_bytes().windows(4).enumerate();
+    words
+        .filter(|(_, word)| word.eq_ignore_ascii_case(b"job "))
+        .find_map(|(at, _)| {
+            let rest = &message[at + 4..];
+            let digits = rest.bytes().take_while(u8::is_ascii_digit).count();
+            rest[..digits].parse().ok()
+        })
 }
 
 #[cfg(test)]
@@ -534,6 +541,23 @@ mod tests {
             Some(40)
         );
         assert_eq!(extract_job_id("no identifiers here"), None);
+        // As the agent writes it: the verb's own "Job " comes first.
+        assert_eq!(
+            extract_job_id(
+                "Action: StartJob failed (not enough resources) — Job 32 cannot be started"
+            ),
+            Some(32)
+        );
+        assert_eq!(
+            extract_job_id("Action: BackfillJob failed (job not in queue) — Job 7 is not"),
+            Some(7)
+        );
+        assert_eq!(extract_job_id("job 99999999999 overflows; job 6"), Some(6));
+        // `to_lowercase` lengthens İ: offsets into a lowered copy used to
+        // miss ("İ job 5") or land out of range ("İİİİ job 5", a panic).
+        assert_eq!(extract_job_id("İ job 5"), Some(5));
+        assert_eq!(extract_job_id("İİİİ job 5"), Some(5));
+        assert_eq!(extract_job_id("job"), None);
     }
 
     #[test]

@@ -29,8 +29,8 @@ impl SchedulingPolicy for Sjf {
         if view.all_jobs_started() {
             return Action::Stop;
         }
-        match view.eligible_now().min_by_key(|j| (j.walltime, j.id)) {
-            Some(j) => Action::StartJob(j.id),
+        match view.shortest_eligible() {
+            Some(id) => Action::StartJob(id),
             None => {
                 self.last_delay = Some(if view.waiting.is_empty() {
                     DelayReason::QueueEmpty

@@ -261,6 +261,7 @@ impl KernelState {
                 total_jobs,
                 calendar: Some(&self.ledger),
                 telemetry: Some(&self.telemetry),
+                queue: Some(&self.queue),
             };
             let action = policy.decide(&view);
             self.stats.queries += 1;
@@ -389,6 +390,9 @@ impl KernelState {
         let (rebuilds, hits) = self.ledger.calendar_counters();
         t.set_counter("sim_calendar_rebuilds_total", rebuilds);
         t.set_counter("sim_calendar_cache_hits_total", hits);
+        let (builds, probes) = self.queue.order_counters();
+        t.set_counter("sim_queue_index_builds_total", builds);
+        t.set_counter("sim_queue_index_probes_total", probes);
         t.set_gauge("sim_queue_depth", self.queue.len() as i64);
         t.set_gauge("sim_running_jobs", self.cluster.running_count() as i64);
     }
@@ -642,6 +646,7 @@ impl KernelState {
             total_jobs,
             calendar: Some(&self.ledger),
             telemetry: Some(&self.telemetry),
+            queue: Some(&self.queue),
         }
     }
 

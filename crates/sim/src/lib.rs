@@ -56,6 +56,7 @@ pub use profile::{
     CalendarPoint, CalendarRef, CalendarStamp, CapacityCalendar, CapacityLedger,
     ReservationProfile, ReservedStep,
 };
+pub use queue::WaitQueue;
 pub use scan::ScanOutcome;
 pub use simulator::{job_is_feasible, run_simulation, validate_workload, SimError, SimOptions};
 pub use store::JobStore;

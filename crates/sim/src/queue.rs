@@ -16,7 +16,9 @@
 //!   offset, and answers "does anything fit?" without probing the jobs:
 //!   conservative min-demand watermarks ahead of a dense column scan on a
 //!   flat machine, a lookup in an exact count of waiting jobs per
-//!   compatible-slot set on a classed one. The **rank** is a fair-share
+//!   compatible-slot set on a classed one; *which* job fits (SJF's pick)
+//!   from a shortest-first order built the first time a policy asks. A
+//!   removal shifts whichever side is shorter. The **rank** is a fair-share
 //!   priority tag:
 //!   the virtual-time simulator always inserts at rank 0, which makes the
 //!   order exactly the paper's `(submit, id)` arrival order; the
@@ -29,17 +31,50 @@
 //! Both expose their contents as slices, which is what lets
 //! [`SystemView`](crate::SystemView) borrow instead of clone.
 
-use std::collections::BTreeMap;
+use std::cell::{Cell, OnceCell};
+use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Bound::{Excluded, Unbounded};
 
 use rsched_cluster::{
     compatible_slots, ClusterState, JobId, JobSpec, PlacementRequest, SlotSet, Topology,
+    MAX_CLASSES,
 };
-use rsched_simkit::SimTime;
+use rsched_simkit::{SimDuration, SimTime};
 
 use crate::scan;
 use crate::store::JobStore;
 use crate::view::RunningSummary;
+
+/// Key of the shortest-first order: a job's *demand class* — everything
+/// the machine's fit test reads of it — then `(walltime, id)`, so the first
+/// key of each class is the only job of that class SJF can ever pick.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct OrderKey {
+    /// `memory_gb` (flat) or compatible-slot bits (classed); with `nodes`.
+    class: u64,
+    nodes: u32,
+    walltime: SimDuration,
+    id: JobId,
+}
+
+// One key per waiting job: packed, not a 32-byte nested tuple.
+const _: () = assert!(std::mem::size_of::<OrderKey>() == 24);
+
+impl OrderKey {
+    fn of(topology: &Topology, job: &JobSpec) -> Self {
+        let class = if topology.is_flat() {
+            job.memory_gb
+        } else {
+            u64::from(compatible_slots(topology, &PlacementRequest::from(job)).bits())
+        };
+        OrderKey {
+            class,
+            nodes: job.nodes,
+            walltime: job.walltime,
+            id: job.id,
+        }
+    }
+}
 
 /// The waiting queue: jobs sorted ascending by `(rank, submit, id)`.
 ///
@@ -48,9 +83,10 @@ use crate::view::RunningSummary;
 ///
 /// The queue is built for one machine and summarizes its jobs for that
 /// machine's fit test: the watermarks on a flat topology, the index on a
-/// classed one — never both.
+/// classed one — never both. Public as [`SystemView`](crate::SystemView)'s
+/// opaque handle only: every method is the crate's.
 #[derive(Debug)]
-pub(crate) struct WaitQueue {
+pub struct WaitQueue {
     /// SoA-packed backing storage; the live queue is `jobs[head..]`.
     /// The store's dense demand columns feed the flat-cluster fit scan.
     jobs: JobStore,
@@ -75,6 +111,13 @@ pub(crate) struct WaitQueue {
     /// a job (see [`compatible_slots`]). Exact: inserts and removals keep
     /// it equal to a recount of the live queue, zero counts are dropped.
     index: BTreeMap<(SlotSet, u32), u32>,
+    /// The live queue by `(demand class, walltime, id)`, for "which job
+    /// fits?". Built at the first [`shortest`](Self::shortest), kept by
+    /// inserts and removals from then on: a run whose policy never asks
+    /// (FCFS, backfill, the agents, the daemon's burst) carries no order.
+    order: OnceCell<BTreeSet<OrderKey>>,
+    /// Keys `shortest` has examined so far (telemetry).
+    probes: Cell<u64>,
 }
 
 impl WaitQueue {
@@ -88,6 +131,8 @@ impl WaitQueue {
             min_memory_gb: u64::MAX,
             topology,
             index: BTreeMap::new(),
+            order: OnceCell::new(),
+            probes: Cell::new(0),
         }
     }
 
@@ -145,6 +190,9 @@ impl WaitQueue {
         } else {
             *self.index.entry(self.index_key(&job)).or_insert(0) += 1;
         }
+        if let Some(order) = self.order.get_mut() {
+            order.insert(OrderKey::of(&self.topology, &job));
+        }
         let at = match self.position((rank, job.submit, job.id)) {
             Ok(_) => unreachable!("duplicate job ids are rejected before insertion"),
             Err(at) => at,
@@ -154,25 +202,31 @@ impl WaitQueue {
     }
 
     /// Remove the job at `index` of [`as_slice`](Self::as_slice), returning
-    /// it. O(1) amortized at the head, O(index) elsewhere: rotating the
-    /// prefix left of the job right by one and advancing the head offset
-    /// never touches the tail behind it. The prefix is short for FCFS and
-    /// for backfills near the head, but nothing bounds it — SJF's minimum
-    /// and an EASY backfill can sit anywhere in the queue, and on an
-    /// 8000-deep queue the rotation is then the cost of the removal
-    /// (about 4 µs each on the benchmark's `sjf_8k`).
+    /// it. O(1) amortized at the head, O(min(index, len − index))
+    /// elsewhere — the shorter side moves: up to the middle, the prefix
+    /// left of the job rotates right by one and the head offset advances,
+    /// never touching the tail; past the middle, the tail behind the job
+    /// shifts left. FCFS and backfills near the head stay on the first
+    /// path; SJF's minimum and an EASY backfill can sit anywhere in the
+    /// queue, and neither pays for more than half of it.
     ///
     /// # Panics
     /// Panics if `index` is out of bounds.
     pub(crate) fn remove_at(&mut self, index: usize) -> JobSpec {
         assert!(index < self.len(), "WaitQueue::remove_at out of bounds");
-        if index > 0 {
-            let at = self.head + index;
+        let at = self.head + index;
+        let job = if index > self.len() / 2 {
+            self.ranks.remove(at);
+            self.jobs.remove(at)
+        } else {
             self.ranks[self.head..=at].rotate_right(1);
             self.jobs.rotate_right_prefix(self.head, at);
+            self.head += 1;
+            self.jobs.specs()[self.head - 1].clone()
+        };
+        if let Some(order) = self.order.get_mut() {
+            order.remove(&OrderKey::of(&self.topology, &job));
         }
-        let job = self.jobs.specs()[self.head].clone();
-        self.head += 1;
         if !self.topology.is_flat() {
             let key = self.index_key(&job);
             let count = self
@@ -261,6 +315,57 @@ impl WaitQueue {
         self.min_nodes = out.min_nodes;
         self.min_memory_gb = out.min_memory_gb;
         false
+    }
+
+    /// The waiting job with the least `(walltime, id)` among those that
+    /// fit these free levels — `filter(can_fit).min_by_key(..)` for every
+    /// input, without the walk. Jobs of one demand class fit or fail
+    /// together, so only each class's first key is examined, however deep
+    /// the queue; a class that fails takes every wider `nodes` of its
+    /// memory value (slot set) with it, and a flat walk ends at the first
+    /// memory value above what is free.
+    pub(crate) fn shortest(
+        &self,
+        free_nodes: u32,
+        free_memory_gb: u64,
+        free_by_class: &[u32; MAX_CLASSES],
+    ) -> Option<JobId> {
+        let flat = self.topology.is_flat();
+        let key_of = |job| OrderKey::of(&self.topology, job);
+        let order = self
+            .order
+            .get_or_init(|| self.as_slice().iter().map(key_of).collect());
+        let mut best: Option<(SimDuration, JobId)> = None;
+        let mut first = order.first();
+        while let Some(&key) = first {
+            self.probes.set(self.probes.get() + 1);
+            if flat && key.class > free_memory_gb {
+                break;
+            }
+            let free = if flat {
+                free_nodes
+            } else {
+                let slots = (0..MAX_CLASSES).filter(|slot| key.class >> slot & 1 == 1);
+                slots.map(|slot| free_by_class[slot]).sum()
+            };
+            let fits = key.nodes <= free;
+            if fits && best.is_none_or(|least| (key.walltime, key.id) < least) {
+                best = Some((key.walltime, key.id));
+            }
+            let past = OrderKey {
+                nodes: if fits { key.nodes } else { u32::MAX },
+                walltime: SimDuration::MAX,
+                id: JobId(u32::MAX),
+                ..key
+            };
+            first = order.range((Excluded(past), Unbounded)).next();
+        }
+        best.map(|(_, id)| id)
+    }
+
+    /// Telemetry: the order's `(builds, probes)` — 0 or 1, keys examined.
+    pub(crate) fn order_counters(&self) -> (u64, u64) {
+        (u64::from(self.order.get().is_some()), self.probes.get())
     }
 }
 
@@ -383,6 +488,58 @@ mod tests {
         assert!(remove_id(&mut q, 2).is_none(), "gone");
     }
 
+    /// Past the middle the tail shifts left instead of the prefix right:
+    /// same live order, columns and ranks still aligned, head offset
+    /// untouched, the compaction rule still the dead prefix against the
+    /// buffer, and — classed — the count index still a recount.
+    #[test]
+    fn tail_side_removal_shifts_the_tail_and_leaves_the_head_alone() {
+        for topology in [Topology::flat(), ClusterConfig::mixed_256().topology] {
+            let mut q = WaitQueue::new(topology);
+            for i in 0..100u32 {
+                q.insert_ranked(spec(i, i as u64, 1 + i % 4, 1), (i / 50) as u64);
+            }
+            for _ in 0..40 {
+                q.remove_at(0);
+            }
+            assert_eq!((q.head, q.len()), (40, 60), "no compaction yet");
+
+            assert_eq!(q.remove_at(55).id, JobId(95), "index 55 of 60: tail side");
+            assert_eq!(q.head, 40, "the head offset did not move");
+            assert_eq!(q.remove_at(29).id, JobId(69), "the middle of 59 rotates");
+            assert_eq!(q.head, 41);
+            let ids: Vec<u32> = q.as_slice().iter().map(|j| j.id.0).collect();
+            let expect: Vec<u32> = (40..100).filter(|i| ![69, 95].contains(i)).collect();
+            assert_eq!(ids, expect, "live order preserved");
+
+            // Tail-side removals shrink the buffer, not the dead prefix;
+            // once the prefix is the larger half the queue compacts.
+            while q.head > 0 {
+                assert!(q.head * 2 <= q.jobs.len(), "compaction is overdue");
+                let last = q.len() - 1;
+                q.remove_at(last);
+            }
+            assert_eq!(
+                q.jobs.len(),
+                40,
+                "compacted when 41 dead slots outgrew half of 81"
+            );
+            assert_eq!(q.as_slice().first().map(|j| j.id), Some(JobId(40)));
+
+            crate::store::tests::assert_aligned(&q.jobs);
+            assert_eq!(q.ranks.len(), q.jobs.len());
+            let ranks: Vec<u64> = q.as_slice().iter().map(|j| (j.id.0 / 50) as u64).collect();
+            assert_eq!(q.ranks, ranks, "rank column moved with the jobs");
+            let mut recount = BTreeMap::new();
+            if !topology.is_flat() {
+                for job in q.as_slice() {
+                    *recount.entry(q.index_key(job)).or_insert(0u32) += 1;
+                }
+            }
+            assert_eq!(q.index, recount);
+        }
+    }
+
     #[test]
     fn watermark_short_circuits_saturated_states_soundly() {
         let cluster = ClusterState::new(ClusterConfig::new(8, 64));
@@ -477,14 +634,18 @@ mod tests {
     const CLASSES: [NodeClass; 3] = [NodeClass::Cpu, NodeClass::Gpu, NodeClass::BigMem];
 
     /// A waiting job drawn from three raw numbers: up to the whole flat
-    /// machine (16 nodes / 128 GB), or — on the classed one — 0 to 63
-    /// nodes with an optional class pin and an optional per-node demand
-    /// that only the gpu or only the bigmem class can host.
+    /// machine (16 nodes / 128 GB in 8 GB steps), or — on the classed one —
+    /// 0 to 63 nodes with an optional class pin and an optional per-node
+    /// demand that only the gpu or only the bigmem class can host. One of
+    /// three walltimes, so equal demand classes and walltime ties are
+    /// both common.
     fn arbitrary_job(classed: bool, id: u32, a: u32, b: u64, c: u64) -> JobSpec {
+        let walltime = SimDuration::from_secs(60 + u64::from(a % 3));
         if !classed {
-            return spec(id, c, 1 + a % 16, 1 + b % 128);
+            return spec(id, c, 1 + a % 16, 8 * (1 + b % 16)).with_walltime(walltime);
         }
-        let job = spec(id, c, a % 64, b % 200).with_per_node(match a / 256 % 3 {
+        let job = spec(id, c, a % 64, b % 200).with_walltime(walltime);
+        let job = job.with_per_node(match a / 256 % 3 {
             0 => ResourceVec::ZERO,
             1 => ResourceVec::new(0, 1 + a % 4, 0, 0),
             _ => ResourceVec::new(0, 0, 0, 3 + a % 2),
@@ -524,13 +685,16 @@ mod tests {
 
         /// The fit summary as an invariant: under any interleaving of
         /// inserts, ranked inserts, removals and probes at any free level,
-        /// `any_fits` is the brute-force answer; on the flat machine the
-        /// watermarks never exceed the true column minima, on the classed
-        /// one the index is a recount of the live jobs.
+        /// `any_fits` and `shortest` are the brute-force answers; on the
+        /// flat machine the watermarks never exceed the true column
+        /// minima, on the classed one the index is a recount of the live
+        /// jobs; and the shortest-first order — first asked for at
+        /// whatever point the ops put it, over a deep queue or an empty
+        /// one — is from then on a rebuild from the live jobs.
         #[test]
         fn any_fits_is_brute_force_and_watermarks_bound_the_minima(
             classed in 0u8..2,
-            ops in prop::collection::vec((0u8..4, 0u32..1000, 0u64..1000, 0u64..50), 1..200),
+            ops in prop::collection::vec((0u8..5, 0u32..1000, 0u64..1000, 0u64..50), 1..200),
         ) {
             let classed = classed == 1;
             let mut q = WaitQueue::new(cluster_at(classed, 0, 0, 0).config().topology);
@@ -550,13 +714,28 @@ mod tests {
                         q.remove_at(a as usize % q.len());
                     }
                     2 => {}
-                    _ => {
+                    3 => {
                         let cluster = cluster_at(classed, a, b, c);
                         let expect = q.as_slice().iter().any(|j| cluster.can_fit(j));
                         prop_assert_eq!(q.any_fits(&cluster), expect);
                     }
+                    _ => {
+                        let cluster = cluster_at(classed, a, b, c);
+                        let fitting = q.as_slice().iter().filter(|j| cluster.can_fit(j));
+                        let expect = fitting.min_by_key(|j| (j.walltime, j.id)).map(|j| j.id);
+                        let got = q.shortest(
+                            cluster.free_nodes(),
+                            cluster.free_memory_gb(),
+                            &cluster.free_by_class(),
+                        );
+                        prop_assert_eq!(got, expect);
+                    }
                 }
                 let live = q.as_slice();
+                if let Some(order) = q.order.get() {
+                    let keys = live.iter().map(|j| OrderKey::of(&q.topology, j));
+                    prop_assert_eq!(order, &keys.collect::<BTreeSet<_>>());
+                }
                 if classed {
                     let mut recount = BTreeMap::new();
                     for job in live {

@@ -140,7 +140,7 @@ impl FromIterator<JobSpec> for JobStore {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use rsched_simkit::{SimDuration, SimTime};
 
@@ -149,7 +149,7 @@ mod tests {
     }
 
     /// Columns must mirror the specs after any mutation sequence.
-    fn assert_aligned(store: &JobStore) {
+    pub(crate) fn assert_aligned(store: &JobStore) {
         assert_eq!(store.nodes().len(), store.len());
         assert_eq!(store.memory_gb().len(), store.len());
         for (i, job) in store.specs().iter().enumerate() {

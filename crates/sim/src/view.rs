@@ -59,7 +59,9 @@ pub struct RunningSummary {
 ///   id tie-break — so [`head_of_queue`](SystemView::head_of_queue) is the
 ///   first element;
 /// * `running` is sorted ascending by job id;
-/// * `completed_stats` equals the fold of `completed`.
+/// * `completed_stats` equals the fold of `completed`;
+/// * `calendar`, `telemetry` and `queue` are the kernel's own ledger, sink
+///   and wait queue — `queue` holds exactly the jobs of `waiting`.
 ///
 /// Hand-built views (tests, harnesses) must uphold the same ordering for
 /// the helper methods to be meaningful.
@@ -102,6 +104,11 @@ pub struct SystemView<'a> {
     /// [`sink`](Self::sink); hand-built views leave it `None` and the
     /// accessor hands back an inert disabled sink.
     pub telemetry: Option<&'a rsched_telemetry::TelemetrySink>,
+    /// The kernel's wait queue behind `waiting`, when this view was built
+    /// by a kernel — an opaque handle: [`shortest_eligible`](Self::shortest_eligible)
+    /// answers from its shortest-first order. Hand-built views leave it
+    /// `None` and the accessor falls back to a linear pass over `waiting`.
+    pub queue: Option<&'a crate::queue::WaitQueue>,
 }
 
 impl<'a> SystemView<'a> {
@@ -142,6 +149,20 @@ impl<'a> SystemView<'a> {
     /// Waiting jobs that fit right now, in queue order.
     pub fn eligible_now(&self) -> impl Iterator<Item = &'a JobSpec> + '_ {
         self.waiting.iter().filter(|j| self.fits_now(j))
+    }
+
+    /// The waiting job that fits right now with the least `(walltime, id)`
+    /// — SJF's pick; `None` when nothing fits. Kernel-built views ask the
+    /// wait queue, which probes one key per demand class of an order it
+    /// builds the first time this is called; hand-built views take the
+    /// linear minimum over [`eligible_now`](Self::eligible_now), the
+    /// definition both agree on.
+    pub fn shortest_eligible(&self) -> Option<JobId> {
+        let Some(queue) = self.queue else {
+            let shortest = self.eligible_now().min_by_key(|j| (j.walltime, j.id));
+            return shortest.map(|j| j.id);
+        };
+        queue.shortest(self.free_nodes, self.free_memory_gb, &self.free_by_class)
     }
 
     /// `true` once every job has arrived and been started (the paper's
@@ -270,6 +291,7 @@ mod tests {
                 total_jobs: 6,
                 calendar: None,
                 telemetry: None,
+                queue: None,
             }
         }
     }

@@ -19,6 +19,7 @@ use reasoned_scheduler::cluster::{
 use reasoned_scheduler::cpsolver::SolverConfig;
 use reasoned_scheduler::prelude::*;
 use reasoned_scheduler::registry::names;
+use reasoned_scheduler::service::FairShareConfig;
 use reasoned_scheduler::sim::{ActionOutcome, RejectReason, RunningSummary, SimError, SimStats};
 use reasoned_scheduler::simkit::EventQueue;
 
@@ -135,6 +136,7 @@ fn reference_simulate(
                     total_jobs: jobs.len(),
                     calendar: None,
                     telemetry: None,
+                    queue: None,
                 };
                 let action = policy.decide(&view);
                 stats.queries += 1;
@@ -570,6 +572,147 @@ fn incremental_kernel_matches_straight_line_reference() {
             "{scenario}: the input must drive both validator paths \
              ({accepted} accepted, {refused} refused)"
         );
+    }
+}
+
+/// SJF as it was before the wait queue kept a shortest-first order: a fit
+/// test and a compare on every waiting job, every query. The straight-line
+/// reference for [`Sjf`], which asks the queue instead.
+struct RefSjf {
+    last_delay: Option<DelayReason>,
+}
+
+impl SchedulingPolicy for RefSjf {
+    fn name(&self) -> &str {
+        "SJF"
+    }
+
+    fn decide(&mut self, view: &SystemView<'_>) -> Action {
+        self.last_delay = None;
+        if view.all_jobs_started() {
+            return Action::Stop;
+        }
+        match view.eligible_now().min_by_key(|j| (j.walltime, j.id)) {
+            Some(j) => Action::StartJob(j.id),
+            None => {
+                self.last_delay = Some(if view.waiting.is_empty() {
+                    DelayReason::QueueEmpty
+                } else {
+                    DelayReason::NoFitNow
+                });
+                Action::Delay
+            }
+        }
+    }
+
+    fn provenance(&mut self) -> Option<DelayReason> {
+        self.last_delay.take()
+    }
+}
+
+/// `jobs` through the service core with fair-share ranking on — arrivals
+/// reach the queue through `insert_ranked` at their tenants' usage-decayed
+/// ranks — ticked at every submit and completion instant, as
+/// `rsched_service::replay` does with ranking off.
+fn serve_with_fair_share(
+    cluster: ClusterConfig,
+    jobs: &[JobSpec],
+    policy: Box<dyn SchedulingPolicy>,
+) -> SimOutcome {
+    let config = ServiceConfig {
+        max_batch: usize::MAX,
+        restamp_submit: false,
+        retain_history: true,
+        expected_jobs: Some(jobs.len()),
+        admission: AdmissionConfig {
+            fair_share: FairShareConfig {
+                enabled: true,
+                ..FairShareConfig::default()
+            },
+            ..AdmissionConfig::default()
+        },
+        ..ServiceConfig::new(cluster)
+    };
+    let mut arrivals: Vec<&JobSpec> = jobs.iter().collect();
+    arrivals.sort_by_key(|j| j.submit);
+    let mut arrivals = arrivals.into_iter().peekable();
+    let start = arrivals.peek().map_or(SimTime::ZERO, |j| j.submit);
+    let (mut core, handle) = ServiceCore::new(config, policy, start);
+    let mut reordered = false;
+    while core.kernel().completed_len() < jobs.len() {
+        let due = [
+            arrivals.peek().map(|j| j.submit),
+            core.kernel().next_event_time(),
+        ];
+        let now = due.into_iter().flatten().min().expect("work is pending");
+        while let Some(job) = arrivals.next_if(|j| j.submit == now) {
+            handle
+                .submit(TenantId(job.user.0), job.clone())
+                .expect("the core holds the receiver");
+        }
+        core.tick(now, &mut []).expect("tick");
+        let waiting = core.kernel().waiting();
+        reordered |= !waiting.is_sorted_by_key(|j| (j.submit, j.id));
+    }
+    assert!(
+        reordered,
+        "the ranks never took the queue off arrival order"
+    );
+    core.into_outcome()
+}
+
+/// [`Sjf`] reads its pick off the wait queue's shortest-first order;
+/// [`RefSjf`] walks the queue. Same kernel under both, 2000 jobs so the
+/// queue is deep when the order is first built: decisions, records and
+/// epoch provenance are equal on a static flat backlog, a dynamic flat
+/// stream, the classed machine, and through the service driver, where
+/// non-zero fair-share ranks reorder the queue and must not reorder SJF.
+#[test]
+fn sjf_on_the_queue_order_matches_the_linear_minimum() {
+    use ArrivalMode::{Dynamic, Static};
+    let grid = [
+        (ClusterConfig::polaris(), "long_tail", Static, false),
+        (
+            ClusterConfig::paper_default(),
+            "heterogeneous_mix",
+            Dynamic,
+            false,
+        ),
+        (
+            ClusterConfig::mixed_256(),
+            "gpu_skewed_hetmix",
+            Dynamic,
+            false,
+        ),
+        (
+            ClusterConfig::paper_default(),
+            "heterogeneous_mix",
+            Dynamic,
+            true,
+        ),
+    ];
+    for (cluster, scenario, mode, served) in grid {
+        let label = format!("SJF on {scenario}/{mode:?}, served: {served}");
+        let jobs = scenario_builtins()
+            .generate(
+                scenario,
+                &ScenarioContext::new(2000).with_mode(mode).with_seed(7),
+            )
+            .expect("builtin scenario")
+            .jobs;
+        let run = |mut policy: Box<dyn SchedulingPolicy>| {
+            if served {
+                serve_with_fair_share(cluster, &jobs, policy)
+            } else {
+                run_simulation(cluster, &jobs, policy.as_mut(), &SimOptions::default())
+                    .unwrap_or_else(|e| panic!("{label}: {e}"))
+            }
+        };
+        let a = run(Box::new(Sjf::new()));
+        let b = run(Box::new(RefSjf { last_delay: None }));
+        assert_outcomes_identical(&a, &b, &label);
+        assert_eq!(a.epochs, b.epochs, "{label}: epoch provenance");
+        assert_eq!(a.records.len(), jobs.len(), "{label}: every job ran");
     }
 }
 

@@ -109,6 +109,7 @@ fn sim_types_construct_and_run() {
         total_jobs: 0,
         calendar: None,
         telemetry: None,
+        queue: None,
     };
     assert_eq!(view.free_nodes, config.nodes);
     assert_eq!(view.completed_stats.count, 0);

@@ -13,7 +13,7 @@ use reasoned_scheduler::cluster::{
 use reasoned_scheduler::cpsolver::{Instance, Task};
 use reasoned_scheduler::llm::prompt_parse::parse_prompt;
 use reasoned_scheduler::metrics::{jain_index, MetricsReport};
-use reasoned_scheduler::sim::{Action, RunningSummary, SystemView};
+use reasoned_scheduler::sim::{Action, KernelState, RunningSummary, SystemView};
 use reasoned_scheduler::simkit::csv;
 use reasoned_scheduler::simkit::{EventQueue, SimDuration, SimTime};
 
@@ -425,6 +425,7 @@ proptest! {
             total_jobs: waiting_specs.len() + running_summaries.len() + pending,
             calendar: None,
             telemetry: None,
+            queue: None,
         };
         let text = PromptBuilder::render(&view, &Scratchpad::default());
         let parsed = parse_prompt(&text).expect("builder output parses");
@@ -503,6 +504,78 @@ proptest! {
     #[test]
     fn prompt_parser_never_panics(text in "\\PC*") {
         let _ = parse_prompt(&text);
+    }
+
+    /// Nor does the simulated model on a prompt whose scratchpad carries
+    /// arbitrary feedback at the current time — the text it searches for
+    /// the refused job's id.
+    #[test]
+    fn simulated_llm_never_panics_on_feedback(text in "\\PC*") {
+        let prompt = prompt_with_feedback(100, &format!("{text} job 32 {text}"));
+        prop_assert!(SimulatedLlm::claude37(1).complete(&prompt).is_ok());
+    }
+}
+
+/// The prompt the agent renders at t = 100 for an idle machine and one
+/// waiting job (id 32) that fits it, with `feedback` on the scratchpad at
+/// `feedback_at`.
+fn prompt_with_feedback(feedback_at: u64, feedback: &str) -> String {
+    let mut kernel = KernelState::new(ClusterConfig::paper_default(), SimTime::ZERO);
+    kernel.arrive(JobSpec::new(
+        32,
+        0,
+        SimTime::ZERO,
+        SimDuration::from_secs(60),
+        4,
+        8,
+    ));
+    let mut history = Scratchpad::default();
+    history.push_feedback(feedback_at, feedback);
+    PromptBuilder::render(&kernel.view(SimTime::from_secs(100), 0, 1), &history)
+}
+
+/// Paper §2.4's loop, closed: a refusal rendered by the constraint module
+/// takes that job off the table for the rest of the timestep, whichever
+/// reason and verb the feedback carries — the model delays rather than
+/// propose the one waiting job again — and binds no later timestep.
+#[test]
+fn a_refused_job_is_not_proposed_again_within_the_timestep() {
+    use reasoned_scheduler::agent::constraints::render_feedback;
+    use reasoned_scheduler::sim::RejectReason;
+    let job = JobId(32);
+    let reasons = [
+        RejectReason::NotInQueue(job),
+        RejectReason::InsufficientResources {
+            job,
+            needed_nodes: 256,
+            needed_memory_gb: 8,
+            free_nodes: 238,
+            free_memory_gb: 576,
+        },
+        RejectReason::ExceedsCapacity(job),
+        RejectReason::WouldDelayHead {
+            job,
+            head: JobId(1),
+            shadow: SimTime::from_secs(500),
+        },
+    ];
+    for reason in &reasons {
+        for action in [Action::StartJob(job), Action::BackfillJob(job)] {
+            let feedback = render_feedback(&action, reason);
+            let decide = |feedback_at| {
+                let prompt = prompt_with_feedback(feedback_at, &feedback);
+                let completion = SimulatedLlm::claude37(1)
+                    .complete(&prompt)
+                    .expect("completes");
+                parse_completion(&completion.text).expect("parses").action
+            };
+            assert_eq!(decide(100), Action::Delay, "refused just now: {feedback}");
+            assert_eq!(
+                decide(99),
+                Action::StartJob(job),
+                "refused earlier: {feedback}"
+            );
+        }
     }
 }
 

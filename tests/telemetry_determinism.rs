@@ -72,7 +72,7 @@ fn artifacts(policy_name: &str, seed: u64) -> [String; 5] {
 
 #[test]
 fn identical_seeds_emit_byte_identical_artifacts() {
-    for policy in ["Conservative", "EASY", "FCFS"] {
+    for policy in ["Conservative", "EASY", "FCFS", "SJF"] {
         let a = artifacts(policy, 7);
         let b = artifacts(policy, 7);
         for (name, (x, y)) in ["epochs", "spans", "metrics", "prometheus", "chrome"]
@@ -165,4 +165,47 @@ fn harvested_counters_agree_with_kernel_stats() {
     }
     // The conservative policy's own instrumentation fired.
     assert!(counter(&snapshot, "sim_conservative_reservation_passes_total") > 0);
+}
+
+/// The wait queue's shortest-first order, as work rather than seconds: SJF
+/// builds it once, and a query examines at most one key per demand class
+/// waiting (plus the one that ends a walk early) however deep the queue;
+/// a policy that never asks "which job fits?" never builds it.
+#[test]
+fn queue_order_is_built_once_for_sjf_and_never_for_fcfs() {
+    let cluster = ClusterConfig::polaris();
+    let jobs = scenario_builtins()
+        .generate(
+            "long_tail",
+            &ScenarioContext::new(2000)
+                .with_mode(ArrivalMode::Static)
+                .with_seed(7),
+        )
+        .expect("builtin scenario")
+        .jobs;
+    let classes: std::collections::BTreeSet<(u64, u32)> =
+        jobs.iter().map(|j| (j.memory_gb, j.nodes)).collect();
+    let order_counters = |policy: &mut dyn SchedulingPolicy| {
+        let sink = TelemetrySink::recording();
+        let outcome = Simulation::new(cluster)
+            .jobs(&jobs)
+            .telemetry(&sink)
+            .run(policy)
+            .expect("simulation completes");
+        let snapshot = sink.snapshot().expect("recording sink snapshots");
+        (
+            counter(&snapshot, "sim_queue_index_builds_total"),
+            counter(&snapshot, "sim_queue_index_probes_total"),
+            outcome.stats.queries as u64,
+        )
+    };
+    let (builds, probes, queries) = order_counters(&mut Sjf::default());
+    assert_eq!(builds, 1, "built at the first ask, maintained from then on");
+    assert!(
+        (1..=queries * (classes.len() as u64 + 1)).contains(&probes),
+        "{probes} probes over {queries} queries and {} demand classes",
+        classes.len()
+    );
+    let (builds, probes, _) = order_counters(&mut Fcfs::default());
+    assert_eq!((builds, probes), (0, 0), "FCFS never asks, so never pays");
 }
