@@ -12,6 +12,9 @@
 //! Every query re-sends the whole history, so each line is written once,
 //! at push, in the form the prompt carries it: the lines sit end to end in
 //! one buffer, the only copy of their text, and rendering is a slice of it.
+//! Lines the budget has dropped can never render again; the buffer lets go
+//! of them once they outweigh the kept ones, so what a long-lived agent
+//! holds is bounded by its budget and not by its age.
 
 use std::fmt::Write as _;
 
@@ -37,9 +40,12 @@ struct Line {
 /// The decision-history memory.
 #[derive(Debug, Clone)]
 pub struct Scratchpad {
-    /// Every entry as its rendered, newline-terminated line, oldest first.
+    /// The entries not yet released, each as its rendered,
+    /// newline-terminated line, oldest first.
     text: String,
     lines: Vec<Line>,
+    /// Entries released: pushed, dropped by the budget, their lines gone.
+    released: usize,
     /// Index of the oldest line the budget still admits: the kept lines are
     /// the longest suffix whose tokens sum to at most the budget, and since
     /// pushes only append, this cursor only moves forward.
@@ -61,6 +67,7 @@ impl Scratchpad {
         Scratchpad {
             text: String::new(),
             lines: Vec::new(),
+            released: 0,
             first_kept: 0,
             kept_tokens: 0,
             token_budget,
@@ -102,22 +109,42 @@ impl Scratchpad {
             self.kept_tokens -= u64::from(self.lines[self.first_kept].tokens);
             self.first_kept += 1;
         }
+        // Release the dropped prefix when it outweighs the kept suffix: a
+        // byte is moved at most once for every byte pushed after it.
+        let kept_from = self.kept_from();
+        if kept_from > self.text.len() - kept_from {
+            self.text.drain(..kept_from);
+            self.lines.drain(..self.first_kept);
+            for line in &mut self.lines {
+                line.start -= kept_from;
+            }
+            self.released += self.first_kept;
+            self.first_kept = 0;
+        }
     }
 
-    /// Number of entries.
+    /// Byte offset of the oldest line the budget still admits.
+    fn kept_from(&self) -> usize {
+        self.lines
+            .get(self.first_kept)
+            .map_or(self.text.len(), |line| line.start)
+    }
+
+    /// Number of entries pushed, whether or not the budget still admits them.
     pub fn len(&self) -> usize {
-        self.lines.len()
+        self.released + self.lines.len()
     }
 
     /// `true` if no entries have been recorded.
     pub fn is_empty(&self) -> bool {
-        self.lines.is_empty()
+        self.len() == 0
     }
 
     /// Drop all entries (the buffers keep their capacity for the next run).
     pub fn clear(&mut self) {
         self.text.clear();
         self.lines.clear();
+        self.released = 0;
         self.first_kept = 0;
         self.kept_tokens = 0;
     }
@@ -126,18 +153,14 @@ impl Scratchpad {
     /// entries the token budget admits, oldest first, under a truncation
     /// marker when history was dropped; `(nothing yet)` when empty.
     pub fn write_lines(&self, out: &mut String) {
-        if self.lines.is_empty() {
+        if self.is_empty() {
             out.push_str("(nothing yet)\n");
             return;
         }
-        if self.first_kept > 0 {
+        if self.released + self.first_kept > 0 {
             out.push_str("(earlier history truncated)\n");
         }
-        let kept_from = self
-            .lines
-            .get(self.first_kept)
-            .map_or(self.text.len(), |line| line.start);
-        out.push_str(&self.text[kept_from..]);
+        out.push_str(&self.text[self.kept_from()..]);
     }
 
     /// The history as [`Scratchpad::write_lines`] writes it, without the
@@ -268,6 +291,34 @@ mod tests {
         }
     }
 
+    /// A daemon's agent pushes for as long as it lives; what it holds must
+    /// follow the budget, not the number of decisions made.
+    #[test]
+    fn buffers_stay_within_a_small_multiple_of_what_the_budget_keeps() {
+        let token_budget = 400;
+        let mut pad = Scratchpad::new(token_budget);
+        let mut reference = ReferencePad {
+            entries: Vec::new(),
+            token_budget,
+        };
+        for i in 0..20_000u64 {
+            let (kind, text) = PUSHES[i as usize % PUSHES.len()];
+            match kind {
+                "Thought" => pad.push_thought(i, text),
+                "Action" => pad.push_action(i, text),
+                _ => pad.push_feedback(i, text),
+            }
+            reference.push(i, kind, text);
+            assert_eq!(pad.render(), reference.render(), "after push {i}");
+            assert_eq!(pad.len(), reference.entries.len());
+        }
+        // The budget keeps a few KB; 20 000 lines are over a megabyte.
+        let kept = pad.render().len();
+        assert!(kept > 1000 && kept < 6400, "kept {kept}");
+        assert!(pad.text.capacity() <= 8 * kept, "{}", pad.text.capacity());
+        assert!(pad.lines.capacity() < 200, "{}", pad.lines.capacity());
+    }
+
     #[test]
     fn newest_line_alone_over_budget_renders_only_the_marker() {
         let mut pad = Scratchpad::new(7);
@@ -331,7 +382,7 @@ mod tests {
         assert!(text.starts_with("(earlier history truncated)"), "{text}");
         assert!(text.contains("thought number 19"), "newest kept: {text}");
         assert!(!text.contains("thought number 0"), "oldest dropped: {text}");
-        assert_eq!(s.len(), 20, "entries themselves are not dropped");
+        assert_eq!(s.len(), 20, "dropped entries still count");
     }
 
     #[test]

@@ -12,6 +12,8 @@
 //!   A real API client plugs in here unchanged.
 //! * [`prompt_parse`] — the personas read the *rendered prompt text*, not
 //!   structured data, exercising the same code path a hosted model would.
+//!   A [`SimulatedLlm`] skips the history blocks it remembers by digest; the
+//!   module says what a collision costs and why it keeps no copy instead.
 //! * [`reasoner`] — the multiobjective deliberation engine: scores each
 //!   eligible job on fairness, throughput, packing and makespan criteria
 //!   and picks an action.

@@ -5,6 +5,23 @@
 //! module recovers the system state, job queue and scratchpad feedback from
 //! that text. The grammar is the one `rsched-core`'s prompt builder emits;
 //! its round-trip is tested on both sides.
+//!
+//! Every prompt carries the whole decision history again (§2.2), so a
+//! [`PromptReader`] remembers the history it last read, as a serving
+//! endpoint's prefix cache does. Not as a copy — a third buffer the size of
+//! the prompt, beside the scratchpad's and the agent's, reads as that much
+//! resident memory — but as *blocks* of whole `[t=…]` lines: each its first
+//! line, its length, a 64-bit digest, and what reading it gave (its share of
+//! the token count, its feedback entries). The next history has grown at the
+//! back and may have lost lines at the front, so the reader *re-anchors* —
+//! reads on until a line is the first line of a remembered block whose digest
+//! verifies there — skips every following block that still verifies, and
+//! reads the rest like any text, closing it into new blocks. Two different
+//! blocks alike in first line and digest would be taken for each other; the
+//! price is a stale feedback list or token count inside the *simulated*
+//! model, whose every action the constraint module (§2.4) still validates.
+
+use crate::tokens::{tally, Tally};
 
 /// A waiting job as described in the prompt.
 #[derive(Debug, Clone, PartialEq)]
@@ -93,51 +110,62 @@ fn err(message: impl Into<String>) -> ParseError {
 
 /// Parse a rendered prompt.
 pub fn parse_prompt(text: &str) -> Result<ParsedPrompt, ParseError> {
-    let mut out = ParsedPrompt::default();
-    let mut saw_time = false;
-    let mut saw_capacity = false;
+    read(text, None).map(|(prompt, _)| prompt)
+}
 
-    #[derive(PartialEq)]
-    enum Section {
-        Preamble,
-        Running,
-        Waiting,
-        Scratchpad,
-        Tail,
-    }
-    let mut section = Section::Preamble;
+#[derive(Default, PartialEq)]
+enum Section {
+    #[default]
+    Preamble,
+    Running,
+    Waiting,
+    Scratchpad,
+    Tail,
+}
 
-    for line in text.lines() {
+/// The line state machine: every line that is read at all is read here.
+#[derive(Default)]
+struct Lines {
+    out: ParsedPrompt,
+    count: Tally,
+    section: Section,
+    saw_time: bool,
+    saw_capacity: bool,
+}
+
+impl Lines {
+    fn line(&mut self, line: &str) -> Result<(), ParseError> {
+        let out = &mut self.out;
         let trimmed = line.trim();
         match trimmed {
             "Running Jobs:" => {
-                section = Section::Running;
-                continue;
+                self.section = Section::Running;
+                return Ok(());
             }
             "Waiting Jobs (eligible to schedule):" => {
-                section = Section::Waiting;
-                continue;
+                self.section = Section::Waiting;
+                return Ok(());
             }
             "# Scratchpad (Decision History)" => {
-                section = Section::Scratchpad;
-                continue;
+                self.section = Section::Scratchpad;
+                return Ok(());
             }
             "Your scheduling objectives are:" => {
-                section = Section::Tail;
-                continue;
+                self.section = Section::Tail;
+                return Ok(());
             }
             _ => {}
         }
-        match section {
+        match self.section {
             Section::Preamble => {
                 if let Some(rest) = trimmed.strip_prefix("System capacity: ") {
                     let (nodes, memory) = parse_capacity(rest)?;
                     out.capacity_nodes = nodes;
                     out.capacity_memory_gb = memory;
-                    saw_capacity = true;
+                    self.saw_capacity = true;
                 } else if let Some(rest) = trimmed.strip_prefix("Current time: ") {
                     out.now_secs = parse_num(rest, "current time")?;
-                    saw_time = true;
+                    self.saw_time = true;
                 } else if let Some(rest) = trimmed.strip_prefix("Available Nodes: ") {
                     out.available_nodes = parse_num(rest, "available nodes")?;
                 } else if let Some(rest) = trimmed.strip_prefix("Available Memory: ") {
@@ -175,15 +203,183 @@ pub fn parse_prompt(text: &str) -> Result<ParsedPrompt, ParseError> {
             }
             Section::Tail => {}
         }
+        Ok(())
+    }
+}
+
+/// One pass of the line state machine over `text`. With a `reader`, the run
+/// of `[t=…]` lines that opens the scratchpad section goes to its `history`
+/// and the text is tallied; without, nothing is remembered or counted.
+fn read(
+    text: &str,
+    mut reader: Option<&mut PromptReader>,
+) -> Result<(ParsedPrompt, Tally), ParseError> {
+    let mut state = Lines::default();
+    // Where the next line starts and, for a reader, how far its count has got.
+    let (mut at, mut counted) = (0, reader.is_some().then_some(0));
+    let mut lines = text.split_inclusive('\n');
+    while let Some(line) = lines.next() {
+        if state.section == Section::Scratchpad && line.starts_with("[t=") {
+            if let Some(reader) = reader.take() {
+                at = reader.history(text, at, &mut state)?;
+                counted = Some(at);
+                lines = text[at..].split_inclusive('\n');
+                continue;
+            }
+        }
+        state.line(line)?;
+        at += line.len();
+    }
+    if let Some(counted) = counted {
+        state.count += tally(&text[counted..]);
+    }
+    match (state.saw_time, state.saw_capacity) {
+        (false, _) => Err(err("missing `Current time:` line")),
+        (_, false) => Err(err("missing `System capacity:` line")),
+        _ => Ok((state.out, state.count)),
+    }
+}
+
+/// History is remembered in blocks of whole lines, each closed at the first
+/// line end this many bytes in.
+const BLOCK: usize = 4096;
+
+/// A closed block of `[t=…]` lines: enough to recognise its bytes in a later
+/// prompt, and what reading them gave.
+#[derive(Debug, Clone)]
+struct Block {
+    /// Its first line, newline included.
+    anchor: String,
+    len: usize,
+    digest: u64,
+    tally: Tally,
+    feedback: Vec<(u64, String)>,
+}
+
+/// Whether `block`'s bytes are at `at`: cheaply refused unless its first line
+/// is. Its length is applied to bytes, not to `str` — in an unrelated text it
+/// can end inside a character — and a block that verifies ends in a newline,
+/// so a line starts after it.
+fn is_at(block: &Block, bytes: &[u8], at: usize) -> bool {
+    let anchor = block.anchor.as_bytes();
+    let here = bytes
+        .get(at..at + block.len)
+        .filter(|here| here.starts_with(anchor));
+    here.is_some_and(|here| here.ends_with(b"\n") && digest(here) == block.digest)
+}
+
+/// 64 bits of `bytes`, 32 at a step in four lanes whose multiplies overlap:
+/// a byte-at-a-time hash costs more than the parse that skipping saves.
+fn digest(bytes: &[u8]) -> u64 {
+    const K: u64 = 0x9E37_79B1_85EB_CA87;
+    let mix = |h: u64, word: u64| (h.rotate_left(27) ^ word).wrapping_mul(K);
+    let mut lanes = [K, !K, K >> 1, !K >> 1];
+    let mut step = |chunk: &[u8; 32]| {
+        for (lane, word) in lanes.iter_mut().zip(chunk.chunks_exact(8)) {
+            let word = word.try_into().expect("eight bytes");
+            *lane = mix(*lane, u64::from_le_bytes(word));
+        }
+    };
+    let (steps, rest) = bytes.as_chunks();
+    steps.iter().for_each(&mut step);
+    // The ragged end, zero-padded; the length tells the paddings apart.
+    let mut last = [0; 32];
+    last[..rest.len()].copy_from_slice(rest);
+    step(&last);
+    let h = lanes.into_iter().fold(bytes.len() as u64, mix);
+    h ^ (h >> 29)
+}
+
+/// The end of the `[t=…]` line that starts at `at`, past its newline, if one
+/// starts there and is terminated.
+fn history_line(text: &str, at: usize) -> Option<usize> {
+    let rest = text.get(at..).filter(|rest| rest.starts_with("[t="))?;
+    Some(at + rest.find('\n')? + 1)
+}
+
+/// A reader that remembers the decision history it last read (see the module
+/// documentation) and does not read again the lines of it that it recognises.
+#[derive(Debug, Clone, Default)]
+pub struct PromptReader {
+    /// Consecutive blocks of the history last read, oldest first.
+    blocks: Vec<Block>,
+    /// The longest block ever closed: no remembered history has a longer
+    /// stretch without a block start, whatever was cut off its front.
+    longest: usize,
+    received: u64,
+    skipped: u64,
+}
+
+impl PromptReader {
+    /// What [`parse_prompt`] and [`crate::tokens::estimate_tokens`] return.
+    pub fn read(&mut self, text: &str) -> Result<(ParsedPrompt, u32), ParseError> {
+        self.received += text.len() as u64;
+        read(text, Some(self)).map(|(prompt, count)| (prompt, count.tokens()))
     }
 
-    if !saw_time {
-        return Err(err("missing `Current time:` line"));
+    /// Bytes handed in over all calls, and how many of them were read line
+    /// by line: all but the blocks skipped.
+    pub fn bytes(&self) -> (u64, u64) {
+        (self.received, self.received - self.skipped)
     }
-    if !saw_capacity {
-        return Err(err("missing `System capacity:` line"));
+
+    /// Read the decision history — the run of `[t=…]` lines that starts at
+    /// `hist` — and return where it ends, with `state.count` taken that far.
+    /// The search for an anchor stops `longest` bytes in: an unrelated
+    /// history costs a few line comparisons and is then read like any text.
+    fn history(&mut self, text: &str, hist: usize, state: &mut Lines) -> Result<usize, ParseError> {
+        let bytes = text.as_bytes();
+        let mut entries = state.out.feedback.len();
+        let mut at = hist;
+        let mut anchor = None;
+        while let Some(end) = history_line(text, at).filter(|_| at - hist <= self.longest) {
+            anchor = self.blocks.iter().position(|b| is_at(b, bytes, at));
+            if anchor.is_some() {
+                break;
+            }
+            state.line(&text[at..end])?;
+            at = end;
+        }
+        // Blocks ahead of the anchor have left the prompt, their feedback too.
+        // With no anchor, none is left and the new blocks start at `hist`.
+        self.blocks.drain(..anchor.unwrap_or(self.blocks.len()));
+        // The count has got this far, and the next block to close starts here.
+        let mut open = if anchor.is_some() { at } else { hist };
+        state.count += tally(&text[..open]);
+        let mut kept = 0;
+        while let Some(block) = self.blocks.get(kept) {
+            if kept > 0 && !is_at(block, bytes, at) {
+                break;
+            }
+            state.out.feedback.extend_from_slice(&block.feedback);
+            state.count += block.tally;
+            self.skipped += block.len as u64;
+            at += block.len;
+            kept += 1;
+            (open, entries) = (at, state.out.feedback.len());
+        }
+        self.blocks.truncate(kept);
+        while let Some(end) = history_line(text, at) {
+            state.line(&text[at..end])?;
+            at = end;
+            if at - open >= BLOCK {
+                let lines = &text[open..at];
+                let block = Block {
+                    anchor: text[open..history_line(text, open).unwrap_or(at)].into(),
+                    len: lines.len(),
+                    digest: digest(lines.as_bytes()),
+                    tally: tally(lines),
+                    feedback: state.out.feedback[entries..].to_vec(),
+                };
+                state.count += block.tally;
+                self.longest = self.longest.max(block.len);
+                self.blocks.push(block);
+                (open, entries) = (at, state.out.feedback.len());
+            }
+        }
+        state.count += tally(&text[open..at]);
+        Ok(at)
     }
-    Ok(out)
 }
 
 /// A decimal number of the width its field has; one too large for the
@@ -474,6 +670,121 @@ Waiting Jobs (eligible to schedule):
             let e = parse_prompt(&good.replace(field, changed)).unwrap_err();
             assert!(e.message.contains("fields in job entry"), "{e}");
         }
+    }
+
+    /// `sample_prompt` with `history` for its scratchpad lines.
+    fn prompt_with_history(history: &str) -> String {
+        let sample = sample_prompt();
+        let (head, rest) = sample.split_once("[t=0] Thought").expect("history");
+        let (_, tail) = rest.split_once("\n\nYour").expect("objectives");
+        format!("{head}{history}\nYour{tail}")
+    }
+
+    /// What a reader with nothing remembered returns.
+    fn stateless(text: &str) -> Result<(ParsedPrompt, u32), ParseError> {
+        parse_prompt(text).map(|prompt| (prompt, crate::tokens::estimate_tokens(text)))
+    }
+
+    /// Decision `i` of a run: a thought, an action, and every third time a
+    /// refusal, in the agent's words (the dash is `render_feedback`'s).
+    fn decision(i: usize) -> String {
+        let mut lines = format!(
+            "[t={t}] Thought: At t={t} job {i} is the best balance of fairness and makespan: {}\n\
+             [t={t}] Action: StartJob(job_id={i})\n",
+            "it has waited long enough and fits the free nodes ".repeat(1 + i % 4),
+            t = 10 * i
+        );
+        if i.is_multiple_of(3) {
+            lines += &format!(
+                "[t={}] Feedback: Action: StartJob failed — Job {i} cannot be started\n",
+                10 * i
+            );
+        }
+        lines
+    }
+
+    /// The agent's prompts over a run, through one reader: the history grows
+    /// by a decision a call, and from call 60 on loses its oldest lines —
+    /// none, a few, or several blocks' worth at a time, as a budget cursor
+    /// would take them. Every call equals the stateless parse, and only the
+    /// ragged ends of the history are read line by line.
+    #[test]
+    fn remembered_history_is_skipped_and_equals_the_stateless_parse() {
+        let mut reader = PromptReader::default();
+        let mut history = String::new();
+        let (mut dropped, mut longest) = (0, 0);
+        for i in 0..400 {
+            let new = decision(i);
+            history += &new;
+            longest = longest.max(new.len());
+            let mut cut = 0;
+            if i >= 60 {
+                let lines = if i % 100 == 0 { 80 } else { [0, 1, 3][i % 3] };
+                cut = history[dropped..]
+                    .split_inclusive('\n')
+                    .take(lines)
+                    .map(str::len)
+                    .sum();
+            }
+            dropped += cut;
+            let marker = if dropped > 0 {
+                "(earlier history truncated)\n"
+            } else {
+                ""
+            };
+            let text = prompt_with_history(&format!("{marker}{}", &history[dropped..]));
+            let before = reader.bytes().1;
+            assert_eq!(reader.read(&text), stateless(&text), "call {i}");
+            let read = (reader.bytes().1 - before) as usize;
+            // Head and tail, the new decision, and at either end of the
+            // history less than a block and a line — unless the cut went
+            // past whole blocks, which costs reading what it left of one.
+            let around = text.len() - (history.len() - dropped);
+            let bound = around + new.len() + 2 * (BLOCK + longest);
+            assert!(read <= bound, "call {i}: read {read} of {}", text.len());
+        }
+        assert!(dropped > 16 * BLOCK && history.len() - dropped > 6 * BLOCK);
+        assert!(reader.blocks.len() >= 5);
+    }
+
+    /// A remembered length applied to an unrelated prompt can end inside a
+    /// character, and `render_feedback` puts a three-byte dash in every
+    /// message: lengths are applied to bytes. Here the first line is the
+    /// remembered anchor, so the block is looked for.
+    #[test]
+    fn a_remembered_length_that_ends_inside_a_character_does_not_slice_the_text() {
+        let first = "[t=0] Thought: x\n";
+        let ascii = "[t=1] Thought: plain words, one byte a character\n".repeat(100);
+        let mut reader = PromptReader::default();
+        reader
+            .read(&prompt_with_history(&format!("{first}{ascii}")))
+            .expect("parses");
+        let len = reader.blocks[0].len;
+        let mut inside = 0;
+        let dashes = format!("[t=1] Thought: {}\n", "—".repeat(40)).repeat(100);
+        for shift in ["", "x", "xx"] {
+            let text = prompt_with_history(&format!("{first}[t=1] Action: {shift}\n{dashes}"));
+            let hist = text.find(first).expect("history");
+            inside += usize::from(!text.is_char_boundary(hist + len));
+            assert_eq!(reader.clone().read(&text), stateless(&text));
+        }
+        assert_eq!(inside, 2, "two of three shifts end the block inside a dash");
+    }
+
+    #[test]
+    fn digest_tells_apart_what_a_block_of_lines_can_differ_in() {
+        let line = "[t=5] Feedback: Action: StartJob failed — Job 9 cannot be started\n";
+        let block = line.repeat(70);
+        let same = digest(block.as_bytes());
+        assert_eq!(same, digest(line.repeat(70).as_bytes()));
+        for at in [0, 7, 31, 32, 33, 2048, block.len() - 2] {
+            let mut changed = block.clone().into_bytes();
+            changed[at] ^= 1;
+            assert_ne!(same, digest(&changed), "byte {at}");
+        }
+        // A shorter text that zero-pads to the same last step.
+        assert_ne!(digest(b"[t=1] x\n"), digest(b"[t=1] x\n\0"));
+        assert_ne!(same, digest(&block.as_bytes()[..block.len() - line.len()]));
     }
 
     #[test]

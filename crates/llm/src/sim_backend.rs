@@ -5,7 +5,7 @@ use rsched_simkit::rng::Xoshiro256PlusPlus;
 
 use crate::backend::{Completion, LanguageModel, LlmError};
 use crate::persona::Persona;
-use crate::prompt_parse::parse_prompt;
+use crate::prompt_parse::PromptReader;
 use crate::reasoner::deliberate;
 use crate::thought::{render_completion, render_thought};
 use crate::tokens::estimate_tokens;
@@ -18,6 +18,8 @@ pub struct SimulatedLlm {
     persona: Persona,
     rng: Xoshiro256PlusPlus,
     calls: u64,
+    /// Remembers the history the last prompt carried; the next carries it again.
+    reader: PromptReader,
 }
 
 impl SimulatedLlm {
@@ -27,6 +29,7 @@ impl SimulatedLlm {
             persona,
             rng: Xoshiro256PlusPlus::seed_from_u64(seed),
             calls: 0,
+            reader: PromptReader::default(),
         }
     }
 
@@ -45,6 +48,12 @@ impl SimulatedLlm {
         self.calls
     }
 
+    /// Prompt bytes received so far, and how many of them were read line by
+    /// line rather than recognised as history already read.
+    pub fn prompt_bytes(&self) -> (u64, u64) {
+        self.reader.bytes()
+    }
+
     /// The persona driving this model.
     pub fn persona(&self) -> &Persona {
         &self.persona
@@ -57,7 +66,8 @@ impl LanguageModel for SimulatedLlm {
     }
 
     fn complete(&mut self, prompt: &str) -> Result<Completion, LlmError> {
-        let parsed = parse_prompt(prompt).map_err(|e| LlmError::new(e.to_string()))?;
+        let read = self.reader.read(prompt);
+        let (parsed, prompt_tokens) = read.map_err(|e| LlmError::new(e.to_string()))?;
         let deliberation = deliberate(
             &parsed,
             &self.persona.weights,
@@ -72,7 +82,7 @@ impl LanguageModel for SimulatedLlm {
             .sample(parsed.waiting.len(), &mut self.rng);
         self.calls += 1;
         Ok(Completion {
-            prompt_tokens: estimate_tokens(prompt),
+            prompt_tokens,
             completion_tokens: estimate_tokens(&text),
             latency_secs: latency,
             text,
@@ -85,10 +95,14 @@ mod tests {
     use super::*;
 
     fn minimal_prompt(waiting_entry: &str) -> String {
+        prompt_at(0, waiting_entry, "(nothing yet)\n")
+    }
+
+    fn prompt_at(now: u64, waiting: &str, history: &str) -> String {
         format!(
             "\
 System capacity: 256 nodes, 2048 GB memory
-Current time: 0
+Current time: {now}
 Available Nodes: 256
 Available Memory: 2048 GB
 
@@ -98,15 +112,65 @@ None
 Completed Jobs: 0 of 2 total jobs; 0 not yet submitted
 
 Waiting Jobs (eligible to schedule):
-{waiting_entry}
+{waiting}
 
 # Scratchpad (Decision History)
-(nothing yet)
-
+{history}
 Your scheduling objectives are:
 ...
 "
         )
+    }
+
+    /// A 300-call run rendered by hand, the agent's part included: every
+    /// completion goes onto the history, every other one is refused, so
+    /// that the next prompt carries feedback at `now`, and from call 150 on
+    /// the oldest lines go. One model remembers; the other has its memo
+    /// emptied before every call. Same seed, same completions — text, token
+    /// counts and latency draws.
+    #[test]
+    fn a_model_that_remembers_answers_as_one_that_forgets() {
+        let waiting = "\
+- Job 9: user_2, 4 nodes, 8 GB, walltime 200 s, submitted t=0, waiting 0 s
+- Job 7: user_3, 2 nodes, 4 GB, walltime 300 s, submitted t=0, waiting 0 s";
+        let mut remembering = SimulatedLlm::o4mini(5);
+        let mut forgetful = remembering.clone();
+        let mut history = String::new();
+        let (mut now, mut dropped, mut refused) = (0, 0, String::new());
+        for call in 0..300 {
+            let marker = ["", "(earlier history truncated)\n"][usize::from(dropped > 0)];
+            let prompt = prompt_at(now, waiting, &format!("{marker}{}", &history[dropped..]));
+            forgetful.reader = PromptReader::default();
+            let completion = remembering.complete(&prompt).expect("completes");
+            let forgotten = forgetful.complete(&prompt).expect("completes");
+            assert_eq!(completion, forgotten, "call {call}");
+            for line in completion.text.lines() {
+                history += &format!("[t={now}] {line}\n");
+            }
+            if call % 2 == 0 {
+                let (_, id) = completion.text.split_once("job_id=").expect("proposes");
+                refused = id.trim_end_matches(')').to_string();
+                history += &format!(
+                    "[t={now}] Feedback: Action: StartJob failed (not enough resources) — \
+                     Job {refused} cannot be started — requires 4 Nodes; available: 2 Nodes\n"
+                );
+            } else {
+                let again = format!("job_id={refused})");
+                assert!(!completion.text.contains(&again), "{}", completion.text);
+                now += 10;
+            }
+            if call >= 150 {
+                let oldest = history[dropped..].split_inclusive('\n').take(4);
+                dropped += oldest.map(str::len).sum::<usize>();
+            }
+        }
+        let (received, read) = remembering.prompt_bytes();
+        assert!(
+            history.len() - dropped > 40_000,
+            "{}",
+            history.len() - dropped
+        );
+        assert!(read * 4 < received, "read {read} of {received}");
     }
 
     #[test]

@@ -6,10 +6,38 @@
 //! typical English/code mixes).
 
 /// Estimated token count of `text`: a quarter of its `char`s, rounded up,
-/// floored by its `split_whitespace` word count — counted in one pass over
-/// the bytes, because a simulated model counts every 150 KB prompt it is
-/// handed.
+/// floored by its `split_whitespace` word count.
 pub fn estimate_tokens(text: &str) -> u32 {
+    tally(text).tokens()
+}
+
+/// The additive half of [`estimate_tokens`]: `char`s and whitespace-separated
+/// words. The tallies of the pieces of a text sum to the tally of the whole
+/// when every piece but the last ends in whitespace — a newline, say — so a
+/// reader that remembers a piece's tally need not count it again.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct Tally {
+    chars: usize,
+    words: usize,
+}
+
+impl Tally {
+    /// The estimate these counts amount to.
+    pub fn tokens(self) -> u32 {
+        (self.chars as u32).div_ceil(4).max(self.words as u32)
+    }
+}
+
+impl std::ops::AddAssign for Tally {
+    fn add_assign(&mut self, piece: Tally) {
+        self.chars += piece.chars;
+        self.words += piece.words;
+    }
+}
+
+/// Count `text` in one pass over its bytes, because a simulated model counts
+/// every 150 KB prompt it is handed.
+pub fn tally(text: &str) -> Tally {
     const LOW: u64 = 0x0101_0101_0101_0101;
     const HIGH: u64 = 0x80 * LOW;
     let bytes = text.as_bytes();
@@ -60,28 +88,7 @@ pub fn estimate_tokens(text: &str) -> u32 {
         }
         i += 1;
     }
-    (chars as u32).div_ceil(4).max(words as u32)
-}
-
-/// Truncate `text` to approximately `max_tokens`, cutting at a line
-/// boundary where possible — used by scratchpad budgeting.
-pub fn truncate_to_tokens(text: &str, max_tokens: u32) -> &str {
-    if estimate_tokens(text) <= max_tokens {
-        return text;
-    }
-    let max_chars = (max_tokens as usize) * 4;
-    let mut cut = max_chars.min(text.len());
-    // Walk back to a char boundary.
-    while cut > 0 && !text.is_char_boundary(cut) {
-        cut -= 1;
-    }
-    // Prefer cutting at the last newline before the boundary.
-    if let Some(nl) = text[..cut].rfind('\n') {
-        if nl > 0 {
-            cut = nl;
-        }
-    }
-    &text[..cut]
+    Tally { chars, words }
 }
 
 #[cfg(test)]
@@ -168,6 +175,31 @@ mod tests {
                 .collect();
             prop_assert_eq!(estimate_tokens(&text), two_pass_reference(&text));
         }
+
+        /// What lets a reader skip lines whose tally it remembers: cut after
+        /// any of its newlines, a text tallies to the sum of its pieces.
+        #[test]
+        fn pieces_cut_at_newlines_tally_to_the_whole(
+            lines in prop::collection::vec("\\PC*", 1..9),
+            cuts in 0u32..256,
+            crlf in 0u32..256,
+        ) {
+            let mut whole = String::new();
+            let mut sum = Tally::default();
+            let mut counted = 0;
+            for (i, line) in lines.iter().enumerate() {
+                whole.push_str(line);
+                whole.push_str(if crlf >> i & 1 == 1 { "\r\n" } else { "\n" });
+                if cuts >> i & 1 == 1 {
+                    sum += tally(&whole[counted..]);
+                    counted = whole.len();
+                }
+            }
+            whole.push_str(&lines[0]);
+            sum += tally(&whole[counted..]);
+            prop_assert_eq!(sum, tally(&whole));
+            prop_assert_eq!(sum.tokens(), two_pass_reference(&whole));
+        }
     }
 
     #[test]
@@ -186,27 +218,5 @@ mod tests {
     fn word_floor_applies() {
         // Many short words: "a b c d" is 7 chars → 2 by chars, but 4 words.
         assert_eq!(estimate_tokens("a b c d"), 4);
-    }
-
-    #[test]
-    fn truncation_respects_budget_and_lines() {
-        let text = "line one is here\nline two is here\nline three is here\n";
-        let t = truncate_to_tokens(text, 6);
-        assert!(estimate_tokens(t) <= 7, "roughly within budget: {t:?}");
-        assert!(!t.ends_with("her"), "should cut at a line boundary: {t:?}");
-    }
-
-    #[test]
-    fn truncation_noop_when_within_budget() {
-        let text = "short";
-        assert_eq!(truncate_to_tokens(text, 10), "short");
-    }
-
-    #[test]
-    fn truncation_handles_multibyte() {
-        let text = "ααααααααααααααααα ββββββββββββββββ γγγγγγγγγγγγγγ";
-        let t = truncate_to_tokens(text, 3);
-        // Must not panic and must be valid UTF-8 (guaranteed by &str).
-        assert!(t.len() <= text.len());
     }
 }

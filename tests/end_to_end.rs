@@ -215,3 +215,69 @@ fn llm_wait_improvement_holds_on_long_job_dominant() {
         wait(&fcfs)
     );
 }
+
+/// A simulated model the test can still read once the agent owns it.
+#[derive(Clone)]
+struct SharedModel(std::rc::Rc<std::cell::RefCell<SimulatedLlm>>);
+
+impl LanguageModel for SharedModel {
+    fn model_name(&self) -> &str {
+        "shared"
+    }
+
+    fn complete(
+        &mut self,
+        prompt: &str,
+    ) -> Result<reasoned_scheduler::llm::Completion, reasoned_scheduler::llm::LlmError> {
+        self.0.borrow_mut().complete(prompt)
+    }
+}
+
+/// Work, not seconds. Every prompt carries the whole decision history
+/// again, and the simulated model reads line by line only what it has not
+/// read before: the head sections, the newest history lines, the objectives
+/// tail. The counts are exact, so they are pinned as counts.
+#[test]
+fn simulated_model_reads_a_fraction_of_the_prompt_bytes_it_is_handed() {
+    let cluster = ClusterConfig::paper_default();
+    let claude = || {
+        let model = SharedModel(std::rc::Rc::new(SimulatedLlm::claude37(7).into()));
+        let policy = LlmSchedulingPolicy::new(Box::new(model.clone()));
+        (model, policy)
+    };
+    // Bytes received and bytes read over one run of `jobs`, after a reset.
+    let run = |(model, policy): &mut (SharedModel, LlmSchedulingPolicy), jobs: &[JobSpec]| {
+        let before = model.0.borrow().prompt_bytes();
+        policy.reset();
+        let outcome =
+            run_simulation(cluster, jobs, policy, &SimOptions::default()).expect("completes");
+        assert_eq!(outcome.records.len(), jobs.len());
+        let after = model.0.borrow().prompt_bytes();
+        (after.0 - before.0, after.1 - before.1)
+    };
+    let long = named_workload(scenario_names::HETEROGENEOUS_MIX, 500, 7).jobs;
+    let mut agent = claude();
+    let (received, read) = run(&mut agent, &long);
+    assert!(received > 50_000_000, "received {received}");
+    assert!(
+        read * 100 <= received * 15,
+        "read {read} of {received} bytes"
+    );
+    assert_eq!(run(&mut claude(), &long), (received, read), "exact counts");
+
+    // The same model behind the same agent on a new run: `reset` empties
+    // the scratchpad, so the histories that follow match nothing the model
+    // remembers. That costs what it costs a model that remembers nothing,
+    // and a constant — not a search per remembered block.
+    let next = named_workload(scenario_names::BURSTY_IDLE, 100, 8).jobs;
+    let (received_next, read_next) = run(&mut agent, &next);
+    let (received_fresh, read_fresh) = run(&mut claude(), &next);
+    // (The used model's sampler is further along, so the two runs differ
+    // by a few words: 2 132 276 and 2 132 059 bytes received.)
+    assert!(received_next > 2_000_000 && received_next.abs_diff(received_fresh) < 20_000);
+    assert!(
+        read_next <= read_fresh + 16_384,
+        "{read_next} vs {read_fresh}"
+    );
+    assert!(read_fresh * 100 <= received_fresh * 40, "read {read_fresh}");
+}

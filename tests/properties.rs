@@ -11,7 +11,8 @@ use reasoned_scheduler::cluster::{
     NodeClass, PlacementRequest, ResourceVec,
 };
 use reasoned_scheduler::cpsolver::{Instance, Task};
-use reasoned_scheduler::llm::prompt_parse::parse_prompt;
+use reasoned_scheduler::llm::prompt_parse::{parse_prompt, ParseError, ParsedPrompt, PromptReader};
+use reasoned_scheduler::llm::tokens::estimate_tokens;
 use reasoned_scheduler::metrics::{jain_index, MetricsReport};
 use reasoned_scheduler::sim::{Action, KernelState, RunningSummary, SystemView};
 use reasoned_scheduler::simkit::csv;
@@ -506,6 +507,23 @@ proptest! {
         let _ = parse_prompt(&text);
     }
 
+    /// Nor does a reader that remembers, whatever it was handed before: the
+    /// lengths it keeps are applied to bytes, where an unrelated text may
+    /// have the middle of a character. Some texts go in raw, some as the
+    /// history of a rendered prompt, under one first line so that every
+    /// history is looked for in the next.
+    #[test]
+    fn prompt_reader_never_panics(
+        texts in prop::collection::vec(("\\PC*", 0usize..4), 1..7)
+    ) {
+        let mut reader = PromptReader::default();
+        for (text, lines) in &texts {
+            let history = format!("[t=1] Thought: {text}\n").repeat(lines * 90);
+            let prompt = prompt_with_feedback(0, "first").replace("first\n", &format!("first\n{history}"));
+            let _ = reader.read(if *lines == 0 { text } else { &prompt });
+        }
+    }
+
     /// Nor does the simulated model on a prompt whose scratchpad carries
     /// arbitrary feedback at the current time — the text it searches for
     /// the refused job's id.
@@ -513,6 +531,109 @@ proptest! {
     fn simulated_llm_never_panics_on_feedback(text in "\\PC*") {
         let prompt = prompt_with_feedback(100, &format!("{text} job 32 {text}"));
         prop_assert!(SimulatedLlm::claude37(1).complete(&prompt).is_ok());
+    }
+}
+
+/// What a reader with nothing remembered makes of `text`.
+fn stateless(text: &str) -> Result<(ParsedPrompt, u32), ParseError> {
+    parse_prompt(text).map(|prompt| (prompt, estimate_tokens(text)))
+}
+
+/// `prompt` damaged one of the ways a line parser cares about, at its
+/// `k`-th history line; most draws leave it whole.
+fn damaged(prompt: String, damage: u32, k: usize) -> String {
+    let starts: Vec<usize> = prompt.match_indices("\n[t=").map(|(i, _)| i + 1).collect();
+    let insert = |extra: &str| match starts.get(k % starts.len().max(1)) {
+        Some(&at) => format!("{}{extra}{}", &prompt[..at], &prompt[at..]),
+        None => prompt.clone(),
+    };
+    match damage {
+        0 => prompt.replace('\n', "\r\n"),
+        1 => insert("  "),
+        2 => insert("# Scratchpad (Decision History)\n"),
+        3 => insert("Running Jobs:\n"),
+        4 => insert("[t=soon] Feedback: a timestamp that is none\n"),
+        5 => {
+            let (unterminated, _) = prompt.split_once("\n\nYour scheduling").expect("tail");
+            unterminated.to_string()
+        }
+        _ => prompt,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// One reader that remembers, handed what two agents would send it in
+    /// turn, returns on every call what the stateless parser and
+    /// `estimate_tokens` return — parse, token count, or the same error.
+    ///
+    /// The pushes are thoughts of a few hundred bytes (so that a run spans
+    /// several of the reader's 4 KB blocks), now and then one of many KB
+    /// (so that the budget cursor passes whole blocks at once), multi-line
+    /// and non-ASCII texts, identical `Action: Delay` lines at one time (so
+    /// that first lines collide), feedback, and `clear()`; the budgets run
+    /// from a few lines to no limit; three reads in four are of pad 0, so
+    /// that runs are both continued and interrupted. A read may be of a
+    /// damaged prompt (`damaged`): CRLF endings, an indented history line,
+    /// a second scratchpad header, a header of another section inside the
+    /// history, an unparseable feedback timestamp (an error, after which the
+    /// next prompt must parse right), an unterminated last line. Last, pad
+    /// 0's own first block is quoted *inside* the first line of another
+    /// history: found off a line start, it must not be taken for read.
+    ///
+    /// Checked by mutation, each turning this red: dropping a skipped
+    /// block's tally; keeping the feedback of blocks dropped ahead of the
+    /// anchor; searching for the anchor at every byte instead of every line
+    /// start; letting a block take in lines that are not `[t=…]` lines (the
+    /// blank one ahead of `Your scheduling objectives are:`, and the header
+    /// after it).
+    #[test]
+    fn remembering_reader_equals_the_stateless_parser(
+        ops in prop::collection::vec(
+            (0u32..12, 0usize..4, 0u64..3, "\\PC*", 0usize..12, 0u32..24),
+            1..60,
+        ),
+        budgets in (0usize..4, 0usize..4),
+    ) {
+        const BUDGETS: [u32; 4] = [300, 1500, 4000, 80_000];
+        let mut kernel = KernelState::new(ClusterConfig::paper_default(), SimTime::ZERO);
+        kernel.arrive(JobSpec::new(32, 0, SimTime::ZERO, SimDuration::from_secs(60), 4, 8));
+        let render = |now, pad: &Scratchpad| {
+            PromptBuilder::render(&kernel.view(SimTime::from_secs(now), 0, 1), pad)
+        };
+        let mut pads = [budgets.0, budgets.1].map(|b| Scratchpad::new(BUDGETS[b]));
+        let mut reader = PromptReader::default();
+        let mut now = 0;
+        for (kind, pad, step, text, reps, damage) in &ops {
+            let pad = &mut pads[pad / 3];
+            now += step;
+            let long = text.repeat(reps + 1);
+            match kind {
+                0 if *reps < 3 => pad.clear(),
+                1 | 2 => pad.push_action(now, "Delay"),
+                3 | 4 => pad.push_feedback(
+                    now,
+                    &format!("Action: StartJob failed — Job {reps} cannot be started\n{long}"),
+                ),
+                5 if *reps < 4 => pad.push_thought(now, &long.repeat(40)),
+                _ => pad.push_thought(now, &format!("{long}\n{long} weighs fairness")),
+            }
+            let prompt = damaged(render(now, pad), *damage, *reps);
+            prop_assert_eq!(reader.read(&prompt), stateless(&prompt));
+        }
+
+        let mut quoted = Scratchpad::default();
+        let mut quoting = Scratchpad::default();
+        quoted.push_feedback(now, &ops[0].3);
+        quoting.push_thought(0, &format!("x [t={now}] Feedback: {}", ops[0].3));
+        for pad in [&mut quoted, &mut quoting] {
+            for i in 0..30 {
+                pad.push_thought(now + i, &"weighs fairness against makespan ".repeat(8));
+            }
+            let prompt = render(now + 30, pad);
+            prop_assert_eq!(reader.read(&prompt), stateless(&prompt));
+        }
     }
 }
 
