@@ -15,8 +15,10 @@ use rsched_simkit::rng::SeedTree;
 
 /// Bumped whenever the cached-cell layout changes incompatibly, or a
 /// policy's schedules do (2: the solver behind `OR-Tools` decodes on the
-/// shared timetable and starts tasks the old decoder placed late).
-pub const CACHE_FORMAT: u32 = 2;
+/// shared timetable and starts tasks the old decoder placed late; 3:
+/// `EASY` keeps its own head reservation, where by name it used to run
+/// as first-fit with none).
+pub const CACHE_FORMAT: u32 = 3;
 
 /// One `(policy, scenario, jobs, seed)` coordinate of the campaign grid.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -52,11 +54,13 @@ impl CellSpec {
     /// Classed topology and a non-unit walltime skew are folded in as
     /// *conditional* trailing segments: a flat cluster with exact
     /// estimates hashes exactly as it did before either knob existed, so
-    /// no previously cached flat-grid cell is invalidated.
+    /// no previously cached flat-grid cell is invalidated. The literal
+    /// `false` after the solver budget is where a removed knob
+    /// (`use_genetic`, never set) was printed.
     pub fn content_hash(&self, solver: &SolverConfig, cluster: ClusterConfig, skew: f64) -> u64 {
         use std::fmt::Write as _;
         let mut canonical = format!(
-            "rsched-campaign|fmt{CACHE_FORMAT}|ws{}|{}|{}|{}|{}|solver:{},{},{},{},{}|cluster:{},{}",
+            "rsched-campaign|fmt{CACHE_FORMAT}|ws{}|{}|{}|{}|{}|solver:{},{},{},{},false|cluster:{},{}",
             env!("CARGO_PKG_VERSION"),
             self.policy.to_lowercase(),
             self.scenario.to_lowercase(),
@@ -66,7 +70,6 @@ impl CellSpec {
             solver.bnb_node_budget,
             solver.sa_iterations_per_task,
             solver.sa_iteration_cap,
-            solver.use_genetic,
             cluster.nodes,
             cluster.memory_gb,
         );
@@ -262,13 +265,12 @@ mod tests {
         let solver = SolverConfig::default();
         let cluster = ClusterConfig::paper_default();
         let legacy = format!(
-            "rsched-campaign|fmt{CACHE_FORMAT}|ws{}|fcfs|heterogeneous_mix|60|2025|solver:{},{},{},{},{}|cluster:{},{}",
+            "rsched-campaign|fmt{CACHE_FORMAT}|ws{}|fcfs|heterogeneous_mix|60|2025|solver:{},{},{},{},false|cluster:{},{}",
             env!("CARGO_PKG_VERSION"),
             solver.exact_max_tasks,
             solver.bnb_node_budget,
             solver.sa_iterations_per_task,
             solver.sa_iteration_cap,
-            solver.use_genetic,
             cluster.nodes,
             cluster.memory_gb,
         );

@@ -267,7 +267,6 @@ const KNOWN_KEYS: &[&str] = &[
     "solver.bnb_node_budget",
     "solver.sa_iterations_per_task",
     "solver.sa_iteration_cap",
-    "solver.use_genetic",
     "cluster.nodes",
     "cluster.memory_gb",
     "cluster.preset",
@@ -392,11 +391,6 @@ fn solver_from(table: &TomlTable) -> Result<SolverConfig, CampaignError> {
         solver.sa_iteration_cap =
             u32::try_from(v).map_err(|_| bad_int("solver.sa_iteration_cap", v))?;
     }
-    if let Some(v) = table.get("solver.use_genetic") {
-        solver.use_genetic = v.as_bool().ok_or_else(|| {
-            CampaignError::Validation("`solver.use_genetic` must be a boolean".to_string())
-        })?;
-    }
     Ok(solver)
 }
 
@@ -508,7 +502,6 @@ exact_max_tasks = 4
 bnb_node_budget = 1000
 sa_iterations_per_task = 10
 sa_iteration_cap = 20
-use_genetic = true
 
 [cluster]
 nodes = 16
@@ -526,7 +519,6 @@ memory_gb = 128
         assert_eq!(spec.solver.bnb_node_budget, 1000);
         assert_eq!(spec.solver.sa_iterations_per_task, 10);
         assert_eq!(spec.solver.sa_iteration_cap, 20);
-        assert!(spec.solver.use_genetic);
         assert_eq!(spec.cluster().nodes, 16);
         assert_eq!(spec.cluster().memory_gb, 128);
     }

@@ -183,6 +183,14 @@ impl PlacementRequest {
             ..self.per_node
         }
     }
+
+    /// `true` if the compatible classes of `topology` with `free` nodes
+    /// available could host this request right now — one class when
+    /// possible, spanning classless requests across classes otherwise,
+    /// exactly as [`ClassedAllocator::try_allocate`] would place it.
+    pub fn fits_classes(&self, topology: &Topology, free: &[u32; MAX_CLASSES]) -> bool {
+        plan_take(topology, free, self).is_some()
+    }
 }
 
 impl From<&JobSpec> for PlacementRequest {

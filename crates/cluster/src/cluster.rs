@@ -335,6 +335,12 @@ impl ClusterState {
         &self.completed
     }
 
+    /// Consume the ledger into its completed records, in completion order
+    /// — the end-of-run hand-over, without a second copy of every record.
+    pub fn into_completed(self) -> Vec<JobRecord> {
+        self.completed
+    }
+
     /// O(1) aggregates over the completed records, maintained incrementally
     /// at every [`ClusterState::complete_job`] — never recomputed by
     /// scanning.

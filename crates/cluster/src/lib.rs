@@ -71,7 +71,7 @@ pub use allocator::{
 pub use cluster::{ClusterConfig, ClusterState, CompletedStats, RunningJob, StartError};
 pub use job::{GroupId, JobId, JobRecord, JobSpec, UserId};
 pub use node::NodeMask;
-pub use reservation::{classed_overlap_fits, nodes_per_slot, Demand};
+pub use reservation::{classed_overlap_fits, nodes_per_slot};
 pub use resources::ResourceVec;
 pub use topology::{NodeClass, NodeClassSpec, Topology, MAX_CLASSES};
 pub use utilization::StepIntegral;

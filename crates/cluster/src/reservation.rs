@@ -1,4 +1,4 @@
-//! Demand arithmetic for backfilling validation.
+//! Backfill-validation arithmetic shared with the allocator.
 //!
 //! The agent's `BackfillJob(job_id=Y)` action (paper §2.2) opportunistically
 //! runs a smaller job ahead of the blocked head of the queue. It is
@@ -7,69 +7,11 @@
 //! given the currently running jobs' completion times. The sweep over
 //! those completions lives in the simulator's capacity calendar
 //! (`rsched_sim::profile`); this module holds what it shares with the
-//! allocator: the [`Demand`] a job places on the machine and the
-//! per-class fit tests.
+//! allocator — the classed overlap test, over the allocator's own
+//! [`PlacementRequest`] — and the per-class release columns.
 
-use crate::allocator::PlacementRequest;
-use crate::job::JobSpec;
-use crate::resources::ResourceVec;
-use crate::topology::{NodeClass, Topology, MAX_CLASSES};
-
-/// Resource demand used in reservation computations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Demand {
-    /// Nodes requested.
-    pub nodes: u32,
-    /// Memory (GB) requested.
-    pub memory_gb: u64,
-    /// Extended per-node demand (zero for scalar jobs; ignored on flat
-    /// clusters).
-    pub per_node: ResourceVec,
-    /// Required node class, if any (ignored on flat clusters).
-    pub class: Option<NodeClass>,
-}
-
-impl Demand {
-    /// A scalar demand — the paper's `(n_j, m_j)` pair.
-    pub fn new(nodes: u32, memory_gb: u64) -> Self {
-        Demand {
-            nodes,
-            memory_gb,
-            per_node: ResourceVec::ZERO,
-            class: None,
-        }
-    }
-
-    fn request(&self) -> PlacementRequest {
-        PlacementRequest {
-            nodes: self.nodes,
-            memory_gb: self.memory_gb,
-            per_node: self.per_node,
-            class: self.class,
-        }
-    }
-
-    /// `true` if the compatible classes of `topology` with `free` nodes
-    /// available could host this demand right now — one class when
-    /// possible, spanning classless demands across classes otherwise,
-    /// exactly as [`ClassedAllocator::try_allocate`] would place it.
-    ///
-    /// [`ClassedAllocator::try_allocate`]: crate::allocator::ClassedAllocator::try_allocate
-    pub fn fits_classes(&self, topology: &Topology, free: &[u32; MAX_CLASSES]) -> bool {
-        crate::allocator::plan_take(topology, free, &self.request()).is_some()
-    }
-}
-
-impl From<&JobSpec> for Demand {
-    fn from(s: &JobSpec) -> Self {
-        Demand {
-            nodes: s.nodes,
-            memory_gb: s.memory_gb,
-            per_node: s.per_node,
-            class: s.class,
-        }
-    }
-}
+use crate::allocator::{plan_take, PlacementRequest};
+use crate::topology::{Topology, MAX_CLASSES};
 
 /// The per-slot node counts of one allocation's mask. Allocations may
 /// span classes (wide classless jobs), so completions must return each
@@ -99,10 +41,10 @@ pub fn classed_overlap_fits(
     topology: &Topology,
     free_now: &[u32; MAX_CLASSES],
     mut free_at_shadow: [u32; MAX_CLASSES],
-    candidate: &Demand,
-    head: &Demand,
+    candidate: &PlacementRequest,
+    head: &PlacementRequest,
 ) -> bool {
-    let Some(take) = crate::allocator::plan_take(topology, free_now, &candidate.request()) else {
+    let Some(take) = plan_take(topology, free_now, candidate) else {
         return true;
     };
     for (slot, n) in take.into_iter().enumerate() {
@@ -115,6 +57,8 @@ pub fn classed_overlap_fits(
 mod tests {
     use super::*;
     use crate::cluster::{ClusterConfig, ClusterState};
+    use crate::job::JobSpec;
+    use crate::resources::ResourceVec;
     use rsched_simkit::{SimDuration, SimTime};
 
     fn spec(id: u32, dur_s: u64, nodes: u32, mem: u64) -> JobSpec {
@@ -128,8 +72,12 @@ mod tests {
         )
     }
 
-    fn gpu(id: u32, nodes: u32, gpus_per_node: u32) -> Demand {
-        Demand::from(&spec(id, 500, nodes, 0).with_per_node(ResourceVec::new(
+    fn scalar(nodes: u32, memory_gb: u64) -> PlacementRequest {
+        PlacementRequest::from(&spec(0, 500, nodes, memory_gb))
+    }
+
+    fn gpu(id: u32, nodes: u32, gpus_per_node: u32) -> PlacementRequest {
+        PlacementRequest::from(&spec(id, 500, nodes, 0).with_per_node(ResourceVec::new(
             0,
             gpus_per_node,
             0,
@@ -145,7 +93,7 @@ mod tests {
     #[test]
     fn classed_overlap_protects_the_gpu_head() {
         let topology = ClusterConfig::mixed_256().topology;
-        let overlap = |candidate: &Demand, head: &Demand| {
+        let overlap = |candidate: &PlacementRequest, head: &PlacementRequest| {
             classed_overlap_fits(&topology, &FREE_NOW, FREE_AT_SHADOW, candidate, head)
         };
         // A 2-node gpu candidate overlapping the shadow leaves 48 - 2 = 46
@@ -155,10 +103,7 @@ mod tests {
         assert!(!overlap(&candidate, &gpu(13, 47, 1)));
         // A cpu-class candidate occupies a different class than the head
         // needs, however wide it is.
-        assert!(overlap(
-            &Demand::from(&spec(11, 900, 64, 64)),
-            &gpu(10, 8, 2)
-        ));
+        assert!(overlap(&scalar(64, 64), &gpu(10, 8, 2)));
         // A candidate that no longer fits now occupies nothing.
         assert!(overlap(&gpu(14, 3, 1), &gpu(13, 47, 1)));
     }
@@ -168,8 +113,8 @@ mod tests {
         let topology = ClusterConfig::mixed_256().topology;
         // 40 scalar nodes fit the joint gpu + bigmem pool; 100 do not.
         let free = [0, 40, 16, 0];
-        assert!(Demand::new(40, 0).fits_classes(&topology, &free));
-        assert!(!Demand::new(100, 0).fits_classes(&topology, &free));
+        assert!(scalar(40, 0).fits_classes(&topology, &free));
+        assert!(!scalar(100, 0).fits_classes(&topology, &free));
         // No class ever hosts 5 GPUs per node.
         assert!(!gpu(12, 1, 5).fits_classes(&topology, &FREE_AT_SHADOW));
     }

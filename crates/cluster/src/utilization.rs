@@ -3,23 +3,23 @@
 //! The paper's utilization objectives (§3.2) are `Σ n_j·d_j / (C·makespan)`
 //! and `Σ m_j·d_j / (M·makespan)`. Those closed forms are computed directly
 //! by `rsched-metrics`; this module provides the general step-function
-//! integral used to *cross-check* them against the simulator's live ledger
-//! and to produce utilization-over-time curves for reports.
+//! integral used to *cross-check* them against the simulator's live ledger.
 
 use rsched_simkit::SimTime;
 
 /// Integrates a piecewise-constant function of simulation time.
 ///
 /// Record the value whenever it changes; query the accumulated
-/// `∫ value · dt` at any later time.
+/// `∫ value · dt` at any later time. Three scalars and no heap: a daemon
+/// updates two of these on every tick for as long as it lives.
 #[derive(Debug, Clone)]
 pub struct StepIntegral {
     last_time: SimTime,
     last_value: f64,
     accumulated: f64,
-    /// Recorded `(time, value)` change points, for curve output.
-    history: Vec<(SimTime, f64)>,
 }
+
+const _: () = assert!(!std::mem::needs_drop::<StepIntegral>());
 
 impl StepIntegral {
     /// Start integrating at `t0` with initial value `v0`.
@@ -28,7 +28,6 @@ impl StepIntegral {
             last_time: t0,
             last_value: v0,
             accumulated: 0.0,
-            history: vec![(t0, v0)],
         }
     }
 
@@ -41,11 +40,6 @@ impl StepIntegral {
         self.accumulated += self.last_value * dt;
         self.last_time = now;
         self.last_value = value;
-        if self.history.last().map(|&(t, _)| t) == Some(now) {
-            // Same-timestamp update: keep only the latest value.
-            self.history.pop();
-        }
-        self.history.push((now, value));
     }
 
     /// The integral `∫ value · dt` from the start through `now`.
@@ -60,11 +54,6 @@ impl StepIntegral {
     /// The current value.
     pub fn value(&self) -> f64 {
         self.last_value
-    }
-
-    /// Change points recorded so far.
-    pub fn history(&self) -> &[(SimTime, f64)] {
-        &self.history
     }
 
     /// Time-average of the value over `[start, now]`; 0 over an empty span.
@@ -105,7 +94,6 @@ mod tests {
         let mut s = StepIntegral::new(SimTime::ZERO, 1.0);
         s.update(SimTime::from_secs(5), 10.0);
         s.update(SimTime::from_secs(5), 2.0);
-        assert_eq!(s.history().len(), 2, "same-time updates collapse");
         // 5 s at 1, then value 2 — the transient 10 contributes nothing.
         assert!((s.integral_through(SimTime::from_secs(6)) - 7.0).abs() < 1e-9);
     }
@@ -124,20 +112,5 @@ mod tests {
     fn backwards_update_panics() {
         let mut s = StepIntegral::new(SimTime::from_secs(10), 1.0);
         s.update(SimTime::from_secs(5), 2.0);
-    }
-
-    #[test]
-    fn history_records_change_points() {
-        let mut s = StepIntegral::new(SimTime::ZERO, 0.0);
-        s.update(SimTime::from_secs(1), 5.0);
-        s.update(SimTime::from_secs(3), 2.0);
-        assert_eq!(
-            s.history(),
-            &[
-                (SimTime::ZERO, 0.0),
-                (SimTime::from_secs(1), 5.0),
-                (SimTime::from_secs(3), 2.0)
-            ]
-        );
     }
 }

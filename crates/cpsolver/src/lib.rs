@@ -16,7 +16,7 @@
 //! * **provably optimal** schedules for small instances
 //!   ([`bnb`], validated against exhaustive search in tests),
 //! * **near-optimal** schedules for medium/large instances
-//!   ([`anneal`], [`genetic`] over serial-SGS decodings),
+//!   ([`anneal`] over serial-SGS decodings),
 //! * **utilization-focused, fairness-blind** objectives — there is no
 //!   fairness term, exactly like the paper's OR-Tools runs.
 //!
@@ -42,7 +42,6 @@
 pub mod anneal;
 pub mod bnb;
 pub mod bounds;
-pub mod genetic;
 pub mod listsched;
 pub mod model;
 pub mod portfolio;

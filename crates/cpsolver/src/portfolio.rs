@@ -6,7 +6,6 @@
 use crate::anneal::{anneal, AnnealConfig};
 use crate::bnb::BranchAndBound;
 use crate::bounds::lower_bound;
-use crate::genetic::{evolve, GeneticConfig};
 use crate::listsched::{priority_order, PriorityRule};
 use crate::model::{Instance, Schedule};
 use crate::sgs::decode_with_makespan;
@@ -20,8 +19,6 @@ pub enum SolveMethod {
     BranchAndBound,
     /// Simulated annealing refinement.
     Annealing,
-    /// Genetic refinement.
-    Genetic,
 }
 
 /// A produced schedule plus provenance.
@@ -50,8 +47,6 @@ pub struct SolverConfig {
     /// Hard ceiling on total SA iterations regardless of instance size —
     /// keeps replanning latency bounded on 100-job instances.
     pub sa_iteration_cap: u32,
-    /// Run the GA stage as well and keep the better result.
-    pub use_genetic: bool,
     /// Seed for the stochastic stages.
     pub seed: u64,
 }
@@ -63,7 +58,6 @@ impl Default for SolverConfig {
             bnb_node_budget: 500_000,
             sa_iterations_per_task: 400,
             sa_iteration_cap: 6_000,
-            use_genetic: false,
             seed: 0xC0FFEE,
         }
     }
@@ -151,23 +145,6 @@ impl Solver {
             }
         }
 
-        if self.config.use_genetic && best_mk > lb {
-            // Stage 3: optional GA stage seeded with the incumbent.
-            let ga = evolve(
-                instance,
-                &[best_order.clone()],
-                &GeneticConfig {
-                    seed: self.config.seed ^ 0xA5A5,
-                    ..GeneticConfig::default()
-                },
-            );
-            if ga.makespan < best_mk {
-                best_mk = ga.makespan;
-                best_order = ga.order;
-                method = SolveMethod::Genetic;
-            }
-        }
-
         let (schedule, makespan) = decode_with_makespan(instance, &best_order);
         debug_assert_eq!(makespan, best_mk);
         Solution {
@@ -245,22 +222,6 @@ mod tests {
             sol.makespan,
             lower_bound(&inst)
         );
-    }
-
-    #[test]
-    fn genetic_stage_never_hurts() {
-        let inst = pseudo_random_instance(3, 25);
-        let without = Solver::new(SolverConfig {
-            use_genetic: false,
-            ..SolverConfig::default()
-        })
-        .solve(&inst);
-        let with = Solver::new(SolverConfig {
-            use_genetic: true,
-            ..SolverConfig::default()
-        })
-        .solve(&inst);
-        assert!(with.makespan <= without.makespan);
     }
 
     #[test]

@@ -69,10 +69,7 @@ fn service_replay_matches_virtual_time_simulation() {
                 .with_solver(quick_solver());
             for name in names::ALL_BUILTIN {
                 let label = format!("{name} on {scenario}/seed {seed}");
-                let options = SimOptions {
-                    strict_backfill: name == names::EASY || name == names::EASY_SJBF,
-                    ..SimOptions::default()
-                };
+                let options = SimOptions::default();
                 let mut sim_policy = registry.build(name, &ctx).expect("builtin");
                 let svc_policy = registry.build(name, &ctx).expect("builtin");
                 let sim = run_simulation(cluster, &jobs, sim_policy.as_mut(), &options)

@@ -26,10 +26,9 @@
 //! at the same instants: the kernel is the single source of truth, the
 //! drivers only decide *when* it runs and *how* jobs reach it.
 
-use rsched_cluster::reservation::Demand;
 use rsched_cluster::{
-    classed_overlap_fits, nodes_per_slot, ClusterConfig, ClusterState, JobId, JobRecord, JobSpec,
-    StartError, StepIntegral, MAX_CLASSES,
+    nodes_per_slot, ClusterConfig, ClusterState, JobId, JobRecord, JobSpec, StartError,
+    StepIntegral, MAX_CLASSES,
 };
 use rsched_simkit::{EventQueue, SimTime};
 use rsched_telemetry::{DelayReason, EpochOutcome, EpochTrace, TelemetrySink};
@@ -428,52 +427,30 @@ impl KernelState {
                     .queue
                     .as_slice()
                     .first()
-                    .cloned()
                     .expect("waiting non-empty: spec was found in it");
                 if head.id != spec.id && options.strict_backfill {
                     if !self.cluster.can_fit(&spec) {
                         return Err(insufficient(&self.cluster, &spec));
                     }
-                    // Validate against the ledger's cached *actual-end*
-                    // calendar instead of re-sweeping `cluster.running()`
-                    // per proposal: the shadow is the head's earliest fit
-                    // on that skyline, and the overlap check reads the
-                    // skyline level at the shadow. The cluster sweep stays
-                    // in `rsched_cluster::reservation` as the reference that
-                    // `tests/kernel_equivalence.rs` replays against.
-                    let topology = self.cluster.config().topology;
-                    let calendar = self.ledger.actual(
-                        now,
-                        self.cluster.free_nodes(),
-                        self.cluster.free_memory_gb(),
-                        self.cluster.free_by_class(),
-                    );
-                    let head_demand = Demand::from(&head);
-                    let shadow = if topology.is_flat() {
-                        calendar.earliest_fit_flat(head_demand.nodes, head_demand.memory_gb)
-                    } else {
-                        calendar.earliest_fit_classed(&topology, &head_demand)
-                    };
-                    let safe = shadow == SimTime::MAX
-                        || now + spec.walltime <= shadow
-                        || if topology.is_flat() {
-                            let at = calendar.at(shadow);
-                            at.free_nodes >= spec.nodes + head.nodes
-                                && at.free_memory_gb >= spec.memory_gb + head.memory_gb
-                        } else {
-                            classed_overlap_fits(
-                                &topology,
-                                &self.cluster.free_by_class(),
-                                calendar.at(shadow).free_by_class,
-                                &Demand::from(&spec),
-                                &head_demand,
-                            )
-                        };
-                    if !safe {
+                    // The optional veto, for policies that cannot check a
+                    // backfill themselves: the one EASY rule
+                    // (`HeadReservation::admits`), asked of the ledger's
+                    // cached *actual-end* calendar.
+                    let free_by_class = self.cluster.free_by_class();
+                    let reservation = self
+                        .ledger
+                        .actual(
+                            now,
+                            self.cluster.free_nodes(),
+                            self.cluster.free_memory_gb(),
+                            free_by_class,
+                        )
+                        .head_reservation(&self.cluster.config().topology, free_by_class, head);
+                    if !reservation.admits(&spec) {
                         return Err(RejectReason::WouldDelayHead {
                             job: spec.id,
                             head: head.id,
-                            shadow,
+                            shadow: reservation.shadow(),
                         });
                     }
                 }
@@ -664,7 +641,7 @@ impl KernelState {
     pub fn into_outcome(self, policy_name: String, end_time: SimTime) -> SimOutcome {
         SimOutcome {
             policy_name,
-            records: self.cluster.completed().to_vec(),
+            records: self.cluster.into_completed(),
             decisions: self.decisions,
             stats: self.stats,
             end_time,

@@ -53,7 +53,7 @@ pub use observer::{CountingObserver, ProgressObserver, SimObserver};
 pub use outcome::{DecisionRecord, SimOutcome, SimStats};
 pub use policy::{Action, ActionOutcome, OverheadReport, RejectReason, SchedulingPolicy};
 pub use profile::{
-    CalendarPoint, CalendarRef, CalendarStamp, CapacityCalendar, CapacityLedger,
+    CalendarPoint, CalendarRef, CalendarStamp, CapacityCalendar, CapacityLedger, HeadReservation,
     ReservationProfile, ReservedStep,
 };
 pub use queue::WaitQueue;

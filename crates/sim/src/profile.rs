@@ -49,7 +49,9 @@
 
 use std::cell::{Ref, RefCell};
 
-use rsched_cluster::{Demand, JobId, Topology, MAX_CLASSES};
+use rsched_cluster::{
+    classed_overlap_fits, JobId, JobSpec, PlacementRequest, Topology, MAX_CLASSES,
+};
 use rsched_simkit::{BasePoint, SimDuration, SimTime};
 
 pub use rsched_simkit::{ReservationProfile, ReservedStep};
@@ -251,13 +253,48 @@ impl CapacityCalendar {
     /// Earliest time at which `demand` fits the per-class free counts —
     /// the classed shadow time, one sweep over the (merged) release
     /// points. `SimTime::MAX` if no point ever hosts the demand.
-    pub fn earliest_fit_classed(&self, topology: &Topology, demand: &Demand) -> SimTime {
+    pub fn earliest_fit_classed(&self, topology: &Topology, demand: &PlacementRequest) -> SimTime {
         for p in &self.points {
             if demand.fits_classes(topology, &p.free_by_class) {
                 return p.time;
             }
         }
         SimTime::MAX
+    }
+
+    /// EASY's reservation for a blocked queue `head`, read off this base
+    /// calendar: its shadow start — the earliest instant it fits, given
+    /// the calendar's releases and no new starts — and the level free
+    /// then. `free_by_class` is the per-class free count right now (what a
+    /// classed candidate's take is planned against; ignored on a flat
+    /// machine). On a classed machine the shadow is read off the class
+    /// columns, which only ledger-built calendars carry: on a
+    /// [`from_running`](Self::from_running) fallback the head never fits
+    /// and every candidate is admitted.
+    ///
+    /// Which future is asked is the caller's choice of calendar: the
+    /// `EasyBackfill` policy asks the estimated one, all a scheduler may
+    /// know; the kernel's optional veto asks the actual-end one.
+    pub fn head_reservation(
+        &self,
+        topology: &Topology,
+        free_by_class: [u32; MAX_CLASSES],
+        head: &JobSpec,
+    ) -> HeadReservation {
+        let head = PlacementRequest::from(head);
+        let shadow = if topology.is_flat() {
+            self.earliest_fit_flat(head.nodes, head.memory_gb)
+        } else {
+            self.earliest_fit_classed(topology, &head)
+        };
+        HeadReservation {
+            topology: *topology,
+            now: self.points[0].time,
+            free_by_class,
+            head,
+            shadow,
+            at_shadow: *self.at(shadow),
+        }
     }
 
     /// Earliest point time from which `(nodes, memory_gb)` stays
@@ -336,6 +373,51 @@ impl CapacityCalendar {
         self.points.windows(2).all(|w| {
             w[0].free_nodes <= w[1].free_nodes && w[0].free_memory_gb <= w[1].free_memory_gb
         })
+    }
+}
+
+/// A blocked queue head's EASY reservation — see
+/// [`CapacityCalendar::head_reservation`]. Copies what it needs out of the
+/// calendar, so it outlives the borrow it was read through.
+#[derive(Debug, Clone, Copy)]
+pub struct HeadReservation {
+    topology: Topology,
+    now: SimTime,
+    free_by_class: [u32; MAX_CLASSES],
+    head: PlacementRequest,
+    shadow: SimTime,
+    at_shadow: CalendarPoint,
+}
+
+impl HeadReservation {
+    /// The head's shadow start; `SimTime::MAX` if it never fits.
+    pub fn shadow(&self) -> SimTime {
+        self.shadow
+    }
+
+    /// The EASY backfill rule, stated once: a `candidate` that fits now
+    /// may start now without moving the head's shadow start iff it ends,
+    /// by its walltime estimate, no later than the shadow, or fits beside
+    /// the head in what is free at the shadow — scalar sums on a flat
+    /// machine; on a classed one the candidate's planned per-class take is
+    /// subtracted before the head is placed. A head that can never run
+    /// cannot be delayed.
+    pub fn admits(&self, candidate: &JobSpec) -> bool {
+        if self.shadow == SimTime::MAX || self.now + candidate.walltime <= self.shadow {
+            return true;
+        }
+        if self.topology.is_flat() {
+            self.at_shadow.free_nodes >= candidate.nodes + self.head.nodes
+                && self.at_shadow.free_memory_gb >= candidate.memory_gb + self.head.memory_gb
+        } else {
+            classed_overlap_fits(
+                &self.topology,
+                &self.free_by_class,
+                self.at_shadow.free_by_class,
+                &PlacementRequest::from(candidate),
+                &self.head,
+            )
+        }
     }
 }
 
@@ -845,19 +927,17 @@ mod tests {
         ledger.job_started(JobId(1), t(100), t(100), 40, 2560, by_class);
         let free_now = [192, 8, 16, 0];
         let act = ledger.actual(t(0), 216, 14_000, free_now);
-        let demand = Demand::new(30, 0);
+        let demand = |nodes, gpus_per_node| PlacementRequest {
+            nodes,
+            memory_gb: 0,
+            per_node: rsched_cluster::ResourceVec::new(0, gpus_per_node, 0, 0),
+            class: None,
+        };
         // 30 scalar nodes fit the cpu class immediately; a 30-node gpu
         // demand needs the release.
-        assert_eq!(act.earliest_fit_classed(&topology, &demand), t(0));
-        let gpu_demand = Demand {
-            per_node: rsched_cluster::ResourceVec::new(0, 1, 0, 0),
-            ..Demand::new(30, 0)
-        };
-        assert_eq!(act.earliest_fit_classed(&topology, &gpu_demand), t(100));
-        let never = Demand {
-            per_node: rsched_cluster::ResourceVec::new(0, 5, 0, 0),
-            ..Demand::new(1, 0)
-        };
+        assert_eq!(act.earliest_fit_classed(&topology, &demand(30, 0)), t(0));
+        assert_eq!(act.earliest_fit_classed(&topology, &demand(30, 1)), t(100));
+        let never = demand(1, 5);
         assert_eq!(
             act.earliest_fit_classed(&topology, &never),
             SimTime::MAX,

@@ -23,8 +23,7 @@
 
 use std::collections::BTreeSet;
 
-use rsched_cluster::reservation::Demand;
-use rsched_cluster::{ClusterConfig, JobId, JobSpec, MAX_CLASSES};
+use rsched_cluster::{ClusterConfig, JobId, JobSpec, PlacementRequest, MAX_CLASSES};
 use rsched_simkit::SimTime;
 
 use crate::events::SimEvent;
@@ -37,11 +36,14 @@ use crate::policy::SchedulingPolicy;
 pub struct SimOptions {
     /// Hard cap on total policy queries across the run.
     pub max_queries: usize,
-    /// Validate `BackfillJob` with the EASY shadow-time test (the backfill
-    /// must not delay the queue head's reserved start). The paper's
-    /// constraint module checks only resource feasibility and eligibility
-    /// (§2.4), so this defaults to `false`; the EASY ablation baseline
-    /// turns it on.
+    /// Veto a `BackfillJob` that fails the EASY rule
+    /// ([`HeadReservation::admits`](crate::HeadReservation::admits)) on the
+    /// actual-end calendar. The paper's constraint module checks only
+    /// resource feasibility and eligibility (§2.4), so this defaults to
+    /// `false`. No builtin policy needs it — `EasyBackfill` keeps its own
+    /// head reservation — so it is for policies that cannot check (the
+    /// agents' ablation); a refused policy that proposes the same job
+    /// again meets the §2.4 retry bound.
     pub strict_backfill: bool,
 }
 
@@ -231,7 +233,7 @@ pub fn job_is_feasible(config: ClusterConfig, job: &JobSpec) -> bool {
         for (slot, class) in config.topology.classes() {
             empty_free[slot] = class.count;
         }
-        Demand::from(job).fits_classes(&config.topology, &empty_free)
+        PlacementRequest::from(job).fits_classes(&config.topology, &empty_free)
     }
 }
 

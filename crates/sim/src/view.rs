@@ -14,7 +14,7 @@
 //! slice at all.
 
 use rsched_cluster::{
-    ClusterConfig, Demand, JobId, JobRecord, JobSpec, NodeClass, UserId, MAX_CLASSES,
+    ClusterConfig, JobId, JobRecord, JobSpec, NodeClass, PlacementRequest, UserId, MAX_CLASSES,
 };
 use rsched_simkit::SimTime;
 
@@ -137,12 +137,15 @@ impl<'a> SystemView<'a> {
     ///
     /// Flat clusters keep the paper's two scalar checks; classed clusters
     /// ask whether some class-compatible slot has enough free nodes whose
-    /// per-node capacity covers the job's vector demand.
+    /// per-node capacity covers the job's vector demand — after the one
+    /// scalar check that needs no plan: a take draws only on free nodes.
     pub fn fits_now(&self, spec: &JobSpec) -> bool {
         if self.config.topology.is_flat() {
             spec.nodes <= self.free_nodes && spec.memory_gb <= self.free_memory_gb
         } else {
-            Demand::from(spec).fits_classes(&self.config.topology, &self.free_by_class)
+            spec.nodes <= self.free_nodes
+                && PlacementRequest::from(spec)
+                    .fits_classes(&self.config.topology, &self.free_by_class)
         }
     }
 

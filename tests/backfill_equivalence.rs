@@ -1,45 +1,48 @@
-//! The **backfill differential harness**: the capacity-calendar rewrite of
-//! the backfilling policy family is pinned bit-identical to the
-//! rebuild-per-decide implementations it replaced.
+//! The **backfill differential harness**: the calendar-backed backfilling
+//! policies are pinned bit-identical to straight-line references.
 //!
-//! * `RefEasy` / `RefConservative` below are the pre-calendar policies,
-//!   kept verbatim as straight-line references: `RefEasy` re-finds every
-//!   rejected job in the waiting queue per dominance check; and
-//!   `RefConservative` rebuilds the free-capacity profile from the whole
+//! * `RefEasy` is EASY as its definition reads, sharing nothing with
+//!   [`EasyBackfill`]: walk the queue; per candidate, sweep `start +
+//!   walltime` of the jobs running for the head's shadow start and what is
+//!   free then. `RefConservative` is the pre-calendar policy kept
+//!   verbatim: it rebuilds the free-capacity profile from the whole
 //!   running set on every `decide` and places reservations with the
 //!   O(profile²) candidate loop.
 //! * Every cell of EASY / EASY-SJBF / Conservative / Conservative-SJBF ×
 //!   scenarios (flat paper machine, the classed `mixed_256` machine, a
-//!   Polaris synthetic stream) × 2 seeds runs both implementations through
-//!   the same kernel and compares [`SimOutcome`]s field-for-field, down to
-//!   the f64 bit patterns of the integrated utilization curves.
+//!   Polaris synthetic stream with inexact estimates) × 2 seeds runs both
+//!   implementations through the same kernel under `SimOptions::default()`
+//!   — every policy here owns its backfills' safety — and compares
+//!   [`SimOutcome`]s field-for-field, decision log included, down to the
+//!   f64 bit patterns of the integrated utilization curves.
 //! * Proptests pin the [`CapacityCalendar`] itself against a naive model:
 //!   build/reserve sequences against a recompute-from-scratch profile, and
 //!   `earliest_window` against the quadratic candidate loop, on
 //!   arbitrarily reserved (non-monotone) skylines.
 //! * An `#[ignore]`d release-mode `polaris_synth:50000` stream pins the
-//!   EASY family on queues thousands of jobs deep, plus a 5k-job
-//!   Conservative cell (the quadratic reference makes 50k intractable):
+//!   EASY family on queues thousands of jobs deep, plus a 5k-job cell for
+//!   all four (the quadratic Conservative reference makes 50k
+//!   intractable):
 //!   `cargo test --release --test backfill_equivalence -- --ignored`.
 
 use proptest::prelude::*;
-use reasoned_scheduler::cluster::{ClusterConfig, JobId, JobSpec};
+use reasoned_scheduler::cluster::{
+    classed_overlap_fits, ClusterConfig, JobId, JobSpec, PlacementRequest,
+};
 use reasoned_scheduler::prelude::*;
 use reasoned_scheduler::sim::{CapacityCalendar, ReservationProfile};
 use reasoned_scheduler::workloads::scenario_builtins;
 use reasoned_scheduler::workloads::{ArrivalMode, ScenarioContext};
 
 // ------------------------------------------------------------------------
-// Straight-line reference policies (pre-calendar implementations, verbatim)
+// Straight-line reference policies
 // ------------------------------------------------------------------------
 
-/// The pre-calendar EASY: rejected ids in a plain `Vec`, dominance checks
-/// re-finding each rejected job in the waiting queue (`waiting_job`) per
-/// candidate, serial candidate iteration.
+/// EASY, straight from its definition: head first; behind a blocked head,
+/// the first (SJBF: shortest) waiting job that fits now and would not move
+/// the head's shadow start, with the shadow re-derived per candidate.
 #[derive(Debug, Clone, Default)]
 struct RefEasy {
-    rejected_this_epoch: Vec<JobId>,
-    last_time: Option<SimTime>,
     shortest_first: bool,
 }
 
@@ -47,23 +50,65 @@ impl RefEasy {
     fn sjbf() -> Self {
         RefEasy {
             shortest_first: true,
-            ..Self::default()
         }
     }
+}
 
-    fn dominated_by_rejection(&self, candidate: &JobSpec, view: &SystemView<'_>) -> bool {
-        self.rejected_this_epoch.iter().any(|&rid| {
-            if rid == candidate.id {
-                return true;
-            }
-            let Some(r) = view.waiting_job(rid) else {
-                return false;
-            };
-            candidate.class == r.class
-                && candidate.nodes >= r.nodes
-                && candidate.memory_gb >= r.memory_gb
-                && candidate.walltime >= r.walltime
-                && candidate.per_node.dominates(&r.per_node)
+/// Free `(nodes, memory)` at `t` by the estimates: what is free now plus
+/// every running job due to have ended by `t`.
+fn estimated_free_at(view: &SystemView<'_>, t: SimTime) -> (u32, u64) {
+    let mut free = (view.free_nodes, view.free_memory_gb);
+    for r in view.running.iter().filter(|r| r.expected_end <= t) {
+        free.0 += r.nodes;
+        free.1 += r.memory_gb;
+    }
+    free
+}
+
+/// The flat shadow start of `head`: `now`, or the first estimated end at
+/// which it fits what is free then. `None` if it never fits.
+fn flat_shadow(view: &SystemView<'_>, head: &JobSpec) -> Option<SimTime> {
+    let mut instants: Vec<SimTime> = view.running.iter().map(|r| r.expected_end).collect();
+    instants.push(view.now);
+    instants.sort();
+    instants.into_iter().map(|t| t.max(view.now)).find(|&t| {
+        let (nodes, mem) = estimated_free_at(view, t);
+        head.nodes <= nodes && head.memory_gb <= mem
+    })
+}
+
+/// May `candidate` start now without moving `head`'s shadow start? It
+/// ends by the shadow, or fits beside the head in what is free then. On
+/// the classed machine the running summaries do not say which class a
+/// node returns to — only the calendar's columns do — so that arm walks
+/// its points one by one.
+fn easy_safe(view: &SystemView<'_>, head: &JobSpec, candidate: &JobSpec) -> bool {
+    let ends = view.now + candidate.walltime;
+    if view.config.topology.is_flat() {
+        let Some(shadow) = flat_shadow(view, head) else {
+            return true;
+        };
+        let (nodes, mem) = estimated_free_at(view, shadow);
+        ends <= shadow
+            || (nodes >= candidate.nodes + head.nodes
+                && mem >= candidate.memory_gb + head.memory_gb)
+    } else {
+        let topology = &view.config.topology;
+        let head = PlacementRequest::from(head);
+        let calendar = view.capacity_calendar();
+        let at_shadow = calendar
+            .points()
+            .iter()
+            .find(|p| head.fits_classes(topology, &p.free_by_class));
+        at_shadow.is_none_or(|p| {
+            ends <= p.time
+                || classed_overlap_fits(
+                    topology,
+                    &view.free_by_class,
+                    p.free_by_class,
+                    &PlacementRequest::from(candidate),
+                    &head,
+                )
         })
     }
 }
@@ -78,10 +123,6 @@ impl SchedulingPolicy for RefEasy {
     }
 
     fn decide(&mut self, view: &SystemView<'_>) -> Action {
-        if self.last_time != Some(view.now) {
-            self.last_time = Some(view.now);
-            self.rejected_this_epoch.clear();
-        }
         if view.all_jobs_started() {
             return Action::Stop;
         }
@@ -91,28 +132,19 @@ impl SchedulingPolicy for RefEasy {
         if view.fits_now(head) {
             return Action::StartJob(head.id);
         }
-        let mut eligible = view
+        let mut safe = view
             .waiting
             .iter()
             .filter(|j| j.id != head.id)
-            .filter(|j| view.fits_now(j))
-            .filter(|j| !self.dominated_by_rejection(j, view));
+            .filter(|j| view.fits_now(j) && easy_safe(view, head, j));
         let candidate: Option<&JobSpec> = if self.shortest_first {
-            eligible.min_by_key(|j| (j.walltime, j.submit, j.id))
+            safe.min_by_key(|j| (j.walltime, j.submit, j.id))
         } else {
-            eligible.next()
+            safe.next()
         };
         match candidate {
             Some(j) => Action::BackfillJob(j.id),
             None => Action::Delay,
-        }
-    }
-
-    fn observe(&mut self, outcome: &reasoned_scheduler::sim::ActionOutcome) {
-        if !outcome.accepted() {
-            if let Some(id) = outcome.action.job_id() {
-                self.rejected_this_epoch.push(id);
-            }
         }
     }
 }
@@ -329,46 +361,32 @@ fn assert_delays_explained(outcome: &SimOutcome, label: &str) {
     }
 }
 
-/// A calendar policy, its straight-line reference, and the
-/// `strict_backfill` setting to compare them under.
-type PolicyPair = (Box<dyn SchedulingPolicy>, Box<dyn SchedulingPolicy>, bool);
+/// A calendar policy and its straight-line reference.
+type PolicyPair = (Box<dyn SchedulingPolicy>, Box<dyn SchedulingPolicy>);
 
 /// The calendar policies paired with their straight-line references.
-/// `strict_backfill` follows the kernel-equivalence convention: on for the
-/// EASY family (the simulator veto is part of the algorithm), off for the
-/// conservative family (its reservation list is the safety argument).
 fn policy_pairs() -> Vec<PolicyPair> {
     vec![
         (
             Box::new(EasyBackfill::new()) as Box<dyn SchedulingPolicy>,
             Box::new(RefEasy::default()) as Box<dyn SchedulingPolicy>,
-            true,
         ),
-        (
-            Box::new(EasyBackfill::sjbf()),
-            Box::new(RefEasy::sjbf()),
-            true,
-        ),
+        (Box::new(EasyBackfill::sjbf()), Box::new(RefEasy::sjbf())),
         (
             Box::new(ConservativeBackfill::new()),
             Box::new(RefConservative::default()),
-            false,
         ),
         (
             Box::new(ConservativeBackfill::sjbf()),
             Box::new(RefConservative::sjbf()),
-            false,
         ),
     ]
 }
 
 fn run_pair(cluster: ClusterConfig, jobs: &[JobSpec], label_prefix: &str) {
-    for (mut calendar, mut reference, strict) in policy_pairs() {
+    let options = SimOptions::default();
+    for (mut calendar, mut reference) in policy_pairs() {
         let label = format!("{label_prefix}/{}", calendar.name());
-        let options = SimOptions {
-            strict_backfill: strict,
-            ..SimOptions::default()
-        };
         let a = run_simulation(cluster, jobs, calendar.as_mut(), &options)
             .unwrap_or_else(|e| panic!("{label} (calendar): {e}"));
         let b = run_simulation(cluster, jobs, reference.as_mut(), &options)
@@ -437,13 +455,60 @@ fn calendar_backfill_matches_reference_on_a_polaris_stream() {
             )
             .expect("builtin scenario")
             .jobs;
+        assert!(
+            jobs.iter().any(|j| j.walltime > j.duration),
+            "the stream's estimates are meant to be inexact"
+        );
         run_pair(cluster, &jobs, &format!("polaris_synth:400/seed {seed}"));
     }
 }
 
+/// Six unsafe candidates stand between a blocked head and the one safe
+/// job, each narrower and longer than the one before, so none dominates
+/// another. The policy examines all seven at the instant they arrive and
+/// backfills the last — with the kernel's veto on (it agrees: nothing is
+/// refused) and with it off (nothing unsafe starts).
+#[test]
+fn easy_backfills_the_one_safe_job_behind_six_unsafe_ones() {
+    let at = SimTime::from_secs;
+    let job = |id: u32, submit_s: u64, wall_s: u64, nodes: u32| {
+        let wall = SimDuration::from_secs(wall_s);
+        JobSpec::new(id, 0, at(submit_s), wall, nodes, 1)
+    };
+    let mut jobs = vec![
+        job(0, 0, 100, 9), // running: 7 of 16 nodes free until t=100
+        job(1, 1, 50, 16), // head: the whole machine, shadow t=100
+    ];
+    // Fit now, outlast the shadow, leave the head short at it.
+    jobs.extend((0..6).map(|k| job(2 + k, 2, 1000 + 100 * k as u64, 6 - k)));
+    jobs.push(job(8, 2, 50, 1)); // ends t=52: safe
+    let strict = SimOptions {
+        strict_backfill: true,
+        ..SimOptions::default()
+    };
+    for options in [SimOptions::default(), strict] {
+        for mut policy in [EasyBackfill::new(), EasyBackfill::sjbf()] {
+            let out = run_simulation(ClusterConfig::new(16, 64), &jobs, &mut policy, &options)
+                .expect("completes");
+            let start = |id: u32| {
+                let record = out.records.iter().find(|r| r.spec.id == JobId(id));
+                record.expect("ran").start
+            };
+            let label = format!("{}, strict: {}", policy.name(), options.strict_backfill);
+            assert_eq!(start(8), at(2), "{label}: the safe job backfills");
+            assert_eq!(start(1), at(100), "{label}: the head starts on its shadow");
+            for id in 2..8 {
+                assert!(start(id) > at(100), "{label}: unsafe job {id} waited");
+            }
+            assert_eq!(out.stats.rejections, 0, "{label}");
+        }
+    }
+}
+
 /// Release-mode deep-stream differential — the EASY family over a
-/// `polaris_synth:50000` stream (queues thousands of jobs deep), plus a
-/// 5k Conservative cell (the O(profile²) reference cannot face 50k):
+/// `polaris_synth:50000` stream (queues thousands of jobs deep), then all
+/// four pairs at 5k (the O(profile²) Conservative reference cannot face
+/// 50k):
 ///
 /// ```text
 /// cargo test --release --test backfill_equivalence -- --ignored
@@ -452,24 +517,22 @@ fn calendar_backfill_matches_reference_on_a_polaris_stream() {
 #[ignore = "deep-stream differential: run in release mode via -- --ignored"]
 fn deep_polaris_stream_matches_reference_in_release() {
     let cluster = ClusterConfig::polaris();
-    let jobs = scenario_builtins()
-        .generate(
-            "polaris_synth:50000",
-            &ScenarioContext::new(50_000).with_seed(7),
-        )
-        .expect("builtin scenario")
-        .jobs;
-    let options = SimOptions {
-        strict_backfill: true,
-        max_queries: 16_000_000,
+    let stream = |n: usize| {
+        scenario_builtins()
+            .generate(
+                &format!("polaris_synth:{n}"),
+                &ScenarioContext::new(n).with_seed(7),
+            )
+            .expect("builtin scenario")
+            .jobs
     };
-    for (mut calendar, mut reference) in [
-        (
-            Box::new(EasyBackfill::new()) as Box<dyn SchedulingPolicy>,
-            Box::new(RefEasy::default()) as Box<dyn SchedulingPolicy>,
-        ),
-        (Box::new(EasyBackfill::sjbf()), Box::new(RefEasy::sjbf())),
-    ] {
+    let jobs = stream(50_000);
+    let options = SimOptions {
+        max_queries: 16_000_000,
+        ..SimOptions::default()
+    };
+    // The first two pairs are the EASY ones.
+    for (mut calendar, mut reference) in policy_pairs().into_iter().take(2) {
         let label = format!("polaris_synth:50000/{}", calendar.name());
         let a = run_simulation(cluster, &jobs, calendar.as_mut(), &options)
             .unwrap_or_else(|e| panic!("{label} (calendar): {e}"));
@@ -477,14 +540,7 @@ fn deep_polaris_stream_matches_reference_in_release() {
             .unwrap_or_else(|e| panic!("{label} (reference): {e}"));
         assert_outcomes_identical(&a, &b, &label);
     }
-    let jobs = scenario_builtins()
-        .generate(
-            "polaris_synth:5000",
-            &ScenarioContext::new(5_000).with_seed(7),
-        )
-        .expect("builtin scenario")
-        .jobs;
-    run_pair(cluster, &jobs, "polaris_synth:5000");
+    run_pair(cluster, &stream(5_000), "polaris_synth:5000");
 }
 
 // ------------------------------------------------------------------------

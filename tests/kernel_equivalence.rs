@@ -11,16 +11,17 @@
 //! cargo test --release --test kernel_equivalence -- --ignored
 //! ```
 
-use reasoned_scheduler::cluster::reservation::Demand;
 use reasoned_scheduler::cluster::{
-    classed_overlap_fits, nodes_per_slot, ClusterState, CompletedStats, StartError, StepIntegral,
-    MAX_CLASSES,
+    classed_overlap_fits, nodes_per_slot, ClusterState, CompletedStats, PlacementRequest,
+    StartError, StepIntegral, MAX_CLASSES,
 };
 use reasoned_scheduler::cpsolver::SolverConfig;
 use reasoned_scheduler::prelude::*;
 use reasoned_scheduler::registry::names;
 use reasoned_scheduler::service::FairShareConfig;
-use reasoned_scheduler::sim::{ActionOutcome, RejectReason, RunningSummary, SimError, SimStats};
+use reasoned_scheduler::sim::{
+    ActionOutcome, CapacityLedger, RejectReason, RunningSummary, SimError, SimStats,
+};
 use reasoned_scheduler::simkit::EventQueue;
 
 /// The reference's event alphabet (mirrors `rsched_sim::SimEvent`).
@@ -122,6 +123,27 @@ fn reference_simulate(
                     })
                     .collect();
                 let completed = cluster.completed().to_vec();
+                // Straight-line calendar: the release ledger rebuilt from
+                // the running set per query, so a policy planning over
+                // `capacity_calendar()` reads the per-class columns here
+                // too (the running summaries carry none).
+                let topology = cluster.config().topology;
+                let mut ledger = CapacityLedger::new();
+                for r in cluster.running() {
+                    let by_class = if topology.is_flat() {
+                        [0; MAX_CLASSES]
+                    } else {
+                        nodes_per_slot(&topology, &r.allocation.nodes)
+                    };
+                    ledger.job_started(
+                        r.spec.id,
+                        r.start + r.spec.walltime,
+                        r.end,
+                        r.spec.nodes,
+                        r.allocation.memory_gb,
+                        by_class,
+                    );
+                }
                 let view = SystemView {
                     now,
                     config: cluster.config(),
@@ -134,7 +156,7 @@ fn reference_simulate(
                     completed_stats: CompletedStats::from_records(&completed),
                     pending_arrivals,
                     total_jobs: jobs.len(),
-                    calendar: None,
+                    calendar: Some(&ledger),
                     telemetry: None,
                     queue: None,
                 };
@@ -302,7 +324,7 @@ fn reference_apply(
                     return Err(insufficient(cluster, &spec));
                 }
                 if !backfill_is_safe(cluster, now, &spec, &head) {
-                    let shadow = shadow_start(cluster, now, Demand::from(&head));
+                    let shadow = shadow_start(cluster, now, PlacementRequest::from(&head));
                     return Err(RejectReason::WouldDelayHead {
                         job: spec.id,
                         head: head.id,
@@ -347,7 +369,7 @@ fn free_by_class_at(cluster: &ClusterState, t: SimTime) -> [u32; MAX_CLASSES] {
 /// completion at which the demand fits what is free then, recomputed from
 /// the running set per probe (the kernel reads its incrementally
 /// maintained capacity calendar instead). `SimTime::MAX` if it never fits.
-fn shadow_start(cluster: &ClusterState, now: SimTime, demand: Demand) -> SimTime {
+fn shadow_start(cluster: &ClusterState, now: SimTime, demand: PlacementRequest) -> SimTime {
     let mut ends: Vec<SimTime> = cluster.running().map(|j| j.end).collect();
     ends.sort();
     let fits_at = |t: SimTime| {
@@ -381,7 +403,7 @@ fn backfill_is_safe(
     if !cluster.can_fit(candidate) {
         return false;
     }
-    let shadow = shadow_start(cluster, now, Demand::from(head));
+    let shadow = shadow_start(cluster, now, PlacementRequest::from(head));
     // A head that can never run cannot be delayed.
     if shadow == SimTime::MAX || now + candidate.walltime <= shadow {
         return true;
@@ -394,8 +416,8 @@ fn backfill_is_safe(
             &cluster.config().topology,
             &cluster.free_by_class(),
             free_by_class_at(cluster, shadow),
-            &Demand::from(candidate),
-            &Demand::from(head),
+            &PlacementRequest::from(candidate),
+            &PlacementRequest::from(head),
         )
     }
 }
@@ -475,7 +497,7 @@ impl SchedulingPolicy for BackfillEverything {
 /// on the classed one — shows as a different query count or decision log.
 /// Then the scripted backfill-everything input under `strict_backfill`,
 /// flat and classed: the kernel validates against the capacity calendar,
-/// the reference against the `rsched_cluster::reservation` sweeps, and both
+/// the reference against the completion sweeps above, and both
 /// the accepted backfills and every `WouldDelayHead { shadow }` must agree.
 #[test]
 fn incremental_kernel_matches_straight_line_reference() {
@@ -505,13 +527,7 @@ fn incremental_kernel_matches_straight_line_reference() {
                 .with_solver(quick_solver());
             for name in names::ALL_BUILTIN {
                 let label = format!("{name} on {scenario}/{mode:?}/seed {seed}");
-                let options = SimOptions {
-                    // Exercise the shadow-time backfill path too. The
-                    // conservative family runs without it: its own
-                    // reservation list is the safety argument.
-                    strict_backfill: name == names::EASY || name == names::EASY_SJBF,
-                    ..SimOptions::default()
-                };
+                let options = SimOptions::default();
                 let mut incremental = registry.build(name, &ctx).expect("builtin");
                 let mut reference = registry.build(name, &ctx).expect("builtin");
                 let a = run_simulation(cluster, &jobs, incremental.as_mut(), &options)
@@ -806,12 +822,8 @@ fn flat_cluster_reproduces_pre_refactor_pins() {
                 .with_seed(seed)
                 .with_solver(quick_solver());
             for name in PINNED_POLICIES {
-                let options = SimOptions {
-                    strict_backfill: name == names::EASY,
-                    ..SimOptions::default()
-                };
                 let mut policy = registry.build(name, &ctx).expect("builtin");
-                let out = run_simulation(cluster, &jobs, policy.as_mut(), &options)
+                let out = run_simulation(cluster, &jobs, policy.as_mut(), &SimOptions::default())
                     .unwrap_or_else(|e| panic!("{name} on {scenario}/seed {seed}: {e}"));
                 lines.push(format!(
                     "{name}|{scenario}|{seed}|{:016x}",

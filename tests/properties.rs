@@ -762,6 +762,138 @@ proptest! {
     }
 }
 
+// ------------------------------------------------------- easy backfilling
+
+/// `EASY` and `EASY-SJBF` built by registry name keep the head's
+/// reservation on their own: under `SimOptions::default()` — how campaigns,
+/// `serve`, `trace` and the examples run them — the schedule is the one the
+/// kernel's veto would have enforced, and with the veto on it finds
+/// nothing to refuse and no epoch ends in a forced delay.
+#[test]
+fn easy_by_registry_name_keeps_the_head_reservation() {
+    use reasoned_scheduler::workloads::names as scenario_names;
+    let registry = PolicyRegistry::with_builtins();
+    let strict = SimOptions {
+        strict_backfill: true,
+        ..SimOptions::default()
+    };
+    let flat = scenario_names::LEGACY_SEVEN.map(|s| (ClusterConfig::paper_default(), s));
+    let classed = (
+        ClusterConfig::mixed_256(),
+        scenario_names::GPU_SKEWED_HETMIX,
+    );
+    for (cluster, scenario) in flat.into_iter().chain([classed]) {
+        let context = ScenarioContext::new(120)
+            .with_mode(ArrivalMode::Dynamic)
+            .with_seed(7);
+        let jobs = scenario_builtins()
+            .generate(scenario, &context)
+            .expect("builtin scenario")
+            .jobs;
+        let ctx = PolicyContext::new(&jobs, cluster).with_seed(7);
+        for name in ["EASY", "EASY-SJBF"] {
+            let run = |options: &SimOptions| {
+                let mut policy = registry.build(name, &ctx).expect("builtin");
+                run_simulation(cluster, &jobs, policy.as_mut(), options)
+                    .unwrap_or_else(|e| panic!("{name} on {scenario}: {e}"))
+            };
+            let (by_name, vetoed) = (run(&SimOptions::default()), run(&strict));
+            // `assert!`, not `assert_eq!`: a failure should not print two
+            // whole schedules.
+            assert!(by_name.records == vetoed.records, "{name} on {scenario}");
+            assert!(
+                by_name.decisions == vetoed.decisions,
+                "{name} on {scenario}"
+            );
+            assert_eq!(vetoed.stats.rejections, 0, "{name} on {scenario}");
+            let forced = |e: &EpochTrace| matches!(e.outcome, EpochOutcome::ForcedDelay);
+            assert!(!vetoed.epochs.iter().any(forced), "{name} on {scenario}");
+        }
+    }
+}
+
+/// An EASY variant that notes, at every `BackfillJob` it proposes, who was
+/// head of the queue and that head's shadow start — by a plain sweep over
+/// `start + walltime` of the jobs then running.
+struct ShadowNoting {
+    inner: EasyBackfill,
+    /// `(head, shadow)` per proposed backfill.
+    noted: Vec<(JobId, SimTime)>,
+}
+
+impl SchedulingPolicy for ShadowNoting {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+
+    fn decide(&mut self, view: &SystemView<'_>) -> Action {
+        let action = self.inner.decide(view);
+        if matches!(action, Action::BackfillJob(_)) {
+            let head = view.head_of_queue().expect("a backfill passes a head");
+            let mut running: Vec<&RunningSummary> = view.running.iter().collect();
+            running.sort_by_key(|r| r.expected_end);
+            let (mut nodes, mut mem) = (view.free_nodes, view.free_memory_gb);
+            let mut shadow = view.now;
+            for r in running {
+                if head.nodes <= nodes && head.memory_gb <= mem {
+                    break;
+                }
+                nodes += r.nodes;
+                mem += r.memory_gb;
+                shadow = shadow.max(r.expected_end);
+            }
+            assert!(head.nodes <= nodes && head.memory_gb <= mem);
+            self.noted.push((head.id, shadow));
+        }
+        action
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The EASY guarantee itself: whenever a job is backfilled, the job
+    /// that was head of the queue at that instant starts no later than its
+    /// shadow start at that instant — with exact walltimes and with
+    /// estimates half as long again, in arrival order and shortest first.
+    #[test]
+    fn a_backfill_never_delays_the_head_past_its_shadow(
+        jobs in prop::collection::vec((1u64..300, 1u32..9, 1u64..65, 0u64..200), 1..61),
+        padded in 0u32..2,
+        sjbf in 0u32..2,
+    ) {
+        let specs: Vec<JobSpec> = jobs
+            .iter()
+            .enumerate()
+            .map(|(i, &(dur, nodes, mem, submit))| {
+                let estimate = if padded == 1 { dur * 1500 } else { dur * 1000 };
+                JobSpec::new(
+                    i as u32,
+                    (i % 4) as u32,
+                    SimTime::from_secs(submit),
+                    SimDuration::from_secs(dur),
+                    nodes,
+                    mem,
+                )
+                .with_walltime(SimDuration::from_millis(estimate))
+            })
+            .collect();
+        let inner = if sjbf == 1 { EasyBackfill::sjbf() } else { EasyBackfill::new() };
+        let mut policy = ShadowNoting { inner, noted: Vec::new() };
+        let out = run_simulation(ClusterConfig::new(8, 64), &specs, &mut policy, &SimOptions::default())
+            .expect("EASY completes every feasible workload");
+        prop_assert_eq!(out.stats.rejections, 0);
+        prop_assert_eq!(policy.noted.len(), out.stats.backfills);
+        for (head, shadow) in policy.noted {
+            let record = out.records.iter().find(|r| r.spec.id == head).expect("ran");
+            prop_assert!(
+                record.start <= shadow,
+                "head {} started at {}, past its shadow {}", head, record.start, shadow
+            );
+        }
+    }
+}
+
 // ------------------------------------------------------------- swf ingest
 
 use reasoned_scheduler::workloads::swf::{SwfJob, SwfTrace};
