@@ -910,9 +910,19 @@ mod tests {
         flat.check_invariants();
     }
 
+    use crate::reservation::classed_overlap_fits;
     use proptest::prelude::*;
 
     const KINDS: [NodeClass; 3] = [NodeClass::Cpu, NodeClass::Gpu, NodeClass::BigMem];
+
+    /// Raw numbers for a request: memory, per-node demand (cpus in 32s),
+    /// class pin (3 = none), and the class it is cut to fit.
+    type Demand = (u64, (u32, u32, u64, u32), usize, usize);
+
+    fn any_demand() -> impl Strategy<Value = Demand> {
+        let per_node = (0u32..3, 0u32..5, 0u64..150, 0u32..5);
+        (0u64..400, per_node, 0usize..4, 0usize..16)
+    }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(512))]
@@ -921,35 +931,67 @@ mod tests {
         /// code that allocates: over any topology, free counts and request
         /// (zero nodes included), the request fits exactly when its node
         /// count is within the free nodes of its compatible slots — and a
-        /// plan only ever takes from those slots.
+        /// plan only ever takes from those slots. Nor does the plan read
+        /// more of a request than that: a twin of equal compatible slots
+        /// and node count, whatever its memory, per-node demand and class
+        /// pin, is planned the same take, hence fits or fails beside any
+        /// head with it — what lets the queue ask the EASY rule once per
+        /// demand class.
         #[test]
         fn fits_iff_nodes_within_free_compatible_slots(
             classes in prop::collection::vec(
-                (0usize..3, 1u32..12, (0u32..3, 0u32..5, 0u64..150, 0u32..5), 0u32..12),
+                (0usize..3, 1u32..12, (0u32..3, 0u32..5, 0u64..150, 0u32..5), 0u32..12, 0u32..12),
                 1..MAX_CLASSES + 1,
             ),
-            nodes in 0u32..40,
-            memory_gb in 0u64..400,
-            per_node in (0u32..3, 0u32..5, 0u64..150, 0u32..5),
-            pin in 0usize..4,
+            nodes in 0u32..16,
+            demand in any_demand(),
+            twin in any_demand(),
+            head_nodes in 0u32..8,
+            head in any_demand(),
         ) {
             let mut topology = Topology::flat();
             let mut free = [0u32; MAX_CLASSES];
-            for (slot, &(kind, count, (cpus, gpus, mem, bb), busy)) in classes.iter().enumerate() {
+            let mut free_at_shadow = [0u32; MAX_CLASSES];
+            for (slot, &(kind, count, (cpus, gpus, mem, bb), busy, later)) in
+                classes.iter().enumerate()
+            {
                 topology = topology.with_class(NodeClassSpec {
                     class: KINDS[kind],
                     count,
                     capacity: ResourceVec::new(cpus * 32, gpus, mem, bb),
                 });
                 free[slot] = count - busy % (count + 1);
+                free_at_shadow[slot] = count - later % (count + 1);
             }
-            let (cpus, gpus, mem, bb) = per_node;
-            let req = PlacementRequest {
-                nodes,
-                memory_gb,
-                per_node: ResourceVec::new(cpus * 32, gpus, mem, bb),
-                class: KINDS.get(pin).copied(),
+            // Three requests in four are cut down to what one class offers,
+            // pinned to it or not: left raw, most have nowhere to go, and
+            // two that share their slots share the empty set.
+            let request = |nodes: u32, (memory_gb, per_node, pin, host): Demand| {
+                let (cpus, gpus, mem, bb) = per_node;
+                let (kind, _, (host_cpus, host_gpus, host_mem, host_bb), ..) =
+                    classes[host % classes.len()];
+                if host / 4 == 0 {
+                    return PlacementRequest {
+                        nodes,
+                        memory_gb,
+                        per_node: ResourceVec::new(cpus * 32, gpus, mem, bb),
+                        class: KINDS.get(pin).copied(),
+                    };
+                }
+                PlacementRequest {
+                    nodes,
+                    memory_gb: memory_gb % (host_mem * u64::from(nodes.max(1)) + 1),
+                    per_node: ResourceVec::new(
+                        cpus % (host_cpus + 1) * 32,
+                        gpus % (host_gpus + 1),
+                        mem % (host_mem + 1),
+                        bb % (host_bb + 1),
+                    ),
+                    class: (pin % 2 == 0).then_some(KINDS[kind]),
+                }
             };
+            let req = request(nodes, demand);
+            let (twin, head) = (request(nodes, twin), request(head_nodes, head));
             let slots = compatible_slots(&topology, &req);
             let plan = plan_take(&topology, &free, &req);
             prop_assert_eq!(nodes <= slots.free_nodes(&free), plan.is_some());
@@ -959,6 +1001,13 @@ mod tests {
                     prop_assert!(take[slot] <= free[slot]);
                     prop_assert!(take[slot] == 0 || slots.contains(slot));
                 }
+            }
+            if compatible_slots(&topology, &twin) == slots {
+                prop_assert_eq!(plan_take(&topology, &free, &twin), plan);
+                let beside = |candidate| {
+                    classed_overlap_fits(&topology, &free, free_at_shadow, candidate, &head)
+                };
+                prop_assert_eq!(beside(&twin), beside(&req));
             }
         }
     }

@@ -52,12 +52,14 @@ impl LanguageModel for ProcessBackend {
             .stderr(Stdio::piped())
             .spawn()
             .map_err(|e| LlmError::new(format!("spawn `{}`: {e}", self.program)))?;
-        child
-            .stdin
-            .take()
-            .ok_or_else(|| LlmError::new("child stdin unavailable"))?
-            .write_all(prompt.as_bytes())
-            .map_err(|e| LlmError::new(format!("writing prompt: {e}")))?;
+        let stdin = child.stdin.take();
+        let mut stdin = stdin.ok_or_else(|| LlmError::new("child stdin unavailable"))?;
+        // A child that exits without reading its prompt breaks the pipe. Its
+        // own verdict says more than the write's, so reap it either way: a
+        // non-zero exit reports status and stderr, and a zero exit's
+        // completion stands — the command did not need the prompt.
+        let _ = stdin.write_all(prompt.as_bytes());
+        drop(stdin);
         let output = child
             .wait_with_output()
             .map_err(|e| LlmError::new(format!("waiting for child: {e}")))?;
@@ -113,15 +115,25 @@ mod tests {
         assert_eq!(c.text, "HELLO");
     }
 
+    /// Neither command reads its stdin, and a 1 MB prompt is past any pipe
+    /// buffer, so the write fails every time, not only when the child wins
+    /// a race: the child's verdict is reported all the same.
     #[test]
     fn nonzero_exit_is_an_error() {
+        let prompt = "p".repeat(1 << 20);
         let mut backend = ProcessBackend::new(
             "failing-model",
             "sh",
             ["-c", "echo doom >&2; exit 3"].map(String::from),
         );
-        let err = backend.complete("p").unwrap_err();
+        let err = backend.complete(&prompt).unwrap_err();
         assert!(err.message.contains("doom"), "{err}");
+        assert!(err.message.contains("exit status: 3"), "{err}");
+
+        let args = ["-c", "printf 'Action: Delay'"].map(String::from);
+        let mut deaf = ProcessBackend::new("deaf-model", "sh", args);
+        let c = deaf.complete(&prompt).expect("a zero exit stands");
+        assert_eq!(c.text, "Action: Delay");
     }
 
     #[test]

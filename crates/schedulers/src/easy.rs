@@ -74,14 +74,16 @@ impl SchedulingPolicy for EasyBackfill {
             view.free_by_class,
             head,
         );
-        let mut safe = view.eligible_now().filter(|j| reservation.admits(j));
         let pick = if self.shortest_first {
+            // A minimum over walltime: no queue order answers it.
+            let safe = view.eligible_now().filter(|j| reservation.admits(j));
             safe.min_by_key(|j| (j.walltime, j.submit, j.id))
+                .map(|j| j.id)
         } else {
-            safe.next()
+            view.first_admitted(&reservation)
         };
         match pick {
-            Some(j) => Action::BackfillJob(j.id),
+            Some(id) => Action::BackfillJob(id),
             None => {
                 // The kernel asks only while something fits now, so
                 // candidates existed and the reservation turned each down.

@@ -392,6 +392,9 @@ impl KernelState {
         let (builds, probes) = self.queue.order_counters();
         t.set_counter("sim_queue_index_builds_total", builds);
         t.set_counter("sim_queue_index_probes_total", probes);
+        let (builds, entries) = self.queue.arrival_counters();
+        t.set_counter("sim_queue_arrival_index_builds_total", builds);
+        t.set_counter("sim_queue_arrival_entries_total", entries);
         t.set_gauge("sim_queue_depth", self.queue.len() as i64);
         t.set_gauge("sim_running_jobs", self.cluster.running_count() as i64);
     }

@@ -403,9 +403,18 @@ impl HeadReservation {
     /// subtracted before the head is placed. A head that can never run
     /// cannot be delayed.
     pub fn admits(&self, candidate: &JobSpec) -> bool {
-        if self.shadow == SimTime::MAX || self.now + candidate.walltime <= self.shadow {
-            return true;
-        }
+        self.ends_by_shadow(candidate.walltime) || self.fits_beside(candidate)
+    }
+
+    /// The half of [`admits`](Self::admits) that reads only a candidate's
+    /// walltime — as durations, so none is long enough to wrap to an early end.
+    pub(crate) fn ends_by_shadow(&self, walltime: SimDuration) -> bool {
+        self.shadow == SimTime::MAX || walltime <= self.shadow.saturating_since(self.now)
+    }
+
+    /// The half that reads only its demand class — `(memory_gb, nodes)` flat,
+    /// `(compatible slots, nodes)` classed: all a planned take depends on.
+    fn fits_beside(&self, candidate: &JobSpec) -> bool {
         if self.topology.is_flat() {
             self.at_shadow.free_nodes >= candidate.nodes + self.head.nodes
                 && self.at_shadow.free_memory_gb >= candidate.memory_gb + self.head.memory_gb

@@ -17,7 +17,8 @@
 //!   conservative min-demand watermarks ahead of a dense column scan on a
 //!   flat machine, a lookup in an exact count of waiting jobs per
 //!   compatible-slot set on a classed one; *which* job fits (SJF's pick)
-//!   from a shortest-first order built the first time a policy asks. A
+//!   from a shortest-first order, and *which* backfills (EASY's) from an
+//!   arrival order, each built the first time a policy asks. A
 //!   removal shifts whichever side is shorter. The **rank** is a fair-share
 //!   priority tag:
 //!   the virtual-time simulator always inserts at rank 0, which makes the
@@ -33,7 +34,7 @@
 
 use std::cell::{Cell, OnceCell};
 use std::collections::{BTreeMap, BTreeSet};
-use std::ops::Bound::{Excluded, Unbounded};
+use std::ops::Bound::{Excluded, Included, Unbounded};
 
 use rsched_cluster::{
     compatible_slots, ClusterState, JobId, JobSpec, PlacementRequest, SlotSet, Topology,
@@ -41,6 +42,7 @@ use rsched_cluster::{
 };
 use rsched_simkit::{SimDuration, SimTime};
 
+use crate::profile::HeadReservation;
 use crate::scan;
 use crate::store::JobStore;
 use crate::view::RunningSummary;
@@ -73,6 +75,52 @@ impl OrderKey {
             walltime: job.walltime,
             id: job.id,
         }
+    }
+}
+
+/// A job's place in the queue: `(rank, submit, id)`.
+type Place = (u64, SimTime, JobId);
+
+/// Key of the arrival order: `(class, nodes)` as in [`OrderKey`], then the
+/// job's [`Place`], so a class's keys run in queue order; last, where it
+/// never orders, the walltime a walk reads.
+type ArrivalKey = (u64, u32, Place, SimDuration);
+
+fn arrival_key(topology: &Topology, job: &JobSpec, rank: u64) -> ArrivalKey {
+    let OrderKey { class, nodes, .. } = OrderKey::of(topology, job);
+    (class, nodes, (rank, job.submit, job.id), job.walltime)
+}
+
+/// What the class walk reads of either order's key: its `(class, nodes)`, and
+/// the last key a class of its memory value (slot set) and `nodes` could hold.
+trait ClassKey: Ord + Copy {
+    fn class(&self) -> (u64, u32);
+    fn last_of(self, nodes: u32) -> Self;
+}
+
+impl ClassKey for OrderKey {
+    fn class(&self) -> (u64, u32) {
+        (self.class, self.nodes)
+    }
+
+    fn last_of(self, nodes: u32) -> Self {
+        OrderKey {
+            nodes,
+            walltime: SimDuration::MAX,
+            id: JobId(u32::MAX),
+            ..self
+        }
+    }
+}
+
+impl ClassKey for ArrivalKey {
+    fn class(&self) -> (u64, u32) {
+        (self.0, self.1)
+    }
+
+    fn last_of(self, nodes: u32) -> Self {
+        let last = (u64::MAX, SimTime::MAX, JobId(u32::MAX));
+        (self.0, nodes, last, SimDuration::MAX)
     }
 }
 
@@ -118,6 +166,11 @@ pub struct WaitQueue {
     order: OnceCell<BTreeSet<OrderKey>>,
     /// Keys `shortest` has examined so far (telemetry).
     probes: Cell<u64>,
+    /// The live queue by [`ArrivalKey`], for "which job backfills?": built
+    /// at the first [`first_admitted`](Self::first_admitted), kept as `order` is.
+    arrival: OnceCell<BTreeSet<ArrivalKey>>,
+    /// Keys `first_admitted` has examined so far (telemetry).
+    entries: Cell<u64>,
 }
 
 impl WaitQueue {
@@ -133,6 +186,8 @@ impl WaitQueue {
             index: BTreeMap::new(),
             order: OnceCell::new(),
             probes: Cell::new(0),
+            arrival: OnceCell::new(),
+            entries: Cell::new(0),
         }
     }
 
@@ -156,7 +211,7 @@ impl WaitQueue {
 
     /// Position of `(rank, submit, id)` in the live queue, whether or not
     /// it is present (`Result` as in `slice::binary_search`).
-    fn position(&self, key: (u64, SimTime, JobId)) -> Result<usize, usize> {
+    fn position(&self, key: Place) -> Result<usize, usize> {
         let live = self.as_slice();
         let ranks = &self.ranks[self.head..];
         let mut lo = 0usize;
@@ -193,6 +248,9 @@ impl WaitQueue {
         if let Some(order) = self.order.get_mut() {
             order.insert(OrderKey::of(&self.topology, &job));
         }
+        if let Some(arrival) = self.arrival.get_mut() {
+            arrival.insert(arrival_key(&self.topology, &job, rank));
+        }
         let at = match self.position((rank, job.submit, job.id)) {
             Ok(_) => unreachable!("duplicate job ids are rejected before insertion"),
             Err(at) => at,
@@ -215,6 +273,7 @@ impl WaitQueue {
     pub(crate) fn remove_at(&mut self, index: usize) -> JobSpec {
         assert!(index < self.len(), "WaitQueue::remove_at out of bounds");
         let at = self.head + index;
+        let rank = self.ranks[at];
         let job = if index > self.len() / 2 {
             self.ranks.remove(at);
             self.jobs.remove(at)
@@ -226,6 +285,9 @@ impl WaitQueue {
         };
         if let Some(order) = self.order.get_mut() {
             order.remove(&OrderKey::of(&self.topology, &job));
+        }
+        if let Some(arrival) = self.arrival.get_mut() {
+            arrival.remove(&arrival_key(&self.topology, &job, rank));
         }
         if !self.topology.is_flat() {
             let key = self.index_key(&job);
@@ -319,53 +381,110 @@ impl WaitQueue {
 
     /// The waiting job with the least `(walltime, id)` among those that
     /// fit these free levels — `filter(can_fit).min_by_key(..)` for every
-    /// input, without the walk. Jobs of one demand class fit or fail
-    /// together, so only each class's first key is examined, however deep
-    /// the queue; a class that fails takes every wider `nodes` of its
-    /// memory value (slot set) with it, and a flat walk ends at the first
-    /// memory value above what is free.
+    /// input, without the walk: a fitting class's first key is its only
+    /// candidate ([`fitting_classes`](Self::fitting_classes)).
     pub(crate) fn shortest(
         &self,
         free_nodes: u32,
         free_memory_gb: u64,
         free_by_class: &[u32; MAX_CLASSES],
     ) -> Option<JobId> {
-        let flat = self.topology.is_flat();
         let key_of = |job| OrderKey::of(&self.topology, job);
         let order = self
             .order
             .get_or_init(|| self.as_slice().iter().map(key_of).collect());
         let mut best: Option<(SimDuration, JobId)> = None;
-        let mut first = order.first();
+        let free = (free_nodes, free_memory_gb, free_by_class);
+        self.fitting_classes(free, order, &self.probes, |key| {
+            if best.is_none_or(|least| (key.walltime, key.id) < least) {
+                best = Some((key.walltime, key.id));
+            }
+        });
+        best.map(|(_, id)| id)
+    }
+
+    /// Calls `visit` with the first key of every demand class of `keys`
+    /// that fits these free levels, counting in `examined` the keys it
+    /// looks at. Jobs of one demand class fit or fail
+    /// together, so only each class's first key is examined, however deep
+    /// the queue; a class that fails takes every wider `nodes` of its
+    /// memory value (slot set) with it, and a flat walk ends at the first
+    /// memory value above what is free.
+    fn fitting_classes<K: ClassKey>(
+        &self,
+        (free_nodes, free_memory_gb, free_by_class): (u32, u64, &[u32; MAX_CLASSES]),
+        keys: &BTreeSet<K>,
+        examined: &Cell<u64>,
+        mut visit: impl FnMut(K),
+    ) {
+        let flat = self.topology.is_flat();
+        let mut first = keys.first();
         while let Some(&key) = first {
-            self.probes.set(self.probes.get() + 1);
-            if flat && key.class > free_memory_gb {
+            examined.set(examined.get() + 1);
+            let (class, nodes) = key.class();
+            if flat && class > free_memory_gb {
                 break;
             }
             let free = if flat {
                 free_nodes
             } else {
-                let slots = (0..MAX_CLASSES).filter(|slot| key.class >> slot & 1 == 1);
+                let slots = (0..MAX_CLASSES).filter(|slot| class >> slot & 1 == 1);
                 slots.map(|slot| free_by_class[slot]).sum()
             };
-            let fits = key.nodes <= free;
-            if fits && best.is_none_or(|least| (key.walltime, key.id) < least) {
-                best = Some((key.walltime, key.id));
+            let fits = nodes <= free;
+            if fits {
+                visit(key);
             }
-            let past = OrderKey {
-                nodes: if fits { key.nodes } else { u32::MAX },
-                walltime: SimDuration::MAX,
-                id: JobId(u32::MAX),
-                ..key
-            };
-            first = order.range((Excluded(past), Unbounded)).next();
+            let past = key.last_of(if fits { nodes } else { u32::MAX });
+            first = keys.range((Excluded(past), Unbounded)).next();
         }
-        best.map(|(_, id)| id)
+    }
+
+    /// The first waiting job, in queue order, that fits the `free` nodes,
+    /// memory and nodes per class slot and that `reservation` admits —
+    /// `filter(can_fit).find(admits)` for every input, without the walk.
+    /// Beyond its walltime the rule reads only a candidate's demand class,
+    /// so a fitting class is asked once, of its first member's spec; if that
+    /// is turned down, the keys behind it are read until one ends by the
+    /// shadow or the walk passes the best place an earlier class found.
+    pub(crate) fn first_admitted(
+        &self,
+        free: (u32, u64, &[u32; MAX_CLASSES]),
+        reservation: &HeadReservation,
+    ) -> Option<JobId> {
+        let arrival = self.arrival.get_or_init(|| {
+            let jobs = self.as_slice().iter().zip(&self.ranks[self.head..]);
+            jobs.map(|(job, &rank)| arrival_key(&self.topology, job, rank))
+                .collect()
+        });
+        let mut best: Option<Place> = None;
+        self.fitting_classes(free, arrival, &self.entries, |first| {
+            let ahead = |key: &ArrivalKey| best.is_none_or(|least| key.2 < least);
+            if !ahead(&first) {
+                return;
+            }
+            let at = self.position(first.2).expect("indexed jobs wait");
+            let found = if reservation.admits(&self.as_slice()[at]) {
+                Some(&first)
+            } else {
+                let behind = (Excluded(first), Included(first.last_of(first.1)));
+                let members = arrival.range(behind).take_while(|&key| ahead(key));
+                let mut members = members.inspect(|_| self.entries.set(self.entries.get() + 1));
+                members.find(|key| reservation.ends_by_shadow(key.3))
+            };
+            best = found.map(|key| key.2).or(best);
+        });
+        best.map(|(_, _, id)| id)
     }
 
     /// Telemetry: the order's `(builds, probes)` — 0 or 1, keys examined.
     pub(crate) fn order_counters(&self) -> (u64, u64) {
         (u64::from(self.order.get().is_some()), self.probes.get())
+    }
+
+    /// Telemetry: the same two numbers of the arrival order.
+    pub(crate) fn arrival_counters(&self) -> (u64, u64) {
+        (u64::from(self.arrival.get().is_some()), self.entries.get())
     }
 }
 
@@ -634,17 +753,20 @@ mod tests {
     const CLASSES: [NodeClass; 3] = [NodeClass::Cpu, NodeClass::Gpu, NodeClass::BigMem];
 
     /// A waiting job drawn from three raw numbers: up to the whole flat
-    /// machine (16 nodes / 128 GB in 8 GB steps), or — on the classed one —
-    /// 0 to 63 nodes with an optional class pin and an optional per-node
-    /// demand that only the gpu or only the bigmem class can host. One of
-    /// three walltimes, so equal demand classes and walltime ties are
-    /// both common.
+    /// machine (1 to 16 nodes in powers of two, 8 to 128 GB in 40 GB
+    /// steps), or — on the classed one — one of eight widths from 0 to 63
+    /// nodes with an optional class pin and an optional per-node demand
+    /// that only the gpu or only the bigmem class can host. Few demand
+    /// classes and one of three walltimes, as on the benchmark's inputs
+    /// (8 and 39 classes over 8000 jobs): a class holds several jobs, in
+    /// any order of walltime, and walltime ties are common.
     fn arbitrary_job(classed: bool, id: u32, a: u32, b: u64, c: u64) -> JobSpec {
         let walltime = SimDuration::from_secs(60 + u64::from(a % 3));
         if !classed {
-            return spec(id, c, 1 + a % 16, 8 * (1 + b % 16)).with_walltime(walltime);
+            return spec(id, c, 1 << (a % 5), 8 * (1 + 5 * (b % 4))).with_walltime(walltime);
         }
-        let job = spec(id, c, a % 64, b % 200).with_walltime(walltime);
+        let nodes = [0, 1, 2, 4, 8, 16, 32, 63][a as usize % 8];
+        let job = spec(id, c, nodes, b % 200).with_walltime(walltime);
         let job = job.with_per_node(match a / 256 % 3 {
             0 => ResourceVec::ZERO,
             1 => ResourceVec::new(0, 1 + a % 4, 0, 0),
@@ -657,7 +779,9 @@ mod tests {
     }
 
     /// A cluster at an arbitrary free level: one blocker on the flat
-    /// machine, one class-pinned blocker per class on `mixed_256`.
+    /// machine, one class-pinned blocker per class on `mixed_256`, each
+    /// running 58 to 62 s from t = 0 — around the waiting jobs' walltimes,
+    /// so a head's shadow falls before, among and after their ends.
     fn cluster_at(classed: bool, a: u32, b: u64, c: u64) -> ClusterState {
         let (config, blockers) = if classed {
             let blockers = [a % 193, b as u32 % 49, c as u32 % 17]
@@ -672,12 +796,43 @@ mod tests {
             (ClusterConfig::new(16, 128), vec![blocker])
         };
         let mut cluster = ClusterState::new(config);
-        for blocker in blockers.iter().filter(|j| j.nodes > 0) {
+        for mut blocker in blockers.into_iter().filter(|j| j.nodes > 0) {
+            blocker.duration = SimDuration::from_secs(58 + u64::from(blocker.nodes % 5));
             cluster
-                .start_job(blocker, SimTime::ZERO)
+                .start_job(&blocker, SimTime::ZERO)
                 .expect("blockers stay within the machine");
         }
         cluster
+    }
+
+    fn free_now(cluster: &ClusterState) -> (u32, u64, [u32; MAX_CLASSES]) {
+        let by_class = cluster.free_by_class();
+        (cluster.free_nodes(), cluster.free_memory_gb(), by_class)
+    }
+
+    /// `head`'s EASY reservation at t = 0 on `cluster`, read off a
+    /// calendar whose releases are the blockers' ends.
+    fn reservation_on(cluster: &ClusterState, head: &JobSpec) -> HeadReservation {
+        let topology = cluster.config().topology;
+        let mut running: Vec<_> = cluster.running().collect();
+        running.sort_by_key(|r| (r.end, r.spec.id));
+        let releases = running.iter().map(|r| {
+            let by_class = if topology.is_flat() {
+                [0; MAX_CLASSES]
+            } else {
+                rsched_cluster::nodes_per_slot(&topology, &r.allocation.nodes)
+            };
+            (r.end, r.spec.nodes, r.allocation.memory_gb, by_class)
+        });
+        let (free_nodes, free_memory_gb, free_by_class) = free_now(cluster);
+        let calendar = crate::profile::CapacityCalendar::build(
+            SimTime::ZERO,
+            free_nodes,
+            free_memory_gb,
+            free_by_class,
+            releases,
+        );
+        calendar.head_reservation(&topology, free_by_class, head)
     }
 
     proptest! {
@@ -685,16 +840,18 @@ mod tests {
 
         /// The fit summary as an invariant: under any interleaving of
         /// inserts, ranked inserts, removals and probes at any free level,
-        /// `any_fits` and `shortest` are the brute-force answers; on the
-        /// flat machine the watermarks never exceed the true column
-        /// minima, on the classed one the index is a recount of the live
-        /// jobs; and the shortest-first order — first asked for at
+        /// `any_fits`, `shortest` and `first_admitted` — for an arbitrary
+        /// head, so for shadows now, among the walltimes, after them and
+        /// never — are the brute-force answers; on the flat machine the
+        /// watermarks never exceed the true column minima, on the classed
+        /// one the index is a recount of the live jobs; and the
+        /// shortest-first and arrival orders — each first asked for at
         /// whatever point the ops put it, over a deep queue or an empty
-        /// one — is from then on a rebuild from the live jobs.
+        /// one — are from then on a rebuild from the live jobs.
         #[test]
         fn any_fits_is_brute_force_and_watermarks_bound_the_minima(
             classed in 0u8..2,
-            ops in prop::collection::vec((0u8..5, 0u32..1000, 0u64..1000, 0u64..50), 1..200),
+            ops in prop::collection::vec((0u8..6, 0u32..1000, 0u64..1000, 0u64..50), 1..200),
         ) {
             let classed = classed == 1;
             let mut q = WaitQueue::new(cluster_at(classed, 0, 0, 0).config().topology);
@@ -719,15 +876,28 @@ mod tests {
                         let expect = q.as_slice().iter().any(|j| cluster.can_fit(j));
                         prop_assert_eq!(q.any_fits(&cluster), expect);
                     }
-                    _ => {
+                    4 => {
                         let cluster = cluster_at(classed, a, b, c);
                         let fitting = q.as_slice().iter().filter(|j| cluster.can_fit(j));
                         let expect = fitting.min_by_key(|j| (j.walltime, j.id)).map(|j| j.id);
-                        let got = q.shortest(
-                            cluster.free_nodes(),
-                            cluster.free_memory_gb(),
-                            &cluster.free_by_class(),
-                        );
+                        let (nodes, memory_gb, by_class) = free_now(&cluster);
+                        prop_assert_eq!(q.shortest(nodes, memory_gb, &by_class), expect);
+                    }
+                    _ => {
+                        let cluster = cluster_at(classed, a, b, c);
+                        // Any job; or the whole machine, which nothing
+                        // fits beside: admission by walltime alone.
+                        let head = if c % 2 == 0 {
+                            arbitrary_job(classed, u32::MAX, a.rotate_left(7) ^ b as u32, c * 7, 0)
+                        } else {
+                            let machine = cluster.config();
+                            spec(u32::MAX, 0, machine.nodes, if classed { 0 } else { machine.memory_gb })
+                        };
+                        let reservation = reservation_on(&cluster, &head);
+                        let mut fitting = q.as_slice().iter().filter(|j| cluster.can_fit(j));
+                        let expect = fitting.find(|j| reservation.admits(j)).map(|j| j.id);
+                        let (nodes, memory_gb, by_class) = free_now(&cluster);
+                        let got = q.first_admitted((nodes, memory_gb, &by_class), &reservation);
                         prop_assert_eq!(got, expect);
                     }
                 }
@@ -735,6 +905,11 @@ mod tests {
                 if let Some(order) = q.order.get() {
                     let keys = live.iter().map(|j| OrderKey::of(&q.topology, j));
                     prop_assert_eq!(order, &keys.collect::<BTreeSet<_>>());
+                }
+                if let Some(arrival) = q.arrival.get() {
+                    let keys = live.iter().zip(&q.ranks[q.head..]);
+                    let keys = keys.map(|(j, &rank)| arrival_key(&q.topology, j, rank));
+                    prop_assert_eq!(arrival, &keys.collect::<BTreeSet<_>>());
                 }
                 if classed {
                     let mut recount = BTreeMap::new();

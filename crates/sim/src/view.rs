@@ -106,7 +106,8 @@ pub struct SystemView<'a> {
     pub telemetry: Option<&'a rsched_telemetry::TelemetrySink>,
     /// The kernel's wait queue behind `waiting`, when this view was built
     /// by a kernel — an opaque handle: [`shortest_eligible`](Self::shortest_eligible)
-    /// answers from its shortest-first order. Hand-built views leave it
+    /// answers from its shortest-first order, [`first_admitted`](Self::first_admitted)
+    /// from its arrival order. Hand-built views leave it
     /// `None` and the accessor falls back to a linear pass over `waiting`.
     pub queue: Option<&'a crate::queue::WaitQueue>,
 }
@@ -166,6 +167,19 @@ impl<'a> SystemView<'a> {
             return shortest.map(|j| j.id);
         };
         queue.shortest(self.free_nodes, self.free_memory_gb, &self.free_by_class)
+    }
+
+    /// The first waiting job, in queue order, that fits right now and that
+    /// `reservation` admits — arrival-order EASY's pick. Kernel-built views
+    /// ask the wait queue, which gives each demand class one verdict over an
+    /// order built at the first call; hand-built views walk, the definition.
+    pub fn first_admitted(&self, reservation: &crate::profile::HeadReservation) -> Option<JobId> {
+        let Some(queue) = self.queue else {
+            let walked = self.eligible_now().find(|j| reservation.admits(j));
+            return walked.map(|j| j.id);
+        };
+        let free = (self.free_nodes, self.free_memory_gb, &self.free_by_class);
+        queue.first_admitted(free, reservation)
     }
 
     /// `true` once every job has arrived and been started (the paper's

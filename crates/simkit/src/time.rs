@@ -29,10 +29,11 @@ impl SimTime {
         SimTime(ms)
     }
 
-    /// A time `secs` seconds after the epoch.
+    /// A time `secs` seconds after the epoch, saturating at
+    /// [`SimTime::MAX`].
     #[inline]
     pub const fn from_secs(secs: u64) -> Self {
-        SimTime(secs * 1000)
+        SimTime(secs.saturating_mul(1000))
     }
 
     /// A time `secs` (fractional) seconds after the epoch, rounded to the
@@ -111,16 +112,19 @@ impl SimDuration {
         SimDuration(ms)
     }
 
-    /// A duration of `secs` whole seconds.
+    /// A duration of `secs` whole seconds, saturating at
+    /// [`SimDuration::MAX`] — trace fields are outside input, and a
+    /// requested time of `i64::MAX` seconds is a job that never ends, not
+    /// a short one.
     #[inline]
     pub const fn from_secs(secs: u64) -> Self {
-        SimDuration(secs * 1000)
+        SimDuration(secs.saturating_mul(1000))
     }
 
-    /// A duration of `mins` whole minutes.
+    /// A duration of `mins` whole minutes, saturating likewise.
     #[inline]
     pub const fn from_mins(mins: u64) -> Self {
-        SimDuration(mins * 60 * 1000)
+        SimDuration(mins.saturating_mul(60 * 1000))
     }
 
     /// A duration of `secs` (fractional) seconds, rounded to the nearest
@@ -186,18 +190,20 @@ fn secs_to_millis(secs: f64) -> u64 {
     }
 }
 
+/// Saturates at [`SimTime::MAX`]: an instant past the far future is the
+/// far future, never a wrapped-around early one.
 impl Add<SimDuration> for SimTime {
     type Output = SimTime;
     #[inline]
     fn add(self, d: SimDuration) -> SimTime {
-        SimTime(self.0 + d.0)
+        SimTime(self.0.saturating_add(d.0))
     }
 }
 
 impl AddAssign<SimDuration> for SimTime {
     #[inline]
     fn add_assign(&mut self, d: SimDuration) {
-        self.0 += d.0;
+        *self = *self + d;
     }
 }
 
@@ -221,18 +227,19 @@ impl Sub<SimTime> for SimTime {
     }
 }
 
+/// Saturates at [`SimDuration::MAX`].
 impl Add for SimDuration {
     type Output = SimDuration;
     #[inline]
     fn add(self, other: SimDuration) -> SimDuration {
-        SimDuration(self.0 + other.0)
+        SimDuration(self.0.saturating_add(other.0))
     }
 }
 
 impl AddAssign for SimDuration {
     #[inline]
     fn add_assign(&mut self, other: SimDuration) {
-        self.0 += other.0;
+        *self = *self + other;
     }
 }
 
@@ -349,6 +356,28 @@ mod tests {
         assert_eq!(d * 3, SimDuration::from_secs(12));
         assert_eq!(d / 2, SimDuration::from_secs(2));
         assert_eq!(d - SimDuration::from_secs(1), SimDuration::from_secs(3));
+    }
+
+    /// A duration too long to represent is the longest one, and an instant
+    /// past the far future is the far future — in debug builds too, where
+    /// the unchecked operators used to panic, and never a wrapped-around
+    /// small value, which release builds used to yield.
+    #[test]
+    fn construction_and_addition_saturate() {
+        let never = i64::MAX as u64;
+        assert_eq!(SimDuration::from_secs(never), SimDuration::MAX);
+        assert_eq!(SimDuration::from_mins(never), SimDuration::MAX);
+        assert_eq!(SimTime::from_secs(never), SimTime::MAX);
+        let t = SimTime::from_secs(10);
+        assert_eq!(t + SimDuration::MAX, SimTime::MAX);
+        assert_eq!(
+            SimDuration::MAX + SimDuration::from_secs(1),
+            SimDuration::MAX
+        );
+        let (mut at, mut span) = (t, SimDuration::from_secs(1));
+        at += SimDuration::MAX;
+        span += SimDuration::MAX;
+        assert_eq!((at, span), (SimTime::MAX, SimDuration::MAX));
     }
 
     #[test]

@@ -772,6 +772,18 @@ mod tests {
         assert_eq!(jobs[0].walltime, SimDuration::from_secs(900));
     }
 
+    /// Trace fields are outside input: a requested time of `i64::MAX`
+    /// seconds converts — in a debug build too, where the multiplication by
+    /// 1000 used to panic — to the longest walltime there is, not to the
+    /// few-seconds one the wrapped product was in a release build.
+    #[test]
+    fn a_requested_time_too_long_to_represent_saturates() {
+        let line = "1 0 12 1820 8 1650.5 1048576 8 9223372036854775807 -1 1 11 2 3 1 1 -1 -1\n";
+        let jobs = parse_trace(line).expect("parses").to_jobs(0);
+        assert_eq!(jobs[0].duration, SimDuration::from_secs(1820));
+        assert_eq!(jobs[0].walltime, SimDuration::MAX);
+    }
+
     #[test]
     fn display_roundtrips_through_parse() {
         let trace = parse_trace(SAMPLE).expect("parses");

@@ -32,7 +32,11 @@ use reasoned_scheduler::cluster::{
 use reasoned_scheduler::prelude::*;
 use reasoned_scheduler::sim::{CapacityCalendar, ReservationProfile};
 use reasoned_scheduler::workloads::scenario_builtins;
+use reasoned_scheduler::workloads::swf::parse_trace;
 use reasoned_scheduler::workloads::{ArrivalMode, ScenarioContext};
+
+mod common;
+use common::serve_with_fair_share;
 
 // ------------------------------------------------------------------------
 // Straight-line reference policies
@@ -463,6 +467,31 @@ fn calendar_backfill_matches_reference_on_a_polaris_stream() {
     }
 }
 
+/// EASY through the service core with fair-share ranking on, flat and
+/// classed: arrivals enter at their tenants' usage-decayed ranks, so the
+/// queue — and the arrival order EASY's pick is read from — runs by
+/// `(rank, submit, id)`, not by arrival (`serve_with_fair_share` asserts
+/// the ranks really reordered it). The reference walks `view.waiting` as it
+/// finds it: same records, same decision log.
+#[test]
+fn easy_reads_the_queue_order_under_fair_share_ranks() {
+    let grid = [
+        (ClusterConfig::paper_default(), "heterogeneous_mix"),
+        (ClusterConfig::mixed_256(), "gpu_skewed_hetmix"),
+    ];
+    for (cluster, scenario) in grid {
+        let ctx = ScenarioContext::new(2000)
+            .with_mode(ArrivalMode::Dynamic)
+            .with_seed(3);
+        let generated = scenario_builtins().generate(scenario, &ctx);
+        let jobs = generated.expect("builtin scenario").jobs;
+        let a = serve_with_fair_share(cluster, &jobs, Box::new(EasyBackfill::new()));
+        let b = serve_with_fair_share(cluster, &jobs, Box::new(RefEasy::default()));
+        assert_outcomes_identical(&a, &b, &format!("{scenario}, served"));
+        assert!(a.stats.backfills > 0, "{scenario}: nothing was backfilled");
+    }
+}
+
 /// Six unsafe candidates stand between a blocked head and the one safe
 /// job, each narrower and longer than the one before, so none dominates
 /// another. The policy examines all seven at the instant they arrive and
@@ -503,6 +532,42 @@ fn easy_backfills_the_one_safe_job_behind_six_unsafe_ones() {
             assert_eq!(out.stats.rejections, 0, "{label}");
         }
     }
+}
+
+/// An SWF row asking for `i64::MAX` seconds is, by its estimate, a job
+/// that never ends. Behind a head that wants the whole machine it fits now
+/// and not beside the head, so only "ends by the shadow" could admit it —
+/// and `now + walltime`, wrapped, used to read as an early end. It waits
+/// for the head, the short job behind it backfills, and the calendar
+/// policies still equal their references with an estimated release at the
+/// end of time on the books.
+#[test]
+fn a_job_that_never_ends_does_not_end_by_the_shadow() {
+    let text = "; MaxNodes: 17\n\
+        1 0 0 100 9 -1 -1 9 100 -1 1 1 1 1 1 1 -1 -1\n\
+        2 1 0 50 17 -1 -1 17 50 -1 1 1 1 1 1 1 -1 -1\n\
+        3 2 12 1820 8 1650.5 1048576 8 9223372036854775807 -1 1 11 2 3 1 1 -1 -1\n\
+        4 3 0 50 1 -1 -1 1 50 -1 1 1 1 1 1 1 -1 -1\n";
+    let trace = parse_trace(text).expect("parses");
+    let (cluster, jobs) = (trace.cluster(), trace.to_jobs(0));
+    assert_eq!(jobs[2].walltime, SimDuration::MAX);
+    for mut policy in [EasyBackfill::new(), EasyBackfill::sjbf()] {
+        let out =
+            run_simulation(cluster, &jobs, &mut policy, &SimOptions::default()).expect("completes");
+        let mut starts: Vec<(u32, u64)> = out
+            .records
+            .iter()
+            .map(|r| (r.spec.id.0, r.start.as_secs()))
+            .collect();
+        starts.sort_unstable();
+        assert_eq!(
+            starts,
+            [(0, 0), (1, 100), (2, 150), (3, 3)],
+            "{}",
+            policy.name()
+        );
+    }
+    run_pair(cluster, &jobs, "never-ending");
 }
 
 /// Release-mode deep-stream differential — the EASY family over a

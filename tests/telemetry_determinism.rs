@@ -167,45 +167,119 @@ fn harvested_counters_agree_with_kernel_stats() {
     assert!(counter(&snapshot, "sim_conservative_reservation_passes_total") > 0);
 }
 
+/// `long_tail` × `n` static jobs at seed 7 on Polaris under `policy`, a
+/// recording sink attached: the jobs, the outcome, the metrics snapshot.
+fn long_tail_run(
+    policy: &mut dyn SchedulingPolicy,
+    n: usize,
+) -> (Vec<JobSpec>, SimOutcome, MetricsSnapshot) {
+    let ctx = ScenarioContext::new(n)
+        .with_mode(ArrivalMode::Static)
+        .with_seed(7);
+    let generated = scenario_builtins().generate("long_tail", &ctx);
+    let jobs = generated.expect("builtin scenario").jobs;
+    let sink = TelemetrySink::recording();
+    let sim = Simulation::new(ClusterConfig::polaris()).jobs(&jobs);
+    let outcome = sim.telemetry(&sink).run(policy);
+    let snapshot = sink.snapshot().expect("recording sink snapshots");
+    (jobs, outcome.expect("simulation completes"), snapshot)
+}
+
 /// The wait queue's shortest-first order, as work rather than seconds: SJF
 /// builds it once, and a query examines at most one key per demand class
 /// waiting (plus the one that ends a walk early) however deep the queue;
 /// a policy that never asks "which job fits?" never builds it.
 #[test]
 fn queue_order_is_built_once_for_sjf_and_never_for_fcfs() {
-    let cluster = ClusterConfig::polaris();
-    let jobs = scenario_builtins()
-        .generate(
-            "long_tail",
-            &ScenarioContext::new(2000)
-                .with_mode(ArrivalMode::Static)
-                .with_seed(7),
-        )
-        .expect("builtin scenario")
-        .jobs;
-    let classes: std::collections::BTreeSet<(u64, u32)> =
-        jobs.iter().map(|j| (j.memory_gb, j.nodes)).collect();
     let order_counters = |policy: &mut dyn SchedulingPolicy| {
-        let sink = TelemetrySink::recording();
-        let outcome = Simulation::new(cluster)
-            .jobs(&jobs)
-            .telemetry(&sink)
-            .run(policy)
-            .expect("simulation completes");
-        let snapshot = sink.snapshot().expect("recording sink snapshots");
+        let (jobs, outcome, snapshot) = long_tail_run(policy, 2000);
+        let classes: std::collections::BTreeSet<(u64, u32)> =
+            jobs.iter().map(|j| (j.memory_gb, j.nodes)).collect();
         (
             counter(&snapshot, "sim_queue_index_builds_total"),
             counter(&snapshot, "sim_queue_index_probes_total"),
             outcome.stats.queries as u64,
+            classes.len() as u64,
         )
     };
-    let (builds, probes, queries) = order_counters(&mut Sjf::default());
+    let (builds, probes, queries, classes) = order_counters(&mut Sjf::default());
     assert_eq!(builds, 1, "built at the first ask, maintained from then on");
     assert!(
-        (1..=queries * (classes.len() as u64 + 1)).contains(&probes),
-        "{probes} probes over {queries} queries and {} demand classes",
-        classes.len()
+        (1..=queries * (classes + 1)).contains(&probes),
+        "{probes} probes over {queries} queries and {classes} demand classes"
     );
-    let (builds, probes, _) = order_counters(&mut Fcfs::default());
+    let (builds, probes, ..) = order_counters(&mut Fcfs::default());
     assert_eq!((builds, probes), (0, 0), "FCFS never asks, so never pays");
+}
+
+/// Arrival-order EASY with the walk its pick replaced counted beside it:
+/// behind a blocked head the linear walk read every waiting spec up to the
+/// pick, the whole queue for a `Delay`.
+struct WalkCounted {
+    easy: EasyBackfill,
+    specs: u64,
+}
+
+impl SchedulingPolicy for WalkCounted {
+    fn name(&self) -> &str {
+        self.easy.name()
+    }
+
+    fn decide(&mut self, view: &SystemView<'_>) -> Action {
+        let action = self.easy.decide(view);
+        let at = |id| view.waiting.iter().position(|j| j.id == id);
+        self.specs += match action {
+            Action::BackfillJob(id) => 1 + at(id).expect("the pick waits") as u64,
+            Action::Delay => view.waiting.len() as u64,
+            Action::StartJob(_) | Action::Stop => 0,
+        };
+        action
+    }
+
+    fn provenance(&mut self) -> Option<DelayReason> {
+        self.easy.provenance()
+    }
+}
+
+/// The wait queue's arrival order, as work rather than seconds. EASY builds
+/// it once; FCFS, SJF, Conservative and EASY-SJBF (a minimum over walltime,
+/// which it does not answer) never do. And on the flat cell `backfill_8k`
+/// times — `long_tail` × 8000 static jobs on Polaris — the index entries
+/// EASY examines are an exact count, a fraction of the specs the walk read.
+#[test]
+fn arrival_order_is_built_once_for_easy_and_examines_a_fraction_of_the_walk() {
+    let arrival_counters = |policy: &mut dyn SchedulingPolicy, n: usize| {
+        let (.., snapshot) = long_tail_run(policy, n);
+        (
+            counter(&snapshot, "sim_queue_arrival_index_builds_total"),
+            counter(&snapshot, "sim_queue_arrival_entries_total"),
+        )
+    };
+    let (builds, entries) = arrival_counters(&mut EasyBackfill::new(), 2000);
+    assert_eq!(builds, 1, "built at the first ask, maintained from then on");
+    assert!(entries > 0);
+    let never: [&mut dyn SchedulingPolicy; 4] = [
+        &mut Fcfs::default(),
+        &mut Sjf::default(),
+        &mut ConservativeBackfill::new(),
+        &mut EasyBackfill::sjbf(),
+    ];
+    for policy in never {
+        let name = policy.name().to_owned();
+        assert_eq!(arrival_counters(policy, 2000), (0, 0), "{name} never asks");
+    }
+
+    let mut counted = WalkCounted {
+        easy: EasyBackfill::new(),
+        specs: 0,
+    };
+    let (_, entries) = arrival_counters(&mut counted, 8000);
+    let walked = counted.specs;
+    assert!(walked > 10_000_000, "the walk read {walked} specs");
+    assert!(
+        entries * 100 <= walked * 30,
+        "{entries} entries examined against {walked} specs walked"
+    );
+    let again = arrival_counters(&mut EasyBackfill::new(), 8000);
+    assert_eq!(again, (1, entries), "exact counts");
 }
