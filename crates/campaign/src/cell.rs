@@ -54,20 +54,20 @@ impl CellSpec {
     /// Classed topology and a non-unit walltime skew are folded in as
     /// *conditional* trailing segments: a flat cluster with exact
     /// estimates hashes exactly as it did before either knob existed, so
-    /// no previously cached flat-grid cell is invalidated. The literal
-    /// `false` after the solver budget is where a removed knob
-    /// (`use_genetic`, never set) was printed.
+    /// no previously cached flat-grid cell is invalidated. The literals
+    /// `9,500000` before the solver budget and `false` after it are where
+    /// removed knobs were printed (the size limit and node budget of the
+    /// solver's exact stage, and `use_genetic`), at the defaults every
+    /// cached cell was run with.
     pub fn content_hash(&self, solver: &SolverConfig, cluster: ClusterConfig, skew: f64) -> u64 {
         use std::fmt::Write as _;
         let mut canonical = format!(
-            "rsched-campaign|fmt{CACHE_FORMAT}|ws{}|{}|{}|{}|{}|solver:{},{},{},{},false|cluster:{},{}",
+            "rsched-campaign|fmt{CACHE_FORMAT}|ws{}|{}|{}|{}|{}|solver:9,500000,{},{},false|cluster:{},{}",
             env!("CARGO_PKG_VERSION"),
             self.policy.to_lowercase(),
             self.scenario.to_lowercase(),
             self.jobs,
             self.seed,
-            solver.exact_max_tasks,
-            solver.bnb_node_budget,
             solver.sa_iterations_per_task,
             solver.sa_iteration_cap,
             cluster.nodes,
@@ -265,10 +265,8 @@ mod tests {
         let solver = SolverConfig::default();
         let cluster = ClusterConfig::paper_default();
         let legacy = format!(
-            "rsched-campaign|fmt{CACHE_FORMAT}|ws{}|fcfs|heterogeneous_mix|60|2025|solver:{},{},{},{},false|cluster:{},{}",
+            "rsched-campaign|fmt{CACHE_FORMAT}|ws{}|fcfs|heterogeneous_mix|60|2025|solver:9,500000,{},{},false|cluster:{},{}",
             env!("CARGO_PKG_VERSION"),
-            solver.exact_max_tasks,
-            solver.bnb_node_budget,
             solver.sa_iterations_per_task,
             solver.sa_iteration_cap,
             cluster.nodes,

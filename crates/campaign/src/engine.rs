@@ -173,7 +173,7 @@ impl Campaign {
             let scenarios = Arc::clone(&self.scenarios);
             pool.spawn(move || {
                 let result = catch_unwind(AssertUnwindSafe(|| {
-                    run_cell(&policies, &scenarios, &cell, solver, cluster, skew)
+                    run_cell(&policies, &scenarios, cell, solver, cluster, skew)
                 }));
                 // The receiver bails on the first panic; later sends then
                 // fail, which is expected and ignorable.
@@ -228,6 +228,9 @@ impl Campaign {
 /// Execute one cell: generate the workload by scenario name, build the
 /// policy by registry name, simulate, and canonicalize the metrics.
 ///
+/// The cell is taken by value and handed back inside the result, so a
+/// worker neither copies nor frees what the coordinating thread allocated.
+///
 /// # Panics
 /// On simulation failure — spec validation already proved the names
 /// resolve, so a policy that cannot finish a workload is a harness bug,
@@ -235,7 +238,7 @@ impl Campaign {
 pub fn run_cell(
     policies: &PolicyRegistry,
     scenarios: &ScenarioRegistry,
-    cell: &CellSpec,
+    cell: CellSpec,
     solver: rsched_cpsolver::SolverConfig,
     cluster: rsched_cluster::ClusterConfig,
     walltime_skew: f64,
@@ -260,7 +263,7 @@ pub fn run_cell(
         .unwrap_or_else(|e| panic!("cell {} failed: {e}", cell.label()));
     let report = MetricsReport::compute(&outcome.records, cluster);
     CellResult::new(
-        cell.clone(),
+        cell,
         &report,
         outcome.stats.placements as u64,
         outcome.stats.epochs as u64,
@@ -368,8 +371,8 @@ exclude = ["SJF/10"]
         };
         let solver = rsched_cpsolver::SolverConfig::default();
         let cluster = rsched_cluster::ClusterConfig::paper_default();
-        let a = run_cell(&policies, &scenarios, &cell, solver, cluster, 1.0);
-        let b = run_cell(&policies, &scenarios, &cell, solver, cluster, 1.0);
+        let a = run_cell(&policies, &scenarios, cell.clone(), solver, cluster, 1.0);
+        let b = run_cell(&policies, &scenarios, cell, solver, cluster, 1.0);
         assert_eq!(a, b);
         assert_eq!(a.placements, 12);
     }

@@ -1,5 +1,4 @@
-//! Streaming observation of a running campaign — the campaign-scale
-//! analogue of `rsched_sim::SimObserver`.
+//! Streaming observation of a running campaign.
 //!
 //! A [`CampaignObserver`] receives callbacks *while* the engine executes:
 //! once at launch (with the grid size and cache-hit count), once per

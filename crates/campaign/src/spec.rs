@@ -263,8 +263,6 @@ const KNOWN_KEYS: &[&str] = &[
     "objectives",
     "exclude",
     "walltime_skew",
-    "solver.exact_max_tasks",
-    "solver.bnb_node_budget",
     "solver.sa_iterations_per_task",
     "solver.sa_iteration_cap",
     "cluster.nodes",
@@ -375,14 +373,6 @@ fn solver_from(table: &TomlTable) -> Result<SolverConfig, CampaignError> {
                 .ok_or_else(|| CampaignError::Validation(format!("`{key}` must be an integer"))),
         }
     };
-    if let Some(v) = int("solver.exact_max_tasks")? {
-        solver.exact_max_tasks =
-            usize::try_from(v).map_err(|_| bad_int("solver.exact_max_tasks", v))?;
-    }
-    if let Some(v) = int("solver.bnb_node_budget")? {
-        solver.bnb_node_budget =
-            u64::try_from(v).map_err(|_| bad_int("solver.bnb_node_budget", v))?;
-    }
     if let Some(v) = int("solver.sa_iterations_per_task")? {
         solver.sa_iterations_per_task =
             u32::try_from(v).map_err(|_| bad_int("solver.sa_iterations_per_task", v))?;
@@ -498,8 +488,6 @@ objectives = ["makespan", "node_util"]
 exclude = ["OR-Tools/1000"]
 
 [solver]
-exact_max_tasks = 4
-bnb_node_budget = 1000
 sa_iterations_per_task = 10
 sa_iteration_cap = 20
 
@@ -515,8 +503,6 @@ memory_gb = 128
         assert_eq!(spec.exclude, vec![("OR-Tools".to_string(), 1000)]);
         assert!(spec.is_excluded("or-tools", 1000), "case-insensitive");
         assert!(!spec.is_excluded("OR-Tools", 60));
-        assert_eq!(spec.solver.exact_max_tasks, 4);
-        assert_eq!(spec.solver.bnb_node_budget, 1000);
         assert_eq!(spec.solver.sa_iterations_per_task, 10);
         assert_eq!(spec.solver.sa_iteration_cap, 20);
         assert_eq!(spec.cluster().nodes, 16);

@@ -111,11 +111,6 @@ impl Topology {
         self.classes.iter().filter(|c| c.is_some()).count()
     }
 
-    /// The class in `slot`, if declared.
-    pub fn class_spec(&self, slot: usize) -> Option<NodeClassSpec> {
-        self.classes.get(slot).copied().flatten()
-    }
-
     /// The contiguous node-index range of the class in `slot` (empty range
     /// for undeclared slots).
     pub fn node_range(&self, slot: usize) -> Range<u32> {

@@ -12,31 +12,23 @@
 //! language feedback ([`constraints`]) appended to the persistent
 //! [`scratchpad`] — Algorithm 1's loop, with no retraining anywhere.
 //!
-//! * [`agent::ReActAgent`] — the loop body: prompt → LLM → parse → record.
-//! * [`policy::LlmSchedulingPolicy`] — the agent as a
-//!   [`SchedulingPolicy`](rsched_sim::SchedulingPolicy), so the simulator
-//!   drives it exactly like FCFS/SJF/OR-Tools.
-//! * [`overhead::OverheadTracker`] — per-call latency/token accounting for
-//!   the computational-overhead analysis (paper §3.7).
-//! * [`trace::DecisionTrace`] — the interpretable decision records behind
-//!   the paper's Figure 2.
+//! * [`policy::LlmSchedulingPolicy`] — the agent: prompt → LLM → parse →
+//!   record, as a [`SchedulingPolicy`](rsched_sim::SchedulingPolicy), so
+//!   the simulator drives it exactly like FCFS/SJF/OR-Tools.
+//! * [`policy::CallRecord`] — what the agent writes down per call: the
+//!   thought, action, verdict and feedback behind the paper's Figure 2,
+//!   and the latency and tokens behind its overhead analysis (§3.7).
 
 #![deny(missing_docs)]
 #![deny(unsafe_code)]
 
 pub mod action;
-pub mod agent;
 pub mod constraints;
-pub mod overhead;
 pub mod policy;
 pub mod prompt;
 pub mod scratchpad;
-pub mod trace;
 
-pub use agent::{AgentOptions, ReActAgent};
-pub use overhead::{CallRecord, OverheadTracker};
-pub use policy::LlmSchedulingPolicy;
+pub use policy::{CallRecord, LlmSchedulingPolicy};
 pub use prompt::PromptBuilder;
 pub use rsched_llm::backend::LanguageModel;
 pub use scratchpad::Scratchpad;
-pub use trace::DecisionTrace;

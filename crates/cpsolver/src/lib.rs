@@ -13,15 +13,16 @@
 //! variant. The solver reproduces the OR-Tools baseline's observable
 //! properties:
 //!
-//! * **provably optimal** schedules for small instances
-//!   ([`bnb`], validated against exhaustive search in tests),
-//! * **near-optimal** schedules for medium/large instances
-//!   ([`anneal`] over serial-SGS decodings),
+//! * **provably optimal** schedules wherever a decoding meets the
+//!   [`bounds::lower_bound`] (the proof every shipped run that has one
+//!   gets),
+//! * **near-optimal** schedules otherwise ([`anneal`] over serial-SGS
+//!   decodings, checked against exhaustive search in tests),
 //! * **utilization-focused, fairness-blind** objectives — there is no
 //!   fairness term, exactly like the paper's OR-Tools runs.
 //!
-//! [`portfolio::Solver`] picks the strategy by instance size under a
-//! deterministic iteration budget.
+//! [`portfolio::Solver`] runs the stages under a deterministic iteration
+//! budget.
 //!
 //! ```
 //! use rsched_cpsolver::{Instance, Solver, SolverConfig, Task};
@@ -40,7 +41,6 @@
 #![deny(unsafe_code)]
 
 pub mod anneal;
-pub mod bnb;
 pub mod bounds;
 pub mod listsched;
 pub mod model;

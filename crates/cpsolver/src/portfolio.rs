@@ -1,10 +1,9 @@
-//! The portfolio driver: exact search for small instances, metaheuristics
-//! for the rest — mirroring how CP-SAT behaves on this problem class
-//! ("globally optimal or near-optimal for small-to-medium workloads",
-//! paper §3.3).
+//! The portfolio driver: the best priority rule, refined by simulated
+//! annealing unless it already meets the lower bound — mirroring how CP-SAT
+//! behaves on this problem class ("globally optimal or near-optimal for
+//! small-to-medium workloads", paper §3.3).
 
 use crate::anneal::{anneal, AnnealConfig};
-use crate::bnb::BranchAndBound;
 use crate::bounds::lower_bound;
 use crate::listsched::{priority_order, PriorityRule};
 use crate::model::{Instance, Schedule};
@@ -15,8 +14,6 @@ use crate::sgs::decode_with_makespan;
 pub enum SolveMethod {
     /// Priority-rule list scheduling only.
     ListScheduling,
-    /// Exact branch-and-bound (proof completed).
-    BranchAndBound,
     /// Simulated annealing refinement.
     Annealing,
 }
@@ -30,18 +27,14 @@ pub struct Solution {
     pub makespan: u64,
     /// Engine that found it.
     pub method: SolveMethod,
-    /// `true` when the makespan is provably optimal (B&B closed, or the
-    /// lower bound was met).
+    /// `true` when the makespan is provably optimal (the lower bound was
+    /// met).
     pub proven_optimal: bool,
 }
 
 /// Portfolio configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SolverConfig {
-    /// Instances up to this many tasks go to exact branch-and-bound.
-    pub exact_max_tasks: usize,
-    /// B&B node budget.
-    pub bnb_node_budget: u64,
     /// SA iterations (scaled ×n internally).
     pub sa_iterations_per_task: u32,
     /// Hard ceiling on total SA iterations regardless of instance size —
@@ -54,8 +47,6 @@ pub struct SolverConfig {
 impl Default for SolverConfig {
     fn default() -> Self {
         SolverConfig {
-            exact_max_tasks: 9,
-            bnb_node_budget: 500_000,
             sa_iterations_per_task: 400,
             sa_iteration_cap: 6_000,
             seed: 0xC0FFEE,
@@ -101,29 +92,8 @@ impl Solver {
         }
         let mut method = SolveMethod::ListScheduling;
 
-        if best_mk > lb && instance.len() <= self.config.exact_max_tasks {
-            // Stage 2a: exact search for small instances.
-            let result = BranchAndBound {
-                node_budget: self.config.bnb_node_budget,
-            }
-            .solve(instance, &best_order);
-            if result.proven_optimal {
-                return Solution {
-                    schedule: result.schedule,
-                    makespan: result.makespan,
-                    method: SolveMethod::BranchAndBound,
-                    proven_optimal: true,
-                };
-            }
-            if result.makespan < best_mk {
-                best_mk = result.makespan;
-                best_order = best_order_from_schedule(instance, &result.schedule);
-                method = SolveMethod::BranchAndBound;
-            }
-        }
-
         if best_mk > lb {
-            // Stage 2b: simulated annealing from the best seed.
+            // Stage 2: simulated annealing from the best seed.
             let iterations = self
                 .config
                 .sa_iterations_per_task
@@ -154,14 +124,6 @@ impl Solver {
             proven_optimal: makespan == lb,
         }
     }
-}
-
-/// Recover an SGS order from a schedule by sorting on (start, index) — the
-/// serial decoding of that order reproduces a schedule at least as good.
-fn best_order_from_schedule(instance: &Instance, schedule: &Schedule) -> Vec<usize> {
-    let mut order: Vec<usize> = (0..instance.len()).collect();
-    order.sort_by_key(|&i| (schedule.starts[i], i));
-    order
 }
 
 #[cfg(test)]
@@ -195,17 +157,6 @@ mod tests {
             })
             .collect();
         Instance::new(tasks, 4, 16)
-    }
-
-    #[test]
-    fn small_instances_are_proven_optimal() {
-        for seed in 0..5u64 {
-            let inst = pseudo_random_instance(seed, 7);
-            let sol = Solver::default().solve(&inst);
-            assert!(sol.proven_optimal, "seed {seed}");
-            assert!(sol.schedule.is_feasible(&inst));
-            assert!(sol.makespan >= lower_bound(&inst));
-        }
     }
 
     #[test]

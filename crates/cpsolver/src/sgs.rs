@@ -32,21 +32,8 @@ impl Timetable {
         }
     }
 
-    /// The earliest start `≥ task.release` from which the task fits for
-    /// its whole duration beside everything placed so far.
-    pub(crate) fn earliest_start(&self, task: &Task) -> u64 {
-        self.reserved
-            .earliest_window(
-                &self.base,
-                SimTime::from_millis(task.release),
-                task.nodes,
-                task.memory,
-                SimDuration::from_millis(task.duration),
-            )
-            .as_millis()
-    }
-
-    /// Book the task at its [`earliest_start`](Self::earliest_start) and
+    /// Book the task at the earliest start `≥ task.release` from which it
+    /// fits for its whole duration beside everything placed so far, and
     /// return that start.
     pub(crate) fn place(&mut self, task: &Task) -> u64 {
         self.reserved

@@ -13,7 +13,7 @@ use std::fs;
 use std::path::Path;
 
 use rsched_experiments::artifact::write_cells_json;
-use rsched_experiments::figures::{ablation, fig3, fig4, fig5, fig6, fig7, fig8};
+use rsched_experiments::figures::{ablation, fig3, fig4, fig7, fig8, overhead};
 use rsched_experiments::output::{normalized_rows_to_csv, overhead_rows_to_csv};
 use rsched_experiments::runner::RunResult;
 use rsched_experiments::ExperimentOptions;
@@ -94,41 +94,15 @@ fn main() {
     );
     write_cells(cells_dir, "fig4", &f4.runs);
 
-    let f5 = fig5::run(&opts, &pool);
-    print!("{}", f5.render());
-    let rows: Vec<(Vec<String>, _)> = f5
-        .cells
-        .iter()
-        .map(|c| {
-            (
-                vec![scenario_title(&c.scenario), c.model.clone()],
-                c.overhead.clone(),
-            )
-        })
-        .collect();
-    write(
-        "results/fig5.csv",
-        &overhead_rows_to_csv(&["scenario", "model"], &rows),
-    );
-    write_cells(cells_dir, "fig5", &f5.runs);
-
-    let f6 = fig6::run(&opts, &pool);
-    print!("{}", f6.render());
-    let rows: Vec<(Vec<String>, _)> = f6
-        .cells
-        .iter()
-        .map(|c| {
-            (
-                vec![c.jobs.to_string(), c.model.clone()],
-                c.overhead.clone(),
-            )
-        })
-        .collect();
-    write(
-        "results/fig6.csv",
-        &overhead_rows_to_csv(&["jobs", "model"], &rows),
-    );
-    write_cells(cells_dir, "fig6", &f6.runs);
+    // Figures 5 and 6 are the overhead of the runs just scored, not runs
+    // of their own, so they add no cells.
+    for (name, figure) in [("fig5", overhead::fig5(&f3)), ("fig6", overhead::fig6(&f4))] {
+        print!("{}", figure.render());
+        write(
+            &format!("results/{name}.csv"),
+            &overhead_rows_to_csv(&[figure.varies, "model"], &figure.rows),
+        );
+    }
 
     let f7 = fig7::run(&opts, &pool);
     print!("{}", f7.render());

@@ -1,6 +1,7 @@
-//! Regenerates the paper's Figure 5. See `rsched_experiments::figures::fig5`.
+//! Regenerates the paper's Figure 5: runs Figure 3's grid and prints the
+//! agents' overhead on it. See `rsched_experiments::figures::overhead`.
 
-use rsched_experiments::figures::fig5;
+use rsched_experiments::figures::{fig3, overhead};
 use rsched_experiments::ExperimentOptions;
 use rsched_parallel::ThreadPool;
 
@@ -13,6 +14,6 @@ fn main() {
         }
     };
     let pool = ThreadPool::available_parallelism();
-    let output = fig5::run(&opts, &pool);
+    let output = overhead::fig5(&fig3::run(&opts, &pool));
     print!("{}", output.render());
 }

@@ -1,6 +1,7 @@
-//! Regenerates the paper's Figure 6. See `rsched_experiments::figures::fig6`.
+//! Regenerates the paper's Figure 6: runs Figure 4's grid and prints the
+//! agents' overhead on it. See `rsched_experiments::figures::overhead`.
 
-use rsched_experiments::figures::fig6;
+use rsched_experiments::figures::{fig4, overhead};
 use rsched_experiments::ExperimentOptions;
 use rsched_parallel::ThreadPool;
 
@@ -13,6 +14,6 @@ fn main() {
         }
     };
     let pool = ThreadPool::available_parallelism();
-    let output = fig6::run(&opts, &pool);
+    let output = overhead::fig6(&fig4::run(&opts, &pool));
     print!("{}", output.render());
 }

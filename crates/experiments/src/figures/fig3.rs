@@ -109,7 +109,6 @@ mod tests {
             solver: SolverConfig {
                 sa_iterations_per_task: 30,
                 sa_iteration_cap: 600,
-                exact_max_tasks: 5,
                 ..SolverConfig::default()
             },
         }

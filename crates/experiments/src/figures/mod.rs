@@ -1,12 +1,12 @@
-//! One module per paper figure.
+//! One module per experiment grid; Figures 5 and 6 are [`overhead`] views
+//! of the runs Figures 3 and 4 score.
 
 pub mod ablation;
 pub mod fig3;
 pub mod fig4;
-pub mod fig5;
-pub mod fig6;
 pub mod fig7;
 pub mod fig8;
+pub mod overhead;
 
 use rsched_metrics::table::fmt_ratio;
 use rsched_metrics::{Metric, NormalizedReport, TextTable};

@@ -1,14 +1,15 @@
 //! # rsched-experiments
 //!
-//! The figure-regeneration harness: one module (and one binary) per figure
-//! of the paper's evaluation.
+//! The figure-regeneration harness: one binary per figure of the paper's
+//! evaluation, one module per grid that is run (the two overhead figures
+//! are views of the grids `fig3` and `fig4` run, in `figures::overhead`).
 //!
 //! | Target | Paper artifact |
 //! |---|---|
 //! | `fig3` | Normalized metrics, six scenarios @ 60 jobs (§3.5) |
 //! | `fig4` | Scalability on Heterogeneous Mix, 10–100 jobs (§3.6) |
-//! | `fig5` | Overhead by workload @ 60 jobs (§3.7.1) |
-//! | `fig6` | Overhead scaling with queue size (§3.7.2) |
+//! | `fig5` | Overhead by workload @ 60 jobs (§3.7.1) — of `fig3`'s runs |
+//! | `fig6` | Overhead scaling with queue size (§3.7.2) — of `fig4`'s runs |
 //! | `fig7` | Robustness box plots, 5 runs @ 100 jobs (§4) |
 //! | `fig8` | Polaris trace replay, 100 jobs (§5) |
 //!

@@ -199,7 +199,6 @@ mod tests {
         SolverConfig {
             sa_iterations_per_task: 40,
             sa_iteration_cap: 800,
-            exact_max_tasks: 6,
             ..SolverConfig::default()
         }
     }

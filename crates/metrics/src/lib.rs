@@ -11,9 +11,6 @@
 //!   `Σ m_j·d_j / (M·makespan)`.
 //! * **Fairness** — Jain's index over per-job waits and per-user mean waits.
 //!
-//! The [`energy`] module implements the paper's future-work direction
-//! (energy-aware scheduling) as a documented extension.
-//!
 //! Plus the paper's presentation machinery: normalization against the FCFS
 //! baseline (with the 0/0 omission rule of §3.5), multi-run aggregation for
 //! the robustness boxplots (Figure 7), plain-text table rendering, and the
@@ -45,7 +42,6 @@
 #![deny(unsafe_code)]
 
 pub mod aggregate;
-pub mod energy;
 pub mod fairness;
 pub mod normalize;
 pub mod objectives;
@@ -54,7 +50,6 @@ pub mod report;
 pub mod table;
 
 pub use aggregate::MetricDistributions;
-pub use energy::{EnergyReport, PowerModel};
 pub use fairness::jain_index;
 pub use normalize::{normalize_against, NormalizedReport};
 pub use pareto::{dominates, hypervolume, pareto_front, pareto_ranks, ObjectiveSpace};

@@ -134,7 +134,6 @@ mod tests {
     fn fast_config() -> SolverConfig {
         SolverConfig {
             sa_iterations_per_task: 50,
-            exact_max_tasks: 6,
             ..SolverConfig::default()
         }
     }

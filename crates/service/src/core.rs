@@ -28,7 +28,7 @@ use rsched_sim::{
     job_is_feasible, Action, SchedulingPolicy, SimError, SimEvent, SimOptions, SimOutcome, SimStats,
 };
 use rsched_simkit::{SimDuration, SimTime};
-use rsched_telemetry::{export, HistSummary, LogHistogram, MetricsRegistry, TelemetrySink};
+use rsched_telemetry::{HistSummary, LogHistogram, TelemetrySink};
 
 use crate::admission::{AdmissionConfig, AdmissionController, AdmissionError};
 use crate::clock::ServiceClock;
@@ -501,31 +501,6 @@ impl ServiceCore {
             stats: *self.kernel.stats(),
             tick_latency: self.latency.summary(),
         }
-    }
-
-    /// Render the service's current metrics in Prometheus text exposition
-    /// format (family prefix `rsched_`). With a recording sink attached the
-    /// shared registry is scraped directly — kernel, observer, and service
-    /// families together; with the default disabled sink a one-off registry
-    /// is built from the service counters and tick-latency histogram, so
-    /// `/metrics` always answers.
-    pub fn prometheus_text(&self) -> String {
-        if let Some(snapshot) = self.telemetry.snapshot() {
-            return export::prometheus(&snapshot, "rsched_");
-        }
-        let mut registry = MetricsRegistry::new();
-        registry.set_counter("service_submitted_total", self.submitted as u64);
-        registry.set_counter("service_admitted_total", self.admitted as u64);
-        registry.set_counter("service_rejected_total", self.rejected as u64);
-        registry.set_counter(
-            "service_completed_total",
-            self.kernel.completed_len() as u64,
-        );
-        registry.set_counter("service_ticks_total", self.ticks);
-        registry.set_gauge("service_queue_depth", self.kernel.waiting_len() as i64);
-        registry.set_gauge("service_running_jobs", self.kernel.running_count() as i64);
-        registry.install_histogram("service_tick_nanos", &self.latency);
-        export::prometheus(&registry.snapshot(), "rsched_")
     }
 
     /// Close the run and produce a simulator-shaped [`SimOutcome`]

@@ -68,11 +68,6 @@ impl ServiceDaemon {
             Err(panic) => std::panic::resume_unwind(panic),
         }
     }
-
-    /// `true` until the daemon thread has been joined.
-    pub fn is_running(&self) -> bool {
-        self.thread.is_some()
-    }
 }
 
 impl Drop for ServiceDaemon {

@@ -1,4 +1,4 @@
-//! Streaming service telemetry, in the style of `rsched_sim::SimObserver`.
+//! Streaming service telemetry.
 //!
 //! A [`ServiceObserver`] rides along inside the service loop and sees every
 //! tick, admission verdict, scheduling decision, and completion as it

@@ -3,7 +3,7 @@
 //!
 //! ```
 //! use rsched_cluster::{ClusterConfig, JobSpec};
-//! use rsched_sim::{CountingObserver, Simulation, SchedulingPolicy, SystemView, Action};
+//! use rsched_sim::{Simulation, SchedulingPolicy, SystemView, Action};
 //! use rsched_simkit::{SimDuration, SimTime};
 //!
 //! struct Greedy;
@@ -19,25 +19,22 @@
 //! }
 //!
 //! let jobs = vec![JobSpec::new(1, 0, SimTime::ZERO, SimDuration::from_secs(60), 2, 8)];
-//! let mut counter = CountingObserver::new();
 //! let outcome = Simulation::new(ClusterConfig::new(8, 64))
 //!     .jobs(&jobs)
-//!     .observer(&mut counter)
 //!     .run(&mut Greedy)
 //!     .expect("completes");
 //! assert_eq!(outcome.records.len(), 1);
-//! assert_eq!(counter.completions, 1);
+//! assert_eq!(outcome.decisions.len(), outcome.stats.queries);
 //! ```
 
 use rsched_cluster::{ClusterConfig, JobSpec};
 
-use crate::observer::SimObserver;
 use crate::outcome::SimOutcome;
 use crate::policy::SchedulingPolicy;
 use crate::simulator::{SimError, SimOptions};
 
-/// Builder for one simulation run: cluster, workload, knobs, and any
-/// number of streaming [`SimObserver`]s.
+/// Builder for one simulation run: cluster, workload, knobs, and an
+/// optional telemetry sink.
 ///
 /// [`run_simulation`](crate::run_simulation) remains as a thin wrapper for
 /// callers that need none of the builder's extras.
@@ -47,7 +44,6 @@ pub struct Simulation<'a> {
     /// `None` until [`options`](Self::options) is called: `run` then uses
     /// the defaults with the query budget sized to the workload.
     options: Option<SimOptions>,
-    observers: Vec<&'a mut dyn SimObserver>,
     telemetry: rsched_telemetry::TelemetrySink,
 }
 
@@ -58,7 +54,6 @@ impl<'a> Simulation<'a> {
             config,
             jobs: &[],
             options: None,
-            observers: Vec::new(),
             telemetry: rsched_telemetry::TelemetrySink::disabled(),
         }
     }
@@ -79,13 +74,6 @@ impl<'a> Simulation<'a> {
         self
     }
 
-    /// Attach a streaming observer. May be called repeatedly; observers are
-    /// notified in attachment order and can be inspected after the run.
-    pub fn observer(mut self, observer: &'a mut dyn SimObserver) -> Self {
-        self.observers.push(observer);
-        self
-    }
-
     /// Attach a telemetry sink (a cheap clone of the caller's handle). The
     /// kernel spans its epochs and mirrors its counters into the sink's
     /// metrics registry; policies see the same sink through
@@ -97,9 +85,8 @@ impl<'a> Simulation<'a> {
     }
 
     /// Drive `policy` over the configured workload until every job
-    /// completes (or the run fails), streaming callbacks to the attached
-    /// observers along the way.
-    pub fn run(mut self, policy: &mut dyn SchedulingPolicy) -> Result<SimOutcome, SimError> {
+    /// completes (or the run fails).
+    pub fn run(self, policy: &mut dyn SchedulingPolicy) -> Result<SimOutcome, SimError> {
         let options = self.options.unwrap_or_else(|| SimOptions {
             max_queries: query_budget_for(self.jobs.len()),
             ..SimOptions::default()
@@ -109,7 +96,6 @@ impl<'a> Simulation<'a> {
             self.jobs,
             policy,
             &options,
-            &mut self.observers,
             self.telemetry,
         )
     }
@@ -127,7 +113,6 @@ fn query_budget_for(jobs: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::observer::CountingObserver;
     use crate::policy::Action;
     use crate::view::SystemView;
     use rsched_simkit::{SimDuration, SimTime};
@@ -204,37 +189,29 @@ mod tests {
     }
 
     #[test]
-    fn observers_stream_during_the_run() {
+    fn the_outcome_is_the_record_of_the_run() {
         let jobs = jobs();
-        let mut first = CountingObserver::new();
-        let mut second = CountingObserver::new();
         let outcome = Simulation::new(ClusterConfig::new(8, 64))
             .jobs(&jobs)
-            .observer(&mut first)
-            .observer(&mut second)
             .run(&mut Greedy)
             .expect("completes");
-        for obs in [&first, &second] {
-            assert_eq!(obs.completions, 1, "on_complete fires exactly once");
-            assert_eq!(obs.decisions, outcome.decisions.len());
-            // One arrival per job plus one completion per job.
-            assert_eq!(obs.events, 2 * jobs.len());
-            assert_eq!(obs.placements, outcome.stats.placements);
-            assert!(obs.time_ordered, "callbacks arrive in time order");
-        }
+        assert_eq!(outcome.decisions.len(), outcome.stats.queries);
+        let placed = outcome
+            .decisions
+            .iter()
+            .filter(|d| d.accepted() && d.action.is_placement());
+        assert_eq!(placed.count(), outcome.stats.placements);
+        assert!(outcome.decisions.windows(2).all(|w| w[0].time <= w[1].time));
     }
 
     #[test]
-    fn failed_runs_do_not_fire_on_complete() {
+    fn a_run_that_fails_validation_returns_no_outcome() {
         // Duplicate ids fail validation before the loop starts.
         let mut dup = jobs();
         dup.push(dup[0].clone());
-        let mut counter = CountingObserver::new();
         let err = Simulation::new(ClusterConfig::new(8, 64))
             .jobs(&dup)
-            .observer(&mut counter)
             .run(&mut Greedy);
-        assert!(err.is_err());
-        assert_eq!(counter.completions, 0);
+        assert_eq!(err.unwrap_err(), SimError::DuplicateJobId(dup[0].id));
     }
 }

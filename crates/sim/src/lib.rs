@@ -17,9 +17,10 @@
 //! structured rejection reasons that the agent renders as natural-language
 //! feedback.
 //!
-//! The public entry point is the [`Simulation`] builder, which attaches any
-//! number of streaming [`SimObserver`]s to the run; [`run_simulation`] is a
-//! thin compatibility wrapper over it.
+//! The public entry point is the [`Simulation`] builder; [`run_simulation`]
+//! is a thin compatibility wrapper over it. A run is written down once, in
+//! the [`SimOutcome`] it returns (`decisions`, `epochs`, `stats`); timing
+//! and counters go to an attached [`TelemetrySink`].
 //!
 //! The kernel is zero-copy: policies receive a lifetime-parameterized
 //! [`SystemView`] that *borrows* the simulator's incrementally-maintained
@@ -36,7 +37,6 @@
 pub mod builder;
 pub mod events;
 pub mod kernel;
-pub mod observer;
 pub mod outcome;
 pub mod policy;
 pub mod profile;
@@ -49,7 +49,6 @@ pub mod view;
 pub use builder::Simulation;
 pub use events::SimEvent;
 pub use kernel::KernelState;
-pub use observer::{CountingObserver, ProgressObserver, SimObserver};
 pub use outcome::{DecisionRecord, SimOutcome, SimStats};
 pub use policy::{Action, ActionOutcome, OverheadReport, RejectReason, SchedulingPolicy};
 pub use profile::{

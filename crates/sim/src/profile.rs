@@ -552,11 +552,6 @@ impl CapacityLedger {
         self.queue_version += 1;
     }
 
-    /// Number of tracked running jobs.
-    pub fn running_len(&self) -> usize {
-        self.actual.len()
-    }
-
     /// Telemetry counters summed over both calendar caches:
     /// `(rebuilds, cache_hits)`. A rebuild is a skyline construction from
     /// the release list; a hit reuses the cached skyline for the same

@@ -116,8 +116,7 @@ impl std::error::Error for SimError {}
 /// counters. The run is deterministic given a deterministic policy.
 ///
 /// This is a compatibility wrapper over the [`Simulation`](crate::Simulation)
-/// builder, which additionally supports streaming
-/// [`SimObserver`](crate::SimObserver)s.
+/// builder, which additionally takes a telemetry sink.
 pub fn run_simulation(
     config: ClusterConfig,
     jobs: &[JobSpec],
@@ -133,14 +132,12 @@ pub fn run_simulation(
 /// The virtual-time event loop shared by [`run_simulation`] and the
 /// [`Simulation`](crate::Simulation) builder: a thin driver over
 /// [`KernelState`] that jumps the clock straight to the next event.
-/// `telemetry` is installed into the kernel (and propagated to attached
-/// observers through their own sinks by the builder).
+/// `telemetry` is installed into the kernel.
 pub(crate) fn simulate_with_telemetry(
     config: ClusterConfig,
     jobs: &[JobSpec],
     policy: &mut dyn SchedulingPolicy,
     options: &SimOptions,
-    observers: &mut [&mut dyn crate::SimObserver],
     telemetry: rsched_telemetry::TelemetrySink,
 ) -> Result<SimOutcome, SimError> {
     validate_workload(config, jobs)?;
@@ -165,9 +162,6 @@ pub(crate) fn simulate_with_telemetry(
         now = t;
 
         for event in kernel.pop_events_at(t) {
-            for observer in observers.iter_mut() {
-                observer.on_event(&event, t);
-            }
             match event {
                 // Sorted insert at arrival — the queue is never re-sorted.
                 SimEvent::Arrival(idx) => {
@@ -187,16 +181,7 @@ pub(crate) fn simulate_with_telemetry(
         // equal the job count (§3.7.1); the queue's min-demand watermark
         // proves most of them in O(1).
         if kernel.should_query(now, pending_arrivals) {
-            let first_new = kernel.decisions_len();
-            let verdict = kernel.run_epoch(now, pending_arrivals, jobs.len(), policy, options);
-            // Stream the epoch's decisions (even when the epoch errored,
-            // so observers see everything that happened before failure).
-            for record in &kernel.decisions()[first_new..] {
-                for observer in observers.iter_mut() {
-                    observer.on_decision(record);
-                }
-            }
-            verdict?;
+            kernel.run_epoch(now, pending_arrivals, jobs.len(), policy, options)?;
         }
 
         // A Delay with nothing running and nothing to arrive can never make
@@ -212,11 +197,7 @@ pub(crate) fn simulate_with_telemetry(
         }
     }
 
-    let outcome = kernel.into_outcome(policy.name().to_string(), now);
-    for observer in observers.iter_mut() {
-        observer.on_complete(&outcome);
-    }
-    Ok(outcome)
+    Ok(kernel.into_outcome(policy.name().to_string(), now))
 }
 
 /// Could `job` ever run on an *empty* machine of this configuration?

@@ -264,7 +264,10 @@ fn convert_usable(mut usable: Vec<SwfJob>, limit: usize) -> Vec<JobSpec> {
                 .into_iter()
                 .find(|&m| m > 0)
             {
-                ((kb as u64 * procs as u64).div_ceil(1024 * 1024)).max(1)
+                (kb as u64)
+                    .saturating_mul(procs as u64)
+                    .div_ceil(1024 * 1024)
+                    .max(1)
             } else {
                 procs as u64 * DEFAULT_GB_PER_PROC
             };
@@ -782,6 +785,17 @@ mod tests {
         let jobs = parse_trace(line).expect("parses").to_jobs(0);
         assert_eq!(jobs[0].duration, SimDuration::from_secs(1820));
         assert_eq!(jobs[0].walltime, SimDuration::MAX);
+    }
+
+    /// `used_memory_kb × procs` must not overflow either: the job ingests
+    /// with its memory saturated, larger than any machine, and it is the
+    /// simulator's `validate_workload` that then turns it away.
+    #[test]
+    fn a_memory_field_too_large_to_multiply_saturates() {
+        let line = "1 0 12 1820 8 1650.5 9223372036854775807 8 3600 -1 1 11 2 3 1 1 -1 -1\n";
+        let jobs = parse_trace(line).expect("parses").to_jobs(0);
+        assert_eq!(jobs[0].nodes, 8);
+        assert_eq!(jobs[0].memory_gb, u64::MAX.div_ceil(1024 * 1024));
     }
 
     #[test]

@@ -64,25 +64,20 @@ fn main() {
     let ctx = PolicyContext::new(&workload.jobs, cluster).with_seed(9);
     let mut policy = registry.build("sh-fcfs", &ctx).expect("just registered");
 
-    // Observers stream the run as it happens — watch the external process
-    // schedule each job live instead of replaying the decision log.
-    struct LiveLog;
-    impl SimObserver for LiveLog {
-        fn on_decision(&mut self, d: &DecisionRecord) {
-            let verdict = match &d.rejected {
-                None => "ok".to_string(),
-                Some(reason) => format!("rejected: {reason}"),
-            };
-            println!("  [{}] {} -> {verdict}", d.time, d.action);
-        }
-    }
-    let mut live = LiveLog;
-
     let outcome = Simulation::new(cluster)
         .jobs(&workload.jobs)
-        .observer(&mut live)
         .run(policy.as_mut())
         .expect("completes");
+
+    // The outcome's decision log: what the external process proposed and
+    // how the constraint module ruled on it.
+    for d in &outcome.decisions {
+        let verdict = match &d.rejected {
+            None => "ok".to_string(),
+            Some(reason) => format!("rejected: {reason}"),
+        };
+        println!("  [{}] {} -> {verdict}", d.time, d.action);
+    }
 
     let report = MetricsReport::compute(&outcome.records, cluster);
     let overhead = policy.overhead_report().expect("LLM policies track calls");

@@ -2,38 +2,15 @@
 //! print its interpretable decision traces — thought, action, and any
 //! constraint feedback, exactly the panels the paper shows.
 //!
-//! The run streams: a [`SimObserver`] prints every validated decision the
-//! moment the constraint module rules on it, then the agent's full
-//! thought trace and scratchpad are rendered post-hoc.
+//! Everything printed is read after the run from where it was written
+//! down: the validated decisions from the [`SimOutcome`], the thought
+//! trace from the agent's per-call log, the history from its scratchpad.
 //!
 //! ```text
 //! cargo run --release --example reasoning_traces
 //! ```
 
 use reasoned_scheduler::prelude::*;
-
-/// Prints each decision as the simulation makes it.
-struct LiveDecisions {
-    shown: usize,
-}
-
-impl SimObserver for LiveDecisions {
-    fn on_decision(&mut self, d: &DecisionRecord) {
-        self.shown += 1;
-        let verdict = match &d.rejected {
-            None => "applied".to_string(),
-            Some(reason) => format!("REJECTED ({reason})"),
-        };
-        println!(
-            "[{:>8}] {:<24} {} (queue={}, free={} nodes)",
-            d.time.to_string(),
-            d.action.to_string(),
-            verdict,
-            d.queue_len,
-            d.free_nodes
-        );
-    }
-}
 
 fn main() {
     let cluster = ClusterConfig::paper_default();
@@ -51,24 +28,36 @@ fn main() {
     // The concrete agent type (not a registry handle) so the thought trace
     // and scratchpad stay inspectable after the run.
     let mut agent = LlmSchedulingPolicy::claude37(3);
-    let mut live = LiveDecisions { shown: 0 };
-
-    println!("=== Decisions, streamed live ===\n");
-    let outcome = Simulation::new(cluster)
+    let outcome: SimOutcome = Simulation::new(cluster)
         .jobs(&workload.jobs)
-        .observer(&mut live)
         .run(&mut agent)
         .expect("workload completes");
+
+    println!("=== Decisions, as the constraint module ruled on them ===\n");
+    for d in &outcome.decisions {
+        let verdict = match &d.rejected {
+            None => "applied".to_string(),
+            Some(reason) => format!("REJECTED ({reason})"),
+        };
+        println!(
+            "[{:>8}] {:<24} {} (queue={}, free={} nodes)",
+            d.time.to_string(),
+            d.action.to_string(),
+            verdict,
+            d.queue_len,
+            d.free_nodes
+        );
+    }
 
     println!(
         "\n{} scheduled {} jobs in {} decisions ({} LLM calls)\n",
         agent.name(),
         outcome.records.len(),
-        live.shown,
-        agent.overhead().call_count()
+        outcome.decisions.len(),
+        agent.calls().len()
     );
-    println!("{}", agent.trace().render());
+    println!("{}", agent.render_trace());
 
     println!("\n\n=== Scratchpad (decision history the model sees) ===\n");
-    println!("{}", agent.agent().scratchpad().render());
+    println!("{}", agent.scratchpad().render());
 }

@@ -1,7 +1,6 @@
 //! A Figure 4-style scalability sweep through the public API: the
 //! Heterogeneous Mix at growing queue sizes, FCFS vs the LLM agent,
-//! showing how the performance gap opens with problem complexity — plus
-//! the energy view of the same schedules (the future-work extension).
+//! showing how the performance gap opens with problem complexity.
 //!
 //! ```text
 //! cargo run --release --example scalability_sweep
@@ -18,7 +17,6 @@
 //! cargo run --release --example scalability_sweep -- 50000 diurnal_wave
 //! ```
 
-use reasoned_scheduler::metrics::energy::{EnergyReport, PowerModel};
 use reasoned_scheduler::metrics::TextTable;
 use reasoned_scheduler::prelude::*;
 use reasoned_scheduler::registry::names;
@@ -95,18 +93,9 @@ fn main() {
     }
 
     let cluster = ClusterConfig::paper_default();
-    let power = PowerModel::typical_cpu_node();
     let registry = PolicyRegistry::with_builtins();
 
-    let mut table = TextTable::new([
-        "jobs",
-        "scheduler",
-        "makespan_s",
-        "avg_wait_s",
-        "node_util",
-        "energy_kwh",
-        "idle_energy_%",
-    ]);
+    let mut table = TextTable::new(["jobs", "scheduler", "makespan_s", "avg_wait_s", "node_util"]);
 
     for &n in &[10usize, 20, 40, 60] {
         let workload = scenario_builtins()
@@ -125,21 +114,18 @@ fn main() {
                 .run(policy.as_mut())
                 .expect("completes");
             let report = MetricsReport::compute(&outcome.records, cluster);
-            let energy = EnergyReport::compute(&outcome.records, cluster, &power);
             table.push_row([
                 n.to_string(),
                 outcome.policy_name.clone(),
                 format!("{:.0}", report.makespan_secs),
                 format!("{:.0}", report.avg_wait_secs),
                 format!("{:.3}", report.node_utilization),
-                format!("{:.1}", energy.total_kwh()),
-                format!("{:.1}", energy.idle_fraction() * 100.0),
             ]);
         }
     }
     println!("{}", table.render());
     println!(
         "Small queues are indistinguishable; as contention grows the agent's packing\n\
-         cuts makespan, wait, and — through shorter idle windows — energy."
+         cuts makespan and wait."
     );
 }

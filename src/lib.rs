@@ -42,8 +42,9 @@
 //! (builtin scenarios, your own registrations, or `swf:<path>` archive
 //! traces), policies from the [`registry`] (builtins plus anything you
 //! [`register`](registry::PolicyRegistry::register)). Runs are described
-//! with the [`Simulation`](sim::Simulation) builder, which can stream
-//! decisions to observers as they happen:
+//! with the [`Simulation`](sim::Simulation) builder; the
+//! [`SimOutcome`](sim::SimOutcome) it returns is the record of the run —
+//! every decision with its verdict, every epoch with its reason:
 //!
 //! ```
 //! use reasoned_scheduler::prelude::*;
@@ -60,14 +61,11 @@
 //! let ctx = PolicyContext::new(&workload.jobs, cluster).with_seed(42);
 //! let mut agent = registry.build("Claude-3.7", &ctx).expect("builtin policy");
 //!
-//! let mut progress = CountingObserver::new();
 //! let outcome = Simulation::new(cluster)
 //!     .jobs(&workload.jobs)
-//!     .observer(&mut progress)
 //!     .run(agent.as_mut())
 //!     .expect("workload completes");
-//! assert_eq!(progress.completions, 1);
-//! assert_eq!(progress.decisions, outcome.decisions.len());
+//! assert_eq!(outcome.decisions.len(), outcome.stats.queries);
 //!
 //! let report = MetricsReport::compute(&outcome.records, cluster);
 //! assert!(report.makespan_secs > 0.0);
@@ -100,7 +98,7 @@ pub mod prelude {
         CountingCampaignObserver, ProgressCampaignObserver,
     };
     pub use rsched_cluster::{ClusterConfig, JobId, JobRecord, JobSpec, UserId};
-    pub use rsched_core::{LlmSchedulingPolicy, ReActAgent};
+    pub use rsched_core::{CallRecord, LlmSchedulingPolicy};
     pub use rsched_llm::{LanguageModel, SimulatedLlm};
     pub use rsched_metrics::{
         dominates, hypervolume, pareto_front, pareto_ranks, Metric, MetricsReport, ObjectiveSpace,
@@ -115,8 +113,8 @@ pub mod prelude {
         TenantConfig, TenantId, WallClock,
     };
     pub use rsched_sim::{
-        run_simulation, Action, CompletedStats, CountingObserver, DecisionRecord, RunningSummary,
-        SchedulingPolicy, SimObserver, SimOptions, SimOutcome, Simulation, SystemView,
+        run_simulation, Action, CompletedStats, DecisionRecord, RunningSummary, SchedulingPolicy,
+        SimOptions, SimOutcome, Simulation, SystemView,
     };
     pub use rsched_simkit::{SimDuration, SimTime};
     pub use rsched_telemetry::{

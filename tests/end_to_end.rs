@@ -23,7 +23,6 @@ fn quick_solver() -> SolverConfig {
     SolverConfig {
         sa_iterations_per_task: 40,
         sa_iteration_cap: 800,
-        exact_max_tasks: 6,
         ..SolverConfig::default()
     }
 }
@@ -189,14 +188,15 @@ fn llm_agent_records_full_interpretability_artifacts() {
     let mut policy = LlmSchedulingPolicy::claude37(21);
     let outcome = run_simulation(cluster, &workload.jobs, &mut policy, &SimOptions::default())
         .expect("completes");
-    // One trace entry per LLM call; every placement is explained.
-    assert_eq!(policy.trace().len(), policy.overhead().call_count());
-    assert!(policy.overhead().call_count() >= outcome.stats.placements);
-    let rendered = policy.trace().render();
-    assert!(rendered.contains("# Thought"));
+    // One log record per LLM call; every placement is explained.
+    let report = policy.overhead_report().expect("agents report overhead");
+    assert_eq!(policy.calls().len(), report.call_count);
+    assert!(report.call_count >= outcome.stats.placements);
+    let rendered = policy.render_trace();
+    assert_eq!(rendered.matches("# Thought").count(), report.call_count);
     assert!(rendered.contains("StartJob(job_id="));
     // The scratchpad retains the whole history.
-    assert!(policy.agent().scratchpad().len() >= 2 * outcome.stats.placements);
+    assert!(policy.scratchpad().len() >= 2 * outcome.stats.placements);
 }
 
 #[test]

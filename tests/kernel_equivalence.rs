@@ -428,7 +428,6 @@ fn quick_solver() -> SolverConfig {
     SolverConfig {
         sa_iterations_per_task: 40,
         sa_iteration_cap: 800,
-        exact_max_tasks: 6,
         ..SolverConfig::default()
     }
 }

@@ -700,6 +700,131 @@ fn a_refused_job_is_not_proposed_again_within_the_timestep() {
     }
 }
 
+/// A [`ScriptedBackend`] that can also fail mid-script: `None` in the
+/// plan is a call that errs, `Some(text)` one the script answers — with
+/// the call's index as its latency, so every record is told apart.
+struct FlakyScript {
+    plan: std::vec::IntoIter<bool>,
+    script: reasoned_scheduler::llm::script::ScriptedBackend,
+    calls: u32,
+}
+
+impl LanguageModel for FlakyScript {
+    fn model_name(&self) -> &str {
+        "flaky-script"
+    }
+
+    fn complete(
+        &mut self,
+        prompt: &str,
+    ) -> Result<reasoned_scheduler::llm::Completion, reasoned_scheduler::llm::LlmError> {
+        self.calls += 1;
+        if !self.plan.next().expect("one plan entry per call") {
+            return Err(reasoned_scheduler::llm::LlmError::new("endpoint down"));
+        }
+        let mut completion = self.script.complete(prompt)?;
+        completion.latency_secs = f64::from(self.calls);
+        Ok(completion)
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The agent's one log under an arbitrary mix of well-formed,
+    /// malformed and failed calls and arbitrary verdicts: one record per
+    /// call the model answered, each carrying the verdict (and feedback)
+    /// on its own action — never a neighbour's — and the overhead report
+    /// and the Figure 2 panels are folds over exactly those records.
+    #[test]
+    fn the_agent_log_holds_one_record_per_answered_call_with_its_own_verdict(
+        steps in prop::collection::vec((0u32..6, 0u64..40, 0u8..2), 1..40)
+    ) {
+        use reasoned_scheduler::agent::constraints::render_feedback;
+        use reasoned_scheduler::sim::{ActionOutcome, RejectReason};
+
+        let job = JobId(32);
+        // Kinds 0–3 are the four well-formed actions, 4 is a completion
+        // outside the grammar, 5 a call that errs.
+        let asked = |kind: u32| match kind {
+            0 => Some(Action::StartJob(job)),
+            1 => Some(Action::BackfillJob(job)),
+            2 => Some(Action::Delay),
+            3 => Some(Action::Stop),
+            _ => None,
+        };
+        let texts: Vec<String> = steps
+            .iter()
+            .filter(|s| s.0 != 5)
+            .map(|&(kind, ..)| match asked(kind) {
+                Some(action) => format!("Thought: step of kind {kind}\nAction: {action}"),
+                None => "I would rather not say".to_string(),
+            })
+            .collect();
+        let plan: Vec<bool> = steps.iter().map(|s| s.0 != 5).collect();
+        let mut agent = LlmSchedulingPolicy::new(Box::new(FlakyScript {
+            plan: plan.into_iter(),
+            script: reasoned_scheduler::llm::script::ScriptedBackend::new(texts),
+            calls: 0,
+        }));
+
+        let mut kernel = KernelState::new(ClusterConfig::paper_default(), SimTime::ZERO);
+        kernel.arrive(JobSpec::new(32, 0, SimTime::ZERO, SimDuration::from_secs(60), 4, 8));
+
+        // What the log must read, written down from the steps alone.
+        let mut expected = Vec::new();
+        let mut now = 0;
+        for (call, &(kind, advance, verdict)) in steps.iter().enumerate() {
+            let rejected = verdict == 1;
+            now += advance;
+            let time = SimTime::from_secs(now);
+            let action = agent.decide(&kernel.view(time, 0, 1));
+            prop_assert_eq!(action, asked(kind).unwrap_or(Action::Delay));
+            let reason = rejected.then_some(RejectReason::NotInQueue(job));
+            let feedback = reason.as_ref().map(|r| render_feedback(&action, r));
+            agent.observe(&ActionOutcome { time, action, rejected: reason });
+            if kind != 5 {
+                expected.push((now, asked(kind), (call + 1) as f64, !rejected, feedback));
+            }
+        }
+
+        prop_assert_eq!(agent.calls().len(), expected.len());
+        for (record, (time, action, latency, accepted, feedback)) in
+            agent.calls().iter().zip(&expected)
+        {
+            prop_assert_eq!(record.time_secs, *time);
+            prop_assert_eq!(record.action, *action);
+            prop_assert_eq!(record.latency_secs, *latency);
+            prop_assert_eq!(record.accepted, Some(*accepted));
+            prop_assert_eq!(&record.feedback, feedback);
+            if let Some(feedback) = feedback {
+                prop_assert!(record.to_string().contains(feedback.as_str()));
+            }
+        }
+        let placed: Vec<f64> = expected
+            .iter()
+            .filter(|(_, action, _, accepted, _)| {
+                *accepted && action.is_some_and(|a| a.is_placement())
+            })
+            .map(|(_, _, latency, ..)| *latency)
+            .collect();
+        let report = agent.overhead_report().expect("agents report overhead");
+        prop_assert_eq!(report.call_count, expected.len());
+        prop_assert_eq!(&report.placement_latencies, &placed);
+        let from_the_log: Vec<f64> = agent
+            .calls()
+            .iter()
+            .filter(|c| c.is_accepted_placement())
+            .map(|c| c.latency_secs)
+            .collect();
+        prop_assert_eq!(&report.placement_latencies, &from_the_log);
+        prop_assert_eq!(
+            agent.malformed_completions(),
+            steps.iter().filter(|s| s.0 == 4).count()
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 

@@ -3,11 +3,11 @@
 //! * registry-constructed policies are **bit-identical** to directly
 //!   constructed ones (property test over all builtin names and many
 //!   seeds);
-//! * observers stream in order: decisions arrive in nondecreasing
-//!   `SimTime`, and `on_complete` fires exactly once with the same outcome
-//!   the caller receives;
+//! * the `SimOutcome` a run returns is its record: decisions in
+//!   nondecreasing `SimTime`, one per query, the accepted placements among
+//!   them the ones the stats count — and a run that fails returns none;
 //! * a custom third-party policy registers by name and runs through
-//!   `Simulation` with an observer — no workspace code touched.
+//!   `Simulation` — no workspace code touched.
 
 use proptest::prelude::*;
 
@@ -20,7 +20,6 @@ fn quick_solver() -> SolverConfig {
     SolverConfig {
         sa_iterations_per_task: 40,
         sa_iteration_cap: 800,
-        exact_max_tasks: 6,
         ..SolverConfig::default()
     }
 }
@@ -110,30 +109,27 @@ proptest! {
     }
 }
 
-/// Records the stream an observer sees, for post-hoc assertions.
-#[derive(Default)]
-struct Recorder {
-    decisions: Vec<DecisionRecord>,
-    event_times: Vec<SimTime>,
-    completes: usize,
-    final_decision_count: Option<usize>,
-}
-
-impl SimObserver for Recorder {
-    fn on_event(&mut self, _event: &reasoned_scheduler::sim::SimEvent, time: SimTime) {
-        self.event_times.push(time);
+/// Decisions in time order, one per query, and the accepted placements
+/// among them exactly the ones `stats` counts.
+fn assert_outcome_is_the_record_of_the_run(outcome: &SimOutcome) {
+    for pair in outcome.decisions.windows(2) {
+        assert!(
+            pair[0].time <= pair[1].time,
+            "decision log went backwards: {} then {}",
+            pair[0].time,
+            pair[1].time
+        );
     }
-    fn on_decision(&mut self, record: &DecisionRecord) {
-        self.decisions.push(record.clone());
-    }
-    fn on_complete(&mut self, outcome: &SimOutcome) {
-        self.completes += 1;
-        self.final_decision_count = Some(outcome.decisions.len());
-    }
+    assert_eq!(outcome.decisions.len(), outcome.stats.queries);
+    let placed = outcome
+        .decisions
+        .iter()
+        .filter(|d| d.accepted() && d.action.is_placement());
+    assert_eq!(placed.count(), outcome.stats.placements);
 }
 
 #[test]
-fn observer_stream_is_ordered_and_complete_fires_once() {
+fn decision_log_is_ordered_and_agrees_with_the_stats() {
     let cluster = ClusterConfig::paper_default();
     let workload = scenario_builtins()
         .generate(
@@ -144,38 +140,26 @@ fn observer_stream_is_ordered_and_complete_fires_once() {
         )
         .expect("builtin scenario");
     let mut agent = LlmSchedulingPolicy::claude37(21);
-    let mut recorder = Recorder::default();
 
     let outcome = Simulation::new(cluster)
         .jobs(&workload.jobs)
-        .observer(&mut recorder)
         .run(&mut agent)
         .expect("completes");
 
-    // Decisions stream in nondecreasing SimTime.
-    for pair in recorder.decisions.windows(2) {
-        assert!(
-            pair[0].time <= pair[1].time,
-            "decision stream went backwards: {} then {}",
-            pair[0].time,
-            pair[1].time
-        );
+    assert_outcome_is_the_record_of_the_run(&outcome);
+    // The agent's own log is the same run seen from the policy's side: one
+    // record per query, carrying the action and the verdict the kernel's
+    // record of that query carries.
+    assert_eq!(agent.calls().len(), outcome.decisions.len());
+    for (call, decision) in agent.calls().iter().zip(&outcome.decisions) {
+        assert_eq!(call.time_secs, decision.time.as_secs());
+        assert_eq!(call.action, Some(decision.action));
+        assert_eq!(call.accepted, Some(decision.accepted()));
     }
-    for pair in recorder.event_times.windows(2) {
-        assert!(pair[0] <= pair[1], "event stream went backwards");
-    }
-    // on_complete fired exactly once, after every decision was streamed.
-    assert_eq!(recorder.completes, 1);
-    assert_eq!(
-        recorder.final_decision_count,
-        Some(recorder.decisions.len())
-    );
-    // The stream is exactly the post-hoc decision log.
-    assert_eq!(recorder.decisions, outcome.decisions);
 }
 
 #[test]
-fn failed_runs_never_fire_on_complete() {
+fn failed_runs_return_no_outcome() {
     struct DelayForever;
     impl SchedulingPolicy for DelayForever {
         fn name(&self) -> &str {
@@ -194,19 +178,14 @@ fn failed_runs_never_fire_on_complete() {
                 .with_seed(2),
         )
         .expect("builtin scenario");
-    let mut recorder = Recorder::default();
     let err = Simulation::new(cluster)
         .jobs(&workload.jobs)
-        .observer(&mut recorder)
         .run(&mut DelayForever);
-    assert!(matches!(err, Err(SimError::Stuck { .. })));
-    assert_eq!(recorder.completes, 0);
-    // ... but the decisions that did happen were streamed.
-    assert!(!recorder.decisions.is_empty());
+    assert!(matches!(err, Err(SimError::Stuck { waiting: 4, .. })));
 }
 
 #[test]
-fn third_party_policy_runs_by_name_through_simulation_with_observer() {
+fn third_party_policy_runs_by_name_through_simulation() {
     /// A policy no workspace crate knows about: most-memory-first.
     struct MemoryHog;
     impl SchedulingPolicy for MemoryHog {
@@ -243,19 +222,14 @@ fn third_party_policy_runs_by_name_through_simulation_with_observer() {
         .build("Memory-Hog-First", &ctx) // case-insensitive lookup
         .expect("registered");
 
-    let mut counter = CountingObserver::new();
     let outcome = Simulation::new(cluster)
         .jobs(&workload.jobs)
-        .observer(&mut counter)
         .run(policy.as_mut())
         .expect("completes");
 
     assert_eq!(outcome.policy_name, "memory-hog-first");
     assert_eq!(outcome.records.len(), workload.len());
-    assert_eq!(counter.completions, 1);
-    assert_eq!(counter.decisions, outcome.decisions.len());
-    assert_eq!(counter.placements, outcome.stats.placements);
-    assert!(counter.time_ordered);
+    assert_outcome_is_the_record_of_the_run(&outcome);
     // Plain algorithmic policy: no overhead ledger.
     assert!(policy.overhead_report().is_none());
 }

@@ -31,7 +31,6 @@ fn quick_solver() -> SolverConfig {
     SolverConfig {
         sa_iterations_per_task: 40,
         sa_iteration_cap: 800,
-        exact_max_tasks: 6,
         ..SolverConfig::default()
     }
 }
@@ -172,4 +171,25 @@ fn extended_scenarios_produce_valid_schedulable_workloads() {
             .expect("builtin policy");
         assert!(result.report.makespan_secs > 0.0, "{name}");
     }
+}
+
+/// An archive row whose memory field cannot be multiplied by its
+/// processor count ingests with the product saturated, and it is the
+/// simulator that then refuses the job as larger than the machine.
+#[test]
+fn swf_row_with_an_unrepresentable_memory_field_is_refused_as_infeasible() {
+    use reasoned_scheduler::sim::{validate_workload, SimError};
+    use reasoned_scheduler::workloads::swf::parse_trace;
+
+    let line = "1 0 12 1820 8 1650.5 9223372036854775807 8 3600 -1 1 11 2 3 1 1 -1 -1\n";
+    let jobs = parse_trace(line).expect("parses").to_jobs(0);
+    let refused = validate_workload(ClusterConfig::polaris(), &jobs);
+    assert_eq!(
+        refused,
+        Err(SimError::InfeasibleJob {
+            id: jobs[0].id,
+            nodes: 8,
+            memory_gb: u64::MAX.div_ceil(1024 * 1024),
+        })
+    );
 }
