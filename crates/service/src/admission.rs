@@ -61,6 +61,19 @@ impl AdmissionError {
             AdmissionError::Draining => "draining",
         }
     }
+
+    /// The counter a refusal for this reason increments:
+    /// `service_rejected_{code}_total`, spelled out so that counting one
+    /// formats nothing.
+    pub fn counter_name(&self) -> &'static str {
+        match self {
+            AdmissionError::RateLimited { .. } => "service_rejected_rate_limited_total",
+            AdmissionError::QueueFull { .. } => "service_rejected_queue_full_total",
+            AdmissionError::Infeasible { .. } => "service_rejected_infeasible_total",
+            AdmissionError::DuplicateId(_) => "service_rejected_duplicate_total",
+            AdmissionError::Draining => "service_rejected_draining_total",
+        }
+    }
 }
 
 impl std::fmt::Display for AdmissionError {
@@ -199,6 +212,38 @@ mod tests {
 
     fn job(id: u32) -> JobSpec {
         JobSpec::new(id, 0, SimTime::ZERO, SimDuration::from_secs(60), 2, 8)
+    }
+
+    #[test]
+    fn counter_names_spell_out_the_codes() {
+        let tenant = TenantId(1);
+        let reasons = [
+            AdmissionError::RateLimited { tenant },
+            AdmissionError::QueueFull {
+                tenant,
+                cap: 1,
+                queued: 1,
+            },
+            AdmissionError::Infeasible {
+                id: JobId(1),
+                nodes: 1,
+                memory_gb: 1,
+            },
+            AdmissionError::DuplicateId(JobId(1)),
+            AdmissionError::Draining,
+        ];
+        for reason in reasons {
+            // A new variant fails to compile here until it is listed above.
+            match reason {
+                AdmissionError::RateLimited { .. }
+                | AdmissionError::QueueFull { .. }
+                | AdmissionError::Infeasible { .. }
+                | AdmissionError::DuplicateId(_)
+                | AdmissionError::Draining => {}
+            }
+            let spelled = format!("service_rejected_{}_total", reason.code());
+            assert_eq!(reason.counter_name(), spelled);
+        }
     }
 
     #[test]

@@ -5,14 +5,22 @@
 //! [`tick`](ServiceCore::tick) at service time `now`:
 //!
 //! 1. **ingests** up to [`max_batch`](ServiceConfig::max_batch) requests
-//!    from the MPSC channel, pushing each admitted job into the kernel's
-//!    waiting queue at its fair-share rank and bouncing the rest with
-//!    typed [`AdmissionError`]s;
+//!    from the MPSC channel, ruling on each in channel order — the admitted
+//!    get a fair-share rank, the rest bounce with typed
+//!    [`AdmissionError`]s — and, when the channel is empty or the batch
+//!    full, hands the admitted jobs to the kernel's waiting queue in one
+//!    merge ([`KernelState::arrive_batch`]): nothing reads the queue
+//!    between two submissions of a tick, so a burst that lands mid-queue
+//!    moves each waiting job once, not once per arrival;
 //! 2. **retires** every completion event scheduled at or before `now`, at
 //!    its exact event time (the cluster ledger audits this);
 //! 3. runs **one decision epoch** — the same
 //!    [`KernelState::run_epoch`] the virtual-time simulator uses — and
 //!    streams the new decisions to the [`ServiceObserver`]s.
+//!
+//! With a recording sink each step's share of the tick is observed beside
+//! `service_tick_nanos` (`service_ingest_nanos`, `service_retire_nanos`,
+//! `service_epoch_nanos`), and the jobs admitted as `service_ingest_batch`.
 //!
 //! Drive it with [`run`](ServiceCore::run) and a [`ServiceClock`] for a
 //! long-running daemon, or call `tick` directly at chosen instants for
@@ -22,7 +30,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::time::Instant;
 
 use crossbeam::channel::{Receiver, TryRecvError};
-use rsched_cluster::{ClusterConfig, JobId};
+use rsched_cluster::{ClusterConfig, JobId, JobSpec};
 use rsched_sim::kernel::KernelState;
 use rsched_sim::{
     job_is_feasible, Action, SchedulingPolicy, SimError, SimEvent, SimOptions, SimOutcome, SimStats,
@@ -127,6 +135,10 @@ pub struct ServiceCore {
     seen: BTreeSet<JobId>,
     /// Admitting tenant of each job currently waiting or running.
     tenant_of: BTreeMap<JobId, TenantId>,
+    /// The jobs this tick's ingest has admitted so far, each with its
+    /// rank: handed to the kernel when the ingest loop ends, so empty
+    /// between ticks.
+    arrivals: Vec<(JobSpec, u64)>,
     draining: bool,
     /// Whether the last ingest pass emptied the channel (vs. stopping at
     /// the batch cap).
@@ -171,6 +183,7 @@ impl ServiceCore {
             rx,
             seen: BTreeSet::new(),
             tenant_of: BTreeMap::new(),
+            arrivals: Vec::new(),
             draining: false,
             channel_drained: true,
             completed_streamed: 0,
@@ -279,7 +292,7 @@ impl ServiceCore {
                 for observer in observers.iter_mut() {
                     observer.on_admit(tenant, &job, now);
                 }
-                self.kernel.arrive_ranked(job, rank);
+                self.arrivals.push((job, rank));
                 self.admitted += 1;
                 true
             }
@@ -287,10 +300,7 @@ impl ServiceCore {
                 for observer in observers.iter_mut() {
                     observer.on_reject(tenant, &job, &reason, now);
                 }
-                if self.telemetry.is_enabled() {
-                    let name = format!("service_rejected_{}_total", reason.code());
-                    self.telemetry.count(&name, 1);
-                }
+                self.telemetry.count(reason.counter_name(), 1);
                 self.rejected += 1;
                 false
             }
@@ -306,6 +316,16 @@ impl ServiceCore {
         observers: &mut [&mut dyn ServiceObserver],
     ) -> Result<TickStats, SimError> {
         let wall_start = Instant::now();
+        // Where each step ended, in nanoseconds into the tick: read only
+        // when the sink records.
+        let recording = self.telemetry.is_enabled();
+        let lap = || {
+            if recording {
+                wall_start.elapsed().as_nanos() as u64
+            } else {
+                0
+            }
+        };
         let now = now.max(self.last_now);
         let _tick_span = self.telemetry.span("service.tick", now);
         self.ticks += 1;
@@ -343,6 +363,11 @@ impl ServiceCore {
         }
         self.channel_drained = exhausted;
         self.submitted += ingested;
+        // The admitted jobs join the wait queue in one merge: nothing has
+        // read the queue since the first of them was ruled on.
+        self.kernel.arrive_batch(&mut self.arrivals);
+        self.arrivals.clear();
+        let ingested_at = lap();
 
         // 2. Retire completions at their exact event times (the cluster
         // ledger audits end-time exactness).
@@ -372,6 +397,7 @@ impl ServiceCore {
         }
         self.completed_streamed = self.kernel.completed_len();
         self.kernel.observe_time(now);
+        let retired_at = lap();
 
         // 3. One decision epoch, if the kernel wants one.
         let pending = self.pending_hint();
@@ -409,8 +435,15 @@ impl ServiceCore {
 
         let wall_nanos = wall_start.elapsed().as_nanos() as u64;
         self.latency.record(wall_nanos);
-        if self.telemetry.is_enabled() {
+        if recording {
             self.telemetry.observe("service_tick_nanos", wall_nanos);
+            self.telemetry.observe("service_ingest_nanos", ingested_at);
+            self.telemetry
+                .observe("service_retire_nanos", retired_at - ingested_at);
+            self.telemetry
+                .observe("service_epoch_nanos", wall_nanos - retired_at);
+            self.telemetry
+                .observe("service_ingest_batch", tick_admitted as u64);
             self.telemetry
                 .set_counter("service_submitted_total", self.submitted as u64);
             self.telemetry

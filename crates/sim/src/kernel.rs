@@ -47,7 +47,8 @@ use crate::view::{RunningSummary, SystemView};
 /// A driver's contract, per tick at time `now`:
 ///
 /// 1. deliver arrivals ([`arrive`](Self::arrive) /
-///    [`arrive_ranked`](Self::arrive_ranked)) and completions
+///    [`arrive_ranked`](Self::arrive_ranked) /
+///    [`arrive_batch`](Self::arrive_batch)) and completions
 ///    ([`complete`](Self::complete), at each job's **exact** end time —
 ///    pop [`Completion`](SimEvent::Completion) events via
 ///    [`pop_events_at`](Self::pop_events_at));
@@ -141,6 +142,20 @@ impl KernelState {
     /// multi-tenant path; rank 0 reduces to [`arrive`](Self::arrive).
     pub fn arrive_ranked(&mut self, job: JobSpec, rank: u64) {
         self.queue.insert_ranked(job, rank);
+        self.ledger.queue_changed();
+    }
+
+    /// Every `(job, rank)` of `batch` joins the waiting queue, as
+    /// [`arrive_ranked`](Self::arrive_ranked) on each in any order would
+    /// leave it, in one merge (the batch is sorted in place by queue key)
+    /// and one queue-version bump: what a driver that collects a tick's
+    /// admissions before anything reads the queue — the service daemon —
+    /// hands over.
+    pub fn arrive_batch(&mut self, batch: &mut [(JobSpec, u64)]) {
+        if batch.is_empty() {
+            return;
+        }
+        self.queue.arrive(batch);
         self.ledger.queue_changed();
     }
 
@@ -395,6 +410,8 @@ impl KernelState {
         let (builds, entries) = self.queue.arrival_counters();
         t.set_counter("sim_queue_arrival_index_builds_total", builds);
         t.set_counter("sim_queue_arrival_entries_total", entries);
+        let shifts = self.queue.arrival_shifts();
+        t.set_counter("sim_queue_arrival_shifts_total", shifts);
         t.set_gauge("sim_queue_depth", self.queue.len() as i64);
         t.set_gauge("sim_running_jobs", self.cluster.running_count() as i64);
     }

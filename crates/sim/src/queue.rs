@@ -11,8 +11,14 @@
 //! rebuilt the running-summary vector (plus a full clone of the completed
 //! records) on every policy query — O(n) per query, O(n²) per run. Here:
 //!
-//! * [`WaitQueue`] keeps jobs sorted by `(rank, submit, id)` via
-//!   binary-search insertion, pops the head in O(1) amortized via a head
+//! * [`WaitQueue`] keeps jobs sorted by `(rank, submit, id)`. Arrivals
+//!   come in batches — whatever one service tick admitted, or the one job
+//!   of a virtual-time arrival — through one routine, `WaitQueue::arrive`:
+//!   the batch is sorted by the same key and appended, and where part of it
+//!   sorts ahead of waiting jobs it is merged in from the back, each
+//!   waiting job behind the batch's first key moving once and none ahead of
+//!   it at all (`sim_queue_arrival_shifts_total` counts the moves). The
+//!   queue pops the head in O(1) amortized via a head
 //!   offset, and answers "does anything fit?" without probing the jobs:
 //!   conservative min-demand watermarks ahead of a dense column scan on a
 //!   flat machine, a lookup in an exact count of waiting jobs per
@@ -35,6 +41,7 @@
 use std::cell::{Cell, OnceCell};
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Bound::{Excluded, Included, Unbounded};
+use std::ops::Range;
 
 use rsched_cluster::{
     compatible_slots, ClusterState, JobId, JobSpec, PlacementRequest, SlotSet, Topology,
@@ -171,6 +178,9 @@ pub struct WaitQueue {
     arrival: OnceCell<BTreeSet<ArrivalKey>>,
     /// Keys `first_admitted` has examined so far (telemetry).
     entries: Cell<u64>,
+    /// Waiting jobs [`arrive`](Self::arrive) has moved to make room so far
+    /// (telemetry).
+    shifts: u64,
 }
 
 impl WaitQueue {
@@ -188,6 +198,7 @@ impl WaitQueue {
             probes: Cell::new(0),
             arrival: OnceCell::new(),
             entries: Cell::new(0),
+            shifts: 0,
         }
     }
 
@@ -209,13 +220,12 @@ impl WaitQueue {
         self.head == self.jobs.len()
     }
 
-    /// Position of `(rank, submit, id)` in the live queue, whether or not
-    /// it is present (`Result` as in `slice::binary_search`).
-    fn position(&self, key: Place) -> Result<usize, usize> {
+    /// Position of `(rank, submit, id)` among the live jobs `within`,
+    /// whether or not it is present (`Result` as in `slice::binary_search`).
+    fn position(&self, within: Range<usize>, key: Place) -> Result<usize, usize> {
         let live = self.as_slice();
         let ranks = &self.ranks[self.head..];
-        let mut lo = 0usize;
-        let mut hi = live.len();
+        let (mut lo, mut hi) = (within.start, within.end);
         while lo < hi {
             let mid = lo + (hi - lo) / 2;
             let mid_key = (ranks[mid], live[mid].submit, live[mid].id);
@@ -235,28 +245,67 @@ impl WaitQueue {
         self.insert_ranked(job, 0);
     }
 
-    /// Insert preserving `(rank, submit, id)` order — the service daemon's
-    /// path, with `rank` a usage-decayed fair-share tag (lower sorts
-    /// earlier).
+    /// Insert preserving `(rank, submit, id)` order, `rank` a usage-decayed
+    /// fair-share tag (lower sorts earlier): [`arrive`](Self::arrive) on a
+    /// batch of one.
     pub(crate) fn insert_ranked(&mut self, job: JobSpec, rank: u64) {
-        if self.topology.is_flat() {
-            self.min_nodes = self.min_nodes.min(job.nodes);
-            self.min_memory_gb = self.min_memory_gb.min(job.memory_gb);
-        } else {
-            *self.index.entry(self.index_key(&job)).or_insert(0) += 1;
-        }
-        if let Some(order) = self.order.get_mut() {
-            order.insert(OrderKey::of(&self.topology, &job));
-        }
-        if let Some(arrival) = self.arrival.get_mut() {
-            arrival.insert(arrival_key(&self.topology, &job, rank));
-        }
-        let at = match self.position((rank, job.submit, job.id)) {
-            Ok(_) => unreachable!("duplicate job ids are rejected before insertion"),
-            Err(at) => at,
+        self.arrive(&mut [(job, rank)]);
+    }
+
+    /// A batch of `(job, rank)` arrivals joins the queue, each where
+    /// `(rank, submit, id)` puts it — the queue one-by-one insertion in any
+    /// order would leave, since ids are unique. The batch is sorted by that
+    /// key and appended, which is all there is to do when none of it sorts
+    /// ahead of a waiting job (every virtual-time arrival); otherwise it is
+    /// merged in from the back: the waiting jobs behind each arrival move
+    /// right in one run, past every arrival still to be placed, so a
+    /// waiting job moves at most once per batch however many arrivals land
+    /// ahead of it, and none ahead of the batch's first key moves at all.
+    /// This is the only place arrivals shift the queue.
+    pub(crate) fn arrive(&mut self, batch: &mut [(JobSpec, u64)]) {
+        let place = |(job, rank): &(JobSpec, u64)| -> Place { (*rank, job.submit, job.id) };
+        batch.sort_unstable_by_key(place);
+        let Some(first) = batch.first().map(place) else {
+            return;
         };
-        self.jobs.insert(self.head + at, job);
-        self.ranks.insert(self.head + at, rank);
+        let duplicate = "duplicate job ids are rejected before insertion";
+        let ascends = |pair: &[(JobSpec, u64)]| place(&pair[0]) < place(&pair[1]);
+        assert!(batch.windows(2).all(ascends), "{duplicate}");
+        let mut end = self.len();
+        let floor = self.position(0..end, first).expect_err(duplicate);
+        for (job, rank) in batch.iter() {
+            if self.topology.is_flat() {
+                self.min_nodes = self.min_nodes.min(job.nodes);
+                self.min_memory_gb = self.min_memory_gb.min(job.memory_gb);
+            } else {
+                *self.index.entry(self.index_key(job)).or_insert(0) += 1;
+            }
+            if let Some(order) = self.order.get_mut() {
+                order.insert(OrderKey::of(&self.topology, job));
+            }
+            if let Some(arrival) = self.arrival.get_mut() {
+                arrival.insert(arrival_key(&self.topology, job, *rank));
+            }
+            self.jobs.push(job.clone());
+            self.ranks.push(*rank);
+        }
+        if floor == end {
+            return;
+        }
+        // The waiting jobs `floor..end` are still to be merged; the slots
+        // behind them hold the appended copies, then whatever a run left.
+        for (ahead, entry @ (job, rank)) in batch.iter().enumerate().rev() {
+            let at = self
+                .position(floor..end, place(entry))
+                .expect_err(duplicate);
+            let (from, to) = (self.head + at, self.head + end);
+            self.jobs.shift_right(from, to, ahead + 1);
+            self.ranks.copy_within(from..to, from + ahead + 1);
+            self.jobs.set(from + ahead, job.clone());
+            self.ranks[from + ahead] = *rank;
+            self.shifts += (end - at) as u64;
+            end = at;
+        }
     }
 
     /// Remove the job at `index` of [`as_slice`](Self::as_slice), returning
@@ -463,7 +512,8 @@ impl WaitQueue {
             if !ahead(&first) {
                 return;
             }
-            let at = self.position(first.2).expect("indexed jobs wait");
+            let at = self.position(0..self.len(), first.2);
+            let at = at.expect("indexed jobs wait");
             let found = if reservation.admits(&self.as_slice()[at]) {
                 Some(&first)
             } else {
@@ -485,6 +535,11 @@ impl WaitQueue {
     /// Telemetry: the same two numbers of the arrival order.
     pub(crate) fn arrival_counters(&self) -> (u64, u64) {
         (u64::from(self.arrival.get().is_some()), self.entries.get())
+    }
+
+    /// Telemetry: waiting jobs moved to make room for arrivals.
+    pub(crate) fn arrival_shifts(&self) -> u64 {
+        self.shifts
     }
 }
 
@@ -924,6 +979,109 @@ mod tests {
                     prop_assert!(q.min_memory_gb <= min_memory_gb);
                     prop_assert!(q.index.is_empty());
                 }
+            }
+        }
+
+        /// A batch leaves the queue one-job inserts leave. One queue is fed
+        /// batches — none, one job, a spread over three ranks, all at the
+        /// back, all at the front — and its twin the same jobs one at a
+        /// time, as they came; removals fall on either side of the middle,
+        /// a run of head pops forces the head offset to compact, and
+        /// `shortest` / `first_admitted` are first asked wherever the ops
+        /// put them, so a batch meets the ordered sets built or not. After
+        /// every op the two agree on the jobs, the rank column, the
+        /// watermarks, the count index and both sets, and the jobs are in
+        /// `(rank, submit, id)` order with their columns beside them.
+        #[test]
+        fn a_batch_leaves_the_queue_one_job_inserts_leave(
+            classed in 0u8..2,
+            ops in prop::collection::vec((0u8..8, 0u32..1000, 0u64..1000, 0u64..50), 1..60),
+        ) {
+            let classed = classed == 1;
+            let cluster = cluster_at(classed, 0, 0, 0);
+            let topology = cluster.config().topology;
+            let (mut q, mut twin) = (WaitQueue::new(topology), WaitQueue::new(topology));
+            let mut next_id = 0u32;
+            let mut shifts_bound = 0u64;
+            for (kind, a, b, c) in ops {
+                match kind {
+                    0..=3 => {
+                        let len = if kind == 0 { a as usize % 2 } else { a as usize % 24 };
+                        let mut batch: Vec<(JobSpec, u64)> = (0..len as u32)
+                            .map(|i| {
+                                let (a, b) = (a.rotate_left(i) ^ i, b.rotate_left(i) ^ c);
+                                let mut job = arbitrary_job(classed, next_id + i, a, b, 0);
+                                let rank = match kind {
+                                    // Among what waits, across three ranks.
+                                    0 | 1 => {
+                                        job.submit = SimTime::from_secs(10 + b % 7);
+                                        1 + u64::from(a) % 3
+                                    }
+                                    // Behind everything that waits.
+                                    2 => {
+                                        job.submit = SimTime::from_secs(100 + u64::from(next_id));
+                                        3
+                                    }
+                                    // Ahead of all but earlier such batches.
+                                    _ => 0,
+                                };
+                                (job, rank)
+                            })
+                            .collect();
+                        next_id += len as u32;
+                        for (job, rank) in &batch {
+                            twin.insert_ranked(job.clone(), *rank);
+                        }
+                        shifts_bound += q.len() as u64;
+                        q.arrive(&mut batch);
+                    }
+                    4 if !q.is_empty() => {
+                        let at = a as usize % q.len();
+                        prop_assert_eq!(q.remove_at(at), twin.remove_at(at));
+                    }
+                    // Enough head pops that the dead prefix outgrows the
+                    // live queue (or the queue drains).
+                    5 => {
+                        let mut compacted = q.is_empty();
+                        for _ in 0..(q.len() / 2 + 1).max(33).min(q.len()) {
+                            prop_assert_eq!(q.remove_at(0), twin.remove_at(0));
+                            compacted |= q.head == 0;
+                        }
+                        prop_assert!(compacted);
+                    }
+                    6 => {
+                        let (nodes, memory_gb, by_class) = free_now(&cluster_at(classed, a, b, c));
+                        let shortest = q.shortest(nodes, memory_gb, &by_class);
+                        prop_assert_eq!(shortest, twin.shortest(nodes, memory_gb, &by_class));
+                    }
+                    7 => {
+                        let cluster = cluster_at(classed, a, b, c);
+                        let head = arbitrary_job(classed, u32::MAX, a.rotate_left(7), c * 7, 0);
+                        let reservation = reservation_on(&cluster, &head);
+                        let (nodes, memory_gb, by_class) = free_now(&cluster);
+                        let free = (nodes, memory_gb, &by_class);
+                        let admitted = q.first_admitted(free, &reservation);
+                        prop_assert_eq!(admitted, twin.first_admitted(free, &reservation));
+                    }
+                    _ => {}
+                }
+                prop_assert_eq!(q.as_slice(), twin.as_slice());
+                prop_assert_eq!(&q.ranks[q.head..], &twin.ranks[twin.head..]);
+                prop_assert_eq!(
+                    (q.min_nodes, q.min_memory_gb),
+                    (twin.min_nodes, twin.min_memory_gb)
+                );
+                prop_assert_eq!(&q.index, &twin.index);
+                prop_assert_eq!(q.order.get(), twin.order.get());
+                prop_assert_eq!(q.arrival.get(), twin.arrival.get());
+                crate::store::tests::assert_aligned(&q.jobs);
+                prop_assert_eq!(q.ranks.len(), q.jobs.len());
+                let places = q.as_slice().iter().zip(&q.ranks[q.head..]);
+                let places: Vec<Place> = places.map(|(j, &rank)| (rank, j.submit, j.id)).collect();
+                prop_assert!(places.windows(2).all(|pair| pair[0] < pair[1]));
+                // A waiting job moves at most once per batch.
+                prop_assert!(q.arrival_shifts() <= shifts_bound);
+                prop_assert!(q.arrival_shifts() <= twin.arrival_shifts());
             }
         }
     }

@@ -13,7 +13,8 @@
 //! channel; both produce bit-identical decisions for identical streams.
 //!
 //! The kernel is **zero-copy and incremental**: the waiting queue stays
-//! sorted by `(rank, submit, id)` via binary-search insertion at arrival
+//! sorted by `(rank, submit, id)` — an arrival is binary-searched to its
+//! place, which in time order is the back
 //! (rank is always 0 here, so the order is the paper's `(submit, id)`), the
 //! running-summary mirror is updated on start/complete instead of rebuilt
 //! per query, completed-job aggregates are folded in O(1) by the cluster

@@ -14,7 +14,10 @@
 //!
 //! The store is position-indexed and order-preserving: it is the backing
 //! storage of the simulator's wait queue, which layers its head offset,
-//! rank column, and sorted-insert logic on top.
+//! rank column, and sorted-merge logic on top. Room for arrivals is made
+//! by [`shift_right`](JobStore::shift_right), one run of jobs at a time,
+//! and filled by [`set`](JobStore::set); [`insert`](JobStore::insert) is
+//! their one-job case.
 
 use rsched_cluster::JobSpec;
 
@@ -78,14 +81,45 @@ impl JobStore {
         self.specs.push(job);
     }
 
-    /// Insert a job at `at`, shifting the tail right.
+    /// Insert a job at `at`, shifting the tail right: the one-job case of
+    /// [`shift_right`](Self::shift_right) and [`set`](Self::set).
     ///
     /// # Panics
     /// Panics if `at > len()`.
     pub fn insert(&mut self, at: usize, job: JobSpec) {
-        self.nodes.insert(at, job.nodes);
-        self.memory_gb.insert(at, job.memory_gb);
-        self.specs.insert(at, job);
+        let end = self.len();
+        self.push(job.clone());
+        self.shift_right(at, end, 1);
+        self.set(at, job);
+    }
+
+    /// Move the jobs at `[from..to)` right by `by` slots in every column,
+    /// over whatever `[to..to + by)` held. `[from..from + by)` is left
+    /// holding stale entries for the caller to [`set`](Self::set): this
+    /// is how the wait queue opens the gaps a batch of arrivals merges
+    /// into, each run of waiting jobs moving once.
+    ///
+    /// # Panics
+    /// Panics if `from > to` or `to + by > len()`.
+    pub fn shift_right(&mut self, from: usize, to: usize, by: usize) {
+        // Back to front, so that a run longer than `by` never overwrites
+        // what it has yet to move (a rotation would also carry the `by`
+        // stale slots across the run, once per run).
+        for at in (from..to).rev() {
+            self.specs[at + by] = self.specs[at].clone();
+        }
+        self.nodes.copy_within(from..to, from + by);
+        self.memory_gb.copy_within(from..to, from + by);
+    }
+
+    /// Overwrite the job at `at` in every column.
+    ///
+    /// # Panics
+    /// Panics if `at >= len()`.
+    pub fn set(&mut self, at: usize, job: JobSpec) {
+        self.nodes[at] = job.nodes;
+        self.memory_gb[at] = job.memory_gb;
+        self.specs[at] = job;
     }
 
     /// Remove and return the job at `at`, shifting the tail left.

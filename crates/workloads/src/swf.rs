@@ -199,10 +199,8 @@ impl SwfTrace {
             .max()
             .unwrap_or(1);
         let nodes = self.max_nodes().unwrap_or(widest).max(widest).max(1);
-        ClusterConfig::new(
-            nodes,
-            nodes as u64 * DEFAULT_GB_PER_PROC.max(mem_ceil_gb(self)),
-        )
+        let gb_per_node = DEFAULT_GB_PER_PROC.max(mem_ceil_gb(self));
+        ClusterConfig::new(nodes, (nodes as u64).saturating_mul(gb_per_node))
     }
 
     /// Convert to simulator-ready jobs, Polaris-pipeline style: keep
@@ -796,6 +794,19 @@ mod tests {
         let jobs = parse_trace(line).expect("parses").to_jobs(0);
         assert_eq!(jobs[0].nodes, 8);
         assert_eq!(jobs[0].memory_gb, u64::MAX.div_ceil(1024 * 1024));
+    }
+
+    /// ... nor `MaxNodes ×` the per-node GB a derived cluster is sized by:
+    /// a header above two million nodes beside such a memory field sizes a
+    /// machine with all the memory there is, which still fits the job.
+    #[test]
+    fn a_derived_cluster_too_large_to_multiply_saturates() {
+        let text = "; MaxNodes: 4194304\n\
+            1 0 12 1820 8 1650.5 9223372036854775807 8 3600 -1 1 11 2 3 1 1 -1 -1\n";
+        let trace = parse_trace(text).expect("parses");
+        let cluster = trace.cluster();
+        assert_eq!((cluster.nodes, cluster.memory_gb), (4_194_304, u64::MAX));
+        assert!(trace.to_jobs(0)[0].memory_gb <= cluster.memory_gb);
     }
 
     #[test]

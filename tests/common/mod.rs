@@ -5,7 +5,7 @@ use reasoned_scheduler::prelude::*;
 use reasoned_scheduler::service::FairShareConfig;
 
 /// `jobs` through the service core with fair-share ranking on — arrivals
-/// reach the queue through `insert_ranked` at their tenants' usage-decayed
+/// reach the queue a tick's batch at a time, at their tenants' usage-decayed
 /// ranks — ticked at every submit and completion instant, as
 /// `rsched_service::replay` does with ranking off.
 pub fn serve_with_fair_share(

@@ -19,7 +19,8 @@ use reasoned_scheduler::cpsolver::SolverConfig;
 use reasoned_scheduler::prelude::*;
 use reasoned_scheduler::registry::names;
 use reasoned_scheduler::sim::{
-    ActionOutcome, CapacityLedger, RejectReason, RunningSummary, SimError, SimStats,
+    ActionOutcome, CapacityLedger, KernelState, RejectReason, RunningSummary, SimError, SimEvent,
+    SimStats,
 };
 use reasoned_scheduler::simkit::EventQueue;
 
@@ -855,6 +856,69 @@ fn classed_zero_node_job_runs_whatever_its_memory() {
     assert_outcomes_identical(&a, &b, "zero-node job on mixed_256");
     assert_eq!(a.records.len(), 1);
     assert_eq!(a.records[0].start, SimTime::ZERO);
+}
+
+/// Arrivals handed to the kernel as one batch — a service tick's
+/// admissions — leave it where delivering them one at a time does: the
+/// same queue, and the same decisions from the epoch that follows, whether
+/// the policy reads the queue's head (FCFS), its shortest-first order (SJF)
+/// or, behind a blocked head, its arrival order (EASY). The second batch
+/// lands among, ahead of and behind jobs that already wait.
+#[test]
+fn a_batch_of_arrivals_is_one_by_one_delivery() {
+    let job = |i: u32, now: u64| {
+        let walltime = SimDuration::from_secs(60 + u64::from(i * 37 % 11) * 30);
+        let submit = SimTime::from_secs(now.saturating_sub(u64::from(i * 5 % 4)));
+        let spec = JobSpec::new(
+            i,
+            i % 3,
+            submit,
+            walltime,
+            [1, 2, 4, 8, 12][i as usize % 5],
+            8,
+        );
+        (spec, u64::from(i * 7 % 3))
+    };
+    let policies: [fn() -> Box<dyn SchedulingPolicy>; 3] = [
+        || Box::new(Fcfs::default()),
+        || Box::new(Sjf::default()),
+        || Box::new(EasyBackfill::new()),
+    ];
+    let options = SimOptions::default();
+    for policy in policies {
+        let mut kernels = [true, false].map(|batched| {
+            let mut kernel = KernelState::new(ClusterConfig::new(16, 256), SimTime::ZERO);
+            let mut policy = policy();
+            for (now, ids) in [(0, 0..20), (100, 20..60)] {
+                let mut arrivals: Vec<_> = ids.map(|i| job(i, now)).collect();
+                let now = SimTime::from_secs(now);
+                if batched {
+                    kernel.arrive_batch(&mut arrivals);
+                } else {
+                    for (spec, rank) in arrivals {
+                        kernel.arrive_ranked(spec, rank);
+                    }
+                }
+                while let Some(at) = kernel.next_event_time().filter(|&at| at <= now) {
+                    for event in kernel.pop_events_at(at) {
+                        if let SimEvent::Completion(id) = event {
+                            kernel.complete(id, at);
+                        }
+                    }
+                    kernel.observe_time(at);
+                }
+                kernel.observe_time(now);
+                assert!(kernel.should_query(now, 1), "{}", policy.name());
+                let epoch = kernel.run_epoch(now, 1, 60, policy.as_mut(), &options);
+                epoch.expect("the query budget is not in play");
+            }
+            kernel
+        });
+        let [batched, single] = &mut kernels;
+        assert_eq!(batched.waiting(), single.waiting());
+        assert_eq!(batched.decisions(), single.decisions());
+        assert!(batched.stats().placements > 0 && batched.waiting_len() > 20);
+    }
 }
 
 /// 50k-job scale smoke test — `#[ignore]` by default because it is only
