@@ -4,14 +4,14 @@
 //! [`ServiceCore`] is the single-threaded heart of the daemon. Each
 //! [`tick`](ServiceCore::tick) at service time `now`:
 //!
-//! 1. **ingests** up to [`max_batch`](ServiceConfig::max_batch) requests
-//!    from the MPSC channel, ruling on each in channel order — the admitted
-//!    get a fair-share rank, the rest bounce with typed
-//!    [`AdmissionError`]s — and, when the channel is empty or the batch
-//!    full, hands the admitted jobs to the kernel's waiting queue in one
-//!    merge ([`KernelState::arrive_batch`]): nothing reads the queue
-//!    between two submissions of a tick, so a burst that lands mid-queue
-//!    moves each waiting job once, not once per arrival;
+//! 1. **ingests**: takes up to [`max_batch`](ServiceConfig::max_batch)
+//!    submissions out of the ingest queue under one lock and rules on each
+//!    in queue order — the admitted get a fair-share rank and a line in
+//!    the ledger of admitted ids, the rest bounce with typed
+//!    [`AdmissionError`]s — then hands the admitted jobs to the kernel's
+//!    waiting queue in one merge ([`KernelState::arrive_batch`]): nothing
+//!    reads the queue between two submissions of a tick, so a burst that
+//!    lands mid-queue moves each waiting job once, not once per arrival;
 //! 2. **retires** every completion event scheduled at or before `now`, at
 //!    its exact event time (the cluster ledger audits this);
 //! 3. runs **one decision epoch** — the same
@@ -20,16 +20,19 @@
 //!
 //! With a recording sink each step's share of the tick is observed beside
 //! `service_tick_nanos` (`service_ingest_nanos`, `service_retire_nanos`,
-//! `service_epoch_nanos`), and the jobs admitted as `service_ingest_batch`.
+//! `service_epoch_nanos`), the jobs admitted as `service_ingest_batch`, and
+//! the door's own work as counts: `service_ingest_takes_total` (takes that
+//! moved requests), `service_admitted_strays_total` (ids admitted below an
+//! earlier one) and the gauge `service_ingest_backlog` (requests the take
+//! left queued — how much of a burst the door is still absorbing).
 //!
 //! Drive it with [`run`](ServiceCore::run) and a [`ServiceClock`] for a
 //! long-running daemon, or call `tick` directly at chosen instants for
 //! deterministic replays (`crate::replay`).
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::time::Instant;
 
-use crossbeam::channel::{Receiver, TryRecvError};
 use rsched_cluster::{ClusterConfig, JobId, JobSpec};
 use rsched_sim::kernel::KernelState;
 use rsched_sim::{
@@ -40,7 +43,9 @@ use rsched_telemetry::{HistSummary, LogHistogram, TelemetrySink};
 
 use crate::admission::{AdmissionConfig, AdmissionController, AdmissionError};
 use crate::clock::ServiceClock;
-use crate::ingest::{ingest_channel, ServiceRequest, Submission, SubmitHandle};
+use crate::ingest::{
+    ingest_queue, IngestReceiver, ServiceRequest, Submission, SubmitHandle, Taken,
+};
 use crate::observer::{ServiceObserver, TickStats};
 use crate::tenant::TenantId;
 
@@ -52,7 +57,7 @@ pub struct ServiceConfig {
     /// Tick interval: the bound on how long an ingested submission waits
     /// for its first decision epoch.
     pub tick: SimDuration,
-    /// Maximum channel requests ingested per tick. A saturated tick is
+    /// Maximum submissions ingested per tick. A saturated tick is
     /// followed by an immediate re-tick instead of a sleep, so a backlog
     /// drains at full speed while each epoch stays bounded.
     pub max_batch: usize,
@@ -102,7 +107,7 @@ impl ServiceConfig {
 /// Final accounting for a service run, delivered on drain.
 #[derive(Debug, Clone)]
 pub struct ServiceReport {
-    /// Submissions ingested from the channel (admitted + rejected).
+    /// Submissions ingested from the queue (admitted + rejected).
     pub submitted: usize,
     /// Submissions admitted to the waiting queue.
     pub admitted: usize,
@@ -110,7 +115,7 @@ pub struct ServiceReport {
     pub rejected: usize,
     /// Jobs that ran to completion.
     pub completed: usize,
-    /// Requests left unread in the channel at shutdown (0 for a clean
+    /// Requests left unread in the queue at shutdown (0 for a clean
     /// drain).
     pub dropped_requests: usize,
     /// Ticks executed.
@@ -123,26 +128,62 @@ pub struct ServiceReport {
     pub tick_latency: HistSummary,
 }
 
+/// Every id ever admitted, with its admitting tenant: duplicate detection
+/// (mirroring the simulator's workload validation) and "whose slot does
+/// this placement free?" from one structure.
+#[derive(Default)]
+struct AdmittedLedger {
+    /// Strictly ascending in id and append-only: ids mostly arrive
+    /// ascending, so an id above the last is absent without a search.
+    run: Vec<(JobId, TenantId)>,
+    /// Ids admitted below the run's last: a tenant counting down costs a
+    /// tree insert per job and never shifts the run.
+    strays: BTreeMap<JobId, TenantId>,
+}
+
+impl AdmittedLedger {
+    fn tenant_of(&self, id: JobId) -> Option<TenantId> {
+        match self.run.last() {
+            Some(&(last, _)) if id <= last => match self.run.binary_search_by_key(&id, |e| e.0) {
+                Ok(at) => Some(self.run[at].1),
+                Err(_) => self.strays.get(&id).copied(),
+            },
+            _ => None,
+        }
+    }
+
+    /// Record an id that [`tenant_of`](Self::tenant_of) does not know.
+    fn admit(&mut self, id: JobId, tenant: TenantId) {
+        match self.run.last() {
+            Some(&(last, _)) if id < last => {
+                self.strays.insert(id, tenant);
+            }
+            _ => self.run.push((id, tenant)),
+        }
+    }
+}
+
 /// The single-threaded scheduler service around one [`KernelState`].
 pub struct ServiceCore {
     config: ServiceConfig,
     kernel: KernelState,
     admission: AdmissionController,
     policy: Box<dyn SchedulingPolicy>,
-    rx: Receiver<ServiceRequest>,
-    /// Every id ever admitted (global duplicate detection, mirroring the
-    /// simulator's workload validation).
-    seen: BTreeSet<JobId>,
-    /// Admitting tenant of each job currently waiting or running.
-    tenant_of: BTreeMap<JobId, TenantId>,
+    rx: IngestReceiver,
+    /// This tick's requests as taken from the queue; empty between ticks,
+    /// its allocation kept.
+    batch: Vec<ServiceRequest>,
+    /// Takes that moved at least one request.
+    takes: u64,
+    ledger: AdmittedLedger,
     /// The jobs this tick's ingest has admitted so far, each with its
     /// rank: handed to the kernel when the ingest loop ends, so empty
     /// between ticks.
     arrivals: Vec<(JobSpec, u64)>,
     draining: bool,
-    /// Whether the last ingest pass emptied the channel (vs. stopping at
-    /// the batch cap).
-    channel_drained: bool,
+    /// Whether the last take emptied the queue (vs. stopping at the batch
+    /// cap).
+    queue_drained: bool,
     /// Completed records already streamed to observers.
     completed_streamed: usize,
     submitted: usize,
@@ -164,16 +205,16 @@ impl ServiceCore {
         policy: Box<dyn SchedulingPolicy>,
         start: SimTime,
     ) -> (Self, SubmitHandle) {
-        let (handle, rx) = ingest_channel();
+        let (handle, rx) = ingest_queue();
         (Self::with_receiver(config, policy, rx, start), handle)
     }
 
     /// A core over an existing ingest receiver (the daemon constructs the
-    /// channel on the caller side and the core on its own thread).
-    pub fn with_receiver(
+    /// queue on the caller side and the core on its own thread).
+    pub(crate) fn with_receiver(
         config: ServiceConfig,
         policy: Box<dyn SchedulingPolicy>,
-        rx: Receiver<ServiceRequest>,
+        rx: IngestReceiver,
         start: SimTime,
     ) -> Self {
         ServiceCore {
@@ -181,11 +222,12 @@ impl ServiceCore {
             admission: AdmissionController::new(config.admission),
             policy,
             rx,
-            seen: BTreeSet::new(),
-            tenant_of: BTreeMap::new(),
+            batch: Vec::new(),
+            takes: 0,
+            ledger: AdmittedLedger::default(),
             arrivals: Vec::new(),
             draining: false,
-            channel_drained: true,
+            queue_drained: true,
             completed_streamed: 0,
             submitted: 0,
             admitted: 0,
@@ -234,8 +276,8 @@ impl ServiceCore {
     /// requests, nothing waiting, nothing running.
     pub fn finished(&self) -> bool {
         self.draining
-            && self.channel_drained
-            && self.rx.is_empty()
+            && self.queue_drained
+            && self.rx.len() == 0
             && self.kernel.waiting_len() == 0
             && self.kernel.running_count() == 0
             && self.kernel.events_is_empty()
@@ -246,10 +288,10 @@ impl ServiceCore {
             // Replay mode: exactly the simulator's pending-arrival count.
             Some(total) => total.saturating_sub(self.admitted),
             // Live mode: arrivals are open-ended until the drain finishes
-            // emptying the channel; the nonzero sentinel keeps policies
+            // emptying the queue; the nonzero sentinel keeps policies
             // from issuing their final `Stop` prematurely.
             None => {
-                if self.draining && self.channel_drained && self.rx.is_empty() {
+                if self.draining && self.queue_drained && self.rx.len() == 0 {
                     0
                 } else {
                     1
@@ -271,7 +313,7 @@ impl ServiceCore {
         let Submission { tenant, mut job } = sub;
         let verdict = if self.draining {
             Err(AdmissionError::Draining)
-        } else if self.seen.contains(&job.id) {
+        } else if self.ledger.tenant_of(job.id).is_some() {
             Err(AdmissionError::DuplicateId(job.id))
         } else if !job_is_feasible(self.config.cluster, &job) {
             Err(AdmissionError::Infeasible {
@@ -287,8 +329,7 @@ impl ServiceCore {
                 if self.config.restamp_submit {
                     job.submit = now;
                 }
-                self.seen.insert(job.id);
-                self.tenant_of.insert(job.id, tenant);
+                self.ledger.admit(job.id, tenant);
                 for observer in observers.iter_mut() {
                     observer.on_admit(tenant, &job, now);
                 }
@@ -330,38 +371,27 @@ impl ServiceCore {
         let _tick_span = self.telemetry.span("service.tick", now);
         self.ticks += 1;
 
-        // 1. Ingest a bounded batch from the channel.
+        // 1. Take a bounded batch from the queue and rule on it in order.
+        let mut batch = std::mem::take(&mut self.batch);
+        let taken = self.rx.take(self.config.max_batch, &mut batch);
+        self.takes += u64::from(!batch.is_empty());
         let mut ingested = 0usize;
         let mut tick_admitted = 0usize;
-        let mut tick_rejected = 0usize;
-        let mut exhausted = false;
-        while ingested < self.config.max_batch {
-            match self.rx.try_recv() {
-                Ok(ServiceRequest::Submit(sub)) => {
+        for request in batch.drain(..) {
+            match request {
+                ServiceRequest::Submit(sub) => {
                     ingested += 1;
-                    if self.handle_submission(sub, now, observers) {
-                        tick_admitted += 1;
-                    } else {
-                        tick_rejected += 1;
-                    }
+                    tick_admitted += usize::from(self.handle_submission(sub, now, observers));
                 }
-                Ok(ServiceRequest::Drain) => {
-                    self.draining = true;
-                }
-                Err(TryRecvError::Empty) => {
-                    exhausted = true;
-                    break;
-                }
-                Err(TryRecvError::Disconnected) => {
-                    // Every producer hung up: nothing can ever arrive, so
-                    // finish what we have and shut down.
-                    self.draining = true;
-                    exhausted = true;
-                    break;
-                }
+                ServiceRequest::Drain => self.draining = true,
             }
         }
-        self.channel_drained = exhausted;
+        self.batch = batch;
+        let tick_rejected = ingested - tick_admitted;
+        // Every producer hung up: nothing can ever arrive, so finish what
+        // we have and shut down.
+        self.draining |= taken == Taken::Disconnected;
+        self.queue_drained = taken != Taken::More;
         self.submitted += ingested;
         // The admitted jobs join the wait queue in one merge: nothing has
         // read the queue since the first of them was ruled on.
@@ -380,11 +410,10 @@ impl ServiceCore {
                 match event {
                     SimEvent::Completion(id) => {
                         self.kernel.complete(id, t);
-                        self.tenant_of.remove(&id);
                         completions += 1;
                     }
                     // The service kernel schedules no Arrival events;
-                    // arrivals come from the channel.
+                    // arrivals come from the ingest queue.
                     SimEvent::Arrival(_) => unreachable!("service kernels have no arrival events"),
                 }
             }
@@ -417,8 +446,8 @@ impl ServiceCore {
             for record in &self.kernel.decisions()[first_new..] {
                 if record.accepted() {
                     if let Action::StartJob(id) | Action::BackfillJob(id) = record.action {
-                        if let Some(tenant) = self.tenant_of.get(&id) {
-                            self.admission.job_started(*tenant);
+                        if let Some(tenant) = self.ledger.tenant_of(id) {
+                            self.admission.job_started(tenant);
                         }
                     }
                 }
@@ -456,6 +485,14 @@ impl ServiceCore {
             );
             self.telemetry
                 .set_counter("service_ticks_total", self.ticks);
+            self.telemetry
+                .set_counter("service_ingest_takes_total", self.takes);
+            self.telemetry.set_counter(
+                "service_admitted_strays_total",
+                self.ledger.strays.len() as u64,
+            );
+            self.telemetry
+                .set_gauge("service_ingest_backlog", self.rx.len() as i64);
             self.telemetry
                 .set_gauge("service_queue_depth", self.kernel.waiting_len() as i64);
             self.telemetry
@@ -499,8 +536,8 @@ impl ServiceCore {
             // chance this tick) — the same Stuck verdict the simulator
             // gives a policy that delays forever.
             if self.draining
-                && self.channel_drained
-                && self.rx.is_empty()
+                && self.queue_drained
+                && self.rx.len() == 0
                 && self.kernel.events_is_empty()
                 && self.kernel.running_count() == 0
                 && self.kernel.waiting_len() > 0
@@ -544,5 +581,85 @@ impl ServiceCore {
         let end = self.last_now;
         let name = self.policy.name().to_string();
         self.kernel.into_outcome(name, end)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+    use rsched_schedulers::Fcfs;
+
+    /// Ids as tenants send them: a rising run, a falling run, two
+    /// interleaved ranges, repeats of what went before, and the ends of
+    /// the id space.
+    fn id_order(kinds: &[(u32, u32)]) -> Vec<u32> {
+        let mut ids = Vec::new();
+        for &(kind, at) in kinds {
+            match kind {
+                0 => ids.extend(at..at + 6),
+                1 => ids.extend((at..at + 6).rev()),
+                2 => ids.extend((0..6).map(|i| at + i + 500 * (i % 2))),
+                3 => ids.extend_from_within(..ids.len().min(4)),
+                _ => ids.extend([u32::MAX, at, 0, u32::MAX - at]),
+            }
+        }
+        ids
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The ledger is a `BTreeMap<JobId, TenantId>`: after every insert
+        /// it answers "seen?" and "whose?" as the map does, for the ids
+        /// around everything sent so far.
+        #[test]
+        fn ledger_is_a_map_from_id_to_tenant(
+            kinds in prop::collection::vec((0u32..5, 0u32..400), 1..12)
+        ) {
+            let ids = id_order(&kinds);
+            let mut ledger = AdmittedLedger::default();
+            let mut model = BTreeMap::new();
+            for (n, &id) in ids.iter().enumerate() {
+                let (id, tenant) = (JobId(id), TenantId(n as u32 % 3));
+                // As `handle_submission` does: a known id is a duplicate.
+                if ledger.tenant_of(id).is_none() {
+                    ledger.admit(id, tenant);
+                }
+                model.entry(id).or_insert(tenant);
+                for &probe in &ids {
+                    for near in [probe.saturating_sub(1), probe, probe.saturating_add(1)] {
+                        let near = JobId(near);
+                        prop_assert_eq!(ledger.tenant_of(near), model.get(&near).copied());
+                    }
+                }
+                prop_assert!(ledger.run.windows(2).all(|w| w[0].0 < w[1].0));
+                prop_assert_eq!(ledger.run.len() + ledger.strays.len(), model.len());
+            }
+        }
+    }
+
+    #[test]
+    fn descending_ids_never_shift_the_run() {
+        const JOBS: u32 = 100_000;
+        let mut config = ServiceConfig::new(ClusterConfig::new(4, 64));
+        config.max_batch = usize::MAX;
+        let (mut core, handle) = ServiceCore::new(config, Box::new(Fcfs::default()), SimTime::ZERO);
+        for id in (1..=JOBS).rev() {
+            let job = JobSpec::new(id, 0, SimTime::ZERO, SimDuration::from_secs(10), 1, 1);
+            handle
+                .submit(TenantId(id % 3), job)
+                .expect("the core is live");
+        }
+        let stats = core.tick(SimTime::ZERO, &mut []).expect("tick");
+        assert_eq!(stats.admitted, JOBS as usize);
+        assert_eq!(core.ledger.run, [(JobId(JOBS), TenantId(JOBS % 3))]);
+        assert_eq!(core.ledger.strays.len(), JOBS as usize - 1);
+        assert_eq!(core.ledger.tenant_of(JobId(7)), Some(TenantId(1)));
+
+        // Every one of them is a duplicate now.
+        let job = JobSpec::new(1, 0, SimTime::ZERO, SimDuration::from_secs(10), 1, 1);
+        handle.submit(TenantId(0), job).expect("the core is live");
+        assert_eq!(core.tick(SimTime::ZERO, &mut []).expect("tick").rejected, 1);
     }
 }

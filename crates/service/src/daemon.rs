@@ -19,7 +19,7 @@ use rsched_sim::{SchedulingPolicy, SimError};
 
 use crate::clock::ServiceClock;
 use crate::core::{ServiceConfig, ServiceCore, ServiceReport};
-use crate::ingest::{ingest_channel, SubmitHandle};
+use crate::ingest::{ingest_queue, SubmitHandle};
 
 /// A running scheduler service thread.
 pub struct ServiceDaemon {
@@ -37,7 +37,7 @@ impl ServiceDaemon {
         C: ServiceClock + 'static,
         F: FnOnce() -> Box<dyn SchedulingPolicy> + Send + 'static,
     {
-        let (handle, rx) = ingest_channel();
+        let (handle, rx) = ingest_queue();
         let thread = std::thread::Builder::new()
             .name("rsched-service".to_string())
             .spawn(move || {

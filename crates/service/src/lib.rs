@@ -7,11 +7,13 @@
 //! (waiting queue, running set, cluster ledger, utilization integrals,
 //! decision log) through the same `deliver events → observe time → decide`
 //! contract. The simulator drives it from a pre-known workload's event
-//! queue; this crate drives it from a live MPSC submission channel on a
-//! pluggable [`ServiceClock`]:
+//! queue; this crate drives it from a live submission queue on a pluggable
+//! [`ServiceClock`]:
 //!
-//! * [`SubmitHandle`] — cloneable front door for producers (a
-//!   mutex-backed MPSC channel);
+//! * [`SubmitHandle`] — cloneable front door for producers: a mutex-guarded
+//!   queue the crate owns, which nothing parks on — a submit is lock, push,
+//!   return (no wake-up system call), and waits there at most one tick
+//!   before the core takes it with the rest of the tick's batch;
 //! * [`AdmissionController`] — per-tenant token-bucket rate limits,
 //!   queue-depth caps, and typed [`AdmissionError`] rejections;
 //! * [`tenant::FairShare`] — usage-decayed tenant priority,

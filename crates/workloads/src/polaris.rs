@@ -163,7 +163,7 @@ pub fn preprocess(raw: &[PolarisRawJob], limit: usize) -> Vec<JobSpec> {
             JobSpec::new(
                 i as u32,
                 user,
-                SimTime::from_secs((r.queued_ts - origin) as u64),
+                SimTime::from_secs(r.queued_ts.saturating_sub(origin).max(0) as u64),
                 SimDuration::from_secs(r.runtime_secs().max(1) as u64),
                 r.nodes,
                 r.nodes as u64 * POLARIS_GB_PER_NODE,
@@ -290,6 +290,17 @@ mod tests {
             assert_eq!(j.memory_gb, j.nodes as u64 * POLARIS_GB_PER_NODE);
             assert!(j.duration >= SimDuration::from_secs(1));
         }
+    }
+
+    #[test]
+    fn queued_timestamps_a_whole_i64_apart_saturate() {
+        let mut raw = synthesize_raw_trace(2, 3);
+        raw.retain(|r| r.exit_status != -1);
+        raw[0].queued_ts = i64::MIN;
+        raw[1].queued_ts = 1;
+        let jobs = preprocess(&raw[..2], 2);
+        assert_eq!(jobs[0].submit, SimTime::ZERO);
+        assert_eq!(jobs[1].submit, SimTime::from_secs(i64::MAX as u64));
     }
 
     #[test]

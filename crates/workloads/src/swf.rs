@@ -277,7 +277,7 @@ fn convert_usable(mut usable: Vec<SwfJob>, limit: usize) -> Vec<JobSpec> {
             JobSpec::new(
                 i as u32,
                 users.id(&j.user),
-                SimTime::from_secs((j.submit_secs - origin).max(0) as u64),
+                SimTime::from_secs(j.submit_secs.saturating_sub(origin).max(0) as u64),
                 SimDuration::from_secs(runtime),
                 procs,
                 memory_gb,
@@ -694,6 +694,19 @@ mod tests {
         assert_eq!(jobs[2].memory_gb, 2 * DEFAULT_GB_PER_PROC);
         // Walltime comes from the requested time.
         assert_eq!(jobs[0].walltime, SimDuration::from_secs(600));
+    }
+
+    #[test]
+    fn submit_times_a_whole_i64_apart_saturate() {
+        // `is_usable` does not look at the submit field.
+        let text = format!(
+            "1 {} 0 60 1 -1 -1 1 60 -1 1 3 1 -1 1 1 -1 -1\n\
+             2 1 0 60 1 -1 -1 1 60 -1 1 3 1 -1 1 1 -1 -1\n",
+            i64::MIN
+        );
+        let jobs = parse_trace(&text).expect("parses").to_jobs(0);
+        assert_eq!(jobs[0].submit, SimTime::ZERO);
+        assert_eq!(jobs[1].submit, SimTime::from_secs(i64::MAX as u64));
     }
 
     #[test]

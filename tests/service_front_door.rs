@@ -1,6 +1,7 @@
 //! The daemon's front door as work, not seconds: how many waiting jobs the
 //! wait queue moves to make room for arrivals when a tick's admissions join
-//! it in one merge, against the same submissions admitted one per tick.
+//! it in one merge, against the same submissions admitted one per tick —
+//! and how often the core locks the ingest queue to get them.
 //!
 //! The input is phase (a) of the benchmark's `service_burst` workload at
 //! seed 7: 150 000 one-node jobs from three tenants (`id % 3`) — one
@@ -14,7 +15,6 @@ use std::rc::Rc;
 use reasoned_scheduler::prelude::*;
 use reasoned_scheduler::service::RateLimit;
 use reasoned_scheduler::simkit::rng::{Rng, Xoshiro256PlusPlus};
-use reasoned_scheduler::telemetry::MetricValue;
 
 const SUBMISSIONS: usize = 150_000;
 
@@ -75,21 +75,19 @@ impl SchedulingPolicy for Gated {
     }
 }
 
+fn counter(sink: &TelemetrySink, name: &str) -> u64 {
+    let count = sink.with(|telemetry| telemetry.metrics.counter(name));
+    count
+        .flatten()
+        .unwrap_or_else(|| panic!("no counter {name}"))
+}
+
 /// The kernel harvests its counters when an epoch closes and the machine is
 /// full from the first tick on: tick once more, at the first completion.
 fn arrival_shifts(core: &mut ServiceCore, sink: &TelemetrySink) -> u64 {
     let first_completion = core.kernel().next_event_time().expect("jobs are running");
     core.tick(first_completion, &mut []).expect("tick");
-    let snapshot = sink.snapshot().expect("the sink records");
-    let shifts = snapshot
-        .entries()
-        .iter()
-        .find(|e| e.name == "sim_queue_arrival_shifts_total")
-        .expect("harvested with the queue's other counters");
-    match shifts.value {
-        MetricValue::Counter(shifts) => shifts,
-        _ => panic!("a counter"),
-    }
+    counter(sink, "sim_queue_arrival_shifts_total")
 }
 
 #[test]
@@ -115,6 +113,11 @@ fn a_ticks_admissions_move_each_waiting_job_at_most_once() {
         now += tick;
     }
     assert_eq!(ticks, 37);
+    // One lock per tick moved its whole batch, and ids that only rise never
+    // leave the ledger's run.
+    assert_eq!(counter(&batched_sink, "service_ingest_takes_total"), 37);
+    assert_eq!(counter(&batched_sink, "service_admitted_strays_total"), 0);
+    assert_eq!(counter(&batched_sink, "service_admitted_total"), 103_437);
 
     // The twin: the same submissions at the same instants, one per tick —
     // a batch of one each, which is one-by-one insertion — deciding only
