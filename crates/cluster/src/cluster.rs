@@ -232,6 +232,12 @@ impl ClusterState {
         self.config
     }
 
+    /// Reserve room for `additional` more completed records — for a driver
+    /// that knows how many jobs its run will complete.
+    pub fn reserve_completed(&mut self, additional: usize) {
+        self.completed.reserve(additional);
+    }
+
     /// Free nodes right now.
     pub fn free_nodes(&self) -> u32 {
         self.allocator.free_nodes()

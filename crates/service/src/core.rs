@@ -402,20 +402,10 @@ impl ServiceCore {
         // 2. Retire completions at their exact event times (the cluster
         // ledger audits end-time exactness).
         let mut completions = 0usize;
-        while let Some(t) = self.kernel.next_event_time() {
-            if t > now {
-                break;
-            }
-            for event in self.kernel.pop_events_at(t) {
-                match event {
-                    SimEvent::Completion(id) => {
-                        self.kernel.complete(id, t);
-                        completions += 1;
-                    }
-                    // The service kernel schedules no Arrival events;
-                    // arrivals come from the ingest queue.
-                    SimEvent::Arrival(_) => unreachable!("service kernels have no arrival events"),
-                }
+        while let Some(t) = self.kernel.next_event_time().filter(|&t| t <= now) {
+            while let Some(SimEvent::Completion(id)) = self.kernel.pop_event_at(t) {
+                self.kernel.complete(id, t);
+                completions += 1;
             }
             self.kernel.observe_time(t);
         }

@@ -6,9 +6,10 @@
 //! simulator: both drivers advance the *same* [`rsched_sim::KernelState`]
 //! (waiting queue, running set, cluster ledger, utilization integrals,
 //! decision log) through the same `deliver events → observe time → decide`
-//! contract. The simulator drives it from a pre-known workload's event
-//! queue; this crate drives it from a live submission queue on a pluggable
-//! [`ServiceClock`]:
+//! contract. The simulator drives it with a cursor over a pre-known
+//! workload; this crate drives it from a live submission queue on a
+//! pluggable [`ServiceClock`] — either way arrivals are the driver's to
+//! deliver, and the kernel's event heap holds completions only:
 //!
 //! * [`SubmitHandle`] — cloneable front door for producers: a mutex-guarded
 //!   queue the crate owns, which nothing parks on — a submit is lock, push,

@@ -69,7 +69,7 @@ pub fn replay_with_telemetry(
     core.set_telemetry(telemetry);
 
     // Submission order: by submit time, stable within ties — the exact
-    // order the simulator's event queue delivers arrivals.
+    // order the simulator's arrival cursor walks.
     let mut order: Vec<usize> = (0..jobs.len()).collect();
     order.sort_by_key(|&i| jobs[i].submit);
     let mut next_submit = 0usize;

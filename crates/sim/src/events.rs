@@ -1,39 +1,18 @@
 //! Simulation event types.
 //!
 //! The paper's discrete-event system advances only at **job arrivals** and
-//! **job completions** (§3.1); these are the only two event kinds.
+//! **job completions** (§3.1). Only completions are *events* here: a
+//! placement schedules one on the kernel's heap at the job's end time.
+//! Arrivals never enter the heap — a driver knows its own (the simulator
+//! walks the workload in submit order, the service takes them off its
+//! ingest queue) and hands them to the kernel at their instant, ahead of
+//! that instant's completions.
 
 use rsched_cluster::JobId;
 
-/// A discrete event on the simulation clock.
+/// A discrete event on the kernel's clock.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SimEvent {
-    /// The workload job at this index (into the instance's job list)
-    /// arrives and joins the waiting queue.
-    Arrival(usize),
     /// The given running job finishes and releases its resources.
     Completion(JobId),
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use rsched_simkit::{EventQueue, SimTime};
-
-    #[test]
-    fn arrivals_and_completions_interleave_in_time_order() {
-        let mut q = EventQueue::new();
-        q.push(SimTime::from_secs(10), SimEvent::Completion(JobId(1)));
-        q.push(SimTime::from_secs(5), SimEvent::Arrival(0));
-        q.push(SimTime::from_secs(10), SimEvent::Arrival(1));
-        let order: Vec<SimEvent> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-        assert_eq!(
-            order,
-            vec![
-                SimEvent::Arrival(0),
-                SimEvent::Completion(JobId(1)),
-                SimEvent::Arrival(1)
-            ]
-        );
-    }
 }

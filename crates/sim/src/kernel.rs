@@ -11,8 +11,9 @@
 //!
 //! * the **virtual-time simulator**
 //!   ([`simulate`](crate::simulator), via [`Simulation`](crate::Simulation))
-//!   pre-loads arrivals as events and jumps the clock to the next event —
-//!   time is free, so a 100k-job year replays in a fraction of a second
+//!   walks the workload's arrivals in submit order and jumps the clock to
+//!   the next arrival or completion, whichever is earlier — time is free,
+//!   so a 100k-job year replays in a fraction of a second
 //!   and a 1M-job synthetic Polaris stream in seconds (the wait queue is
 //!   struct-of-arrays with dense demand columns that the one serial
 //!   placement scan walks behind O(1) watermarks — see
@@ -46,12 +47,15 @@ use crate::view::{RunningSummary, SystemView};
 ///
 /// A driver's contract, per tick at time `now`:
 ///
-/// 1. deliver arrivals ([`arrive`](Self::arrive) /
+/// 1. deliver the arrivals due at `now` ([`arrive`](Self::arrive) /
 ///    [`arrive_ranked`](Self::arrive_ranked) /
-///    [`arrive_batch`](Self::arrive_batch)) and completions
-///    ([`complete`](Self::complete), at each job's **exact** end time —
-///    pop [`Completion`](SimEvent::Completion) events via
-///    [`pop_events_at`](Self::pop_events_at));
+///    [`arrive_batch`](Self::arrive_batch)) — they come from the driver,
+///    which alone knows them; the kernel's event heap holds completions
+///    only, so it is never deeper than the running set — and then the
+///    completions ([`complete`](Self::complete), at each job's **exact**
+///    end time: take [`Completion`](SimEvent::Completion) events one at a
+///    time with [`pop_event_at`](Self::pop_event_at) until it answers
+///    `None`);
 /// 2. [`observe_time`](Self::observe_time) to advance the utilization
 ///    integrals;
 /// 3. if [`should_query`](Self::should_query), call
@@ -75,6 +79,8 @@ pub struct KernelState {
     stopped: bool,
     telemetry: TelemetrySink,
     epochs: Vec<EpochTrace>,
+    /// The deepest the event heap has been.
+    event_heap_peak: usize,
 }
 
 impl KernelState {
@@ -94,33 +100,37 @@ impl KernelState {
             stopped: false,
             telemetry: TelemetrySink::disabled(),
             epochs: Vec::new(),
+            event_heap_peak: 0,
         }
     }
 
-    /// Same, with the event queue pre-sized for a known workload.
-    pub fn with_event_capacity(config: ClusterConfig, start: SimTime, capacity: usize) -> Self {
-        KernelState {
-            events: EventQueue::with_capacity(capacity),
-            ..KernelState::new(config, start)
-        }
+    /// Same, pre-sized for a workload known to hold `jobs` jobs: the
+    /// completed-record, decision and epoch logs each reserve one entry
+    /// per job — every job leaves a record and takes at least one query,
+    /// so none of that is slack, and a log that grows past it has a few
+    /// doublings left to do instead of all of them. The event heap is left
+    /// to grow: it holds one completion per *running* job.
+    pub fn with_event_capacity(config: ClusterConfig, start: SimTime, jobs: usize) -> Self {
+        let mut kernel = KernelState::new(config, start);
+        kernel.cluster.reserve_completed(jobs);
+        kernel.decisions.reserve(jobs);
+        kernel.epochs.reserve(jobs);
+        kernel
     }
 
     // ---- event plumbing -------------------------------------------------
-
-    /// Schedule a future event (the virtual driver pre-loads arrivals this
-    /// way; completions are scheduled internally by placements).
-    pub fn schedule_event(&mut self, at: SimTime, event: SimEvent) {
-        self.events.push(at, event);
-    }
 
     /// Time of the earliest pending event, if any.
     pub fn next_event_time(&self) -> Option<SimTime> {
         self.events.peek_time()
     }
 
-    /// Pop every event scheduled exactly at `at`, in FIFO order.
-    pub fn pop_events_at(&mut self, at: SimTime) -> Vec<SimEvent> {
-        self.events.pop_at(at)
+    /// Take the earliest pending event if it is scheduled exactly at `at`
+    /// — the one way events leave the kernel. An instant's events come out
+    /// in the order their placements scheduled them; `None` once the
+    /// earliest is later than `at` (or nothing is pending).
+    pub fn pop_event_at(&mut self, at: SimTime) -> Option<SimEvent> {
+        self.events.pop_if_at(at)
     }
 
     /// `true` when no events remain scheduled.
@@ -164,7 +174,7 @@ impl KernelState {
     /// # Panics
     /// Panics (in the cluster ledger) if `now` is not the job's exact end
     /// time, or the job is not running — drivers must deliver completions
-    /// from [`pop_events_at`](Self::pop_events_at) at the event's own time.
+    /// from [`pop_event_at`](Self::pop_event_at) at the event's own time.
     pub fn complete(&mut self, id: JobId, now: SimTime) {
         self.cluster.complete_job(id, now);
         if let Some(expected_end) = self.running.get(id).map(|s| s.expected_end) {
@@ -414,6 +424,7 @@ impl KernelState {
         t.set_counter("sim_queue_arrival_shifts_total", shifts);
         t.set_gauge("sim_queue_depth", self.queue.len() as i64);
         t.set_gauge("sim_running_jobs", self.cluster.running_count() as i64);
+        t.set_gauge("sim_event_heap_peak", self.event_heap_peak as i64);
     }
 
     fn validate_and_apply(
@@ -503,6 +514,7 @@ impl KernelState {
                     nodes_per_slot(&topology, &started.allocation.nodes)
                 };
                 self.events.push(end, SimEvent::Completion(spec.id));
+                self.event_heap_peak = self.event_heap_peak.max(self.events.len());
                 self.queue.remove_at(queue_index);
                 // Maintain the running mirror incrementally — never rebuilt.
                 self.running.insert(RunningSummary {

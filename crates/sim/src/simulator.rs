@@ -6,9 +6,12 @@
 //! advancing time only at arrivals and completions.
 //!
 //! Since the service split, the event loop here is a thin driver over
-//! [`crate::kernel::KernelState`]: it pre-loads the workload's
-//! arrivals as events, jumps the clock to the next event time, and lets the
-//! kernel run the shared `run_epoch` loop. The wall-clock service daemon
+//! [`crate::kernel::KernelState`]: it walks the workload's arrivals in
+//! submit order with a cursor, jumps the clock to the next arrival or
+//! completion — whichever is earlier — hands the kernel that instant's
+//! arrivals and then its completions, and lets the kernel run the shared
+//! `run_epoch` loop. Arrivals never enter the kernel's event heap, which
+//! therefore holds one entry per running job. The wall-clock service daemon
 //! (`rsched-service`) drives the *same* kernel from a live submission
 //! channel; both produce bit-identical decisions for identical streams.
 //!
@@ -21,8 +24,6 @@
 //! ledger, and every policy query receives a [`SystemView`](crate::SystemView)
 //! that *borrows* this state. Per-event work is O(log n), which is what
 //! makes 100k-job SWF-archive replays run in seconds.
-
-use std::collections::BTreeSet;
 
 use rsched_cluster::{ClusterConfig, JobId, JobSpec, PlacementRequest, MAX_CLASSES};
 use rsched_simkit::SimTime;
@@ -143,18 +144,37 @@ pub(crate) fn simulate_with_telemetry(
 ) -> Result<SimOutcome, SimError> {
     validate_workload(config, jobs)?;
 
-    let start_time = jobs.iter().map(|j| j.submit).min().unwrap_or(SimTime::ZERO);
-    let mut kernel = KernelState::with_event_capacity(config, start_time, jobs.len() * 2);
-    kernel.set_telemetry(telemetry);
-    for (idx, job) in jobs.iter().enumerate() {
-        kernel.schedule_event(job.submit, SimEvent::Arrival(idx));
-    }
+    // The order jobs arrive in: by submit time, list order breaking ties.
+    // Workloads come submit-sorted from every generator and ingest path,
+    // and then the list *is* the order; one that does not gets one stably
+    // sorted index.
+    let sorted_index: Option<Vec<usize>> = if jobs.windows(2).all(|w| w[0].submit <= w[1].submit) {
+        None
+    } else {
+        let mut index: Vec<usize> = (0..jobs.len()).collect();
+        index.sort_by_key(|&at| jobs[at].submit);
+        Some(index)
+    };
+    let arrival = |k: usize| match &sorted_index {
+        None => jobs.get(k),
+        Some(index) => index.get(k).map(|&at| &jobs[at]),
+    };
 
-    let mut pending_arrivals = jobs.len();
+    let start_time = arrival(0).map_or(SimTime::ZERO, |j| j.submit);
+    let mut kernel = KernelState::with_event_capacity(config, start_time, jobs.len());
+    kernel.set_telemetry(telemetry);
+
+    // The cursor: `arrived` jobs of the submit order have been delivered.
+    let mut arrived = 0usize;
     let mut now = start_time;
 
     while kernel.completed_len() < jobs.len() {
-        let Some(t) = kernel.next_event_time() else {
+        let next_arrival = arrival(arrived).map(|j| j.submit);
+        let Some(t) = [next_arrival, kernel.next_event_time()]
+            .into_iter()
+            .flatten()
+            .min()
+        else {
             return Err(SimError::Stuck {
                 time: now,
                 waiting: kernel.waiting_len(),
@@ -162,17 +182,19 @@ pub(crate) fn simulate_with_telemetry(
         };
         now = t;
 
-        for event in kernel.pop_events_at(t) {
-            match event {
-                // Sorted insert at arrival — the queue is never re-sorted.
-                SimEvent::Arrival(idx) => {
-                    kernel.arrive(jobs[idx].clone());
-                    pending_arrivals -= 1;
-                }
-                SimEvent::Completion(id) => kernel.complete(id, t),
-            }
+        // This instant's arrivals, then its completions: the order one
+        // FIFO event queue holding both gave, every arrival having been
+        // scheduled before any completion. Sorted insert at arrival — the
+        // queue is never re-sorted.
+        while let Some(job) = arrival(arrived).filter(|j| j.submit == t) {
+            kernel.arrive(job.clone());
+            arrived += 1;
+        }
+        while let Some(SimEvent::Completion(id)) = kernel.pop_event_at(t) {
+            kernel.complete(id, t);
         }
         kernel.observe_time(now);
+        let pending_arrivals = jobs.len() - arrived;
 
         // Decision epoch: consult the policy while jobs are waiting, or —
         // once everything has arrived — to give it the chance to `Stop`
@@ -188,6 +210,7 @@ pub(crate) fn simulate_with_telemetry(
         // A Delay with nothing running and nothing to arrive can never make
         // progress.
         if kernel.completed_len() < jobs.len()
+            && pending_arrivals == 0
             && kernel.events_is_empty()
             && kernel.running_count() == 0
         {
@@ -220,11 +243,12 @@ pub fn job_is_feasible(config: ClusterConfig, job: &JobSpec) -> bool {
 }
 
 /// Reject workloads the run could never finish: duplicate ids and jobs
-/// larger than the machine.
+/// larger than the machine. The first offender in list order is the one
+/// reported.
 pub fn validate_workload(config: ClusterConfig, jobs: &[JobSpec]) -> Result<(), SimError> {
-    let mut seen: BTreeSet<JobId> = BTreeSet::new();
-    for job in jobs {
-        if !seen.insert(job.id) {
+    let repeat = first_repeated_id(jobs);
+    for (at, job) in jobs.iter().enumerate() {
+        if repeat == Some(at) {
             return Err(SimError::DuplicateJobId(job.id));
         }
         if !job_is_feasible(config, job) {
@@ -236,6 +260,22 @@ pub fn validate_workload(config: ClusterConfig, jobs: &[JobSpec]) -> Result<(), 
         }
     }
     Ok(())
+}
+
+/// Index of the first job whose id an earlier job already carries. Ids
+/// that strictly ascend — every ingest path and generator re-identifies
+/// sequentially — are distinct on sight; any other list is checked on a
+/// sorted copy of its `(id, index)` pairs.
+fn first_repeated_id(jobs: &[JobSpec]) -> Option<usize> {
+    if jobs.windows(2).all(|w| w[0].id < w[1].id) {
+        return None;
+    }
+    let mut ids: Vec<(JobId, usize)> = jobs.iter().map(|j| j.id).zip(0..).collect();
+    ids.sort_unstable();
+    ids.windows(2)
+        .filter(|w| w[0].0 == w[1].0)
+        .map(|w| w[1].1)
+        .min()
 }
 
 #[cfg(test)]

@@ -120,13 +120,15 @@ impl<T> EventQueue<T> {
         self.heap.clear();
     }
 
-    /// Pop every event scheduled at exactly `time`, in FIFO order.
-    pub fn pop_at(&mut self, time: SimTime) -> Vec<T> {
-        let mut out = Vec::new();
-        while self.peek_time() == Some(time) {
-            out.push(self.pop().expect("peeked entry must pop").1);
+    /// Remove and return the earliest event if it is scheduled at exactly
+    /// `time`. Called until it answers `None`, it hands over an instant's
+    /// events one at a time, in FIFO order, without collecting them.
+    pub fn pop_if_at(&mut self, time: SimTime) -> Option<T> {
+        if self.peek_time() == Some(time) {
+            self.pop().map(|(_, payload)| payload)
+        } else {
+            None
         }
-        out
     }
 
     /// Drain the entire queue in time order.
@@ -198,17 +200,21 @@ mod tests {
     }
 
     #[test]
-    fn pop_at_takes_only_matching_timestamp() {
+    fn pop_if_at_takes_only_matching_timestamp() {
         let mut q = EventQueue::new();
         let t1 = SimTime::from_secs(1);
         let t2 = SimTime::from_secs(2);
         q.push(t1, 1);
         q.push(t1, 2);
         q.push(t2, 3);
-        assert_eq!(q.pop_at(t1), vec![1, 2]);
+        // The earliest event is not at `t2` yet.
+        assert_eq!(q.pop_if_at(t2), None);
+        assert_eq!(q.pop_if_at(t1), Some(1));
+        assert_eq!(q.pop_if_at(t1), Some(2));
+        assert_eq!(q.pop_if_at(t1), None);
         assert_eq!(q.len(), 1);
-        assert_eq!(q.pop_at(t1), Vec::<i32>::new());
-        assert_eq!(q.pop_at(t2), vec![3]);
+        assert_eq!(q.pop_if_at(t2), Some(3));
+        assert_eq!(q.pop_if_at(t2), None);
     }
 
     #[test]

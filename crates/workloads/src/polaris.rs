@@ -60,9 +60,10 @@ pub struct PolarisRawJob {
 }
 
 impl PolarisRawJob {
-    /// Actual runtime in seconds.
+    /// Actual runtime in seconds, saturating: the timestamps are log
+    /// input and may lie a whole `i64` apart.
     pub fn runtime_secs(&self) -> i64 {
-        self.end_ts - self.start_ts
+        self.end_ts.saturating_sub(self.start_ts)
     }
 }
 
@@ -301,6 +302,20 @@ mod tests {
         let jobs = preprocess(&raw[..2], 2);
         assert_eq!(jobs[0].submit, SimTime::ZERO);
         assert_eq!(jobs[1].submit, SimTime::from_secs(i64::MAX as u64));
+    }
+
+    /// ... and so do a start and an end: a row ending at `i64::MAX` that
+    /// started at `-1` ran for the longest time there is, not for the
+    /// negative one the wrapped difference is.
+    #[test]
+    fn start_and_end_timestamps_a_whole_i64_apart_saturate() {
+        let mut raw = synthesize_raw_trace(1, 3);
+        raw.retain(|r| r.exit_status != -1);
+        raw[0].start_ts = -1;
+        raw[0].end_ts = i64::MAX;
+        assert_eq!(raw[0].runtime_secs(), i64::MAX);
+        let jobs = preprocess(&raw[..1], 1);
+        assert_eq!(jobs[0].duration, SimDuration::MAX);
     }
 
     #[test]

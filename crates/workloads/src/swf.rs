@@ -12,10 +12,23 @@
 //! ([`SwfTrace::parse`], [`load_trace`]) is a thin `collect()` wrapper over
 //! the same reader, byte-identical in output and error text.
 //!
+//! **One line parser.** Every path above ends in `parse_job_line`, and a
+//! job line costs it no heap traffic: the 18 tokens land in an array on the
+//! stack, and a field spelled `[+-]?[0-9]{1,18}` — nearly every field of
+//! every archive line — is read in the one pass that checks it. Whatever
+//! else a field holds (`3600.0`, `3600.`, `nan`, `1e3`, a 19th digit, a
+//! byte that is not ASCII) takes the general route, which alone decides
+//! what is a number and words the error. A faster scanner is welcome only
+//! as a replacement for that function, never as a second parser in front
+//! of it; the collecting parser it replaced survives under `#[cfg(test)]`
+//! as the oracle of a differential property test.
+//!
 //! Conversion to simulator-ready [`JobSpec`]s follows the same discipline
 //! as the Polaris pipeline (paper §5): drop failed/cancelled jobs, sort by
 //! submission, normalize timestamps to the earliest submission, factorize
 //! user/group labels, and derive memory where the trace does not record it.
+//! The sort orders 24-byte `(submit, job_id, row index)` keys, not the
+//! 144-byte rows, which are read through the keys once.
 //!
 //! The scenario registry resolves `swf:<path>` names through
 //! [`load_workload`], so any archive trace sweeps through the experiment
@@ -87,12 +100,15 @@ pub struct SwfJob {
 
 impl SwfJob {
     /// The processor count to schedule with: allocated if known, else
-    /// requested; `None` if the trace records neither.
+    /// requested; `None` if the trace records neither. A count past
+    /// `u32::MAX` saturates there — wider than any machine, so the
+    /// simulator's `validate_workload` refuses the job as what it is
+    /// instead of running the few nodes a truncated count would name.
     pub fn procs(&self) -> Option<u32> {
         [self.allocated_procs, self.requested_procs]
             .into_iter()
             .find(|&p| p > 0)
-            .map(|p| p as u32)
+            .map(saturate_u32)
     }
 
     /// The runtime to simulate with: actual if known, else requested;
@@ -121,7 +137,7 @@ impl SwfJob {
         }
         if let Some(nodes) = self.procs() {
             if self.requested_procs > 0 {
-                let requested = self.requested_procs as u32;
+                let requested = saturate_u32(self.requested_procs);
                 if requested > nodes {
                     demand.cpus = requested.div_ceil(nodes);
                 }
@@ -138,6 +154,11 @@ impl SwfJob {
             && self.procs().is_some()
             && self.runtime_secs().is_some()
     }
+}
+
+/// A positive processor count as a `u32`, saturating.
+fn saturate_u32(procs: i64) -> u32 {
+    u32::try_from(procs).unwrap_or(u32::MAX)
 }
 
 /// A parsed SWF trace: the header directives plus the job lines, in file
@@ -215,44 +236,50 @@ impl SwfTrace {
     /// The recorded per-node demand (requested memory, surplus requested
     /// processors) rides along as [`SwfJob::per_node_demand`].
     pub fn to_jobs(&self, limit: usize) -> Vec<JobSpec> {
-        convert_usable(
-            self.jobs
-                .iter()
-                .filter(|j| j.is_usable())
-                .cloned()
-                .collect(),
-            limit,
-        )
+        convert_usable(&self.jobs, limit)
     }
 }
 
-/// The shared conversion core behind [`SwfTrace::to_jobs`] and
-/// [`SwfReader::into_jobs`]: takes the already-filtered usable rows (in
-/// file order), sorts, truncates, normalizes, and factorizes. Both entry
-/// points produce bit-identical output because they both land here.
 /// Convert an arbitrary stream of raw rows to simulator-ready jobs via
 /// the same core as [`SwfTrace::to_jobs`]: unusable rows are dropped as
 /// they stream past, then the survivors are sorted, truncated to `limit`
 /// (0 = all), normalized, and factorized. Lets synthetic row generators
 /// (`rsched_workloads::synth`) share the exact SWF conversion semantics.
 pub fn jobs_from_rows(rows: impl IntoIterator<Item = SwfJob>, limit: usize) -> Vec<JobSpec> {
-    convert_usable(rows.into_iter().filter(SwfJob::is_usable).collect(), limit)
+    let usable: Vec<SwfJob> = rows.into_iter().filter(SwfJob::is_usable).collect();
+    convert_usable(&usable, limit)
 }
 
-fn convert_usable(mut usable: Vec<SwfJob>, limit: usize) -> Vec<JobSpec> {
-    usable.sort_by_key(|j| (j.submit_secs, j.job_id));
+/// The shared conversion core behind [`SwfTrace::to_jobs`],
+/// [`SwfReader::into_jobs`] and [`jobs_from_rows`]: picks the usable rows
+/// out of `rows` (file order), orders, truncates, normalizes and
+/// factorizes. Every entry point produces bit-identical output because
+/// they all land here.
+///
+/// The order is `(submit, job_id)` with file order breaking ties — a stable
+/// sort of the rows, done on 24-byte `(submit, job_id, row index)` keys
+/// (the index makes `sort_unstable` stable); the 144-byte rows stay where
+/// they are and are read through the keys once.
+fn convert_usable(rows: &[SwfJob], limit: usize) -> Vec<JobSpec> {
+    let mut keys: Vec<(i64, i64, usize)> = rows
+        .iter()
+        .enumerate()
+        .filter(|(_, j)| j.is_usable())
+        .map(|(at, j)| (j.submit_secs, j.job_id, at))
+        .collect();
+    keys.sort_unstable();
     if limit > 0 {
-        usable.truncate(limit);
+        keys.truncate(limit);
     }
-    let Some(origin) = usable.first().map(|j| j.submit_secs) else {
+    let Some(&(origin, _, _)) = keys.first() else {
         return Vec::new();
     };
     let mut users = Factorizer::new();
     let mut groups = Factorizer::new();
-    usable
-        .iter()
+    keys.iter()
         .enumerate()
-        .map(|(i, j)| {
+        .map(|(i, &(_, _, at))| {
+            let j = &rows[at];
             let procs = j.procs().expect("usable");
             let runtime = j.runtime_secs().expect("usable").max(1);
             // Aggregate memory prefers *used* (what actually happened);
@@ -394,7 +421,7 @@ impl<R: BufRead> SwfReader<R> {
                 usable.push(job);
             }
         }
-        Ok(convert_usable(usable, limit))
+        Ok(convert_usable(&usable, limit))
     }
 
     fn anchor(&self, err: WorkloadError) -> WorkloadError {
@@ -498,11 +525,20 @@ impl fmt::Display for SwfTrace {
 }
 
 fn parse_job_line(line: &str, line_no: usize) -> Result<SwfJob, WorkloadError> {
-    let fields: Vec<&str> = line.split_whitespace().collect();
-    if fields.len() != SWF_FIELD_COUNT {
+    // The tokens land on the stack; the ones past the 18th are only counted,
+    // for the error text.
+    let mut fields = [""; SWF_FIELD_COUNT];
+    let mut found = 0usize;
+    for token in line.split_whitespace() {
+        if let Some(slot) = fields.get_mut(found) {
+            *slot = token;
+        }
+        found += 1;
+    }
+    if found != SWF_FIELD_COUNT {
         return Err(WorkloadError::Parse {
             location: format!("line {line_no}"),
-            message: format!("expected {SWF_FIELD_COUNT} fields, found {}", fields.len()),
+            message: format!("expected {SWF_FIELD_COUNT} fields, found {found}"),
         });
     }
     let bad = |idx: usize| WorkloadError::Parse {
@@ -511,6 +547,11 @@ fn parse_job_line(line: &str, line_no: usize) -> Result<SwfJob, WorkloadError> {
     };
     let int = |idx: usize| -> Result<i64, WorkloadError> {
         let raw = fields[idx];
+        // What nearly every field of every archive line is: a sign and at
+        // most 18 digits, read in the one pass that checks them.
+        if let Some(value) = plain_int(raw) {
+            return Ok(value);
+        }
         // The archive occasionally writes integral fields as floats
         // ("3600.0"); accept those but reject anything that is not a
         // *complete* decimal token — `nan`/`inf`, exponent forms, values
@@ -556,6 +597,30 @@ fn parse_job_line(line: &str, line_no: usize) -> Result<SwfJob, WorkloadError> {
         preceding_job: int(16)?,
         think_secs: int(17)?,
     })
+}
+
+/// `[+-]?[0-9]{1,18}` as the integer it spells — 18 digits cannot overflow
+/// an `i64`, so there is nothing to check but the bytes. Every other token
+/// (a 19th digit, a `.`, a letter, a lone sign) is `None` and takes the
+/// general route, which rules on it and words the error.
+fn plain_int(raw: &str) -> Option<i64> {
+    let (negative, digits) = match raw.as_bytes() {
+        [b'-', digits @ ..] => (true, digits),
+        [b'+', digits @ ..] => (false, digits),
+        digits => (false, digits),
+    };
+    if digits.is_empty() || digits.len() > 18 {
+        return None;
+    }
+    let mut value = 0i64;
+    for &byte in digits {
+        let digit = byte.wrapping_sub(b'0');
+        if digit > 9 {
+            return None;
+        }
+        value = value * 10 + i64::from(digit);
+    }
+    Some(if negative { -value } else { value })
 }
 
 /// A complete decimal token: optional sign, one or more digits, optionally
@@ -630,6 +695,7 @@ fn mem_ceil_gb(trace: &SwfTrace) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     const SAMPLE: &str = "\
 ; Version: 2.2
@@ -946,6 +1012,198 @@ mod tests {
         match SwfReader::open("/definitely/not/here.swf") {
             Err(WorkloadError::Io { path, .. }) => assert!(path.ends_with("here.swf")),
             other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    /// A processor count past `u32::MAX` is not the small count its low 32
+    /// bits spell (4294967297 used to ingest as a 1-node job).
+    #[test]
+    fn a_processor_count_too_wide_to_represent_saturates() {
+        let line = "1 0 0 60 4294967297 -1 -1 8589934593 60 -1 1 1 1 -1 1 1 -1 -1\n";
+        let trace = parse_trace(line).expect("parses");
+        assert_eq!(trace.jobs[0].procs(), Some(u32::MAX));
+        // The requested count saturates as well: equal to the node count,
+        // so no per-node core demand, not `1.div_ceil(1)` by accident.
+        assert!(trace.jobs[0].per_node_demand().is_zero());
+        assert_eq!(trace.to_jobs(0)[0].nodes, u32::MAX);
+        let requested_only = "1 0 0 60 -1 -1 -1 4294967297 60 -1 1 1 1 -1 1 1 -1 -1\n";
+        let trace = parse_trace(requested_only).expect("parses");
+        assert_eq!(trace.jobs[0].procs(), Some(u32::MAX));
+    }
+
+    /// The line parser as it was before it stopped allocating: tokens
+    /// collected into a `Vec`, every field checked and then parsed. The
+    /// oracle of `line_parser_rules_as_the_collecting_one_did`.
+    fn reference_parse_job_line(line: &str, line_no: usize) -> Result<SwfJob, WorkloadError> {
+        let fields: Vec<&str> = line.split_whitespace().collect();
+        if fields.len() != SWF_FIELD_COUNT {
+            return Err(WorkloadError::Parse {
+                location: format!("line {line_no}"),
+                message: format!("expected {SWF_FIELD_COUNT} fields, found {}", fields.len()),
+            });
+        }
+        let bad = |idx: usize| WorkloadError::Parse {
+            location: format!("line {line_no}, field {}", idx + 1),
+            message: format!("`{}` is not a number", fields[idx]),
+        };
+        let int = |idx: usize| -> Result<i64, WorkloadError> {
+            let raw = fields[idx];
+            if !is_complete_decimal(raw) {
+                return Err(bad(idx));
+            }
+            raw.parse::<i64>()
+                .ok()
+                .or_else(|| {
+                    raw.parse::<f64>()
+                        .ok()
+                        .filter(|v| {
+                            v.is_finite() && (i64::MIN as f64..=i64::MAX as f64).contains(v)
+                        })
+                        .map(|v| v as i64)
+                })
+                .ok_or_else(|| bad(idx))
+        };
+        let float = |idx: usize| -> Result<f64, WorkloadError> {
+            let raw = fields[idx];
+            if !is_complete_decimal(raw) {
+                return Err(bad(idx));
+            }
+            raw.parse::<f64>().map_err(|_| bad(idx))
+        };
+        Ok(SwfJob {
+            job_id: int(0)?,
+            submit_secs: int(1)?,
+            wait_secs: int(2)?,
+            run_secs: int(3)?,
+            allocated_procs: int(4)?,
+            avg_cpu_secs: float(5)?,
+            used_memory_kb: int(6)?,
+            requested_procs: int(7)?,
+            requested_secs: int(8)?,
+            requested_memory_kb: int(9)?,
+            status: int(10)?,
+            user: int(11)?,
+            group: int(12)?,
+            executable: int(13)?,
+            queue: int(14)?,
+            partition: int(15)?,
+            preceding_job: int(16)?,
+            think_secs: int(17)?,
+        })
+    }
+
+    /// Tokens the two parsers could come to rule on differently: signs,
+    /// leading zeros, float spellings of integers, truncated tails, the
+    /// edges of the one-pass route (18 / 19 / 20 digits) and of `i64`, and
+    /// bytes that are not ASCII.
+    const EDGE_TOKENS: [&str; 24] = [
+        "-1",
+        "+5",
+        "-0",
+        "007",
+        "3600.0",
+        "3600.",
+        ".5",
+        "-",
+        "+",
+        "1e3",
+        "nan",
+        "inf",
+        "123456789012345678",
+        "-999999999999999999",
+        "1234567890123456789",
+        "12345678901234567890",
+        "9223372036854775807",
+        "9223372036854775808",
+        "-9223372036854775808",
+        "9223372036854775807.5",
+        "4é2",
+        "١٢",
+        "1_0",
+        "0x10",
+    ];
+    const PLAIN_TOKENS: [&str; 6] = ["0", "1", "42", "-1", "86400", "1650.25"];
+    /// `u8::is_ascii_whitespace` and `char::is_whitespace` disagree on
+    /// `\x0B`; the last two are whitespace only to the latter.
+    const SEPARATORS: [&str; 9] = [
+        " ", "\t", "\x0B", "\x0C", "\r", "\u{a0}", "\u{2003}", "  ", " \t ",
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        /// Same `SwfJob` bit for bit, same error location and message, on
+        /// lines of 0–20 fields; three lines in four are brought to 18
+        /// fields, and seven tokens in eight are plain, so about a third of
+        /// those parse.
+        #[test]
+        fn line_parser_rules_as_the_collecting_one_did(
+            picks in prop::collection::vec((0usize..8 * EDGE_TOKENS.len(), 0usize..SEPARATORS.len()), 0..21),
+            exact in 0u32..4,
+            line_no in 1usize..1_000_000,
+        ) {
+            let mut picks = picks;
+            if exact != 0 && !picks.is_empty() {
+                let cycle = picks.clone();
+                picks = cycle.into_iter().cycle().take(SWF_FIELD_COUNT).collect();
+            }
+            let mut line = String::new();
+            for &(token, separator) in &picks {
+                line.push_str(EDGE_TOKENS.get(token).unwrap_or(&PLAIN_TOKENS[token % PLAIN_TOKENS.len()]));
+                line.push_str(SEPARATORS[separator]);
+            }
+            let got = parse_job_line(&line, line_no);
+            let want = reference_parse_job_line(&line, line_no);
+            // `PartialEq` calls `-0.0` and `0.0` equal; the bits do not.
+            let cpu_bits = |r: &Result<SwfJob, WorkloadError>| r.as_ref().ok().map(|j| j.avg_cpu_secs.to_bits());
+            prop_assert_eq!(cpu_bits(&got), cpu_bits(&want));
+            prop_assert_eq!(got, want);
+        }
+    }
+
+    /// The conversion orders 24-byte keys, not rows: on a stream with
+    /// out-of-order and equal submit times it keeps the rows a stable
+    /// `(submit, job_id)` sort of the rows keeps, in that order, and cuts
+    /// where that sort cut — and the streamed text is the rows.
+    #[test]
+    fn key_sort_orders_and_truncates_as_the_row_sort_did() {
+        use crate::synth::{polaris_synth_rows, polaris_synth_text};
+        for seed in [3, 7] {
+            let rows = polaris_synth_rows(2000, seed);
+            let text = polaris_synth_text(2000, seed);
+            let streamed: Vec<SwfJob> = SwfReader::from_text(&text)
+                .collect::<Result<_, _>>()
+                .expect("streams");
+            assert_eq!(streamed, rows);
+
+            let mut sorted: Vec<&SwfJob> = rows.iter().filter(|j| j.is_usable()).collect();
+            sorted.sort_by_key(|j| (j.submit_secs, j.job_id));
+            assert!(
+                sorted
+                    .windows(2)
+                    .any(|w| w[0].submit_secs == w[1].submit_secs),
+                "the stream must hold equal submit times"
+            );
+            let trace = SwfTrace {
+                directives: Vec::new(),
+                jobs: rows.clone(),
+            };
+            for limit in [0, 1, 137] {
+                let jobs = SwfReader::from_text(&text)
+                    .into_jobs(limit)
+                    .expect("streams");
+                assert_eq!(jobs, trace.to_jobs(limit), "limit {limit}");
+                assert_eq!(jobs, jobs_from_rows(rows.clone(), limit), "limit {limit}");
+                let kept = if limit == 0 { sorted.len() } else { limit };
+                assert_eq!(jobs.len(), kept, "limit {limit}");
+                for (job, row) in jobs.iter().zip(&sorted) {
+                    let since_origin = (row.submit_secs - sorted[0].submit_secs) as u64;
+                    assert_eq!(job.submit, SimTime::from_secs(since_origin));
+                    assert_eq!(job.nodes, row.procs().expect("usable"));
+                    let runtime = row.runtime_secs().expect("usable");
+                    assert_eq!(job.duration, SimDuration::from_secs(runtime));
+                }
+            }
         }
     }
 }

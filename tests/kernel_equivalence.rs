@@ -27,7 +27,11 @@ use reasoned_scheduler::simkit::EventQueue;
 mod common;
 use common::serve_with_fair_share;
 
-/// The reference's event alphabet (mirrors `rsched_sim::SimEvent`).
+/// The reference's event alphabet: it keeps arrivals on the same FIFO
+/// queue as completions, every arrival pushed before any completion. That
+/// queue's order is the definition of what the kernel's driver — which
+/// walks arrivals with a cursor and keeps only completions on a heap —
+/// must deliver.
 #[derive(Debug, Clone, Copy)]
 enum RefEvent {
     Arrival(usize),
@@ -79,8 +83,8 @@ fn reference_simulate(
         };
         now = t;
 
-        for event in events.pop_at(t) {
-            match event {
+        while events.peek_time() == Some(t) {
+            match events.pop().expect("peeked").1 {
                 RefEvent::Arrival(idx) => {
                     waiting.push(jobs[idx].clone());
                     pending_arrivals -= 1;
@@ -801,19 +805,22 @@ fn flat_cluster_reproduces_pre_refactor_pins() {
     );
 }
 
+/// A policy that never starts anything: drives the `Stuck` verdicts.
+struct DelayForever;
+
+impl SchedulingPolicy for DelayForever {
+    fn name(&self) -> &str {
+        "delay-forever"
+    }
+    fn decide(&mut self, _view: &SystemView<'_>) -> Action {
+        Action::Delay
+    }
+}
+
 /// The reference also agrees on *failing* runs: a policy that delays
 /// forever gets the same structured `Stuck` error from both kernels.
 #[test]
 fn kernels_agree_on_stuck_runs() {
-    struct DelayForever;
-    impl SchedulingPolicy for DelayForever {
-        fn name(&self) -> &str {
-            "delay-forever"
-        }
-        fn decide(&mut self, _view: &SystemView<'_>) -> Action {
-            Action::Delay
-        }
-    }
     let cluster = ClusterConfig::paper_default();
     let jobs = scenario_builtins()
         .generate(
@@ -900,10 +907,8 @@ fn a_batch_of_arrivals_is_one_by_one_delivery() {
                     }
                 }
                 while let Some(at) = kernel.next_event_time().filter(|&at| at <= now) {
-                    for event in kernel.pop_events_at(at) {
-                        if let SimEvent::Completion(id) = event {
-                            kernel.complete(id, at);
-                        }
+                    while let Some(SimEvent::Completion(id)) = kernel.pop_event_at(at) {
+                        kernel.complete(id, at);
                     }
                     kernel.observe_time(at);
                 }
@@ -919,6 +924,152 @@ fn a_batch_of_arrivals_is_one_by_one_delivery() {
         assert_eq!(batched.decisions(), single.decisions());
         assert!(batched.stats().placements > 0 && batched.waiting_len() > 20);
     }
+}
+
+/// The simulator walks its arrivals with a cursor and keeps only
+/// completions on the kernel's heap; the reference keeps both on one FIFO
+/// queue. Where the two could part: job lists that are not submit-sorted
+/// (the cursor then walks a sorted index), several jobs at one submit
+/// instant, and completions landing on an arrival's instant (arrivals are
+/// delivered first). Submits and durations are cut to a 120 s grid to force
+/// the last two, and the list is dealt out in a stride and in reverse to
+/// force the first. Records, decisions and stats equal the reference's;
+/// and the run equals — epochs too — the run over the same jobs stably
+/// sorted by submit, which is the order the cursor must find for itself.
+#[test]
+fn arrival_cursor_delivers_what_one_event_queue_did() {
+    const GRID_SECS: u64 = 120;
+    let registry = PolicyRegistry::with_builtins();
+    for (cluster, scenario) in [
+        (ClusterConfig::paper_default(), "heterogeneous_mix"),
+        (ClusterConfig::mixed_256(), "gpu_skewed_hetmix"),
+    ] {
+        for seed in 1u64..=3 {
+            let ctx = ScenarioContext::new(48)
+                .with_mode(ArrivalMode::Dynamic)
+                .with_seed(seed);
+            let generated = scenario_builtins().generate(scenario, &ctx);
+            let mut in_order = generated.expect("builtin scenario").jobs;
+            for job in &mut in_order {
+                job.submit = SimTime::from_secs(job.submit.as_secs() / GRID_SECS * GRID_SECS);
+                let slots = job.duration.as_secs() / GRID_SECS + 1;
+                job.duration = SimDuration::from_secs(slots * GRID_SECS);
+                job.walltime = job.walltime.max(job.duration);
+            }
+            assert!(
+                in_order.windows(2).any(|w| w[0].submit == w[1].submit),
+                "{scenario}/seed {seed}: several jobs per submit instant"
+            );
+            let n = in_order.len();
+            let dealt: Vec<JobSpec> = (0..n).map(|k| in_order[k * 19 % n].clone()).collect();
+            let reversed: Vec<JobSpec> = in_order.iter().rev().cloned().collect();
+            for (order, jobs) in [("dealt", dealt), ("reversed", reversed)] {
+                assert!(
+                    !jobs.windows(2).all(|w| w[0].submit <= w[1].submit),
+                    "{scenario}/seed {seed}/{order}: the list must not be submit-sorted"
+                );
+                let mut sorted = jobs.clone();
+                sorted.sort_by_key(|j| j.submit);
+                let policy_ctx = PolicyContext::new(&jobs, cluster).with_seed(seed);
+                for name in [names::FCFS, names::SJF, names::EASY] {
+                    let label = format!("{name} on {scenario}/seed {seed}/{order}");
+                    let options = SimOptions::default();
+                    let run = |jobs: &[JobSpec], reference: bool| {
+                        let mut policy = registry.build(name, &policy_ctx).expect("builtin");
+                        let outcome = if reference {
+                            reference_simulate(cluster, jobs, policy.as_mut(), &options)
+                        } else {
+                            run_simulation(cluster, jobs, policy.as_mut(), &options)
+                        };
+                        outcome.unwrap_or_else(|e| panic!("{label}: {e}"))
+                    };
+                    let cursor = run(&jobs, false);
+                    assert_outcomes_identical(&cursor, &run(&jobs, true), &label);
+                    let presorted = run(&sorted, false);
+                    assert_outcomes_identical(&cursor, &presorted, &label);
+                    assert_eq!(cursor.epochs, presorted.epochs, "{label}: epochs");
+                    assert!(
+                        cursor
+                            .records
+                            .iter()
+                            .any(|r| jobs.iter().any(|j| j.submit == r.end)),
+                        "{label}: a completion must land on an arrival's instant"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// Ids that strictly ascend are distinct on sight; any other list is
+/// checked on a sorted copy, and the verdict is the tree's: the first job
+/// in list order that repeats an id or cannot fit.
+#[test]
+fn duplicate_ids_are_found_in_any_order() {
+    use reasoned_scheduler::sim::validate_workload;
+    let cluster = ClusterConfig::paper_default();
+    let with_ids = |ids: &[u32]| -> Vec<JobSpec> {
+        let job = |&id| JobSpec::new(id, 0, SimTime::ZERO, SimDuration::from_secs(60), 1, 1);
+        ids.iter().map(job).collect()
+    };
+    let verdict = |ids: &[u32]| validate_workload(cluster, &with_ids(ids));
+    let duplicate = |id| Err(SimError::DuplicateJobId(JobId(id)));
+    assert_eq!(
+        verdict(&[0, 1, 2, 1]),
+        duplicate(1),
+        "ascending, then one again"
+    );
+    assert_eq!(verdict(&[3, 2, 2, 1]), duplicate(2), "descending");
+    assert_eq!(verdict(&[7, 7]), duplicate(7));
+    assert_eq!(
+        verdict(&[5, 9, 5, 9, 9]),
+        duplicate(5),
+        "the first to repeat"
+    );
+    assert_eq!(verdict(&[]), Ok(()));
+    assert_eq!(verdict(&[0, 1, u32::MAX]), Ok(()));
+    assert_eq!(
+        verdict(&[u32::MAX, 1, 0]),
+        Ok(()),
+        "descending and distinct"
+    );
+
+    // Whichever offends first in list order is the one named.
+    let mut jobs = with_ids(&[4, 2, 4, 6]);
+    jobs[1].nodes = cluster.nodes + 1;
+    let infeasible = SimError::InfeasibleJob {
+        id: JobId(2),
+        nodes: cluster.nodes + 1,
+        memory_gb: 1,
+    };
+    assert_eq!(validate_workload(cluster, &jobs), Err(infeasible));
+    jobs.swap(1, 3);
+    assert_eq!(validate_workload(cluster, &jobs), duplicate(4));
+}
+
+/// With arrivals off the event heap, "no events left" no longer means "no
+/// arrivals left": a policy that delays forever is not stuck while the
+/// cursor still holds a future arrival — the clock moves on to it — and is
+/// stuck, at that last arrival's instant with every job waiting, once
+/// nothing runs and nothing more can arrive.
+#[test]
+fn stuck_waits_for_the_last_arrival() {
+    let cluster = ClusterConfig::paper_default();
+    let at = |id, secs| {
+        let submit = SimTime::from_secs(secs);
+        JobSpec::new(id, 0, submit, SimDuration::from_secs(60), 1, 1)
+    };
+    // Listed out of submit order, so the stuck check reads the sorted index.
+    let jobs = [at(0, 300), at(1, 0), at(2, 100)];
+    let options = SimOptions::default();
+    let stuck = Err(SimError::Stuck {
+        time: SimTime::from_secs(300),
+        waiting: 3,
+    });
+    let cursor = run_simulation(cluster, &jobs, &mut DelayForever, &options);
+    assert_eq!(cursor.map(|o| o.records.len()), stuck);
+    let reference = reference_simulate(cluster, &jobs, &mut DelayForever, &options);
+    assert_eq!(reference.map(|o| o.records.len()), stuck);
 }
 
 /// 50k-job scale smoke test — `#[ignore]` by default because it is only

@@ -193,3 +193,24 @@ fn swf_row_with_an_unrepresentable_memory_field_is_refused_as_infeasible() {
         })
     );
 }
+
+/// ... and a row recording more processors than a `u32` holds ingests as
+/// the widest job there is — not as the job its low 32 bits spell
+/// (4294967297 used to become 1 node, which Polaris would have run).
+#[test]
+fn swf_row_with_an_unrepresentable_processor_count_is_refused_as_infeasible() {
+    use reasoned_scheduler::sim::{validate_workload, SimError};
+    use reasoned_scheduler::workloads::swf::parse_trace;
+
+    let line = "1 0 12 1820 4294967297 1650.5 -1 4294967297 3600 -1 1 11 2 3 1 1 -1 -1\n";
+    let jobs = parse_trace(line).expect("parses").to_jobs(0);
+    let refused = validate_workload(ClusterConfig::polaris(), &jobs);
+    assert_eq!(
+        refused,
+        Err(SimError::InfeasibleJob {
+            id: jobs[0].id,
+            nodes: u32::MAX,
+            memory_gb: u64::from(u32::MAX) * 2,
+        })
+    );
+}

@@ -283,3 +283,51 @@ fn arrival_order_is_built_once_for_easy_and_examines_a_fraction_of_the_walk() {
     let again = arrival_counters(&mut EasyBackfill::new(), 8000);
     assert_eq!(again, (1, entries), "exact counts");
 }
+
+/// The kernel's event heap, as a count rather than seconds: arrivals reach
+/// the kernel from the driver's cursor, so the heap holds one completion
+/// per running job — on a 5000-job Polaris replay never more than the
+/// machine can run at once, where pre-loaded arrivals held all 5000 at
+/// `t = 0`.
+#[test]
+fn event_heap_is_never_deeper_than_the_running_set() {
+    use reasoned_scheduler::workloads::synth::polaris_synth_workload;
+
+    let jobs = polaris_synth_workload(5000, 7);
+    let sink = TelemetrySink::recording();
+    let outcome = Simulation::new(ClusterConfig::polaris())
+        .jobs(&jobs)
+        .telemetry(&sink)
+        .run(&mut Fcfs::default())
+        .expect("simulation completes");
+    let heap_peak = sink
+        .with(|telemetry| telemetry.metrics.gauge("sim_event_heap_peak"))
+        .flatten()
+        .expect("the kernel harvests its heap peak");
+
+    // Peak concurrency off the records: at one instant ends (-1) sort
+    // ahead of starts (+1), as the driver retires before it places.
+    let mut edges: Vec<(SimTime, i64)> = outcome
+        .records
+        .iter()
+        .flat_map(|r| [(r.start, 1), (r.end, -1)])
+        .collect();
+    edges.sort_unstable();
+    let running_peak = edges
+        .iter()
+        .scan(0i64, |running, &(_, step)| {
+            *running += step;
+            Some(*running)
+        })
+        .max()
+        .expect("jobs ran");
+
+    assert_eq!(
+        heap_peak, running_peak,
+        "one pending completion per running job"
+    );
+    assert!(
+        (2..=560).contains(&running_peak),
+        "{running_peak} jobs side by side"
+    );
+}
