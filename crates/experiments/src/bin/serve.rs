@@ -22,8 +22,8 @@ use rsched_cluster::ClusterConfig;
 use rsched_metrics::MetricsReport;
 use rsched_registry::{PolicyContext, PolicyRegistry};
 use rsched_service::{
-    replay_with_telemetry, FairShareConfig, ManualClock, RateLimit, ServiceClock, ServiceConfig,
-    ServiceDaemon, TenantId,
+    replay, FairShareConfig, ManualClock, RateLimit, ServiceClock, ServiceConfig, ServiceDaemon,
+    TenantId,
 };
 use rsched_sim::SimOptions;
 use rsched_simkit::{SimDuration, SimTime};
@@ -200,7 +200,7 @@ fn main() {
         } else {
             rsched_sim::TelemetrySink::disabled()
         };
-        match replay_with_telemetry(
+        match replay(
             cluster,
             &jobs,
             policy,

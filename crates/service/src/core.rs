@@ -6,17 +6,23 @@
 //!
 //! 1. **ingests**: takes up to [`max_batch`](ServiceConfig::max_batch)
 //!    submissions out of the ingest queue under one lock and rules on each
-//!    in queue order — the admitted get a fair-share rank and a line in
-//!    the ledger of admitted ids, the rest bounce with typed
+//!    in queue order — the admitted get a fair-share rank, a line in the
+//!    ledger of admitted ids and `submit = now` (a client's clock cannot
+//!    reorder the queue or skew wait metrics), the rest bounce with typed
 //!    [`AdmissionError`]s — then hands the admitted jobs to the kernel's
 //!    waiting queue in one merge ([`KernelState::arrive_batch`]): nothing
 //!    reads the queue between two submissions of a tick, so a burst that
 //!    lands mid-queue moves each waiting job once, not once per arrival;
-//! 2. **retires** every completion event scheduled at or before `now`, at
-//!    its exact event time (the cluster ledger audits this);
+//! 2. **retires** every job that ended by `now`, at its exact end time
+//!    ([`KernelState::advance_to`]);
 //! 3. runs **one decision epoch** — the same
 //!    [`KernelState::run_epoch`] the virtual-time simulator uses — and
 //!    streams the new decisions to the [`ServiceObserver`]s.
+//!
+//! A core given [`expected_jobs`](ServiceConfig::expected_jobs) is a
+//! finite replay: it keeps the kernel's decision and epoch logs for
+//! [`into_outcome`](ServiceCore::into_outcome). A live core (`None`)
+//! clears them every tick, so its memory stays bounded.
 //!
 //! With a recording sink each step's share of the tick is observed beside
 //! `service_tick_nanos` (`service_ingest_nanos`, `service_retire_nanos`,
@@ -36,7 +42,7 @@ use std::time::Instant;
 use rsched_cluster::{ClusterConfig, JobId, JobSpec};
 use rsched_sim::kernel::KernelState;
 use rsched_sim::{
-    job_is_feasible, Action, SchedulingPolicy, SimError, SimEvent, SimOptions, SimOutcome, SimStats,
+    job_is_feasible, Action, SchedulingPolicy, SimError, SimOptions, SimOutcome, SimStats,
 };
 use rsched_simkit::{SimDuration, SimTime};
 use rsched_telemetry::{HistSummary, LogHistogram, TelemetrySink};
@@ -67,20 +73,13 @@ pub struct ServiceConfig {
     pub sim: SimOptions,
     /// Admission control and fair-share settings.
     pub admission: AdmissionConfig,
-    /// Overwrite each admitted job's `submit` with its admission time.
-    /// Live daemons keep this `true` so client-supplied timestamps cannot
-    /// reorder the queue or corrupt wait metrics; deterministic replays
-    /// set it `false` to preserve the trace's own submit times.
-    pub restamp_submit: bool,
-    /// Keep the full decision log inside the kernel (for
-    /// [`ServiceCore::into_outcome`]). Live daemons leave this `false` so
-    /// the log is drained every tick and memory stays bounded.
-    pub retain_history: bool,
     /// Replay mode: the exact number of jobs that will be submitted. With
     /// `Some(n)`, the policy sees the same `pending_arrivals`/`total_jobs`
-    /// the simulator would show, enabling its final `Stop`; with `None`
-    /// (live mode), arrivals are open-ended and `Stop` is only offered
-    /// once the service is draining.
+    /// the simulator would show, enabling its final `Stop`, and the kernel
+    /// keeps its decision and epoch logs for
+    /// [`ServiceCore::into_outcome`]. With `None` (live mode), arrivals are
+    /// open-ended, `Stop` is only offered once the service is draining, and
+    /// the logs are cleared every tick so memory stays bounded.
     pub expected_jobs: Option<usize>,
 }
 
@@ -97,8 +96,6 @@ impl ServiceConfig {
                 ..SimOptions::default()
             },
             admission: AdmissionConfig::default(),
-            restamp_submit: true,
-            retain_history: false,
             expected_jobs: None,
         }
     }
@@ -184,8 +181,6 @@ pub struct ServiceCore {
     /// Whether the last take emptied the queue (vs. stopping at the batch
     /// cap).
     queue_drained: bool,
-    /// Completed records already streamed to observers.
-    completed_streamed: usize,
     submitted: usize,
     admitted: usize,
     rejected: usize,
@@ -228,7 +223,6 @@ impl ServiceCore {
             arrivals: Vec::new(),
             draining: false,
             queue_drained: true,
-            completed_streamed: 0,
             submitted: 0,
             admitted: 0,
             rejected: 0,
@@ -280,7 +274,6 @@ impl ServiceCore {
             && self.rx.len() == 0
             && self.kernel.waiting_len() == 0
             && self.kernel.running_count() == 0
-            && self.kernel.events_is_empty()
     }
 
     fn pending_hint(&self) -> usize {
@@ -326,9 +319,7 @@ impl ServiceCore {
         };
         match verdict {
             Ok(rank) => {
-                if self.config.restamp_submit {
-                    job.submit = now;
-                }
+                job.submit = now;
                 self.ledger.admit(job.id, tenant);
                 for observer in observers.iter_mut() {
                     observer.on_admit(tenant, &job, now);
@@ -399,57 +390,43 @@ impl ServiceCore {
         self.arrivals.clear();
         let ingested_at = lap();
 
-        // 2. Retire completions at their exact event times (the cluster
-        // ledger audits end-time exactness).
-        let mut completions = 0usize;
-        while let Some(t) = self.kernel.next_event_time().filter(|&t| t <= now) {
-            while let Some(SimEvent::Completion(id)) = self.kernel.pop_event_at(t) {
-                self.kernel.complete(id, t);
-                completions += 1;
-            }
-            self.kernel.observe_time(t);
-        }
-        for record in &self.kernel.completed()[self.completed_streamed..] {
+        // 2. Retire the jobs that ended by `now`, each at its own end time.
+        let completions = self.kernel.advance_to(now);
+        let completed = self.kernel.completed();
+        for record in &completed[completed.len() - completions..] {
             for observer in observers.iter_mut() {
                 observer.on_completion(record);
             }
         }
-        self.completed_streamed = self.kernel.completed_len();
-        self.kernel.observe_time(now);
         let retired_at = lap();
 
         // 3. One decision epoch, if the kernel wants one.
-        let pending = self.pending_hint();
-        let mut decisions = 0usize;
-        let mut verdict = Ok(());
-        if self.kernel.should_query(now, pending) {
-            let first_new = self.kernel.decisions_len();
-            verdict = self.kernel.run_epoch(
-                now,
-                pending,
-                self.total_jobs_hint(),
-                &mut *self.policy,
-                &self.config.sim,
-            );
-            // Stream decisions (even on error) and release the queue-cap
-            // slots of every accepted placement.
-            for record in &self.kernel.decisions()[first_new..] {
-                if record.accepted() {
-                    if let Action::StartJob(id) | Action::BackfillJob(id) = record.action {
-                        if let Some(tenant) = self.ledger.tenant_of(id) {
-                            self.admission.job_started(tenant);
-                        }
+        let first_new = self.kernel.decisions().len();
+        let verdict = self.kernel.run_epoch(
+            now,
+            self.pending_hint(),
+            self.total_jobs_hint(),
+            &mut *self.policy,
+            &self.config.sim,
+        );
+        // Stream decisions (even on error) and release the queue-cap slots
+        // of every accepted placement.
+        let new_decisions = &self.kernel.decisions()[first_new..];
+        for record in new_decisions {
+            if record.accepted() {
+                if let Action::StartJob(id) | Action::BackfillJob(id) = record.action {
+                    if let Some(tenant) = self.ledger.tenant_of(id) {
+                        self.admission.job_started(tenant);
                     }
                 }
-                for observer in observers.iter_mut() {
-                    observer.on_decision(record);
-                }
             }
-            decisions = self.kernel.decisions_len() - first_new;
-            if !self.config.retain_history {
-                let _ = self.kernel.drain_decisions();
-                let _ = self.kernel.drain_epochs();
+            for observer in observers.iter_mut() {
+                observer.on_decision(record);
             }
+        }
+        let decisions = new_decisions.len();
+        if self.config.expected_jobs.is_none() {
+            self.kernel.clear_history();
         }
 
         let wall_nanos = wall_start.elapsed().as_nanos() as u64;
@@ -521,14 +498,13 @@ impl ServiceCore {
             if self.finished() {
                 break;
             }
-            // Draining with jobs waiting, nothing running, and no future
-            // events: no epoch will ever place them (the policy had its
-            // chance this tick) — the same Stuck verdict the simulator
-            // gives a policy that delays forever.
+            // Draining with jobs waiting and nothing running: no epoch will
+            // ever place them (the policy had its chance this tick) — the
+            // same Stuck verdict the simulator gives a policy that delays
+            // forever.
             if self.draining
                 && self.queue_drained
                 && self.rx.len() == 0
-                && self.kernel.events_is_empty()
                 && self.kernel.running_count() == 0
                 && self.kernel.waiting_len() > 0
             {
@@ -564,9 +540,10 @@ impl ServiceCore {
     }
 
     /// Close the run and produce a simulator-shaped [`SimOutcome`]
-    /// (requires [`retain_history`](ServiceConfig::retain_history) for a
-    /// populated decision log). This is how the replay driver proves
-    /// bit-equivalence with the virtual-time simulator.
+    /// (its decision and epoch logs are populated only in replay mode,
+    /// [`expected_jobs`](ServiceConfig::expected_jobs) `Some`). This is
+    /// how the replay driver proves bit-equivalence with the virtual-time
+    /// simulator.
     pub fn into_outcome(self) -> SimOutcome {
         let end = self.last_now;
         let name = self.policy.name().to_string();
@@ -627,6 +604,38 @@ mod tests {
                 prop_assert_eq!(ledger.run.len() + ledger.strays.len(), model.len());
             }
         }
+    }
+
+    /// A client's clock cannot reorder the queue or skew wait metrics:
+    /// admitted jobs wait stamped with the tick that admitted them, in
+    /// admission order, however far off their own stamps were.
+    #[test]
+    fn a_live_core_restamps_client_timestamps() {
+        struct Hold;
+        impl SchedulingPolicy for Hold {
+            fn name(&self) -> &str {
+                "hold"
+            }
+            fn decide(&mut self, _view: &rsched_sim::SystemView<'_>) -> Action {
+                Action::Delay
+            }
+        }
+        let config = ServiceConfig::new(ClusterConfig::new(4, 64));
+        let (mut core, handle) = ServiceCore::new(config, Box::new(Hold), SimTime::ZERO);
+        let t = SimTime::from_secs(86_400);
+        let future = SimTime::from_secs(86_400 * 365);
+        for (id, stamp) in [(1, future), (2, SimTime::ZERO)] {
+            let job = JobSpec::new(id, 0, stamp, SimDuration::from_secs(10), 1, 1);
+            handle.submit(TenantId(0), job).expect("the core is live");
+        }
+        assert_eq!(core.tick(t, &mut []).expect("tick").admitted, 2);
+        let waiting: Vec<(u32, SimTime)> = core
+            .kernel()
+            .waiting()
+            .iter()
+            .map(|j| (j.id.0, j.submit))
+            .collect();
+        assert_eq!(waiting, [(1, t), (2, t)]);
     }
 
     #[test]

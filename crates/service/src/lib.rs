@@ -5,11 +5,10 @@
 //! Everything below the policy boundary is shared with the virtual-time
 //! simulator: both drivers advance the *same* [`rsched_sim::KernelState`]
 //! (waiting queue, running set, cluster ledger, utilization integrals,
-//! decision log) through the same `deliver events → observe time → decide`
-//! contract. The simulator drives it with a cursor over a pre-known
-//! workload; this crate drives it from a live submission queue on a
-//! pluggable [`ServiceClock`] — either way arrivals are the driver's to
-//! deliver, and the kernel's event heap holds completions only:
+//! decision log) through the same three calls per tick — deliver arrivals,
+//! `advance_to(now)`, `run_epoch`. The simulator takes its arrivals from a
+//! cursor over a pre-known workload; this crate takes them from a live
+//! submission queue on a pluggable [`ServiceClock`]:
 //!
 //! * [`SubmitHandle`] — cloneable front door for producers: a mutex-guarded
 //!   queue the crate owns, which nothing parks on — a submit is lock, push,
@@ -22,7 +21,10 @@
 //! * [`ServiceCore`] — the ingest → retire → decide tick loop;
 //! * [`ServiceDaemon`] — the core on its own thread, with graceful drain;
 //! * [`replay()`] — a trace pushed through the service driver at exact event
-//!   times, bit-equivalent to `rsched_sim::run_simulation`;
+//!   times in replay mode ([`ServiceConfig::expected_jobs`] `Some`),
+//!   bit-equivalent to `rsched_sim::run_simulation`: it stays as the proof
+//!   that the front door is a pure re-driving of the kernel, and as the
+//!   run `serve --metrics` scrapes the `service_*` families from;
 //! * [`ServiceObserver`] / [`ServiceReport::tick_latency`] — streaming
 //!   per-tick telemetry and decision-latency quantiles (a
 //!   [`rsched_telemetry::LogHistogram`] summary).
@@ -45,5 +47,5 @@ pub use core::{ServiceConfig, ServiceCore, ServiceReport};
 pub use daemon::ServiceDaemon;
 pub use ingest::{ServiceRequest, ServiceStopped, Submission, SubmitHandle};
 pub use observer::{CountingServiceObserver, ServiceObserver, TickStats};
-pub use replay::{replay, replay_with_telemetry};
+pub use replay::replay;
 pub use tenant::{FairShare, FairShareConfig, RateLimit, TenantConfig, TenantId};

@@ -3,16 +3,27 @@
 //! [`replay`] pushes a simulator workload through a [`ServiceCore`] on a
 //! [`ManualClock`], ticking at **exactly** the virtual-time simulator's
 //! event times (job arrivals and completions) with admission wide open and
-//! fair-share off. Under those settings every admitted job lands in the
-//! waiting queue at rank 0 — the queue order, the `SystemView` the policy
-//! sees, and therefore every decision, record, and statistic are identical
-//! to `rsched_sim::run_simulation` on the same inputs. The
-//! `service_sim_equivalence` integration test pins this claim across the
-//! whole builtin-policy registry.
+//! fair-share off. The core runs in replay mode
+//! ([`expected_jobs`](ServiceConfig::expected_jobs) `Some`), which shows
+//! the policy the simulator's pending and total job counts and keeps the
+//! kernel's logs for the outcome. Every job is ticked in at its own
+//! `submit`, so the core's restamp leaves it unchanged, and every admitted
+//! job lands in the waiting queue at rank 0: the queue order, the
+//! `SystemView` the policy sees, and therefore every decision, record, and
+//! statistic are identical to `rsched_sim::run_simulation` on the same
+//! inputs. The `service_sim_equivalence` integration test pins this claim
+//! across the whole builtin-policy registry.
+//!
+//! Replay and `run_simulation` are two arrival sources over the kernel's
+//! one step, and replay stays for what only it shows: that the front door
+//! (ingest queue, admission, batch merge) is a pure re-driving of the
+//! kernel, and — with a recording sink — the `service_*` metric families
+//! that `serve --metrics` exposes.
 
 use rsched_cluster::{ClusterConfig, JobSpec};
 use rsched_sim::{validate_workload, SchedulingPolicy, SimError, SimOptions, SimOutcome};
 use rsched_simkit::SimTime;
+use rsched_telemetry::TelemetrySink;
 
 use crate::clock::{ManualClock, ServiceClock};
 use crate::core::{ServiceConfig, ServiceCore};
@@ -22,46 +33,25 @@ use crate::tenant::TenantId;
 /// Replay `jobs` through the service driver and return a simulator-shaped
 /// [`SimOutcome`]. Tenant identity is taken from each job's `user` field;
 /// admission is permissive (no rate limits, no caps, fair-share off), so
-/// the run is bit-equivalent to the virtual-time simulator.
+/// the run is bit-equivalent to the virtual-time simulator. `telemetry` is
+/// attached to the service core (and through it the decision kernel):
+/// spans, metrics, and epoch provenance accumulate in it while the outcome
+/// stays the same; pass [`TelemetrySink::disabled`] for none.
 pub fn replay(
     config: ClusterConfig,
     jobs: &[JobSpec],
     policy: Box<dyn SchedulingPolicy>,
     options: &SimOptions,
     observers: &mut [&mut dyn ServiceObserver],
-) -> Result<SimOutcome, SimError> {
-    replay_with_telemetry(
-        config,
-        jobs,
-        policy,
-        options,
-        observers,
-        &rsched_telemetry::TelemetrySink::disabled(),
-    )
-}
-
-/// [`replay`] with a telemetry sink attached to the service core (and
-/// through it the decision kernel): spans, metrics, and epoch provenance
-/// accumulate in the sink while the outcome stays bit-equivalent to the
-/// virtual-time simulator.
-pub fn replay_with_telemetry(
-    config: ClusterConfig,
-    jobs: &[JobSpec],
-    policy: Box<dyn SchedulingPolicy>,
-    options: &SimOptions,
-    observers: &mut [&mut dyn ServiceObserver],
-    telemetry: &rsched_telemetry::TelemetrySink,
+    telemetry: &TelemetrySink,
 ) -> Result<SimOutcome, SimError> {
     validate_workload(config, jobs)?;
     let start = jobs.iter().map(|j| j.submit).min().unwrap_or(SimTime::ZERO);
 
     let service_config = ServiceConfig {
         sim: *options,
-        // Ingest each burst whole, keep the trace's own submit stamps, and
-        // retain the decision log for the outcome.
+        // Ingest each burst whole; replay mode keeps the logs.
         max_batch: usize::MAX,
-        restamp_submit: false,
-        retain_history: true,
         expected_jobs: Some(jobs.len()),
         ..ServiceConfig::new(config)
     };
@@ -132,7 +122,15 @@ mod tests {
         let options = SimOptions::default();
         let sim =
             rsched_sim::run_simulation(config, &jobs, &mut Fcfs::default(), &options).unwrap();
-        let svc = replay(config, &jobs, Box::new(Fcfs::default()), &options, &mut []).unwrap();
+        let svc = replay(
+            config,
+            &jobs,
+            Box::new(Fcfs::default()),
+            &options,
+            &mut [],
+            &TelemetrySink::disabled(),
+        )
+        .unwrap();
         assert_eq!(sim.decisions, svc.decisions);
         assert_eq!(sim.stats, svc.stats);
         assert_eq!(sim.records, svc.records);
@@ -150,6 +148,7 @@ mod tests {
             Box::new(Fcfs::default()),
             &SimOptions::default(),
             &mut [],
+            &TelemetrySink::disabled(),
         )
         .unwrap();
         assert!(out.records.is_empty());

@@ -13,7 +13,7 @@ use rsched_cpsolver::SolverConfig;
 use rsched_registry::{names, PolicyContext, PolicyRegistry};
 use rsched_service::replay;
 use rsched_service::{CountingServiceObserver, ServiceObserver};
-use rsched_sim::{run_simulation, SimOptions, SimOutcome};
+use rsched_sim::{run_simulation, SimOptions, SimOutcome, TelemetrySink};
 use rsched_workloads::{scenario_builtins, ArrivalMode, ScenarioContext};
 
 /// Keep the OR-Tools planner quick: these grids run it dozens of times.
@@ -73,7 +73,8 @@ fn service_replay_matches_virtual_time_simulation() {
                 let svc_policy = registry.build(name, &ctx).expect("builtin");
                 let sim = run_simulation(cluster, &jobs, sim_policy.as_mut(), &options)
                     .unwrap_or_else(|e| panic!("{label} (simulator): {e}"));
-                let svc = replay(cluster, &jobs, svc_policy, &options, &mut [])
+                let off = TelemetrySink::disabled();
+                let svc = replay(cluster, &jobs, svc_policy, &options, &mut [], &off)
                     .unwrap_or_else(|e| panic!("{label} (service replay): {e}"));
                 assert_outcomes_identical(&sim, &svc, &label);
             }
@@ -107,6 +108,7 @@ fn replay_streams_observers_consistently() {
         policy,
         &SimOptions::default(),
         &mut observers,
+        &TelemetrySink::disabled(),
     )
     .expect("replay runs");
     assert_eq!(counter.admits, jobs.len(), "every job admitted");

@@ -1,10 +1,11 @@
 //! The driver-agnostic decision kernel.
 //!
 //! [`KernelState`] owns everything a scheduling run needs between clock
-//! ticks — the cluster ledger, the event queue, the sorted
+//! ticks — the cluster ledger, the completion heap, the sorted
 //! rank-ordered wait queue, the running-summary mirror, utilization
-//! integrals, and the decision log — and exposes the one operation both
-//! drivers share: [`KernelState::run_epoch`], the validated
+//! integrals, and the decision log — and exposes the one step both
+//! drivers share: deliver arrivals, [`KernelState::advance_to`] the tick's
+//! instant, then [`KernelState::run_epoch`], the validated
 //! propose/apply/record loop of paper §2.4.
 //!
 //! Two drivers sit on top:
@@ -34,7 +35,6 @@ use rsched_cluster::{
 use rsched_simkit::{EventQueue, SimTime};
 use rsched_telemetry::{DelayReason, EpochOutcome, EpochTrace, TelemetrySink};
 
-use crate::events::SimEvent;
 use crate::outcome::{DecisionRecord, SimOutcome, SimStats};
 use crate::policy::{Action, ActionOutcome, RejectReason, SchedulingPolicy};
 use crate::profile::CapacityLedger;
@@ -45,30 +45,30 @@ use crate::view::{RunningSummary, SystemView};
 /// The scheduling state machine shared by the virtual-time simulator and
 /// the wall-clock service daemon.
 ///
-/// A driver's contract, per tick at time `now`:
+/// A driver's contract is paper §3.1's step — *"inject any newly arrived
+/// jobs into the waiting queue, update the status of running jobs
+/// (releasing resources for those that have finished), and then determine
+/// the next scheduling action"* — as three calls per tick at time `now`:
 ///
 /// 1. deliver the arrivals due at `now` ([`arrive`](Self::arrive) /
-///    [`arrive_ranked`](Self::arrive_ranked) /
-///    [`arrive_batch`](Self::arrive_batch)) — they come from the driver,
-///    which alone knows them; the kernel's event heap holds completions
-///    only, so it is never deeper than the running set — and then the
-///    completions ([`complete`](Self::complete), at each job's **exact**
-///    end time: take [`Completion`](SimEvent::Completion) events one at a
-///    time with [`pop_event_at`](Self::pop_event_at) until it answers
-///    `None`);
-/// 2. [`observe_time`](Self::observe_time) to advance the utilization
-///    integrals;
-/// 3. if [`should_query`](Self::should_query), call
-///    [`run_epoch`](Self::run_epoch) and stream the new suffix of
-///    [`decisions`](Self::decisions) to its observers.
+///    [`arrive_batch`](Self::arrive_batch)): they come from the driver,
+///    which alone knows them, so the kernel's heap holds completions only
+///    and is never deeper than the running set;
+/// 2. [`advance_to(now)`](Self::advance_to): every completion due by `now`
+///    is retired at its own end time and the utilization integrals are
+///    folded up to `now`;
+/// 3. [`run_epoch`](Self::run_epoch), which consults the policy if the
+///    query discipline says to, and appends to
+///    [`decisions`](Self::decisions) and [`epochs`](Self::epochs).
 ///
-/// Determinism: given the same (time, arrivals, completions) sequence and
-/// a deterministic policy, every field of the kernel evolves identically
+/// Determinism: given the same (time, arrivals) sequence and a
+/// deterministic policy, every field of the kernel evolves identically
 /// regardless of which driver is ticking it.
 #[derive(Debug)]
 pub struct KernelState {
     cluster: ClusterState,
-    events: EventQueue<SimEvent>,
+    /// One completion per running job, keyed by its end time.
+    events: EventQueue<JobId>,
     queue: WaitQueue,
     running: RunningSet,
     ledger: CapacityLedger,
@@ -118,27 +118,13 @@ impl KernelState {
         kernel
     }
 
-    // ---- event plumbing -------------------------------------------------
-
-    /// Time of the earliest pending event, if any.
+    /// End time of the earliest running job, if any: the next instant
+    /// [`advance_to`](Self::advance_to) has work at.
     pub fn next_event_time(&self) -> Option<SimTime> {
         self.events.peek_time()
     }
 
-    /// Take the earliest pending event if it is scheduled exactly at `at`
-    /// — the one way events leave the kernel. An instant's events come out
-    /// in the order their placements scheduled them; `None` once the
-    /// earliest is later than `at` (or nothing is pending).
-    pub fn pop_event_at(&mut self, at: SimTime) -> Option<SimEvent> {
-        self.events.pop_if_at(at)
-    }
-
-    /// `true` when no events remain scheduled.
-    pub fn events_is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    // ---- state transitions ----------------------------------------------
+    // ---- the driver's step ------------------------------------------------
 
     /// A job joins the waiting queue at the default rank 0 — pure
     /// `(submit, id)` order, the simulator's (and the paper's) behaviour.
@@ -147,20 +133,13 @@ impl KernelState {
         self.ledger.queue_changed();
     }
 
-    /// A job joins the waiting queue with a fair-share `rank` (lower sorts
-    /// earlier; ties fall back to `(submit, id)`). The service daemon's
-    /// multi-tenant path; rank 0 reduces to [`arrive`](Self::arrive).
-    pub fn arrive_ranked(&mut self, job: JobSpec, rank: u64) {
-        self.queue.insert_ranked(job, rank);
-        self.ledger.queue_changed();
-    }
-
-    /// Every `(job, rank)` of `batch` joins the waiting queue, as
-    /// [`arrive_ranked`](Self::arrive_ranked) on each in any order would
-    /// leave it, in one merge (the batch is sorted in place by queue key)
-    /// and one queue-version bump: what a driver that collects a tick's
-    /// admissions before anything reads the queue — the service daemon —
-    /// hands over.
+    /// Every `(job, rank)` of `batch` joins the waiting queue in one merge
+    /// (the batch is sorted in place by queue key) and one queue-version
+    /// bump, leaving it as delivering the jobs one at a time in any order
+    /// would. A lower fair-share `rank` sorts earlier; ties fall back to
+    /// `(submit, id)`, so rank 0 is [`arrive`](Self::arrive)'s order. What
+    /// a driver that collects a tick's admissions before anything reads the
+    /// queue — the service daemon — hands over.
     pub fn arrive_batch(&mut self, batch: &mut [(JobSpec, u64)]) {
         if batch.is_empty() {
             return;
@@ -169,13 +148,29 @@ impl KernelState {
         self.ledger.queue_changed();
     }
 
+    /// Move the clock to `now`: retire every running job that ends at or
+    /// before `now` at its own end time — an instant's completions in the
+    /// order their placements scheduled them — folding the utilization
+    /// integrals at each of those instants and then at `now`. Returns how
+    /// many jobs were retired. The simulator calls it once per event time;
+    /// a service tick may jump past several.
+    pub fn advance_to(&mut self, now: SimTime) -> usize {
+        let mut retired = 0;
+        while let Some(at) = self.events.peek_time().filter(|&at| at <= now) {
+            while let Some(id) = self.events.pop_if_at(at) {
+                self.complete(id, at);
+                retired += 1;
+            }
+            self.observe_time(at);
+        }
+        self.observe_time(now);
+        retired
+    }
+
     /// A running job finishes at `now`, releasing its resources.
-    ///
-    /// # Panics
-    /// Panics (in the cluster ledger) if `now` is not the job's exact end
-    /// time, or the job is not running — drivers must deliver completions
-    /// from [`pop_event_at`](Self::pop_event_at) at the event's own time.
-    pub fn complete(&mut self, id: JobId, now: SimTime) {
+    /// [`advance_to`](Self::advance_to) calls it at the job's exact end
+    /// time, which the cluster ledger asserts.
+    fn complete(&mut self, id: JobId, now: SimTime) {
         self.cluster.complete_job(id, now);
         if let Some(expected_end) = self.running.get(id).map(|s| s.expected_end) {
             // Completions release at their exact end time, so the actual
@@ -187,9 +182,8 @@ impl KernelState {
     }
 
     /// Fold the cluster's current occupancy into the node/memory
-    /// utilization integrals at time `now`. Call once per tick, after
-    /// completions and before the epoch.
-    pub fn observe_time(&mut self, now: SimTime) {
+    /// utilization integrals at time `now`.
+    fn observe_time(&mut self, now: SimTime) {
         self.node_integral
             .update(now, self.cluster.busy_nodes() as f64);
         self.mem_integral
@@ -205,16 +199,12 @@ impl KernelState {
     /// queried once nothing more is pending, to offer the final `Stop`. A
     /// kernel that has stopped never queries.
     ///
-    /// `pending_arrivals` is the driver's count of jobs known to be still
-    /// on their way (unsent workload jobs for the simulator; a nonzero
-    /// sentinel for a live daemon that cannot know).
-    ///
     /// When the queue is saturated (jobs waiting, nothing fits)
     /// a [`EpochOutcome::Saturated`] provenance record is appended at `now`
     /// so the trace explains the skipped query — recorded whether or not a
     /// telemetry sink is attached, keeping [`epochs`](Self::epochs)
     /// deterministic.
-    pub fn should_query(&mut self, now: SimTime, pending_arrivals: usize) -> bool {
+    fn should_query(&mut self, now: SimTime, pending_arrivals: usize) -> bool {
         if self.stopped {
             return false;
         }
@@ -237,13 +227,20 @@ impl KernelState {
         false
     }
 
-    /// One decision epoch at time `now`: query the policy, validate and
-    /// apply each action, log a [`DecisionRecord`] per query, until the
-    /// epoch closes with a `Delay`, `Stop`, or saturation.
+    /// The decision epoch at time `now`, if the query discipline (above)
+    /// calls for one: query the policy, validate and apply each action,
+    /// log a [`DecisionRecord`] per query, until the epoch closes with a
+    /// `Delay`, `Stop`, or saturation. Returns whether the policy was
+    /// consulted.
     ///
-    /// The caller should note [`decisions_len`](Self::decisions_len) before
-    /// and stream the new suffix after — **even when this returns an
-    /// error**, so observers see everything that happened before failure.
+    /// `pending_arrivals` is the driver's count of jobs known to be still
+    /// on their way (unsent workload jobs for the simulator; a nonzero
+    /// sentinel for a live daemon that cannot know).
+    ///
+    /// A driver that streams [`decisions`](Self::decisions) notes its
+    /// length before and reads the new suffix after — **even when this
+    /// returns an error**, so observers see everything that happened
+    /// before failure.
     pub fn run_epoch(
         &mut self,
         now: SimTime,
@@ -251,12 +248,15 @@ impl KernelState {
         total_jobs: usize,
         policy: &mut dyn SchedulingPolicy,
         options: &SimOptions,
-    ) -> Result<(), SimError> {
+    ) -> Result<bool, SimError> {
         /// After this many consecutive rejected actions in one epoch the
         /// kernel forces a `Delay` — bounding the retry loop of paper §2.4
         /// so a confused policy cannot livelock.
         const MAX_CONSECUTIVE_INVALID: usize = 5;
 
+        if !self.should_query(now, pending_arrivals) {
+            return Ok(false);
+        }
         self.stats.epochs += 1;
         let _epoch_span = self.telemetry.span("kernel.epoch", now);
         let mut consecutive_invalid = 0usize;
@@ -269,25 +269,7 @@ impl KernelState {
                     limit: options.max_queries,
                 });
             }
-            // Zero-copy snapshot: every collection is borrowed from the
-            // incrementally-maintained state, the aggregate is a Copy.
-            let view = SystemView {
-                now,
-                config: self.cluster.config(),
-                free_nodes: self.cluster.free_nodes(),
-                free_memory_gb: self.cluster.free_memory_gb(),
-                free_by_class: self.cluster.free_by_class(),
-                waiting: self.queue.as_slice(),
-                running: self.running.as_slice(),
-                completed: self.cluster.completed(),
-                completed_stats: self.cluster.completed_stats(),
-                pending_arrivals,
-                total_jobs,
-                calendar: Some(&self.ledger),
-                telemetry: Some(&self.telemetry),
-                queue: Some(&self.queue),
-            };
-            let action = policy.decide(&view);
+            let action = policy.decide(&self.view(now, pending_arrivals, total_jobs));
             self.stats.queries += 1;
             epoch_queries += 1;
 
@@ -397,7 +379,7 @@ impl KernelState {
             self.telemetry.count_epoch(&trace);
             self.harvest_counters();
         }
-        Ok(())
+        Ok(true)
     }
 
     /// Mirror the kernel's aggregate counters into the attached sink's
@@ -513,7 +495,7 @@ impl KernelState {
                 } else {
                     nodes_per_slot(&topology, &started.allocation.nodes)
                 };
-                self.events.push(end, SimEvent::Completion(spec.id));
+                self.events.push(end, spec.id);
                 self.event_heap_peak = self.event_heap_peak.max(self.events.len());
                 self.queue.remove_at(queue_index);
                 // Maintain the running mirror incrementally — never rebuilt.
@@ -598,12 +580,6 @@ impl KernelState {
         &self.decisions
     }
 
-    /// Length of the decision log (note before an epoch, stream the suffix
-    /// after).
-    pub fn decisions_len(&self) -> usize {
-        self.decisions.len()
-    }
-
     /// `true` once the policy has issued an accepted `Stop`.
     pub fn stopped(&self) -> bool {
         self.stopped
@@ -630,13 +606,6 @@ impl KernelState {
         &self.epochs
     }
 
-    /// Drain and return the provenance log, leaving it empty. Long-running
-    /// daemons call this per tick so the log stays bounded (mirrors
-    /// [`drain_decisions`](Self::drain_decisions)).
-    pub fn drain_epochs(&mut self) -> Vec<EpochTrace> {
-        std::mem::take(&mut self.epochs)
-    }
-
     /// A borrowed policy-facing snapshot at `now` — what
     /// [`run_epoch`](Self::run_epoch) shows the policy, for telemetry and
     /// external inspection.
@@ -661,11 +630,12 @@ impl KernelState {
 
     // ---- long-running-service memory bounds ------------------------------
 
-    /// Drain and return the decision log, leaving it empty (counters in
-    /// [`stats`](Self::stats) are unaffected). Long-running daemons call
-    /// this per tick so the log stays bounded.
-    pub fn drain_decisions(&mut self) -> Vec<DecisionRecord> {
-        std::mem::take(&mut self.decisions)
+    /// Empty the decision and epoch logs, keeping their capacity (counters
+    /// in [`stats`](Self::stats) are unaffected). A long-running daemon
+    /// calls this per tick so the logs stay bounded.
+    pub fn clear_history(&mut self) {
+        self.decisions.clear();
+        self.epochs.clear();
     }
 
     /// Finish the run: consume the kernel into a [`SimOutcome`] with the
@@ -718,5 +688,76 @@ fn insufficient(cluster: &ClusterState, spec: &JobSpec) -> RejectReason {
         needed_memory_gb: spec.memory_gb,
         free_nodes: cluster.free_nodes(),
         free_memory_gb: cluster.free_memory_gb(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rsched_simkit::SimDuration;
+
+    /// Starts the first waiting job that fits; delays otherwise.
+    struct Greedy;
+
+    impl SchedulingPolicy for Greedy {
+        fn name(&self) -> &str {
+            "greedy"
+        }
+        fn decide(&mut self, view: &SystemView<'_>) -> Action {
+            view.eligible_now()
+                .next()
+                .map_or(Action::Delay, |j| Action::StartJob(j.id))
+        }
+    }
+
+    fn secs(s: u64) -> SimTime {
+        SimTime::from_secs(s)
+    }
+
+    /// Three one-node jobs started at 0, ending at 10, 20 and 30.
+    fn three_running() -> KernelState {
+        let mut kernel = KernelState::new(ClusterConfig::new(8, 64), SimTime::ZERO);
+        for (id, ends) in [(0, 10), (1, 20), (2, 30)] {
+            kernel.arrive(JobSpec::new(
+                id,
+                0,
+                SimTime::ZERO,
+                SimDuration::from_secs(ends),
+                1,
+                2,
+            ));
+        }
+        assert_eq!(kernel.advance_to(SimTime::ZERO), 0);
+        let queried = kernel.run_epoch(SimTime::ZERO, 0, 3, &mut Greedy, &SimOptions::default());
+        assert_eq!(queried, Ok(true));
+        assert_eq!(kernel.running_count(), 3);
+        kernel
+    }
+
+    #[test]
+    fn advance_to_retires_what_ended_by_then_at_its_own_instant() {
+        let mut kernel = three_running();
+        assert_eq!(kernel.advance_to(secs(25)), 2);
+        let ends: Vec<SimTime> = kernel.completed().iter().map(|r| r.end).collect();
+        assert_eq!(ends, [secs(10), secs(20)]);
+        assert_eq!(kernel.next_event_time(), Some(secs(30)));
+        assert_eq!(kernel.advance_to(secs(25)), 0);
+        assert_eq!(kernel.running_count(), 1);
+    }
+
+    /// The service jumps a tick past several instants; the simulator steps
+    /// to each. The integrals cannot tell the two apart, to the bit.
+    #[test]
+    fn one_jump_and_single_steps_fold_the_same_integrals() {
+        let integrals = |stops: &[u64]| {
+            let mut kernel = three_running();
+            let retired: usize = stops.iter().map(|&t| kernel.advance_to(secs(t))).sum();
+            assert_eq!(retired, 3);
+            let out = kernel.into_outcome("greedy".into(), secs(30));
+            (out.node_seconds.to_bits(), out.memory_gb_seconds.to_bits())
+        };
+        let jumped = integrals(&[25, 30]);
+        assert_eq!(jumped, integrals(&[10, 20, 25, 30]));
+        assert_eq!(jumped, (60.0f64.to_bits(), 120.0f64.to_bits()));
     }
 }

@@ -10,6 +10,11 @@
 //! there are jobs ready to be scheduled, the agent queries the LLM for a
 //! decision; otherwise, it advances time to the next event."*
 //!
+//! That step is [`KernelState`]'s, written once: a driver delivers the
+//! arrivals, calls [`advance_to(now)`](KernelState::advance_to), then
+//! [`run_epoch`](KernelState::run_epoch). The simulator here and the
+//! `rsched-service` daemon are two arrival sources over it.
+//!
 //! The simulator drives any [`SchedulingPolicy`] — the baselines in
 //! `rsched-schedulers` or the ReAct agent in `rsched-core` — through exactly
 //! that loop, validating every proposed action against the live cluster
@@ -35,7 +40,6 @@
 #![deny(unsafe_code)]
 
 pub mod builder;
-pub mod events;
 pub mod kernel;
 pub mod outcome;
 pub mod policy;
@@ -47,7 +51,6 @@ pub mod store;
 pub mod view;
 
 pub use builder::Simulation;
-pub use events::SimEvent;
 pub use kernel::KernelState;
 pub use outcome::{DecisionRecord, SimOutcome, SimStats};
 pub use policy::{Action, ActionOutcome, OverheadReport, RejectReason, SchedulingPolicy};

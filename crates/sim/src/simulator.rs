@@ -5,15 +5,16 @@
 //! every job completes, validating each proposed action (paper §2.4) and
 //! advancing time only at arrivals and completions.
 //!
-//! Since the service split, the event loop here is a thin driver over
-//! [`crate::kernel::KernelState`]: it walks the workload's arrivals in
-//! submit order with a cursor, jumps the clock to the next arrival or
-//! completion — whichever is earlier — hands the kernel that instant's
-//! arrivals and then its completions, and lets the kernel run the shared
-//! `run_epoch` loop. Arrivals never enter the kernel's event heap, which
-//! therefore holds one entry per running job. The wall-clock service daemon
-//! (`rsched-service`) drives the *same* kernel from a live submission
-//! channel; both produce bit-identical decisions for identical streams.
+//! The loop here is one of the two arrival sources over
+//! [`crate::kernel::KernelState`]'s step. It walks the workload's arrivals
+//! in submit order with a cursor and jumps the clock to the next arrival or
+//! completion, whichever is earlier. At that instant it makes the kernel's
+//! three calls: [`arrive`](KernelState::arrive) each job submitted then,
+//! [`advance_to`](KernelState::advance_to) the instant, and
+//! [`run_epoch`](KernelState::run_epoch). The wall-clock service daemon
+//! (`rsched-service`) makes the *same* three calls with arrivals from a
+//! live submission queue; both produce bit-identical decisions for
+//! identical streams.
 //!
 //! The kernel is **zero-copy and incremental**: the waiting queue stays
 //! sorted by `(rank, submit, id)` — an arrival is binary-searched to its
@@ -28,7 +29,6 @@
 use rsched_cluster::{ClusterConfig, JobId, JobSpec, PlacementRequest, MAX_CLASSES};
 use rsched_simkit::SimTime;
 
-use crate::events::SimEvent;
 use crate::kernel::KernelState;
 use crate::outcome::SimOutcome;
 use crate::policy::SchedulingPolicy;
@@ -169,6 +169,9 @@ pub(crate) fn simulate_with_telemetry(
     let mut now = start_time;
 
     while kernel.completed_len() < jobs.len() {
+        // Nothing left to arrive and nothing running (the heap holds one
+        // completion per running job): the jobs still waiting were delayed
+        // with no event left to move time on.
         let next_arrival = arrival(arrived).map(|j| j.submit);
         let Some(t) = [next_arrival, kernel.next_event_time()]
             .into_iter()
@@ -182,43 +185,16 @@ pub(crate) fn simulate_with_telemetry(
         };
         now = t;
 
-        // This instant's arrivals, then its completions: the order one
-        // FIFO event queue holding both gave, every arrival having been
-        // scheduled before any completion. Sorted insert at arrival — the
-        // queue is never re-sorted.
-        while let Some(job) = arrival(arrived).filter(|j| j.submit == t) {
+        // This instant's arrivals (sorted insert — the queue is never
+        // re-sorted), then its completions, then the decision epoch, which
+        // the kernel skips for saturated states (§3.7.1) and offers an
+        // empty queue once everything has arrived, for the final `Stop`.
+        while let Some(job) = arrival(arrived).filter(|j| j.submit == now) {
             kernel.arrive(job.clone());
             arrived += 1;
         }
-        while let Some(SimEvent::Completion(id)) = kernel.pop_event_at(t) {
-            kernel.complete(id, t);
-        }
-        kernel.observe_time(now);
-        let pending_arrivals = jobs.len() - arrived;
-
-        // Decision epoch: consult the policy while jobs are waiting, or —
-        // once everything has arrived — to give it the chance to `Stop`
-        // (the paper's traces show a final Stop query with an empty queue).
-        // Saturated states (jobs waiting but nothing fits) skip the query
-        // and advance time directly — the paper's per-model call counts
-        // equal the job count (§3.7.1); the queue's min-demand watermark
-        // proves most of them in O(1).
-        if kernel.should_query(now, pending_arrivals) {
-            kernel.run_epoch(now, pending_arrivals, jobs.len(), policy, options)?;
-        }
-
-        // A Delay with nothing running and nothing to arrive can never make
-        // progress.
-        if kernel.completed_len() < jobs.len()
-            && pending_arrivals == 0
-            && kernel.events_is_empty()
-            && kernel.running_count() == 0
-        {
-            return Err(SimError::Stuck {
-                time: now,
-                waiting: kernel.waiting_len(),
-            });
-        }
+        kernel.advance_to(now);
+        kernel.run_epoch(now, jobs.len() - arrived, jobs.len(), policy, options)?;
     }
 
     Ok(kernel.into_outcome(policy.name().to_string(), now))

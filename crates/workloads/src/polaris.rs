@@ -24,7 +24,7 @@ use rsched_cluster::{ClusterConfig, JobSpec};
 use rsched_simkit::csv::{self, Table};
 
 use crate::error::WorkloadError;
-use crate::trace::Factorizer;
+use crate::trace::{cell, Factorizer};
 use rsched_simkit::dist::{Categorical, Clamped, LogNormal, Sample, Uniform};
 use rsched_simkit::rng::{Rng, RngExt, SeedTree};
 use rsched_simkit::{SimDuration, SimTime};
@@ -225,22 +225,16 @@ pub fn raw_from_csv(text: &str) -> Result<Vec<PolarisRawJob>, WorkloadError> {
     (0..table.rows.len())
         .map(|row| {
             let get = |name: &str| table.get(row, name).expect("validated column");
-            let int = |name: &str| -> Result<i64, WorkloadError> {
-                get(name).parse::<i64>().map_err(|e| WorkloadError::Parse {
-                    location: format!("row {row}, column {name}"),
-                    message: e.to_string(),
-                })
-            };
             Ok(PolarisRawJob {
                 job_name: get("JOB_NAME").to_string(),
                 user: get("USER").to_string(),
                 group: get("GROUP").to_string(),
-                queued_ts: int("QUEUED_TIMESTAMP")?,
-                start_ts: int("START_TIMESTAMP")?,
-                end_ts: int("END_TIMESTAMP")?,
-                nodes: int("NODES_USED")? as u32,
-                walltime_secs: int("WALLTIME_SECONDS")? as u64,
-                exit_status: int("EXIT_STATUS")? as i32,
+                queued_ts: cell(&table, row, "QUEUED_TIMESTAMP")?,
+                start_ts: cell(&table, row, "START_TIMESTAMP")?,
+                end_ts: cell(&table, row, "END_TIMESTAMP")?,
+                nodes: cell(&table, row, "NODES_USED")?,
+                walltime_secs: cell(&table, row, "WALLTIME_SECONDS")?,
+                exit_status: cell(&table, row, "EXIT_STATUS")?,
             })
         })
         .collect()
@@ -354,6 +348,25 @@ mod tests {
         let text = raw_to_csv(&raw);
         let back = raw_from_csv(&text).expect("parse");
         assert_eq!(back, raw);
+    }
+
+    /// A count or duration below zero is not wrapped into 2³² − 1 nodes
+    /// or 2⁶⁴ − 5 seconds: it is refused where it stands.
+    #[test]
+    fn raw_csv_refuses_negative_nodes_and_walltime_with_their_location() {
+        let header = RAW_HEADER.join(",");
+        for (row, column) in [
+            ("a,u,g,0,10,20,-1,3600,0", "NODES_USED"),
+            ("a,u,g,0,10,20,4,-5,0", "WALLTIME_SECONDS"),
+        ] {
+            let text = format!("{header}\nok,u,g,0,10,20,4,3600,0\n{row}\n");
+            match raw_from_csv(&text) {
+                Err(WorkloadError::Parse { location, .. }) => {
+                    assert_eq!(location, format!("row 1, column {column}"));
+                }
+                other => panic!("{column}: {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -84,6 +84,25 @@ impl<T: Eq + std::hash::Hash + Clone> Factorizer<T> {
     }
 }
 
+/// The value at `row` of column `name`, parsed as the field's own type: a
+/// value the type cannot hold (`-1` nodes, an id past `u32::MAX`) is
+/// refused with its location rather than cast into one it can. A column
+/// the table lacks reads as the type's default — callers check their
+/// required columns up front.
+pub(crate) fn cell<T>(table: &Table, row: usize, name: &str) -> Result<T, WorkloadError>
+where
+    T: std::str::FromStr + Default,
+    T::Err: std::fmt::Display,
+{
+    match table.get(row, name) {
+        None => Ok(T::default()),
+        Some(text) => text.parse().map_err(|e: T::Err| WorkloadError::Parse {
+            location: format!("row {row}, column {name}"),
+            message: e.to_string(),
+        }),
+    }
+}
+
 /// Parse jobs back from CSV text produced by [`jobs_to_csv`].
 pub fn jobs_from_csv(text: &str) -> Result<Vec<JobSpec>, WorkloadError> {
     let table = Table::parse(text).map_err(|e| WorkloadError::Parse {
@@ -100,30 +119,6 @@ pub fn jobs_from_csv(text: &str) -> Result<Vec<JobSpec>, WorkloadError> {
     }
     let mut jobs = Vec::with_capacity(table.rows.len());
     for row in 0..table.rows.len() {
-        let get = |name: &str| -> &str { table.get(row, name).expect("validated column") };
-        let parse_f64 = |name: &str| -> Result<f64, WorkloadError> {
-            get(name).parse::<f64>().map_err(|e| WorkloadError::Parse {
-                location: format!("row {row}, column {name}"),
-                message: e.to_string(),
-            })
-        };
-        let parse_u64 = |name: &str| -> Result<u64, WorkloadError> {
-            get(name).parse::<u64>().map_err(|e| WorkloadError::Parse {
-                location: format!("row {row}, column {name}"),
-                message: e.to_string(),
-            })
-        };
-        // The extended columns are optional: CSVs written before the
-        // multi-resource model load as scalar jobs.
-        let opt_u64 = |name: &str| -> Result<u64, WorkloadError> {
-            match table.get(row, name) {
-                Some(v) => v.parse::<u64>().map_err(|e| WorkloadError::Parse {
-                    location: format!("row {row}, column {name}"),
-                    message: e.to_string(),
-                }),
-                None => Ok(0),
-            }
-        };
         let class = match table.get(row, "class").unwrap_or("") {
             "" => None,
             "cpu" => Some(NodeClass::Cpu),
@@ -136,21 +131,24 @@ pub fn jobs_from_csv(text: &str) -> Result<Vec<JobSpec>, WorkloadError> {
                 })
             }
         };
+        let secs = |name: &str| cell(&table, row, name).map(SimDuration::from_secs_f64);
         let mut spec = JobSpec::new(
-            parse_u64("job_id")? as u32,
-            parse_u64("user")? as u32,
-            SimTime::from_secs_f64(parse_f64("submit_s")?),
-            SimDuration::from_secs_f64(parse_f64("duration_s")?),
-            parse_u64("nodes")? as u32,
-            parse_u64("memory_gb")?,
+            cell(&table, row, "job_id")?,
+            cell(&table, row, "user")?,
+            SimTime::from_secs_f64(cell(&table, row, "submit_s")?),
+            secs("duration_s")?,
+            cell(&table, row, "nodes")?,
+            cell(&table, row, "memory_gb")?,
         )
-        .with_group(parse_u64("group")? as u32)
-        .with_walltime(SimDuration::from_secs_f64(parse_f64("walltime_s")?))
+        .with_group(cell(&table, row, "group")?)
+        .with_walltime(secs("walltime_s")?)
+        // The extended columns are optional: CSVs written before the
+        // multi-resource model load as scalar jobs.
         .with_per_node(ResourceVec::new(
-            opt_u64("cpus_per_node")? as u32,
-            opt_u64("gpus_per_node")? as u32,
-            opt_u64("mem_gb_per_node")?,
-            opt_u64("bb_slots_per_node")? as u32,
+            cell(&table, row, "cpus_per_node")?,
+            cell(&table, row, "gpus_per_node")?,
+            cell(&table, row, "mem_gb_per_node")?,
+            cell(&table, row, "bb_slots_per_node")?,
         ));
         if let Some(class) = class {
             spec = spec.with_class(class);
@@ -223,6 +221,21 @@ mod tests {
         let rendered = err.to_string();
         assert!(rendered.contains("nodes"), "{rendered}");
         assert!(rendered.contains("row 0"), "{rendered}");
+    }
+
+    /// An id one past `u32::MAX` is not truncated to 0, where it would
+    /// collide with the real job 0 of row 0: it is refused where it stands.
+    #[test]
+    fn an_id_past_u32_is_refused_not_wrapped_onto_job_zero() {
+        let text = "job_id,user,group,submit_s,duration_s,walltime_s,nodes,memory_gb\n\
+                    0,0,0,0.0,10.0,10.0,1,4\n\
+                    4294967296,0,0,0.0,10.0,10.0,1,4\n";
+        match jobs_from_csv(text) {
+            Err(WorkloadError::Parse { location, .. }) => {
+                assert_eq!(location, "row 1, column job_id");
+            }
+            other => panic!("{other:?}"),
+        }
     }
 
     #[test]

@@ -15,7 +15,9 @@
 //! * [`workloads`] — the open scenario registry: the seven paper
 //!   scenarios, five extended ones, the Polaris substrate, and SWF trace
 //!   ingestion (`swf:<path>`).
-//! * [`sim`] — the event-driven scheduling simulator and policy interface.
+//! * [`sim`] — the event-driven scheduling simulator and policy interface;
+//!   its `KernelState` is the one step every driver makes per tick
+//!   (deliver arrivals, `advance_to(now)`, `run_epoch`).
 //! * [`metrics`] — the eight evaluation objectives and normalization.
 //! * [`schedulers`] — FCFS, SJF, EASY, Random, OR-Tools baselines.
 //! * [`cpsolver`] — the cumulative-resource optimization solver.
@@ -26,8 +28,9 @@
 //! * [`parallel`] — the std-only thread pool for experiment sweeps.
 //! * [`service`] — the decision kernel as a long-running multi-tenant
 //!   scheduler daemon: MPSC ingest, per-tenant admission control,
-//!   fair-share ranking, graceful drain, and a replay driver that is
-//!   bit-equivalent to the virtual-time simulator.
+//!   fair-share ranking, graceful drain, and a replay driver (the same
+//!   core with `expected_jobs` set) that is bit-equivalent to the
+//!   virtual-time simulator.
 //! * [`campaign`] — the declarative sweep-campaign engine: TOML grid
 //!   specs, content-addressed cell caching, Pareto-front analysis.
 //! * [`telemetry`] — structured spans, the shared metrics registry,

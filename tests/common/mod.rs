@@ -15,8 +15,6 @@ pub fn serve_with_fair_share(
 ) -> SimOutcome {
     let config = ServiceConfig {
         max_batch: usize::MAX,
-        restamp_submit: false,
-        retain_history: true,
         expected_jobs: Some(jobs.len()),
         admission: AdmissionConfig {
             fair_share: FairShareConfig {

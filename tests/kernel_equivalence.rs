@@ -19,8 +19,7 @@ use reasoned_scheduler::cpsolver::SolverConfig;
 use reasoned_scheduler::prelude::*;
 use reasoned_scheduler::registry::names;
 use reasoned_scheduler::sim::{
-    ActionOutcome, CapacityLedger, KernelState, RejectReason, RunningSummary, SimError, SimEvent,
-    SimStats,
+    ActionOutcome, CapacityLedger, KernelState, RejectReason, RunningSummary, SimError, SimStats,
 };
 use reasoned_scheduler::simkit::EventQueue;
 
@@ -902,20 +901,14 @@ fn a_batch_of_arrivals_is_one_by_one_delivery() {
                 if batched {
                     kernel.arrive_batch(&mut arrivals);
                 } else {
-                    for (spec, rank) in arrivals {
-                        kernel.arrive_ranked(spec, rank);
+                    for arrival in arrivals {
+                        kernel.arrive_batch(&mut [arrival]);
                     }
                 }
-                while let Some(at) = kernel.next_event_time().filter(|&at| at <= now) {
-                    while let Some(SimEvent::Completion(id)) = kernel.pop_event_at(at) {
-                        kernel.complete(id, at);
-                    }
-                    kernel.observe_time(at);
-                }
-                kernel.observe_time(now);
-                assert!(kernel.should_query(now, 1), "{}", policy.name());
+                kernel.advance_to(now);
                 let epoch = kernel.run_epoch(now, 1, 60, policy.as_mut(), &options);
-                epoch.expect("the query budget is not in play");
+                let queried = epoch.expect("the query budget is not in play");
+                assert!(queried, "{}", policy.name());
             }
             kernel
         });
