@@ -5,50 +5,52 @@
 //! 2048 GB memory). A first-fit strategy allocates each selected job to the
 //! first available set of resources that meet its requirements."*
 //!
-//! Nodes are exclusive (a node runs one job at a time); memory is an
-//! aggregate pool — together these realize the paper's two capacity
-//! constraints. [`FirstFitAllocator`] is that flat scalar machine,
-//! unchanged. [`ClassedAllocator`] is the multi-resource generalization:
-//! nodes carry [`ResourceVec`] capacities grouped into classes
-//! ([`Topology`]), a job's nodes come preferentially from **one** class
-//! (the first compatible class with enough free nodes,
-//! contiguous-preferring within the class's index range); when no single
-//! class can host a classless job, the grant spans compatible classes
-//! greedily in topology order — so wide scalar jobs calibrated against
-//! the flat machine still place on a mixed-class one. Feasibility is an
-//! `O(classes)` check over per-class free-count watermarks either way.
-//! [`NodeAllocator`] dispatches between the two, so flat configs take
-//! exactly the pre-refactor code path.
+//! Nodes are exclusive (a node runs one job at a time) and exchangeable
+//! within a class; memory is an aggregate pool. Together these realize the
+//! paper's two capacity constraints. Because any free node of a class is as
+//! good as any other, *which* nodes a job holds is never observable: no
+//! record, decision, prompt or metric reads a node index, and the first-fit
+//! choice is fully described by how many nodes each class gives. So an
+//! [`Allocation`] is a count per class, not a node set, and both allocators
+//! are counters:
+//!
+//! * [`FirstFitAllocator`] is the flat scalar machine: free nodes and free
+//!   memory.
+//! * [`ClassedAllocator`] is the multi-resource generalization: nodes carry
+//!   [`ResourceVec`] capacities grouped into classes ([`Topology`]), and it
+//!   keeps a free count per class plus free memory. A job's nodes come from
+//!   **one** class when possible (the first compatible class with enough
+//!   free nodes); when no single class can host a classless job, the grant
+//!   spans compatible classes greedily in topology order, so wide scalar
+//!   jobs calibrated against the flat machine still place on a mixed-class
+//!   one. Feasibility and placement are the same `O(classes)` plan.
+//!
+//! [`NodeAllocator`] dispatches between the two.
 
 use crate::job::JobSpec;
-use crate::node::NodeMask;
 use crate::resources::ResourceVec;
 use crate::topology::{NodeClass, Topology, MAX_CLASSES};
 
-/// A grant of concrete resources to one job. Returned by
-/// [`FirstFitAllocator::try_allocate`] and must be passed back to
-/// [`FirstFitAllocator::release`] exactly once.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// A grant of resources to one job: how many nodes it holds, from which
+/// classes, and how much memory was debited. Returned by the allocators'
+/// `try_allocate` and passed back to their `release` exactly once.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Allocation {
-    /// The concrete nodes assigned (lowest-index-first under first-fit).
-    pub nodes: NodeMask,
-    /// Memory reserved from the aggregate pool, in GB.
+    /// Whole nodes held.
+    pub nodes: u32,
+    /// Memory debited from the pool, in GB.
     pub memory_gb: u64,
+    /// Nodes held per topology slot — all zeros on a flat machine, which
+    /// has no classes.
+    pub by_class: [u32; MAX_CLASSES],
 }
 
-impl Allocation {
-    /// Number of nodes in this allocation.
-    pub fn node_count(&self) -> u32 {
-        self.nodes.count()
-    }
-}
-
-/// Tracks free nodes and free memory; grants allocations first-fit.
+/// Tracks free nodes and free memory of the flat machine.
 #[derive(Debug, Clone)]
 pub struct FirstFitAllocator {
-    busy: NodeMask,
     total_nodes: u32,
     total_memory_gb: u64,
+    free_nodes: u32,
     free_memory_gb: u64,
 }
 
@@ -61,9 +63,9 @@ impl FirstFitAllocator {
     pub fn new(nodes: u32, memory_gb: u64) -> Self {
         assert!(nodes > 0, "cluster must have at least one node");
         FirstFitAllocator {
-            busy: NodeMask::new(nodes),
             total_nodes: nodes,
             total_memory_gb: memory_gb,
+            free_nodes: nodes,
             free_memory_gb: memory_gb,
         }
     }
@@ -80,7 +82,7 @@ impl FirstFitAllocator {
 
     /// Currently free nodes.
     pub fn free_nodes(&self) -> u32 {
-        self.total_nodes - self.busy.count()
+        self.free_nodes
     }
 
     /// Currently free memory in GB.
@@ -88,14 +90,9 @@ impl FirstFitAllocator {
         self.free_memory_gb
     }
 
-    /// Nodes currently allocated.
-    pub fn busy_nodes(&self) -> u32 {
-        self.busy.count()
-    }
-
     /// `true` if a request for `nodes`/`memory_gb` could be granted now.
     pub fn can_fit(&self, nodes: u32, memory_gb: u64) -> bool {
-        nodes <= self.free_nodes() && memory_gb <= self.free_memory_gb
+        nodes <= self.free_nodes && memory_gb <= self.free_memory_gb
     }
 
     /// `true` if the request could *ever* be granted on an empty cluster.
@@ -103,8 +100,8 @@ impl FirstFitAllocator {
         nodes <= self.total_nodes && memory_gb <= self.total_memory_gb
     }
 
-    /// Grant the lowest-index free nodes and reserve memory, or `None` if
-    /// the request does not fit right now.
+    /// Grant `nodes` free nodes and reserve memory, or `None` if the request
+    /// does not fit right now.
     ///
     /// Zero-node requests are legal (they only consume memory); the paper's
     /// workloads never produce them but traces might.
@@ -112,41 +109,37 @@ impl FirstFitAllocator {
         if !self.can_fit(nodes, memory_gb) {
             return None;
         }
-        let mask = self
-            .busy
-            .lowest_clear_mask(nodes)
-            .expect("can_fit guaranteed enough free nodes");
-        self.busy.union_with(&mask);
+        self.free_nodes -= nodes;
         self.free_memory_gb -= memory_gb;
         Some(Allocation {
-            nodes: mask,
+            nodes,
             memory_gb,
+            by_class: [0; MAX_CLASSES],
         })
     }
 
     /// Return an allocation's resources to the pool.
     ///
     /// # Panics
-    /// Panics if the allocation's nodes are not currently busy or the memory
-    /// return would exceed total capacity — both indicate a double release
-    /// or a foreign allocation.
+    /// Panics if the node or memory return would exceed total capacity —
+    /// a double release or a foreign allocation.
     pub fn release(&mut self, alloc: &Allocation) {
         assert!(
-            self.busy.contains_all(&alloc.nodes),
+            alloc.nodes <= self.total_nodes - self.free_nodes,
             "release of nodes that are not allocated: {}",
             alloc.nodes
         );
         assert!(
-            self.free_memory_gb + alloc.memory_gb <= self.total_memory_gb,
+            alloc.memory_gb <= self.total_memory_gb - self.free_memory_gb,
             "memory release would exceed capacity"
         );
-        self.busy.subtract(&alloc.nodes);
+        self.free_nodes += alloc.nodes;
         self.free_memory_gb += alloc.memory_gb;
     }
 
-    /// Debug invariant: free counters must be consistent with the mask.
+    /// Debug invariant: free counters never exceed the totals.
     pub fn check_invariants(&self) {
-        assert!(self.busy.count() <= self.total_nodes);
+        assert!(self.free_nodes <= self.total_nodes);
         assert!(self.free_memory_gb <= self.total_memory_gb);
     }
 }
@@ -267,10 +260,9 @@ pub fn compatible_slots(topology: &Topology, req: &PlacementRequest) -> SlotSet 
 /// the preferred shape), else a greedy topology-order span across
 /// compatible classes (classless wide jobs on machines whose largest class
 /// is smaller than the request). `None` means the request does not fit
-/// right now. `O(classes)`, never touches a node mask — this is the shared
-/// feasibility kernel of [`ClassedAllocator`] and the reservation
-/// shadow-time math, so "can it fit" and "where would it go" can never
-/// disagree.
+/// right now. `O(classes)` — this is the shared feasibility kernel of
+/// [`ClassedAllocator`] and the reservation shadow-time math, so "can it
+/// fit" and "how many from each class" can never disagree.
 pub(crate) fn plan_take(
     topology: &Topology,
     free: &[u32; MAX_CLASSES],
@@ -302,7 +294,8 @@ pub(crate) fn plan_take(
     None
 }
 
-/// Multi-resource allocator over a classed [`Topology`].
+/// Multi-resource allocator over a classed [`Topology`]: a free-node count
+/// per class and the free memory.
 ///
 /// Placement prefers a **class-homogeneous** grant: all of a job's nodes
 /// from the first class (in topology order) that is compatible — class
@@ -310,20 +303,16 @@ pub(crate) fn plan_take(
 /// demand — and has at least `nodes` free. When no single class can host
 /// a classless request, the grant **spans** compatible classes greedily
 /// in topology order (`plan_take`), so scalar jobs wider than the
-/// largest class still place. Within each class's contiguous index range
-/// the scan prefers a contiguous run of free nodes, falling back to the
-/// lowest free indices. Feasibility (`can_fit`) never touches the mask:
-/// it is an `O(classes)` sweep over per-class free-count watermarks.
+/// largest class still place. Both `can_fit` and `try_allocate` are that
+/// one `O(classes)` plan over the per-class free counts.
 ///
 /// Memory accounting is capacity-based: an allocated node's whole memory
 /// counts as busy (nodes are exclusive), so `free_memory_gb` is the sum of
 /// free nodes' capacities.
 #[derive(Debug, Clone)]
 pub struct ClassedAllocator {
-    busy: NodeMask,
     topology: Topology,
     free_by_class: [u32; MAX_CLASSES],
-    total_nodes: u32,
     total_memory_gb: u64,
     free_memory_gb: u64,
 }
@@ -332,38 +321,24 @@ impl ClassedAllocator {
     /// An allocator over `topology`, all nodes initially free.
     ///
     /// # Panics
-    /// Panics if the topology is flat (use [`FirstFitAllocator`]) or has
-    /// zero nodes.
+    /// Panics if the topology is flat (use [`FirstFitAllocator`]).
     pub fn new(topology: Topology) -> Self {
         assert!(
             !topology.is_flat(),
             "classed allocator needs a non-flat topology"
         );
-        let total_nodes = topology.total_nodes();
-        assert!(total_nodes > 0, "cluster must have at least one node");
-        let mut free_by_class = [0u32; MAX_CLASSES];
-        for (slot, spec) in topology.classes() {
-            free_by_class[slot] = spec.count;
-        }
         let total_memory_gb = topology.total_memory_gb();
         ClassedAllocator {
-            busy: NodeMask::new(total_nodes),
             topology,
-            free_by_class,
-            total_nodes,
+            free_by_class: class_counts(&topology),
             total_memory_gb,
             free_memory_gb: total_memory_gb,
         }
     }
 
-    /// The topology this allocator serves.
-    pub fn topology(&self) -> Topology {
-        self.topology
-    }
-
     /// Total node count.
     pub fn total_nodes(&self) -> u32 {
-        self.total_nodes
+        self.topology.total_nodes()
     }
 
     /// Total memory in GB.
@@ -381,11 +356,6 @@ impl ClassedAllocator {
         self.free_memory_gb
     }
 
-    /// Nodes currently allocated.
-    pub fn busy_nodes(&self) -> u32 {
-        self.total_nodes - self.free_nodes()
-    }
-
     /// Free node counts per topology slot.
     pub fn free_by_class(&self) -> [u32; MAX_CLASSES] {
         self.free_by_class
@@ -398,119 +368,64 @@ impl ClassedAllocator {
 
     /// `true` if the request could *ever* be granted on an empty cluster.
     pub fn fits_capacity(&self, req: &PlacementRequest) -> bool {
-        let mut all_free = [0u32; MAX_CLASSES];
-        for (slot, spec) in self.topology.classes() {
-            all_free[slot] = spec.count;
-        }
-        plan_take(&self.topology, &all_free, req).is_some()
+        plan_take(&self.topology, &class_counts(&self.topology), req).is_some()
     }
 
     /// Grant nodes per `plan_take` — one compatible class when possible,
-    /// a greedy topology-order span otherwise — preferring a contiguous
-    /// run within each class range, or `None` if the request does not fit
-    /// right now.
+    /// a greedy topology-order span otherwise — or `None` if the request
+    /// does not fit right now. The grant's `by_class` is the plan's take.
     ///
     /// Zero-node requests are legal and consume nothing (memory is
     /// node-attached in the classed model).
     pub fn try_allocate(&mut self, req: &PlacementRequest) -> Option<Allocation> {
         let take = plan_take(&self.topology, &self.free_by_class, req)?;
-        let mut mask = NodeMask::new(self.total_nodes);
         let mut charged = 0u64;
         for (slot, spec) in self.topology.classes() {
-            if take[slot] == 0 {
-                continue;
-            }
-            for idx in self.scan_class(self.topology.node_range(slot), take[slot]) {
-                mask.insert(idx);
-            }
             self.free_by_class[slot] -= take[slot];
             charged += take[slot] as u64 * spec.capacity.memory_gb;
         }
-        self.busy.union_with(&mask);
         self.free_memory_gb -= charged;
         Some(Allocation {
-            nodes: mask,
+            nodes: req.nodes,
             memory_gb: charged,
+            by_class: take,
         })
     }
 
-    /// The concrete node indices for a grant of `n` nodes inside `range`:
-    /// the first contiguous free run of length `n` if one exists, else the
-    /// lowest `n` free indices. `O(range)` either way; callers guarantee
-    /// `n` nodes are free in the range.
-    fn scan_class(&self, range: std::ops::Range<u32>, n: u32) -> Vec<u32> {
-        // Contiguous-preferring pass: find the first free run of length n.
-        let mut run_start = None;
-        let mut run_len = 0u32;
-        for idx in range.clone() {
-            if self.busy.contains(idx) {
-                run_start = None;
-                run_len = 0;
-            } else {
-                if run_start.is_none() {
-                    run_start = Some(idx);
-                }
-                run_len += 1;
-                if run_len == n {
-                    let start = run_start.expect("run in progress");
-                    return (start..start + n).collect();
-                }
-            }
-        }
-        // No contiguous run: take the lowest free indices.
-        let mut out = Vec::with_capacity(n as usize);
-        for idx in range {
-            if !self.busy.contains(idx) {
-                out.push(idx);
-                if out.len() == n as usize {
-                    return out;
-                }
-            }
-        }
-        panic!("scan_class: caller promised {n} free nodes in the class");
-    }
-
-    /// Return an allocation's resources to the pool. Classes are derived
-    /// from the node indices via the topology, so [`Allocation`] needs no
-    /// extra bookkeeping.
+    /// Return an allocation's resources to the pool, each node to the
+    /// class that hosted it.
     ///
     /// # Panics
-    /// Panics if the allocation's nodes are not currently busy or the
-    /// memory return would exceed total capacity — both indicate a double
-    /// release or a foreign allocation.
+    /// Panics if any class would have more free nodes than it has, or the
+    /// memory return would exceed total capacity — a double release or a
+    /// foreign allocation.
     pub fn release(&mut self, alloc: &Allocation) {
+        for (slot, spec) in self.topology.classes() {
+            assert!(
+                alloc.by_class[slot] <= spec.count - self.free_by_class[slot],
+                "release of {} {} nodes that are not allocated",
+                alloc.by_class[slot],
+                spec.class
+            );
+        }
         assert!(
-            self.busy.contains_all(&alloc.nodes),
-            "release of nodes that are not allocated: {}",
-            alloc.nodes
-        );
-        assert!(
-            self.free_memory_gb + alloc.memory_gb <= self.total_memory_gb,
+            alloc.memory_gb <= self.total_memory_gb - self.free_memory_gb,
             "memory release would exceed capacity"
         );
-        self.busy.subtract(&alloc.nodes);
-        for idx in alloc.nodes.iter() {
-            let slot = self
-                .topology
-                .slot_of_node(idx)
-                .expect("allocated node belongs to a class");
-            self.free_by_class[slot] += 1;
+        for (free, held) in self.free_by_class.iter_mut().zip(alloc.by_class) {
+            *free += held;
         }
         self.free_memory_gb += alloc.memory_gb;
     }
 
-    /// Debug invariant: per-class free counts must agree with the mask,
-    /// and the memory ledger with the free counts.
+    /// Debug invariant: no class has more free nodes than it has, and the
+    /// memory ledger agrees with the free counts.
     pub fn check_invariants(&self) {
-        assert!(self.busy.count() <= self.total_nodes);
         let mut expected_mem = 0u64;
         for (slot, spec) in self.topology.classes() {
-            let range = self.topology.node_range(slot);
-            let busy_in_class = range.clone().filter(|&i| self.busy.contains(i)).count() as u32;
-            assert_eq!(
-                spec.count - busy_in_class,
-                self.free_by_class[slot],
-                "class {} free-count watermark drifted",
+            assert!(
+                self.free_by_class[slot] <= spec.count,
+                "class {} free count exceeds its size",
                 spec.class
             );
             expected_mem += self.free_by_class[slot] as u64 * spec.capacity.memory_gb;
@@ -519,9 +434,19 @@ impl ClassedAllocator {
     }
 }
 
+/// Every class's node count, by topology slot — the free counts of an
+/// empty machine.
+fn class_counts(topology: &Topology) -> [u32; MAX_CLASSES] {
+    let mut counts = [0u32; MAX_CLASSES];
+    for (slot, spec) in topology.classes() {
+        counts[slot] = spec.count;
+    }
+    counts
+}
+
 /// The allocator behind [`ClusterState`](crate::cluster::ClusterState):
-/// flat configs dispatch to the untouched pre-refactor
-/// [`FirstFitAllocator`]; classed configs to [`ClassedAllocator`].
+/// flat configs dispatch to [`FirstFitAllocator`], classed configs to
+/// [`ClassedAllocator`].
 #[derive(Debug, Clone)]
 pub enum NodeAllocator {
     /// The paper's flat scalar machine.
@@ -602,16 +527,20 @@ mod tests {
     use super::*;
 
     #[test]
-    fn allocates_lowest_nodes_first() {
+    fn flat_grants_are_counts() {
         let mut a = FirstFitAllocator::new(8, 64);
         let g1 = a.try_allocate(3, 8).expect("fits");
-        assert_eq!(g1.nodes.iter().collect::<Vec<_>>(), vec![0, 1, 2]);
         let g2 = a.try_allocate(2, 8).expect("fits");
-        assert_eq!(g2.nodes.iter().collect::<Vec<_>>(), vec![3, 4]);
+        assert_eq!(
+            (g2.nodes, g2.memory_gb, g2.by_class),
+            (2, 8, [0; MAX_CLASSES])
+        );
+        assert_eq!((a.free_nodes(), a.free_memory_gb()), (3, 48));
         a.release(&g1);
-        // First-fit reuses the lowest indices once freed.
-        let g3 = a.try_allocate(4, 8).expect("fits");
-        assert_eq!(g3.nodes.iter().collect::<Vec<_>>(), vec![0, 1, 2, 5]);
+        // Freed nodes are as good as never-used ones.
+        let g3 = a.try_allocate(6, 8).expect("fits");
+        assert_eq!(g3.nodes, 6);
+        assert_eq!(a.free_nodes(), 0);
     }
 
     #[test]
@@ -670,7 +599,7 @@ mod tests {
     fn zero_node_memory_only_job() {
         let mut a = FirstFitAllocator::new(4, 16);
         let g = a.try_allocate(0, 10).expect("fits");
-        assert_eq!(g.node_count(), 0);
+        assert_eq!(g.nodes, 0);
         assert_eq!(a.free_memory_gb(), 6);
         assert_eq!(a.free_nodes(), 4);
         a.release(&g);
@@ -728,7 +657,7 @@ mod tests {
         assert_eq!(a.free_by_class(), [4, 3, 2, 0]);
         // A scalar job lands in the cpu class (first compatible).
         let g = a.try_allocate(&req(2, 4)).expect("fits");
-        assert_eq!(g.nodes.iter().collect::<Vec<_>>(), vec![0, 1]);
+        assert_eq!(g.by_class, [2, 0, 0, 0]);
         assert_eq!(g.memory_gb, 2 * 8, "charged whole node capacities");
         assert_eq!(a.free_by_class(), [2, 3, 2, 0]);
         a.check_invariants();
@@ -742,8 +671,7 @@ mod tests {
             ..req(2, 0)
         };
         let g = a.try_allocate(&gpu).expect("fits");
-        // Gpu class occupies indices 4..7.
-        assert_eq!(g.nodes.iter().collect::<Vec<_>>(), vec![4, 5]);
+        assert_eq!(g.by_class, [0, 2, 0, 0]);
         assert_eq!(a.free_by_class(), [4, 1, 2, 0]);
         // A fifth GPU per node fits nowhere.
         let too_many = PlacementRequest {
@@ -762,7 +690,7 @@ mod tests {
             ..req(2, 4)
         };
         let g = a.try_allocate(&pinned).expect("fits");
-        assert_eq!(g.nodes.iter().collect::<Vec<_>>(), vec![7, 8]);
+        assert_eq!(g.by_class, [0, 0, 2, 0]);
         assert!(!a.can_fit(&pinned), "bigmem class exhausted");
         assert!(a.can_fit(&req(2, 4)), "other classes unaffected");
     }
@@ -783,31 +711,6 @@ mod tests {
     }
 
     #[test]
-    fn contiguous_run_is_preferred_over_lowest_indices() {
-        let mut a = ClassedAllocator::new(mixed_topology());
-        // Occupy cpu node 1, leaving free cpu nodes {0, 2, 3}.
-        let hole = a.try_allocate(&req(2, 0)).expect("fits"); // takes 0,1
-        let keep = a.try_allocate(&req(1, 0)).expect("fits"); // takes 2
-        a.release(&hole); // free: {0, 1, 3}
-        let g = a.try_allocate(&req(2, 0)).expect("fits");
-        // Contiguous run 0-1 beats lowest-first {0, 1} — same here, but a
-        // 2-node request with free {0, 2, 3} must take 2-3, not 0+2.
-        assert_eq!(g.nodes.iter().collect::<Vec<_>>(), vec![0, 1]);
-        a.release(&g);
-        let block = a.try_allocate(&req(1, 0)).expect("fits"); // takes 0 or 1?
-        assert_eq!(block.nodes.iter().collect::<Vec<_>>(), vec![0]);
-        // Free cpu nodes now {1, 3}: no contiguous pair → lowest indices.
-        let split = a.try_allocate(&req(2, 0)).expect("fits");
-        assert_eq!(split.nodes.iter().collect::<Vec<_>>(), vec![1, 3]);
-        a.release(&split);
-        a.release(&block);
-        a.release(&keep);
-        assert_eq!(a.free_by_class(), [4, 3, 2, 0]);
-        assert_eq!(a.free_memory_gb(), a.total_memory_gb());
-        a.check_invariants();
-    }
-
-    #[test]
     fn classless_request_spans_classes_when_no_single_class_fits() {
         // 9 nodes total (4 cpu + 3 gpu + 2 bigmem); a 6-node scalar job is
         // wider than every class, so the grant spans cpu + gpu.
@@ -816,7 +719,7 @@ mod tests {
         assert!(a.fits_capacity(&req(9, 0)));
         assert!(!a.fits_capacity(&req(10, 0)));
         let g = a.try_allocate(&req(6, 0)).expect("spans");
-        assert_eq!(g.nodes.iter().collect::<Vec<_>>(), vec![0, 1, 2, 3, 4, 5]);
+        assert_eq!((g.nodes, g.by_class), (6, [4, 2, 0, 0]));
         assert_eq!(g.memory_gb, 4 * 8 + 2 * 64, "charged per hosting class");
         assert_eq!(a.free_by_class(), [0, 1, 2, 0]);
         a.check_invariants();
@@ -835,7 +738,7 @@ mod tests {
             ..req(4, 0)
         };
         let g = a.try_allocate(&heavy).expect("spans gpu+bigmem");
-        assert_eq!(g.nodes.iter().collect::<Vec<_>>(), vec![4, 5, 6, 7]);
+        assert_eq!(g.by_class, [0, 3, 1, 0]);
         assert_eq!(g.memory_gb, 3 * 64 + 128);
         a.release(&g);
         // Class pins never span outside their class.
@@ -856,14 +759,28 @@ mod tests {
         let g = a.try_allocate(&req(3, 0)).expect("fits");
         // Only 2 cpu nodes free → the whole grant moves to the gpu class
         // (first class able to host all 3), not cpu+gpu.
-        assert_eq!(g.nodes.iter().collect::<Vec<_>>(), vec![4, 5, 6]);
+        assert_eq!(g.by_class, [0, 3, 0, 0]);
         a.release(&g);
         a.release(&hole);
         a.check_invariants();
     }
 
     #[test]
-    fn classed_release_restores_classes_via_topology() {
+    #[should_panic(expected = "gpu nodes that are not allocated")]
+    fn classed_double_release_panics() {
+        let mut a = ClassedAllocator::new(mixed_topology());
+        let gpu = a
+            .try_allocate(&PlacementRequest {
+                per_node: ResourceVec::new(0, 1, 0, 0),
+                ..req(2, 0)
+            })
+            .expect("fits");
+        a.release(&gpu);
+        a.release(&gpu);
+    }
+
+    #[test]
+    fn classed_release_returns_nodes_to_their_classes() {
         let mut a = ClassedAllocator::new(mixed_topology());
         let cpu = a.try_allocate(&req(4, 0)).expect("fits");
         let gpu = a
@@ -885,7 +802,7 @@ mod tests {
     fn classed_zero_node_request_consumes_nothing() {
         let mut a = ClassedAllocator::new(mixed_topology());
         let g = a.try_allocate(&req(0, 50)).expect("legal");
-        assert_eq!(g.node_count(), 0);
+        assert_eq!((g.nodes, g.by_class), (0, [0; MAX_CLASSES]));
         assert_eq!(g.memory_gb, 0, "memory is node-attached");
         assert_eq!(a.free_nodes(), 9);
         a.release(&g);

@@ -4,13 +4,28 @@
 //! of the environment the LLM agent observes (available nodes/memory,
 //! running jobs) and the part the constraint-enforcement module (paper
 //! §2.4) validates actions against.
+//!
+//! Paper §3.3 places jobs first-fit on nodes that are exchangeable within
+//! a class, so the ledger models capacity as counts: the allocator holds
+//! free nodes per class and free memory, and a running job holds an
+//! [`Allocation`] of per-class counts. No node index exists to be read.
+//!
+//! The running jobs live in a **slot table**: a `Vec` of rows, each empty
+//! or holding one [`RunningJob`], plus a list of empty rows.
+//! [`ClusterState::start_job`] fills an empty row (or appends one) and
+//! returns its slot; [`ClusterState::complete_job`] takes the slot back.
+//! A driver keeps the slot beside the job's end time (the simulator's
+//! completion heap holds slots), so a completion is one index, not a
+//! look-up by id. Once the table has grown to the run's peak concurrency a
+//! start allocates nothing. Job ids are not checked here: they are proven
+//! unique where jobs enter — the simulator's workload validation and the
+//! service's admitted-id ledger — and a driver starts only the jobs waiting
+//! in its own queue.
 
-use std::collections::{BTreeMap, BTreeSet};
-
-use rsched_simkit::{SimDuration, SimTime};
+use rsched_simkit::SimTime;
 
 use crate::allocator::{Allocation, FirstFitAllocator, NodeAllocator, PlacementRequest};
-use crate::job::{JobId, JobRecord, JobSpec};
+use crate::job::{JobRecord, JobSpec};
 use crate::resources::ResourceVec;
 use crate::topology::{NodeClass, NodeClassSpec, Topology, MAX_CLASSES};
 
@@ -22,8 +37,8 @@ pub struct ClusterConfig {
     /// Aggregate memory capacity in GB (`M_total`).
     pub memory_gb: u64,
     /// Node classes, if any. The flat (empty) topology is the paper's
-    /// scalar machine and reproduces the pre-refactor kernel bit for bit;
-    /// a classed topology switches placement to the multi-resource scan.
+    /// scalar machine; a classed topology switches placement to per-class
+    /// counts.
     pub topology: Topology,
 }
 
@@ -111,7 +126,7 @@ pub struct RunningJob {
     pub start: SimTime,
     /// When it will complete (`x_j + d_j`). Execution is non-preemptive.
     pub end: SimTime,
-    /// The concrete resources it holds.
+    /// The resources it holds.
     pub allocation: Allocation,
 }
 
@@ -129,10 +144,6 @@ pub enum StartError {
     },
     /// The request exceeds total machine capacity and can never run.
     ExceedsCapacity,
-    /// The job id is already running.
-    AlreadyRunning,
-    /// The job id already completed.
-    AlreadyCompleted,
 }
 
 /// O(1) running aggregates over the completed-job ledger.
@@ -192,20 +203,21 @@ impl CompletedStats {
     }
 }
 
-/// The mutable cluster state: allocator plus running/completed job sets.
+/// The mutable cluster state: allocator, the running jobs' slot table, and
+/// the completed records.
 ///
-/// Every transition is invariant-checked: active node and memory demand can
-/// never exceed capacity (the paper's feasibility constraints), and jobs are
-/// started at most once.
+/// Every transition is checked: active node and memory demand can never
+/// exceed capacity (the paper's feasibility constraints), and a slot
+/// completes only while it holds a job.
 #[derive(Debug, Clone)]
 pub struct ClusterState {
     config: ClusterConfig,
     allocator: NodeAllocator,
-    running: BTreeMap<JobId, RunningJob>,
+    /// The slot table: row `slot` holds the job started into it, or `None`.
+    running: Vec<Option<RunningJob>>,
+    /// The empty rows of `running`, reused last-freed first.
+    free_slots: Vec<usize>,
     completed: Vec<JobRecord>,
-    /// Id index over `completed` — keeps the double-start check O(log n)
-    /// instead of a per-start scan of the whole record vector.
-    completed_ids: BTreeSet<JobId>,
     completed_stats: CompletedStats,
 }
 
@@ -220,9 +232,9 @@ impl ClusterState {
         ClusterState {
             allocator,
             config,
-            running: BTreeMap::new(),
+            running: Vec::new(),
+            free_slots: Vec::new(),
             completed: Vec::new(),
-            completed_ids: BTreeSet::new(),
             completed_stats: CompletedStats::default(),
         }
     }
@@ -264,14 +276,13 @@ impl ClusterState {
     }
 
     /// Attempt to start `spec` at `now`. On success the job holds resources
-    /// until [`ClusterState::complete_job`] is called at its end time.
-    pub fn start_job(&mut self, spec: &JobSpec, now: SimTime) -> Result<&RunningJob, StartError> {
-        if self.running.contains_key(&spec.id) {
-            return Err(StartError::AlreadyRunning);
-        }
-        if self.completed_ids.contains(&spec.id) {
-            return Err(StartError::AlreadyCompleted);
-        }
+    /// in the returned slot until [`ClusterState::complete_job`] is called
+    /// with that slot at its end time.
+    pub fn start_job(
+        &mut self,
+        spec: &JobSpec,
+        now: SimTime,
+    ) -> Result<(usize, &RunningJob), StartError> {
         if !self.fits_capacity(spec) {
             return Err(StartError::ExceedsCapacity);
         }
@@ -288,27 +299,35 @@ impl ClusterState {
             end: now + spec.duration,
             allocation,
         };
-        let entry = self.running.entry(spec.id).or_insert(job);
-        Ok(entry)
+        let slot = match self.free_slots.pop() {
+            Some(slot) => slot,
+            None => {
+                self.running.push(None);
+                self.running.len() - 1
+            }
+        };
+        Ok((slot, &*self.running[slot].insert(job)))
     }
 
-    /// Complete a running job, releasing its resources and appending its
-    /// [`JobRecord`].
+    /// Complete the job in `slot`, releasing its resources and appending
+    /// its [`JobRecord`].
     ///
     /// # Panics
-    /// Panics if the job is not running or `now` differs from its end time —
+    /// Panics if the slot holds no job or `now` differs from its end time —
     /// either indicates a simulator bug (jobs are non-preemptive and finish
     /// exactly at `start + duration`).
-    pub fn complete_job(&mut self, id: JobId, now: SimTime) -> &JobRecord {
+    pub fn complete_job(&mut self, slot: usize, now: SimTime) -> &JobRecord {
         let job = self
             .running
-            .remove(&id)
-            .unwrap_or_else(|| panic!("complete_job: job {id} is not running"));
+            .get_mut(slot)
+            .and_then(Option::take)
+            .unwrap_or_else(|| panic!("complete_job: slot {slot} is not running a job"));
         assert_eq!(
             job.end, now,
-            "complete_job: job {id} ends at {} but clock is {}",
-            job.end, now
+            "complete_job: job {} ends at {} but clock is {}",
+            job.spec.id, job.end, now
         );
+        self.free_slots.push(slot);
         self.allocator.release(&job.allocation);
         let record = JobRecord {
             spec: job.spec,
@@ -316,24 +335,18 @@ impl ClusterState {
             end: job.end,
         };
         self.completed_stats.absorb(&record);
-        self.completed_ids.insert(record.spec.id);
         self.completed.push(record);
         self.completed.last().expect("just pushed")
     }
 
-    /// Jobs currently executing, ordered by id.
+    /// Jobs currently executing, in slot order.
     pub fn running(&self) -> impl Iterator<Item = &RunningJob> {
-        self.running.values()
+        self.running.iter().flatten()
     }
 
     /// Number of running jobs.
     pub fn running_count(&self) -> usize {
-        self.running.len()
-    }
-
-    /// One running job by id.
-    pub fn running_job(&self, id: JobId) -> Option<&RunningJob> {
-        self.running.get(&id)
+        self.running.len() - self.free_slots.len()
     }
 
     /// Completed job records, in completion order.
@@ -354,20 +367,6 @@ impl ClusterState {
         self.completed_stats
     }
 
-    /// The earliest end time among running jobs — the simulator's next
-    /// completion event.
-    pub fn next_completion(&self) -> Option<SimTime> {
-        self.running.values().map(|j| j.end).min()
-    }
-
-    /// `(end_time, job_id)` pairs for all running jobs, ascending by end.
-    pub fn completion_schedule(&self) -> Vec<(SimTime, JobId)> {
-        let mut v: Vec<(SimTime, JobId)> =
-            self.running.values().map(|j| (j.end, j.spec.id)).collect();
-        v.sort();
-        v
-    }
-
     /// Nodes currently in use.
     pub fn busy_nodes(&self) -> u32 {
         self.config.nodes - self.free_nodes()
@@ -378,15 +377,16 @@ impl ClusterState {
         self.config.memory_gb - self.free_memory_gb()
     }
 
-    /// Assert the paper's feasibility constraints hold.
+    /// Assert the paper's feasibility constraints hold, and that the free
+    /// counts plus what the running jobs hold add up to the machine.
     pub fn check_invariants(&self) {
         self.allocator.check_invariants();
-        let node_demand: u32 = self.running.values().map(|j| j.spec.nodes).sum();
+        let node_demand: u32 = self.running().map(|j| j.spec.nodes).sum();
+        let held_memory: u64 = self.running().map(|j| j.allocation.memory_gb).sum();
         // Classed memory is node-attached: a zero-node job holds none there
         // (`ClassedAllocator::try_allocate`), whatever it declares.
         let mem_demand: u64 = self
-            .running
-            .values()
+            .running()
             .filter(|j| self.config.is_flat() || j.spec.nodes > 0)
             .map(|j| j.spec.memory_gb)
             .sum();
@@ -401,28 +401,28 @@ impl ClusterState {
             self.config.memory_gb
         );
         assert_eq!(node_demand, self.busy_nodes(), "node ledger drift");
+        assert_eq!(held_memory, self.busy_memory_gb(), "memory ledger drift");
         if self.config.is_flat() {
             // Flat memory is demand-based: busy == exactly what jobs asked.
-            assert_eq!(mem_demand, self.busy_memory_gb(), "memory ledger drift");
+            assert_eq!(mem_demand, held_memory, "flat memory is the demand");
         } else {
             // Classed memory is capacity-based (whole nodes charged), so
             // busy memory covers demand but may exceed it.
             assert!(
-                mem_demand <= self.busy_memory_gb(),
-                "busy memory {} does not cover demand {mem_demand}",
-                self.busy_memory_gb()
+                mem_demand <= held_memory,
+                "busy memory {held_memory} does not cover demand {mem_demand}"
             );
         }
+        assert_eq!(
+            self.running().count(),
+            self.running_count(),
+            "slot table drift"
+        );
         assert_eq!(
             self.completed_stats.count,
             self.completed.len(),
             "completed-stats ledger drift"
         );
-    }
-
-    /// Remaining runtime of the running job `id` at time `now`.
-    pub fn remaining(&self, id: JobId, now: SimTime) -> Option<SimDuration> {
-        self.running.get(&id).map(|j| j.end.saturating_since(now))
     }
 }
 
@@ -447,12 +447,12 @@ mod tests {
         let mut c = ClusterState::new(ClusterConfig::paper_default());
         let s = spec(1, 100, 64, 512);
         let t0 = SimTime::ZERO;
-        let rj = c.start_job(&s, t0).expect("starts");
+        let (slot, rj) = c.start_job(&s, t0).expect("starts");
         assert_eq!(rj.end, SimTime::from_secs(100));
         assert_eq!(c.free_nodes(), 192);
         assert_eq!(c.free_memory_gb(), 1536);
         c.check_invariants();
-        let rec = c.complete_job(JobId(1), SimTime::from_secs(100)).clone();
+        let rec = c.complete_job(slot, SimTime::from_secs(100)).clone();
         assert_eq!(rec.wait(), SimDuration::ZERO);
         assert_eq!(c.free_nodes(), 256);
         assert_eq!(c.completed().len(), 1);
@@ -483,63 +483,42 @@ mod tests {
     }
 
     #[test]
-    fn double_start_rejected() {
+    fn slots_are_reused_last_freed_first() {
         let mut c = ClusterState::new(ClusterConfig::paper_default());
-        let s = spec(1, 50, 1, 1);
-        c.start_job(&s, SimTime::ZERO).expect("ok");
-        assert_eq!(
-            c.start_job(&s, SimTime::ZERO).unwrap_err(),
-            StartError::AlreadyRunning
-        );
-        c.complete_job(JobId(1), SimTime::from_secs(50));
-        assert_eq!(
-            c.start_job(&s, SimTime::from_secs(50)).unwrap_err(),
-            StartError::AlreadyCompleted
-        );
+        let start = |c: &mut ClusterState, id, dur| {
+            c.start_job(&spec(id, dur, 1, 1), SimTime::ZERO)
+                .expect("ok")
+                .0
+        };
+        let slots = [10, 20, 30].map(|dur| start(&mut c, dur as u32, dur));
+        assert_eq!(slots, [0, 1, 2]);
+        c.complete_job(1, SimTime::from_secs(20));
+        c.complete_job(0, SimTime::from_secs(10));
+        assert_eq!(c.running_count(), 1);
+        assert_eq!(start(&mut c, 40, 40), 0);
+        assert_eq!(start(&mut c, 50, 50), 1);
+        assert_eq!(start(&mut c, 60, 60), 3, "a full table grows");
+        let mut ids: Vec<u32> = c.running().map(|j| j.spec.id.0).collect();
+        ids.sort();
+        assert_eq!(ids, [30, 40, 50, 60]);
+        c.check_invariants();
     }
 
     #[test]
     #[should_panic(expected = "not running")]
-    fn completing_unknown_job_panics() {
+    fn completing_an_empty_slot_panics() {
         let mut c = ClusterState::new(ClusterConfig::paper_default());
-        c.complete_job(JobId(42), SimTime::ZERO);
+        let (slot, _) = c.start_job(&spec(1, 100, 1, 1), SimTime::ZERO).expect("ok");
+        c.complete_job(slot, SimTime::from_secs(100));
+        c.complete_job(slot, SimTime::from_secs(100));
     }
 
     #[test]
     #[should_panic(expected = "ends at")]
     fn completing_at_wrong_time_panics() {
         let mut c = ClusterState::new(ClusterConfig::paper_default());
-        c.start_job(&spec(1, 100, 1, 1), SimTime::ZERO).expect("ok");
-        c.complete_job(JobId(1), SimTime::from_secs(99));
-    }
-
-    #[test]
-    fn next_completion_is_earliest() {
-        let mut c = ClusterState::new(ClusterConfig::paper_default());
-        c.start_job(&spec(1, 100, 1, 1), SimTime::ZERO).expect("ok");
-        c.start_job(&spec(2, 30, 1, 1), SimTime::ZERO).expect("ok");
-        c.start_job(&spec(3, 70, 1, 1), SimTime::ZERO).expect("ok");
-        assert_eq!(c.next_completion(), Some(SimTime::from_secs(30)));
-        let schedule = c.completion_schedule();
-        assert_eq!(
-            schedule,
-            vec![
-                (SimTime::from_secs(30), JobId(2)),
-                (SimTime::from_secs(70), JobId(3)),
-                (SimTime::from_secs(100), JobId(1)),
-            ]
-        );
-    }
-
-    #[test]
-    fn remaining_runtime() {
-        let mut c = ClusterState::new(ClusterConfig::paper_default());
-        c.start_job(&spec(1, 100, 1, 1), SimTime::ZERO).expect("ok");
-        assert_eq!(
-            c.remaining(JobId(1), SimTime::from_secs(40)),
-            Some(SimDuration::from_secs(60))
-        );
-        assert_eq!(c.remaining(JobId(9), SimTime::ZERO), None);
+        let (slot, _) = c.start_job(&spec(1, 100, 1, 1), SimTime::ZERO).expect("ok");
+        c.complete_job(slot, SimTime::from_secs(99));
     }
 
     #[test]
@@ -550,8 +529,8 @@ mod tests {
             .enumerate()
         {
             let s = spec(i as u32 + 1, dur, nodes, 1);
-            c.start_job(&s, SimTime::from_secs(start)).expect("starts");
-            c.complete_job(s.id, SimTime::from_secs(start + dur));
+            let (slot, _) = c.start_job(&s, SimTime::from_secs(start)).expect("starts");
+            c.complete_job(slot, SimTime::from_secs(start + dur));
         }
         let incremental = c.completed_stats();
         let rescan = CompletedStats::from_records(c.completed());
@@ -575,7 +554,6 @@ mod tests {
         assert_eq!(c.busy_nodes(), 100);
         assert_eq!(c.busy_memory_gb(), 1000);
         assert_eq!(c.running_count(), 1);
-        assert!(c.running_job(JobId(1)).is_some());
         c.check_invariants();
     }
 
@@ -595,7 +573,8 @@ mod tests {
         let mut c = ClusterState::new(ClusterConfig::mixed_256());
         // A GPU-demanding job must land in the gpu class (slot 1).
         let gpu_job = spec(1, 100, 4, 0).with_per_node(ResourceVec::new(0, 4, 16, 0));
-        c.start_job(&gpu_job, SimTime::ZERO).expect("starts");
+        let (slot, job) = c.start_job(&gpu_job, SimTime::ZERO).expect("starts");
+        assert_eq!(job.allocation.by_class, [0, 4, 0, 0]);
         assert_eq!(c.free_by_class(), [192, 44, 16, 0]);
         // A scalar job lands in the cpu class.
         c.start_job(&spec(2, 100, 8, 8), SimTime::ZERO).expect("ok");
@@ -605,11 +584,26 @@ mod tests {
             .expect("consumes nothing");
         assert_eq!(c.free_by_class(), [184, 44, 16, 0]);
         c.check_invariants();
-        c.complete_job(JobId(1), SimTime::from_secs(100));
-        c.complete_job(JobId(2), SimTime::from_secs(100));
-        c.complete_job(JobId(3), SimTime::from_secs(100));
+        for slot in [slot, 1, 2] {
+            c.complete_job(slot, SimTime::from_secs(100));
+        }
         assert_eq!(c.free_by_class(), [192, 48, 16, 0]);
         assert_eq!(c.free_memory_gb(), c.config().memory_gb);
+        c.check_invariants();
+    }
+
+    #[test]
+    fn a_spanning_job_returns_nodes_to_the_classes_that_hosted_them() {
+        // One scalar job wider than every class.
+        let mut c = ClusterState::new(ClusterConfig::mixed_256());
+        let (slot, job) = c
+            .start_job(&spec(1, 100, 200, 0), SimTime::ZERO)
+            .expect("spans classes");
+        assert_eq!(job.allocation.by_class, [192, 8, 0, 0]);
+        assert_eq!(c.free_by_class(), [0, 40, 16, 0]);
+        c.check_invariants();
+        c.complete_job(slot, SimTime::from_secs(100));
+        assert_eq!(c.free_by_class(), [192, 48, 16, 0]);
         c.check_invariants();
     }
 

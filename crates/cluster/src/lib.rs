@@ -13,24 +13,28 @@
 //! * `Σ nodes(j) ≤ N_total` over active jobs, and
 //! * `Σ memory(j) ≤ M_total` over active jobs.
 //!
+//! Nodes are exchangeable within a class, so capacity is kept as counts:
+//! a grant ([`Allocation`]) is how many nodes each class gives and how much
+//! memory is debited, never a set of node indices.
+//!
 //! Beyond the paper's flat machine, the crate also models **classed**
 //! clusters: node classes (`cpu`, `gpu`, `bigmem`) with per-node
-//! [`ResourceVec`] capacities ([`topology`]), a class-aware first-fit
-//! placement scan ([`allocator::ClassedAllocator`]), and vector-valued
-//! shadow-time math ([`reservation`]). Flat configurations bypass all of
-//! it and reproduce the scalar kernel bit for bit.
+//! [`ResourceVec`] capacities ([`topology`]), class-aware first-fit
+//! placement over per-class free counts ([`allocator::ClassedAllocator`]),
+//! and vector-valued shadow-time math ([`reservation`]). Flat
+//! configurations bypass all of it.
 //!
 //! Modules:
 //!
 //! * [`job`] — job identifiers, specifications, lifecycle records.
-//! * [`node`] — the node bitmask used for placement.
 //! * [`resources`] — per-node resource vectors (cores, GPUs, memory,
 //!   burst-buffer slots).
-//! * [`topology`] — node classes and their contiguous index ranges.
-//! * [`allocator`] — first-fit node-level placement (paper §3.3: "a
-//!   first-fit strategy allocates each selected job to the first available
-//!   set of resources"), flat and classed.
-//! * [`cluster`] — the live capacity ledger with invariant checking.
+//! * [`topology`] — node classes: a kind, a count and a per-node capacity.
+//! * [`allocator`] — first-fit placement (paper §3.3: "a first-fit
+//!   strategy allocates each selected job to the first available set of
+//!   resources"), flat and classed.
+//! * [`cluster`] — the live capacity ledger: the running jobs' slot table
+//!   and the completed records, with invariant checking.
 //! * [`reservation`] — shadow-time reservations used to validate EASY-style
 //!   backfilling.
 //! * [`utilization`] — step-function resource integrals for the utilization
@@ -44,7 +48,7 @@
 //!
 //! // First-fit placement against both capacity constraints.
 //! let grant = alloc.try_allocate(16, 64).expect("machine is empty");
-//! assert_eq!(grant.node_count(), 16);
+//! assert_eq!(grant.nodes, 16);
 //! assert_eq!(alloc.free_nodes(), config.nodes - 16);
 //!
 //! alloc.release(&grant);
@@ -58,7 +62,6 @@
 pub mod allocator;
 pub mod cluster;
 pub mod job;
-pub mod node;
 pub mod reservation;
 pub mod resources;
 pub mod topology;
@@ -70,8 +73,7 @@ pub use allocator::{
 };
 pub use cluster::{ClusterConfig, ClusterState, CompletedStats, RunningJob, StartError};
 pub use job::{GroupId, JobId, JobRecord, JobSpec, UserId};
-pub use node::NodeMask;
-pub use reservation::{classed_overlap_fits, nodes_per_slot};
+pub use reservation::classed_overlap_fits;
 pub use resources::ResourceVec;
 pub use topology::{NodeClass, NodeClassSpec, Topology, MAX_CLASSES};
 pub use utilization::StepIntegral;

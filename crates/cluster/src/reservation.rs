@@ -7,26 +7,12 @@
 //! given the currently running jobs' completion times. The sweep over
 //! those completions lives in the simulator's capacity calendar
 //! (`rsched_sim::profile`); this module holds what it shares with the
-//! allocator — the classed overlap test, over the allocator's own
-//! [`PlacementRequest`] — and the per-class release columns.
+//! allocator: the classed overlap test, over the allocator's own
+//! [`PlacementRequest`]. The per-class release columns it sweeps are the
+//! running jobs' [`Allocation::by_class`](crate::Allocation::by_class).
 
 use crate::allocator::{plan_take, PlacementRequest};
 use crate::topology::{Topology, MAX_CLASSES};
-
-/// The per-slot node counts of one allocation's mask. Allocations may
-/// span classes (wide classless jobs), so completions must return each
-/// node to the class that actually hosted it. Public so the simulator's
-/// capacity ledger can record per-class release columns at job start.
-pub fn nodes_per_slot(topology: &Topology, nodes: &crate::node::NodeMask) -> [u32; MAX_CLASSES] {
-    let mut out = [0u32; MAX_CLASSES];
-    for idx in nodes.iter() {
-        let slot = topology
-            .slot_of_node(idx)
-            .expect("allocated node belongs to a class");
-        out[slot] += 1;
-    }
-    out
-}
 
 /// The core of the classed overlap check, over bare per-class free counts
 /// so callers with their own availability structures (the simulator's
@@ -56,7 +42,7 @@ pub fn classed_overlap_fits(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cluster::{ClusterConfig, ClusterState};
+    use crate::cluster::ClusterConfig;
     use crate::job::JobSpec;
     use crate::resources::ResourceVec;
     use rsched_simkit::{SimDuration, SimTime};
@@ -117,21 +103,5 @@ mod tests {
         assert!(!scalar(100, 0).fits_classes(&topology, &free));
         // No class ever hosts 5 GPUs per node.
         assert!(!gpu(12, 1, 5).fits_classes(&topology, &FREE_AT_SHADOW));
-    }
-
-    #[test]
-    fn nodes_per_slot_returns_nodes_to_the_class_that_hosted_them() {
-        // One spanning scalar job wider than every class.
-        let mut c = ClusterState::new(ClusterConfig::mixed_256());
-        c.start_job(&spec(1, 100, 200, 0), SimTime::ZERO)
-            .expect("spans classes");
-        assert_eq!(c.free_by_class(), [0, 40, 16, 0]);
-        let topology = c.config().topology;
-        let job = c.running().next().expect("one running job");
-        assert_eq!(
-            nodes_per_slot(&topology, &job.allocation.nodes),
-            [192, 8, 0, 0]
-        );
-        c.check_invariants();
     }
 }

@@ -1,17 +1,19 @@
 //! Node classes and cluster topology.
 //!
 //! A topology partitions the machine into up to [`MAX_CLASSES`] *node
-//! classes* — contiguous index ranges of identical nodes (`cpu`, `gpu`,
-//! `bigmem`), each with a per-node [`ResourceVec`] capacity. The **empty**
-//! topology is the flat single-class machine of the paper: no per-node
-//! capacities, scalar first-fit, bit-identical to the pre-refactor kernel.
+//! classes* — counts of identical nodes (`cpu`, `gpu`, `bigmem`), each with
+//! a per-node [`ResourceVec`] capacity. The **empty** topology is the flat
+//! single-class machine of the paper: no per-node capacities, scalar
+//! first-fit.
 //!
-//! Node indices are assigned contiguously in declaration order, so class
-//! membership is a range check and placement within a class is a scan of
-//! one contiguous window of the node mask.
+//! Paper §3.3 places jobs first-fit on nodes that are exchangeable within a
+//! class, so a class is a count and a capacity, never a range of node
+//! indices: which of a class's free nodes a job receives changes nothing
+//! any schedule, record or metric can see (see [`crate::allocator`]).
+//! Classes are identified by their *slot*, the position they were declared
+//! in.
 
 use std::fmt;
-use std::ops::Range;
 
 use crate::resources::ResourceVec;
 
@@ -55,8 +57,7 @@ pub struct NodeClassSpec {
     pub capacity: ResourceVec,
 }
 
-/// A cluster topology: an ordered list of node classes occupying
-/// contiguous node-index ranges.
+/// A cluster topology: an ordered list of node classes.
 ///
 /// The default ([`Topology::flat`]) is empty — the paper's flat machine,
 /// where placement ignores per-node capacities entirely.
@@ -81,8 +82,7 @@ impl Topology {
         self.classes[0].is_none()
     }
 
-    /// Append a node class (builder style). Classes occupy node indices in
-    /// declaration order.
+    /// Append a node class (builder style) in the next free slot.
     ///
     /// # Panics
     /// Panics if [`MAX_CLASSES`] classes are already declared or the class
@@ -109,32 +109,6 @@ impl Topology {
     /// How many classes are declared.
     pub fn class_count(&self) -> usize {
         self.classes.iter().filter(|c| c.is_some()).count()
-    }
-
-    /// The contiguous node-index range of the class in `slot` (empty range
-    /// for undeclared slots).
-    pub fn node_range(&self, slot: usize) -> Range<u32> {
-        let mut start = 0u32;
-        for (i, spec) in self.classes() {
-            if i == slot {
-                return start..start + spec.count;
-            }
-            start += spec.count;
-        }
-        start..start
-    }
-
-    /// The slot owning node `idx`, or `None` if `idx` is past the last
-    /// class.
-    pub fn slot_of_node(&self, idx: u32) -> Option<usize> {
-        let mut start = 0u32;
-        for (i, spec) in self.classes() {
-            if idx < start + spec.count {
-                return Some(i);
-            }
-            start += spec.count;
-        }
-        None
     }
 
     /// Total node count across all classes.
@@ -180,33 +154,28 @@ mod tests {
         assert_eq!(t.class_count(), 0);
         assert_eq!(t.total_nodes(), 0);
         assert_eq!(t.total_memory_gb(), 0);
-        assert_eq!(t.slot_of_node(0), None);
         assert_eq!(Topology::default(), t);
     }
 
     #[test]
-    fn classes_occupy_contiguous_ranges_in_order() {
+    fn classes_fill_slots_in_declaration_order() {
         let t = mixed();
         assert!(!t.is_flat());
         assert_eq!(t.class_count(), 3);
-        assert_eq!(t.node_range(0), 0..6);
-        assert_eq!(t.node_range(1), 6..9);
-        assert_eq!(t.node_range(2), 9..11);
-        assert_eq!(t.node_range(3), 11..11, "undeclared slot is empty");
+        let slots: Vec<(usize, NodeClass, u32)> = t
+            .classes()
+            .map(|(slot, c)| (slot, c.class, c.count))
+            .collect();
+        assert_eq!(
+            slots,
+            [
+                (0, NodeClass::Cpu, 6),
+                (1, NodeClass::Gpu, 3),
+                (2, NodeClass::BigMem, 2)
+            ]
+        );
         assert_eq!(t.total_nodes(), 11);
         assert_eq!(t.total_memory_gb(), 6 * 8 + 3 * 64 + 2 * 128);
-    }
-
-    #[test]
-    fn slot_of_node_is_a_range_lookup() {
-        let t = mixed();
-        assert_eq!(t.slot_of_node(0), Some(0));
-        assert_eq!(t.slot_of_node(5), Some(0));
-        assert_eq!(t.slot_of_node(6), Some(1));
-        assert_eq!(t.slot_of_node(8), Some(1));
-        assert_eq!(t.slot_of_node(9), Some(2));
-        assert_eq!(t.slot_of_node(10), Some(2));
-        assert_eq!(t.slot_of_node(11), None);
     }
 
     #[test]

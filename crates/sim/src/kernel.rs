@@ -29,8 +29,7 @@
 //! drivers only decide *when* it runs and *how* jobs reach it.
 
 use rsched_cluster::{
-    nodes_per_slot, ClusterConfig, ClusterState, JobId, JobRecord, JobSpec, StartError,
-    StepIntegral, MAX_CLASSES,
+    ClusterConfig, ClusterState, JobId, JobRecord, JobSpec, StartError, StepIntegral,
 };
 use rsched_simkit::{EventQueue, SimTime};
 use rsched_telemetry::{DelayReason, EpochOutcome, EpochTrace, TelemetrySink};
@@ -67,8 +66,9 @@ use crate::view::{RunningSummary, SystemView};
 #[derive(Debug)]
 pub struct KernelState {
     cluster: ClusterState,
-    /// One completion per running job, keyed by its end time.
-    events: EventQueue<JobId>,
+    /// One completion per running job, keyed by its end time: the job's
+    /// slot in the cluster's running table.
+    events: EventQueue<usize>,
     queue: WaitQueue,
     running: RunningSet,
     ledger: CapacityLedger,
@@ -157,8 +157,8 @@ impl KernelState {
     pub fn advance_to(&mut self, now: SimTime) -> usize {
         let mut retired = 0;
         while let Some(at) = self.events.peek_time().filter(|&at| at <= now) {
-            while let Some(id) = self.events.pop_if_at(at) {
-                self.complete(id, at);
+            while let Some(slot) = self.events.pop_if_at(at) {
+                self.complete(slot, at);
                 retired += 1;
             }
             self.observe_time(at);
@@ -167,17 +167,16 @@ impl KernelState {
         retired
     }
 
-    /// A running job finishes at `now`, releasing its resources.
-    /// [`advance_to`](Self::advance_to) calls it at the job's exact end
-    /// time, which the cluster ledger asserts.
-    fn complete(&mut self, id: JobId, now: SimTime) {
-        self.cluster.complete_job(id, now);
-        if let Some(expected_end) = self.running.get(id).map(|s| s.expected_end) {
-            // Completions release at their exact end time, so the actual
-            // release key is `now`; the estimated key is what was recorded
-            // at start.
-            self.ledger.job_completed(id, expected_end, now);
-        }
+    /// The running job in `slot` finishes at `now`, releasing its
+    /// resources. [`advance_to`](Self::advance_to) calls it at the job's
+    /// exact end time, which the cluster ledger asserts.
+    fn complete(&mut self, slot: usize, now: SimTime) {
+        let record = self.cluster.complete_job(slot, now);
+        let (id, expected_end) = (record.spec.id, record.start + record.spec.walltime);
+        // Completions release at their exact end time, so the actual
+        // release key is `now`; the estimated key is what was recorded at
+        // start.
+        self.ledger.job_completed(id, expected_end, now);
         self.running.remove(id);
     }
 
@@ -479,23 +478,19 @@ impl KernelState {
         queue_index: usize,
         spec: &JobSpec,
     ) -> Result<(), RejectReason> {
-        let topology = self.cluster.config().topology;
         match self.cluster.start_job(spec, now) {
-            Ok(started) => {
+            Ok((slot, started)) => {
                 let end = started.end;
                 // The memory the cluster actually debited: equals the
                 // request on flat clusters, but classed clusters charge the
                 // hosting classes' capacity — and the summary must mirror
                 // the debit so policies' release math conserves capacity.
                 let held_memory_gb = started.allocation.memory_gb;
-                // Per-class release columns for the calendar: which class
-                // slots this placement's nodes return to at completion.
-                let released_by_class = if topology.is_flat() {
-                    [0; MAX_CLASSES]
-                } else {
-                    nodes_per_slot(&topology, &started.allocation.nodes)
-                };
-                self.events.push(end, spec.id);
+                // Per-class release columns for the calendar: how many of
+                // this placement's nodes return to each class at completion
+                // (all zeros on a flat machine).
+                let released_by_class = started.allocation.by_class;
+                self.events.push(end, slot);
                 self.event_heap_peak = self.event_heap_peak.max(self.events.len());
                 self.queue.remove_at(queue_index);
                 // Maintain the running mirror incrementally — never rebuilt.
@@ -531,10 +526,6 @@ impl KernelState {
             }
             Err(StartError::InsufficientResources { .. }) => Err(insufficient(&self.cluster, spec)),
             Err(StartError::ExceedsCapacity) => Err(RejectReason::ExceedsCapacity(spec.id)),
-            Err(StartError::AlreadyRunning) | Err(StartError::AlreadyCompleted) => {
-                // Unreachable: the job was found in the waiting queue.
-                Err(RejectReason::NotInQueue(spec.id))
-            }
         }
     }
 

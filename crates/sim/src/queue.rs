@@ -572,16 +572,6 @@ impl RunningSet {
             self.jobs.remove(at);
         }
     }
-
-    /// The summary for a running job, if present. O(log n) — used by the
-    /// kernel to recover a completing job's `expected_end` for the
-    /// capacity-ledger release bookkeeping.
-    pub(crate) fn get(&self, id: JobId) -> Option<&RunningSummary> {
-        self.jobs
-            .binary_search_by_key(&id, |r| r.id)
-            .ok()
-            .map(|at| &self.jobs[at])
-    }
 }
 
 #[cfg(test)]
@@ -872,12 +862,8 @@ mod tests {
         let mut running: Vec<_> = cluster.running().collect();
         running.sort_by_key(|r| (r.end, r.spec.id));
         let releases = running.iter().map(|r| {
-            let by_class = if topology.is_flat() {
-                [0; MAX_CLASSES]
-            } else {
-                rsched_cluster::nodes_per_slot(&topology, &r.allocation.nodes)
-            };
-            (r.end, r.spec.nodes, r.allocation.memory_gb, by_class)
+            let held = r.allocation;
+            (r.end, r.spec.nodes, held.memory_gb, held.by_class)
         });
         let (free_nodes, free_memory_gb, free_by_class) = free_now(cluster);
         let calendar = crate::profile::CapacityCalendar::build(

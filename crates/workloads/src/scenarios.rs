@@ -521,7 +521,7 @@ mod tests {
     }
 
     #[test]
-    fn high_parallelism_node_range() {
+    fn high_parallelism_widths_span_64_to_256() {
         let w = gen("high_parallelism", 100);
         for j in &w.jobs {
             assert!((64..=256).contains(&j.nodes), "nodes {}", j.nodes);

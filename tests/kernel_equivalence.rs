@@ -12,8 +12,8 @@
 //! ```
 
 use reasoned_scheduler::cluster::{
-    classed_overlap_fits, nodes_per_slot, ClusterState, CompletedStats, PlacementRequest,
-    StartError, StepIntegral, MAX_CLASSES,
+    classed_overlap_fits, ClusterState, CompletedStats, PlacementRequest, StartError, StepIntegral,
+    MAX_CLASSES,
 };
 use reasoned_scheduler::cpsolver::SolverConfig;
 use reasoned_scheduler::prelude::*;
@@ -30,11 +30,12 @@ use common::serve_with_fair_share;
 /// queue as completions, every arrival pushed before any completion. That
 /// queue's order is the definition of what the kernel's driver — which
 /// walks arrivals with a cursor and keeps only completions on a heap —
-/// must deliver.
+/// must deliver. A completion names the running job's slot in the
+/// cluster's table.
 #[derive(Debug, Clone, Copy)]
 enum RefEvent {
     Arrival(usize),
-    Completion(JobId),
+    Completion(usize),
 }
 
 enum Applied {
@@ -88,8 +89,8 @@ fn reference_simulate(
                     waiting.push(jobs[idx].clone());
                     pending_arrivals -= 1;
                 }
-                RefEvent::Completion(id) => {
-                    cluster.complete_job(id, t);
+                RefEvent::Completion(slot) => {
+                    cluster.complete_job(slot, t);
                 }
             }
         }
@@ -111,8 +112,10 @@ fn reference_simulate(
                     });
                 }
                 // Straight-line snapshot: rebuild every collection and
-                // recompute the aggregate from scratch, per query.
-                let running: Vec<RunningSummary> = cluster
+                // recompute the aggregate from scratch, per query. The
+                // cluster lists its running jobs in slot order; the view
+                // lists them by id.
+                let mut running: Vec<RunningSummary> = cluster
                     .running()
                     .map(|r| RunningSummary {
                         id: r.spec.id,
@@ -128,26 +131,21 @@ fn reference_simulate(
                         class: r.spec.class,
                     })
                     .collect();
+                running.sort_by_key(|r| r.id);
                 let completed = cluster.completed().to_vec();
                 // Straight-line calendar: the release ledger rebuilt from
                 // the running set per query, so a policy planning over
                 // `capacity_calendar()` reads the per-class columns here
                 // too (the running summaries carry none).
-                let topology = cluster.config().topology;
                 let mut ledger = CapacityLedger::new();
                 for r in cluster.running() {
-                    let by_class = if topology.is_flat() {
-                        [0; MAX_CLASSES]
-                    } else {
-                        nodes_per_slot(&topology, &r.allocation.nodes)
-                    };
                     ledger.job_started(
                         r.spec.id,
                         r.start + r.spec.walltime,
                         r.end,
                         r.spec.nodes,
                         r.allocation.memory_gb,
-                        by_class,
+                        r.allocation.by_class,
                     );
                 }
                 let view = SystemView {
@@ -286,9 +284,9 @@ fn reference_apply(
                      spec: &JobSpec|
      -> Result<(), RejectReason> {
         match cluster.start_job(spec, now) {
-            Ok(running) => {
+            Ok((slot, running)) => {
                 let end = running.end;
-                events.push(end, RefEvent::Completion(spec.id));
+                events.push(end, RefEvent::Completion(slot));
                 waiting.retain(|j| j.id != spec.id);
                 node_integral.update(now, cluster.busy_nodes() as f64);
                 mem_integral.update(now, cluster.busy_memory_gb() as f64);
@@ -296,9 +294,6 @@ fn reference_apply(
             }
             Err(StartError::InsufficientResources { .. }) => Err(insufficient(cluster, spec)),
             Err(StartError::ExceedsCapacity) => Err(RejectReason::ExceedsCapacity(spec.id)),
-            Err(StartError::AlreadyRunning) | Err(StartError::AlreadyCompleted) => {
-                Err(RejectReason::NotInQueue(spec.id))
-            }
         }
     };
     match action {
@@ -358,11 +353,9 @@ fn free_at(cluster: &ClusterState, t: SimTime) -> (u32, u64) {
 /// [`free_at`] per topology class, each node returned to the class that
 /// hosted it. Classed clusters only.
 fn free_by_class_at(cluster: &ClusterState, t: SimTime) -> [u32; MAX_CLASSES] {
-    let topology = cluster.config().topology;
     let mut free = cluster.free_by_class();
     for j in cluster.running().filter(|j| j.end <= t) {
-        let released = nodes_per_slot(&topology, &j.allocation.nodes);
-        for (slot, n) in released.into_iter().enumerate() {
+        for (slot, n) in j.allocation.by_class.into_iter().enumerate() {
             free[slot] += n;
         }
     }

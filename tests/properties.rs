@@ -7,8 +7,8 @@ use proptest::prelude::*;
 use reasoned_scheduler::agent::action::{parse_action, parse_completion};
 use reasoned_scheduler::agent::{PromptBuilder, Scratchpad};
 use reasoned_scheduler::cluster::{
-    Allocation, ClassedAllocator, ClusterConfig, FirstFitAllocator, JobId, JobRecord, JobSpec,
-    NodeClass, PlacementRequest, ResourceVec,
+    Allocation, ClassedAllocator, ClusterConfig, ClusterState, FirstFitAllocator, JobId, JobRecord,
+    JobSpec, NodeClass, PlacementRequest, ResourceVec, RunningJob, MAX_CLASSES,
 };
 use reasoned_scheduler::cpsolver::{Instance, Task};
 use reasoned_scheduler::llm::prompt_parse::{parse_prompt, ParseError, ParsedPrompt, PromptReader};
@@ -33,7 +33,7 @@ proptest! {
         let mut live = Vec::new();
         for (i, (nodes, mem)) in requests.into_iter().enumerate() {
             if let Some(grant) = alloc.try_allocate(nodes, mem) {
-                prop_assert_eq!(grant.node_count(), nodes);
+                prop_assert_eq!(grant.nodes, nodes);
                 live.push(grant);
             }
             // Periodically release the oldest grant.
@@ -42,7 +42,7 @@ proptest! {
                 alloc.release(&grant);
             }
             alloc.check_invariants();
-            let live_nodes: u32 = live.iter().map(|g| g.node_count()).sum();
+            let live_nodes: u32 = live.iter().map(|g| g.nodes).sum();
             let live_mem: u64 = live.iter().map(|g| g.memory_gb).sum();
             prop_assert_eq!(alloc.free_nodes(), 32 - live_nodes);
             prop_assert_eq!(alloc.free_memory_gb(), 256 - live_mem);
@@ -52,23 +52,6 @@ proptest! {
         }
         prop_assert_eq!(alloc.free_nodes(), 32);
         prop_assert_eq!(alloc.free_memory_gb(), 256);
-    }
-
-    /// No two live allocations ever share a node.
-    #[test]
-    fn allocations_are_disjoint(
-        requests in prop::collection::vec(1u32..8, 1..12)
-    ) {
-        let mut alloc = FirstFitAllocator::new(24, 1024);
-        let mut live: Vec<reasoned_scheduler::cluster::Allocation> = Vec::new();
-        for nodes in requests {
-            if let Some(grant) = alloc.try_allocate(nodes, 1) {
-                for earlier in &live {
-                    prop_assert!(!grant.nodes.intersects(&earlier.nodes));
-                }
-                live.push(grant);
-            }
-        }
     }
 }
 
@@ -120,7 +103,7 @@ proptest! {
         let mut live: Vec<Allocation> = Vec::new();
         for (i, req) in requests.into_iter().enumerate() {
             if let Some(grant) = alloc.try_allocate(&req) {
-                prop_assert_eq!(grant.node_count(), req.nodes);
+                prop_assert_eq!(grant.nodes, req.nodes);
                 live.push(grant);
             }
             if i % 3 == 2 && !live.is_empty() {
@@ -128,7 +111,7 @@ proptest! {
                 alloc.release(&grant);
             }
             alloc.check_invariants();
-            let live_nodes: u32 = live.iter().map(|g| g.node_count()).sum();
+            let live_nodes: u32 = live.iter().map(|g| g.nodes).sum();
             let live_mem: u64 = live.iter().map(|g| g.memory_gb).sum();
             prop_assert_eq!(alloc.free_nodes(), total_nodes - live_nodes);
             prop_assert_eq!(alloc.free_memory_gb(), total_mem - live_mem);
@@ -158,36 +141,111 @@ proptest! {
             let grant = alloc.try_allocate(&req);
             prop_assert_eq!(fits, grant.is_some());
             if let Some(g) = &grant {
-                prop_assert_eq!(g.node_count(), req.nodes);
+                prop_assert_eq!(g.nodes, req.nodes);
             }
         }
     }
+}
 
-    /// Live classed allocations never share a node, and released masks
-    /// never overlap nodes still held — even when wide classless grants
-    /// span multiple classes.
-    #[test]
-    fn classed_allocations_are_disjoint(
-        requests in prop::collection::vec(classed_request(), 1..30)
-    ) {
-        let topology = ClusterConfig::mixed_256().topology;
-        let mut alloc = ClassedAllocator::new(topology);
-        let mut live: Vec<Allocation> = Vec::new();
-        for (i, req) in requests.into_iter().enumerate() {
-            if let Some(grant) = alloc.try_allocate(&req) {
-                for earlier in &live {
-                    prop_assert!(!grant.nodes.intersects(&earlier.nodes));
-                }
-                live.push(grant);
-            }
-            if i % 4 == 3 && !live.is_empty() {
-                let released = live.swap_remove(i % live.len());
-                alloc.release(&released);
-                for held in &live {
-                    prop_assert!(!released.nodes.intersects(&held.nodes));
-                }
+// ---------------------------------------------------- cluster slot table
+
+/// One step against a cluster: start a job (width, shape, memory and
+/// duration drawn from the four numbers), or — when `complete` is set and
+/// a job runs — complete the live row `pick` indexes.
+type SlotStep = (bool, (u32, u8, u64, u64), usize);
+
+fn slot_steps() -> impl Strategy<Value = Vec<SlotStep>> {
+    let step = (0u8..5, (0u32..121, 0u8..4, 0u64..64, 1u64..500), 0usize..64);
+    prop::collection::vec(
+        step.prop_map(|(kind, job, pick)| (kind < 2, job, pick)),
+        1..160,
+    )
+}
+
+/// A job every class of `mixed_256` is asked for: scalar ones up to 120
+/// nodes wide (the cpu class first; spanning into gpu and bigmem once it
+/// is short), GPU jobs, bigmem-pinned jobs, and jobs whose per-node memory
+/// only bigmem nodes hold. Zero-node jobs appear among the scalar ones. A
+/// flat machine reads only the width and the memory.
+fn slot_job(id: u32, (nodes, shape, memory, secs): (u32, u8, u64, u64)) -> JobSpec {
+    let job = |nodes| {
+        JobSpec::new(
+            id,
+            0,
+            SimTime::ZERO,
+            SimDuration::from_secs(secs),
+            nodes,
+            memory,
+        )
+    };
+    match shape {
+        0 => job(nodes),
+        1 => job(nodes % 13).with_per_node(ResourceVec::new(0, 1 + memory as u32 % 4, 0, 0)),
+        2 => job(nodes % 9).with_class(NodeClass::BigMem),
+        _ => job(nodes % 9).with_per_node(ResourceVec::new(0, 0, 100, 0)),
+    }
+}
+
+/// Drive `steps` through a [`ClusterState`] on `config` and check, after
+/// every step, that capacity is conserved over the slot table: per class,
+/// the free nodes plus what the live rows hold equal the class's count
+/// (on a flat machine, the free nodes plus the live rows' nodes equal the
+/// machine); the free memory plus the live rows' memory equals the total;
+/// and `running_count()` is the number of live rows. Each completion
+/// comes at its job's own end time, out of any order.
+fn slot_table_conserves(config: ClusterConfig, steps: Vec<SlotStep>) -> Result<(), TestCaseError> {
+    let mut cluster = ClusterState::new(config);
+    let mut live: Vec<(usize, SimTime)> = Vec::new();
+    let mut started = 0u32;
+    for (complete, shape, pick) in steps {
+        if complete && !live.is_empty() {
+            let (slot, end) = live.swap_remove(pick % live.len());
+            let record = cluster.complete_job(slot, end);
+            prop_assert_eq!(record.end, end);
+        } else {
+            let job = slot_job(started, shape);
+            started += 1;
+            if let Ok((slot, running)) = cluster.start_job(&job, SimTime::ZERO) {
+                prop_assert!(live.iter().all(|&(held, _)| held != slot));
+                live.push((slot, running.end));
             }
         }
+        let rows: Vec<&RunningJob> = cluster.running().collect();
+        prop_assert_eq!(rows.len(), live.len());
+        prop_assert_eq!(cluster.running_count(), rows.len());
+        let held_nodes: u32 = rows.iter().map(|r| r.allocation.nodes).sum();
+        prop_assert_eq!(cluster.free_nodes() + held_nodes, config.nodes);
+        let held_memory: u64 = rows.iter().map(|r| r.allocation.memory_gb).sum();
+        prop_assert_eq!(cluster.free_memory_gb() + held_memory, config.memory_gb);
+        let free = cluster.free_by_class();
+        for (slot, class) in config.topology.classes() {
+            let held: u32 = rows.iter().map(|r| r.allocation.by_class[slot]).sum();
+            prop_assert_eq!(free[slot] + held, class.count);
+        }
+        if config.is_flat() {
+            prop_assert!(rows
+                .iter()
+                .all(|r| r.allocation.by_class == [0; MAX_CLASSES]));
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Capacity conservation over the slot table on a flat machine small
+    /// enough for the requests to collide.
+    #[test]
+    fn slot_table_conserves_capacity(steps in slot_steps()) {
+        slot_table_conserves(ClusterConfig::new(160, 1024), steps)?;
+    }
+
+    /// The same on the classed `mixed_256`, where wide classless grants
+    /// span classes and memory is charged per hosting class.
+    #[test]
+    fn classed_slot_table_conserves_capacity(steps in slot_steps()) {
+        slot_table_conserves(ClusterConfig::mixed_256(), steps)?;
     }
 }
 

@@ -9,6 +9,8 @@
 //!   the f64 bit patterns of the integrated utilization curves;
 //! * a campaign whose cells are sharded over a 2-worker pool vs the
 //!   1-worker run of the same grid, compared as `summary.json` bytes;
+//! * a replay on the largest machine an SWF header can declare, whose
+//!   cost per start must not grow with the node count;
 //! * an `#[ignore]`d release-mode 1M-job FCFS replay smoke with a
 //!   wall-clock bound (`cargo test --release -- --ignored million_job`),
 //!   run by CI: a per-epoch fan-out in the kernel blows the bound on any
@@ -175,6 +177,42 @@ seeds = [2025, 2026]
         "summary.json must be byte-identical across worker counts"
     );
     let _ = std::fs::remove_dir_all(&base);
+}
+
+/// An SWF header is outside input, and `MaxNodes: 4294967295` sizes the
+/// machine `SwfTrace::cluster()` derives at `u32::MAX` nodes. A start
+/// holds a count of nodes, so a 1000-job FCFS replay on that machine costs
+/// what it costs on any other; a per-start structure the size of the
+/// machine (half a gigabyte here) would take minutes.
+#[test]
+fn a_header_declaring_u32_max_nodes_replays_like_any_machine() {
+    let mut text = String::from("; MaxNodes: 4294967295\n");
+    for i in 1..=1000u64 {
+        let (run, procs) = (60 + i % 7 * 30, 1 + i % 64);
+        text += &format!(
+            "{i} {} 0 {run} {procs} -1 -1 {procs} {run} -1 1 {} 1 -1 1 1 -1 -1\n",
+            i * 10,
+            i % 5
+        );
+    }
+    let trace = SwfTrace::parse(&text).expect("parses");
+    let cluster = trace.cluster();
+    assert_eq!(cluster.nodes, u32::MAX);
+    let jobs = trace.to_jobs(0);
+    assert_eq!(jobs.len(), 1000);
+    let registry = PolicyRegistry::with_builtins();
+    let mut policy = registry
+        .build("FCFS", &PolicyContext::new(&jobs, cluster))
+        .expect("builtin policy");
+    let outcome = Simulation::new(cluster)
+        .jobs(&jobs)
+        .run(policy.as_mut())
+        .expect("replay completes");
+    assert_eq!(outcome.records.len(), 1000, "every job completed");
+    assert!(
+        outcome.records.iter().all(|r| r.start == r.spec.submit),
+        "a machine that large never makes a job wait"
+    );
 }
 
 /// Release-mode scale smoke: a 1M-job FCFS replay of the synthetic
