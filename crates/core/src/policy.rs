@@ -92,7 +92,7 @@ pub struct LlmSchedulingPolicy {
     name: String,
     llm: Box<dyn LanguageModel>,
     scratchpad: Scratchpad,
-    /// The prompt of the current query; one buffer, refilled every query.
+    /// The current query's prompt but its history; refilled every query.
     prompt: String,
     calls: Vec<CallRecord>,
 }
@@ -153,8 +153,8 @@ impl SchedulingPolicy for LlmSchedulingPolicy {
     /// feedback.
     fn decide(&mut self, view: &SystemView<'_>) -> Action {
         let now = view.now.as_secs();
-        PromptBuilder::render_into(&mut self.prompt, view, &self.scratchpad);
-        let completion = match self.llm.complete(&self.prompt) {
+        let prompt = PromptBuilder::prompt(&mut self.prompt, view, &self.scratchpad);
+        let completion = match self.llm.complete_prompt(&prompt) {
             Ok(c) => c,
             Err(e) => {
                 self.scratchpad
@@ -449,6 +449,26 @@ mod tests {
         let fresh = PromptBuilder::render(&view, &Scratchpad::default());
         assert_eq!(seen.borrow().last(), Some(&fresh));
         assert!(fresh.contains("(nothing yet)") && fresh.len() < long);
+    }
+
+    /// The history is lent by the scratchpad, so the agent's own buffer
+    /// holds only what each query formats anew: after a 500-job run whose
+    /// history alone is over 100 KB, under 16 KB (the whole ≈ 324 KB
+    /// prompt, when the history was copied in).
+    #[test]
+    fn the_prompt_buffer_holds_no_history() {
+        let w = gen("heterogeneous_mix", 500, ArrivalMode::Dynamic, 7);
+        let mut policy = LlmSchedulingPolicy::claude37(7);
+        run_simulation(
+            ClusterConfig::paper_default(),
+            &w.jobs,
+            &mut policy,
+            &SimOptions::default(),
+        )
+        .expect("completes");
+        assert!(policy.scratchpad().render().len() > 100_000);
+        let capacity = policy.prompt.capacity();
+        assert!(capacity < 16 * 1024, "prompt buffer capacity {capacity}");
     }
 
     #[test]

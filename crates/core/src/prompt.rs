@@ -5,10 +5,12 @@
 //! scratchpad, the multiobjective instructions, and the output-format
 //! contract. The emitted grammar is exactly what
 //! [`rsched_llm::prompt_parse`] reads — round-tripped in tests on both
-//! sides.
+//! sides. A prompt is assembled in place: the caller's buffer holds what
+//! each query formats anew, and the history is the scratchpad's, borrowed.
 
 use std::fmt::Write as _;
 
+use rsched_llm::backend::Prompt;
 use rsched_sim::SystemView;
 
 use crate::scratchpad::Scratchpad;
@@ -20,15 +22,14 @@ pub struct PromptBuilder;
 impl PromptBuilder {
     /// Render the full prompt for one decision epoch into a new string.
     pub fn render(view: &SystemView<'_>, scratchpad: &Scratchpad) -> String {
-        let mut p = String::new();
-        Self::render_into(&mut p, view, scratchpad);
-        p
+        Self::prompt(&mut String::new(), view, scratchpad).to_string()
     }
 
-    /// Replace the contents of `p` with the full prompt for one decision
-    /// epoch, so a caller that asks every epoch can keep one buffer. Reads
+    /// The prompt for one decision epoch, in parts: `p` is refilled with
+    /// the sections before and after the history, so a caller that asks
+    /// every epoch keeps one buffer; the history is the scratchpad's. Reads
     /// entirely through the view's borrows — nothing is cloned.
-    pub fn render_into(p: &mut String, view: &SystemView<'_>, scratchpad: &Scratchpad) {
+    pub fn prompt<'a>(p: &'a mut String, view: &SystemView<'_>, pad: &'a Scratchpad) -> Prompt<'a> {
         p.clear();
         let _ = writeln!(
             p,
@@ -90,7 +91,7 @@ impl PromptBuilder {
         }
 
         let _ = writeln!(p, "\n# Scratchpad (Decision History)");
-        scratchpad.write_lines(p);
+        let head = p.len();
 
         let _ = writeln!(
             p,
@@ -121,6 +122,8 @@ impl PromptBuilder {
              Action: <your action>",
             view.config.nodes, view.config.memory_gb
         );
+        let (head, tail) = p.split_at(head);
+        pad.prompt(head, tail)
     }
 }
 

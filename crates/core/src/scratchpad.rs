@@ -11,13 +11,16 @@
 //!
 //! Every query re-sends the whole history, so each line is written once,
 //! at push, in the form the prompt carries it: the lines sit end to end in
-//! one buffer, the only copy of their text, and rendering is a slice of it.
-//! Lines the budget has dropped can never render again; the buffer lets go
-//! of them once they outweigh the kept ones, so what a long-lived agent
-//! holds is bounded by its budget and not by its age.
+//! one buffer, the only copy of their text, and a prompt borrows the kept
+//! ones in place under their [`HistoryKey`] — the pad's stream, new when it
+//! is cloned or cleared, and their byte offset in it. Lines the budget has
+//! dropped can never render again; the buffer lets go of them once they
+//! outweigh the kept ones, so what a long-lived agent holds is bounded by
+//! its budget and not by its age.
 
 use std::fmt::Write as _;
 
+use rsched_llm::backend::{HistoryKey, Prompt};
 use rsched_llm::tokens::estimate_tokens;
 
 /// The default rendering budget: the paper ran O4-Mini with a 100 k
@@ -31,15 +34,19 @@ const FRAME_TOKENS: u32 = 6;
 /// One rendered line of the history buffer.
 #[derive(Debug, Clone, Copy)]
 struct Line {
-    /// Byte offset of the line's `[` in the buffer.
-    start: usize,
+    /// Stream offset of the line's `[`.
+    start: u64,
     /// Its cost against the token budget.
     tokens: u32,
 }
 
 /// The decision-history memory.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Scratchpad {
+    /// This history's stream id.
+    stream: u64,
+    /// Bytes of the stream released from the front of `text`.
+    released_bytes: u64,
     /// The entries not yet released, each as its rendered,
     /// newline-terminated line, oldest first.
     text: String,
@@ -61,10 +68,24 @@ impl Default for Scratchpad {
     }
 }
 
+/// A clone goes on as a history of its own: a new stream.
+impl Clone for Scratchpad {
+    fn clone(&self) -> Self {
+        Scratchpad {
+            stream: HistoryKey::new_stream(),
+            text: self.text.clone(),
+            lines: self.lines.clone(),
+            ..*self
+        }
+    }
+}
+
 impl Scratchpad {
     /// An empty scratchpad with the given rendering token budget.
     pub fn new(token_budget: u32) -> Self {
         Scratchpad {
+            stream: HistoryKey::new_stream(),
+            released_bytes: 0,
             text: String::new(),
             lines: Vec::new(),
             released: 0,
@@ -92,7 +113,7 @@ impl Scratchpad {
     /// Write the entry's line — `text` flattened to single-spaced words —
     /// and move the budget cursor past whatever it pushed out.
     fn push(&mut self, time_secs: u64, kind: &str, text: &str) {
-        let start = self.text.len();
+        let start = self.released_bytes + self.text.len() as u64;
         let _ = write!(self.text, "[t={time_secs}] {kind}: ");
         let body = self.text.len();
         for word in text.split_whitespace() {
@@ -114,20 +135,19 @@ impl Scratchpad {
         let kept_from = self.kept_from();
         if kept_from > self.text.len() - kept_from {
             self.text.drain(..kept_from);
+            self.released_bytes += kept_from as u64;
             self.lines.drain(..self.first_kept);
-            for line in &mut self.lines {
-                line.start -= kept_from;
-            }
             self.released += self.first_kept;
             self.first_kept = 0;
         }
     }
 
-    /// Byte offset of the oldest line the budget still admits.
+    /// Buffer offset of the oldest line the budget still admits.
     fn kept_from(&self) -> usize {
-        self.lines
-            .get(self.first_kept)
-            .map_or(self.text.len(), |line| line.start)
+        let start = self.lines.get(self.first_kept).map(|line| line.start);
+        start.map_or(self.text.len(), |start| {
+            (start - self.released_bytes) as usize
+        })
     }
 
     /// Number of entries pushed, whether or not the budget still admits them.
@@ -140,8 +160,11 @@ impl Scratchpad {
         self.len() == 0
     }
 
-    /// Drop all entries (the buffers keep their capacity for the next run).
+    /// Drop all entries and start a new stream (the buffers keep their
+    /// capacity for the next run).
     pub fn clear(&mut self) {
+        self.stream = HistoryKey::new_stream();
+        self.released_bytes = 0;
         self.text.clear();
         self.lines.clear();
         self.released = 0;
@@ -149,25 +172,32 @@ impl Scratchpad {
         self.kept_tokens = 0;
     }
 
-    /// Append the history to `out` as newline-terminated lines: the newest
-    /// entries the token budget admits, oldest first, under a truncation
-    /// marker when history was dropped; `(nothing yet)` when empty.
-    pub fn write_lines(&self, out: &mut String) {
-        if self.is_empty() {
-            out.push_str("(nothing yet)\n");
-            return;
+    /// `head` and `tail` around the history: the newest entries the token
+    /// budget admits, oldest first, as newline-terminated lines borrowed in
+    /// place, under a truncation marker when history was dropped;
+    /// `(nothing yet)` when empty.
+    pub fn prompt<'a>(&'a self, head: &'a str, tail: &'a str) -> Prompt<'a> {
+        let (kept_from, dropped) = (self.kept_from(), self.released + self.first_kept);
+        let offset = self.released_bytes + kept_from as u64;
+        Prompt {
+            head,
+            marker: match (self.is_empty(), dropped > 0) {
+                (true, _) => "(nothing yet)\n",
+                (_, true) => "(earlier history truncated)\n",
+                _ => "",
+            },
+            lines: &self.text[kept_from..],
+            tail,
+            key: Some(HistoryKey {
+                stream: self.stream,
+                offset,
+            }),
         }
-        if self.released + self.first_kept > 0 {
-            out.push_str("(earlier history truncated)\n");
-        }
-        out.push_str(&self.text[self.kept_from()..]);
     }
 
-    /// The history as [`Scratchpad::write_lines`] writes it, without the
-    /// final newline.
+    /// The history as a prompt carries it, without the final newline.
     pub fn render(&self) -> String {
-        let mut out = String::new();
-        self.write_lines(&mut out);
+        let mut out = self.prompt("", "").to_string();
         out.pop();
         out
     }
@@ -334,14 +364,37 @@ mod tests {
     }
 
     #[test]
-    fn write_lines_appends_newline_terminated_lines() {
+    fn a_prompt_lends_newline_terminated_lines() {
         let mut pad = Scratchpad::default();
-        let mut out = String::from("# header\n");
-        pad.write_lines(&mut out);
-        assert_eq!(out, "# header\n(nothing yet)\n");
+        let prompt = |pad: &Scratchpad| pad.prompt("# header\n", "tail").to_string();
+        assert_eq!(prompt(&pad), "# header\n(nothing yet)\ntail");
         pad.push_action(3, "Delay");
-        pad.write_lines(&mut out);
-        assert_eq!(out, "# header\n(nothing yet)\n[t=3] Action: Delay\n");
+        assert_eq!(prompt(&pad), "# header\n[t=3] Action: Delay\ntail");
+    }
+
+    /// A stream's offsets count every byte pushed to it; a clone or a
+    /// cleared pad is a new stream.
+    #[test]
+    fn kept_lines_are_keyed_by_stream_and_offset() {
+        let mut pad = Scratchpad::new(12);
+        let key = |pad: &Scratchpad| pad.prompt("", "").key.expect("a pad keys its lines");
+        let first = key(&pad);
+        assert_eq!(first.offset, 0);
+        let mut pushed = 0;
+        for i in 0..50 {
+            pad.push_action(i, "Delay");
+            pushed += format!("[t={i}] Action: Delay\n").len() as u64;
+            let prompt = pad.prompt("", "");
+            assert_eq!(key(&pad).stream, first.stream);
+            assert_eq!(key(&pad).offset + prompt.lines.len() as u64, pushed);
+        }
+        let clone = pad.clone();
+        assert_eq!(clone.render(), pad.render());
+        assert_ne!(key(&clone).stream, first.stream);
+        pad.clear();
+        assert_ne!(key(&pad).stream, first.stream);
+        assert_ne!(key(&pad).stream, key(&clone).stream);
+        assert_eq!(key(&pad).offset, 0);
     }
 
     #[test]

@@ -1,4 +1,8 @@
-//! The text-in/text-out language-model interface.
+//! The language-model interface: a prompt in, a completion out.
+//!
+//! A [`Prompt`] is the prompt's bytes in the parts it was assembled from,
+//! its history lines lent in place under a [`HistoryKey`]; a backend that
+//! wants text gets exactly that text ([`LanguageModel::complete_prompt`]).
 
 use std::fmt;
 
@@ -43,7 +47,74 @@ impl fmt::Display for LlmError {
 
 impl std::error::Error for LlmError {}
 
-/// A language model: prompt text in, completion out.
+/// Where a prompt's history lines start in their stream: the bytes of every
+/// line pushed to one history since it was made, cloned or cleared. Lines
+/// leave only at the front, so equal keys name equal bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct HistoryKey {
+    /// The stream's id, unique in the process.
+    pub stream: u64,
+    /// Byte offset in the stream at which [`Prompt::lines`] starts.
+    pub offset: u64,
+}
+
+impl HistoryKey {
+    /// A stream id that no earlier call in this process has returned.
+    pub fn new_stream() -> u64 {
+        static NEXT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+        NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
+    }
+}
+
+/// One prompt in the parts it was assembled from; it displays as its text.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Prompt<'a> {
+    /// Everything through the `# Scratchpad (Decision History)` line.
+    pub head: &'a str,
+    /// `(nothing yet)` or `(earlier history truncated)` and a newline, or "".
+    pub marker: &'a str,
+    /// The kept history: whole `[t=…]` lines, each newline-terminated.
+    pub lines: &'a str,
+    /// The objectives and the output format.
+    pub tail: &'a str,
+    /// Where `lines` starts in its stream; `None` for text, which names none.
+    pub key: Option<HistoryKey>,
+}
+
+impl<'a> Prompt<'a> {
+    /// Split text into parts, with no key: the head through the first
+    /// scratchpad header line (or all of it), a parenthesised marker line,
+    /// then terminated `[t=…]` lines. Every cut falls after a newline.
+    pub fn from_text(text: &'a str) -> Self {
+        const HEADER: &str = "# Scratchpad (Decision History)\n";
+        // Past the terminated line that starts at `at`, if `keep` takes it.
+        let past = |at: usize, keep: fn(&str) -> bool| {
+            let line = text[at..].split_inclusive('\n').next()?;
+            (line.ends_with('\n') && keep(line)).then_some(at + line.len())
+        };
+        let head = text.find(HEADER).map_or(text.len(), |at| at + HEADER.len());
+        let lines = past(head, |line| line.starts_with('(')).unwrap_or(head);
+        let mut tail = lines;
+        while let Some(end) = past(tail, |line| line.starts_with("[t=")) {
+            tail = end;
+        }
+        Prompt {
+            head: &text[..head],
+            marker: &text[head..lines],
+            lines: &text[lines..tail],
+            tail: &text[tail..],
+            key: None,
+        }
+    }
+}
+
+impl fmt::Display for Prompt<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}{}{}{}", self.head, self.marker, self.lines, self.tail)
+    }
+}
+
+/// A language model: a prompt in, a completion out.
 ///
 /// Implementations in this workspace: [`crate::SimulatedLlm`] (the
 /// calibrated personas), [`crate::script::ScriptedBackend`] (canned
@@ -55,6 +126,12 @@ pub trait LanguageModel {
 
     /// Complete one prompt.
     fn complete(&mut self, prompt: &str) -> Result<Completion, LlmError>;
+
+    /// Complete one prompt handed over in parts. The default completes its
+    /// text; a model that remembers history it has read overrides it.
+    fn complete_prompt(&mut self, prompt: &Prompt<'_>) -> Result<Completion, LlmError> {
+        self.complete(&prompt.to_string())
+    }
 }
 
 #[cfg(test)]

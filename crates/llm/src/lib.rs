@@ -7,13 +7,14 @@
 //! are unavailable in an offline reproduction, so this crate supplies
 //! *simulated reasoning models* behind the same text-in/text-out interface:
 //!
-//! * [`backend::LanguageModel`] — the trait: a prompt string in, a
+//! * [`backend::LanguageModel`] — the trait: a prompt in, a
 //!   `Thought:`/`Action:` completion (plus latency and token counts) out.
-//!   A real API client plugs in here unchanged.
-//! * [`prompt_parse`] — the personas read the *rendered prompt text*, not
+//!   A real API client plugs in here unchanged: it receives the prompt's
+//!   text.
+//! * [`prompt_parse`] — the personas read the *rendered prompt*, not
 //!   structured data, exercising the same code path a hosted model would.
-//!   A [`SimulatedLlm`] skips the history blocks it remembers by digest; the
-//!   module says what a collision costs and why it keeps no copy instead.
+//!   A [`SimulatedLlm`] takes the history lines it has already read from a
+//!   ledger keyed by history stream and offset, and reads only the rest.
 //! * [`reasoner`] — the multiobjective deliberation engine: scores each
 //!   eligible job on fairness, throughput, packing and makespan criteria
 //!   and picks an action.

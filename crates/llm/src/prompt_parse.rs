@@ -1,26 +1,26 @@
 //! Parsing the agent's rendered prompt back into structured state.
 //!
 //! The simulated personas receive exactly what a hosted model would: the
-//! prompt *text* built by the agent crate (paper §3.4's template). This
-//! module recovers the system state, job queue and scratchpad feedback from
-//! that text. The grammar is the one `rsched-core`'s prompt builder emits;
-//! its round-trip is tested on both sides.
+//! prompt built by the agent crate (paper §3.4's template), as a
+//! [`Prompt`] whose parts are the bytes of that text. This module recovers
+//! the system state, job queue and scratchpad feedback from them. The
+//! grammar is the one `rsched-core`'s prompt builder emits; its round-trip
+//! is tested on both sides. Every number is read by one left-to-right byte
+//! scanner over its line, accumulating with overflow checks.
 //!
 //! Every prompt carries the whole decision history again (§2.2), so a
-//! [`PromptReader`] remembers the history it last read, as a serving
-//! endpoint's prefix cache does. Not as a copy — a third buffer the size of
-//! the prompt, beside the scratchpad's and the agent's, reads as that much
-//! resident memory — but as *blocks* of whole `[t=…]` lines: each its first
-//! line, its length, a 64-bit digest, and what reading it gave (its share of
-//! the token count, its feedback entries). The next history has grown at the
-//! back and may have lost lines at the front, so the reader *re-anchors* —
-//! reads on until a line is the first line of a remembered block whose digest
-//! verifies there — skips every following block that still verifies, and
-//! reads the rest like any text, closing it into new blocks. Two different
-//! blocks alike in first line and digest would be taken for each other; the
-//! price is a stale feedback list or token count inside the *simulated*
-//! model, whose every action the constraint module (§2.4) still validates.
+//! simulated model keeps a ledger: per history line it has read, where
+//! the line ends in its stream, its share of the token count and its
+//! feedback entry. A prompt's [`HistoryKey`] names its lines exactly — the
+//! stream they were pushed to and the offset at which they start — so the
+//! ledger drops the entries that left the front of the window, reads only
+//! the lines past what it has read, and sums the rest. Text with no key
+//! (`parse_prompt`, a model handed a plain string) is split into the same
+//! parts and read in full by the same reader.
 
+use std::collections::VecDeque;
+
+use crate::backend::{HistoryKey, Prompt};
 use crate::tokens::{tally, Tally};
 
 /// A waiting job as described in the prompt.
@@ -110,7 +110,7 @@ fn err(message: impl Into<String>) -> ParseError {
 
 /// Parse a rendered prompt.
 pub fn parse_prompt(text: &str) -> Result<ParsedPrompt, ParseError> {
-    read(text, None).map(|(prompt, _)| prompt)
+    read(&Prompt::from_text(text), &mut Ledger::default()).map(|(prompt, _)| prompt)
 }
 
 #[derive(Default, PartialEq)]
@@ -137,65 +137,95 @@ impl Lines {
     fn line(&mut self, line: &str) -> Result<(), ParseError> {
         let out = &mut self.out;
         let trimmed = line.trim();
-        match trimmed {
-            "Running Jobs:" => {
-                self.section = Section::Running;
-                return Ok(());
-            }
-            "Waiting Jobs (eligible to schedule):" => {
-                self.section = Section::Waiting;
-                return Ok(());
-            }
-            "# Scratchpad (Decision History)" => {
-                self.section = Section::Scratchpad;
-                return Ok(());
-            }
-            "Your scheduling objectives are:" => {
-                self.section = Section::Tail;
-                return Ok(());
-            }
-            _ => {}
+        let header = match trimmed {
+            "Running Jobs:" => Some(Section::Running),
+            "Waiting Jobs (eligible to schedule):" => Some(Section::Waiting),
+            "# Scratchpad (Decision History)" => Some(Section::Scratchpad),
+            "Your scheduling objectives are:" => Some(Section::Tail),
+            _ => None,
+        };
+        if let Some(section) = header {
+            self.section = section;
+            return Ok(());
         }
+        const U32: u64 = u32::MAX as u64;
+        const USIZE: u64 = usize::MAX as u64;
+        // Every bound below is its field's type's, so each `as` is exact.
         match self.section {
             Section::Preamble => {
                 if let Some(rest) = trimmed.strip_prefix("System capacity: ") {
-                    let (nodes, memory) = parse_capacity(rest)?;
-                    out.capacity_nodes = nodes;
-                    out.capacity_memory_gb = memory;
+                    let fields = [("", U32), (" nodes, ", u64::MAX)];
+                    let [nodes, memory] = scan(rest, "capacity", fields, " GB memory")?;
+                    (out.capacity_nodes, out.capacity_memory_gb) = (nodes as u32, memory);
                     self.saw_capacity = true;
                 } else if let Some(rest) = trimmed.strip_prefix("Current time: ") {
-                    out.now_secs = parse_num(rest, "current time")?;
+                    [out.now_secs] = scan(rest, "current time", [("", u64::MAX)], "")?;
                     self.saw_time = true;
                 } else if let Some(rest) = trimmed.strip_prefix("Available Nodes: ") {
-                    out.available_nodes = parse_num(rest, "available nodes")?;
+                    out.available_nodes = scan(rest, "available nodes", [("", U32)], "")?[0] as u32;
                 } else if let Some(rest) = trimmed.strip_prefix("Available Memory: ") {
-                    let rest = rest.strip_suffix(" GB").unwrap_or(rest);
-                    out.available_memory_gb = parse_num(rest, "available memory")?;
+                    [out.available_memory_gb] =
+                        scan(rest, "available memory", [("", u64::MAX)], " GB")?;
                 }
             }
             Section::Running => {
-                if trimmed == "None" || trimmed.is_empty() {
-                    // fall through; section ends at the next header
-                } else if let Some(rest) = trimmed.strip_prefix("- Job ") {
-                    out.running.push(parse_running(rest)?);
+                if let Some(rest) = trimmed.strip_prefix("- Job ") {
+                    let fields = [
+                        ("", U32),
+                        (": user_", U32),
+                        (", ", U32),
+                        (" nodes, ", u64::MAX),
+                        (" GB, started t=", u64::MAX),
+                        (", expected end t=", u64::MAX),
+                    ];
+                    let [id, user, nodes, memory_gb, started_secs, expected_end_secs] =
+                        scan(rest, "job entry (running)", fields, "")?;
+                    out.running.push(ParsedRunningJob {
+                        id: id as u32,
+                        user: user as u32,
+                        nodes: nodes as u32,
+                        memory_gb,
+                        started_secs,
+                        expected_end_secs,
+                    });
                 } else if let Some(rest) = trimmed.strip_prefix("Completed Jobs: ") {
-                    let (completed, total, pending) = parse_completed(rest)?;
-                    out.completed = completed;
-                    out.total_jobs = total;
-                    out.pending_arrivals = pending;
+                    let fields = [("", USIZE), (" of ", USIZE), (" total jobs; ", USIZE)];
+                    let [done, total, pending] =
+                        scan(rest, "completed", fields, " not yet submitted")?;
+                    out.completed = done as usize;
+                    out.total_jobs = total as usize;
+                    out.pending_arrivals = pending as usize;
                 }
             }
             Section::Waiting => {
-                if trimmed == "None" || trimmed.is_empty() {
-                } else if let Some(rest) = trimmed.strip_prefix("- Job ") {
-                    out.waiting.push(parse_waiting(rest)?);
+                if let Some(rest) = trimmed.strip_prefix("- Job ") {
+                    let fields = [
+                        ("", U32),
+                        (": user_", U32),
+                        (", ", U32),
+                        (" nodes, ", u64::MAX),
+                        (" GB, walltime ", u64::MAX),
+                        (" s, submitted t=", u64::MAX),
+                        (", waiting ", u64::MAX),
+                    ];
+                    let [id, user, nodes, memory_gb, walltime_secs, submitted_secs, waiting_secs] =
+                        scan(rest, "job entry (waiting)", fields, " s")?;
+                    out.waiting.push(ParsedWaitingJob {
+                        id: id as u32,
+                        user: user as u32,
+                        nodes: nodes as u32,
+                        memory_gb,
+                        walltime_secs,
+                        submitted_secs,
+                        waiting_secs,
+                    });
                 }
             }
             Section::Scratchpad => {
                 if let Some(rest) = trimmed.strip_prefix("[t=") {
                     if let Some((ts, body)) = rest.split_once("] ") {
                         if let Some(feedback) = body.strip_prefix("Feedback: ") {
-                            let t = parse_num(ts, "scratchpad timestamp")?;
+                            let [t] = scan(ts, "scratchpad timestamp", [("", u64::MAX)], "")?;
                             out.feedback.push((t, feedback.to_string()));
                         }
                     }
@@ -205,310 +235,177 @@ impl Lines {
         }
         Ok(())
     }
+
+    /// Read every line of `part` and tally it.
+    fn part(&mut self, part: &str) -> Result<(), ParseError> {
+        self.count += tally(part);
+        part.split_inclusive('\n')
+            .try_for_each(|line| self.line(line))
+    }
 }
 
-/// One pass of the line state machine over `text`. With a `reader`, the run
-/// of `[t=…]` lines that opens the scratchpad section goes to its `history`
-/// and the text is tallied; without, nothing is remembered or counted.
-fn read(
-    text: &str,
-    mut reader: Option<&mut PromptReader>,
-) -> Result<(ParsedPrompt, Tally), ParseError> {
+/// The one reader: the line state machine over the prompt's parts, in
+/// order, and what [`crate::tokens::estimate_tokens`] makes of its text.
+/// With a key, and with the scratchpad header just read, the history lines
+/// go through the `ledger`; otherwise they are read like any part.
+pub(crate) fn read(
+    prompt: &Prompt<'_>,
+    ledger: &mut Ledger,
+) -> Result<(ParsedPrompt, u32), ParseError> {
+    let parts = [prompt.head, prompt.marker, prompt.lines, prompt.tail];
+    ledger.received += parts.iter().map(|part| part.len() as u64).sum::<u64>();
     let mut state = Lines::default();
-    // Where the next line starts and, for a reader, how far its count has got.
-    let (mut at, mut counted) = (0, reader.is_some().then_some(0));
-    let mut lines = text.split_inclusive('\n');
-    while let Some(line) = lines.next() {
-        if state.section == Section::Scratchpad && line.starts_with("[t=") {
-            if let Some(reader) = reader.take() {
-                at = reader.history(text, at, &mut state)?;
-                counted = Some(at);
-                lines = text[at..].split_inclusive('\n');
-                continue;
-            }
+    // Room for every job line the head could hold: each is over 64 bytes.
+    state.out.waiting.reserve(prompt.head.len() / 64);
+    state.part(prompt.head)?;
+    state.part(prompt.marker)?;
+    match prompt.key {
+        Some(key) if state.section == Section::Scratchpad => {
+            ledger.history(key, prompt.lines, &mut state)?
         }
-        state.line(line)?;
-        at += line.len();
+        _ => state.part(prompt.lines)?,
     }
-    if let Some(counted) = counted {
-        state.count += tally(&text[counted..]);
-    }
+    state.part(prompt.tail)?;
     match (state.saw_time, state.saw_capacity) {
         (false, _) => Err(err("missing `Current time:` line")),
         (_, false) => Err(err("missing `System capacity:` line")),
-        _ => Ok((state.out, state.count)),
+        _ => Ok((state.out, state.count.tokens())),
     }
 }
 
-/// History is remembered in blocks of whole lines, each closed at the first
-/// line end this many bytes in.
-const BLOCK: usize = 4096;
-
-/// A closed block of `[t=…]` lines: enough to recognise its bytes in a later
-/// prompt, and what reading them gave.
-#[derive(Debug, Clone)]
-struct Block {
-    /// Its first line, newline included.
-    anchor: String,
-    len: usize,
-    digest: u64,
-    tally: Tally,
-    feedback: Vec<(u64, String)>,
-}
-
-/// Whether `block`'s bytes are at `at`: cheaply refused unless its first line
-/// is. Its length is applied to bytes, not to `str` — in an unrelated text it
-/// can end inside a character — and a block that verifies ends in a newline,
-/// so a line starts after it.
-fn is_at(block: &Block, bytes: &[u8], at: usize) -> bool {
-    let anchor = block.anchor.as_bytes();
-    let here = bytes
-        .get(at..at + block.len)
-        .filter(|here| here.starts_with(anchor));
-    here.is_some_and(|here| here.ends_with(b"\n") && digest(here) == block.digest)
-}
-
-/// 64 bits of `bytes`, 32 at a step in four lanes whose multiplies overlap:
-/// a byte-at-a-time hash costs more than the parse that skipping saves.
-fn digest(bytes: &[u8]) -> u64 {
-    const K: u64 = 0x9E37_79B1_85EB_CA87;
-    let mix = |h: u64, word: u64| (h.rotate_left(27) ^ word).wrapping_mul(K);
-    let mut lanes = [K, !K, K >> 1, !K >> 1];
-    let mut step = |chunk: &[u8; 32]| {
-        for (lane, word) in lanes.iter_mut().zip(chunk.chunks_exact(8)) {
-            let word = word.try_into().expect("eight bytes");
-            *lane = mix(*lane, u64::from_le_bytes(word));
-        }
-    };
-    let (steps, rest) = bytes.as_chunks();
-    steps.iter().for_each(&mut step);
-    // The ragged end, zero-padded; the length tells the paddings apart.
-    let mut last = [0; 32];
-    last[..rest.len()].copy_from_slice(rest);
-    step(&last);
-    let h = lanes.into_iter().fold(bytes.len() as u64, mix);
-    h ^ (h >> 29)
-}
-
-/// The end of the `[t=…]` line that starts at `at`, past its newline, if one
-/// starts there and is terminated.
-fn history_line(text: &str, at: usize) -> Option<usize> {
-    let rest = text.get(at..).filter(|rest| rest.starts_with("[t="))?;
-    Some(at + rest.find('\n')? + 1)
-}
-
-/// A reader that remembers the decision history it last read (see the module
-/// documentation) and does not read again the lines of it that it recognises.
+/// What the history lines read from one stream gave, oldest first (see the
+/// module documentation).
 #[derive(Debug, Clone, Default)]
-pub struct PromptReader {
-    /// Consecutive blocks of the history last read, oldest first.
-    blocks: Vec<Block>,
-    /// The longest block ever closed: no remembered history has a longer
-    /// stretch without a block start, whatever was cut off its front.
-    longest: usize,
+pub(crate) struct Ledger {
+    stream: Option<u64>,
+    /// Stream offset at which the first line read starts.
+    start: u64,
+    /// Per line read: the stream offset just past its newline, its tally.
+    lines: VecDeque<(u64, Tally)>,
+    /// The sum of those tallies.
+    kept: Tally,
+    /// Per feedback line among them: where it ends, its feedback entry.
+    feedback: VecDeque<(u64, (u64, String))>,
     received: u64,
     skipped: u64,
 }
 
-impl PromptReader {
-    /// What [`parse_prompt`] and [`crate::tokens::estimate_tokens`] return.
-    pub fn read(&mut self, text: &str) -> Result<(ParsedPrompt, u32), ParseError> {
-        self.received += text.len() as u64;
-        read(text, Some(self)).map(|(prompt, count)| (prompt, count.tokens()))
-    }
-
+impl Ledger {
     /// Bytes handed in over all calls, and how many of them were read line
-    /// by line: all but the blocks skipped.
-    pub fn bytes(&self) -> (u64, u64) {
+    /// by line: all but the history lines taken from the ledger.
+    pub(crate) fn bytes(&self) -> (u64, u64) {
         (self.received, self.received - self.skipped)
     }
 
-    /// Read the decision history — the run of `[t=…]` lines that starts at
-    /// `hist` — and return where it ends, with `state.count` taken that far.
-    /// The search for an anchor stops `longest` bytes in: an unrelated
-    /// history costs a few line comparisons and is then read like any text.
-    fn history(&mut self, text: &str, hist: usize, state: &mut Lines) -> Result<usize, ParseError> {
-        let bytes = text.as_bytes();
-        let mut entries = state.out.feedback.len();
-        let mut at = hist;
-        let mut anchor = None;
-        while let Some(end) = history_line(text, at).filter(|_| at - hist <= self.longest) {
-            anchor = self.blocks.iter().position(|b| is_at(b, bytes, at));
-            if anchor.is_some() {
-                break;
-            }
-            state.line(&text[at..end])?;
-            at = end;
+    /// Start over at `key`, with nothing read.
+    fn restart(&mut self, key: HistoryKey) {
+        (self.stream, self.start) = (Some(key.stream), key.offset);
+        self.lines.clear();
+        self.kept = Tally::default();
+        self.feedback.clear();
+    }
+
+    /// Read `lines`, which start at `key`: what the lines already read
+    /// gave, then the lines past them, each recorded.
+    fn history(
+        &mut self,
+        key: HistoryKey,
+        lines: &str,
+        state: &mut Lines,
+    ) -> Result<(), ParseError> {
+        if self.stream != Some(key.stream) || key.offset < self.start {
+            self.restart(key);
         }
-        // Blocks ahead of the anchor have left the prompt, their feedback too.
-        // With no anchor, none is left and the new blocks start at `hist`.
-        self.blocks.drain(..anchor.unwrap_or(self.blocks.len()));
-        // The count has got this far, and the next block to close starts here.
-        let mut open = if anchor.is_some() { at } else { hist };
-        state.count += tally(&text[..open]);
-        let mut kept = 0;
-        while let Some(block) = self.blocks.get(kept) {
-            if kept > 0 && !is_at(block, bytes, at) {
-                break;
-            }
-            state.out.feedback.extend_from_slice(&block.feedback);
-            state.count += block.tally;
-            self.skipped += block.len as u64;
-            at += block.len;
-            kept += 1;
-            (open, entries) = (at, state.out.feedback.len());
+        while let Some(&(end, tally)) = self.lines.front().filter(|(end, _)| *end <= key.offset) {
+            self.start = end;
+            self.kept -= tally;
+            self.lines.pop_front();
         }
-        self.blocks.truncate(kept);
-        while let Some(end) = history_line(text, at) {
-            state.line(&text[at..end])?;
-            at = end;
-            if at - open >= BLOCK {
-                let lines = &text[open..at];
-                let block = Block {
-                    anchor: text[open..history_line(text, open).unwrap_or(at)].into(),
-                    len: lines.len(),
-                    digest: digest(lines.as_bytes()),
-                    tally: tally(lines),
-                    feedback: state.out.feedback[entries..].to_vec(),
-                };
-                state.count += block.tally;
-                self.longest = self.longest.max(block.len);
-                self.blocks.push(block);
-                (open, entries) = (at, state.out.feedback.len());
+        while self.feedback.front().is_some_and(|f| f.0 <= key.offset) {
+            self.feedback.pop_front();
+        }
+        // An offset inside a line, or past the last one read, is a window
+        // this ledger never saw.
+        if self.start != key.offset {
+            self.restart(key);
+        }
+        let mut known = self.lines.back().map_or(0, |l| (l.0 - self.start) as usize);
+        if known > 0 && lines.as_bytes().get(known - 1) != Some(&b'\n') {
+            self.restart(key);
+            known = 0;
+        }
+        state.count += self.kept;
+        let feedback = self.feedback.iter().map(|(_, entry)| entry.clone());
+        state.out.feedback.extend(feedback);
+        self.skipped += known as u64;
+        let mut at = known;
+        for line in lines[known..].split_inclusive('\n') {
+            if !line.starts_with("[t=") || !line.ends_with('\n') {
+                return state.part(&lines[at..]);
+            }
+            let feedback = state.out.feedback.len();
+            state.line(line)?;
+            at += line.len();
+            let end = key.offset.saturating_add(at as u64);
+            let tally = tally(line);
+            state.count += tally;
+            self.kept += tally;
+            self.lines.push_back((end, tally));
+            if let Some(entry) = state.out.feedback.get(feedback) {
+                self.feedback.push_back((end, entry.clone()));
             }
         }
-        state.count += tally(&text[open..at]);
-        Ok(at)
+        Ok(())
     }
 }
 
-/// A decimal number of the width its field has; one too large for the
-/// field is an error, never a wrapped value.
-fn parse_num<T>(text: &str, what: &str) -> Result<T, ParseError>
-where
-    T: std::str::FromStr,
-    T::Err: std::fmt::Display,
-{
-    text.trim()
-        .parse()
-        .map_err(|e| err(format!("bad {what} `{text}`: {e}")))
-}
-
-/// `"256 nodes, 2048 GB memory"`.
-fn parse_capacity(text: &str) -> Result<(u32, u64), ParseError> {
-    let (nodes_part, mem_part) = text
-        .split_once(", ")
-        .ok_or_else(|| err(format!("bad capacity line `{text}`")))?;
-    let nodes = parse_num(
-        nodes_part.strip_suffix(" nodes").unwrap_or(nodes_part),
-        "capacity nodes",
-    )?;
-    let memory = parse_num(
-        mem_part.strip_suffix(" GB memory").unwrap_or(mem_part),
-        "capacity memory",
-    )?;
-    Ok((nodes, memory))
-}
-
-/// `"12 of 80 total jobs; 3 not yet submitted"`.
-fn parse_completed(text: &str) -> Result<(usize, usize, usize), ParseError> {
-    let (counts, pending_part) = text
-        .split_once("; ")
-        .ok_or_else(|| err(format!("bad completed line `{text}`")))?;
-    let (done, total) = counts
-        .split_once(" of ")
-        .ok_or_else(|| err(format!("bad completed counts `{counts}`")))?;
-    let total = total.strip_suffix(" total jobs").unwrap_or(total);
-    let pending = pending_part
-        .strip_suffix(" not yet submitted")
-        .unwrap_or(pending_part);
-    Ok((
-        parse_num(done, "completed count")?,
-        parse_num(total, "total jobs")?,
-        parse_num(pending, "pending arrivals")?,
-    ))
-}
-
-/// The `", "`-separated fields of one job line: exactly `N` of them.
-fn split_fields<const N: usize>(line: &str) -> Result<[&str; N], ParseError> {
-    let mut parts = line.split(", ");
-    let mut fields = [""; N];
-    for field in &mut fields {
-        *field = parts
-            .next()
-            .ok_or_else(|| err(format!("too few fields in job entry `{line}`")))?;
+/// The numbers of one line, read left to right in one pass over its bytes:
+/// per field its text, then bare ASCII digits accumulated with overflow
+/// checks up to the field's bound; then `end`, and nothing more. A number
+/// past its bound is an error, never a wrapped value.
+#[inline(always)]
+fn scan<const N: usize>(
+    line: &str,
+    what: &str,
+    fields: [(&str, u64); N],
+    end: &str,
+) -> Result<[u64; N], ParseError> {
+    const STUCK: [&str; 2] = ["bad", "too few fields in"];
+    let bytes = line.as_bytes();
+    let stuck = |at: usize| refused(STUCK[usize::from(at == line.len())], what, line);
+    let mut at = 0;
+    let mut out = [0; N];
+    for (i, &(text, bound)) in fields.iter().enumerate() {
+        if !bytes[at..].starts_with(text.as_bytes()) {
+            return Err(stuck(at));
+        }
+        at += text.len();
+        let from = at;
+        // A local, not `out[i]`: the loop then keeps it in a register.
+        let mut value = 0;
+        while let Some(&byte @ b'0'..=b'9') = bytes.get(at) {
+            let digit = u64::from(byte - b'0');
+            if value > (bound - digit) / 10 {
+                return Err(refused("number too large in", what, line));
+            }
+            value = value * 10 + digit;
+            at += 1;
+        }
+        if at == from {
+            return Err(stuck(at));
+        }
+        out[i] = value;
     }
-    if parts.next().is_some() {
-        return Err(err(format!("too many fields in job entry `{line}`")));
+    match line[at..].strip_prefix(end) {
+        Some("") => Ok(out),
+        Some(more) if more.starts_with(", ") => Err(refused("too many fields in", what, line)),
+        _ => Err(stuck(at)),
     }
-    Ok(fields)
 }
 
-/// `"46: user_3, 256 nodes, 128 GB, started t=0, expected end t=10000"`.
-fn parse_running(rest: &str) -> Result<ParsedRunningJob, ParseError> {
-    let (id_part, fields) = rest
-        .split_once(": ")
-        .ok_or_else(|| err(format!("bad running entry `{rest}`")))?;
-    let [user, nodes, memory, started, expected_end] = split_fields(fields)?;
-    Ok(ParsedRunningJob {
-        id: parse_num(id_part, "running job id")?,
-        user: parse_user(user)?,
-        nodes: parse_suffixed(nodes, " nodes")?,
-        memory_gb: parse_suffixed(memory, " GB")?,
-        started_secs: parse_prefixed(started, "started t=")?,
-        expected_end_secs: parse_prefixed(expected_end, "expected end t=")?,
-    })
-}
-
-/// `"32: user_6, 256 nodes, 8 GB, walltime 147 s, submitted t=0, waiting 1554 s"`.
-fn parse_waiting(rest: &str) -> Result<ParsedWaitingJob, ParseError> {
-    let (id_part, fields) = rest
-        .split_once(": ")
-        .ok_or_else(|| err(format!("bad waiting entry `{rest}`")))?;
-    let [user, nodes, memory, walltime, submitted, waiting] = split_fields(fields)?;
-    Ok(ParsedWaitingJob {
-        id: parse_num(id_part, "waiting job id")?,
-        user: parse_user(user)?,
-        nodes: parse_suffixed(nodes, " nodes")?,
-        memory_gb: parse_suffixed(memory, " GB")?,
-        walltime_secs: parse_seconds(walltime, "walltime ")?,
-        submitted_secs: parse_prefixed(submitted, "submitted t=")?,
-        waiting_secs: parse_seconds(waiting, "waiting ")?,
-    })
-}
-
-fn parse_user(text: &str) -> Result<u32, ParseError> {
-    let id = text
-        .strip_prefix("user_")
-        .ok_or_else(|| err(format!("bad user `{text}`")))?;
-    parse_num(id, "user id")
-}
-
-/// `"<prefix><n> s"`.
-fn parse_seconds(text: &str, prefix: &str) -> Result<u64, ParseError> {
-    let v = text
-        .strip_prefix(prefix)
-        .and_then(|s| s.strip_suffix(" s"))
-        .ok_or_else(|| err(format!("expected `{prefix}<n> s` in `{text}`")))?;
-    parse_num(v, "seconds")
-}
-
-fn parse_suffixed<T>(text: &str, suffix: &str) -> Result<T, ParseError>
-where
-    T: std::str::FromStr,
-    T::Err: std::fmt::Display,
-{
-    let v = text
-        .strip_suffix(suffix)
-        .ok_or_else(|| err(format!("expected `{suffix}` in `{text}`")))?;
-    parse_num(v, "suffixed value")
-}
-
-fn parse_prefixed(text: &str, prefix: &str) -> Result<u64, ParseError> {
-    let v = text
-        .strip_prefix(prefix)
-        .ok_or_else(|| err(format!("expected `{prefix}` in `{text}`")))?;
-    parse_num(v, "prefixed value")
+#[cold]
+fn refused(why: &str, what: &str, line: &str) -> ParseError {
+    err(format!("{why} {what} `{line}`"))
 }
 
 #[cfg(test)]
@@ -672,119 +569,37 @@ Waiting Jobs (eligible to schedule):
         }
     }
 
-    /// `sample_prompt` with `history` for its scratchpad lines.
-    fn prompt_with_history(history: &str) -> String {
-        let sample = sample_prompt();
-        let (head, rest) = sample.split_once("[t=0] Thought").expect("history");
-        let (_, tail) = rest.split_once("\n\nYour").expect("objectives");
-        format!("{head}{history}\nYour{tail}")
-    }
-
-    /// What a reader with nothing remembered returns.
-    fn stateless(text: &str) -> Result<(ParsedPrompt, u32), ParseError> {
-        parse_prompt(text).map(|prompt| (prompt, crate::tokens::estimate_tokens(text)))
-    }
-
-    /// Decision `i` of a run: a thought, an action, and every third time a
-    /// refusal, in the agent's words (the dash is `render_feedback`'s).
-    fn decision(i: usize) -> String {
-        let mut lines = format!(
-            "[t={t}] Thought: At t={t} job {i} is the best balance of fairness and makespan: {}\n\
-             [t={t}] Action: StartJob(job_id={i})\n",
-            "it has waited long enough and fits the free nodes ".repeat(1 + i % 4),
-            t = 10 * i
-        );
-        if i.is_multiple_of(3) {
-            lines += &format!(
-                "[t={}] Feedback: Action: StartJob failed — Job {i} cannot be started\n",
-                10 * i
+    /// What the scanner refuses that the builder never writes: a sign, or
+    /// whitespace padding a number. A 64-bit field holds `u64::MAX` and
+    /// refuses one more.
+    #[test]
+    fn job_line_numbers_are_bare_digits() {
+        let good = sample_prompt();
+        for (field, changed) in [
+            ("- Job 32:", "- Job +32:"),
+            ("user_6,", "user_ 6,"),
+            ("walltime 147 s", "walltime  147 s"),
+            ("started t=0,", "started t=0 ,"),
+            ("8 GB, walltime", "8GB, walltime"),
+        ] {
+            assert!(good.contains(field), "sample prompt lost `{field}`");
+            assert!(
+                parse_prompt(&good.replace(field, changed)).is_err(),
+                "{changed}"
             );
         }
-        lines
-    }
-
-    /// The agent's prompts over a run, through one reader: the history grows
-    /// by a decision a call, and from call 60 on loses its oldest lines —
-    /// none, a few, or several blocks' worth at a time, as a budget cursor
-    /// would take them. Every call equals the stateless parse, and only the
-    /// ragged ends of the history are read line by line.
-    #[test]
-    fn remembered_history_is_skipped_and_equals_the_stateless_parse() {
-        let mut reader = PromptReader::default();
-        let mut history = String::new();
-        let (mut dropped, mut longest) = (0, 0);
-        for i in 0..400 {
-            let new = decision(i);
-            history += &new;
-            longest = longest.max(new.len());
-            let mut cut = 0;
-            if i >= 60 {
-                let lines = if i % 100 == 0 { 80 } else { [0, 1, 3][i % 3] };
-                cut = history[dropped..]
-                    .split_inclusive('\n')
-                    .take(lines)
-                    .map(str::len)
-                    .sum();
-            }
-            dropped += cut;
-            let marker = if dropped > 0 {
-                "(earlier history truncated)\n"
-            } else {
-                ""
-            };
-            let text = prompt_with_history(&format!("{marker}{}", &history[dropped..]));
-            let before = reader.bytes().1;
-            assert_eq!(reader.read(&text), stateless(&text), "call {i}");
-            let read = (reader.bytes().1 - before) as usize;
-            // Head and tail, the new decision, and at either end of the
-            // history less than a block and a line — unless the cut went
-            // past whole blocks, which costs reading what it left of one.
-            let around = text.len() - (history.len() - dropped);
-            let bound = around + new.len() + 2 * (BLOCK + longest);
-            assert!(read <= bound, "call {i}: read {read} of {}", text.len());
-        }
-        assert!(dropped > 16 * BLOCK && history.len() - dropped > 6 * BLOCK);
-        assert!(reader.blocks.len() >= 5);
-    }
-
-    /// A remembered length applied to an unrelated prompt can end inside a
-    /// character, and `render_feedback` puts a three-byte dash in every
-    /// message: lengths are applied to bytes. Here the first line is the
-    /// remembered anchor, so the block is looked for.
-    #[test]
-    fn a_remembered_length_that_ends_inside_a_character_does_not_slice_the_text() {
-        let first = "[t=0] Thought: x\n";
-        let ascii = "[t=1] Thought: plain words, one byte a character\n".repeat(100);
-        let mut reader = PromptReader::default();
-        reader
-            .read(&prompt_with_history(&format!("{first}{ascii}")))
-            .expect("parses");
-        let len = reader.blocks[0].len;
-        let mut inside = 0;
-        let dashes = format!("[t=1] Thought: {}\n", "—".repeat(40)).repeat(100);
-        for shift in ["", "x", "xx"] {
-            let text = prompt_with_history(&format!("{first}[t=1] Action: {shift}\n{dashes}"));
-            let hist = text.find(first).expect("history");
-            inside += usize::from(!text.is_char_boundary(hist + len));
-            assert_eq!(reader.clone().read(&text), stateless(&text));
-        }
-        assert_eq!(inside, 2, "two of three shifts end the block inside a dash");
-    }
-
-    #[test]
-    fn digest_tells_apart_what_a_block_of_lines_can_differ_in() {
-        let line = "[t=5] Feedback: Action: StartJob failed — Job 9 cannot be started\n";
-        let block = line.repeat(70);
-        let same = digest(block.as_bytes());
-        assert_eq!(same, digest(line.repeat(70).as_bytes()));
-        for at in [0, 7, 31, 32, 33, 2048, block.len() - 2] {
-            let mut changed = block.clone().into_bytes();
-            changed[at] ^= 1;
-            assert_ne!(same, digest(&changed), "byte {at}");
-        }
-        // A shorter text that zero-pads to the same last step.
-        assert_ne!(digest(b"[t=1] x\n"), digest(b"[t=1] x\n\0"));
-        assert_ne!(same, digest(&block.as_bytes()[..block.len() - line.len()]));
+        let max = good.replace(
+            "8 GB, walltime 147",
+            &format!("{0} GB, walltime {0}", u64::MAX),
+        );
+        let p = parse_prompt(&max).expect("u64::MAX fits");
+        assert_eq!(
+            (p.waiting[0].memory_gb, p.waiting[0].walltime_secs),
+            (u64::MAX, u64::MAX)
+        );
+        let over = good.replace("walltime 147", "walltime 18446744073709551616");
+        let e = parse_prompt(&over).unwrap_err();
+        assert!(e.message.contains("too large"), "{e}");
     }
 
     #[test]

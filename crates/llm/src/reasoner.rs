@@ -7,6 +7,8 @@
 //! kept so the thought generator can explain the decision — the decision
 //! *is* the explanation, as in the paper's Figure 2 traces.
 
+use std::cmp::Ordering;
+
 use rsched_simkit::dist::Normal;
 use rsched_simkit::rng::Rng;
 
@@ -182,24 +184,11 @@ fn score_candidates(
     temperature: f64,
     rng: &mut dyn Rng,
 ) -> Vec<JobScore> {
-    let max_wait = eligible
-        .iter()
-        .map(|j| j.waiting_secs)
-        .max()
-        .unwrap_or(0)
-        .max(1) as f64;
-    let max_walltime = eligible
-        .iter()
-        .map(|j| j.walltime_secs)
-        .max()
-        .unwrap_or(0)
-        .max(1) as f64;
-    let min_walltime = eligible
-        .iter()
-        .map(|j| j.walltime_secs)
-        .min()
-        .unwrap_or(0)
-        .max(1) as f64;
+    // Each at least 1 s; `eligible` is never empty.
+    let max_wait = eligible.iter().map(|j| j.waiting_secs).fold(1, u64::max) as f64;
+    let walltimes = || eligible.iter().map(|j| j.walltime_secs);
+    let max_walltime = walltimes().fold(1, u64::max) as f64;
+    let min_walltime = walltimes().fold(u64::MAX, u64::min).max(1) as f64;
     let running_users: Vec<u32> = prompt.running.iter().map(|r| r.user).collect();
 
     // Log-position of a walltime between the shortest and longest eligible
@@ -253,7 +242,12 @@ fn score_candidates(
             }
         })
         .collect();
-    scores.sort_by(|a, b| b.total.partial_cmp(&a.total).expect("finite scores"));
+    // Best first; a total a NaN or infinite weight or temperature made
+    // non-finite ranks after every finite one, in queue order.
+    scores.sort_by(|a, b| match (a.total.is_finite(), b.total.is_finite()) {
+        (true, true) => b.total.partial_cmp(&a.total).unwrap_or(Ordering::Equal),
+        (a_finite, b_finite) => b_finite.cmp(&a_finite),
+    });
     scores
 }
 

@@ -30,11 +30,6 @@ impl ScriptedBackend {
         self.latency_secs = secs;
         self
     }
-
-    /// Responses not yet consumed.
-    pub fn remaining(&self) -> usize {
-        self.responses.len()
-    }
 }
 
 impl LanguageModel for ScriptedBackend {
@@ -64,7 +59,6 @@ mod tests {
     #[test]
     fn replays_in_order_then_errors() {
         let mut b = ScriptedBackend::new(["first", "second"]);
-        assert_eq!(b.remaining(), 2);
         assert_eq!(b.complete("p1").expect("ok").text, "first");
         assert_eq!(b.complete("p2").expect("ok").text, "second");
         assert!(b.complete("p3").is_err());

@@ -35,6 +35,14 @@ impl std::ops::AddAssign for Tally {
     }
 }
 
+/// What is left of a sum of tallies once one of its pieces is taken out.
+impl std::ops::SubAssign for Tally {
+    fn sub_assign(&mut self, piece: Tally) {
+        self.chars -= piece.chars;
+        self.words -= piece.words;
+    }
+}
+
 /// Count `text` in one pass over its bytes, because a simulated model counts
 /// every 150 KB prompt it is handed.
 pub fn tally(text: &str) -> Tally {

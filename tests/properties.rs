@@ -11,7 +11,8 @@ use reasoned_scheduler::cluster::{
     JobSpec, NodeClass, PlacementRequest, ResourceVec, RunningJob, MAX_CLASSES,
 };
 use reasoned_scheduler::cpsolver::{Instance, Task};
-use reasoned_scheduler::llm::prompt_parse::{parse_prompt, ParseError, ParsedPrompt, PromptReader};
+use reasoned_scheduler::llm::backend::{HistoryKey, Prompt};
+use reasoned_scheduler::llm::prompt_parse::parse_prompt;
 use reasoned_scheduler::llm::tokens::estimate_tokens;
 use reasoned_scheduler::metrics::{jain_index, MetricsReport};
 use reasoned_scheduler::sim::{Action, KernelState, RunningSummary, SystemView};
@@ -501,24 +502,122 @@ proptest! {
             prop_assert_eq!(p.walltime_secs, s.walltime.as_secs());
         }
 
-        // The agent refills one prompt buffer every step. Whatever the
-        // buffer held — here a longer prompt, with a history — the refill
-        // is byte for byte what a fresh render gives.
+        // The agent refills one buffer every step with the state sections
+        // and the objectives, and the scratchpad lends the history between.
+        // Whatever the buffer held, the parts are byte for byte what a
+        // fresh render gives.
         let mut history = Scratchpad::default();
         for spec in &waiting_specs {
             history.push_thought(now, &format!("job {} has waited\nlong enough", spec.id.0));
             history.push_action(now, &Action::StartJob(spec.id).to_string());
         }
         history.push_feedback(now, "job 3 cannot be started — requires 256 Nodes");
-        let mut buffer = String::new();
-        PromptBuilder::render_into(&mut buffer, &view, &history);
-        prop_assert_eq!(&buffer, &PromptBuilder::render(&view, &history));
-        prop_assert!(buffer.len() > text.len());
-        let with_history = parse_prompt(&buffer).expect("builder output parses");
-        prop_assert_eq!(&with_history.waiting, &parsed.waiting);
-        prop_assert_eq!(with_history.feedback.len(), 1);
-        PromptBuilder::render_into(&mut buffer, &view, &Scratchpad::default());
-        prop_assert_eq!(&buffer, &text);
+        let mut buffer = "a longer prompt's residue ".repeat(200);
+        let with_history = PromptBuilder::prompt(&mut buffer, &view, &history).to_string();
+        prop_assert_eq!(&with_history, &PromptBuilder::render(&view, &history));
+        prop_assert!(with_history.len() > text.len());
+        let parsed_with_history = parse_prompt(&with_history).expect("builder output parses");
+        prop_assert_eq!(&parsed_with_history.waiting, &parsed.waiting);
+        prop_assert_eq!(parsed_with_history.feedback.len(), 1);
+        let again = PromptBuilder::prompt(&mut buffer, &view, &Scratchpad::default()).to_string();
+        prop_assert_eq!(&again, &text);
+    }
+}
+
+/// `value` or, as `pick` says, one of the ends of its type's range.
+fn edge<T: Copy>(pick: u64, value: T, max: T, zero: T) -> T {
+    match pick & 3 {
+        0 => zero,
+        1 => max,
+        _ => value,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Every field of every job line comes back from the byte scanner as
+    /// the builder wrote it, 0 and each field's maximum included: `u32::MAX`
+    /// ids, users and nodes, `u64::MAX` memory, and the longest times a
+    /// millisecond clock holds.
+    #[test]
+    fn job_lines_round_trip_through_the_builder(
+        jobs in prop::collection::vec(
+            (0u32..u32::MAX, 0u32..u32::MAX, 0u32..u32::MAX, 0u64..u64::MAX, 0u64..u64::MAX, 0u64..u64::MAX),
+            1..6,
+        ),
+        picks in prop::collection::vec(0u64..u64::MAX, 6..7),
+        now in 0u64..u64::MAX,
+    ) {
+        let now = SimTime::from_millis(edge(picks[5] >> 40, now, u64::MAX, 0));
+        let waiting: Vec<JobSpec> = jobs
+            .iter()
+            .zip(&picks)
+            .map(|(&(id, user, nodes, memory, submit, walltime), &pick)| {
+                let at = |field: u64| pick >> (2 * field);
+                JobSpec::new(
+                    edge(at(0), id, u32::MAX, 0),
+                    edge(at(1), user, u32::MAX, 0),
+                    SimTime::from_millis(edge(at(2), submit, u64::MAX, 0)),
+                    SimDuration::from_millis(edge(at(3), walltime, u64::MAX, 0)),
+                    edge(at(4), nodes, u32::MAX, 0),
+                    edge(at(5), memory, u64::MAX, 0),
+                )
+            })
+            .collect();
+        let running: Vec<RunningSummary> = waiting
+            .iter()
+            .map(|j| RunningSummary {
+                id: j.id,
+                user: j.user,
+                nodes: j.nodes,
+                memory_gb: j.memory_gb,
+                start: j.submit,
+                submit: j.submit,
+                expected_end: SimTime::from_millis(j.walltime.as_millis()),
+                class: None,
+            })
+            .collect();
+        let view = SystemView {
+            now,
+            config: ClusterConfig::paper_default(),
+            free_nodes: 0,
+            free_memory_gb: 0,
+            free_by_class: [0; MAX_CLASSES],
+            waiting: &waiting,
+            running: &running,
+            completed: &[],
+            completed_stats: reasoned_scheduler::cluster::CompletedStats::default(),
+            pending_arrivals: 0,
+            total_jobs: waiting.len(),
+            calendar: None,
+            telemetry: None,
+            queue: None,
+        };
+        let text = PromptBuilder::render(&view, &Scratchpad::default());
+        let parsed = parse_prompt(&text).expect("builder output parses");
+        prop_assert_eq!(parsed.waiting.len(), waiting.len());
+        for (p, j) in parsed.waiting.iter().zip(&waiting) {
+            prop_assert_eq!(
+                (p.id, p.user, p.nodes, p.memory_gb),
+                (j.id.0, j.user.0, j.nodes, j.memory_gb)
+            );
+            prop_assert_eq!(
+                (p.walltime_secs, p.submitted_secs, p.waiting_secs),
+                (j.walltime.as_secs(), j.submit.as_secs(), view.wait_so_far(j).as_secs())
+            );
+        }
+        prop_assert_eq!(parsed.running.len(), running.len());
+        for (p, r) in parsed.running.iter().zip(&running) {
+            prop_assert_eq!(
+                (p.id, p.user, p.nodes, p.memory_gb),
+                (r.id.0, r.user.0, r.nodes, r.memory_gb)
+            );
+            prop_assert_eq!(
+                (p.started_secs, p.expected_end_secs),
+                (r.start.as_secs(), r.expected_end.as_secs())
+            );
+        }
     }
 }
 
@@ -565,23 +664,6 @@ proptest! {
         let _ = parse_prompt(&text);
     }
 
-    /// Nor does a reader that remembers, whatever it was handed before: the
-    /// lengths it keeps are applied to bytes, where an unrelated text may
-    /// have the middle of a character. Some texts go in raw, some as the
-    /// history of a rendered prompt, under one first line so that every
-    /// history is looked for in the next.
-    #[test]
-    fn prompt_reader_never_panics(
-        texts in prop::collection::vec(("\\PC*", 0usize..4), 1..7)
-    ) {
-        let mut reader = PromptReader::default();
-        for (text, lines) in &texts {
-            let history = format!("[t=1] Thought: {text}\n").repeat(lines * 90);
-            let prompt = prompt_with_feedback(0, "first").replace("first\n", &format!("first\n{history}"));
-            let _ = reader.read(if *lines == 0 { text } else { &prompt });
-        }
-    }
-
     /// Nor does the simulated model on a prompt whose scratchpad carries
     /// arbitrary feedback at the current time — the text it searches for
     /// the refused job's id.
@@ -590,11 +672,6 @@ proptest! {
         let prompt = prompt_with_feedback(100, &format!("{text} job 32 {text}"));
         prop_assert!(SimulatedLlm::claude37(1).complete(&prompt).is_ok());
     }
-}
-
-/// What a reader with nothing remembered makes of `text`.
-fn stateless(text: &str) -> Result<(ParsedPrompt, u32), ParseError> {
-    parse_prompt(text).map(|prompt| (prompt, estimate_tokens(text)))
 }
 
 /// `prompt` damaged one of the ways a line parser cares about, at its
@@ -622,75 +699,148 @@ fn damaged(prompt: String, damage: u32, k: usize) -> String {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// One reader that remembers, handed what two agents would send it in
-    /// turn, returns on every call what the stateless parser and
-    /// `estimate_tokens` return — parse, token count, or the same error.
+    /// One simulated model handed the agent's prompts in parts, the history
+    /// lent by the scratchpad under its stream key, answers every call as
+    /// its twin handed the same prompts as text, which it reads in full:
+    /// the same completion text, both token counts and the latency's bits.
+    /// The parts display as `PromptBuilder::render`, and text splits into
+    /// the same parts.
     ///
-    /// The pushes are thoughts of a few hundred bytes (so that a run spans
-    /// several of the reader's 4 KB blocks), now and then one of many KB
-    /// (so that the budget cursor passes whole blocks at once), multi-line
-    /// and non-ASCII texts, identical `Action: Delay` lines at one time (so
-    /// that first lines collide), feedback, and `clear()`; the budgets run
-    /// from a few lines to no limit; three reads in four are of pad 0, so
-    /// that runs are both continued and interrupted. A read may be of a
-    /// damaged prompt (`damaged`): CRLF endings, an indented history line,
-    /// a second scratchpad header, a header of another section inside the
-    /// history, an unparseable feedback timestamp (an error, after which the
-    /// next prompt must parse right), an unterminated last line. Last, pad
-    /// 0's own first block is quoted *inside* the first line of another
-    /// history: found off a line start, it must not be taken for read.
-    ///
-    /// Checked by mutation, each turning this red: dropping a skipped
-    /// block's tally; keeping the feedback of blocks dropped ahead of the
-    /// anchor; searching for the anchor at every byte instead of every line
-    /// start; letting a block take in lines that are not `[t=…]` lines (the
-    /// blank one ahead of `Your scheduling objectives are:`, and the header
-    /// after it).
+    /// Two scratchpads and a clone of one go through the one model, three
+    /// calls in six on pad 0; some pushes are followed by no call. The
+    /// pushes are thoughts of a few hundred bytes, now and then one of many
+    /// KB or of most of pad 0's budget (so that the budget cursor passes
+    /// many lines at once), multi-line and non-ASCII texts, identical
+    /// `Action: Delay` lines, refusals of job 31 or job 32 at the current
+    /// time — lines alike in length that the model must tell apart, since
+    /// job 32 is the one waiting job — clones and `clear()`; the budgets
+    /// run from a few lines to no limit. Every case opens with the histories
+    /// easiest to mistake for one another: refusals alike in length pushed,
+    /// after the model has read the pad, to a clone of it and to the pad
+    /// itself once cleared, and refusals pushed out of the window at the
+    /// time they were made. Checked by mutation, each turning this red: stream
+    /// ids counted per pad from 0; a clone, or a cleared pad, that keeps
+    /// its stream; dropping the tally of the lines already read; keeping
+    /// the feedback of lines that left the window.
     #[test]
-    fn remembering_reader_equals_the_stateless_parser(
+    fn a_model_handed_parts_answers_as_one_handed_text(
         ops in prop::collection::vec(
-            (0u32..12, 0usize..4, 0u64..3, "\\PC*", 0usize..12, 0u32..24),
+            (0u32..14, 0usize..6, 0u64..3, "\\PC*", 0usize..12, 0u32..4),
             1..60,
         ),
         budgets in (0usize..4, 0usize..4),
+        seed in 0u64..1000,
     ) {
         const BUDGETS: [u32; 4] = [300, 1500, 4000, 80_000];
+        let budget = BUDGETS[budgets.0] as usize;
+        // (kind, pad, step, text, reps, call): a refusal of job 31 or 32
+        // by `reps`, a clone of pad 0 into pad 2 (at 4), a clear, and two
+        // thoughts of 0.6 budgets each — the second pushes the first and
+        // the refusals before it out of the window, at the time they were
+        // made.
+        let refuse = |pad, job: usize, call| (3u32, pad, 0u64, String::new(), job - 31, call);
+        let opening = [
+            refuse(0, 31, 1),
+            (12, 0, 0, String::new(), 0, 0),
+            refuse(0, 31, 1),
+            refuse(4, 32, 1),
+            refuse(0, 31, 1),
+            (0, 0, 0, String::new(), 0, 0),
+            refuse(0, 32, 0),
+            refuse(0, 31, 0),
+            refuse(0, 31, 1),
+            refuse(0, 32, 1),
+            (13, 0, 0, String::new(), 0, 1),
+            (13, 0, 0, String::new(), 0, 1),
+        ];
         let mut kernel = KernelState::new(ClusterConfig::paper_default(), SimTime::ZERO);
         kernel.arrive(JobSpec::new(32, 0, SimTime::ZERO, SimDuration::from_secs(60), 4, 8));
-        let render = |now, pad: &Scratchpad| {
-            PromptBuilder::render(&kernel.view(SimTime::from_secs(now), 0, 1), pad)
-        };
-        let mut pads = [budgets.0, budgets.1].map(|b| Scratchpad::new(BUDGETS[b]));
-        let mut reader = PromptReader::default();
+        let first = Scratchpad::new(BUDGETS[budgets.0]);
+        let mut pads = [first.clone(), Scratchpad::new(BUDGETS[budgets.1]), first];
+        let mut model = SimulatedLlm::o4mini(seed);
+        let mut twin = SimulatedLlm::o4mini(seed);
+        let mut buffer = String::new();
         let mut now = 0;
-        for (kind, pad, step, text, reps, damage) in &ops {
-            let pad = &mut pads[pad / 3];
-            now += step;
+        for (kind, pad, step, text, reps, call) in opening.iter().chain(&ops) {
+            let pad = [0, 0, 0, 1, 2, 2][*pad];
             let long = text.repeat(reps + 1);
+            now += step;
             match kind {
-                0 if *reps < 3 => pad.clear(),
-                1 | 2 => pad.push_action(now, "Delay"),
-                3 | 4 => pad.push_feedback(
+                0 if *reps < 3 => pads[pad].clear(),
+                1 | 2 => pads[pad].push_action(now, "Delay"),
+                3 => pads[pad].push_feedback(
                     now,
-                    &format!("Action: StartJob failed — Job {reps} cannot be started\n{long}"),
+                    &format!("Action: StartJob failed — Job {} cannot be started", 31 + reps % 2),
                 ),
-                5 if *reps < 4 => pad.push_thought(now, &long.repeat(40)),
-                _ => pad.push_thought(now, &format!("{long}\n{long} weighs fairness")),
+                4 => pads[pad].push_feedback(now, &format!("Job 32 cannot be started\n{long}")),
+                5 if *reps < 4 => pads[pad].push_thought(now, &long.repeat(40)),
+                12 => pads[2] = pads[pad % 2].clone(),
+                13 => pads[pad].push_thought(now, &"fairness ".repeat(budget / 4)),
+                _ => pads[pad].push_thought(now, &format!("{long}\n{long} weighs fairness")),
             }
-            let prompt = damaged(render(now, pad), *damage, *reps);
-            prop_assert_eq!(reader.read(&prompt), stateless(&prompt));
+            if *call == 0 {
+                continue;
+            }
+            let view = kernel.view(SimTime::from_secs(now), 0, 1);
+            let text = PromptBuilder::render(&view, &pads[pad]);
+            let prompt = PromptBuilder::prompt(&mut buffer, &view, &pads[pad]);
+            prop_assert_eq!(prompt.to_string(), text.clone());
+            prop_assert_eq!(Prompt { key: None, ..prompt }, Prompt::from_text(&text));
+            let (parts, whole) = (model.complete_prompt(&prompt), twin.complete(&text));
+            let bits = |c: &Result<reasoned_scheduler::llm::Completion, _>| {
+                c.as_ref().map(|c| c.latency_secs.to_bits()).ok()
+            };
+            prop_assert_eq!(bits(&parts), bits(&whole));
+            prop_assert_eq!(parts, whole);
         }
+    }
 
-        let mut quoted = Scratchpad::default();
-        let mut quoting = Scratchpad::default();
-        quoted.push_feedback(now, &ops[0].3);
-        quoting.push_thought(0, &format!("x [t={now}] Feedback: {}", ops[0].3));
-        for pad in [&mut quoted, &mut quoting] {
-            for i in 0..30 {
-                pad.push_thought(now + i, &"weighs fairness against makespan ".repeat(8));
+    /// Parts that break the stream's promise never panic the model: the
+    /// same key with shorter or different lines, an offset past what it
+    /// has read or inside a character it has read, lines that are not
+    /// `[t=…]` lines or end unterminated. And text of any shape splits
+    /// into parts that rejoin to it, which a model reads as the
+    /// stateless parser and `estimate_tokens` do: CRLF endings, an
+    /// indented history line, a second scratchpad header, another section's
+    /// header inside the history, an unparseable feedback timestamp, an
+    /// unterminated last line, or arbitrary text.
+    #[test]
+    fn a_model_handed_adversarial_parts_never_panics(
+        ops in prop::collection::vec(("\\PC*", 0u64..600, 0usize..120, 0u32..8, 0usize..4), 1..12)
+    ) {
+        let stream = HistoryKey::new_stream();
+        let base = prompt_with_feedback(0, "first");
+        let parts = Prompt::from_text(&base);
+        let mut model = SimulatedLlm::claude37(1);
+        for (text, offset, cut, damage, count) in &ops {
+            let history = format!("[t=1] Thought: {text} é—😀\n").repeat(*count) + text;
+            let cut = (0..=(*cut).min(history.len())).rev().find(|&c| history.is_char_boundary(c));
+            let lines = &history[..cut.unwrap_or(0)];
+            // Half the calls reuse the first key with other lines; a few
+            // put the lines where their ends overflow the stream.
+            let offset = match offset {
+                0..300 => 0,
+                590.. => u64::MAX - (offset - 590),
+                _ => offset - 300,
+            };
+            let key = Some(HistoryKey { stream, offset });
+            let _ = model.complete_prompt(&Prompt { lines, key, ..parts });
+
+            let prompt = PromptBuilder::render(
+                &KernelState::new(ClusterConfig::paper_default(), SimTime::ZERO).view(SimTime::ZERO, 0, 1),
+                &{
+                    let mut pad = Scratchpad::default();
+                    pad.push_thought(1, text);
+                    pad.push_feedback(1, &history);
+                    pad
+                },
+            );
+            let text = if *damage == 7 { text.clone() } else { damaged(prompt, *damage, *count) };
+            prop_assert_eq!(Prompt::from_text(&text).to_string(), text.clone());
+            match SimulatedLlm::claude37(1).complete(&text) {
+                Ok(completion) => prop_assert_eq!(completion.prompt_tokens, estimate_tokens(&text)),
+                Err(_) => prop_assert!(parse_prompt(&text).is_err()),
             }
-            let prompt = render(now + 30, pad);
-            prop_assert_eq!(reader.read(&prompt), stateless(&prompt));
         }
     }
 }
