@@ -18,25 +18,28 @@
 //! skyline, shared by every consumer in the epoch) and lays a reusable
 //! [`ReservationProfile`] over it — a reserved-amount step overlay whose
 //! fused `place` both finds and books each reservation against the
-//! immutable base without cloning it. Three exact shortcuts keep the
-//! saturated case cheap:
+//! immutable base without cloning it. The pass walks only as far as the
+//! last job that may still start now — reservations past it are read by
+//! no remaining startability test — and four exact shortcuts keep that
+//! walk short:
 //!
 //! * **flat fast path** (arrival order only): the base skyline is
 //!   monotone, so a head that fits now *is* the first startable job — the
 //!   unsaturated common case costs no profile work at all;
 //! * **candidate pre-scan**: a job can only start now if it fits the
 //!   current free capacity and was not rejected this epoch — both cheap
-//!   scalar tests. If no job in the depth window qualifies, the pass must
-//!   end in `Delay` and is skipped entirely; otherwise it stops at the
-//!   last qualifying job, because reservations placed after it are never
-//!   read by any remaining startability test;
-//! * **head-shadow veto**: when the head cannot start, its reservation
-//!   sits at the bare earliest fit `f0` on the base. A candidate whose
-//!   window reaches `f0` must fit beside the mass reserved there or it is
-//!   provably unstartable — checked against the head alone before the
-//!   pass (vetoing many epochs outright) and re-checked incrementally
-//!   during the pass as placed reservations stack up at `f0`, shrinking
-//!   how far the reservation walk must go.
+//!   scalar tests. Only these candidates may end the walk, and when there
+//!   are none the epoch is a `Delay` with no pass;
+//! * **pre-pass veto**: when the head cannot start, its reservation sits
+//!   at its bare earliest fit on the base, the head's shadow. A candidate
+//!   whose window reaches the shadow and cannot fit beside the head there
+//!   is provably unstartable; when that holds for every candidate the
+//!   epoch is a `Delay` ([`DelayReason::HeadShadowVeto`]) with no pass;
+//! * **start-point rule**: every candidate's window opens at `now` and a
+//!   pass only ever adds reservations, so once a job is placed at `s` the
+//!   free level at `s` only falls for the rest of the pass. Every later
+//!   candidate whose window reaches `s` and whose demand exceeds that
+//!   level is dropped on the spot.
 
 use rsched_cluster::{JobId, JobSpec};
 use rsched_sim::{Action, DelayReason, ReservationProfile, SchedulingPolicy, SystemView};
@@ -46,6 +49,9 @@ use rsched_simkit::SimTime;
 /// reservation nor are considered for backfill in that epoch. Bounds the
 /// per-epoch cost to O(depth × profile) on pathological queues.
 pub const RESERVATION_DEPTH: usize = 64;
+
+// Candidates are the bits of one `u64` mask, so the depth cannot outgrow it.
+const _: () = assert!(RESERVATION_DEPTH <= u64::BITS as usize);
 
 /// FCFS with conservative backfilling (full reservation list).
 ///
@@ -92,6 +98,22 @@ impl ConservativeBackfill {
     }
 }
 
+/// The jobs of `mask` (bits are queue positions) that a free level of
+/// `(nodes, memory_gb)` at `s` keeps from starting now: their window from
+/// `now` reaches `s` and their demand exceeds the level there.
+fn blocked_at(view: &SystemView<'_>, mut mask: u64, s: SimTime, level: (u32, u64)) -> u64 {
+    let mut blocked = 0;
+    while mask != 0 {
+        let i = mask.trailing_zeros() as usize;
+        mask &= mask - 1;
+        let job = &view.waiting[i];
+        if view.now + job.walltime > s && (job.nodes > level.0 || job.memory_gb > level.1) {
+            blocked |= 1 << i;
+        }
+    }
+    blocked
+}
+
 impl SchedulingPolicy for ConservativeBackfill {
     fn name(&self) -> &str {
         if self.shortest_first {
@@ -129,10 +151,7 @@ impl SchedulingPolicy for ConservativeBackfill {
         // Candidate pre-scan: startable requires `fits_now` and no
         // same-epoch rejection, both cheap scalar tests. No qualifying job
         // in the depth window means the reservation pass below could only
-        // return `Delay` — skip it. Otherwise the pass stops at the last
-        // qualifying job: reservations placed after it are only ever read
-        // by the startability tests of even later jobs, none of which
-        // qualify.
+        // return `Delay` — skip it.
         let mut candidates = 0u64;
         for (i, job) in view.waiting.iter().take(RESERVATION_DEPTH).enumerate() {
             if view.fits_now(job) && !self.rejected(job.id) {
@@ -144,50 +163,26 @@ impl SchedulingPolicy for ConservativeBackfill {
             return self.delay(DelayReason::NoStartableCandidate { considered });
         }
         let base = view.capacity_calendar();
-        // Head-shadow veto. The pass places the head first, against an
-        // empty overlay, so its reservation always sits at the bare
-        // earliest fit `f0` (a monotone base never fails a window). A
-        // candidate whose own window reaches `f0` and cannot fit beside
-        // the head demand at the `f0` level fails at that merged point in
-        // the full pass too (the overlay only reserves more) — it is
-        // provably unstartable without placing a single reservation. The
-        // pass therefore only has to walk to the last *unvetoed*
-        // candidate (reservations past it are read only by the
-        // startability tests of provably-blocked jobs); when the veto
-        // blocks every candidate — a scalar-blocked head (`f0 > now`)
-        // blocks candidate bit 0 outright — the epoch is a `Delay` with
-        // no pass at all.
+        // Pre-pass veto. The pass places the head first, against an empty
+        // overlay, so its reservation always sits at its bare earliest fit
+        // (a monotone base never fails a window). A candidate whose window
+        // reaches that shadow and cannot fit beside the head there fails
+        // at that point in the full pass too, without a single placement.
+        // A scalar-blocked head (shadow past `now`) is no survivor itself.
         let head_start = base.earliest_fit_flat(head.nodes, head.memory_gb);
-        // Survivors split by why the veto is inconclusive: `surv_early`
-        // windows end at or before `f0` (the head reservation never
-        // touches them); `surv_beside` demands fit beside the head at the
-        // `f0` shadow level. The beside set shrinks further during the
-        // pass as reservations stack up at `f0`.
-        let mut surv_early = candidates;
-        let mut surv_beside = 0u64;
-        let (mut shadow_nodes, mut shadow_mem) = (0u32, 0u64);
+        let mut survivors = candidates;
         if head_start > view.now {
             let shadow = base.at(head_start);
-            shadow_nodes = shadow.free_nodes;
-            shadow_mem = shadow.free_memory_gb;
-            let beside_nodes = shadow_nodes.saturating_sub(head.nodes);
-            let beside_mem = shadow_mem.saturating_sub(head.memory_gb);
-            let mut rest = candidates & !1;
-            surv_early = 0;
-            while rest != 0 {
-                let i = rest.trailing_zeros() as usize;
-                rest &= rest - 1;
-                let job = &view.waiting[i];
-                if view.now + job.walltime <= head_start {
-                    surv_early |= 1 << i;
-                } else if job.nodes <= beside_nodes && job.memory_gb <= beside_mem {
-                    surv_beside |= 1 << i;
-                }
-            }
+            let beside = (
+                shadow.free_nodes.saturating_sub(head.nodes),
+                shadow.free_memory_gb.saturating_sub(head.memory_gb),
+            );
+            survivors &= !1;
+            survivors &= !blocked_at(view, survivors, head_start, beside);
         }
-        if surv_early | surv_beside == 0 {
+        if survivors == 0 {
             // Always a head-shadow veto: when the head fits now
-            // (`head_start <= now`) the survivor set starts as the nonempty
+            // (`head_start <= now`) the survivor set is the nonempty
             // candidate set and this exit cannot be reached.
             view.sink().count("sim_conservative_shadow_vetoes_total", 1);
             return self.delay(DelayReason::HeadShadowVeto {
@@ -197,31 +192,26 @@ impl SchedulingPolicy for ConservativeBackfill {
         }
         // Reservation pass in arrival order over the epoch's shared base
         // calendar: clear the reusable reserved-amount overlay, reserve
-        // every considered job at its earliest feasible window, and
-        // collect the jobs whose window lands at `now` (they can start
+        // every considered job at its earliest feasible window, and pick
+        // among the candidates whose window lands at `now` (they can start
         // without delaying anyone reserved before them).
         //
-        // The pass walks only as far as the last surviving candidate —
-        // reservations past it are read solely by the startability tests
-        // of provably-blocked jobs. As placed reservations accumulate at
-        // `f0`, the exact overlay amounts in force there (`f0_nodes`,
-        // `f0_mem`, O(1) per placement) re-run the beside test: a
-        // beside-survivor that no longer fits next to that mass fails at
-        // the `f0` point of its own window in the full pass too (the
-        // overlay only ever grows within a pass), so it is pruned and the
-        // walk bound tightens as the hole at `f0` fills.
+        // Start-point rule: every candidate's window opens at `now` and
+        // the overlay only grows within a pass, so the level left at a
+        // placement's start `s` caps the level there for the rest of the
+        // pass. A later survivor whose window reaches `s` and whose demand
+        // exceeds that level fails at `s` in the full pass too; it is
+        // dropped, and the walk ends at the last survivor, because
+        // reservations past it are read only by provably-blocked jobs.
         let telemetry = view.sink();
         let _pass_span = telemetry.span("conservative.reservation_pass", view.now);
         telemetry.count("sim_conservative_reservation_passes_total", 1);
         self.profile.clear();
-        let mut startable: Vec<&JobSpec> = Vec::new();
-        let (mut f0_nodes, mut f0_mem) = (0u32, 0u64);
+        let key = |j: &JobSpec| (j.walltime, j.submit, j.id);
+        let mut pick: Option<&JobSpec> = None;
         let mut i = 0;
         loop {
             let job = &view.waiting[i];
-            // `place` reserves unconditionally; that is harmless on the
-            // startable early return, because the overlay is cleared at
-            // the top of every pass.
             let start = self.profile.place(
                 base.points(),
                 view.now,
@@ -229,42 +219,37 @@ impl SchedulingPolicy for ConservativeBackfill {
                 job.memory_gb,
                 job.walltime,
             );
-            if start <= view.now && candidates & (1 << i) != 0 {
-                if !self.shortest_first {
-                    // Arrival order: the first startable job is the pick —
-                    // later reservations cannot change it.
-                    return if job.id == head.id {
-                        Action::StartJob(job.id)
-                    } else {
-                        Action::BackfillJob(job.id)
-                    };
-                }
-                startable.push(job);
-            }
-            if head_start > view.now && start <= head_start && head_start < start + job.walltime {
-                f0_nodes += job.nodes;
-                f0_mem += job.memory_gb;
-                let avail_nodes = shadow_nodes.saturating_sub(f0_nodes);
-                let avail_mem = shadow_mem.saturating_sub(f0_mem);
-                let mut rest = surv_beside;
-                while rest != 0 {
-                    let j = rest.trailing_zeros() as usize;
-                    rest &= rest - 1;
-                    let c = &view.waiting[j];
-                    if c.nodes > avail_nodes || c.memory_gb > avail_mem {
-                        surv_beside &= !(1 << j);
-                    }
-                }
-            }
+            let startable = start <= view.now && candidates & (1 << i) != 0;
             i += 1;
-            let surviving = surv_early | surv_beside;
-            if i >= 64 || surviving >> i == 0 {
+            if startable {
+                if pick.is_none_or(|p| key(job) < key(p)) {
+                    pick = Some(job);
+                }
+                // Arrival order: the first startable job is the pick —
+                // later reservations cannot change it.
+                if !self.shortest_first {
+                    break;
+                }
+            }
+            if i >= RESERVATION_DEPTH {
+                break;
+            }
+            let later = survivors >> i << i;
+            if later == 0 {
+                break;
+            }
+            let free = base.at(start);
+            let (nodes, memory_gb) = self.profile.reserved_at(start);
+            let level = (
+                free.free_nodes.saturating_sub(nodes),
+                free.free_memory_gb.saturating_sub(memory_gb),
+            );
+            survivors &= !blocked_at(view, later, start, level);
+            if survivors >> i == 0 {
                 break;
             }
         }
-        let pick = startable
-            .into_iter()
-            .min_by_key(|j| (j.walltime, j.submit, j.id));
+        telemetry.count("sim_conservative_places_total", i as u64);
         match pick {
             Some(j) if j.id == head.id => Action::StartJob(j.id),
             Some(j) => Action::BackfillJob(j.id),
@@ -442,5 +427,59 @@ mod tests {
         )
         .expect("completes");
         assert_eq!(out.records.len(), jobs.len());
+    }
+
+    #[test]
+    fn a_placement_that_fills_its_start_ends_the_pass() {
+        use rsched_cluster::{CompletedStats, UserId, MAX_CLASSES};
+        use rsched_sim::{RunningSummary, TelemetrySink};
+
+        let running = |id: u32, nodes: u32, end_s: u64| RunningSummary {
+            id: JobId(id),
+            user: UserId(0),
+            nodes,
+            memory_gb: 1,
+            start: SimTime::ZERO,
+            submit: SimTime::ZERO,
+            expected_end: SimTime::from_secs(end_s),
+            class: None,
+        };
+        // 2 of 8 nodes free now, 6 from t=100, all 8 from t=200.
+        let running = [running(100, 4, 100), running(101, 2, 200)];
+        let mut waiting = vec![
+            spec(1, 0, 10, 8),  // head: shadow t=200
+            spec(2, 0, 100, 6), // no fit now; reserved over [100, 200)
+        ];
+        // Fit now and end by the head's shadow, so the veto passes them,
+        // but each window reaches t=100, where job 2 leaves nothing free.
+        waiting.extend((3..=10).map(|id| spec(id, 0, 150, 1)));
+        let sink = TelemetrySink::recording();
+        let view = SystemView {
+            now: SimTime::ZERO,
+            config: ClusterConfig::new(8, 64),
+            free_nodes: 2,
+            free_memory_gb: 62,
+            free_by_class: [0; MAX_CLASSES],
+            waiting: &waiting,
+            running: &running,
+            completed: &[],
+            completed_stats: CompletedStats::default(),
+            pending_arrivals: 0,
+            total_jobs: waiting.len() + running.len(),
+            calendar: None,
+            telemetry: Some(&sink),
+            queue: None,
+        };
+        let mut policy = ConservativeBackfill::new();
+        assert_eq!(policy.decide(&view), Action::Delay);
+        assert_eq!(policy.provenance(), Some(DelayReason::ReservationBlocked));
+        let counter = |name| sink.with(|t| t.metrics.counter(name)).flatten();
+        assert_eq!(
+            counter("sim_conservative_reservation_passes_total"),
+            Some(1)
+        );
+        // The head and job 2: nothing is left free at t=100, so jobs 3–10
+        // are dropped unplaced.
+        assert_eq!(counter("sim_conservative_places_total"), Some(2));
     }
 }

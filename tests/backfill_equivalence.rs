@@ -467,6 +467,26 @@ fn calendar_backfill_matches_reference_on_a_polaris_stream() {
     }
 }
 
+/// 4 policies × a flat and a classed backlog of 200 jobs, all submitted
+/// at t = 0, so the queue runs past the reservation depth for most of the
+/// run and every pass that ends in `Delay` has a full window to walk.
+#[test]
+fn calendar_backfill_matches_reference_on_deep_static_queues() {
+    let grid = [
+        (ClusterConfig::paper_default(), "long_tail"),
+        (ClusterConfig::mixed_256(), "gpu_skewed_hetmix"),
+    ];
+    for (cluster, scenario) in grid {
+        let ctx = ScenarioContext::new(200)
+            .with_mode(ArrivalMode::Static)
+            .with_seed(7)
+            .with_cluster(cluster);
+        let generated = scenario_builtins().generate(scenario, &ctx);
+        let jobs = generated.expect("builtin scenario").jobs;
+        run_pair(cluster, &jobs, &format!("{scenario}/static 200"));
+    }
+}
+
 /// EASY through the service core with fair-share ranking on, flat and
 /// classed: arrivals enter at their tenants' usage-decayed ranks, so the
 /// queue — and the arrival order EASY's pick is read from — runs by

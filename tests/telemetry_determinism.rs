@@ -163,8 +163,11 @@ fn harvested_counters_agree_with_kernel_stats() {
             "sim_epoch_{code}_total"
         );
     }
-    // The conservative policy's own instrumentation fired.
+    // The conservative policy's own instrumentation fired, and its work is
+    // an exact count: each pass stops once no job it has yet to reach can
+    // start now.
     assert!(counter(&snapshot, "sim_conservative_reservation_passes_total") > 0);
+    assert_eq!(counter(&snapshot, "sim_conservative_places_total"), 750);
 }
 
 /// `long_tail` × `n` static jobs at seed 7 on Polaris under `policy`, a
