@@ -259,7 +259,7 @@ mod tests {
             free_nodes: 256,
             free_memory_gb: 2048,
             free_by_class: [0; rsched_cluster::MAX_CLASSES],
-            waiting,
+            waiting: waiting.into(),
             running: &[],
             completed: &[],
             completed_stats: rsched_cluster::CompletedStats::default(),

@@ -180,7 +180,7 @@ mod tests {
                 free_nodes: 238,
                 free_memory_gb: 576,
                 free_by_class: [0; rsched_cluster::MAX_CLASSES],
-                waiting: &self.waiting,
+                waiting: self.waiting.as_slice().into(),
                 running: &self.running,
                 completed: &self.completed,
                 completed_stats: CompletedStats::from_records(&self.completed),

@@ -98,16 +98,22 @@ impl ConservativeBackfill {
     }
 }
 
-/// The jobs of `mask` (bits are queue positions) that a free level of
+/// The jobs of `mask` (bits are positions in `window`) that a free level of
 /// `(nodes, memory_gb)` at `s` keeps from starting now: their window from
 /// `now` reaches `s` and their demand exceeds the level there.
-fn blocked_at(view: &SystemView<'_>, mut mask: u64, s: SimTime, level: (u32, u64)) -> u64 {
+fn blocked_at(
+    now: SimTime,
+    window: &[&JobSpec],
+    mut mask: u64,
+    s: SimTime,
+    level: (u32, u64),
+) -> u64 {
     let mut blocked = 0;
     while mask != 0 {
         let i = mask.trailing_zeros() as usize;
         mask &= mask - 1;
-        let job = &view.waiting[i];
-        if view.now + job.walltime > s && (job.nodes > level.0 || job.memory_gb > level.1) {
+        let job = window[i];
+        if now + job.walltime > s && (job.nodes > level.0 || job.memory_gb > level.1) {
             blocked |= 1 << i;
         }
     }
@@ -148,18 +154,27 @@ impl SchedulingPolicy for ConservativeBackfill {
         {
             return Action::StartJob(head.id);
         }
+        // The depth window — the first `RESERVATION_DEPTH` waiting jobs —
+        // read from the queue once, onto the stack.
+        let mut slots = [head; RESERVATION_DEPTH];
+        let mut depth = 0;
+        for (slot, job) in slots.iter_mut().zip(view.waiting) {
+            *slot = job;
+            depth += 1;
+        }
+        let window = &slots[..depth];
         // Candidate pre-scan: startable requires `fits_now` and no
         // same-epoch rejection, both cheap scalar tests. No qualifying job
         // in the depth window means the reservation pass below could only
         // return `Delay` — skip it.
         let mut candidates = 0u64;
-        for (i, job) in view.waiting.iter().take(RESERVATION_DEPTH).enumerate() {
+        for (i, job) in window.iter().enumerate() {
             if view.fits_now(job) && !self.rejected(job.id) {
                 candidates |= 1 << i;
             }
         }
         if candidates == 0 {
-            let considered = view.waiting.len().min(RESERVATION_DEPTH) as u32;
+            let considered = window.len() as u32;
             return self.delay(DelayReason::NoStartableCandidate { considered });
         }
         let base = view.capacity_calendar();
@@ -178,7 +193,7 @@ impl SchedulingPolicy for ConservativeBackfill {
                 shadow.free_memory_gb.saturating_sub(head.memory_gb),
             );
             survivors &= !1;
-            survivors &= !blocked_at(view, survivors, head_start, beside);
+            survivors &= !blocked_at(view.now, window, survivors, head_start, beside);
         }
         if survivors == 0 {
             // Always a head-shadow veto: when the head fits now
@@ -211,7 +226,7 @@ impl SchedulingPolicy for ConservativeBackfill {
         let mut pick: Option<&JobSpec> = None;
         let mut i = 0;
         loop {
-            let job = &view.waiting[i];
+            let job = window[i];
             let start = self.profile.place(
                 base.points(),
                 view.now,
@@ -231,7 +246,7 @@ impl SchedulingPolicy for ConservativeBackfill {
                     break;
                 }
             }
-            if i >= RESERVATION_DEPTH {
+            if i >= window.len() {
                 break;
             }
             let later = survivors >> i << i;
@@ -244,7 +259,7 @@ impl SchedulingPolicy for ConservativeBackfill {
                 free.free_nodes.saturating_sub(nodes),
                 free.free_memory_gb.saturating_sub(memory_gb),
             );
-            survivors &= !blocked_at(view, later, start, level);
+            survivors &= !blocked_at(view.now, window, later, start, level);
             if survivors >> i == 0 {
                 break;
             }
@@ -460,7 +475,7 @@ mod tests {
             free_nodes: 2,
             free_memory_gb: 62,
             free_by_class: [0; MAX_CLASSES],
-            waiting: &waiting,
+            waiting: waiting.as_slice().into(),
             running: &running,
             completed: &[],
             completed_stats: CompletedStats::default(),

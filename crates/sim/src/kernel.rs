@@ -28,9 +28,7 @@
 //! at the same instants: the kernel is the single source of truth, the
 //! drivers only decide *when* it runs and *how* jobs reach it.
 
-use rsched_cluster::{
-    ClusterConfig, ClusterState, JobId, JobRecord, JobSpec, StartError, StepIntegral,
-};
+use rsched_cluster::{ClusterConfig, ClusterState, JobRecord, JobSpec, StartError, StepIntegral};
 use rsched_simkit::{EventQueue, SimTime};
 use rsched_telemetry::{DelayReason, EpochOutcome, EpochTrace, TelemetrySink};
 
@@ -39,7 +37,7 @@ use crate::policy::{Action, ActionOutcome, RejectReason, SchedulingPolicy};
 use crate::profile::CapacityLedger;
 use crate::queue::{RunningSet, WaitQueue};
 use crate::simulator::{SimError, SimOptions};
-use crate::view::{RunningSummary, SystemView};
+use crate::view::{RunningSummary, SystemView, Waiting};
 
 /// The scheduling state machine shared by the virtual-time simulator and
 /// the wall-clock service daemon.
@@ -403,6 +401,8 @@ impl KernelState {
         t.set_counter("sim_queue_arrival_entries_total", entries);
         let shifts = self.queue.arrival_shifts();
         t.set_counter("sim_queue_arrival_shifts_total", shifts);
+        let moves = self.queue.removal_moves();
+        t.set_counter("sim_queue_removal_moves_total", moves);
         t.set_gauge("sim_queue_depth", self.queue.len() as i64);
         t.set_gauge("sim_running_jobs", self.cluster.running_count() as i64);
         t.set_gauge("sim_event_heap_peak", self.event_heap_peak as i64);
@@ -428,16 +428,18 @@ impl KernelState {
                 }
             }
             Action::StartJob(id) => {
-                let (at, spec) = lookup_waiting(self.queue.as_slice(), id)?;
-                self.start_waiting_job(now, at, &spec)?;
+                let slot = self.queue.find(id).ok_or(RejectReason::NotInQueue(id))?;
+                let spec = self.queue.job(slot).clone();
+                self.start_waiting_job(now, slot, &spec)?;
                 Ok(Applied::Placement)
             }
             Action::BackfillJob(id) => {
-                let (at, spec) = lookup_waiting(self.queue.as_slice(), id)?;
-                // The queue is sorted, so the head is O(1).
+                let slot = self.queue.find(id).ok_or(RejectReason::NotInQueue(id))?;
+                let spec = self.queue.job(slot).clone();
+                // The head cursor rests on the first waiting job: O(1).
                 let head = self
                     .queue
-                    .as_slice()
+                    .waiting()
                     .first()
                     .expect("waiting non-empty: spec was found in it");
                 if head.id != spec.id && options.strict_backfill {
@@ -466,20 +468,21 @@ impl KernelState {
                         });
                     }
                 }
-                self.start_waiting_job(now, at, &spec)?;
+                self.start_waiting_job(now, slot, &spec)?;
                 Ok(Applied::Placement)
             }
         }
     }
 
+    /// Start `spec`, the job waiting in queue `slot`.
     fn start_waiting_job(
         &mut self,
         now: SimTime,
-        queue_index: usize,
+        slot: usize,
         spec: &JobSpec,
     ) -> Result<(), RejectReason> {
         match self.cluster.start_job(spec, now) {
-            Ok((slot, started)) => {
+            Ok((running_slot, started)) => {
                 let end = started.end;
                 // The memory the cluster actually debited: equals the
                 // request on flat clusters, but classed clusters charge the
@@ -490,9 +493,9 @@ impl KernelState {
                 // this placement's nodes return to each class at completion
                 // (all zeros on a flat machine).
                 let released_by_class = started.allocation.by_class;
-                self.events.push(end, slot);
+                self.events.push(end, running_slot);
                 self.event_heap_peak = self.event_heap_peak.max(self.events.len());
-                self.queue.remove_at(queue_index);
+                self.queue.remove(slot);
                 // Maintain the running mirror incrementally — never rebuilt.
                 self.running.insert(RunningSummary {
                     id: spec.id,
@@ -531,9 +534,9 @@ impl KernelState {
 
     // ---- inspection ------------------------------------------------------
 
-    /// The waiting queue in decision order.
-    pub fn waiting(&self) -> &[JobSpec] {
-        self.queue.as_slice()
+    /// The waiting jobs in queue order.
+    pub fn waiting(&self) -> Waiting<'_> {
+        self.queue.waiting()
     }
 
     /// Number of waiting jobs.
@@ -607,7 +610,7 @@ impl KernelState {
             free_nodes: self.cluster.free_nodes(),
             free_memory_gb: self.cluster.free_memory_gb(),
             free_by_class: self.cluster.free_by_class(),
-            waiting: self.queue.as_slice(),
+            waiting: self.queue.waiting(),
             running: self.running.as_slice(),
             completed: self.cluster.completed(),
             completed_stats: self.cluster.completed_stats(),
@@ -664,14 +667,6 @@ enum EpochClose {
     Stop,
 }
 
-fn lookup_waiting(waiting: &[JobSpec], id: JobId) -> Result<(usize, JobSpec), RejectReason> {
-    waiting
-        .iter()
-        .position(|j| j.id == id)
-        .map(|at| (at, waiting[at].clone()))
-        .ok_or(RejectReason::NotInQueue(id))
-}
-
 fn insufficient(cluster: &ClusterState, spec: &JobSpec) -> RejectReason {
     RejectReason::InsufficientResources {
         job: spec.id,
@@ -685,6 +680,7 @@ fn insufficient(cluster: &ClusterState, spec: &JobSpec) -> RejectReason {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rsched_cluster::JobId;
     use rsched_simkit::SimDuration;
 
     /// Starts the first waiting job that fits; delays otherwise.
@@ -750,5 +746,70 @@ mod tests {
         let jumped = integrals(&[25, 30]);
         assert_eq!(jumped, integrals(&[10, 20, 25, 30]));
         assert_eq!(jumped, (60.0f64.to_bits(), 120.0f64.to_bits()));
+    }
+
+    /// Starts SJF's pick, then the same job again, then delays.
+    #[derive(Default)]
+    struct StartsTwice {
+        picked: Option<JobId>,
+        queries: usize,
+    }
+
+    impl SchedulingPolicy for StartsTwice {
+        fn name(&self) -> &str {
+            "starts-twice"
+        }
+        fn decide(&mut self, view: &SystemView<'_>) -> Action {
+            self.queries += 1;
+            match self.queries {
+                1 => {
+                    let id = view.shortest_eligible().expect("something fits");
+                    self.picked = Some(id);
+                    Action::StartJob(id)
+                }
+                2 => Action::StartJob(self.picked.expect("picked first")),
+                _ => Action::Delay,
+            }
+        }
+    }
+
+    /// A started job leaves its tombstone in the middle of a deep queue,
+    /// where the id column still holds its id: a second start of it in the
+    /// same epoch finds no waiting job and is rejected, and the queue's
+    /// view no longer holds it.
+    #[test]
+    fn a_job_started_twice_in_one_epoch_is_not_in_the_queue_the_second_time() {
+        let mut kernel = KernelState::new(ClusterConfig::new(8, 64), SimTime::ZERO);
+        for i in 0..200u32 {
+            let walltime = SimDuration::from_secs(100 + 10 * u64::from(i.abs_diff(100)));
+            let job = JobSpec::new(i, 0, SimTime::ZERO, walltime, 1, 2);
+            kernel.arrive(job.with_walltime(walltime));
+        }
+        kernel.advance_to(SimTime::ZERO);
+        let mut policy = StartsTwice::default();
+        let queried = kernel.run_epoch(SimTime::ZERO, 0, 200, &mut policy, &SimOptions::default());
+        assert_eq!(queried, Ok(true));
+
+        let middle = JobId(100);
+        let verdicts: Vec<(Action, Option<RejectReason>)> = kernel
+            .decisions()
+            .iter()
+            .map(|d| (d.action, d.rejected.clone()))
+            .collect();
+        assert_eq!(
+            verdicts,
+            [
+                (Action::StartJob(middle), None),
+                (
+                    Action::StartJob(middle),
+                    Some(RejectReason::NotInQueue(middle))
+                ),
+                (Action::Delay, None),
+            ]
+        );
+        assert_eq!(kernel.running_count(), 1);
+        assert_eq!(kernel.waiting_len(), 199);
+        assert_eq!(kernel.waiting().iter().len(), 199);
+        assert!(kernel.waiting().iter().all(|j| j.id != middle));
     }
 }

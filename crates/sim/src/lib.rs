@@ -62,7 +62,7 @@ pub use queue::WaitQueue;
 pub use scan::ScanOutcome;
 pub use simulator::{job_is_feasible, run_simulation, validate_workload, SimError, SimOptions};
 pub use store::JobStore;
-pub use view::{CompletedStats, RunningSummary, SystemView};
+pub use view::{CompletedStats, RunningSummary, SystemView, Waiting, WaitingIter};
 
 // Telemetry vocabulary re-exported so policies and drivers can name the
 // provenance/sink types without a direct `rsched-telemetry` dependency.

@@ -16,17 +16,21 @@
 //!   of a virtual-time arrival — through one routine, `WaitQueue::arrive`:
 //!   the batch is sorted by the same key and appended, and where part of it
 //!   sorts ahead of waiting jobs it is merged in from the back, each
-//!   waiting job behind the batch's first key moving once and none ahead of
-//!   it at all (`sim_queue_arrival_shifts_total` counts the moves). The
-//!   queue pops the head in O(1) amortized via a head
-//!   offset, and answers "does anything fit?" without probing the jobs:
-//!   conservative min-demand watermarks ahead of a dense column scan on a
-//!   flat machine, a lookup in an exact count of waiting jobs per
+//!   slot behind the batch's first key moving once and none ahead of
+//!   it at all (`sim_queue_arrival_shifts_total` counts the moves). A
+//!   started job leaves a tombstone, not a hole: wherever it sits, its
+//!   slot is killed in O(1) — the liveness bit cleared, the demand columns
+//!   maxed so no fit scan fits it — and a head cursor skips dead slots;
+//!   once dead slots outnumber live ones (and exceed 32) one pass compacts
+//!   every column (`sim_queue_removal_moves_total` counts the jobs it
+//!   moves). The kernel finds a job to start through the store's dense id
+//!   column. The queue answers "does anything fit?" without probing the
+//!   jobs: conservative min-demand watermarks ahead of a dense column scan
+//!   on a flat machine, a lookup in an exact count of waiting jobs per
 //!   compatible-slot set on a classed one; *which* job fits (SJF's pick)
 //!   from a shortest-first order, and *which* backfills (EASY's) from an
-//!   arrival order, each built the first time a policy asks. A
-//!   removal shifts whichever side is shorter. The **rank** is a fair-share
-//!   priority tag:
+//!   arrival order, each built from the live jobs the first time a policy
+//!   asks. The **rank** is a fair-share priority tag:
 //!   the virtual-time simulator always inserts at rank 0, which makes the
 //!   order exactly the paper's `(submit, id)` arrival order; the
 //!   multi-tenant service daemon inserts with usage-decayed tenant ranks so
@@ -35,7 +39,8 @@
 //!   [`RunningSummary`]s sorted by id, updated on start/complete instead of
 //!   rebuilt per query.
 //!
-//! Both expose their contents as slices, which is what lets
+//! Both expose their contents in place — the queue as a [`Waiting`] view
+//! over its slots, the running set as a slice — which is what lets
 //! [`SystemView`](crate::SystemView) borrow instead of clone.
 
 use std::cell::{Cell, OnceCell};
@@ -52,7 +57,7 @@ use rsched_simkit::{SimDuration, SimTime};
 use crate::profile::HeadReservation;
 use crate::scan;
 use crate::store::JobStore;
-use crate::view::RunningSummary;
+use crate::view::{RunningSummary, Waiting};
 
 /// Key of the shortest-first order: a job's *demand class* — everything
 /// the machine's fit test reads of it — then `(walltime, id)`, so the first
@@ -136,21 +141,30 @@ impl ClassKey for ArrivalKey {
 /// With every rank 0 (the simulator's only mode) this is exactly the
 /// `(submit, id)` arrival order the paper's policies assume.
 ///
+/// A started job leaves a tombstone, not a hole: its slot is killed in
+/// O(1) wherever it sits, keeps its spec, id and rank until the next
+/// compaction, and is skipped by the head cursor, by [`Waiting`] and by
+/// every scan. So the `(rank, submit, id)` order holds over every slot,
+/// live or dead, and the binary search and the merge of a batch of
+/// arrivals run over the physical slots unchanged.
+///
 /// The queue is built for one machine and summarizes its jobs for that
 /// machine's fit test: the watermarks on a flat topology, the index on a
 /// classed one — never both. Public as [`SystemView`](crate::SystemView)'s
 /// opaque handle only: every method is the crate's.
 #[derive(Debug)]
 pub struct WaitQueue {
-    /// SoA-packed backing storage; the live queue is `jobs[head..]`.
-    /// The store's dense demand columns feed the flat-cluster fit scan.
+    /// SoA-packed backing storage: live and dead slots, the dense demand
+    /// columns feeding the flat-cluster fit scan, the id column feeding
+    /// [`find`](Self::find).
     jobs: JobStore,
-    /// Fair-share rank per job, aligned with the store (same head offset).
+    /// Fair-share rank per slot, aligned with the store.
     ranks: Vec<u64>,
-    /// Index of the logical front. Head removals (the FCFS common case)
-    /// just advance this; the buffer is compacted when the dead prefix
-    /// outgrows the live queue.
+    /// The first live slot, or the store's length when nothing waits:
+    /// every slot before it is dead.
     head: usize,
+    /// How many slots are live.
+    live: usize,
     /// Flat machines. Conservative lower bound on the minimum node demand
     /// over the queue: never above the true minimum (insertions tighten
     /// it, removals may leave it stale-low), so `free < watermark` soundly
@@ -178,9 +192,11 @@ pub struct WaitQueue {
     arrival: OnceCell<BTreeSet<ArrivalKey>>,
     /// Keys `first_admitted` has examined so far (telemetry).
     entries: Cell<u64>,
-    /// Waiting jobs [`arrive`](Self::arrive) has moved to make room so far
+    /// Slots [`arrive`](Self::arrive) has moved to make room so far
     /// (telemetry).
     shifts: u64,
+    /// Live jobs compaction has moved so far (telemetry).
+    moves: u64,
 }
 
 impl WaitQueue {
@@ -190,6 +206,7 @@ impl WaitQueue {
             jobs: JobStore::new(),
             ranks: Vec::new(),
             head: 0,
+            live: 0,
             min_nodes: u32::MAX,
             min_memory_gb: u64::MAX,
             topology,
@@ -199,6 +216,7 @@ impl WaitQueue {
             arrival: OnceCell::new(),
             entries: Cell::new(0),
             shifts: 0,
+            moves: 0,
         }
     }
 
@@ -208,27 +226,53 @@ impl WaitQueue {
         (slots, job.nodes)
     }
 
-    pub(crate) fn as_slice(&self) -> &[JobSpec] {
-        &self.jobs.specs()[self.head..]
+    /// The waiting jobs, in queue order, as policies see them.
+    pub(crate) fn waiting(&self) -> Waiting<'_> {
+        let slots = &self.jobs.specs()[self.head..];
+        Waiting::in_slots(slots, &self.jobs.live()[self.head..], self.live)
+    }
+
+    /// Every waiting job with its rank, in queue order.
+    fn ranked(&self) -> impl Iterator<Item = (&JobSpec, u64)> {
+        let slots = self
+            .jobs
+            .specs()
+            .iter()
+            .zip(self.jobs.live())
+            .zip(&self.ranks);
+        let slots = slots.skip(self.head).filter(|((_, &live), _)| live);
+        slots.map(|((job, _), &rank)| (job, rank))
     }
 
     pub(crate) fn len(&self) -> usize {
-        self.jobs.len() - self.head
+        self.live
     }
 
     pub(crate) fn is_empty(&self) -> bool {
-        self.head == self.jobs.len()
+        self.live == 0
     }
 
-    /// Position of `(rank, submit, id)` among the live jobs `within`,
-    /// whether or not it is present (`Result` as in `slice::binary_search`).
+    /// The slot of the waiting job with this id, `None` if no job with it
+    /// waits — one that has started finds its tombstone, not a match.
+    pub(crate) fn find(&self, id: JobId) -> Option<usize> {
+        self.jobs.find(self.head, id)
+    }
+
+    /// The job in a live `slot`, as [`find`](Self::find) returned it.
+    pub(crate) fn job(&self, slot: usize) -> &JobSpec {
+        debug_assert!(self.jobs.live()[slot], "slot {slot} does not wait");
+        &self.jobs.specs()[slot]
+    }
+
+    /// Slot of `(rank, submit, id)` among the slots `within`, live or
+    /// dead, whether or not it is present (`Result` as in
+    /// `slice::binary_search`).
     fn position(&self, within: Range<usize>, key: Place) -> Result<usize, usize> {
-        let live = self.as_slice();
-        let ranks = &self.ranks[self.head..];
+        let specs = self.jobs.specs();
         let (mut lo, mut hi) = (within.start, within.end);
         while lo < hi {
             let mid = lo + (hi - lo) / 2;
-            let mid_key = (ranks[mid], live[mid].submit, live[mid].id);
+            let mid_key = (self.ranks[mid], specs[mid].submit, specs[mid].id);
             match mid_key.cmp(&key) {
                 std::cmp::Ordering::Less => lo = mid + 1,
                 std::cmp::Ordering::Greater => hi = mid,
@@ -257,11 +301,11 @@ impl WaitQueue {
     /// order would leave, since ids are unique. The batch is sorted by that
     /// key and appended, which is all there is to do when none of it sorts
     /// ahead of a waiting job (every virtual-time arrival); otherwise it is
-    /// merged in from the back: the waiting jobs behind each arrival move
-    /// right in one run, past every arrival still to be placed, so a
-    /// waiting job moves at most once per batch however many arrivals land
-    /// ahead of it, and none ahead of the batch's first key moves at all.
-    /// This is the only place arrivals shift the queue.
+    /// merged in from the back: the slots behind each arrival move right
+    /// in one run, past every arrival still to be placed, so a slot moves
+    /// at most once per batch however many arrivals land ahead of it, and
+    /// none ahead of the batch's first key moves at all. A dead slot moves
+    /// as a dead slot. This is the only place arrivals shift the queue.
     pub(crate) fn arrive(&mut self, batch: &mut [(JobSpec, u64)]) {
         let place = |(job, rank): &(JobSpec, u64)| -> Place { (*rank, job.submit, job.id) };
         batch.sort_unstable_by_key(place);
@@ -271,8 +315,8 @@ impl WaitQueue {
         let duplicate = "duplicate job ids are rejected before insertion";
         let ascends = |pair: &[(JobSpec, u64)]| place(&pair[0]) < place(&pair[1]);
         assert!(batch.windows(2).all(ascends), "{duplicate}");
-        let mut end = self.len();
-        let floor = self.position(0..end, first).expect_err(duplicate);
+        let mut end = self.jobs.len();
+        let floor = self.position(self.head..end, first).expect_err(duplicate);
         for (job, rank) in batch.iter() {
             if self.topology.is_flat() {
                 self.min_nodes = self.min_nodes.min(job.nodes);
@@ -289,57 +333,53 @@ impl WaitQueue {
             self.jobs.push(job.clone());
             self.ranks.push(*rank);
         }
+        self.live += batch.len();
         if floor == end {
             return;
         }
-        // The waiting jobs `floor..end` are still to be merged; the slots
-        // behind them hold the appended copies, then whatever a run left.
+        // The slots `floor..end` are still to be merged; the slots behind
+        // them hold the appended copies, then whatever a run left.
         for (ahead, entry @ (job, rank)) in batch.iter().enumerate().rev() {
             let at = self
                 .position(floor..end, place(entry))
                 .expect_err(duplicate);
-            let (from, to) = (self.head + at, self.head + end);
-            self.jobs.shift_right(from, to, ahead + 1);
-            self.ranks.copy_within(from..to, from + ahead + 1);
-            self.jobs.set(from + ahead, job.clone());
-            self.ranks[from + ahead] = *rank;
+            // A run of one tenant's arrivals lands with no slot between
+            // them: most arrivals of a service batch have nothing to move.
+            if at < end {
+                self.jobs.shift_right(at, end, ahead + 1);
+                self.ranks.copy_within(at..end, at + ahead + 1);
+            }
+            self.jobs.set(at + ahead, job.clone());
+            self.ranks[at + ahead] = *rank;
             self.shifts += (end - at) as u64;
             end = at;
         }
     }
 
-    /// Remove the job at `index` of [`as_slice`](Self::as_slice), returning
-    /// it. O(1) amortized at the head, O(min(index, len − index))
-    /// elsewhere — the shorter side moves: up to the middle, the prefix
-    /// left of the job rotates right by one and the head offset advances,
-    /// never touching the tail; past the middle, the tail behind the job
-    /// shifts left. FCFS and backfills near the head stay on the first
-    /// path; SJF's minimum and an EASY backfill can sit anywhere in the
-    /// queue, and neither pays for more than half of it.
+    /// The waiting job in `slot` (as [`find`](Self::find) returned it)
+    /// leaves the queue: O(1), nothing moves. Its slot is killed, the head
+    /// cursor steps past it and any dead slots behind it, and once dead
+    /// slots outnumber live ones — and exceed 32 — one pass drops them
+    /// all, so the slots never exceed twice the waiting jobs plus 32 and
+    /// each start pays for at most one later move. A queue that drains is
+    /// cleared outright.
     ///
     /// # Panics
-    /// Panics if `index` is out of bounds.
-    pub(crate) fn remove_at(&mut self, index: usize) -> JobSpec {
-        assert!(index < self.len(), "WaitQueue::remove_at out of bounds");
-        let at = self.head + index;
-        let rank = self.ranks[at];
-        let job = if index > self.len() / 2 {
-            self.ranks.remove(at);
-            self.jobs.remove(at)
-        } else {
-            self.ranks[self.head..=at].rotate_right(1);
-            self.jobs.rotate_right_prefix(self.head, at);
-            self.head += 1;
-            self.jobs.specs()[self.head - 1].clone()
-        };
+    /// Panics if no job waits in `slot`.
+    pub(crate) fn remove(&mut self, slot: usize) {
+        assert!(
+            self.jobs.live()[slot],
+            "WaitQueue::remove: no job waits in slot {slot}"
+        );
+        let job = &self.jobs.specs()[slot];
         if let Some(order) = self.order.get_mut() {
-            order.remove(&OrderKey::of(&self.topology, &job));
+            order.remove(&OrderKey::of(&self.topology, job));
         }
         if let Some(arrival) = self.arrival.get_mut() {
-            arrival.remove(&arrival_key(&self.topology, &job, rank));
+            arrival.remove(&arrival_key(&self.topology, job, self.ranks[slot]));
         }
         if !self.topology.is_flat() {
-            let key = self.index_key(&job);
+            let key = self.index_key(job);
             let count = self
                 .index
                 .get_mut(&key)
@@ -349,21 +389,27 @@ impl WaitQueue {
                 self.index.remove(&key);
             }
         }
-        // Compact once the dead prefix dominates, keeping amortized
-        // O(1) head pops without unbounded memory retention.
-        if self.head > 32 && self.head * 2 > self.jobs.len() {
-            self.jobs.drain_front(self.head);
-            self.ranks.drain(..self.head);
-            self.head = 0;
-        }
-        if self.is_empty() {
+        self.jobs.kill(slot);
+        self.live -= 1;
+        if self.live == 0 {
             self.jobs.clear();
             self.ranks.clear();
             self.head = 0;
             self.min_nodes = u32::MAX;
             self.min_memory_gb = u64::MAX;
+            return;
         }
-        job
+        while !self.jobs.live()[self.head] {
+            self.head += 1;
+        }
+        let dead = self.jobs.len() - self.live;
+        if dead > 32 && dead > self.live {
+            let mut live = self.jobs.live().iter();
+            self.ranks
+                .retain(|_| *live.next().expect("one rank per slot"));
+            self.moves += self.jobs.retain_live();
+            self.head = 0;
+        }
     }
 
     /// `true` if at least one waiting job fits the cluster's free resources
@@ -411,7 +457,10 @@ impl WaitQueue {
             return false;
         }
         // `can_fit` is exactly the two column comparisons, so the store's
-        // SoA mirror gives the same answer as probing the full specs.
+        // SoA mirror gives the same answer as probing the full specs. A
+        // dead slot reads the maxima: it never lowers a minimum, and it
+        // fits only free levels at both maxima, which every waiting job
+        // fits too — so the answer is the live jobs' either way.
         let out = scan::first_fit_flat_serial(
             &self.jobs.nodes()[self.head..],
             &self.jobs.memory_gb()[self.head..],
@@ -438,10 +487,11 @@ impl WaitQueue {
         free_memory_gb: u64,
         free_by_class: &[u32; MAX_CLASSES],
     ) -> Option<JobId> {
-        let key_of = |job| OrderKey::of(&self.topology, job);
-        let order = self
-            .order
-            .get_or_init(|| self.as_slice().iter().map(key_of).collect());
+        let order = self.order.get_or_init(|| {
+            let jobs = self.ranked();
+            jobs.map(|(job, _)| OrderKey::of(&self.topology, job))
+                .collect()
+        });
         let mut best: Option<(SimDuration, JobId)> = None;
         let free = (free_nodes, free_memory_gb, free_by_class);
         self.fitting_classes(free, order, &self.probes, |key| {
@@ -502,8 +552,8 @@ impl WaitQueue {
         reservation: &HeadReservation,
     ) -> Option<JobId> {
         let arrival = self.arrival.get_or_init(|| {
-            let jobs = self.as_slice().iter().zip(&self.ranks[self.head..]);
-            jobs.map(|(job, &rank)| arrival_key(&self.topology, job, rank))
+            let jobs = self.ranked();
+            jobs.map(|(job, rank)| arrival_key(&self.topology, job, rank))
                 .collect()
         });
         let mut best: Option<Place> = None;
@@ -512,9 +562,9 @@ impl WaitQueue {
             if !ahead(&first) {
                 return;
             }
-            let at = self.position(0..self.len(), first.2);
+            let at = self.position(self.head..self.jobs.len(), first.2);
             let at = at.expect("indexed jobs wait");
-            let found = if reservation.admits(&self.as_slice()[at]) {
+            let found = if reservation.admits(&self.jobs.specs()[at]) {
                 Some(&first)
             } else {
                 let behind = (Excluded(first), Included(first.last_of(first.1)));
@@ -537,9 +587,14 @@ impl WaitQueue {
         (u64::from(self.arrival.get().is_some()), self.entries.get())
     }
 
-    /// Telemetry: waiting jobs moved to make room for arrivals.
+    /// Telemetry: slots moved to make room for arrivals.
     pub(crate) fn arrival_shifts(&self) -> u64 {
         self.shifts
+    }
+
+    /// Telemetry: waiting jobs moved by compaction.
+    pub(crate) fn removal_moves(&self) -> u64 {
+        self.moves
     }
 }
 
@@ -592,13 +647,41 @@ mod tests {
         )
     }
 
-    /// Live-queue index of the job with this id (tests only).
-    fn index_of(q: &WaitQueue, id: u32) -> Option<usize> {
-        q.as_slice().iter().position(|j| j.id == JobId(id))
+    /// The waiting jobs' ids, in queue order.
+    fn ids(q: &WaitQueue) -> Vec<u32> {
+        q.waiting().iter().map(|j| j.id.0).collect()
+    }
+
+    /// The slot of the `nth` waiting job.
+    fn nth_slot(q: &WaitQueue, nth: usize) -> usize {
+        let mut slots = (q.head..q.jobs.len()).filter(|&slot| q.jobs.live()[slot]);
+        slots.nth(nth).expect("nth < len")
+    }
+
+    /// Start the `nth` waiting job, as the kernel does: returns it.
+    fn remove_nth(q: &mut WaitQueue, nth: usize) -> JobSpec {
+        let slot = nth_slot(q, nth);
+        let job = q.job(slot).clone();
+        q.remove(slot);
+        job
     }
 
     fn remove_id(q: &mut WaitQueue, id: u32) -> Option<JobSpec> {
-        index_of(q, id).map(|at| q.remove_at(at))
+        let slot = q.find(JobId(id))?;
+        let job = q.job(slot).clone();
+        q.remove(slot);
+        Some(job)
+    }
+
+    /// The count index recounted from the waiting jobs (empty when flat).
+    fn recount(q: &WaitQueue) -> BTreeMap<(SlotSet, u32), u32> {
+        let mut recount = BTreeMap::new();
+        if !q.topology.is_flat() {
+            for job in q.waiting() {
+                *recount.entry(q.index_key(job)).or_insert(0u32) += 1;
+            }
+        }
+        recount
     }
 
     #[test]
@@ -607,8 +690,7 @@ mod tests {
         for j in [spec(5, 10, 1, 1), spec(2, 10, 1, 1), spec(9, 3, 1, 1)] {
             q.insert(j);
         }
-        let ids: Vec<u32> = q.as_slice().iter().map(|j| j.id.0).collect();
-        assert_eq!(ids, vec![9, 2, 5], "submit asc, then id asc");
+        assert_eq!(ids(&q), vec![9, 2, 5], "submit asc, then id asc");
         assert_eq!(q.len(), 3);
     }
 
@@ -621,86 +703,107 @@ mod tests {
         q.insert_ranked(spec(2, 10, 1, 1), 0);
         q.insert_ranked(spec(3, 5, 1, 1), 0);
         q.insert_ranked(spec(4, 1, 1, 1), 500);
-        let ids: Vec<u32> = q.as_slice().iter().map(|j| j.id.0).collect();
-        assert_eq!(ids, vec![3, 2, 1, 4], "rank asc, then submit, then id");
+        assert_eq!(ids(&q), vec![3, 2, 1, 4], "rank asc, then submit, then id");
     }
 
     #[test]
-    fn head_removal_is_offset_based_and_compacts() {
+    fn head_removals_advance_the_cursor_and_a_drained_queue_is_cleared() {
         let mut q = WaitQueue::new(Topology::flat());
         for i in 0..100u32 {
             q.insert(spec(i, i as u64, 1, 1));
         }
         for i in 0..100u32 {
-            let j = q.remove_at(0);
-            assert_eq!(j.id, JobId(i));
+            assert_eq!(q.waiting().first().map(|j| j.id), Some(JobId(i)));
+            assert_eq!(remove_nth(&mut q, 0).id, JobId(i));
         }
         assert!(q.is_empty());
-        assert_eq!(q.head, 0, "drained queue was compacted");
+        assert_eq!((q.head, q.jobs.len()), (0, 0), "drained queue was cleared");
         assert!(q.ranks.is_empty(), "rank column drained with the jobs");
+        // 49 jobs move at 51 dead of 100, then 16 at 33 dead of 49.
+        assert_eq!(q.removal_moves(), 65);
     }
 
     #[test]
-    fn middle_removal_preserves_order() {
+    fn middle_removal_preserves_order_and_forgets_the_job() {
         let mut q = WaitQueue::new(Topology::flat());
         for i in 0..5u32 {
             q.insert(spec(i, 0, 1, 1));
         }
         remove_id(&mut q, 2).expect("present");
-        let ids: Vec<u32> = q.as_slice().iter().map(|j| j.id.0).collect();
-        assert_eq!(ids, vec![0, 1, 3, 4]);
-        assert!(remove_id(&mut q, 2).is_none(), "gone");
+        assert_eq!(ids(&q), vec![0, 1, 3, 4]);
+        assert_eq!(q.jobs.len(), 5, "the slot stays, dead");
+        assert!(
+            remove_id(&mut q, 2).is_none(),
+            "its tombstone is not a match"
+        );
     }
 
-    /// Past the middle the tail shifts left instead of the prefix right:
-    /// same live order, columns and ranks still aligned, head offset
-    /// untouched, the compaction rule still the dead prefix against the
-    /// buffer, and — classed — the count index still a recount.
+    /// Tombstones anywhere in the queue: nothing moves until dead slots
+    /// outnumber live ones and exceed 32, then one pass drops them all —
+    /// the live order, the columns, the ranks and (classed) the count index
+    /// carried through, and a batch merged over tombstones beforehand lands
+    /// where one-job inserts would.
     #[test]
-    fn tail_side_removal_shifts_the_tail_and_leaves_the_head_alone() {
+    fn tombstones_compact_once_they_outnumber_the_waiting_jobs() {
         for topology in [Topology::flat(), ClusterConfig::mixed_256().topology] {
             let mut q = WaitQueue::new(topology);
             for i in 0..100u32 {
-                q.insert_ranked(spec(i, i as u64, 1 + i % 4, 1), (i / 50) as u64);
+                q.insert_ranked(spec(2 * i, i as u64, 1 + i % 4, 1), (i / 50) as u64);
             }
-            for _ in 0..40 {
-                q.remove_at(0);
+            // Every other job from the middle out: interior tombstones.
+            for i in (20..70u32).step_by(2) {
+                remove_id(&mut q, 2 * i).expect("waits");
             }
-            assert_eq!((q.head, q.len()), (40, 60), "no compaction yet");
+            assert_eq!((q.len(), q.jobs.len(), q.head), (75, 100, 0));
+            // A batch sorting among the tombstones: odd ids between them.
+            let mut batch: Vec<(JobSpec, u64)> = (30..34u32)
+                .map(|i| (spec(2 * i + 1, i as u64, 1, 1), 0))
+                .collect();
+            q.arrive(&mut batch);
+            let expect: Vec<u32> = (0..100u32)
+                .flat_map(|i| {
+                    let waits = !(20..70).contains(&i) || i % 2 == 1;
+                    let arrived = (30..34).contains(&i);
+                    let slots = [(waits, 2 * i), (arrived, 2 * i + 1)];
+                    slots
+                        .into_iter()
+                        .filter_map(|(keep, id)| keep.then_some(id))
+                })
+                .collect();
+            assert_eq!(ids(&q), expect, "merged in queue order");
+            assert_eq!(q.removal_moves(), 0, "nothing compacted yet");
 
-            assert_eq!(q.remove_at(55).id, JobId(95), "index 55 of 60: tail side");
-            assert_eq!(q.head, 40, "the head offset did not move");
-            assert_eq!(q.remove_at(29).id, JobId(69), "the middle of 59 rotates");
-            assert_eq!(q.head, 41);
-            let ids: Vec<u32> = q.as_slice().iter().map(|j| j.id.0).collect();
-            let expect: Vec<u32> = (40..100).filter(|i| ![69, 95].contains(i)).collect();
-            assert_eq!(ids, expect, "live order preserved");
-
-            // Tail-side removals shrink the buffer, not the dead prefix;
-            // once the prefix is the larger half the queue compacts.
-            while q.head > 0 {
-                assert!(q.head * 2 <= q.jobs.len(), "compaction is overdue");
-                let last = q.len() - 1;
-                q.remove_at(last);
+            // Head pops until the dead slots are the larger part.
+            let mut popped = 0;
+            while q.removal_moves() == 0 {
+                remove_nth(&mut q, 0);
+                popped += 1;
             }
+            // 25 interior tombstones and 28 popped: 53 dead of 104.
+            assert_eq!(popped, 28);
+            assert_eq!((q.head, q.jobs.len(), q.len()), (0, 51, 51), "compacted");
             assert_eq!(
-                q.jobs.len(),
-                40,
-                "compacted when 41 dead slots outgrew half of 81"
+                q.removal_moves(),
+                51,
+                "every waiting job sat behind a tombstone"
             );
-            assert_eq!(q.as_slice().first().map(|j| j.id), Some(JobId(40)));
+            assert_eq!(ids(&q), expect[popped..], "live order preserved");
 
             crate::store::tests::assert_aligned(&q.jobs);
-            assert_eq!(q.ranks.len(), q.jobs.len());
-            let ranks: Vec<u64> = q.as_slice().iter().map(|j| (j.id.0 / 50) as u64).collect();
+            assert!(q.jobs.live().iter().all(|&live| live));
+            let ranks: Vec<u64> = q
+                .waiting()
+                .iter()
+                .map(|j| {
+                    if j.id.0 % 2 == 1 {
+                        0
+                    } else {
+                        (j.id.0 / 100) as u64
+                    }
+                })
+                .collect();
             assert_eq!(q.ranks, ranks, "rank column moved with the jobs");
-            let mut recount = BTreeMap::new();
-            if !topology.is_flat() {
-                for job in q.as_slice() {
-                    *recount.entry(q.index_key(job)).or_insert(0u32) += 1;
-                }
-            }
-            assert_eq!(q.index, recount);
+            assert_eq!(q.index, recount(&q));
         }
     }
 
@@ -737,16 +840,20 @@ mod tests {
 
         let mut q = WaitQueue::new(Topology::flat());
         q.insert(spec(1, 0, 1, 8)); // the small job that pins the watermark
-        q.insert(spec(2, 0, 4, 8));
-        q.insert(spec(3, 0, 6, 8));
+        q.insert(spec(2, 0, 6, 8));
+        q.insert(spec(3, 0, 2, 8));
+        q.insert(spec(4, 0, 7, 8));
         remove_id(&mut q, 1).unwrap();
-        // Stale: watermark still (1 node, 8 GB) though the true min is 4.
-        assert_eq!(q.min_nodes, 1);
+        remove_id(&mut q, 3).unwrap();
+        // Stale: watermark still (1 node, 8 GB) though the true min is 6,
+        // and job 3's tombstone sits between the two waiting jobs.
+        assert_eq!((q.min_nodes, q.head, q.jobs.len()), (1, 1, 4));
 
         // Free nodes (1) ≥ stale watermark (1) → full scan; nothing fits,
-        // so the scan re-tightens the watermark to the exact minima.
+        // so the scan re-tightens the watermark to the exact minima, which
+        // the tombstone's maxima do not lower.
         assert!(!q.any_fits(&busy));
-        assert_eq!(q.min_nodes, 4);
+        assert_eq!(q.min_nodes, 6);
         assert_eq!(q.min_memory_gb, 8);
         // From now on the same saturated state is proved in O(1).
         assert!(!q.any_fits(&busy));
@@ -788,7 +895,7 @@ mod tests {
         }
         expect.sort();
         let got: Vec<(u64, u32)> = q
-            .as_slice()
+            .waiting()
             .iter()
             .map(|j| (j.submit.as_secs(), j.id.0))
             .collect();
@@ -880,15 +987,16 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
         /// The fit summary as an invariant: under any interleaving of
-        /// inserts, ranked inserts, removals and probes at any free level,
-        /// `any_fits`, `shortest` and `first_admitted` — for an arbitrary
-        /// head, so for shadows now, among the walltimes, after them and
-        /// never — are the brute-force answers; on the flat machine the
-        /// watermarks never exceed the true column minima, on the classed
-        /// one the index is a recount of the live jobs; and the
-        /// shortest-first and arrival orders — each first asked for at
-        /// whatever point the ops put it, over a deep queue or an empty
-        /// one — are from then on a rebuild from the live jobs.
+        /// inserts, ranked inserts, removals anywhere and probes at any
+        /// free level, `any_fits`, `shortest` and `first_admitted` — for an
+        /// arbitrary head, so for shadows now, among the walltimes, after
+        /// them and never — are the brute-force answers over the waiting
+        /// jobs; on the flat machine the watermarks never exceed the true
+        /// column minima, on the classed one the index is a recount of the
+        /// waiting jobs; and the shortest-first and arrival orders — each
+        /// first asked for at whatever point the ops put it, over a deep
+        /// queue, one with tombstones in it, or an empty one — are from
+        /// then on a rebuild from the waiting jobs.
         #[test]
         fn any_fits_is_brute_force_and_watermarks_bound_the_minima(
             classed in 0u8..2,
@@ -909,17 +1017,18 @@ mod tests {
                         }
                     }
                     2 if !q.is_empty() => {
-                        q.remove_at(a as usize % q.len());
+                        let nth = a as usize % q.len();
+                        remove_nth(&mut q, nth);
                     }
                     2 => {}
                     3 => {
                         let cluster = cluster_at(classed, a, b, c);
-                        let expect = q.as_slice().iter().any(|j| cluster.can_fit(j));
+                        let expect = q.waiting().iter().any(|j| cluster.can_fit(j));
                         prop_assert_eq!(q.any_fits(&cluster), expect);
                     }
                     4 => {
                         let cluster = cluster_at(classed, a, b, c);
-                        let fitting = q.as_slice().iter().filter(|j| cluster.can_fit(j));
+                        let fitting = q.waiting().iter().filter(|j| cluster.can_fit(j));
                         let expect = fitting.min_by_key(|j| (j.walltime, j.id)).map(|j| j.id);
                         let (nodes, memory_gb, by_class) = free_now(&cluster);
                         prop_assert_eq!(q.shortest(nodes, memory_gb, &by_class), expect);
@@ -935,35 +1044,28 @@ mod tests {
                             spec(u32::MAX, 0, machine.nodes, if classed { 0 } else { machine.memory_gb })
                         };
                         let reservation = reservation_on(&cluster, &head);
-                        let mut fitting = q.as_slice().iter().filter(|j| cluster.can_fit(j));
+                        let mut fitting = q.waiting().iter().filter(|j| cluster.can_fit(j));
                         let expect = fitting.find(|j| reservation.admits(j)).map(|j| j.id);
                         let (nodes, memory_gb, by_class) = free_now(&cluster);
                         let got = q.first_admitted((nodes, memory_gb, &by_class), &reservation);
                         prop_assert_eq!(got, expect);
                     }
                 }
-                let live = q.as_slice();
+                let live = q.waiting();
                 if let Some(order) = q.order.get() {
                     let keys = live.iter().map(|j| OrderKey::of(&q.topology, j));
                     prop_assert_eq!(order, &keys.collect::<BTreeSet<_>>());
                 }
                 if let Some(arrival) = q.arrival.get() {
-                    let keys = live.iter().zip(&q.ranks[q.head..]);
-                    let keys = keys.map(|(j, &rank)| arrival_key(&q.topology, j, rank));
+                    let keys = q.ranked().map(|(j, rank)| arrival_key(&q.topology, j, rank));
                     prop_assert_eq!(arrival, &keys.collect::<BTreeSet<_>>());
                 }
-                if classed {
-                    let mut recount = BTreeMap::new();
-                    for job in live {
-                        *recount.entry(q.index_key(job)).or_insert(0u32) += 1;
-                    }
-                    prop_assert_eq!(&q.index, &recount);
-                } else {
+                prop_assert_eq!(&q.index, &recount(&q));
+                if !classed {
                     let min_nodes = live.iter().map(|j| j.nodes).min().unwrap_or(u32::MAX);
                     let min_memory_gb = live.iter().map(|j| j.memory_gb).min().unwrap_or(u64::MAX);
                     prop_assert!(q.min_nodes <= min_nodes);
                     prop_assert!(q.min_memory_gb <= min_memory_gb);
-                    prop_assert!(q.index.is_empty());
                 }
             }
         }
@@ -971,13 +1073,14 @@ mod tests {
         /// A batch leaves the queue one-job inserts leave. One queue is fed
         /// batches — none, one job, a spread over three ranks, all at the
         /// back, all at the front — and its twin the same jobs one at a
-        /// time, as they came; removals fall on either side of the middle,
-        /// a run of head pops forces the head offset to compact, and
-        /// `shortest` / `first_admitted` are first asked wherever the ops
-        /// put them, so a batch meets the ordered sets built or not. After
-        /// every op the two agree on the jobs, the rank column, the
-        /// watermarks, the count index and both sets, and the jobs are in
-        /// `(rank, submit, id)` order with their columns beside them.
+        /// time, as they came; removals fall anywhere, leaving tombstones a
+        /// later batch merges over, a run of head pops forces a compaction,
+        /// and `shortest` / `first_admitted` are first asked wherever the
+        /// ops put them, so a batch meets the ordered sets built or not.
+        /// After every op the two agree slot for slot — live and dead — and
+        /// on the rank column, the watermarks, the count index and both
+        /// sets, and every slot from the head on is in `(rank, submit, id)`
+        /// order with its columns beside it.
         #[test]
         fn a_batch_leaves_the_queue_one_job_inserts_leave(
             classed in 0u8..2,
@@ -1018,19 +1121,19 @@ mod tests {
                         for (job, rank) in &batch {
                             twin.insert_ranked(job.clone(), *rank);
                         }
-                        shifts_bound += q.len() as u64;
+                        shifts_bound += (q.jobs.len() - q.head) as u64;
                         q.arrive(&mut batch);
                     }
                     4 if !q.is_empty() => {
-                        let at = a as usize % q.len();
-                        prop_assert_eq!(q.remove_at(at), twin.remove_at(at));
+                        let nth = a as usize % q.len();
+                        prop_assert_eq!(remove_nth(&mut q, nth), remove_nth(&mut twin, nth));
                     }
-                    // Enough head pops that the dead prefix outgrows the
-                    // live queue (or the queue drains).
+                    // Enough head pops that the dead slots outnumber the
+                    // waiting jobs (or the queue drains).
                     5 => {
                         let mut compacted = q.is_empty();
                         for _ in 0..(q.len() / 2 + 1).max(33).min(q.len()) {
-                            prop_assert_eq!(q.remove_at(0), twin.remove_at(0));
+                            prop_assert_eq!(remove_nth(&mut q, 0), remove_nth(&mut twin, 0));
                             compacted |= q.head == 0;
                         }
                         prop_assert!(compacted);
@@ -1051,8 +1154,10 @@ mod tests {
                     }
                     _ => {}
                 }
-                prop_assert_eq!(q.as_slice(), twin.as_slice());
-                prop_assert_eq!(&q.ranks[q.head..], &twin.ranks[twin.head..]);
+                prop_assert_eq!(q.waiting(), twin.waiting());
+                prop_assert_eq!(q.jobs.specs(), twin.jobs.specs());
+                prop_assert_eq!(q.jobs.live(), twin.jobs.live());
+                prop_assert_eq!(&q.ranks, &twin.ranks);
                 prop_assert_eq!(
                     (q.min_nodes, q.min_memory_gb),
                     (twin.min_nodes, twin.min_memory_gb)
@@ -1062,12 +1167,70 @@ mod tests {
                 prop_assert_eq!(q.arrival.get(), twin.arrival.get());
                 crate::store::tests::assert_aligned(&q.jobs);
                 prop_assert_eq!(q.ranks.len(), q.jobs.len());
-                let places = q.as_slice().iter().zip(&q.ranks[q.head..]);
-                let places: Vec<Place> = places.map(|(j, &rank)| (rank, j.submit, j.id)).collect();
+                let slots = q.jobs.specs().iter().zip(&q.ranks).skip(q.head);
+                let places: Vec<Place> = slots.map(|(j, &rank)| (rank, j.submit, j.id)).collect();
                 prop_assert!(places.windows(2).all(|pair| pair[0] < pair[1]));
-                // A waiting job moves at most once per batch.
+                // A slot moves at most once per batch.
                 prop_assert!(q.arrival_shifts() <= shifts_bound);
                 prop_assert!(q.arrival_shifts() <= twin.arrival_shifts());
+            }
+        }
+
+        /// The queue against a plain `Vec` kept in `(rank, submit, id)`
+        /// order, jobs inserted where that order puts them and removed where
+        /// they stand: batches at three ranks, starts anywhere — one at a
+        /// time or a run of them, enough to force compactions — and starts
+        /// of the head. After every op the waiting jobs are the model's, in
+        /// its order; no started job is found; and the slots, live or dead,
+        /// never exceed twice the waiting jobs plus 33.
+        #[test]
+        fn the_queue_is_a_sorted_vec_that_forgets_started_jobs(
+            classed in 0u8..2,
+            ops in prop::collection::vec((0u8..4, 0u32..1000, 0u64..1000, 0u64..50), 1..120),
+        ) {
+            let classed = classed == 1;
+            let mut q = WaitQueue::new(cluster_at(classed, 0, 0, 0).config().topology);
+            let mut model: Vec<(Place, JobSpec)> = Vec::new();
+            let mut started: Vec<JobId> = Vec::new();
+            let mut next_id = 0u32;
+            for (kind, a, b, c) in ops {
+                let starts = match kind {
+                    0 => {
+                        let len = a % 12;
+                        let mut batch: Vec<(JobSpec, u64)> = (0..len)
+                            .map(|i| {
+                                let job = arbitrary_job(classed, next_id + i, a ^ i, b, c + u64::from(i % 5));
+                                (job, (b + u64::from(i)) % 3)
+                            })
+                            .collect();
+                        next_id += len;
+                        for (job, rank) in &batch {
+                            let place = (*rank, job.submit, job.id);
+                            let at = model.partition_point(|(p, _)| *p < place);
+                            model.insert(at, (place, job.clone()));
+                        }
+                        q.arrive(&mut batch);
+                        0
+                    }
+                    1 => 1,
+                    2 => b as usize % 48,
+                    _ => usize::from(!model.is_empty()),
+                };
+                for _ in 0..starts.min(model.len()) {
+                    let nth = if kind == 3 { 0 } else { a as usize % model.len() };
+                    let (_, job) = model.remove(nth);
+                    let slot = q.find(job.id).expect("a waiting job is found");
+                    prop_assert_eq!(q.job(slot), &job);
+                    q.remove(slot);
+                    started.push(job.id);
+                }
+                prop_assert!(q.waiting().iter().eq(model.iter().map(|(_, job)| job)));
+                prop_assert_eq!(q.len(), model.len());
+                prop_assert_eq!(q.waiting().first(), model.first().map(|(_, job)| job));
+                for &id in &started {
+                    prop_assert_eq!(q.find(id), None);
+                }
+                prop_assert!(q.jobs.len() <= 2 * q.len() + 33);
             }
         }
     }

@@ -7,11 +7,11 @@
 //!
 //! Since the zero-copy kernel refactor, [`SystemView`] **borrows** the
 //! simulator's incrementally-maintained state instead of cloning it:
-//! `waiting`, `running`, and `completed` are slices, so building a view is
-//! O(1) regardless of queue depth, and a 100k-job trace no longer pays an
-//! O(n) deep copy per policy query. Policies that only need completed-job
-//! aggregates read the O(1) [`CompletedStats`] and never touch the record
-//! slice at all.
+//! `running` and `completed` are slices and `waiting` a [`Waiting`] view of
+//! the queue's own slots, so building a view is O(1) regardless of queue
+//! depth, and a 100k-job trace no longer pays an O(n) deep copy per policy
+//! query. Policies that only need completed-job aggregates read the O(1)
+//! [`CompletedStats`] and never touch the record slice at all.
 
 use rsched_cluster::{
     ClusterConfig, JobId, JobRecord, JobSpec, NodeClass, PlacementRequest, UserId, MAX_CLASSES,
@@ -48,6 +48,134 @@ pub struct RunningSummary {
     pub class: Option<NodeClass>,
 }
 
+/// The waiting jobs as a policy sees them: the live jobs of the kernel's
+/// wait queue, in queue order, read in place.
+///
+/// A job the kernel starts leaves a dead slot behind until the queue next
+/// compacts; the view skips those, so [`len`](Self::len),
+/// [`first`](Self::first) and [`iter`](Self::iter) see exactly the jobs
+/// still waiting. A hand-built view (`Waiting::from(&jobs[..])`) is the same
+/// type with every job live. Two views are equal when they hold the same
+/// live jobs in the same order.
+#[derive(Clone, Copy, Default)]
+pub struct Waiting<'a> {
+    /// The queue's slots from its head on, live or dead.
+    slots: &'a [JobSpec],
+    /// Liveness per slot of `slots`; `None` when every slot is live.
+    live: Option<&'a [bool]>,
+    /// How many slots are live.
+    len: usize,
+}
+
+impl<'a> Waiting<'a> {
+    /// A view of `slots`, of which the `len` that `live` marks are waiting.
+    /// The first slot is live whenever any is: the queue's head cursor
+    /// never rests on a dead one.
+    pub(crate) fn in_slots(slots: &'a [JobSpec], live: &'a [bool], len: usize) -> Self {
+        debug_assert_eq!(slots.len(), live.len());
+        debug_assert!(len == 0 || live[0], "the head cursor rests on a live slot");
+        Waiting {
+            slots,
+            live: Some(live),
+            len,
+        }
+    }
+
+    /// Number of waiting jobs.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// `true` if nothing is waiting.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The first waiting job in queue order — the head. O(1).
+    pub fn first(&self) -> Option<&'a JobSpec> {
+        if self.is_empty() {
+            return None;
+        }
+        self.slots.first()
+    }
+
+    /// The waiting jobs in queue order.
+    pub fn iter(&self) -> WaitingIter<'a> {
+        WaitingIter {
+            slots: self.slots.iter(),
+            live: self.live.map(<[bool]>::iter),
+            left: self.len,
+        }
+    }
+}
+
+impl<'a> From<&'a [JobSpec]> for Waiting<'a> {
+    /// A hand-built view: every job of `jobs` is waiting, in slice order.
+    fn from(jobs: &'a [JobSpec]) -> Self {
+        Waiting {
+            slots: jobs,
+            live: None,
+            len: jobs.len(),
+        }
+    }
+}
+
+impl<'a> IntoIterator for Waiting<'a> {
+    type Item = &'a JobSpec;
+    type IntoIter = WaitingIter<'a>;
+
+    fn into_iter(self) -> WaitingIter<'a> {
+        self.iter()
+    }
+}
+
+impl PartialEq for Waiting<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.len == other.len && self.iter().eq(other.iter())
+    }
+}
+
+impl std::fmt::Debug for Waiting<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+/// The live jobs of a [`Waiting`] view, in queue order.
+#[derive(Debug, Clone)]
+pub struct WaitingIter<'a> {
+    slots: std::slice::Iter<'a, JobSpec>,
+    live: Option<std::slice::Iter<'a, bool>>,
+    /// Live jobs not yet yielded: the walk stops at the last one.
+    left: usize,
+}
+
+impl<'a> Iterator for WaitingIter<'a> {
+    type Item = &'a JobSpec;
+
+    fn next(&mut self) -> Option<&'a JobSpec> {
+        if self.left == 0 {
+            return None;
+        }
+        self.left -= 1;
+        match &mut self.live {
+            None => self.slots.next(),
+            Some(live) => {
+                let mut slots = self.slots.by_ref().zip(live.by_ref());
+                slots.find_map(|(job, &live)| live.then_some(job))
+            }
+        }
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+impl ExactSizeIterator for WaitingIter<'_> {}
+
+impl std::iter::FusedIterator for WaitingIter<'_> {}
+
 /// The full snapshot a policy decides from — borrowed from the simulator's
 /// live state for the duration of one `decide` call.
 ///
@@ -55,9 +183,11 @@ pub struct RunningSummary {
 ///
 /// Views built by the simulator guarantee:
 ///
-/// * `waiting` is sorted ascending by `(submit, id)` — arrival order with
-///   id tie-break — so [`head_of_queue`](SystemView::head_of_queue) is the
-///   first element;
+/// * `waiting` is in queue order, ascending by `(rank, submit, id)`: the
+///   virtual-time simulator queues every job at rank 0, which makes it
+///   arrival order with id tie-break, and the service daemon ranks jobs by
+///   their tenants' fair-share usage; either way
+///   [`head_of_queue`](SystemView::head_of_queue) is the first job;
 /// * `running` is sorted ascending by job id;
 /// * `completed_stats` equals the fold of `completed`;
 /// * `calendar`, `telemetry` and `queue` are the kernel's own ledger, sink
@@ -79,8 +209,9 @@ pub struct SystemView<'a> {
     /// clusters, where [`free_nodes`](Self::free_nodes) is the whole story.
     pub free_by_class: [u32; MAX_CLASSES],
     /// Arrived, not-yet-started jobs — eligible for `StartJob`/`BackfillJob`.
-    /// Ordered by arrival (submit time, then id).
-    pub waiting: &'a [JobSpec],
+    /// In queue order: `(rank, submit, id)`, which at rank 0 is arrival
+    /// order (submit time, then id).
+    pub waiting: Waiting<'a>,
     /// Currently executing jobs, ordered by id.
     pub running: &'a [RunningSummary],
     /// Completed job records so far, in completion order.
@@ -125,11 +256,11 @@ impl<'a> SystemView<'a> {
         self.waiting.iter().find(|j| j.id == id)
     }
 
-    /// The head of the queue: the earliest-submitted waiting job
-    /// (ties broken by id). `None` when the queue is empty.
+    /// The head of the queue: the first waiting job in queue order — the
+    /// least `(rank, submit, id)`, which at rank 0 is the earliest-submitted
+    /// job (ties broken by id). `None` when the queue is empty.
     ///
-    /// O(1): `waiting` is sorted by `(submit, id)`, so the head is the
-    /// first element.
+    /// O(1): the head is the first job of `waiting`.
     pub fn head_of_queue(&self) -> Option<&'a JobSpec> {
         self.waiting.first()
     }
@@ -300,7 +431,7 @@ mod tests {
                 free_nodes: 64,
                 free_memory_gb: 512,
                 free_by_class: [0; MAX_CLASSES],
-                waiting: &self.waiting,
+                waiting: self.waiting.as_slice().into(),
                 running: &self.running,
                 completed: &self.completed,
                 completed_stats: CompletedStats::from_records(&self.completed),
@@ -311,6 +442,19 @@ mod tests {
                 queue: None,
             }
         }
+    }
+
+    #[test]
+    fn a_view_over_slots_skips_the_dead_and_equals_the_live_jobs() {
+        let f = fixture();
+        let slotted = Waiting::in_slots(&f.waiting, &[true, false, true], 2);
+        let live = [f.waiting[0].clone(), f.waiting[2].clone()];
+        assert_eq!(slotted, Waiting::from(&live[..]));
+        assert_ne!(slotted, Waiting::from(&f.waiting[..]));
+        assert_eq!(slotted.iter().len(), 2);
+        assert_eq!(slotted.first().map(|j| j.id), Some(JobId(1)));
+        assert!(Waiting::default().is_empty());
+        assert_eq!(Waiting::default().first(), None);
     }
 
     #[test]

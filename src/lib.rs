@@ -117,7 +117,7 @@ pub mod prelude {
     };
     pub use rsched_sim::{
         run_simulation, Action, CompletedStats, DecisionRecord, RunningSummary, SchedulingPolicy,
-        SimOptions, SimOutcome, Simulation, SystemView,
+        SimOptions, SimOutcome, Simulation, SystemView, Waiting,
     };
     pub use rsched_simkit::{SimDuration, SimTime};
     pub use rsched_telemetry::{

@@ -44,7 +44,7 @@ pub fn serve_with_fair_share(
         }
         core.tick(now, &mut []).expect("tick");
         let waiting = core.kernel().waiting();
-        reordered |= !waiting.is_sorted_by_key(|j| (j.submit, j.id));
+        reordered |= !waiting.iter().is_sorted_by_key(|j| (j.submit, j.id));
     }
     assert!(
         reordered,

@@ -154,7 +154,7 @@ fn reference_simulate(
                     free_nodes: cluster.free_nodes(),
                     free_memory_gb: cluster.free_memory_gb(),
                     free_by_class: cluster.free_by_class(),
-                    waiting: &waiting,
+                    waiting: waiting.as_slice().into(),
                     running: &running,
                     completed: &completed,
                     completed_stats: CompletedStats::from_records(&completed),
@@ -586,6 +586,83 @@ fn incremental_kernel_matches_straight_line_reference() {
             "{scenario}: the input must drive both validator paths \
              ({accepted} accepted, {refused} refused)"
         );
+    }
+}
+
+/// Hands the first `random_queries` queries to [`RandomPolicy`], the rest
+/// to `then`. Random starts jobs from anywhere in the queue, so the ordered
+/// sets SJF and EASY ask for are first built over a queue with tombstones
+/// in it, not over an untouched backlog.
+struct RandomThen {
+    random_queries: usize,
+    random: RandomPolicy,
+    then: Box<dyn SchedulingPolicy>,
+}
+
+impl SchedulingPolicy for RandomThen {
+    fn name(&self) -> &str {
+        self.then.name()
+    }
+
+    fn decide(&mut self, view: &SystemView<'_>) -> Action {
+        if self.random_queries == 0 {
+            return self.then.decide(view);
+        }
+        self.random_queries -= 1;
+        self.random.decide(view)
+    }
+
+    fn observe(&mut self, outcome: &ActionOutcome) {
+        self.then.observe(outcome);
+    }
+}
+
+/// Static backlogs of 600 jobs — flat `long_tail` on Polaris, classed
+/// `gpu_skewed_hetmix` on `mixed_256` — under the policies that start jobs
+/// from the middle of the queue, alone and after 40 random starts: the
+/// queue holds hundreds of tombstones between compactions, the kernel finds
+/// every start through the id column, and SJF's and EASY's ordered sets are
+/// built from the waiting jobs only. The incremental kernel and the
+/// straight-line reference, which closes each hole with `retain`, produce
+/// bit-identical outcomes.
+#[test]
+fn incremental_kernel_matches_reference_on_deep_static_backlogs() {
+    let registry = PolicyRegistry::with_builtins();
+    let options = SimOptions::default();
+    for (cluster, scenario) in [
+        (ClusterConfig::polaris(), "long_tail"),
+        (ClusterConfig::mixed_256(), "gpu_skewed_hetmix"),
+    ] {
+        let seed = 7;
+        let ctx = ScenarioContext::new(600)
+            .with_mode(ArrivalMode::Static)
+            .with_seed(seed);
+        let generated = scenario_builtins().generate(scenario, &ctx);
+        let jobs = generated.expect("builtin scenario").jobs;
+        let ctx = PolicyContext::new(&jobs, cluster).with_seed(seed);
+        let alone = [
+            names::SJF,
+            names::EASY,
+            names::EASY_SJBF,
+            names::CONSERVATIVE,
+            names::RANDOM,
+        ]
+        .map(|name| (name, 0));
+        let after_random = [(names::SJF, 40), (names::EASY, 40)];
+        for (name, random) in alone.into_iter().chain(after_random) {
+            let label = format!("{name} after {random} random starts on {scenario}");
+            let build = || RandomThen {
+                random_queries: random,
+                random: RandomPolicy::new(seed),
+                then: registry.build(name, &ctx).expect("builtin"),
+            };
+            let a = run_simulation(cluster, &jobs, &mut build(), &options)
+                .unwrap_or_else(|e| panic!("{label} (incremental): {e}"));
+            let b = reference_simulate(cluster, &jobs, &mut build(), &options)
+                .unwrap_or_else(|e| panic!("{label} (reference): {e}"));
+            assert_outcomes_identical(&a, &b, &label);
+            assert_eq!(a.stats.rejections, 0, "{label}: every start found its job");
+        }
     }
 }
 

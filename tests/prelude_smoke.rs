@@ -101,7 +101,7 @@ fn sim_types_construct_and_run() {
         free_nodes: config.nodes,
         free_memory_gb: config.memory_gb,
         free_by_class: [0; reasoned_scheduler::cluster::MAX_CLASSES],
-        waiting: &[],
+        waiting: Waiting::default(),
         running: &[],
         completed: &[],
         completed_stats: CompletedStats::default(),

@@ -477,7 +477,7 @@ proptest! {
             free_nodes,
             free_memory_gb: free_mem,
             free_by_class: [0; reasoned_scheduler::cluster::MAX_CLASSES],
-            waiting: &waiting_specs,
+            waiting: waiting_specs.as_slice().into(),
             running: &running_summaries,
             completed: &[],
             completed_stats: reasoned_scheduler::cluster::CompletedStats::default(),
@@ -584,7 +584,7 @@ proptest! {
             free_nodes: 0,
             free_memory_gb: 0,
             free_by_class: [0; MAX_CLASSES],
-            waiting: &waiting,
+            waiting: waiting.as_slice().into(),
             running: &running,
             completed: &[],
             completed_stats: reasoned_scheduler::cluster::CompletedStats::default(),

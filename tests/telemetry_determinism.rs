@@ -215,6 +215,23 @@ fn queue_order_is_built_once_for_sjf_and_never_for_fcfs() {
     assert_eq!((builds, probes), (0, 0), "FCFS never asks, so never pays");
 }
 
+/// The wait queue's removals, as work rather than seconds: a started job
+/// leaves a tombstone wherever it sits, and the compaction that drops the
+/// tombstones moves each waiting job behind one once — on SJF's seed-7 cell
+/// an exact count, within twice the placements, where closing each hole
+/// moved up to half the queue.
+#[test]
+fn removals_move_at_most_two_jobs_per_placement() {
+    let (_, outcome, snapshot) = long_tail_run(&mut Sjf::default(), 2000);
+    let moves = counter(&snapshot, "sim_queue_removal_moves_total");
+    let placements = outcome.stats.placements as u64;
+    assert!(
+        moves <= 2 * placements,
+        "{moves} moves for {placements} placements"
+    );
+    assert_eq!(moves, 1953);
+}
+
 /// Arrival-order EASY with the walk its pick replaced counted beside it:
 /// behind a blocked head the linear walk read every waiting spec up to the
 /// pick, the whole queue for a `Delay`.
