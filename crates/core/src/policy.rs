@@ -3,7 +3,11 @@
 //! baselines.
 //!
 //! Per query the agent: (1) constructs the prompt from the system snapshot
-//! and the scratchpad, (2) queries the LLM, (3) parses the
+//! and the scratchpad — through the one [`PromptBuilder`] it keeps, which
+//! copies from its last prompt every job line whose job is unchanged and
+//! formats the rest, so between two queries only the status lines, new
+//! jobs' lines and each waiting job's `waiting N s` are written anew — (2)
+//! queries the LLM, (3) parses the
 //! `Thought`/`Action` completion, (4) appends thought and action to the
 //! scratchpad, and (5) when the simulator rejects the action, appends the
 //! natural-language feedback so the next query can correct course — no
@@ -92,8 +96,9 @@ pub struct LlmSchedulingPolicy {
     name: String,
     llm: Box<dyn LanguageModel>,
     scratchpad: Scratchpad,
-    /// The current query's prompt but its history; refilled every query.
-    prompt: String,
+    /// Writes every query's prompt but its history, and keeps the last one
+    /// to copy unchanged job lines from.
+    prompt: PromptBuilder,
     calls: Vec<CallRecord>,
 }
 
@@ -104,7 +109,7 @@ impl LlmSchedulingPolicy {
             name: llm.model_name().to_string(),
             llm,
             scratchpad: Scratchpad::default(),
-            prompt: String::new(),
+            prompt: PromptBuilder::default(),
             calls: Vec::new(),
         }
     }
@@ -153,7 +158,7 @@ impl SchedulingPolicy for LlmSchedulingPolicy {
     /// feedback.
     fn decide(&mut self, view: &SystemView<'_>) -> Action {
         let now = view.now.as_secs();
-        let prompt = PromptBuilder::prompt(&mut self.prompt, view, &self.scratchpad);
+        let prompt = self.prompt.prompt(view, &self.scratchpad);
         let completion = match self.llm.complete_prompt(&prompt) {
             Ok(c) => c,
             Err(e) => {
@@ -212,6 +217,7 @@ impl SchedulingPolicy for LlmSchedulingPolicy {
 
     fn reset(&mut self) {
         self.scratchpad.clear();
+        self.prompt = PromptBuilder::default();
         self.calls.clear();
     }
 
@@ -427,9 +433,10 @@ mod tests {
         }
     }
 
-    /// The agent refills one prompt buffer: every prompt the model sees
-    /// must still be exactly what a fresh `PromptBuilder::render` gives,
-    /// also when it is shorter than the one before it.
+    /// The agent's builder refills buffers it reuses and copies job lines
+    /// from its last prompt: every prompt the model sees must still be
+    /// exactly what a fresh `PromptBuilder::render` gives, also when it is
+    /// shorter than the one before it and after `reset`.
     #[test]
     fn reused_prompt_buffer_carries_no_residue() {
         let seen = Rc::default();
@@ -451,10 +458,14 @@ mod tests {
         assert!(fresh.contains("(nothing yet)") && fresh.len() < long);
     }
 
-    /// The history is lent by the scratchpad, so the agent's own buffer
-    /// holds only what each query formats anew: after a 500-job run whose
-    /// history alone is over 100 KB, under 16 KB (the whole ≈ 324 KB
-    /// prompt, when the history was copied in).
+    /// The history is lent by the scratchpad, so the agent's builder holds
+    /// two buffers of head and tail — its last prompt and the one before,
+    /// which the next is written over — and the line store over the last:
+    /// after a 500-job run whose history alone is over 100 KB, under 64 KB
+    /// in all (the whole ≈ 324 KB prompt, when the history was copied in;
+    /// the run's largest head and tail is 8.2 KB, a buffer grown to it by
+    /// doubling 16 KB), and the store no larger than twice the last prompt's
+    /// job lines and 32.
     #[test]
     fn the_prompt_buffer_holds_no_history() {
         let w = gen("heterogeneous_mix", 500, ArrivalMode::Dynamic, 7);
@@ -467,8 +478,12 @@ mod tests {
         )
         .expect("completes");
         assert!(policy.scratchpad().render().len() > 100_000);
-        let capacity = policy.prompt.capacity();
-        assert!(capacity < 16 * 1024, "prompt buffer capacity {capacity}");
+        let (entries, job_lines, bytes) = policy.prompt.footprint();
+        assert!(
+            entries <= 2 * job_lines + 32,
+            "{entries} store entries, {job_lines} job lines"
+        );
+        assert!(bytes < 64 * 1024, "prompt builder holds {bytes} bytes");
     }
 
     #[test]

@@ -5,8 +5,20 @@
 //! scratchpad, the multiobjective instructions, and the output-format
 //! contract. The emitted grammar is exactly what
 //! [`rsched_llm::prompt_parse`] reads — round-tripped in tests on both
-//! sides. A prompt is assembled in place: the caller's buffer holds what
-//! each query formats anew, and the history is the scratchpad's, borrowed.
+//! sides.
+//!
+//! A prompt is assembled in place by a builder the agent keeps across
+//! queries: the history is the scratchpad's, borrowed, and the builder's
+//! buffer holds the rest. Between two queries a running job's line does not
+//! change and a waiting job's changes only in `waiting N s`, so the builder
+//! keeps its last prompt and a *line store* over it: per job line, the job,
+//! the fields the line was written from, and where it sits. Jobs keep their
+//! order from one query to the next, so the store is walked with a cursor.
+//! A job line whose job and fields are unchanged is copied from the last
+//! prompt — a waiting job's through `waiting `, its seconds written anew —
+//! and any other is formatted. The objectives tail is copied while the
+//! capacity it names is unchanged. A fresh builder formats everything,
+//! which is what [`PromptBuilder::render`] is.
 
 use std::fmt::Write as _;
 
@@ -15,28 +27,70 @@ use rsched_sim::SystemView;
 
 use crate::scratchpad::Scratchpad;
 
-/// Renders prompts for the ReAct agent.
+/// Renders prompts for the ReAct agent, copying from the last prompt it
+/// rendered what that prompt already holds (see the module documentation).
 #[derive(Debug, Clone, Default)]
-pub struct PromptBuilder;
+pub struct PromptBuilder {
+    /// The last prompt: its head, then its tail.
+    text: String,
+    /// The buffer the next prompt is written into.
+    next: String,
+    /// Where the last prompt's head ends.
+    head: usize,
+    /// The capacity (nodes, GB) the last prompt's tail names; `None` before
+    /// the first prompt.
+    capacity: Option<(u32, u64)>,
+    /// The line store: the last prompt's job lines, in prompt order. While
+    /// the next prompt is written its lines follow them, and `cursor` is
+    /// how many of the `reused` it has walked past.
+    lines: Vec<Line>,
+    reused: usize,
+    cursor: usize,
+}
+
+/// One job line of the last prompt.
+#[derive(Debug, Clone, Copy)]
+struct Line {
+    /// The job's id (plus [`RUNNING`] for a running job's line), then
+    /// every other field the line renders, in template order.
+    job: [u64; 6],
+    /// Where the line's reusable bytes start in the prompt — a running
+    /// job's whole line, a waiting job's through `waiting ` — and how many
+    /// there are.
+    at: usize,
+    len: usize,
+}
+
+/// Sets a running job's line apart from a waiting job's of the same id.
+const RUNNING: u64 = 1 << 32;
+
+/// How far past its cursor the store looks for a job's line: room for the
+/// jobs that left between two prompts at one spot of the order. A line
+/// further off is formatted anew.
+const WINDOW: usize = 8;
 
 impl PromptBuilder {
-    /// Render the full prompt for one decision epoch into a new string.
+    /// Render the full prompt for one decision epoch into a new string: what
+    /// a builder that has rendered nothing yet gives.
     pub fn render(view: &SystemView<'_>, scratchpad: &Scratchpad) -> String {
-        Self::prompt(&mut String::new(), view, scratchpad).to_string()
+        PromptBuilder::default()
+            .prompt(view, scratchpad)
+            .to_string()
     }
 
-    /// The prompt for one decision epoch, in parts: `p` is refilled with
-    /// the sections before and after the history, so a caller that asks
-    /// every epoch keeps one buffer; the history is the scratchpad's. Reads
-    /// entirely through the view's borrows — nothing is cloned.
-    pub fn prompt<'a>(p: &'a mut String, view: &SystemView<'_>, pad: &'a Scratchpad) -> Prompt<'a> {
+    /// The prompt for one decision epoch, in parts: the builder's buffer
+    /// holds the sections before and after the history, and the history is
+    /// the scratchpad's. Reads entirely through the view's borrows — nothing
+    /// is cloned — and formats only what the last prompt does not hold.
+    pub fn prompt<'a>(&'a mut self, view: &SystemView<'_>, pad: &'a Scratchpad) -> Prompt<'a> {
+        (self.reused, self.cursor) = (self.lines.len(), 0);
+        let p = &mut self.next;
         p.clear();
-        let _ = writeln!(
-            p,
+        p.push_str(
             "You are an expert HPC resource manager, and your task is to schedule jobs \
              in a high-performance computing (HPC) environment. Use the current system \
              state, job queue, scratchpad (decision history), and fairness indicators \
-             to make well-balanced decisions.\n"
+             to make well-balanced decisions.\n\n",
         );
         let _ = writeln!(
             p,
@@ -47,23 +101,29 @@ impl PromptBuilder {
         let _ = writeln!(p, "Available Nodes: {}", view.free_nodes);
         let _ = writeln!(p, "Available Memory: {} GB\n", view.free_memory_gb);
 
-        let _ = writeln!(p, "Running Jobs:");
+        p.push_str("Running Jobs:\n");
         if view.running.is_empty() {
-            let _ = writeln!(p, "None");
-        } else {
-            for r in view.running {
+            p.push_str("None\n");
+        }
+        for r in view.running {
+            let (start, end) = (r.start.as_secs(), r.expected_end.as_secs());
+            let job = [
+                r.id.0.into(),
+                r.user.0.into(),
+                r.nodes.into(),
+                r.memory_gb,
+                start,
+                end,
+            ];
+            self.job_line(RUNNING, job, |p, [id, user, nodes, mem, start, end]| {
                 let _ = writeln!(
                     p,
-                    "- Job {}: user_{}, {} nodes, {} GB, started t={}, expected end t={}",
-                    r.id,
-                    r.user.0,
-                    r.nodes,
-                    r.memory_gb,
-                    r.start.as_secs(),
-                    r.expected_end.as_secs()
+                    "- Job {id}: user_{user}, {nodes} nodes, {mem} GB, started t={start}, \
+                     expected end t={end}"
                 );
-            }
+            });
         }
+        let p = &mut self.next;
         // The O(1) aggregate — rendering never walks the completed slice.
         let _ = writeln!(
             p,
@@ -71,59 +131,125 @@ impl PromptBuilder {
             view.completed_stats.count, view.total_jobs, view.pending_arrivals
         );
 
-        let _ = writeln!(p, "Waiting Jobs (eligible to schedule):");
+        p.push_str("Waiting Jobs (eligible to schedule):\n");
         if view.waiting.is_empty() {
-            let _ = writeln!(p, "None");
-        } else {
-            for j in view.waiting {
-                let _ = writeln!(
+            p.push_str("None\n");
+        }
+        for j in view.waiting {
+            let (walltime, submit) = (j.walltime.as_secs(), j.submit.as_secs());
+            let job = [
+                j.id.0.into(),
+                j.user.0.into(),
+                j.nodes.into(),
+                j.memory_gb,
+                walltime,
+                submit,
+            ];
+            self.job_line(0, job, |p, [id, user, nodes, mem, walltime, submit]| {
+                let _ = write!(
                     p,
-                    "- Job {}: user_{}, {} nodes, {} GB, walltime {} s, submitted t={}, waiting {} s",
-                    j.id,
-                    j.user.0,
-                    j.nodes,
-                    j.memory_gb,
-                    j.walltime.as_secs(),
-                    j.submit.as_secs(),
-                    view.wait_so_far(j).as_secs()
+                    "- Job {id}: user_{user}, {nodes} nodes, {mem} GB, walltime {walltime} s, \
+                     submitted t={submit}, waiting "
                 );
-            }
+            });
+            push_waited(&mut self.next, view.wait_so_far(j).as_secs());
         }
 
-        let _ = writeln!(p, "\n# Scratchpad (Decision History)");
+        let p = &mut self.next;
+        p.push_str("\n# Scratchpad (Decision History)\n");
         let head = p.len();
-
-        let _ = writeln!(
-            p,
-            "\nYour scheduling objectives are:\n\
-             You must balance all of the following:\n\
-             - Fairness: Minimize variance in user wait times. Avoid starving any user.\n\
-             - Makespan: Minimize total time to finish all jobs.\n\
-             - Utilization: Maximize Node & memory usage over time (avoid idle resources).\n\
-             - Throughput: Maximize the number of jobs completed per unit time.\n\
-             - Feasibility: Do not exceed {} Nodes or {} GB memory at any time.\n\n\
-             Trade-offs are allowed. Do not over-optimize one metric at the expense of \
-             others.\n\
-             For example:\n\
-             - Prioritizing a long-waiting job improves fairness, but may slightly hurt \
-             makespan.\n\
-             - Choosing short jobs improves throughput, but may increase wait time for \
-             large jobs.\n\n\
-             Decide:\n\
-             (1) Which job should be started now (if any)?\n\
-             (2) Justify your decision in thought.\n\
-             (3) Return only one of:\n\
-             - StartJob(job_id=X)\n\
-             - BackfillJob(job_id=Y)\n\
-             - Delay\n\
-             - Stop (when all jobs have been scheduled)\n\n\
-             Output format:\n\
-             Thought: <your reasoning>\n\
-             Action: <your action>",
-            view.config.nodes, view.config.memory_gb
-        );
-        let (head, tail) = p.split_at(head);
+        let (nodes, memory_gb) = (view.config.nodes, view.config.memory_gb);
+        if self.capacity == Some((nodes, memory_gb)) {
+            p.push_str(&self.text[self.head..]);
+        } else {
+            let _ = writeln!(
+                p,
+                "\nYour scheduling objectives are:\n\
+                 You must balance all of the following:\n\
+                 - Fairness: Minimize variance in user wait times. Avoid starving any user.\n\
+                 - Makespan: Minimize total time to finish all jobs.\n\
+                 - Utilization: Maximize Node & memory usage over time (avoid idle resources).\n\
+                 - Throughput: Maximize the number of jobs completed per unit time.\n\
+                 - Feasibility: Do not exceed {nodes} Nodes or {memory_gb} GB memory at any time.\n\n\
+                 Trade-offs are allowed. Do not over-optimize one metric at the expense of \
+                 others.\n\
+                 For example:\n\
+                 - Prioritizing a long-waiting job improves fairness, but may slightly hurt \
+                 makespan.\n\
+                 - Choosing short jobs improves throughput, but may increase wait time for \
+                 large jobs.\n\n\
+                 Decide:\n\
+                 (1) Which job should be started now (if any)?\n\
+                 (2) Justify your decision in thought.\n\
+                 (3) Return only one of:\n\
+                 - StartJob(job_id=X)\n\
+                 - BackfillJob(job_id=Y)\n\
+                 - Delay\n\
+                 - Stop (when all jobs have been scheduled)\n\n\
+                 Output format:\n\
+                 Thought: <your reasoning>\n\
+                 Action: <your action>"
+            );
+        }
+        (self.head, self.capacity) = (head, Some((nodes, memory_gb)));
+        std::mem::swap(&mut self.text, &mut self.next);
+        self.lines.drain(..self.reused);
+        let (head, tail) = self.text.split_at(head);
         pad.prompt(head, tail)
+    }
+
+    /// Write the line of `job` (of `kind`, 0 or [`RUNNING`]) to the next
+    /// prompt: copied from the last prompt if that wrote it for the same
+    /// job from the same fields, else by `render`.
+    fn job_line(&mut self, kind: u64, job: [u64; 6], render: impl FnOnce(&mut String, [u64; 6])) {
+        let at = self.next.len();
+        let mut key = job;
+        key[0] |= kind;
+        let ahead = &self.lines[self.cursor..self.reused];
+        match ahead.iter().take(WINDOW).position(|line| line.job == key) {
+            Some(i) => {
+                let line = ahead[i];
+                self.next.push_str(&self.text[line.at..][..line.len]);
+                self.cursor += i + 1;
+            }
+            None => render(&mut self.next, job),
+        }
+        let len = self.next.len() - at;
+        self.lines.push(Line { job: key, at, len });
+    }
+}
+
+/// The end of a waiting job's line, `N s` and the newline: the one field
+/// of a job line that moves every query, written as digits without the
+/// formatting machinery (which costs as much as the rest of the line).
+fn push_waited(p: &mut String, secs: u64) {
+    let mut text = *b"00000000000000000000 s\n";
+    let (mut at, mut rest) = (20, secs);
+    loop {
+        at -= 1;
+        text[at] = b'0' + (rest % 10) as u8;
+        rest /= 10;
+        if rest == 0 {
+            break;
+        }
+    }
+    p.push_str(std::str::from_utf8(&text[at..]).expect("ASCII digits"));
+}
+
+#[cfg(test)]
+impl PromptBuilder {
+    /// Entries in the line store, job lines in the last prompt, and the
+    /// heap bytes the builder holds.
+    pub(crate) fn footprint(&self) -> (usize, usize, usize) {
+        use std::mem::size_of;
+        let job_lines = self
+            .text
+            .lines()
+            .filter(|l| l.starts_with("- Job "))
+            .count();
+        let bytes =
+            self.text.capacity() + self.next.capacity() + self.lines.capacity() * size_of::<Line>();
+        (self.lines.len(), job_lines, bytes)
     }
 }
 
@@ -247,6 +373,15 @@ mod tests {
         assert_eq!(parsed.pending_arrivals, 3);
         assert_eq!(parsed.feedback.len(), 1);
         assert_eq!(parsed.feedback[0].0, 1554);
+    }
+
+    #[test]
+    fn waited_seconds_are_written_as_fmt_writes_them() {
+        for secs in [0, 7, 10, 99, 1554, 1 << 40, u64::MAX - 1, u64::MAX] {
+            let mut p = String::from("waiting ");
+            push_waited(&mut p, secs);
+            assert_eq!(p, format!("waiting {secs} s\n"));
+        }
     }
 
     #[test]

@@ -134,7 +134,11 @@ struct Lines {
 }
 
 impl Lines {
-    fn line(&mut self, line: &str) -> Result<(), ParseError> {
+    /// Read one line. A job entry read in full that is exactly `- Job …`
+    /// and one `\n` returns its template's word count: the scanner's
+    /// grammar leaves it ASCII, its numbers words of their own, so its
+    /// tally is its length and that count.
+    fn line(&mut self, line: &str) -> Result<Option<usize>, ParseError> {
         let out = &mut self.out;
         let trimmed = line.trim();
         let header = match trimmed {
@@ -146,8 +150,10 @@ impl Lines {
         };
         if let Some(section) = header {
             self.section = section;
-            return Ok(());
+            return Ok(None);
         }
+        let template =
+            line.len() == trimmed.len() + 1 && line.starts_with("- Job ") && line.ends_with('\n');
         const U32: u64 = u32::MAX as u64;
         const USIZE: u64 = usize::MAX as u64;
         // Every bound below is its field's type's, so each `as` is exact.
@@ -188,6 +194,7 @@ impl Lines {
                         started_secs,
                         expected_end_secs,
                     });
+                    return Ok(template.then_some(RUNNING_WORDS));
                 } else if let Some(rest) = trimmed.strip_prefix("Completed Jobs: ") {
                     let fields = [("", USIZE), (" of ", USIZE), (" total jobs; ", USIZE)];
                     let [done, total, pending] =
@@ -219,6 +226,7 @@ impl Lines {
                         submitted_secs,
                         waiting_secs,
                     });
+                    return Ok(template.then_some(WAITING_WORDS));
                 }
             }
             Section::Scratchpad => {
@@ -233,16 +241,31 @@ impl Lines {
             }
             Section::Tail => {}
         }
-        Ok(())
+        Ok(None)
     }
 
-    /// Read every line of `part` and tally it.
+    /// Read every line of `part` and tally it: a job entry by its template,
+    /// each run of other lines in one pass.
     fn part(&mut self, part: &str) -> Result<(), ParseError> {
-        self.count += tally(part);
-        part.split_inclusive('\n')
-            .try_for_each(|line| self.line(line))
+        let (mut counted, mut at) = (0, 0);
+        for line in part.split_inclusive('\n') {
+            if let Some(words) = self.line(line)? {
+                self.count += tally(&part[counted..at]);
+                self.count += Tally::ascii(line.len(), words);
+                counted = at + line.len();
+            }
+            at += line.len();
+        }
+        self.count += tally(&part[counted..]);
+        Ok(())
     }
 }
+
+/// Words in a job entry: `- Job 1: user_2, 3 nodes, 4 GB,` then, waiting,
+/// `walltime 5 s, submitted t=6, waiting 7 s` or, running, `started t=5,
+/// expected end t=6`.
+const WAITING_WORDS: usize = 16;
+const RUNNING_WORDS: usize = 13;
 
 /// The one reader: the line state machine over the prompt's parts, in
 /// order, and what [`crate::tokens::estimate_tokens`] makes of its text.
@@ -600,6 +623,128 @@ Waiting Jobs (eligible to schedule):
         let over = good.replace("walltime 147", "walltime 18446744073709551616");
         let e = parse_prompt(&over).unwrap_err();
         assert!(e.message.contains("too large"), "{e}");
+    }
+
+    /// A job entry's tally is its length and its template's word count:
+    /// 16 for a waiting job's, 13 for a running job's, each number a word.
+    /// A line the template does not describe byte for byte is tallied.
+    #[test]
+    fn job_entries_tally_by_their_template() {
+        let waiting =
+            "- Job 32: user_6, 256 nodes, 8 GB, walltime 147 s, submitted t=0, waiting 1554 s\n";
+        let running = "- Job 46: user_3, 18 nodes, 1472 GB, started t=0, expected end t=10000\n";
+        for (header, line, words) in [
+            (
+                "Waiting Jobs (eligible to schedule):\n",
+                waiting,
+                WAITING_WORDS,
+            ),
+            ("Running Jobs:\n", running, RUNNING_WORDS),
+        ] {
+            assert_eq!(line.split_whitespace().count(), words);
+            assert_eq!(Tally::ascii(line.len(), words), tally(line));
+            let mut state = Lines::default();
+            assert_eq!(state.line(header), Ok(None));
+            assert_eq!(state.line(line), Ok(Some(words)), "{line}");
+            let others = [
+                line.replace('\n', "\r\n"),
+                format!(" {line}"),
+                line.replace('\n', " \n"),
+                line.trim_end().to_string(),
+            ];
+            for other in others {
+                assert_eq!(state.line(&other), Ok(None), "{other:?}");
+            }
+        }
+    }
+
+    /// One job entry of either template, each number small or, one time
+    /// in four, its field's maximum.
+    fn job_line(running: bool, pick: u64) -> String {
+        let number = |field: u32, max: u64| match pick >> (2 * field) & 3 {
+            0 => max,
+            _ => pick % 997 + u64::from(field),
+        };
+        let [id, user, nodes] = [0, 1, 2].map(|field| number(field, u32::MAX.into()));
+        let [memory, t1, t2, waited] = [3, 4, 5, 6].map(|field| number(field, u64::MAX));
+        if running {
+            format!(
+                "- Job {id}: user_{user}, {nodes} nodes, {memory} GB, started t={t1}, \
+                 expected end t={t2}"
+            )
+        } else {
+            format!(
+                "- Job {id}: user_{user}, {nodes} nodes, {memory} GB, walltime {t1} s, \
+                 submitted t={t2}, waiting {waited} s"
+            )
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        /// Whatever the prompt, a read that succeeds counts what
+        /// `estimate_tokens` counts of its text, with or without a history
+        /// key: job entries at the numbers' limits, CRLF endings, leading
+        /// spaces, U+00A0 / U+3000 padding, job entries in sections that do
+        /// not read them (or in the other job section, which refuses them),
+        /// lines cut short, and a last line with no newline. A line of
+        /// one-letter words in the tail makes the word count, not the length, the
+        /// estimate, so a template's count that is one off shows.
+        #[test]
+        fn a_read_counts_the_tokens_of_its_text(
+            lines in proptest::prelude::prop::collection::vec(
+                (0usize..5, 0u32..10, 0u64..1 << 14, 0u32..12, 0usize..160),
+                0..24,
+            ),
+            unterminated in 0u32..2,
+            filler in 0usize..240,
+        ) {
+            const HEADERS: [&str; 5] = [
+                "System capacity: 256 nodes, 2048 GB memory\nCurrent time: 9\n",
+                "Running Jobs:\n",
+                "Completed Jobs: 1 of 9 total jobs; 2 not yet submitted\n\
+                 Waiting Jobs (eligible to schedule):\n",
+                "# Scratchpad (Decision History)\n[t=3] Feedback: no\n",
+                "Your scheduling objectives are:\n",
+            ];
+            let mut sections: [String; 5] = Default::default();
+            for (section, form, pick, decoration, cut) in lines {
+                // The section's own template nine times in ten.
+                let running = match (section, form) {
+                    (1, 0) => false,
+                    (1, _) => true,
+                    (2, 0) => true,
+                    (_, form) => form % 2 == 1,
+                };
+                let mut line = job_line(running, pick);
+                if cut < line.len() && decoration == 11 {
+                    line.truncate(cut);
+                }
+                let (lead, end) = match decoration {
+                    4 => ("", "\r\n"),
+                    5 => (" ", "\n"),
+                    6 => ("\u{a0}", "\u{3000}\n"),
+                    7 => ("\u{3000}", "\n"),
+                    8 => ("", "\u{a0}\n"),
+                    9 => ("", " \r\n"),
+                    _ => ("", "\n"),
+                };
+                sections[section] += &format!("{lead}{line}{end}");
+            }
+            sections[4].insert_str(0, &format!("{}\n", "a ".repeat(filler)));
+            let mut text: String = HEADERS.iter().zip(&sections).map(|(h, s)| format!("{h}{s}")).collect();
+            if unterminated == 1 {
+                text.pop();
+            }
+            let key = HistoryKey { stream: HistoryKey::new_stream(), offset: 0 };
+            let prompt = Prompt::from_text(&text);
+            for prompt in [prompt, Prompt { key: Some(key), ..prompt }] {
+                if let Ok((_, tokens)) = read(&prompt, &mut Ledger::default()) {
+                    proptest::prop_assert_eq!(tokens, crate::tokens::estimate_tokens(&text));
+                }
+            }
+        }
     }
 
     #[test]

@@ -22,6 +22,12 @@ pub struct Tally {
 }
 
 impl Tally {
+    /// The tally of ASCII text of `chars` bytes and `words` words, for a
+    /// reader that knows both without a pass.
+    pub(crate) fn ascii(chars: usize, words: usize) -> Tally {
+        Tally { chars, words }
+    }
+
     /// The estimate these counts amount to.
     pub fn tokens(self) -> u32 {
         (self.chars as u32).div_ceil(4).max(self.words as u32)

@@ -285,6 +285,51 @@ fn simulated_model_reads_a_fraction_of_the_prompt_bytes_it_is_handed() {
     assert_eq!((received_fresh, read_fresh), (2_132_059, 369_010));
 }
 
+/// The agent on the classed `mixed_256` machine, where a waiting job's
+/// prompt line carries its request but a running job's carries the
+/// capacity its hosting classes were debited, and where the model's
+/// availability arithmetic over the flat totals can propose a start no class
+/// can host — the invalid actions the kernel refuses. The refusals, the
+/// prompt bytes and the schedule are pinned exactly: a change to the
+/// prompt's bytes or to what the model makes of them shows here first.
+#[test]
+fn the_agent_on_a_classed_machine_is_pinned() {
+    use std::fmt::Write as _;
+    let cluster = ClusterConfig::mixed_256();
+    let jobs = named_workload(scenario_names::GPU_SKEWED_HETMIX, 200, 7).jobs;
+    let model = SharedModel(std::rc::Rc::new(SimulatedLlm::claude37(7).into()));
+    let mut policy = LlmSchedulingPolicy::new(Box::new(model.clone()));
+    let outcome =
+        run_simulation(cluster, &jobs, &mut policy, &SimOptions::default()).expect("completes");
+    assert_eq!(outcome.records.len(), jobs.len());
+    let mut schedule = String::new();
+    for r in &outcome.records {
+        let _ = write!(
+            schedule,
+            "{}@{}-{};",
+            r.spec.id,
+            r.start.as_millis(),
+            r.end.as_millis()
+        );
+    }
+    let stats = outcome.stats;
+    let counts = (policy.calls().len(), stats.placements, stats.rejections);
+    let fnv = schedule
+        .bytes()
+        .fold(0xcbf2_9ce4_8422_2325_u64, |hash, byte| {
+            (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+    assert_eq!(counts, (1371, 200, 1170), "calls, placements, refusals");
+    let bytes = model.0.borrow().prompt_bytes();
+    assert_eq!(bytes, (337_355_843, 7_363_848), "bytes received, read");
+    let end = outcome.end_time.as_millis();
+    assert_eq!(
+        (fnv, end),
+        (993_955_105_344_767_428, 26_436_002),
+        "schedule"
+    );
+}
+
 /// A persona's fields are public and `Persona::custom` takes any weights:
 /// a NaN weight or temperature ranks the scores it touches last instead of
 /// panicking the sort, and every action the model takes still goes through

@@ -500,27 +500,158 @@ proptest! {
             prop_assert_eq!(p.nodes, s.nodes);
             prop_assert_eq!(p.memory_gb, s.memory_gb);
             prop_assert_eq!(p.walltime_secs, s.walltime.as_secs());
+            prop_assert_eq!(p.waiting_secs, now.saturating_sub(s.submit.as_secs()));
         }
 
-        // The agent refills one buffer every step with the state sections
-        // and the objectives, and the scratchpad lends the history between.
-        // Whatever the buffer held, the parts are byte for byte what a
-        // fresh render gives.
+        // The agent's builder writes the state sections and the objectives,
+        // copying from its last prompt what that holds, and the scratchpad
+        // lends the history between. Whatever the builder wrote before, the
+        // parts are byte for byte what a fresh render gives.
         let mut history = Scratchpad::default();
         for spec in &waiting_specs {
             history.push_thought(now, &format!("job {} has waited\nlong enough", spec.id.0));
             history.push_action(now, &Action::StartJob(spec.id).to_string());
         }
         history.push_feedback(now, "job 3 cannot be started — requires 256 Nodes");
-        let mut buffer = "a longer prompt's residue ".repeat(200);
-        let with_history = PromptBuilder::prompt(&mut buffer, &view, &history).to_string();
+        let mut builder = PromptBuilder::default();
+        builder.prompt(&view, &Scratchpad::default());
+        let with_history = builder.prompt(&view, &history).to_string();
         prop_assert_eq!(&with_history, &PromptBuilder::render(&view, &history));
         prop_assert!(with_history.len() > text.len());
         let parsed_with_history = parse_prompt(&with_history).expect("builder output parses");
         prop_assert_eq!(&parsed_with_history.waiting, &parsed.waiting);
         prop_assert_eq!(parsed_with_history.feedback.len(), 1);
-        let again = PromptBuilder::prompt(&mut buffer, &view, &Scratchpad::default()).to_string();
+        let again = builder.prompt(&view, &Scratchpad::default()).to_string();
         prop_assert_eq!(&again, &text);
+    }
+}
+
+/// Keeps the text of the last prompt it was handed, and always delays.
+struct LastPrompt(std::rc::Rc<std::cell::RefCell<String>>);
+
+impl LanguageModel for LastPrompt {
+    fn model_name(&self) -> &str {
+        "last-prompt"
+    }
+
+    fn complete(
+        &mut self,
+        prompt: &str,
+    ) -> Result<reasoned_scheduler::llm::Completion, reasoned_scheduler::llm::LlmError> {
+        self.0.replace(prompt.to_string());
+        Ok(reasoned_scheduler::llm::Completion {
+            text: "Thought: nothing to do yet\nAction: Delay".to_string(),
+            prompt_tokens: 0,
+            completion_tokens: 0,
+            latency_secs: 0.0,
+        })
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The agent's builder copies every job line its last prompt wrote from
+    /// the same job and fields: driven by one agent across hand-built views
+    /// that evolve by arrivals, starts, completions, changed fields (ids
+    /// that recur with other users, sizes, times — to a type's maximum, or
+    /// from waiting to running), sections that empty and refill, capacity
+    /// changes, clock steps and `reset`, every prompt the model is handed
+    /// is byte for byte what a fresh `PromptBuilder::render` gives. A store
+    /// keyed on the job id alone fails this, whether it leaves the fields
+    /// unchecked or a running job's line untold from a waiting job's.
+    #[test]
+    fn a_long_lived_builder_renders_what_a_fresh_one_does(
+        ops in prop::collection::vec((0u32..10, 0usize..6, 0u64..64), 1..48)
+    ) {
+        let field = |pick: u64, small: u64, max: u64| if pick & 7 == 7 { max } else { small + pick % 3 };
+        let seen = std::rc::Rc::default();
+        let mut agent = LlmSchedulingPolicy::new(Box::new(LastPrompt(std::rc::Rc::clone(&seen))));
+        let mut config = ClusterConfig::paper_default();
+        let (mut waiting, mut running) = (Vec::<JobSpec>::new(), Vec::<RunningSummary>::new());
+        let mut now = 0;
+        for (kind, at, pick) in ops {
+            let job = JobSpec::new(
+                at as u32,
+                pick as u32 % 3,
+                SimTime::from_secs(field(pick, now, u64::MAX / 1000)),
+                SimDuration::from_secs(field(pick >> 3, 60, u64::MAX / 1000)),
+                field(pick >> 1, 1, u64::from(u32::MAX)) as u32,
+                field(pick >> 2, 4, u64::MAX),
+            );
+            match kind {
+                0..=2 => waiting.insert(at.min(waiting.len()), job),
+                3 if !waiting.is_empty() => {
+                    waiting.remove(at % waiting.len());
+                }
+                4 if !waiting.is_empty() => {
+                    let spec = waiting.remove(at % waiting.len());
+                    let start = SimTime::from_secs(now);
+                    running.push(RunningSummary {
+                        id: spec.id,
+                        user: spec.user,
+                        nodes: spec.nodes,
+                        memory_gb: spec.memory_gb,
+                        start,
+                        submit: spec.submit,
+                        expected_end: SimTime::from_secs(now.saturating_add(spec.walltime.as_secs())),
+                        class: None,
+                    });
+                }
+                5 if !running.is_empty() => {
+                    let r = running.remove(at % running.len());
+                    // The same id again: waiting, running with one field
+                    // moved, or waiting with the very numbers its running
+                    // line showed.
+                    match pick % 4 {
+                        0 => waiting.push(JobSpec { id: r.id, ..job }),
+                        1 => running.push(RunningSummary { user: job.user, ..r }),
+                        2 => running.push(RunningSummary { expected_end: job.submit, ..r }),
+                        _ => waiting.insert(0, JobSpec {
+                            id: r.id,
+                            user: r.user,
+                            nodes: r.nodes,
+                            memory_gb: r.memory_gb,
+                            walltime: SimDuration::from_secs(r.start.as_secs()),
+                            submit: r.expected_end,
+                            ..job
+                        }),
+                    }
+                }
+                6 if !waiting.is_empty() => {
+                    let i = at % waiting.len();
+                    waiting[i] = JobSpec { id: waiting[i].id, ..job };
+                }
+                7 => {
+                    waiting.clear();
+                    if at % 2 == 0 {
+                        running.clear();
+                    }
+                }
+                8 => agent.reset(),
+                _ => config.nodes = 256 + pick as u32 % 2,
+            }
+            now += pick % 5 * 7;
+            let view = SystemView {
+                now: SimTime::from_secs(now),
+                config,
+                free_nodes: 3,
+                free_memory_gb: 5,
+                free_by_class: [0; MAX_CLASSES],
+                waiting: waiting.as_slice().into(),
+                running: &running,
+                completed: &[],
+                completed_stats: reasoned_scheduler::cluster::CompletedStats::default(),
+                pending_arrivals: 0,
+                total_jobs: waiting.len() + running.len(),
+                calendar: None,
+                telemetry: None,
+                queue: None,
+            };
+            let expected = PromptBuilder::render(&view, agent.scratchpad());
+            agent.decide(&view);
+            prop_assert_eq!(&*seen.borrow(), &expected);
+        }
     }
 }
 
@@ -759,7 +890,7 @@ proptest! {
         let mut pads = [first.clone(), Scratchpad::new(BUDGETS[budgets.1]), first];
         let mut model = SimulatedLlm::o4mini(seed);
         let mut twin = SimulatedLlm::o4mini(seed);
-        let mut buffer = String::new();
+        let mut builder = PromptBuilder::default();
         let mut now = 0;
         for (kind, pad, step, text, reps, call) in opening.iter().chain(&ops) {
             let pad = [0, 0, 0, 1, 2, 2][*pad];
@@ -783,7 +914,7 @@ proptest! {
             }
             let view = kernel.view(SimTime::from_secs(now), 0, 1);
             let text = PromptBuilder::render(&view, &pads[pad]);
-            let prompt = PromptBuilder::prompt(&mut buffer, &view, &pads[pad]);
+            let prompt = builder.prompt(&view, &pads[pad]);
             prop_assert_eq!(prompt.to_string(), text.clone());
             prop_assert_eq!(Prompt { key: None, ..prompt }, Prompt::from_text(&text));
             let (parts, whole) = (model.complete_prompt(&prompt), twin.complete(&text));

@@ -1,7 +1,9 @@
 //! A start holds counts, not nodes: once the cluster's slot table has grown
 //! to the run's concurrency and the record log has room, starting and
 //! completing a job touches no heap — on the flat Polaris machine and on
-//! the classed `mixed_256` alike.
+//! the classed `mixed_256` alike. Nor does the agent's prompt, once its
+//! builder has written one: each job line is copied from the last prompt
+//! or formatted into room the buffers already have.
 //!
 //! The test binary counts allocations through its own global allocator.
 //! The count is per thread, so tests running beside each other in the
@@ -11,7 +13,11 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::collections::VecDeque;
 
-use reasoned_scheduler::cluster::{ClusterConfig, ClusterState, JobSpec, NodeClass, ResourceVec};
+use reasoned_scheduler::agent::{PromptBuilder, Scratchpad};
+use reasoned_scheduler::cluster::{
+    ClusterConfig, ClusterState, CompletedStats, JobSpec, NodeClass, ResourceVec, MAX_CLASSES,
+};
+use reasoned_scheduler::sim::{RunningSummary, SystemView};
 use reasoned_scheduler::simkit::{SimDuration, SimTime};
 
 struct CountingAlloc;
@@ -116,6 +122,58 @@ fn a_start_allocates_nothing_on_polaris() {
 #[test]
 fn a_start_allocates_nothing_on_mixed_256() {
     cycles_allocate_nothing(ClusterConfig::mixed_256(), 1000);
+}
+
+/// The agent's prompt for 60 waiting and 10 running jobs under a short
+/// history, asked 50 times as the clock moves: after the first two, which
+/// grow the builder's two buffers, it is written without touching the heap.
+#[test]
+fn a_warm_prompt_builder_allocates_nothing() {
+    let waiting: Vec<JobSpec> = (0..60).map(job).collect();
+    let running: Vec<RunningSummary> = (60..70)
+        .map(job)
+        .map(|spec| RunningSummary {
+            id: spec.id,
+            user: spec.user,
+            nodes: spec.nodes,
+            memory_gb: spec.memory_gb,
+            start: SimTime::ZERO,
+            submit: SimTime::ZERO,
+            expected_end: SimTime::ZERO + spec.walltime,
+            class: None,
+        })
+        .collect();
+    let mut pad = Scratchpad::default();
+    pad.push_thought(0, "job 3 has waited longest");
+    pad.push_action(0, "StartJob(job_id=3)");
+    let view = |now| SystemView {
+        now: SimTime::from_secs(now),
+        config: ClusterConfig::paper_default(),
+        free_nodes: 100,
+        free_memory_gb: 1000,
+        free_by_class: [0; MAX_CLASSES],
+        waiting: waiting.as_slice().into(),
+        running: &running,
+        completed: &[],
+        completed_stats: CompletedStats::default(),
+        pending_arrivals: 0,
+        total_jobs: 70,
+        calendar: None,
+        telemetry: None,
+        queue: None,
+    };
+    let mut builder = PromptBuilder::default();
+    let first = builder.prompt(&view(1000), &pad).to_string();
+    builder.prompt(&view(1001), &pad);
+    let before = allocations();
+    for now in 1002..1050 {
+        std::hint::black_box(builder.prompt(&view(now), &pad));
+    }
+    let allocated = allocations() - before;
+    assert_eq!(allocated, 0, "48 prompts allocated {allocated} times");
+    let last = builder.prompt(&view(1000), &pad).to_string();
+    assert_eq!(last, first);
+    assert_eq!(last, PromptBuilder::render(&view(1000), &pad));
 }
 
 /// The counter works: a `Vec` that grows is seen.
