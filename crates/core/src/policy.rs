@@ -4,10 +4,9 @@
 //!
 //! Per query the agent: (1) constructs the prompt from the system snapshot
 //! and the scratchpad — through the one [`PromptBuilder`] it keeps, which
-//! copies from its last prompt every job line whose job is unchanged and
-//! formats the rest, so between two queries only the status lines, new
-//! jobs' lines and each waiting job's `waiting N s` are written anew — (2)
-//! queries the LLM, (3) parses the
+//! copies every job line its last prompt wrote for an unchanged job, so
+//! only status lines, new jobs' lines and each waiting job's `waiting N s`
+//! are written anew — (2) queries the LLM, (3) parses the
 //! `Thought`/`Action` completion, (4) appends thought and action to the
 //! scratchpad, and (5) when the simulator rejects the action, appends the
 //! natural-language feedback so the next query can correct course — no
@@ -96,8 +95,7 @@ pub struct LlmSchedulingPolicy {
     name: String,
     llm: Box<dyn LanguageModel>,
     scratchpad: Scratchpad,
-    /// Writes every query's prompt but its history, and keeps the last one
-    /// to copy unchanged job lines from.
+    /// Writes every query's prompt but its history.
     prompt: PromptBuilder,
     calls: Vec<CallRecord>,
 }
@@ -434,7 +432,7 @@ mod tests {
     }
 
     /// The agent's builder refills buffers it reuses and copies job lines
-    /// from its last prompt: every prompt the model sees must still be
+    /// from its line store: every prompt the model sees must still be
     /// exactly what a fresh `PromptBuilder::render` gives, also when it is
     /// shorter than the one before it and after `reset`.
     #[test]
@@ -459,13 +457,10 @@ mod tests {
     }
 
     /// The history is lent by the scratchpad, so the agent's builder holds
-    /// two buffers of head and tail — its last prompt and the one before,
-    /// which the next is written over — and the line store over the last:
-    /// after a 500-job run whose history alone is over 100 KB, under 64 KB
-    /// in all (the whole ≈ 324 KB prompt, when the history was copied in;
-    /// the run's largest head and tail is 8.2 KB, a buffer grown to it by
-    /// doubling 16 KB), and the store no larger than twice the last prompt's
-    /// job lines and 32.
+    /// only the head and tail it writes and the line store: after a 500-job
+    /// run whose history alone is over 100 KB, under 32 KB in all (the whole
+    /// ≈ 324 KB prompt, when the history was copied in), and the store no
+    /// larger than twice the last prompt's job lines and 32.
     #[test]
     fn the_prompt_buffer_holds_no_history() {
         let w = gen("heterogeneous_mix", 500, ArrivalMode::Dynamic, 7);
@@ -483,7 +478,7 @@ mod tests {
             entries <= 2 * job_lines + 32,
             "{entries} store entries, {job_lines} job lines"
         );
-        assert!(bytes < 64 * 1024, "prompt builder holds {bytes} bytes");
+        assert!(bytes < 32 * 1024, "prompt builder holds {bytes} bytes");
     }
 
     #[test]

@@ -7,56 +7,45 @@
 //! [`rsched_llm::prompt_parse`] reads — round-tripped in tests on both
 //! sides.
 //!
-//! A prompt is assembled in place by a builder the agent keeps across
-//! queries: the history is the scratchpad's, borrowed, and the builder's
-//! buffer holds the rest. Between two queries a running job's line does not
-//! change and a waiting job's changes only in `waiting N s`, so the builder
-//! keeps its last prompt and a *line store* over it: per job line, the job,
-//! the fields the line was written from, and where it sits. Jobs keep their
-//! order from one query to the next, so the store is walked with a cursor.
-//! A job line whose job and fields are unchanged is copied from the last
-//! prompt — a waiting job's through `waiting `, its seconds written anew —
-//! and any other is formatted. The objectives tail is copied while the
-//! capacity it names is unchanged. A fresh builder formats everything,
-//! which is what [`PromptBuilder::render`] is.
+//! A prompt is assembled in place by a builder the agent keeps: the history
+//! is the scratchpad's, borrowed; the head is written every query and the
+//! objectives tail when the capacity changes. Between two queries a running
+//! job's line does not change and a waiting job's changes only in `waiting
+//! N s`, so a *line store* keeps the last prompt's job lines (a waiting
+//! one through `waiting `) and the fields each was written from, walked by
+//! a cursor (jobs keep their order). A line whose job and fields are
+//! unchanged is copied from it; any other is formatted. A fresh builder
+//! formats everything: that is [`PromptBuilder::render`].
 
 use std::fmt::Write as _;
 
+use rsched_cluster::JobSpec;
 use rsched_llm::backend::Prompt;
-use rsched_sim::SystemView;
+use rsched_sim::{RunningSummary, SystemView};
 
 use crate::scratchpad::Scratchpad;
 
-/// Renders prompts for the ReAct agent, copying from the last prompt it
-/// rendered what that prompt already holds (see the module documentation).
+/// Renders prompts for the ReAct agent (see the module documentation).
 #[derive(Debug, Clone, Default)]
 pub struct PromptBuilder {
-    /// The last prompt: its head, then its tail.
-    text: String,
-    /// The buffer the next prompt is written into.
-    next: String,
-    /// Where the last prompt's head ends.
-    head: usize,
-    /// The capacity (nodes, GB) the last prompt's tail names; `None` before
-    /// the first prompt.
+    /// The sections before the history, and after it for `capacity`.
+    head: String,
+    tail: String,
     capacity: Option<(u32, u64)>,
-    /// The line store: the last prompt's job lines, in prompt order. While
-    /// the next prompt is written its lines follow them, and `cursor` is
-    /// how many of the `reused` it has walked past.
+    /// The line store: the last prompt's job lines back to back, an entry
+    /// each in prompt order, and how many the next has walked past.
+    store: String,
     lines: Vec<Line>,
-    reused: usize,
     cursor: usize,
+    /// Where the next prompt's job lines sit in its head.
+    spans: Vec<(usize, usize)>,
 }
 
-/// One job line of the last prompt.
+/// One job line of the store: the job and fields it was written from (see
+/// [`running`] and [`waiting`]), and where its bytes sit.
 #[derive(Debug, Clone, Copy)]
 struct Line {
-    /// The job's id (plus [`RUNNING`] for a running job's line), then
-    /// every other field the line renders, in template order.
     job: [u64; 6],
-    /// Where the line's reusable bytes start in the prompt — a running
-    /// job's whole line, a waiting job's through `waiting ` — and how many
-    /// there are.
     at: usize,
     len: usize,
 }
@@ -73,18 +62,17 @@ impl PromptBuilder {
     /// Render the full prompt for one decision epoch into a new string: what
     /// a builder that has rendered nothing yet gives.
     pub fn render(view: &SystemView<'_>, scratchpad: &Scratchpad) -> String {
-        PromptBuilder::default()
-            .prompt(view, scratchpad)
-            .to_string()
+        Self::default().prompt(view, scratchpad).to_string()
     }
 
-    /// The prompt for one decision epoch, in parts: the builder's buffer
-    /// holds the sections before and after the history, and the history is
+    /// The prompt for one decision epoch, in parts: the builder's buffers
+    /// hold the sections before and after the history, and the history is
     /// the scratchpad's. Reads entirely through the view's borrows — nothing
-    /// is cloned — and formats only what the last prompt does not hold.
+    /// is cloned — and formats only what the line store does not hold.
     pub fn prompt<'a>(&'a mut self, view: &SystemView<'_>, pad: &'a Scratchpad) -> Prompt<'a> {
-        (self.reused, self.cursor) = (self.lines.len(), 0);
-        let p = &mut self.next;
+        self.cursor = 0;
+        self.spans.clear();
+        let p = &mut self.head;
         p.clear();
         p.push_str(
             "You are an expert HPC resource manager, and your task is to schedule jobs \
@@ -106,16 +94,7 @@ impl PromptBuilder {
             p.push_str("None\n");
         }
         for r in view.running {
-            let (start, end) = (r.start.as_secs(), r.expected_end.as_secs());
-            let job = [
-                r.id.0.into(),
-                r.user.0.into(),
-                r.nodes.into(),
-                r.memory_gb,
-                start,
-                end,
-            ];
-            self.job_line(RUNNING, job, |p, [id, user, nodes, mem, start, end]| {
+            self.job_line(running(r), |p, [id, user, nodes, mem, start, end]| {
                 let _ = writeln!(
                     p,
                     "- Job {id}: user_{user}, {nodes} nodes, {mem} GB, started t={start}, \
@@ -123,7 +102,7 @@ impl PromptBuilder {
                 );
             });
         }
-        let p = &mut self.next;
+        let p = &mut self.head;
         // The O(1) aggregate — rendering never walks the completed slice.
         let _ = writeln!(
             p,
@@ -136,34 +115,24 @@ impl PromptBuilder {
             p.push_str("None\n");
         }
         for j in view.waiting {
-            let (walltime, submit) = (j.walltime.as_secs(), j.submit.as_secs());
-            let job = [
-                j.id.0.into(),
-                j.user.0.into(),
-                j.nodes.into(),
-                j.memory_gb,
-                walltime,
-                submit,
-            ];
-            self.job_line(0, job, |p, [id, user, nodes, mem, walltime, submit]| {
+            self.job_line(waiting(j), |p, [id, user, nodes, mem, walltime, submit]| {
                 let _ = write!(
                     p,
                     "- Job {id}: user_{user}, {nodes} nodes, {mem} GB, walltime {walltime} s, \
                      submitted t={submit}, waiting "
                 );
             });
-            push_waited(&mut self.next, view.wait_so_far(j).as_secs());
+            let _ = writeln!(self.head, "{} s", view.wait_so_far(j).as_secs());
         }
+        self.head.push_str("\n# Scratchpad (Decision History)\n");
+        self.keep_lines(view);
 
-        let p = &mut self.next;
-        p.push_str("\n# Scratchpad (Decision History)\n");
-        let head = p.len();
         let (nodes, memory_gb) = (view.config.nodes, view.config.memory_gb);
-        if self.capacity == Some((nodes, memory_gb)) {
-            p.push_str(&self.text[self.head..]);
-        } else {
+        if self.capacity != Some((nodes, memory_gb)) {
+            self.capacity = Some((nodes, memory_gb));
+            self.tail.clear();
             let _ = writeln!(
-                p,
+                self.tail,
                 "\nYour scheduling objectives are:\n\
                  You must balance all of the following:\n\
                  - Fairness: Minimize variance in user wait times. Avoid starving any user.\n\
@@ -191,49 +160,65 @@ impl PromptBuilder {
                  Action: <your action>"
             );
         }
-        (self.head, self.capacity) = (head, Some((nodes, memory_gb)));
-        std::mem::swap(&mut self.text, &mut self.next);
-        self.lines.drain(..self.reused);
-        let (head, tail) = self.text.split_at(head);
-        pad.prompt(head, tail)
+        pad.prompt(&self.head, &self.tail)
     }
 
-    /// Write the line of `job` (of `kind`, 0 or [`RUNNING`]) to the next
-    /// prompt: copied from the last prompt if that wrote it for the same
-    /// job from the same fields, else by `render`.
-    fn job_line(&mut self, kind: u64, job: [u64; 6], render: impl FnOnce(&mut String, [u64; 6])) {
-        let at = self.next.len();
-        let mut key = job;
-        key[0] |= kind;
-        let ahead = &self.lines[self.cursor..self.reused];
-        match ahead.iter().take(WINDOW).position(|line| line.job == key) {
+    /// Write the line of `job` to the head: from the store if the last
+    /// prompt wrote it from the same fields, else by `render`.
+    fn job_line(&mut self, job: [u64; 6], render: impl FnOnce(&mut String, [u64; 6])) {
+        let at = self.head.len();
+        let ahead = &self.lines[self.cursor..];
+        match ahead.iter().take(WINDOW).position(|line| line.job == job) {
             Some(i) => {
                 let line = ahead[i];
-                self.next.push_str(&self.text[line.at..][..line.len]);
+                self.head.push_str(&self.store[line.at..][..line.len]);
                 self.cursor += i + 1;
             }
-            None => render(&mut self.next, job),
+            None => {
+                let mut fields = job;
+                fields[0] &= !RUNNING;
+                render(&mut self.head, fields);
+            }
         }
-        let len = self.next.len() - at;
-        self.lines.push(Line { job: key, at, len });
+        self.spans.push((at, self.head.len() - at));
+    }
+
+    /// Refill the store from the head just written, job by job.
+    fn keep_lines(&mut self, view: &SystemView<'_>) {
+        let jobs = view.running.iter().map(running);
+        let jobs = jobs.chain(view.waiting.iter().map(waiting));
+        self.lines.clear();
+        self.store.clear();
+        for (job, &(from, len)) in jobs.zip(&self.spans) {
+            let at = self.store.len();
+            self.store.push_str(&self.head[from..][..len]);
+            self.lines.push(Line { job, at, len });
+        }
     }
 }
 
-/// The end of a waiting job's line, `N s` and the newline: the one field
-/// of a job line that moves every query, written as digits without the
-/// formatting machinery (which costs as much as the rest of the line).
-fn push_waited(p: &mut String, secs: u64) {
-    let mut text = *b"00000000000000000000 s\n";
-    let (mut at, mut rest) = (20, secs);
-    loop {
-        at -= 1;
-        text[at] = b'0' + (rest % 10) as u8;
-        rest /= 10;
-        if rest == 0 {
-            break;
-        }
-    }
-    p.push_str(std::str::from_utf8(&text[at..]).expect("ASCII digits"));
+/// A running job's id plus [`RUNNING`], then the fields its line renders.
+fn running(r: &RunningSummary) -> [u64; 6] {
+    [
+        u64::from(r.id.0) | RUNNING,
+        r.user.0.into(),
+        r.nodes.into(),
+        r.memory_gb,
+        r.start.as_secs(),
+        r.expected_end.as_secs(),
+    ]
+}
+
+/// The fields a waiting job's line renders before its seconds.
+fn waiting(j: &JobSpec) -> [u64; 6] {
+    [
+        j.id.0.into(),
+        j.user.0.into(),
+        j.nodes.into(),
+        j.memory_gb,
+        j.walltime.as_secs(),
+        j.submit.as_secs(),
+    ]
 }
 
 #[cfg(test)]
@@ -243,12 +228,15 @@ impl PromptBuilder {
     pub(crate) fn footprint(&self) -> (usize, usize, usize) {
         use std::mem::size_of;
         let job_lines = self
-            .text
+            .head
             .lines()
             .filter(|l| l.starts_with("- Job "))
             .count();
-        let bytes =
-            self.text.capacity() + self.next.capacity() + self.lines.capacity() * size_of::<Line>();
+        let bytes = self.head.capacity()
+            + self.tail.capacity()
+            + self.store.capacity()
+            + self.lines.capacity() * size_of::<Line>()
+            + self.spans.capacity() * size_of::<(usize, usize)>();
         (self.lines.len(), job_lines, bytes)
     }
 }
@@ -373,15 +361,6 @@ mod tests {
         assert_eq!(parsed.pending_arrivals, 3);
         assert_eq!(parsed.feedback.len(), 1);
         assert_eq!(parsed.feedback[0].0, 1554);
-    }
-
-    #[test]
-    fn waited_seconds_are_written_as_fmt_writes_them() {
-        for secs in [0, 7, 10, 99, 1554, 1 << 40, u64::MAX - 1, u64::MAX] {
-            let mut p = String::from("waiting ");
-            push_waited(&mut p, secs);
-            assert_eq!(p, format!("waiting {secs} s\n"));
-        }
     }
 
     #[test]

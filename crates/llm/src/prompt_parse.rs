@@ -134,10 +134,10 @@ struct Lines {
 }
 
 impl Lines {
-    /// Read one line. A job entry read in full that is exactly `- Job …`
-    /// and one `\n` returns its template's word count: the scanner's
-    /// grammar leaves it ASCII, its numbers words of their own, so its
-    /// tally is its length and that count.
+    /// Read one line. A job entry read in full that is `- Job …` and one
+    /// byte of whitespace (a newline, or an unterminated last line's end)
+    /// returns its template's word count: the scanner's grammar leaves it
+    /// ASCII, so its tally is its length and that count.
     fn line(&mut self, line: &str) -> Result<Option<usize>, ParseError> {
         let out = &mut self.out;
         let trimmed = line.trim();
@@ -152,8 +152,7 @@ impl Lines {
             self.section = section;
             return Ok(None);
         }
-        let template =
-            line.len() == trimmed.len() + 1 && line.starts_with("- Job ") && line.ends_with('\n');
+        let template = line.len() == trimmed.len() + 1 && line.starts_with("- Job ");
         const U32: u64 = u32::MAX as u64;
         const USIZE: u64 = usize::MAX as u64;
         // Every bound below is its field's type's, so each `as` is exact.
@@ -176,7 +175,7 @@ impl Lines {
             }
             Section::Running => {
                 if let Some(rest) = trimmed.strip_prefix("- Job ") {
-                    let fields = [
+                    const FIELDS: [(&str, u64); 6] = [
                         ("", U32),
                         (": user_", U32),
                         (", ", U32),
@@ -185,7 +184,7 @@ impl Lines {
                         (", expected end t=", u64::MAX),
                     ];
                     let [id, user, nodes, memory_gb, started_secs, expected_end_secs] =
-                        scan(rest, "job entry (running)", fields, "")?;
+                        scan(rest, "job entry (running)", FIELDS, "")?;
                     out.running.push(ParsedRunningJob {
                         id: id as u32,
                         user: user as u32,
@@ -194,7 +193,7 @@ impl Lines {
                         started_secs,
                         expected_end_secs,
                     });
-                    return Ok(template.then_some(RUNNING_WORDS));
+                    return Ok(template.then_some(const { entry_words(&FIELDS, "") }));
                 } else if let Some(rest) = trimmed.strip_prefix("Completed Jobs: ") {
                     let fields = [("", USIZE), (" of ", USIZE), (" total jobs; ", USIZE)];
                     let [done, total, pending] =
@@ -206,7 +205,7 @@ impl Lines {
             }
             Section::Waiting => {
                 if let Some(rest) = trimmed.strip_prefix("- Job ") {
-                    let fields = [
+                    const FIELDS: [(&str, u64); 7] = [
                         ("", U32),
                         (": user_", U32),
                         (", ", U32),
@@ -216,7 +215,7 @@ impl Lines {
                         (", waiting ", u64::MAX),
                     ];
                     let [id, user, nodes, memory_gb, walltime_secs, submitted_secs, waiting_secs] =
-                        scan(rest, "job entry (waiting)", fields, " s")?;
+                        scan(rest, "job entry (waiting)", FIELDS, " s")?;
                     out.waiting.push(ParsedWaitingJob {
                         id: id as u32,
                         user: user as u32,
@@ -226,7 +225,7 @@ impl Lines {
                         submitted_secs,
                         waiting_secs,
                     });
-                    return Ok(template.then_some(WAITING_WORDS));
+                    return Ok(template.then_some(const { entry_words(&FIELDS, " s") }));
                 }
             }
             Section::Scratchpad => {
@@ -244,8 +243,7 @@ impl Lines {
         Ok(None)
     }
 
-    /// Read every line of `part` and tally it: a job entry by its template,
-    /// each run of other lines in one pass.
+    /// Read and tally every line of `part`, a job entry by its template.
     fn part(&mut self, part: &str) -> Result<(), ParseError> {
         let (mut counted, mut at) = (0, 0);
         for line in part.split_inclusive('\n') {
@@ -261,11 +259,31 @@ impl Lines {
     }
 }
 
-/// Words in a job entry: `- Job 1: user_2, 3 nodes, 4 GB,` then, waiting,
-/// `walltime 5 s, submitted t=6, waiting 7 s` or, running, `started t=5,
-/// expected end t=6`.
-const WAITING_WORDS: usize = 16;
-const RUNNING_WORDS: usize = 13;
+/// Words in a job entry [`scan`] reads in full from `fields` and `end`:
+/// `- Job `, the lead-ins and `end`, each number a run of digits.
+const fn entry_words(fields: &[(&str, u64)], end: &str) -> usize {
+    const fn runs(text: &str, words: &mut usize, after_space: &mut bool) {
+        let mut i = 0;
+        while i < text.len() {
+            let space = matches!(text.as_bytes()[i], b' ' | b'\t'..=b'\r');
+            if *after_space && !space {
+                *words += 1;
+            }
+            *after_space = space;
+            i += 1;
+        }
+    }
+    let (mut words, mut after_space) = (0, true);
+    runs("- Job ", &mut words, &mut after_space);
+    let mut i = 0;
+    while i < fields.len() {
+        runs(fields[i].0, &mut words, &mut after_space);
+        runs("0", &mut words, &mut after_space);
+        i += 1;
+    }
+    runs(end, &mut words, &mut after_space);
+    words
+}
 
 /// The one reader: the line state machine over the prompt's parts, in
 /// order, and what [`crate::tokens::estimate_tokens`] makes of its text.
@@ -627,19 +645,17 @@ Waiting Jobs (eligible to schedule):
 
     /// A job entry's tally is its length and its template's word count:
     /// 16 for a waiting job's, 13 for a running job's, each number a word.
-    /// A line the template does not describe byte for byte is tallied.
+    /// Closed by one other whitespace byte than its newline, as an
+    /// unterminated last line may be, it counts alike; with any more
+    /// whitespace around it, it is tallied.
     #[test]
     fn job_entries_tally_by_their_template() {
         let waiting =
             "- Job 32: user_6, 256 nodes, 8 GB, walltime 147 s, submitted t=0, waiting 1554 s\n";
         let running = "- Job 46: user_3, 18 nodes, 1472 GB, started t=0, expected end t=10000\n";
         for (header, line, words) in [
-            (
-                "Waiting Jobs (eligible to schedule):\n",
-                waiting,
-                WAITING_WORDS,
-            ),
-            ("Running Jobs:\n", running, RUNNING_WORDS),
+            ("Waiting Jobs (eligible to schedule):\n", waiting, 16),
+            ("Running Jobs:\n", running, 13),
         ] {
             assert_eq!(line.split_whitespace().count(), words);
             assert_eq!(Tally::ascii(line.len(), words), tally(line));
@@ -655,6 +671,9 @@ Waiting Jobs (eligible to schedule):
             for other in others {
                 assert_eq!(state.line(&other), Ok(None), "{other:?}");
             }
+            let spaced = line.replace('\n', "\t");
+            assert_eq!(state.line(&spaced), Ok(Some(words)));
+            assert_eq!(Tally::ascii(spaced.len(), words), tally(&spaced));
         }
     }
 

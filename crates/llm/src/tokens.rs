@@ -22,8 +22,7 @@ pub struct Tally {
 }
 
 impl Tally {
-    /// The tally of ASCII text of `chars` bytes and `words` words, for a
-    /// reader that knows both without a pass.
+    /// The tally of ASCII text of `chars` bytes and `words` words.
     pub(crate) fn ascii(chars: usize, words: usize) -> Tally {
         Tally { chars, words }
     }

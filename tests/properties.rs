@@ -504,7 +504,7 @@ proptest! {
         }
 
         // The agent's builder writes the state sections and the objectives,
-        // copying from its last prompt what that holds, and the scratchpad
+        // copying from its line store what its last prompt wrote, and the scratchpad
         // lends the history between. Whatever the builder wrote before, the
         // parts are byte for byte what a fresh render gives.
         let mut history = Scratchpad::default();

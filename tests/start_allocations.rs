@@ -2,8 +2,8 @@
 //! to the run's concurrency and the record log has room, starting and
 //! completing a job touches no heap — on the flat Polaris machine and on
 //! the classed `mixed_256` alike. Nor does the agent's prompt, once its
-//! builder has written one: each job line is copied from the last prompt
-//! or formatted into room the buffers already have.
+//! builder has written one: each job line is copied from its line store or
+//! formatted into room the buffers already have.
 //!
 //! The test binary counts allocations through its own global allocator.
 //! The count is per thread, so tests running beside each other in the
@@ -126,7 +126,8 @@ fn a_start_allocates_nothing_on_mixed_256() {
 
 /// The agent's prompt for 60 waiting and 10 running jobs under a short
 /// history, asked 50 times as the clock moves: after the first two, which
-/// grow the builder's two buffers, it is written without touching the heap.
+/// grow the builder's buffers and its store, it is written without touching
+/// the heap.
 #[test]
 fn a_warm_prompt_builder_allocates_nothing() {
     let waiting: Vec<JobSpec> = (0..60).map(job).collect();
