@@ -9,10 +9,12 @@ use std::path::{Path, PathBuf};
 use std::sync::mpsc;
 use std::sync::Arc;
 
+use rsched_cluster::{ClusterConfig, JobSpec};
+use rsched_cpsolver::SolverConfig;
 use rsched_metrics::MetricsReport;
 use rsched_parallel::ThreadPool;
-use rsched_registry::{PolicyContext, PolicyRegistry};
-use rsched_sim::Simulation;
+use rsched_registry::{PolicyContext, PolicyRegistry, RegistryError};
+use rsched_sim::{OverheadReport, SimStats, Simulation};
 use rsched_workloads::{ArrivalMode, ScenarioContext, ScenarioRegistry};
 
 use crate::cache::{read_cell, write_cell};
@@ -225,22 +227,74 @@ impl Campaign {
     }
 }
 
-/// Execute one cell: generate the workload by scenario name, build the
-/// policy by registry name, simulate, and canonicalize the metrics.
+/// What one run of a policy produced: the §3.2 report, the simulator's
+/// counters and, for an agent, its overhead (paper §3.7).
+#[derive(Debug, Clone)]
+pub struct PolicyRun {
+    /// The registry display name the policy was built under — the label of
+    /// the run even when the policy's own `name()` differs.
+    pub policy: String,
+    /// The eight §3.2 metrics.
+    pub report: MetricsReport,
+    /// Simulator counters.
+    pub stats: SimStats,
+    /// The agent's overhead; `None` for the heuristics and the solver.
+    pub overhead: Option<OverheadReport>,
+}
+
+/// Build `policy` from `policies` by registry name, run it over `jobs` on
+/// `cluster`, and score the schedule — the one way a campaign cell or a
+/// figure cell is run.
+///
+/// `policy_seed` feeds the stochastic policies (LLM sampling noise, the
+/// random policy, solver restarts); deterministic ones ignore it. Fails
+/// only on an unknown name.
+///
+/// # Panics
+/// On simulation failure: a registered policy that cannot finish a
+/// workload is a harness bug, not an input error.
+pub fn run_policy(
+    policies: &PolicyRegistry,
+    policy: &str,
+    jobs: &[JobSpec],
+    cluster: ClusterConfig,
+    policy_seed: u64,
+    solver: SolverConfig,
+) -> Result<PolicyRun, RegistryError> {
+    let ctx = PolicyContext::new(jobs, cluster)
+        .with_seed(policy_seed)
+        .with_solver(solver);
+    let mut built = policies.build(policy, &ctx)?;
+    let outcome = Simulation::new(cluster)
+        .jobs(jobs)
+        .run(built.as_mut())
+        .unwrap_or_else(|e| panic!("{policy} over {} jobs failed: {e}", jobs.len()));
+    Ok(PolicyRun {
+        policy: policies
+            .display_name(policy)
+            .expect("build succeeded, so the name resolves")
+            .to_string(),
+        report: MetricsReport::compute(&outcome.records, cluster),
+        stats: outcome.stats,
+        overhead: built.overhead_report(),
+    })
+}
+
+/// Execute one cell: generate the workload by scenario name, run the
+/// policy on it with [`run_policy`], and canonicalize the metrics.
 ///
 /// The cell is taken by value and handed back inside the result, so a
 /// worker neither copies nor frees what the coordinating thread allocated.
 ///
 /// # Panics
-/// On simulation failure — spec validation already proved the names
-/// resolve, so a policy that cannot finish a workload is a harness bug,
-/// exactly as in `rsched_experiments::runner`.
+/// On an unknown name or a simulation failure — spec validation already
+/// proved the names resolve.
 pub fn run_cell(
     policies: &PolicyRegistry,
     scenarios: &ScenarioRegistry,
     cell: CellSpec,
-    solver: rsched_cpsolver::SolverConfig,
-    cluster: rsched_cluster::ClusterConfig,
+    solver: SolverConfig,
+    cluster: ClusterConfig,
     walltime_skew: f64,
 ) -> CellResult {
     let ctx = ScenarioContext::new(cell.jobs)
@@ -251,22 +305,20 @@ pub fn run_cell(
     let workload = scenarios
         .generate(&cell.scenario, &ctx)
         .unwrap_or_else(|e| panic!("scenario `{}`: {e}", cell.scenario));
-    let pctx = PolicyContext::new(&workload.jobs, cluster)
-        .with_seed(cell.policy_seed())
-        .with_solver(solver);
-    let mut policy = policies
-        .build(&cell.policy, &pctx)
-        .unwrap_or_else(|e| panic!("policy `{}`: {e}", cell.policy));
-    let outcome = Simulation::new(cluster)
-        .jobs(&workload.jobs)
-        .run(policy.as_mut())
-        .unwrap_or_else(|e| panic!("cell {} failed: {e}", cell.label()));
-    let report = MetricsReport::compute(&outcome.records, cluster);
+    let run = run_policy(
+        policies,
+        &cell.policy,
+        &workload.jobs,
+        cluster,
+        cell.policy_seed(),
+        solver,
+    )
+    .unwrap_or_else(|e| panic!("policy `{}`: {e}", cell.policy));
     CellResult::new(
         cell,
-        &report,
-        outcome.stats.placements as u64,
-        outcome.stats.epochs as u64,
+        &run.report,
+        run.stats.placements as u64,
+        run.stats.epochs as u64,
     )
 }
 
@@ -369,8 +421,8 @@ exclude = ["SJF/10"]
             jobs: 12,
             seed: 5,
         };
-        let solver = rsched_cpsolver::SolverConfig::default();
-        let cluster = rsched_cluster::ClusterConfig::paper_default();
+        let solver = SolverConfig::default();
+        let cluster = ClusterConfig::paper_default();
         let a = run_cell(&policies, &scenarios, cell.clone(), solver, cluster, 1.0);
         let b = run_cell(&policies, &scenarios, cell, solver, cluster, 1.0);
         assert_eq!(a, b);

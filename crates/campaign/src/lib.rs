@@ -66,7 +66,7 @@ pub mod summary;
 pub mod toml;
 
 pub use cell::{canon, CellResult, CellSpec, CACHE_FORMAT};
-pub use engine::{run_cell, Campaign, CampaignOutcome};
+pub use engine::{run_cell, run_policy, Campaign, CampaignOutcome, PolicyRun};
 pub use error::CampaignError;
 pub use observer::{
     CampaignObserver, CountingCampaignObserver, NullObserver, ProgressCampaignObserver,

@@ -9,64 +9,52 @@
 
 use std::fs;
 use std::io;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use rsched_metrics::Metric;
 // The byte-stability contract (escape rules + six-decimal floats) is
 // shared with the campaign summary writer via `rsched_simkit::json`.
 use rsched_simkit::json::{escape, num};
-use rsched_simkit::stats::quantile;
 
-use crate::runner::RunResult;
-
-fn metric_key(metric: Metric) -> String {
-    metric.name().replace(' ', "_").to_lowercase()
-}
+use crate::figures::overhead::latency_summary;
+use crate::figures::{metric_key, RunResult};
 
 fn cell_to_json(figure: &str, result: &RunResult) -> String {
+    let run = &result.run;
     let mut s = String::with_capacity(512);
     s.push_str(&format!(
         "{{\"figure\":\"{}\",\"scheduler\":\"{}\",\"scenario\":\"{}\",",
         escape(figure),
-        escape(&result.scheduler),
+        escape(&run.policy),
         escape(&result.scenario)
     ));
     s.push_str("\"metrics\":{");
     let metrics: Vec<String> = Metric::all()
         .into_iter()
-        .map(|m| format!("\"{}\":{}", metric_key(m), num(result.report.get(m))))
+        .map(|m| format!("\"{}\":{}", metric_key(m), num(run.report.get(m))))
         .collect();
     s.push_str(&metrics.join(","));
     s.push_str("},\"stats\":{");
     s.push_str(&format!(
         "\"queries\":{},\"placements\":{},\"backfills\":{},\"delays\":{},\
          \"rejections\":{},\"epochs\":{}",
-        result.stats.queries,
-        result.stats.placements,
-        result.stats.backfills,
-        result.stats.delays,
-        result.stats.rejections,
-        result.stats.epochs
+        run.stats.queries,
+        run.stats.placements,
+        run.stats.backfills,
+        run.stats.delays,
+        run.stats.rejections,
+        run.stats.epochs
     ));
     s.push_str("},\"overhead\":");
-    match &result.overhead {
+    match &run.overhead {
         None => s.push_str("null"),
         Some(o) => {
-            let lat = &o.placement_latencies;
-            let mean = if lat.is_empty() {
-                "null".to_string()
-            } else {
-                num(lat.iter().sum::<f64>() / lat.len() as f64)
-            };
-            let q = |p: f64| quantile(lat, p).map(num).unwrap_or_else(|| "null".into());
+            let [mean, p50, p95, _] = latency_summary(&o.placement_latencies, num, "null");
             s.push_str(&format!(
-                "{{\"call_count\":{},\"total_elapsed_secs\":{},\"latency_mean_s\":{},\
-                 \"latency_p50_s\":{},\"latency_p95_s\":{}}}",
+                "{{\"call_count\":{},\"total_elapsed_secs\":{},\"latency_mean_s\":{mean},\
+                 \"latency_p50_s\":{p50},\"latency_p95_s\":{p95}}}",
                 o.call_count,
                 num(o.total_elapsed_secs),
-                mean,
-                q(0.5),
-                q(0.95)
             ));
         }
     }
@@ -87,44 +75,46 @@ pub fn cells_to_json(figure: &str, runs: &[RunResult]) -> String {
     s
 }
 
-/// Write `<dir>/<figure>.json` and return its path.
-pub fn write_cells_json(dir: &Path, figure: &str, runs: &[RunResult]) -> io::Result<PathBuf> {
-    fs::create_dir_all(dir)?;
-    let path = dir.join(format!("{figure}.json"));
-    fs::write(&path, cells_to_json(figure, runs))?;
-    Ok(path)
+/// Write `content` to `path`, creating its directory first.
+pub fn write(path: &Path, content: &str) -> io::Result<()> {
+    if let Some(dir) = path.parent() {
+        fs::create_dir_all(dir)?;
+    }
+    fs::write(path, content)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::OverheadSummary;
+    use rsched_campaign::PolicyRun;
     use rsched_metrics::MetricsReport;
-    use rsched_sim::SimStats;
+    use rsched_sim::{OverheadReport, SimStats};
 
-    fn result(overhead: Option<OverheadSummary>) -> RunResult {
+    fn result(overhead: Option<OverheadReport>) -> RunResult {
         RunResult {
-            scheduler: "Claude-3.7".to_string(),
             scenario: "long-job-dominant/60".to_string(),
-            report: MetricsReport {
-                makespan_secs: 120.5,
-                avg_wait_secs: 10.0,
-                avg_turnaround_secs: 55.25,
-                throughput: 0.5,
-                node_utilization: 0.75,
-                memory_utilization: 0.5,
-                wait_fairness: 0.9,
-                user_fairness: 0.8,
+            run: PolicyRun {
+                policy: "Claude-3.7".to_string(),
+                report: MetricsReport {
+                    makespan_secs: 120.5,
+                    avg_wait_secs: 10.0,
+                    avg_turnaround_secs: 55.25,
+                    throughput: 0.5,
+                    node_utilization: 0.75,
+                    memory_utilization: 0.5,
+                    wait_fairness: 0.9,
+                    user_fairness: 0.8,
+                },
+                stats: SimStats {
+                    queries: 70,
+                    placements: 60,
+                    backfills: 5,
+                    delays: 9,
+                    rejections: 1,
+                    epochs: 64,
+                },
+                overhead,
             },
-            stats: SimStats {
-                queries: 70,
-                placements: 60,
-                backfills: 5,
-                delays: 9,
-                rejections: 1,
-                epochs: 64,
-            },
-            overhead,
         }
     }
 
@@ -160,7 +150,7 @@ mod tests {
     fn cells_json_contains_all_sections() {
         let text = cells_to_json(
             "fig3",
-            &[result(Some(OverheadSummary {
+            &[result(Some(OverheadReport {
                 total_elapsed_secs: 900.0,
                 call_count: 61,
                 placement_latencies: vec![10.0, 20.0, 30.0],
@@ -200,12 +190,22 @@ mod tests {
 
     #[test]
     fn write_creates_directory_and_file() {
-        let dir = std::env::temp_dir().join("rsched_artifact_test");
+        let dir = std::env::temp_dir().join(format!("rsched_artifact_test_{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
-        let path = write_cells_json(&dir, "fig3", &[result(None)]).expect("writes");
-        assert!(path.ends_with("fig3.json"));
+        let path = dir.join("cells/fig3.json");
+        write(&path, &cells_to_json("fig3", &[result(None)])).expect("writes");
         let text = fs::read_to_string(&path).expect("readable");
         assert_balanced(&text);
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn write_fails_when_the_parent_is_a_regular_file() {
+        let file =
+            std::env::temp_dir().join(format!("rsched_artifact_file_{}", std::process::id()));
+        fs::write(&file, "not a directory").expect("temp file");
+        assert!(write(&file.join("fig3.csv"), "x").is_err());
+        assert!(write(&file.join("cells/fig3.json"), "x").is_err());
+        let _ = fs::remove_file(&file);
     }
 }

@@ -14,6 +14,6 @@ fn main() {
         }
     };
     let pool = ThreadPool::available_parallelism();
-    let output = overhead::fig5(&fig3::run(&opts, &pool));
+    let output = overhead::fig5(&fig3::run(&opts, &pool), fig3::jobs(&opts));
     print!("{}", output.render());
 }

@@ -7,22 +7,20 @@
 //! the interpretability question behind the paper's Figure 3 discussion:
 //! *which* emphasis produces which profile.
 
-use std::fmt::Write as _;
+use std::sync::Arc;
 
 use rsched_cluster::ClusterConfig;
 use rsched_core::LlmSchedulingPolicy;
 use rsched_llm::persona::{ObjectiveWeights, Persona};
 use rsched_llm::SimulatedLlm;
-use rsched_metrics::{normalize_against, MetricsReport, NormalizedReport};
 use rsched_parallel::ThreadPool;
+use rsched_registry::{names, PolicyRegistry};
 use rsched_schedulers::Fcfs;
-use rsched_sim::{SchedulingPolicy, Simulation};
 use rsched_simkit::rng::SeedTree;
 use rsched_workloads::names as scenario_names;
 
-use crate::figures::normalized_table;
+use crate::figures::{run_grid, scenario_jobs, Group, NormalizedFigure};
 use crate::options::ExperimentOptions;
-use crate::runner::{scenario_jobs_named, RunResult};
 
 /// The swept weight profiles.
 pub fn weight_profiles() -> Vec<(&'static str, ObjectiveWeights)> {
@@ -69,110 +67,64 @@ pub fn weight_profiles() -> Vec<(&'static str, ObjectiveWeights)> {
     ]
 }
 
-/// Ablation results.
-#[derive(Debug, Clone)]
-pub struct AblationOutput {
-    /// Jobs in the workload.
-    pub jobs: usize,
-    /// `(profile name, normalized report)` rows.
-    pub rows: Vec<(String, NormalizedReport)>,
-    /// The raw cells (FCFS baseline first), for the JSON artifacts.
-    pub runs: Vec<RunResult>,
+/// FCFS beside one registry entry per weight profile: a simulated agent
+/// whose persona (temperature 0) carries the profile's weights.
+fn persona_registry() -> PolicyRegistry {
+    let mut registry = PolicyRegistry::new();
+    registry
+        .register(names::FCFS, |_| Box::new(Fcfs::default()))
+        .expect("an empty registry takes any name");
+    for (name, weights) in weight_profiles() {
+        registry
+            .register(name, move |ctx| {
+                let model = SimulatedLlm::new(Persona::custom(name, weights), ctx.seed);
+                Box::new(LlmSchedulingPolicy::new(Box::new(model)))
+            })
+            .expect("profile names are distinct from each other and FCFS");
+    }
+    registry
 }
 
-/// Run the ablation sweep.
-pub fn run(opts: &ExperimentOptions, pool: &ThreadPool) -> AblationOutput {
+/// Run the ablation sweep: FCFS and every profile over one workload.
+pub fn run(opts: &ExperimentOptions, pool: &ThreadPool) -> NormalizedFigure {
     let n = opts.scaled(60);
     let tree = SeedTree::new(opts.seed).subtree("ablation", 0);
-    let jobs = scenario_jobs_named(
-        scenario_names::HETEROGENEOUS_MIX,
-        n,
-        tree.derive("workload", 0),
-    )
-    .expect("builtin scenario");
-    let cluster = ClusterConfig::paper_default();
-    let scenario_label = format!("heterogeneous-mix/{n}");
-
-    let to_result = move |name: String,
-                          scenario: &str,
-                          outcome: rsched_sim::SimOutcome,
-                          overhead: Option<crate::runner::OverheadSummary>| {
-        RunResult {
-            scheduler: name,
-            scenario: scenario.to_string(),
-            report: MetricsReport::compute(&outcome.records, cluster),
-            stats: outcome.stats,
-            overhead,
-        }
-    };
-
-    let baseline_run = {
-        let outcome = Simulation::new(cluster)
-            .jobs(&jobs)
-            .run(&mut Fcfs::default())
-            .expect("FCFS completes");
-        to_result("FCFS".to_string(), &scenario_label, outcome, None)
-    };
-    let baseline = baseline_run.report;
-
     let seed = tree.derive("policy", 0);
-    let cells: Vec<(String, ObjectiveWeights)> = weight_profiles()
-        .into_iter()
-        .map(|(name, w)| (name.to_string(), w))
-        .collect();
-    let jobs_shared = jobs.clone();
-    let label_shared = scenario_label.clone();
-    let mut runs = vec![baseline_run];
-    runs.extend(pool.par_map(cells, move |(name, weights)| {
-        let persona = Persona {
-            temperature: 0.0,
-            ..Persona::custom(name.clone(), weights)
-        };
-        let mut policy = LlmSchedulingPolicy::new(Box::new(SimulatedLlm::new(persona, seed)));
-        let outcome = Simulation::new(cluster)
-            .jobs(&jobs_shared)
-            .run(&mut policy)
-            .unwrap_or_else(|e| panic!("{name}: {e}"));
-        let overhead = policy.overhead_report();
-        to_result(name, &label_shared, outcome, overhead)
-    }));
-
-    let rows = runs
-        .iter()
-        .map(|r| (r.scheduler.clone(), normalize_against(&r.report, &baseline)))
-        .collect();
-    AblationOutput {
-        jobs: n,
-        rows,
+    let mut policies = vec![(names::FCFS, seed)];
+    policies.extend(weight_profiles().into_iter().map(|(name, _)| (name, seed)));
+    let group = Group {
+        label: format!("heterogeneous-mix/{n}"),
+        jobs: scenario_jobs(
+            scenario_names::HETEROGENEOUS_MIX,
+            n,
+            tree.derive("workload", 0),
+        ),
+        policies,
+    };
+    let runs = run_grid(
+        Arc::new(persona_registry()),
+        ClusterConfig::paper_default(),
+        opts.solver,
+        vec![group],
+        pool,
+    );
+    NormalizedFigure::new(
+        format!(
+            "Persona ablation — objective-weight sweep, Heterogeneous Mix, {n} jobs \
+             (normalized vs FCFS)"
+        ),
+        None,
+        "persona",
+        vec![String::new()],
         runs,
-    }
-}
-
-impl AblationOutput {
-    /// One profile's normalized report.
-    pub fn row(&self, name: &str) -> Option<&NormalizedReport> {
-        self.rows.iter().find(|(n, _)| n == name).map(|(_, r)| r)
-    }
-
-    /// Render the sweep table.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "Persona ablation — objective-weight sweep, Heterogeneous Mix, {} jobs \
-             (normalized vs FCFS)\n",
-            self.jobs
-        );
-        let _ = writeln!(out, "{}", normalized_table(&self.rows).render());
-        out
-    }
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use rsched_cpsolver::SolverConfig;
-    use rsched_metrics::Metric;
+    use rsched_metrics::{Metric, NormalizedReport};
 
     #[test]
     fn single_objective_personas_move_the_profile_as_expected() {
@@ -183,10 +135,10 @@ mod tests {
             solver: SolverConfig::default(),
         };
         let out = run(&opts, &pool);
-        assert_eq!(out.rows.len(), 1 + weight_profiles().len());
+        assert_eq!(out.groups[0].1.len(), 1 + weight_profiles().len());
 
-        let throughput_only = out.row("throughput-only").expect("present");
-        let makespan_only = out.row("makespan-only").expect("present");
+        let throughput_only = out.row("", "throughput-only").expect("present");
+        let makespan_only = out.row("", "makespan-only").expect("present");
         // A throughput-obsessed persona must cut average wait at least as
         // hard as a makespan-obsessed one (which front-loads long jobs).
         let wait = |r: &NormalizedReport| r.get(Metric::AvgWait).unwrap_or(1.0);
@@ -198,7 +150,7 @@ mod tests {
         );
         // The fairness-only persona should not trail throughput-only on
         // user fairness.
-        let fairness_only = out.row("fairness-only").expect("present");
+        let fairness_only = out.row("", "fairness-only").expect("present");
         let uf = |r: &NormalizedReport| r.get(Metric::UserFairness).unwrap_or(0.0);
         assert!(uf(fairness_only) + 1e-9 >= uf(throughput_only));
     }

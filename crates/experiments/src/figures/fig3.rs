@@ -5,95 +5,54 @@
 //! analysis), and average wait is omitted whenever FCFS achieved zero wait
 //! (the 0/0 rule) — both exactly as in the paper.
 
-use std::fmt::Write as _;
+use std::sync::Arc;
 
 use rsched_cluster::ClusterConfig;
-use rsched_metrics::NormalizedReport;
 use rsched_parallel::ThreadPool;
+use rsched_registry::PolicyRegistry;
 use rsched_simkit::rng::SeedTree;
 use rsched_workloads::{names as scenario_names, scenario_builtins};
 
-use crate::figures::normalized_table;
+use crate::figures::{paper_set, run_grid, scenario_jobs, Group, NormalizedFigure};
 use crate::options::ExperimentOptions;
-use crate::runner::{
-    normalize_table, policy_seed_named, run_matrix, scenario_jobs_named, MatrixCell, RunResult,
-};
-use rsched_registry::names;
 
-/// Figure 3 results: per-scenario normalized tables.
-#[derive(Debug, Clone)]
-pub struct Fig3Output {
-    /// Jobs per scenario instance (60 in the paper).
-    pub jobs_per_scenario: usize,
-    /// `(scenario name, rows)` in presentation order.
-    pub scenarios: Vec<(String, Vec<(String, NormalizedReport)>)>,
-    /// The raw (pre-normalization) cells, for the JSON artifacts.
-    pub runs: Vec<RunResult>,
+/// Jobs per scenario instance (60 in the paper).
+pub fn jobs(opts: &ExperimentOptions) -> usize {
+    opts.scaled(60)
 }
 
-/// Run the Figure 3 experiment.
-pub fn run(opts: &ExperimentOptions, pool: &ThreadPool) -> Fig3Output {
-    let n = opts.scaled(60);
+/// Run the Figure 3 experiment: one group per scenario, labelled by its
+/// title.
+pub fn run(opts: &ExperimentOptions, pool: &ThreadPool) -> NormalizedFigure {
+    let n = jobs(opts);
     let tree = SeedTree::new(opts.seed).subtree("fig3", 0);
-    let schedulers = names::PAPER_SET;
-
-    let mut cells = Vec::new();
-    for (s_idx, scenario) in scenario_names::FIGURE3.into_iter().enumerate() {
-        let jobs = scenario_jobs_named(scenario, n, tree.derive(scenario, 0))
-            .expect("figure-3 scenarios are builtin");
-        for name in schedulers {
-            cells.push(MatrixCell {
-                scheduler: name.to_string(),
-                scenario: format!("{scenario}/{n}"),
-                jobs: jobs.clone(),
-                cluster: ClusterConfig::paper_default(),
-                policy_seed: policy_seed_named(tree.derive("policy", s_idx as u64), name, 0),
-                solver: opts.solver,
-            });
-        }
-    }
-    let results = run_matrix(cells, pool);
-
-    let scenarios = scenario_names::FIGURE3
+    let groups = scenario_names::FIGURE3
         .into_iter()
         .enumerate()
-        .map(|(s_idx, scenario)| {
-            let slice = &results[s_idx * schedulers.len()..(s_idx + 1) * schedulers.len()];
-            (scenario.to_string(), normalize_table(slice, "FCFS"))
+        .map(|(s_idx, scenario)| Group {
+            label: format!("{scenario}/{n}"),
+            jobs: scenario_jobs(scenario, n, tree.derive(scenario, 0)),
+            policies: paper_set(SeedTree::new(tree.derive("policy", s_idx as u64)), 0),
         })
         .collect();
-
-    Fig3Output {
-        jobs_per_scenario: n,
-        scenarios,
-        runs: results,
-    }
-}
-
-impl Fig3Output {
-    /// Render all per-scenario tables.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "Figure 3 — normalized metrics (vs FCFS = 1.00x), {} jobs per scenario\n",
-            self.jobs_per_scenario
-        );
-        for (scenario, rows) in &self.scenarios {
-            let title = scenario_builtins().title(scenario).unwrap_or(scenario);
-            let _ = writeln!(out, "## {title}");
-            let _ = writeln!(out, "{}", normalized_table(rows).render());
-        }
-        out
-    }
-
-    /// Rows for one scenario, by registry name.
-    pub fn scenario_rows(&self, scenario: &str) -> Option<&[(String, NormalizedReport)]> {
-        self.scenarios
-            .iter()
-            .find(|(s, _)| s == scenario)
-            .map(|(_, rows)| rows.as_slice())
-    }
+    let runs = run_grid(
+        Arc::new(PolicyRegistry::with_builtins()),
+        ClusterConfig::paper_default(),
+        opts.solver,
+        groups,
+        pool,
+    );
+    let titles = scenario_names::FIGURE3
+        .into_iter()
+        .map(|s| scenario_builtins().title(s).unwrap_or(s).to_string())
+        .collect();
+    NormalizedFigure::new(
+        format!("Figure 3 — normalized metrics (vs FCFS = 1.00x), {n} jobs per scenario"),
+        Some(("scenario", "")),
+        "scheduler",
+        titles,
+        runs,
+    )
 }
 
 #[cfg(test)]
@@ -118,8 +77,8 @@ mod tests {
     fn produces_six_scenarios_with_five_schedulers() {
         let pool = ThreadPool::new(4);
         let out = run(&tiny_opts(), &pool);
-        assert_eq!(out.scenarios.len(), 6);
-        for (scenario, rows) in &out.scenarios {
+        assert_eq!(out.groups.len(), 6);
+        for (scenario, rows) in &out.groups {
             assert_eq!(rows.len(), 5, "{scenario}");
             assert_eq!(rows[0].0, "FCFS");
             // FCFS normalizes to 1.0 on every defined metric.
@@ -137,8 +96,13 @@ mod tests {
         // Paper: "Adversarial conditions lead to flattened differences."
         let pool = ThreadPool::new(4);
         let out = run(&tiny_opts(), &pool);
-        let rows = out
-            .scenario_rows(scenario_names::ADVERSARIAL)
+        let title = scenario_builtins()
+            .title(scenario_names::ADVERSARIAL)
+            .expect("builtin");
+        let (_, rows) = out
+            .groups
+            .iter()
+            .find(|(label, _)| label == title)
             .expect("present");
         for (name, report) in rows {
             if let Some(v) = report.get(Metric::Makespan) {

@@ -7,18 +7,20 @@
 //! sampling noise and the optimizer's restart seed.
 
 use std::fmt::Write as _;
+use std::sync::Arc;
 
 use rsched_cluster::ClusterConfig;
 use rsched_metrics::{normalize_against, Metric, MetricDistributions, TextTable};
 use rsched_parallel::ThreadPool;
+use rsched_registry::{names, PolicyRegistry};
+use rsched_simkit::csv;
 use rsched_simkit::rng::SeedTree;
 use rsched_workloads::names as scenario_names;
 
+use crate::figures::{metric_key, paper_set, run_grid, scenario_jobs, Group, RunResult};
 use crate::options::ExperimentOptions;
-use crate::runner::{policy_seed_named, run_matrix, scenario_jobs_named, MatrixCell, RunResult};
-use rsched_registry::names;
 
-/// Repetitions (5 in the paper).
+/// Repetitions (5 in the paper; 3 under `--quick`).
 pub const REPETITIONS: usize = 5;
 
 /// Figure 7 results: per-scheduler normalized-metric distributions.
@@ -26,60 +28,63 @@ pub const REPETITIONS: usize = 5;
 pub struct Fig7Output {
     /// Jobs in the workload (100 in the paper).
     pub jobs: usize,
+    /// Repetitions run.
+    pub repetitions: usize,
     /// `(scheduler, distributions)` in paper order.
     pub distributions: Vec<(String, MetricDistributions)>,
     /// The raw cells (rep-major), for the JSON artifacts.
     pub runs: Vec<RunResult>,
 }
 
-/// Run the Figure 7 experiment.
+/// Run the Figure 7 experiment: one group per repetition over the same
+/// workload.
 pub fn run(opts: &ExperimentOptions, pool: &ThreadPool) -> Fig7Output {
     let n = opts.scaled(100);
     let reps = if opts.quick { 3 } else { REPETITIONS };
     let tree = SeedTree::new(opts.seed).subtree("fig7", 0);
-    let jobs = scenario_jobs_named(
+    let jobs = scenario_jobs(
         scenario_names::HETEROGENEOUS_MIX,
         n,
         tree.derive("workload", 0),
-    )
-    .expect("builtin scenario");
-    let schedulers = names::PAPER_SET;
-
-    let mut cells = Vec::new();
-    for rep in 0..reps {
-        for name in schedulers {
-            cells.push(MatrixCell {
-                scheduler: name.to_string(),
-                scenario: format!("heterogeneous-mix/{n}/rep{rep}"),
-                jobs: jobs.clone(),
-                cluster: ClusterConfig::paper_default(),
-                policy_seed: policy_seed_named(tree.derive("rep", rep as u64), name, rep as u64),
-                solver: opts.solver,
-            });
-        }
-    }
-    let results = run_matrix(cells, pool);
+    );
+    let groups = (0..reps as u64)
+        .map(|rep| Group {
+            label: format!("heterogeneous-mix/{n}/rep{rep}"),
+            jobs: jobs.clone(),
+            policies: paper_set(SeedTree::new(tree.derive("rep", rep)), rep),
+        })
+        .collect();
+    let results = run_grid(
+        Arc::new(PolicyRegistry::with_builtins()),
+        ClusterConfig::paper_default(),
+        opts.solver,
+        groups,
+        pool,
+    );
 
     // FCFS is deterministic over the fixed workload: its first-rep report is
     // the normalization baseline for every repetition.
     let baseline = results
         .iter()
-        .find(|r| r.scheduler == "FCFS")
+        .find(|r| r.run.policy == names::FCFS)
         .expect("FCFS present")
+        .run
         .report;
 
-    let mut distributions: Vec<(String, MetricDistributions)> = schedulers
+    let mut distributions: Vec<(String, MetricDistributions)> = names::PAPER_SET
         .iter()
         .map(|name| (name.to_string(), MetricDistributions::new()))
         .collect();
     for (i, result) in results.iter().enumerate() {
-        let scheduler_idx = i % schedulers.len();
-        let normalized = normalize_against(&result.report, &baseline);
-        distributions[scheduler_idx].1.push_normalized(&normalized);
+        let normalized = normalize_against(&result.run.report, &baseline);
+        distributions[i % names::PAPER_SET.len()]
+            .1
+            .push_normalized(&normalized);
     }
 
     Fig7Output {
         jobs: n,
+        repetitions: reps,
         distributions,
         runs: results,
     }
@@ -101,7 +106,7 @@ impl Fig7Output {
             out,
             "Figure 7 — robustness over {} repetitions, Heterogeneous Mix, {} jobs \
              (normalized vs FCFS)\n",
-            REPETITIONS, self.jobs
+            self.repetitions, self.jobs
         );
         for metric in Metric::all() {
             let _ = writeln!(out, "## {}", metric.name());
@@ -143,6 +148,41 @@ impl Fig7Output {
         }
         out
     }
+
+    /// The box-plot numbers as CSV, one row per `(scheduler, metric)` with
+    /// samples.
+    pub fn to_csv(&self) -> String {
+        let header = [
+            "scheduler",
+            "metric",
+            "n",
+            "min",
+            "q1",
+            "median",
+            "q3",
+            "max",
+            "outliers",
+        ];
+        let mut rows = vec![header.map(String::from).to_vec()];
+        for (name, dist) in &self.distributions {
+            for metric in Metric::all() {
+                if let Some(b) = dist.boxplot(metric) {
+                    rows.push(vec![
+                        name.clone(),
+                        metric_key(metric),
+                        b.count.to_string(),
+                        format!("{:.6}", b.min),
+                        format!("{:.6}", b.q1),
+                        format!("{:.6}", b.median),
+                        format!("{:.6}", b.q3),
+                        format!("{:.6}", b.max),
+                        b.outliers.len().to_string(),
+                    ]);
+                }
+            }
+        }
+        csv::write_rows(rows)
+    }
 }
 
 #[cfg(test)]
@@ -181,6 +221,9 @@ mod tests {
         // The LLM rows exist with one sample per repetition.
         let claude = out.scheduler("Claude-3.7").expect("present");
         assert_eq!(claude.len(Metric::Makespan), 3, "quick mode runs 3 reps");
-        assert!(out.render().contains("median"));
+        let text = out.render();
+        assert!(text.contains("median"));
+        assert!(text.contains("robustness over 3 repetitions"), "{text}");
+        assert!(out.to_csv().contains("\nClaude-3.7,makespan,3,"));
     }
 }

@@ -13,6 +13,9 @@
 //! | `fig7` | Robustness box plots, 5 runs @ 100 jobs (§4) |
 //! | `fig8` | Polaris trace replay, 100 jobs (§5) |
 //!
+//! Every grid runs its cells through [`rsched_campaign::run_policy`], the
+//! function a campaign cell runs through too (see [`figures`]).
+//!
 //! Run e.g. `cargo run --release -p rsched-experiments --bin fig3`, or
 //! `--bin all_figures` for the whole evaluation. Every run is
 //! deterministic given `--seed`.
@@ -23,12 +26,5 @@
 pub mod artifact;
 pub mod figures;
 pub mod options;
-pub mod output;
-pub mod runner;
 
 pub use options::ExperimentOptions;
-pub use rsched_registry::{builtins, names, PolicyContext, PolicyRegistry, RegistryError};
-pub use runner::{
-    normalize_table, policy_seed_named, run_matrix, run_named, run_with_registry,
-    scenario_jobs_named, MatrixCell, OverheadSummary, RunResult,
-};

@@ -3,17 +3,19 @@
 //!
 //! * every builtin scenario resolves by name through the
 //!   `ScenarioRegistry`, case- and separator-insensitively;
-//! * an SWF fixture trace runs end to end through `run_named`/`run_matrix`
-//!   and lands in a per-cell JSON artifact;
+//! * an SWF fixture trace runs end to end through `run_policy` and a
+//!   figure grid, and lands in a per-cell JSON artifact;
 //! * third-party scenarios register by name and flow through the
 //!   experiments harness — no workspace code touched.
 
 use std::path::Path;
+use std::sync::Arc;
 
-use reasoned_scheduler::cluster::ClusterConfig;
+use reasoned_scheduler::campaign::{run_policy, PolicyRun};
+use reasoned_scheduler::cluster::{ClusterConfig, JobSpec};
 use reasoned_scheduler::cpsolver::SolverConfig;
-use reasoned_scheduler::experiments::artifact::{cells_to_json, write_cells_json};
-use reasoned_scheduler::experiments::{run_matrix, run_named, scenario_jobs_named, MatrixCell};
+use reasoned_scheduler::experiments::artifact::{cells_to_json, write};
+use reasoned_scheduler::experiments::figures::{run_grid, Group};
 use reasoned_scheduler::parallel::ThreadPool;
 use reasoned_scheduler::prelude::*;
 use reasoned_scheduler::workloads::names as scenario_names;
@@ -35,6 +37,13 @@ fn quick_solver() -> SolverConfig {
     }
 }
 
+/// Run a builtin policy by registry name.
+fn run_builtin(policy: &str, jobs: &[JobSpec], seed: u64) -> PolicyRun {
+    let registry = PolicyRegistry::with_builtins();
+    let cluster = ClusterConfig::paper_default();
+    run_policy(&registry, policy, jobs, cluster, seed, quick_solver()).expect("builtin policy")
+}
+
 #[test]
 fn registry_names_cover_legacy_and_extended_scenarios() {
     for name in scenario_names::ALL_BUILTIN {
@@ -54,10 +63,13 @@ fn registry_names_cover_legacy_and_extended_scenarios() {
 }
 
 #[test]
-fn swf_trace_runs_end_to_end_through_run_named() {
+fn swf_trace_runs_end_to_end_through_run_policy() {
     let scenario = format!("swf:{}", fixture_path());
     // The fixture has 26 lines; one failed + one cancelled are dropped.
-    let jobs = scenario_jobs_named(&scenario, 0, 0).expect("fixture parses");
+    let jobs = scenario_builtins()
+        .generate(&scenario, &ScenarioContext::new(0))
+        .expect("fixture parses")
+        .jobs;
     assert_eq!(jobs.len(), 24);
     assert!(jobs.iter().all(|j| j.nodes <= 128));
     // The per-node demand fields ride along: job 25 requests 8 processors
@@ -68,57 +80,55 @@ fn swf_trace_runs_end_to_end_through_run_named() {
         .expect("per-node demand mapped from the trace");
     assert_eq!(packed.nodes, 4);
 
-    let result = run_named(
-        "fcfs",
-        &jobs,
-        ClusterConfig::paper_default(),
-        1,
-        &quick_solver(),
-    )
-    .expect("builtin policy");
-    assert_eq!(result.scheduler, "FCFS");
+    let result = run_builtin("fcfs", &jobs, 1);
+    assert_eq!(result.policy, "FCFS");
+    assert_eq!(result.stats.placements, 24);
     assert!(result.report.makespan_secs > 0.0);
 }
 
 #[test]
-fn swf_trace_sweeps_through_run_matrix_into_cell_artifacts() {
+fn swf_trace_sweeps_through_a_figure_grid_into_cell_artifacts() {
     let scenario = format!("swf:{}", fixture_path());
-    let pool = ThreadPool::new(2);
-    let cells: Vec<MatrixCell> = ["FCFS", "SJF", "Claude-3.7"]
-        .into_iter()
-        .map(|scheduler| {
-            MatrixCell::from_scenario(
-                scheduler,
-                &scenario,
-                12,
-                0,
-                ClusterConfig::paper_default(),
-                5,
-                quick_solver(),
-            )
-            .expect("fixture parses")
-        })
-        .collect();
-    assert!(cells.iter().all(|c| c.jobs.len() == 12));
-    let results = run_matrix(cells, &pool);
+    let jobs = scenario_builtins()
+        .generate(&scenario, &ScenarioContext::new(12))
+        .expect("fixture parses")
+        .jobs;
+    assert_eq!(jobs.len(), 12);
+    let group = Group {
+        label: format!("{scenario}/12"),
+        jobs,
+        policies: vec![("FCFS", 5), ("SJF", 5), ("Claude-3.7", 5)],
+    };
+    let results = run_grid(
+        Arc::new(PolicyRegistry::with_builtins()),
+        ClusterConfig::paper_default(),
+        quick_solver(),
+        vec![group],
+        &ThreadPool::new(2),
+    );
     assert_eq!(results.len(), 3);
     for r in &results {
         assert!(r.scenario.starts_with("swf:"), "{}", r.scenario);
         assert!(r.scenario.ends_with("/12"), "{}", r.scenario);
-        assert!(r.report.makespan_secs > 0.0, "{}", r.scheduler);
+        assert!(r.run.report.makespan_secs > 0.0, "{}", r.run.policy);
     }
-    assert!(results[2].overhead.is_some(), "LLM cell tracks overhead");
+    assert!(
+        results[2].run.overhead.is_some(),
+        "LLM cell tracks overhead"
+    );
 
     // The sweep lands in a per-cell JSON artifact, scenario label intact.
     let json = cells_to_json("swf_smoke", &results);
     assert_eq!(json.matches("\"figure\":\"swf_smoke\"").count(), 3);
     assert!(json.contains("sample.swf"));
 
-    let dir = std::env::temp_dir().join("rsched_swf_artifact_test");
-    let path = write_cells_json(&dir, "swf_smoke", &results).expect("writable");
+    let path = std::env::temp_dir()
+        .join(format!("rsched_swf_artifact_test_{}", std::process::id()))
+        .join("swf_smoke.json");
+    write(&path, &json).expect("writable");
     let on_disk = std::fs::read_to_string(&path).expect("written");
     assert_eq!(on_disk, json);
-    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_dir_all(path.parent().expect("a directory"));
 }
 
 #[test]
@@ -146,15 +156,8 @@ fn third_party_scenario_flows_through_the_harness() {
         .generate("two-tier", &ScenarioContext::new(8).with_seed(3))
         .expect("registered");
     assert_eq!(workload.scenario, "two-tier");
-    let result = run_named(
-        "sjf",
-        &workload.jobs,
-        ClusterConfig::paper_default(),
-        3,
-        &quick_solver(),
-    )
-    .expect("builtin policy");
-    assert_eq!(result.scheduler, "SJF");
+    let result = run_builtin("sjf", &workload.jobs, 3);
+    assert_eq!(result.policy, "SJF");
 }
 
 #[test]
@@ -167,8 +170,7 @@ fn extended_scenarios_produce_valid_schedulable_workloads() {
         workload
             .validate(cluster)
             .unwrap_or_else(|e| panic!("{name}: {e}"));
-        let result = run_named("fcfs", &workload.jobs, cluster, 11, &quick_solver())
-            .expect("builtin policy");
+        let result = run_builtin("fcfs", &workload.jobs, 11);
         assert!(result.report.makespan_secs > 0.0, "{name}");
     }
 }
