@@ -144,6 +144,64 @@ fn end_to_end_runs_are_deterministic() {
     }
 }
 
+/// The OR-Tools baseline on the 21 cells it runs in the paper grid at
+/// seed 7 (the paper's seven scenarios × 20, 30 and 40 jobs, dynamic
+/// arrivals, the paper machine, the default solver budget), built by
+/// registry name with the campaign's policy seed. One FNV-1a hash over
+/// every record's start pins the schedules: the grid's own schedule hash
+/// does not cover the solver's cells, and a change to the annealer that
+/// keeps a feasible plan but picks another one moves this first.
+#[test]
+fn the_or_tools_schedules_of_the_paper_grid_are_pinned() {
+    use std::fmt::Write as _;
+    let cluster = ClusterConfig::paper_default();
+    let policies = PolicyRegistry::with_builtins();
+    let mut starts = String::new();
+    for scenario in scenario_names::LEGACY_SEVEN {
+        for jobs in [20, 30, 40] {
+            let cell = CellSpec {
+                policy: "or-tools".to_string(),
+                scenario: scenario.to_string(),
+                jobs,
+                seed: 7,
+            };
+            let workload = scenario_builtins()
+                .generate(
+                    scenario,
+                    &ScenarioContext::new(jobs)
+                        .with_mode(ArrivalMode::Dynamic)
+                        .with_seed(cell.workload_seed())
+                        .with_cluster(cluster),
+                )
+                .unwrap_or_else(|e| panic!("{e}"));
+            let ctx = PolicyContext::new(&workload.jobs, cluster)
+                .with_seed(cell.policy_seed())
+                .with_solver(SolverConfig::default());
+            let mut policy = policies
+                .build(&cell.policy, &ctx)
+                .unwrap_or_else(|e| panic!("{e}"));
+            let outcome = Simulation::new(cluster)
+                .jobs(&workload.jobs)
+                .run(policy.as_mut())
+                .unwrap_or_else(|e| panic!("{scenario}/{jobs}: {e}"));
+            assert_eq!(outcome.records.len(), jobs, "{scenario}/{jobs}");
+            for r in &outcome.records {
+                let _ = write!(starts, "{}@{};", r.spec.id, r.start.as_millis());
+            }
+            starts.push('|');
+        }
+    }
+    let fnv = starts
+        .bytes()
+        .fold(0xcbf2_9ce4_8422_2325_u64, |hash, byte| {
+            (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+    assert_eq!(
+        fnv, 7_323_820_500_526_429_882,
+        "the 21 seed-7 OR-Tools schedules"
+    );
+}
+
 #[test]
 fn metrics_are_consistent_with_simulator_integrals() {
     // The closed-form utilization (Σ n·d / C·makespan) must agree with the
