@@ -81,12 +81,14 @@ impl Solver {
 
         // Stage 1: best priority rule.
         let mut best_order: Vec<usize> = Vec::new();
+        let mut best_schedule = Schedule { starts: vec![] };
         let mut best_mk = u64::MAX;
         for rule in PriorityRule::all() {
             let order = priority_order(instance, rule);
-            let (_, mk) = decode_with_makespan(instance, &order);
+            let (schedule, mk) = decode_with_makespan(instance, &order);
             if mk < best_mk {
                 best_mk = mk;
+                best_schedule = schedule;
                 best_order = order;
             }
         }
@@ -110,18 +112,16 @@ impl Solver {
             );
             if sa.makespan < best_mk {
                 best_mk = sa.makespan;
-                best_order = sa.order;
+                best_schedule = sa.schedule;
                 method = SolveMethod::Annealing;
             }
         }
 
-        let (schedule, makespan) = decode_with_makespan(instance, &best_order);
-        debug_assert_eq!(makespan, best_mk);
         Solution {
-            schedule,
-            makespan,
+            schedule: best_schedule,
+            makespan: best_mk,
             method,
-            proven_optimal: makespan == lb,
+            proven_optimal: best_mk == lb,
         }
     }
 }

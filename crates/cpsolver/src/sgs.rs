@@ -14,10 +14,26 @@ use crate::model::{Instance, Schedule, Task};
 /// ([`ReservationProfile`], shared with conservative backfilling) laid over
 /// a one-point base — the empty machine from time zero. Task times are
 /// integer milliseconds, which is what `SimTime` counts.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct Timetable {
     base: [(SimTime, u32, u64); 1],
     reserved: ReservationProfile,
+}
+
+/// `clone_from` reuses the target's step buffer: the annealer snapshots
+/// and restores timetables on every move.
+impl Clone for Timetable {
+    fn clone(&self) -> Self {
+        Timetable {
+            base: self.base,
+            reserved: self.reserved.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.base = source.base;
+        self.reserved.clone_from(&source.reserved);
+    }
 }
 
 impl Timetable {

@@ -6,13 +6,13 @@
 //! cluster: the next job in planned-start order starts as soon as it has
 //! arrived and fits. With truthful walltimes this reproduces the planned
 //! schedule exactly; with overestimated walltimes (Polaris) it can only
-//! finish earlier.
+//! finish earlier. A cursor walks the plan: the policy proposes a start only
+//! after the checks the kernel makes of it (the job is waiting and fits
+//! now), so every proposal is accepted and the cursor moves on with it.
 //!
 //! The objective is makespan/utilization only — no fairness term — which
 //! is precisely the trade-off profile the paper measures for OR-Tools
 //! (top utilization, degraded wait-time fairness).
-
-use std::collections::BTreeSet;
 
 use rsched_cluster::{JobId, JobSpec};
 use rsched_cpsolver::{Instance, Solver, SolverConfig, Task};
@@ -24,7 +24,8 @@ pub struct OrToolsPolicy {
     solver: Solver,
     /// Planned `(start_ms, job)` pairs, ascending.
     plan: Option<Vec<(u64, JobId)>>,
-    started: BTreeSet<JobId>,
+    /// The next job of the plan to start: every one before it has started.
+    cursor: usize,
 }
 
 impl OrToolsPolicy {
@@ -40,7 +41,7 @@ impl OrToolsPolicy {
             jobs: jobs.to_vec(),
             solver: Solver::new(config),
             plan: None,
-            started: BTreeSet::new(),
+            cursor: 0,
         }
     }
 
@@ -84,32 +85,22 @@ impl SchedulingPolicy for OrToolsPolicy {
         }
         self.ensure_plan(view);
         let plan = self.plan.as_ref().expect("ensured above");
-        // The next unstarted job in planned order.
-        let next = plan
-            .iter()
-            .find(|(_, id)| !self.started.contains(id))
-            .map(|&(_, id)| id);
-        let Some(next_id) = next else {
+        let Some(&(_, next_id)) = plan.get(self.cursor) else {
             return Action::Delay;
         };
         match view.waiting_job(next_id) {
-            Some(spec) if view.fits_now(spec) => Action::StartJob(next_id),
+            Some(spec) if view.fits_now(spec) => {
+                self.cursor += 1;
+                Action::StartJob(next_id)
+            }
             // Not yet arrived or doesn't fit yet: hold the plan order.
             _ => Action::Delay,
         }
     }
 
-    fn observe(&mut self, outcome: &rsched_sim::ActionOutcome) {
-        if outcome.accepted() {
-            if let Some(id) = outcome.action.job_id() {
-                self.started.insert(id);
-            }
-        }
-    }
-
     fn reset(&mut self) {
         self.plan = None;
-        self.started.clear();
+        self.cursor = 0;
     }
 }
 

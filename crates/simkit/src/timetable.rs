@@ -81,9 +81,23 @@ pub struct ReservedStep {
 /// `tests/backfill_equivalence.rs`. (Saturating subtraction of the summed
 /// amounts equals sequential per-reservation saturation:
 /// `x ⊖ a ⊖ b = x ⊖ (a + b)`.)
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct ReservationProfile {
     steps: Vec<ReservedStep>,
+}
+
+/// `clone_from` copies the steps into the target's own buffer, so a
+/// snapshot taken or restored in a loop allocates nothing once warm.
+impl Clone for ReservationProfile {
+    fn clone(&self) -> Self {
+        ReservationProfile {
+            steps: self.steps.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.steps.clone_from(&source.steps);
+    }
 }
 
 impl ReservationProfile {

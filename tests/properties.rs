@@ -10,13 +10,16 @@ use reasoned_scheduler::cluster::{
     Allocation, ClassedAllocator, ClusterConfig, ClusterState, FirstFitAllocator, JobId, JobRecord,
     JobSpec, NodeClass, PlacementRequest, ResourceVec, RunningJob, MAX_CLASSES,
 };
-use reasoned_scheduler::cpsolver::{Instance, Task};
+use reasoned_scheduler::cpsolver::anneal::{anneal, AnnealConfig};
+use reasoned_scheduler::cpsolver::sgs::decode_with_makespan;
+use reasoned_scheduler::cpsolver::{Instance, Schedule, Task};
 use reasoned_scheduler::llm::backend::{HistoryKey, Prompt};
 use reasoned_scheduler::llm::prompt_parse::parse_prompt;
 use reasoned_scheduler::llm::tokens::estimate_tokens;
 use reasoned_scheduler::metrics::{jain_index, MetricsReport};
 use reasoned_scheduler::sim::{Action, KernelState, RunningSummary, SystemView};
 use reasoned_scheduler::simkit::csv;
+use reasoned_scheduler::simkit::rng::{Rng, Xoshiro256PlusPlus};
 use reasoned_scheduler::simkit::{EventQueue, SimDuration, SimTime};
 
 // ---------------------------------------------------------------- allocator
@@ -311,7 +314,7 @@ proptest! {
             let j = ((seed.wrapping_mul(6364136223846793005).wrapping_add(i as u64 * 1442695040888963407)) % (i as u64 + 1)) as usize;
             order.swap(i, j);
         }
-        let (schedule, makespan) = reasoned_scheduler::cpsolver::sgs::decode_with_makespan(&inst, &order);
+        let (schedule, makespan) = decode_with_makespan(&inst, &order);
         prop_assert!(schedule.is_feasible(&inst));
         prop_assert!(makespan >= reasoned_scheduler::cpsolver::bounds::lower_bound(&inst));
         // Earliestness, by brute force: replaying the order, no candidate
@@ -344,6 +347,95 @@ proptest! {
                 prop_assert!(!fits_from(c), "task {i} fits at {c}, decoded to {}", schedule.starts[i]);
             }
         }
+    }
+}
+
+/// The annealing loop that decodes every candidate order in full — the
+/// oracle `anneal`'s incremental decode must agree with move for move:
+/// the same order, schedule, makespan and accepted moves.
+fn anneal_in_full(
+    inst: &Instance,
+    seed_order: &[usize],
+    config: &AnnealConfig,
+) -> (Vec<usize>, Schedule, u64, u32) {
+    let mut rng = Xoshiro256PlusPlus::seed_from_u64(config.seed);
+    let mut current = seed_order.to_vec();
+    let (_, mut current_mk) = decode_with_makespan(inst, &current);
+    let mut best = current.clone();
+    let mut best_mk = current_mk;
+    let mut temp = (current_mk as f64 * config.initial_temp_fraction).max(1.0);
+    let mut accepted = 0u32;
+    let n = inst.len();
+    for _ in 0..if n < 2 { 0 } else { config.iterations } {
+        let mut candidate = current.clone();
+        if rng.gen_bool(0.5) {
+            let i = rng.gen_index(n);
+            let j = rng.gen_index(n);
+            candidate.swap(i, j);
+        } else {
+            let from = rng.gen_index(n);
+            let to = rng.gen_index(n);
+            let task = candidate.remove(from);
+            candidate.insert(to.min(candidate.len()), task);
+        }
+        let (_, cand_mk) = decode_with_makespan(inst, &candidate);
+        let delta = cand_mk as f64 - current_mk as f64;
+        if delta <= 0.0 || rng.unit_f64() < (-delta / temp).exp() {
+            current = candidate;
+            current_mk = cand_mk;
+            accepted += 1;
+            if current_mk < best_mk {
+                best_mk = current_mk;
+                best = current.clone();
+            }
+        }
+        temp = (temp * config.cooling).max(1e-6);
+    }
+    let (schedule, makespan) = decode_with_makespan(inst, &best);
+    (best, schedule, makespan, accepted)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// `anneal` resumes each candidate's decode from a checkpoint and stops
+    /// it at a neutral move or an early rejection; the loop that decodes
+    /// every candidate in full returns the same result. Half the tasks sit
+    /// on a 50 ms grid so that ends, starts and releases tie, and the
+    /// starting temperature ranges from nearly greedy (most moves rejected
+    /// early) to hot (most accepted).
+    #[test]
+    fn anneal_matches_the_whole_order_loop(
+        specs in prop::collection::vec((1u64..300, 1u32..5, 1u64..17, 0u64..400, 0u8..2), 2..40),
+        iterations in 0u32..2000,
+        temp_fraction in 0u8..3,
+        seed in 0u64..u64::MAX
+    ) {
+        let tasks: Vec<Task> = specs
+            .iter()
+            .enumerate()
+            .map(|(i, &(dur, nodes, mem, release, grid))| {
+                let (duration, release) = match grid {
+                    0 => (dur, release),
+                    _ => (dur.div_ceil(50) * 50, release / 50 * 50),
+                };
+                Task { id: i as u32, duration, nodes, memory: mem, release }
+            })
+            .collect();
+        let inst = Instance::new(tasks, 4, 16);
+        let seed_order: Vec<usize> = (0..inst.len()).collect();
+        let config = AnnealConfig {
+            iterations,
+            initial_temp_fraction: [0.001, 0.1, 1.0][temp_fraction as usize],
+            seed,
+            ..AnnealConfig::default()
+        };
+        let result = anneal(&inst, &seed_order, &config);
+        let (order, schedule, makespan, accepted) = anneal_in_full(&inst, &seed_order, &config);
+        prop_assert_eq!(&result.order, &order);
+        prop_assert_eq!(&result.schedule, &schedule);
+        prop_assert_eq!(result.makespan, makespan);
+        prop_assert_eq!(result.accepted_moves, accepted);
     }
 }
 
