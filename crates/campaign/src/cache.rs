@@ -16,12 +16,12 @@ use crate::error::CampaignError;
 use crate::toml::{fmt_float, TomlTable};
 
 /// The cache file path for `cell` under `cells_dir`.
-pub fn cell_path(cells_dir: &Path, cell: &CellSpec, hash: u64) -> PathBuf {
+pub(crate) fn cell_path(cells_dir: &Path, cell: &CellSpec, hash: u64) -> PathBuf {
     cells_dir.join(cell.file_name(hash))
 }
 
 /// Serialize one result in the canonical cache layout.
-pub fn render_cell(result: &CellResult, hash: u64) -> String {
+pub(crate) fn render_cell(result: &CellResult, hash: u64) -> String {
     let mut s = String::with_capacity(512);
     s.push_str("# rsched-campaign cached cell — delete to force a re-run.\n");
     s.push_str(&format!("format = {CACHE_FORMAT}\n"));
@@ -39,7 +39,7 @@ pub fn render_cell(result: &CellResult, hash: u64) -> String {
 }
 
 /// Write `result` to its cache file, creating `cells_dir` as needed.
-pub fn write_cell(
+pub(crate) fn write_cell(
     cells_dir: &Path,
     result: &CellResult,
     hash: u64,
@@ -53,7 +53,7 @@ pub fn write_cell(
 /// Try to read the cached result for `cell`. `None` means "miss":
 /// absent, unparsable, stale format, or any field disagreeing with the
 /// expected cell and hash.
-pub fn read_cell(cells_dir: &Path, cell: &CellSpec, hash: u64) -> Option<CellResult> {
+pub(crate) fn read_cell(cells_dir: &Path, cell: &CellSpec, hash: u64) -> Option<CellResult> {
     let path = cell_path(cells_dir, cell, hash);
     let text = std::fs::read_to_string(path).ok()?;
     parse_cell(&text, cell, hash)

@@ -18,7 +18,7 @@ use rsched_simkit::rng::SeedTree;
 /// shared timetable and starts tasks the old decoder placed late; 3:
 /// `EASY` keeps its own head reservation, where by name it used to run
 /// as first-fit with none).
-pub const CACHE_FORMAT: u32 = 3;
+pub(crate) const CACHE_FORMAT: u32 = 3;
 
 /// One `(policy, scenario, jobs, seed)` coordinate of the campaign grid.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -59,7 +59,12 @@ impl CellSpec {
     /// removed knobs were printed (the size limit and node budget of the
     /// solver's exact stage, and `use_genetic`), at the defaults every
     /// cached cell was run with.
-    pub fn content_hash(&self, solver: &SolverConfig, cluster: ClusterConfig, skew: f64) -> u64 {
+    pub(crate) fn content_hash(
+        &self,
+        solver: &SolverConfig,
+        cluster: ClusterConfig,
+        skew: f64,
+    ) -> u64 {
         use std::fmt::Write as _;
         let mut canonical = format!(
             "rsched-campaign|fmt{CACHE_FORMAT}|ws{}|{}|{}|{}|{}|solver:9,500000,{},{},false|cluster:{},{}",

@@ -65,7 +65,7 @@ pub mod spec;
 pub mod summary;
 pub mod toml;
 
-pub use cell::{canon, CellResult, CellSpec, CACHE_FORMAT};
+pub use cell::{canon, CellResult, CellSpec};
 pub use engine::{run_cell, run_policy, Campaign, CampaignOutcome, PolicyRun};
 pub use error::CampaignError;
 pub use observer::{

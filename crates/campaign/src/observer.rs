@@ -66,9 +66,9 @@ pub struct CountingCampaignObserver {
     /// `on_start` invocations (must end at exactly 1).
     pub starts: usize,
     /// Total cells announced at start.
-    pub announced_total: usize,
+    pub(crate) announced_total: usize,
     /// Cached cells announced at start.
-    pub announced_cached: usize,
+    pub(crate) announced_cached: usize,
     /// Cells served from the cache.
     pub cached: usize,
     /// Cells freshly executed.

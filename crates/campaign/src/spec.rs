@@ -13,9 +13,7 @@ use crate::error::CampaignError;
 use crate::toml::{TomlTable, TomlValue};
 
 /// A declarative sweep campaign: the full grid is the cross product
-/// `scenarios × jobs × policies × seeds`, minus [`exclusions`].
-///
-/// [`exclusions`]: CampaignSpec::exclude
+/// `scenarios × jobs × policies × seeds`, minus its `exclude` list.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CampaignSpec {
     /// Campaign name — the `results/campaigns/<name>/` directory key.
@@ -35,7 +33,7 @@ pub struct CampaignSpec {
     /// `(policy, jobs)` grid points excluded from the sweep, spelled
     /// `"Policy/jobs"` in the spec — the escape hatch for policies that
     /// are intractable at a given scale.
-    pub exclude: Vec<(String, usize)>,
+    pub(crate) exclude: Vec<(String, usize)>,
     /// Solver budget for solver-backed policies.
     pub solver: SolverConfig,
     /// The machine; `None` means [`ClusterConfig::paper_default`].
@@ -198,7 +196,7 @@ impl CampaignSpec {
     }
 
     /// `true` if the `(policy, jobs)` grid point is excluded.
-    pub fn is_excluded(&self, policy: &str, jobs: usize) -> bool {
+    pub(crate) fn is_excluded(&self, policy: &str, jobs: usize) -> bool {
         self.exclude
             .iter()
             .any(|(p, n)| *n == jobs && p.eq_ignore_ascii_case(policy))

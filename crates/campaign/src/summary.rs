@@ -24,7 +24,7 @@ use crate::cell::{canon, CellResult};
 use crate::spec::CampaignSpec;
 
 /// The normalized-space reference point coordinate for hypervolume.
-pub const REFERENCE: f64 = 1.1;
+pub(crate) const REFERENCE: f64 = 1.1;
 
 /// One policy's row in a group's Pareto table.
 #[derive(Debug, Clone, PartialEq)]
@@ -189,7 +189,7 @@ impl CampaignSummary {
     /// Render the front table as CSV: one row per `(scenario, jobs,
     /// policy)` with rank, hypervolumes, and the raw + normalized
     /// objective values.
-    pub fn fronts_csv(&self) -> String {
+    pub(crate) fn fronts_csv(&self) -> String {
         let mut header = vec![
             "scenario".to_string(),
             "jobs".to_string(),

@@ -20,7 +20,7 @@ use crate::error::CampaignError;
 
 /// One parsed value.
 #[derive(Debug, Clone, PartialEq)]
-pub enum TomlValue {
+pub(crate) enum TomlValue {
     /// A quoted string.
     Str(String),
     /// An integer.
@@ -43,7 +43,7 @@ impl TomlValue {
     }
 
     /// The integer payload, if this is a [`TomlValue::Int`].
-    pub fn as_int(&self) -> Option<i64> {
+    pub(crate) fn as_int(&self) -> Option<i64> {
         match self {
             TomlValue::Int(v) => Some(*v),
             _ => None,
@@ -51,7 +51,7 @@ impl TomlValue {
     }
 
     /// The numeric payload: floats as-is, integers widened.
-    pub fn as_float(&self) -> Option<f64> {
+    pub(crate) fn as_float(&self) -> Option<f64> {
         match self {
             TomlValue::Float(v) => Some(*v),
             TomlValue::Int(v) => Some(*v as f64),
@@ -59,16 +59,8 @@ impl TomlValue {
         }
     }
 
-    /// The boolean payload, if this is a [`TomlValue::Bool`].
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            TomlValue::Bool(v) => Some(*v),
-            _ => None,
-        }
-    }
-
     /// The list payload, if this is a [`TomlValue::List`].
-    pub fn as_list(&self) -> Option<&[TomlValue]> {
+    pub(crate) fn as_list(&self) -> Option<&[TomlValue]> {
         match self {
             TomlValue::List(items) => Some(items),
             _ => None,
@@ -79,7 +71,7 @@ impl TomlValue {
 /// A parsed document: `(key, value)` pairs in file order, section keys
 /// flattened to `section.key`.
 #[derive(Debug, Clone, Default, PartialEq)]
-pub struct TomlTable {
+pub(crate) struct TomlTable {
     pairs: Vec<(String, TomlValue)>,
 }
 
@@ -140,11 +132,6 @@ impl TomlTable {
     /// The value stored under `key` (`section.key` for sectioned keys).
     pub fn get(&self, key: &str) -> Option<&TomlValue> {
         self.pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-    }
-
-    /// Every `(key, value)` pair, in file order.
-    pub fn pairs(&self) -> &[(String, TomlValue)] {
-        &self.pairs
     }
 
     /// Keys present in the document, in file order.
@@ -257,7 +244,7 @@ fn parse_scalar(raw: &str, line_no: usize) -> Result<TomlValue, CampaignError> {
 /// Render a float in the canonical six-decimal cache/summary spelling.
 /// Non-finite values (impossible for our metrics, but never emit an
 /// unparsable file) render as `nan`/`inf`/`-inf`, which
-/// [`TomlTable::parse`] reads back.
+/// `TomlTable::parse` reads back.
 pub fn fmt_float(v: f64) -> String {
     if v.is_finite() {
         format!("{v:.6}")
@@ -299,7 +286,7 @@ sa_iteration_cap = 50
             Some("SJF")
         );
         assert_eq!(t.get("scale").unwrap().as_float(), Some(2.5));
-        assert_eq!(t.get("quick").unwrap().as_bool(), Some(false));
+        assert_eq!(t.get("quick"), Some(&TomlValue::Bool(false)));
         assert_eq!(t.get("solver.sa_iteration_cap").unwrap().as_int(), Some(50));
         assert!(t.get("sa_iteration_cap").is_none(), "sectioned key only");
     }

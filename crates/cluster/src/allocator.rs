@@ -25,7 +25,7 @@
 //!   jobs calibrated against the flat machine still place on a mixed-class
 //!   one. Feasibility and placement are the same `O(classes)` plan.
 //!
-//! [`NodeAllocator`] dispatches between the two.
+//! `NodeAllocator` dispatches between the two.
 
 use crate::job::JobSpec;
 use crate::resources::ResourceVec;
@@ -96,7 +96,7 @@ impl FirstFitAllocator {
     }
 
     /// `true` if the request could *ever* be granted on an empty cluster.
-    pub fn fits_capacity(&self, nodes: u32, memory_gb: u64) -> bool {
+    pub(crate) fn fits_capacity(&self, nodes: u32, memory_gb: u64) -> bool {
         nodes <= self.total_nodes && memory_gb <= self.total_memory_gb
     }
 
@@ -149,7 +149,7 @@ impl FirstFitAllocator {
 /// Flat allocation reads only `nodes` and `memory_gb` — the paper's
 /// abstract machine deliberately ignores per-node demands. Classed
 /// allocation additionally matches `class` and the
-/// [effective per-node demand](PlacementRequest::effective_per_node)
+/// effective per-node demand
 /// against each class capacity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PlacementRequest {
@@ -169,7 +169,7 @@ impl PlacementRequest {
     /// per-node vector, with memory raised to `ceil(memory_gb / nodes)` so
     /// the aggregate memory demand is covered by per-node capacities —
     /// this is what makes the per-class free-count watermark exact.
-    pub fn effective_per_node(&self) -> ResourceVec {
+    pub(crate) fn effective_per_node(&self) -> ResourceVec {
         let spread = self.memory_gb.div_ceil(self.nodes.max(1) as u64);
         ResourceVec {
             memory_gb: self.per_node.memory_gb.max(spread),
@@ -237,7 +237,7 @@ impl SlotSet {
 
 /// The slots whose nodes may host `req`: the class pin matches (or there
 /// is none) and the per-node capacity covers the
-/// [effective demand](PlacementRequest::effective_per_node). A property of
+/// effective demand. A property of
 /// the request and the topology alone — no free count enters it — and the
 /// whole of feasibility: the request fits free counts `free` exactly when
 /// `req.nodes <= compatible_slots(topology, req).free_nodes(free)`
@@ -367,7 +367,7 @@ impl ClassedAllocator {
     }
 
     /// `true` if the request could *ever* be granted on an empty cluster.
-    pub fn fits_capacity(&self, req: &PlacementRequest) -> bool {
+    pub(crate) fn fits_capacity(&self, req: &PlacementRequest) -> bool {
         plan_take(&self.topology, &class_counts(&self.topology), req).is_some()
     }
 
@@ -448,7 +448,7 @@ fn class_counts(topology: &Topology) -> [u32; MAX_CLASSES] {
 /// flat configs dispatch to [`FirstFitAllocator`], classed configs to
 /// [`ClassedAllocator`].
 #[derive(Debug, Clone)]
-pub enum NodeAllocator {
+pub(crate) enum NodeAllocator {
     /// The paper's flat scalar machine.
     Flat(FirstFitAllocator),
     /// The multi-resource classed machine.
@@ -465,7 +465,7 @@ impl NodeAllocator {
     }
 
     /// `true` if the request could ever be granted on an empty cluster.
-    pub fn fits_capacity(&self, req: &PlacementRequest) -> bool {
+    pub(crate) fn fits_capacity(&self, req: &PlacementRequest) -> bool {
         match self {
             NodeAllocator::Flat(a) => a.fits_capacity(req.nodes, req.memory_gb),
             NodeAllocator::Classed(a) => a.fits_capacity(req),

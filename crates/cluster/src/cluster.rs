@@ -75,7 +75,7 @@ impl ClusterConfig {
     ///
     /// # Panics
     /// Panics if the topology is flat (use [`ClusterConfig::new`]).
-    pub fn with_topology(topology: Topology) -> Self {
+    pub(crate) fn with_topology(topology: Topology) -> Self {
         assert!(
             !topology.is_flat(),
             "with_topology needs at least one node class"
@@ -158,11 +158,11 @@ pub struct CompletedStats {
     /// Number of completed jobs.
     pub count: usize,
     /// Sum of queued wait times (`x_j − s_j`), seconds.
-    pub total_wait_secs: f64,
+    pub(crate) total_wait_secs: f64,
     /// Sum of turnaround times (`x_j + d_j − s_j`), seconds.
-    pub total_turnaround_secs: f64,
+    pub(crate) total_turnaround_secs: f64,
     /// Sum of delivered node-seconds (`n_j · d_j`).
-    pub total_node_seconds: f64,
+    pub(crate) total_node_seconds: f64,
 }
 
 impl CompletedStats {
@@ -182,24 +182,6 @@ impl CompletedStats {
             stats.absorb(record);
         }
         stats
-    }
-
-    /// Mean wait time, seconds (`0.0` when nothing completed).
-    pub fn mean_wait_secs(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.total_wait_secs / self.count as f64
-        }
-    }
-
-    /// Mean turnaround time, seconds (`0.0` when nothing completed).
-    pub fn mean_turnaround_secs(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.total_turnaround_secs / self.count as f64
-        }
     }
 }
 
@@ -271,7 +253,7 @@ impl ClusterState {
     }
 
     /// `true` if the job could ever fit on an empty machine.
-    pub fn fits_capacity(&self, spec: &JobSpec) -> bool {
+    pub(crate) fn fits_capacity(&self, spec: &JobSpec) -> bool {
         self.allocator.fits_capacity(&PlacementRequest::from(spec))
     }
 
@@ -540,10 +522,6 @@ mod tests {
         assert!((incremental.total_wait_secs - 250.0).abs() < 1e-9);
         assert!((incremental.total_turnaround_secs - (100.0 + 150.0 + 220.0)).abs() < 1e-9);
         assert!((incremental.total_node_seconds - (400.0 + 400.0 + 140.0)).abs() < 1e-9);
-        assert!((incremental.mean_wait_secs() - 250.0 / 3.0).abs() < 1e-9);
-        assert!((incremental.mean_turnaround_secs() - 470.0 / 3.0).abs() < 1e-9);
-        assert_eq!(CompletedStats::default().mean_wait_secs(), 0.0);
-        assert_eq!(CompletedStats::default().mean_turnaround_secs(), 0.0);
     }
 
     #[test]

@@ -159,12 +159,6 @@ impl JobRecord {
     pub fn turnaround(&self) -> SimDuration {
         self.end.since(self.spec.submit)
     }
-
-    /// Slowdown: turnaround divided by runtime (≥ 1).
-    pub fn slowdown(&self) -> f64 {
-        let d = self.spec.duration.as_secs_f64().max(1e-9);
-        self.turnaround().as_secs_f64() / d
-    }
 }
 
 #[cfg(test)]
@@ -231,7 +225,6 @@ mod tests {
         assert_eq!(r.end, SimTime::from_secs(150));
         assert_eq!(r.wait(), SimDuration::from_secs(40));
         assert_eq!(r.turnaround(), SimDuration::from_secs(140));
-        assert!((r.slowdown() - 1.4).abs() < 1e-12);
     }
 
     #[test]
@@ -240,6 +233,5 @@ mod tests {
         let r = JobRecord::new(s, SimTime::ZERO);
         assert_eq!(r.wait(), SimDuration::ZERO);
         assert_eq!(r.turnaround(), SimDuration::from_secs(10));
-        assert!((r.slowdown() - 1.0).abs() < 1e-12);
     }
 }

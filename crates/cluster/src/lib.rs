@@ -68,8 +68,7 @@ pub mod topology;
 pub mod utilization;
 
 pub use allocator::{
-    compatible_slots, Allocation, ClassedAllocator, FirstFitAllocator, NodeAllocator,
-    PlacementRequest, SlotSet,
+    compatible_slots, Allocation, ClassedAllocator, FirstFitAllocator, PlacementRequest, SlotSet,
 };
 pub use cluster::{ClusterConfig, ClusterState, CompletedStats, RunningJob, StartError};
 pub use job::{GroupId, JobId, JobRecord, JobSpec, UserId};

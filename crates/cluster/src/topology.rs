@@ -106,11 +106,6 @@ impl Topology {
             .filter_map(|(i, c)| c.map(|c| (i, c)))
     }
 
-    /// How many classes are declared.
-    pub fn class_count(&self) -> usize {
-        self.classes.iter().filter(|c| c.is_some()).count()
-    }
-
     /// Total node count across all classes.
     pub fn total_nodes(&self) -> u32 {
         self.classes().map(|(_, c)| c.count).sum()
@@ -151,7 +146,7 @@ mod tests {
     fn flat_is_empty() {
         let t = Topology::flat();
         assert!(t.is_flat());
-        assert_eq!(t.class_count(), 0);
+        assert_eq!(t.classes().count(), 0);
         assert_eq!(t.total_nodes(), 0);
         assert_eq!(t.total_memory_gb(), 0);
         assert_eq!(Topology::default(), t);
@@ -161,7 +156,7 @@ mod tests {
     fn classes_fill_slots_in_declaration_order() {
         let t = mixed();
         assert!(!t.is_flat());
-        assert_eq!(t.class_count(), 3);
+        assert_eq!(t.classes().count(), 3);
         let slots: Vec<(usize, NodeClass, u32)> = t
             .classes()
             .map(|(slot, c)| (slot, c.class, c.count))

@@ -55,16 +55,6 @@ impl StepIntegral {
     pub fn value(&self) -> f64 {
         self.last_value
     }
-
-    /// Time-average of the value over `[start, now]`; 0 over an empty span.
-    pub fn time_average(&self, start: SimTime, now: SimTime) -> f64 {
-        let span = now.since(start).as_secs_f64();
-        if span <= 0.0 {
-            0.0
-        } else {
-            self.integral_through(now) / span
-        }
-    }
 }
 
 #[cfg(test)]
@@ -96,15 +86,6 @@ mod tests {
         s.update(SimTime::from_secs(5), 2.0);
         // 5 s at 1, then value 2 — the transient 10 contributes nothing.
         assert!((s.integral_through(SimTime::from_secs(6)) - 7.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn time_average() {
-        let mut s = StepIntegral::new(SimTime::ZERO, 4.0);
-        s.update(SimTime::from_secs(2), 0.0);
-        // avg over [0, 8] = 8/8 = 1
-        assert!((s.time_average(SimTime::ZERO, SimTime::from_secs(8)) - 1.0).abs() < 1e-9);
-        assert_eq!(s.time_average(SimTime::ZERO, SimTime::ZERO), 0.0);
     }
 
     #[test]

@@ -25,7 +25,7 @@ use rsched_llm::tokens::estimate_tokens;
 
 /// The default rendering budget: the paper ran O4-Mini with a 100 k
 /// context; this leaves headroom for the state sections of the prompt.
-pub const DEFAULT_TOKEN_BUDGET: u32 = 80_000;
+pub(crate) const DEFAULT_TOKEN_BUDGET: u32 = 80_000;
 
 /// What a line costs against the budget beyond its text: the
 /// `[t=…] Kind: ` frame.

@@ -42,9 +42,9 @@
 
 pub mod anneal;
 pub mod bounds;
-pub mod listsched;
+pub(crate) mod listsched;
 pub mod model;
-pub mod portfolio;
+pub(crate) mod portfolio;
 pub mod sgs;
 
 pub use model::{Instance, Schedule, Task};

@@ -8,7 +8,7 @@ use crate::model::Instance;
 
 /// A dispatch rule producing a task order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum PriorityRule {
+pub(crate) enum PriorityRule {
     /// Shortest processing time first.
     ShortestFirst,
     /// Longest processing time first (good for makespan packing).
@@ -36,7 +36,7 @@ impl PriorityRule {
 
 /// The task order induced by `rule` (ties broken by task index for
 /// determinism).
-pub fn priority_order(instance: &Instance, rule: PriorityRule) -> Vec<usize> {
+pub(crate) fn priority_order(instance: &Instance, rule: PriorityRule) -> Vec<usize> {
     let mut order: Vec<usize> = (0..instance.len()).collect();
     match rule {
         PriorityRule::ShortestFirst => {

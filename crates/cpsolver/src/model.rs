@@ -19,12 +19,12 @@ pub struct Task {
 
 impl Task {
     /// Work content on the node resource (`nodes × duration`).
-    pub fn node_energy(&self) -> u128 {
+    pub(crate) fn node_energy(&self) -> u128 {
         self.nodes as u128 * self.duration as u128
     }
 
     /// Work content on the memory resource (`memory × duration`).
-    pub fn memory_energy(&self) -> u128 {
+    pub(crate) fn memory_energy(&self) -> u128 {
         self.memory as u128 * self.duration as u128
     }
 }
@@ -35,9 +35,9 @@ pub struct Instance {
     /// The tasks to place.
     pub tasks: Vec<Task>,
     /// Node capacity (`C`).
-    pub node_capacity: u32,
+    pub(crate) node_capacity: u32,
     /// Memory capacity (`M`).
-    pub memory_capacity: u64,
+    pub(crate) memory_capacity: u64,
 }
 
 impl Instance {

@@ -27,9 +27,6 @@ pub struct Solution {
     pub makespan: u64,
     /// Engine that found it.
     pub method: SolveMethod,
-    /// `true` when the makespan is provably optimal (the lower bound was
-    /// met).
-    pub proven_optimal: bool,
 }
 
 /// Portfolio configuration.
@@ -74,7 +71,6 @@ impl Solver {
                 schedule: Schedule { starts: vec![] },
                 makespan: 0,
                 method: SolveMethod::ListScheduling,
-                proven_optimal: true,
             };
         }
         let lb = lower_bound(instance);
@@ -121,7 +117,6 @@ impl Solver {
             schedule: best_schedule,
             makespan: best_mk,
             method,
-            proven_optimal: best_mk == lb,
         }
     }
 }
@@ -179,7 +174,6 @@ mod tests {
     fn empty_instance() {
         let sol = Solver::default().solve(&Instance::new(vec![], 4, 16));
         assert_eq!(sol.makespan, 0);
-        assert!(sol.proven_optimal);
     }
 
     #[test]
@@ -189,7 +183,7 @@ mod tests {
         let inst = Instance::new(tasks, 4, 16);
         let sol = Solver::default().solve(&inst);
         assert_eq!(sol.makespan, 100);
-        assert!(sol.proven_optimal);
+        assert_eq!(sol.makespan, lower_bound(&inst));
         assert_eq!(sol.method, SolveMethod::ListScheduling);
     }
 

@@ -23,7 +23,7 @@ use crate::figures::{run_grid, scenario_jobs, Group, NormalizedFigure};
 use crate::options::ExperimentOptions;
 
 /// The swept weight profiles.
-pub fn weight_profiles() -> Vec<(&'static str, ObjectiveWeights)> {
+pub(crate) fn weight_profiles() -> Vec<(&'static str, ObjectiveWeights)> {
     vec![
         (
             "fairness-only",

@@ -13,7 +13,7 @@ use crate::figures::{paper_set, run_grid, scenario_jobs, Group, NormalizedFigure
 use crate::options::ExperimentOptions;
 
 /// The paper's queue sizes.
-pub const PAPER_SIZES: [usize; 6] = [10, 20, 40, 60, 80, 100];
+pub(crate) const PAPER_SIZES: [usize; 6] = [10, 20, 40, 60, 80, 100];
 
 /// Run the Figure 4 experiment: one group per queue size, ascending.
 pub fn run(opts: &ExperimentOptions, pool: &ThreadPool) -> NormalizedFigure {

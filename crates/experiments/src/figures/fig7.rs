@@ -21,7 +21,7 @@ use crate::figures::{metric_key, paper_set, run_grid, scenario_jobs, Group, RunR
 use crate::options::ExperimentOptions;
 
 /// Repetitions (5 in the paper; 3 under `--quick`).
-pub const REPETITIONS: usize = 5;
+pub(crate) const REPETITIONS: usize = 5;
 
 /// Figure 7 results: per-scheduler normalized-metric distributions.
 #[derive(Debug, Clone)]
@@ -29,7 +29,7 @@ pub struct Fig7Output {
     /// Jobs in the workload (100 in the paper).
     pub jobs: usize,
     /// Repetitions run.
-    pub repetitions: usize,
+    pub(crate) repetitions: usize,
     /// `(scheduler, distributions)` in paper order.
     pub distributions: Vec<(String, MetricDistributions)>,
     /// The raw cells (rep-major), for the JSON artifacts.

@@ -3,8 +3,7 @@
 //! normalized against FCFS (paper §5).
 //!
 //! The trace comes from the calibrated Polaris synthesizer + the paper's
-//! preprocessing pipeline (`rsched-workloads::polaris`); a real exported
-//! log in the same CSV schema can be substituted via `raw_from_csv`.
+//! preprocessing pipeline (`rsched-workloads::polaris`).
 
 use std::sync::Arc;
 

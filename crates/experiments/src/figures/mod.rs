@@ -113,7 +113,7 @@ pub struct NormalizedFigure {
     /// figure of one table, whose group label is empty.
     pub group: Option<(&'static str, &'static str)>,
     /// The CSV header of the row-label column.
-    pub rows_are: &'static str,
+    pub(crate) rows_are: &'static str,
     /// `(group label, (policy, FCFS-normalized report) rows)` in grid
     /// order.
     pub groups: Vec<(String, Vec<(String, NormalizedReport)>)>,

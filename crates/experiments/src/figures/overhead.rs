@@ -26,7 +26,7 @@ pub struct OverheadFigure {
     pub heading: String,
     /// What the figure varies (`"scenario"` or `"jobs"`): the header of
     /// the first label column; the second is always `"model"`.
-    pub varies: &'static str,
+    pub(crate) varies: &'static str,
     /// `([label, model], overhead)` in the order of the grid's runs.
     pub rows: Vec<(Vec<String>, OverheadReport)>,
 }

@@ -15,7 +15,7 @@
 //!   structured data, exercising the same code path a hosted model would.
 //!   A [`SimulatedLlm`] takes the history lines it has already read from a
 //!   ledger keyed by history stream and offset, and reads only the rest.
-//! * [`reasoner`] — the multiobjective deliberation engine: scores each
+//! * `reasoner` — the multiobjective deliberation engine: scores each
 //!   eligible job on fairness, throughput, packing and makespan criteria
 //!   and picks an action.
 //! * [`persona`] — calibrated personas: `claude37()` (balanced weights,
@@ -37,9 +37,9 @@ pub mod latency;
 pub mod persona;
 pub mod process;
 pub mod prompt_parse;
-pub mod reasoner;
+pub(crate) mod reasoner;
 pub mod script;
-pub mod sim_backend;
+pub(crate) mod sim_backend;
 pub mod thought;
 pub mod tokens;
 

@@ -17,7 +17,7 @@ use crate::prompt_parse::{ParsedPrompt, ParsedWaitingJob};
 
 /// The action the reasoner settled on (the paper's §2.2 action space).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReasonedAction {
+pub(crate) enum ReasonedAction {
     /// Start this job now.
     Start(u32),
     /// Start this job as a backfill around the blocked queue head.
@@ -30,7 +30,7 @@ pub enum ReasonedAction {
 
 /// One candidate's score breakdown.
 #[derive(Debug, Clone, PartialEq)]
-pub struct JobScore {
+pub(crate) struct JobScore {
     /// Job id.
     pub id: u32,
     /// Owning user.
@@ -50,7 +50,7 @@ pub struct JobScore {
 /// Why the reasoner chose what it chose — consumed by the thought
 /// generator.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Rationale {
+pub(crate) enum Rationale {
     /// A job was picked; scores of all candidates are attached (sorted by
     /// descending total).
     Picked {
@@ -86,11 +86,11 @@ pub enum Rationale {
 
 /// A complete deliberation: the action plus its explanation.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Deliberation {
+pub(crate) struct Deliberation {
     /// The chosen action.
     pub action: ReasonedAction,
     /// The reasoning behind it.
-    pub rationale: Rationale,
+    pub(crate) rationale: Rationale,
 }
 
 /// Run one deliberation.
@@ -99,7 +99,7 @@ pub struct Deliberation {
 /// hair of tie-breaking noise is always added so equal-scoring candidates
 /// do not depend on queue order across runs — this is the "API
 /// non-determinism" the paper's robustness study (§4) exercises.
-pub fn deliberate(
+pub(crate) fn deliberate(
     prompt: &ParsedPrompt,
     weights: &ObjectiveWeights,
     temperature: f64,

@@ -14,7 +14,7 @@ use crate::prompt_parse::ParsedPrompt;
 use crate::reasoner::{Deliberation, Rationale, ReasonedAction};
 
 /// Render the thought text for one deliberation.
-pub fn render_thought(
+pub(crate) fn render_thought(
     prompt: &ParsedPrompt,
     deliberation: &Deliberation,
     style: ThoughtStyle,
@@ -222,7 +222,7 @@ fn all_scheduled_thought(prompt: &ParsedPrompt, still_running: usize) -> String 
 }
 
 /// Assemble the final completion text in the paper's output format.
-pub fn render_completion(thought: &str, action: ReasonedAction) -> String {
+pub(crate) fn render_completion(thought: &str, action: ReasonedAction) -> String {
     let action_text = match action {
         ReasonedAction::Start(id) => format!("StartJob(job_id={id})"),
         ReasonedAction::Backfill(id) => format!("BackfillJob(job_id={id})"),

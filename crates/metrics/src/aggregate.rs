@@ -7,7 +7,7 @@
 use rsched_simkit::stats::{BoxplotStats, RunningStats};
 
 use crate::normalize::NormalizedReport;
-use crate::report::{Metric, MetricsReport};
+use crate::report::Metric;
 
 /// Per-metric sample collections across repeated runs.
 #[derive(Debug, Clone, Default)]
@@ -19,13 +19,6 @@ impl MetricDistributions {
     /// An empty collection.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Add one run's raw report.
-    pub fn push_report(&mut self, report: &MetricsReport) {
-        for (i, metric) in Metric::all().into_iter().enumerate() {
-            self.samples[i].push(report.get(metric));
-        }
     }
 
     /// Add one run's normalized report; omitted metrics are skipped.
@@ -73,11 +66,13 @@ fn index_of(metric: Metric) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::normalize::normalize_against;
+    use crate::report::MetricsReport;
 
-    fn report(makespan: f64) -> MetricsReport {
+    fn report(makespan: f64, wait: f64) -> MetricsReport {
         MetricsReport {
             makespan_secs: makespan,
-            avg_wait_secs: 1.0,
+            avg_wait_secs: wait,
             avg_turnaround_secs: 2.0,
             throughput: 3.0,
             node_utilization: 0.4,
@@ -90,8 +85,9 @@ mod tests {
     #[test]
     fn collects_per_metric_samples() {
         let mut d = MetricDistributions::new();
+        let baseline = report(1.0, 1.0);
         for m in [100.0, 110.0, 90.0, 105.0, 95.0] {
-            d.push_report(&report(m));
+            d.push_normalized(&normalize_against(&report(m, 1.0), &baseline));
         }
         assert_eq!(d.len(Metric::Makespan), 5);
         let b = d.boxplot(Metric::Makespan).expect("non-empty");
@@ -105,9 +101,8 @@ mod tests {
     #[test]
     fn normalized_omissions_are_skipped() {
         let mut d = MetricDistributions::new();
-        let mut values = [Some(1.0); 8];
-        values[1] = None; // AvgWait omitted
-        d.push_normalized(&NormalizedReport::from_values(values));
+        // A zero baseline wait leaves AvgWait undefined.
+        d.push_normalized(&normalize_against(&report(1.0, 5.0), &report(1.0, 0.0)));
         assert_eq!(d.len(Metric::AvgWait), 0);
         assert_eq!(d.len(Metric::Makespan), 1);
         assert!(d.boxplot(Metric::AvgWait).is_none());

@@ -52,24 +52,6 @@ impl NormalizedReport {
             .zip(self.values)
             .filter_map(|(m, v)| v.map(|v| (m, v)))
     }
-
-    /// `true` if `self` is at least as good as the baseline on this metric
-    /// (≤ 1 for lower-is-better, ≥ 1 for higher-is-better). `None` when the
-    /// ratio is omitted.
-    pub fn no_worse_than_baseline(&self, metric: Metric) -> Option<bool> {
-        self.get(metric).map(|v| {
-            if metric.higher_is_better() {
-                v >= 1.0 - 1e-9
-            } else {
-                v <= 1.0 + 1e-9
-            }
-        })
-    }
-
-    /// Construct directly from ratios (testing and aggregation).
-    pub fn from_values(values: [Option<f64>; 8]) -> Self {
-        NormalizedReport { values }
-    }
 }
 
 #[cfg(test)]
@@ -124,24 +106,5 @@ mod tests {
         let worse = report(100.0, 5.0, 0.5);
         let n = normalize_against(&worse, &base);
         assert_eq!(n.get(Metric::AvgWait), None);
-    }
-
-    #[test]
-    fn no_worse_than_baseline_respects_polarity() {
-        let base = report(100.0, 10.0, 0.5);
-        let better = report(80.0, 10.0, 0.7);
-        let n = normalize_against(&better, &base);
-        assert_eq!(n.no_worse_than_baseline(Metric::Makespan), Some(true));
-        assert_eq!(
-            n.no_worse_than_baseline(Metric::NodeUtilization),
-            Some(true)
-        );
-        let worse = report(120.0, 10.0, 0.4);
-        let n = normalize_against(&worse, &base);
-        assert_eq!(n.no_worse_than_baseline(Metric::Makespan), Some(false));
-        assert_eq!(
-            n.no_worse_than_baseline(Metric::NodeUtilization),
-            Some(false)
-        );
     }
 }

@@ -15,18 +15,18 @@ pub fn makespan(records: &[JobRecord]) -> SimDuration {
 }
 
 /// Mean queued wait time in seconds (`w_j = x_j − s_j`).
-pub fn average_wait_secs(records: &[JobRecord]) -> f64 {
+pub(crate) fn average_wait_secs(records: &[JobRecord]) -> f64 {
     mean(records.iter().map(|r| r.wait().as_secs_f64()))
 }
 
 /// Mean turnaround time in seconds (`x_j + d_j − s_j`).
-pub fn average_turnaround_secs(records: &[JobRecord]) -> f64 {
+pub(crate) fn average_turnaround_secs(records: &[JobRecord]) -> f64 {
     mean(records.iter().map(|r| r.turnaround().as_secs_f64()))
 }
 
 /// Throughput: jobs completed per second of active schedule
 /// (`n / (last completion − first start)`).
-pub fn throughput_jobs_per_sec(records: &[JobRecord]) -> f64 {
+pub(crate) fn throughput_jobs_per_sec(records: &[JobRecord]) -> f64 {
     if records.is_empty() {
         return 0.0;
     }

@@ -6,9 +6,7 @@
 //! other policy beats it on every metric at once. This module supplies
 //! that machinery:
 //!
-//! * [`ObjectiveSpace`] — extract an oriented objective vector from a
-//!   [`MetricsReport`], negating higher-is-better metrics so that
-//!   **every coordinate is minimized**;
+//! * [`ObjectiveSpace`] — the objectives compared, in a fixed order;
 //! * [`pareto_front`] — the non-dominated subset, computed with Kung's
 //!   divide-and-conquer (O(n log n) for two objectives via a sweep fast
 //!   path, far below the naive O(n²) pairwise scan);
@@ -18,19 +16,18 @@
 //!   dominated by a point set, against a reference point.
 //!
 //! All functions take minimization-oriented coordinate slices, so they
-//! are usable on any objective vectors, not just [`MetricsReport`]s.
+//! are usable on any objective vectors, not just metric reports.
 
-use crate::report::{Metric, MetricsReport};
+use crate::report::Metric;
 
-/// A named set of objectives with a fixed order, used to extract
-/// comparable minimization vectors from reports.
+/// A named set of objectives with a fixed order. A caller orients each
+/// coordinate for minimization, negating higher-is-better metrics.
 ///
 /// ```
 /// use rsched_metrics::{pareto::ObjectiveSpace, Metric};
 ///
 /// let space = ObjectiveSpace::new(vec![Metric::AvgWait, Metric::Throughput]);
 /// assert_eq!(space.len(), 2);
-/// // Throughput is higher-is-better, so its coordinate is negated.
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ObjectiveSpace {
@@ -67,23 +64,6 @@ impl ObjectiveSpace {
     /// `true` when no objectives are configured.
     pub fn is_empty(&self) -> bool {
         self.metrics.is_empty()
-    }
-
-    /// The report's objective vector, oriented for minimization:
-    /// higher-is-better metrics are negated, so dominance comparisons
-    /// read uniformly "smaller is better" in every coordinate.
-    pub fn extract(&self, report: &MetricsReport) -> Vec<f64> {
-        self.metrics
-            .iter()
-            .map(|&m| {
-                let v = report.get(m);
-                if m.higher_is_better() {
-                    -v
-                } else {
-                    v
-                }
-            })
-            .collect()
     }
 }
 
@@ -407,22 +387,6 @@ mod tests {
         assert_eq!(hypervolume(&[], &[1.0, 1.0]), 0.0);
         let hv = hypervolume(&[vec![1.0]], &[3.0]);
         assert!((hv - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn objective_space_orients_for_minimization() {
-        use rsched_cluster::{ClusterConfig, JobRecord, JobSpec};
-        use rsched_simkit::{SimDuration, SimTime};
-        let records = vec![JobRecord::new(
-            JobSpec::new(1, 0, SimTime::ZERO, SimDuration::from_secs(100), 4, 32),
-            SimTime::from_secs(10),
-        )];
-        let report = MetricsReport::compute(&records, ClusterConfig::new(8, 64));
-        let space = ObjectiveSpace::new(vec![Metric::AvgWait, Metric::NodeUtilization]);
-        let v = space.extract(&report);
-        assert_eq!(v.len(), 2);
-        assert!((v[0] - report.avg_wait_secs).abs() < 1e-12);
-        assert!((v[1] + report.node_utilization).abs() < 1e-12, "negated");
     }
 
     #[test]

@@ -67,14 +67,12 @@ pub mod names {
     /// FCFS + conservative backfilling (a reservation per waiting job).
     pub const CONSERVATIVE: &str = "Conservative";
     /// Conservative backfilling, shortest startable candidate first.
-    pub const CONSERVATIVE_SJBF: &str = "Conservative-SJBF";
+    pub(crate) const CONSERVATIVE_SJBF: &str = "Conservative-SJBF";
 
     /// The paper's five compared schedulers, in figure order.
     pub const PAPER_SET: [&str; 5] = [FCFS, SJF, OR_TOOLS, CLAUDE37, O4_MINI];
     /// The two LLM agents (overhead figures).
     pub const LLM_PAIR: [&str; 2] = [CLAUDE37, O4_MINI];
-    /// The backfilling policy family swept by the heterogeneous campaigns.
-    pub const BACKFILL_FAMILY: [&str; 4] = [EASY, EASY_SJBF, CONSERVATIVE, CONSERVATIVE_SJBF];
     /// Every builtin policy, paper set first.
     pub const ALL_BUILTIN: [&str; 10] = [
         FCFS,
@@ -132,7 +130,8 @@ impl<'a> PolicyContext<'a> {
 }
 
 /// A policy constructor: called once per run with the run's context.
-pub type PolicyFactory = Box<dyn Fn(&PolicyContext<'_>) -> Box<dyn SchedulingPolicy> + Send + Sync>;
+pub(crate) type PolicyFactory =
+    Box<dyn Fn(&PolicyContext<'_>) -> Box<dyn SchedulingPolicy> + Send + Sync>;
 
 /// Why a registry operation failed.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -32,7 +32,7 @@
 pub mod conservative;
 pub mod easy;
 pub mod fcfs;
-pub mod ortools;
+pub(crate) mod ortools;
 pub mod random;
 pub mod sjf;
 

@@ -65,7 +65,7 @@ impl AdmissionError {
     /// The counter a refusal for this reason increments:
     /// `service_rejected_{code}_total`, spelled out so that counting one
     /// formats nothing.
-    pub fn counter_name(&self) -> &'static str {
+    pub(crate) fn counter_name(&self) -> &'static str {
         match self {
             AdmissionError::RateLimited { .. } => "service_rejected_rate_limited_total",
             AdmissionError::QueueFull { .. } => "service_rejected_queue_full_total",

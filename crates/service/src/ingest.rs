@@ -29,7 +29,7 @@ pub struct Submission {
 
 /// A message on the ingest queue.
 #[derive(Debug, Clone)]
-pub enum ServiceRequest {
+pub(crate) enum ServiceRequest {
     /// Submit a job.
     Submit(Submission),
     /// Stop accepting work, finish what is queued and running, then shut

@@ -45,7 +45,7 @@ pub use admission::{AdmissionConfig, AdmissionController, AdmissionError};
 pub use clock::{ManualClock, ServiceClock, WallClock};
 pub use core::{ServiceConfig, ServiceCore, ServiceReport};
 pub use daemon::ServiceDaemon;
-pub use ingest::{ServiceRequest, ServiceStopped, Submission, SubmitHandle};
+pub use ingest::{ServiceStopped, Submission, SubmitHandle};
 pub use observer::{CountingServiceObserver, ServiceObserver, TickStats};
 pub use replay::replay;
 pub use tenant::{FairShare, FairShareConfig, RateLimit, TenantConfig, TenantId};

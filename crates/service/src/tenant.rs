@@ -1,7 +1,7 @@
 //! Tenants, rate limits, and fair-share state.
 //!
 //! The service schedules for many tenants at once (the paper's multi-user
-//! aggregates — `users_served`, per-user wait — become per-tenant service
+//! aggregates — users served, per-user wait — become per-tenant service
 //! guarantees here). Everything in this module is **integer-deterministic**:
 //! token buckets count millitokens on the millisecond clock, and fair-share
 //! ranks are quantized before they reach the queue ordering, so the same
@@ -63,7 +63,7 @@ impl Default for TenantConfig {
 /// therefore never over-admits: across any window of `w` ms it accepts at
 /// most `burst + ceil(w · per_sec / 1000)` submissions.
 #[derive(Debug, Clone)]
-pub struct TokenBucket {
+pub(crate) struct TokenBucket {
     capacity_milli: u64,
     tokens_milli: u64,
     refill_per_sec: u64,
@@ -94,7 +94,7 @@ impl TokenBucket {
     }
 
     /// Take one submission's worth of tokens if available.
-    pub fn try_take(&mut self, now: SimTime) -> bool {
+    pub(crate) fn try_take(&mut self, now: SimTime) -> bool {
         self.refill(now);
         if self.tokens_milli >= TOKEN {
             self.tokens_milli -= TOKEN;
@@ -102,12 +102,6 @@ impl TokenBucket {
         } else {
             false
         }
-    }
-
-    /// Whole submissions currently available (after refilling to `now`).
-    pub fn available(&mut self, now: SimTime) -> u64 {
-        self.refill(now);
-        self.tokens_milli / TOKEN
     }
 }
 
@@ -233,7 +227,10 @@ mod tests {
         assert!(!b.try_take(t1));
         // A long idle refills to capacity, not beyond.
         let t2 = SimTime::from_secs(100);
-        assert_eq!(b.available(t2), 3);
+        for _ in 0..3 {
+            assert!(b.try_take(t2));
+        }
+        assert!(!b.try_take(t2), "capacity 3");
     }
 
     #[test]

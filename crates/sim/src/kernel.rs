@@ -108,7 +108,7 @@ impl KernelState {
     /// so none of that is slack, and a log that grows past it has a few
     /// doublings left to do instead of all of them. The event heap is left
     /// to grow: it holds one completion per *running* job.
-    pub fn with_event_capacity(config: ClusterConfig, start: SimTime, jobs: usize) -> Self {
+    pub(crate) fn with_event_capacity(config: ClusterConfig, start: SimTime, jobs: usize) -> Self {
         let mut kernel = KernelState::new(config, start);
         kernel.cluster.reserve_completed(jobs);
         kernel.decisions.reserve(jobs);

@@ -83,15 +83,6 @@ impl SimOutcome {
             .iter()
             .filter(|d| d.accepted() && d.action.is_placement())
     }
-
-    /// The completion time of the last job (== `end_time`).
-    pub fn makespan_end(&self) -> SimTime {
-        self.records
-            .iter()
-            .map(|r| r.end)
-            .max()
-            .unwrap_or(SimTime::ZERO)
-    }
 }
 
 #[cfg(test)]
@@ -101,7 +92,7 @@ mod tests {
     use rsched_simkit::SimDuration;
 
     #[test]
-    fn outcome_placement_filter_and_makespan() {
+    fn outcome_placement_filter() {
         let spec = JobSpec::new(1, 0, SimTime::ZERO, SimDuration::from_secs(5), 1, 1);
         let rec = JobRecord::new(spec, SimTime::from_secs(2));
         let outcome = SimOutcome {
@@ -132,6 +123,5 @@ mod tests {
             epochs: vec![],
         };
         assert_eq!(outcome.placements().count(), 1);
-        assert_eq!(outcome.makespan_end(), SimTime::from_secs(7));
     }
 }

@@ -183,7 +183,7 @@ impl CapacityCalendar {
     /// ledger takes. Scalar columns are bit-identical to the ledger-built
     /// estimated calendar for the same summaries; class columns are zero
     /// (summaries do not expose per-class allocations).
-    pub fn from_running(
+    pub(crate) fn from_running(
         now: SimTime,
         free_nodes: u32,
         free_memory_gb: u64,
@@ -253,7 +253,11 @@ impl CapacityCalendar {
     /// Earliest time at which `demand` fits the per-class free counts —
     /// the classed shadow time, one sweep over the (merged) release
     /// points. `SimTime::MAX` if no point ever hosts the demand.
-    pub fn earliest_fit_classed(&self, topology: &Topology, demand: &PlacementRequest) -> SimTime {
+    pub(crate) fn earliest_fit_classed(
+        &self,
+        topology: &Topology,
+        demand: &PlacementRequest,
+    ) -> SimTime {
         for p in &self.points {
             if demand.fits_classes(topology, &p.free_by_class) {
                 return p.time;
@@ -269,7 +273,7 @@ impl CapacityCalendar {
     /// classed candidate's take is planned against; ignored on a flat
     /// machine). On a classed machine the shadow is read off the class
     /// columns, which only ledger-built calendars carry: on a
-    /// [`from_running`](Self::from_running) fallback the head never fits
+    /// `from_running` fallback the head never fits
     /// and every candidate is admitted.
     ///
     /// Which future is asked is the caller's choice of calendar: the
@@ -438,9 +442,9 @@ pub struct CalendarStamp {
     pub now: SimTime,
     /// Bumped on every queue mutation (arrivals; removals ride the
     /// running-state bump of the start that caused them).
-    pub queue_version: u64,
+    pub(crate) queue_version: u64,
     /// Bumped on every running-set mutation (job start / completion).
-    pub running_version: u64,
+    pub(crate) running_version: u64,
 }
 
 /// One cached skyline with the stamp it was built at, plus rebuild/hit
@@ -480,8 +484,8 @@ impl CachedCalendar {
 ///
 /// Ownership and maintenance: `KernelState` is the **only writer** — it
 /// calls [`job_started`](Self::job_started) /
-/// [`job_completed`](Self::job_completed) from its start/complete paths
-/// and [`queue_changed`](Self::queue_changed) on arrivals. Readers
+/// `job_completed` from its start/complete paths
+/// and `queue_changed` on arrivals. Readers
 /// (policies via the [`SystemView`](crate::SystemView), the kernel's own
 /// strict-backfill validation) get shared [`Ref`]s to the cached
 /// calendars and must drop them before the next mutation (statically
@@ -541,14 +545,14 @@ impl CapacityLedger {
     /// Drop the completed job's releases. `actual_end` is the completion
     /// time (the completion event's own timestamp); `expected_end` is the
     /// estimate recorded at start.
-    pub fn job_completed(&mut self, id: JobId, expected_end: SimTime, actual_end: SimTime) {
+    pub(crate) fn job_completed(&mut self, id: JobId, expected_end: SimTime, actual_end: SimTime) {
         Self::remove(&mut self.estimated, expected_end, id);
         Self::remove(&mut self.actual, actual_end, id);
         self.running_version += 1;
     }
 
     /// Note a waiting-queue mutation (arrival) for the epoch stamp.
-    pub fn queue_changed(&mut self) {
+    pub(crate) fn queue_changed(&mut self) {
         self.queue_version += 1;
     }
 
@@ -556,7 +560,7 @@ impl CapacityLedger {
     /// `(rebuilds, cache_hits)`. A rebuild is a skyline construction from
     /// the release list; a hit reuses the cached skyline for the same
     /// [`CalendarStamp`].
-    pub fn calendar_counters(&self) -> (u64, u64) {
+    pub(crate) fn calendar_counters(&self) -> (u64, u64) {
         let est = self.estimated_cache.borrow();
         let act = self.actual_cache.borrow();
         (est.rebuilds + act.rebuilds, est.hits + act.hits)

@@ -28,9 +28,9 @@ pub struct ScanOutcome {
     /// Exact minimum of the node column. **Only valid when `first_fit` is
     /// `None`** (a found fit ends the scan early, so no sound minima
     /// exist).
-    pub min_nodes: u32,
+    pub(crate) min_nodes: u32,
     /// Exact minimum of the memory column, same validity rule.
-    pub min_memory_gb: u64,
+    pub(crate) min_memory_gb: u64,
 }
 
 /// Scan the aligned demand columns left to right against the free

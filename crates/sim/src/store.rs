@@ -17,14 +17,14 @@
 //! it, while the demand columns read `u32::MAX` / `u64::MAX` there, so no
 //! fit scan fits it (only a machine whose free levels are both at those
 //! maxima would — and that one fits every live job too) and no minimum
-//! reads it. [`retain_live`](JobStore::retain_live) drops every tombstone
+//! reads it. `retain_live` drops every tombstone
 //! in one pass. A live slot's columns mirror its spec exactly, so scans
 //! over them are bit-identical to scans over the specs.
 //!
 //! The store is position-indexed and order-preserving: it is the backing
 //! storage of the simulator's wait queue, which layers its head cursor,
 //! rank column, and sorted-merge logic on top. Room for arrivals is made
-//! by [`shift_right`](JobStore::shift_right), one run of slots at a time,
+//! by `shift_right`, one run of slots at a time,
 //! and filled by [`set`](JobStore::set). [`insert`](JobStore::insert)
 //! (their one-job case) and [`remove`](JobStore::remove) (a hole closed by
 //! shifting the tail) are what the benchmark package's store probe times;
@@ -109,7 +109,7 @@ impl JobStore {
     }
 
     /// Insert a live job at `at`, shifting the tail right: the one-job case
-    /// of [`shift_right`](Self::shift_right) and [`set`](Self::set).
+    /// of `shift_right` and [`set`](Self::set).
     ///
     /// # Panics
     /// Panics if `at > len()`.
@@ -128,7 +128,7 @@ impl JobStore {
     ///
     /// # Panics
     /// Panics if `from > to` or `to + by > len()`.
-    pub fn shift_right(&mut self, from: usize, to: usize, by: usize) {
+    pub(crate) fn shift_right(&mut self, from: usize, to: usize, by: usize) {
         // Back to front, so that a run longer than `by` never overwrites
         // what it has yet to move (a rotation would also carry the `by`
         // stale slots across the run, once per run).
@@ -199,7 +199,7 @@ impl JobStore {
 
     /// Drop every dead slot from every column in one order-preserving pass,
     /// returning how many live jobs moved to a new slot.
-    pub fn retain_live(&mut self) -> u64 {
+    pub(crate) fn retain_live(&mut self) -> u64 {
         let Some(first_dead) = self.live.iter().position(|&live| !live) else {
             return 0;
         };

@@ -319,32 +319,9 @@ impl<'a> SystemView<'a> {
         self.waiting.is_empty() && self.pending_arrivals == 0
     }
 
-    /// `true` once every job has completed.
-    pub fn all_jobs_completed(&self) -> bool {
-        self.completed.len() == self.total_jobs
-    }
-
     /// How long the given waiting job has been queued.
     pub fn wait_so_far(&self, spec: &JobSpec) -> rsched_simkit::SimDuration {
         self.now.saturating_since(spec.submit)
-    }
-
-    /// Users that have at least one running or completed job.
-    pub fn users_served(&self) -> Vec<UserId> {
-        let mut users: Vec<UserId> = self
-            .running
-            .iter()
-            .map(|r| r.user)
-            .chain(self.completed.iter().map(|c| c.spec.user))
-            .collect();
-        users.sort();
-        users.dedup();
-        users
-    }
-
-    /// The earliest expected completion among running jobs.
-    pub fn next_expected_completion(&self) -> Option<SimTime> {
-        self.running.iter().map(|r| r.expected_end).min()
     }
 
     /// The **estimated** free-capacity skyline for this epoch: releases at
@@ -518,22 +495,6 @@ mod tests {
         assert!(!f.view().all_jobs_started(), "arrivals still pending");
         f.pending_arrivals = 0;
         assert!(f.view().all_jobs_started());
-        assert!(!f.view().all_jobs_completed());
-    }
-
-    #[test]
-    fn users_served_deduplicates() {
-        let f = fixture();
-        assert_eq!(f.view().users_served(), vec![UserId(2), UserId(3)]);
-    }
-
-    #[test]
-    fn next_expected_completion() {
-        let f = fixture();
-        assert_eq!(
-            f.view().next_expected_completion(),
-            Some(SimTime::from_secs(200))
-        );
     }
 
     #[test]

@@ -25,7 +25,7 @@ impl fmt::Display for CsvError {
 impl std::error::Error for CsvError {}
 
 /// Escape one field for CSV output, quoting only when necessary.
-pub fn escape_field(field: &str) -> String {
+pub(crate) fn escape_field(field: &str) -> String {
     if field.contains(',') || field.contains('"') || field.contains('\n') || field.contains('\r') {
         let mut out = String::with_capacity(field.len() + 2);
         out.push('"');

@@ -19,19 +19,6 @@ pub trait Sample {
     }
 }
 
-/// A distribution that always returns the same value.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Constant(pub f64);
-
-impl Sample for Constant {
-    fn sample(&self, _rng: &mut dyn Rng) -> f64 {
-        self.0
-    }
-    fn mean(&self) -> Option<f64> {
-        Some(self.0)
-    }
-}
-
 /// Continuous uniform on `[lo, hi)`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Uniform {
@@ -275,33 +262,6 @@ impl Sample for Pareto {
     }
 }
 
-/// Weibull with scale `lambda` and shape `k`, via inverse transform.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Weibull {
-    scale: f64,
-    shape: f64,
-}
-
-impl Weibull {
-    /// Weibull with scale `lambda > 0` and shape `k > 0`.
-    ///
-    /// # Panics
-    /// Panics unless both parameters are strictly positive and finite.
-    pub fn new(scale: f64, shape: f64) -> Self {
-        assert!(
-            scale.is_finite() && scale > 0.0 && shape.is_finite() && shape > 0.0,
-            "Weibull: scale and shape must be > 0"
-        );
-        Weibull { scale, shape }
-    }
-}
-
-impl Sample for Weibull {
-    fn sample(&self, rng: &mut dyn Rng) -> f64 {
-        self.scale * (-rng.unit_f64_open().ln()).powf(1.0 / self.shape)
-    }
-}
-
 /// A discrete distribution over `0..weights.len()` with the given
 /// (unnormalized, non-negative) weights.
 #[derive(Debug, Clone, PartialEq)]
@@ -377,7 +337,7 @@ impl Poisson {
     }
 
     /// Draw one count.
-    pub fn sample_count(&self, rng: &mut dyn Rng) -> u64 {
+    pub(crate) fn sample_count(&self, rng: &mut dyn Rng) -> u64 {
         if self.lambda < 30.0 {
             let l = (-self.lambda).exp();
             let mut k = 0u64;
@@ -447,13 +407,6 @@ mod tests {
     }
 
     #[test]
-    fn constant_is_constant() {
-        let s = stats_of(&Constant(7.5), 100, 1);
-        assert_eq!(s.min(), 7.5);
-        assert_eq!(s.max(), 7.5);
-    }
-
-    #[test]
     fn uniform_bounds_and_mean() {
         let d = Uniform::new(30.0, 120.0);
         let s = stats_of(&d, 50_000, 2);
@@ -518,13 +471,6 @@ mod tests {
         // mean = alpha/(alpha-1) = 1.5
         assert!((s.mean() - 1.5).abs() < 0.05, "mean {}", s.mean());
         assert_eq!(Pareto::new(1.0, 0.5).mean(), None);
-    }
-
-    #[test]
-    fn weibull_shape_one_is_exponential() {
-        let d = Weibull::new(100.0, 1.0);
-        let s = stats_of(&d, 100_000, 9);
-        assert!((s.mean() - 100.0).abs() < 2.0, "mean {}", s.mean());
     }
 
     #[test]

@@ -130,15 +130,6 @@ impl<T> EventQueue<T> {
             None
         }
     }
-
-    /// Drain the entire queue in time order.
-    pub fn drain_ordered(&mut self) -> Vec<(SimTime, T)> {
-        let mut out = Vec::with_capacity(self.len());
-        while let Some(ev) = self.pop() {
-            out.push(ev);
-        }
-        out
-    }
 }
 
 impl<T> Extend<(SimTime, T)> for EventQueue<T> {
@@ -221,8 +212,9 @@ mod tests {
     fn extend_and_drain() {
         let mut q = EventQueue::new();
         q.extend((0..5u64).map(|i| (SimTime::from_secs(5 - i), i)));
-        let drained = q.drain_ordered();
-        let times: Vec<u64> = drained.iter().map(|(t, _)| t.as_secs()).collect();
+        let times: Vec<u64> = std::iter::from_fn(|| q.pop())
+            .map(|(t, _)| t.as_secs())
+            .collect();
         assert_eq!(times, vec![1, 2, 3, 4, 5]);
         assert!(q.is_empty());
     }

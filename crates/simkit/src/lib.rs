@@ -9,11 +9,11 @@
 //!   [`SimDuration`]) with total ordering and no floating-point drift.
 //! * [`event`] — a stable, FIFO-within-timestamp event queue
 //!   ([`EventQueue`]) backing the discrete-event loop.
-//! * [`rng`] — deterministic pseudo-random generation: [`SplitMix64`] for
+//! * [`rng`] — deterministic pseudo-random generation: `SplitMix64` for
 //!   seed derivation, [`Xoshiro256PlusPlus`] as the workhorse generator, and
 //!   [`SeedTree`] for reproducible per-component seed derivation.
 //! * [`dist`] — probability distributions (uniform, exponential, gamma,
-//!   normal, log-normal, Pareto, Weibull, categorical, …) implemented from
+//!   normal, log-normal, Pareto, categorical, …) implemented from
 //!   scratch; the workload scenarios and the LLM latency models sample from
 //!   these.
 //! * [`stats`] — streaming and descriptive statistics (Welford moments,
@@ -44,7 +44,7 @@ pub mod time;
 pub mod timetable;
 
 pub use event::EventQueue;
-pub use rng::{Rng, RngExt, SeedTree, SplitMix64, Xoshiro256PlusPlus};
+pub use rng::{Rng, RngExt, SeedTree, Xoshiro256PlusPlus};
 pub use stats::{BoxplotStats, Histogram, RunningStats};
 pub use time::{SimDuration, SimTime};
 pub use timetable::{BasePoint, ReservationProfile, ReservedStep};

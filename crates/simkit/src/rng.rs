@@ -3,7 +3,7 @@
 //! The workspace never uses OS entropy: every random stream is derived from
 //! an explicit seed so that experiments are reproducible bit-for-bit.
 //!
-//! * [`SplitMix64`] — a tiny, high-quality mixer used to expand seeds and to
+//! * `SplitMix64` — a tiny, high-quality mixer used to expand seeds and to
 //!   derive independent child seeds ([`SeedTree`]).
 //! * [`Xoshiro256PlusPlus`] — the workhorse generator (Blackman & Vigna's
 //!   xoshiro256++), fast and statistically strong for simulation use.
@@ -116,7 +116,7 @@ impl<R: Rng + ?Sized> RngExt for R {}
 /// Sebastiano Vigna's SplitMix64: a 64-bit mixer with full period, used here
 /// for seed expansion and derivation. Not intended as a workhorse generator.
 #[derive(Debug, Clone)]
-pub struct SplitMix64 {
+pub(crate) struct SplitMix64 {
     state: u64,
 }
 
@@ -161,24 +161,6 @@ impl Xoshiro256PlusPlus {
         let mut sm = SplitMix64::new(seed);
         let s = [sm.next_u64(), sm.next_u64(), sm.next_u64(), sm.next_u64()];
         Xoshiro256PlusPlus { s }
-    }
-
-    /// Construct from a full 256-bit state.
-    ///
-    /// # Panics
-    /// Panics if the state is all zeros (the one invalid state).
-    pub fn from_state(s: [u64; 4]) -> Self {
-        assert!(
-            s.iter().any(|&w| w != 0),
-            "xoshiro256++ state must be non-zero"
-        );
-        Xoshiro256PlusPlus { s }
-    }
-
-    /// Derive an independent generator for a child component. Equivalent to
-    /// `SeedTree` derivation but usable mid-stream.
-    pub fn fork(&mut self) -> Xoshiro256PlusPlus {
-        Xoshiro256PlusPlus::seed_from_u64(self.next_u64())
     }
 }
 
@@ -277,7 +259,7 @@ mod tests {
     fn xoshiro_reference_vector() {
         // First outputs of xoshiro256++ from state {1, 2, 3, 4}, per the
         // public-domain reference implementation.
-        let mut rng = Xoshiro256PlusPlus::from_state([1, 2, 3, 4]);
+        let mut rng = Xoshiro256PlusPlus { s: [1, 2, 3, 4] };
         let expected: [u64; 8] = [
             41943041,
             58720359,
@@ -291,12 +273,6 @@ mod tests {
         for &e in &expected {
             assert_eq!(rng.next_u64(), e);
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "non-zero")]
-    fn xoshiro_rejects_zero_state() {
-        let _ = Xoshiro256PlusPlus::from_state([0; 4]);
     }
 
     #[test]
@@ -396,16 +372,6 @@ mod tests {
         assert_ne!(t.derive("ab", 0), t.derive("ba", 0));
         let sub = t.subtree("component", 2);
         assert_ne!(sub.derive("x", 0), t.derive("x", 0));
-    }
-
-    #[test]
-    fn fork_streams_diverge() {
-        let mut parent = Xoshiro256PlusPlus::seed_from_u64(8);
-        let mut child = parent.fork();
-        let overlap = (0..64)
-            .filter(|_| parent.next_u64() == child.next_u64())
-            .count();
-        assert_eq!(overlap, 0);
     }
 
     #[test]

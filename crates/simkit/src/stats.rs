@@ -199,9 +199,9 @@ pub struct BoxplotStats {
     /// Largest observation.
     pub max: f64,
     /// Lowest observation within 1.5 IQR below Q1.
-    pub whisker_lo: f64,
+    pub(crate) whisker_lo: f64,
     /// Highest observation within 1.5 IQR above Q3.
-    pub whisker_hi: f64,
+    pub(crate) whisker_hi: f64,
     /// Observations outside the whiskers.
     pub outliers: Vec<f64>,
     /// Number of observations.
@@ -298,18 +298,13 @@ impl Histogram {
         self.count += 1;
     }
 
-    /// Bucket counts.
-    pub fn bins(&self) -> &[u64] {
-        &self.bins
-    }
-
     /// Total recorded observations.
     pub fn count(&self) -> u64 {
         self.count
     }
 
     /// `(bucket_lower_edge, count)` pairs.
-    pub fn iter_edges(&self) -> impl Iterator<Item = (f64, u64)> + '_ {
+    pub(crate) fn iter_edges(&self) -> impl Iterator<Item = (f64, u64)> + '_ {
         let width = (self.hi - self.lo) / self.bins.len() as f64;
         self.bins
             .iter()
@@ -448,7 +443,7 @@ mod tests {
         }
         assert_eq!(h.count(), 6);
         // -3.0 clamps to first bin, 50.0 clamps to last.
-        assert_eq!(h.bins(), &[3, 1, 0, 0, 2]);
+        assert_eq!(h.bins, [3, 1, 0, 0, 2]);
         let edges: Vec<f64> = h.iter_edges().map(|(e, _)| e).collect();
         assert_eq!(edges, vec![0.0, 2.0, 4.0, 6.0, 8.0]);
     }

@@ -81,12 +81,6 @@ impl SimTime {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
 
-    /// Checked addition of a duration; `None` on overflow.
-    #[inline]
-    pub fn checked_add(self, d: SimDuration) -> Option<SimTime> {
-        self.0.checked_add(d.0).map(SimTime)
-    }
-
     /// The later of two times.
     #[inline]
     pub fn max(self, other: SimTime) -> SimTime {
@@ -119,12 +113,6 @@ impl SimDuration {
     #[inline]
     pub const fn from_secs(secs: u64) -> Self {
         SimDuration(secs.saturating_mul(1000))
-    }
-
-    /// A duration of `mins` whole minutes, saturating likewise.
-    #[inline]
-    pub const fn from_mins(mins: u64) -> Self {
-        SimDuration(mins.saturating_mul(60 * 1000))
     }
 
     /// A duration of `secs` (fractional) seconds, rounded to the nearest
@@ -323,7 +311,6 @@ mod tests {
     fn construction_units_agree() {
         assert_eq!(SimTime::from_secs(3), SimTime::from_millis(3000));
         assert_eq!(SimDuration::from_secs(3), SimDuration::from_millis(3000));
-        assert_eq!(SimDuration::from_mins(2), SimDuration::from_secs(120));
         assert_eq!(SimTime::from_secs_f64(1.5), SimTime::from_millis(1500));
         assert_eq!(
             SimDuration::from_secs_f64(0.0004),
@@ -366,7 +353,6 @@ mod tests {
     fn construction_and_addition_saturate() {
         let never = i64::MAX as u64;
         assert_eq!(SimDuration::from_secs(never), SimDuration::MAX);
-        assert_eq!(SimDuration::from_mins(never), SimDuration::MAX);
         assert_eq!(SimTime::from_secs(never), SimTime::MAX);
         let t = SimTime::from_secs(10);
         assert_eq!(t + SimDuration::MAX, SimTime::MAX);

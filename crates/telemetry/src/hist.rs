@@ -188,7 +188,7 @@ pub struct HistSummary {
     /// Median estimate (≤ 1.56% relative error).
     pub p50: u64,
     /// 90th-percentile estimate.
-    pub p90: u64,
+    pub(crate) p90: u64,
     /// 99th-percentile estimate.
     pub p99: u64,
 }

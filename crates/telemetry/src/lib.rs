@@ -2,7 +2,7 @@
 //!
 //! One crate, four pieces:
 //!
-//! - **Span tracing** ([`Tracer`], [`SpanRecord`]): nestable spans keyed by
+//! - **Span tracing** (`Tracer`, [`SpanRecord`]): nestable spans keyed by
 //!   static call-site names, stamped with deterministic [`SimTime`]s and,
 //!   optionally, wall-clock durations.
 //! - **Metrics registry** ([`MetricsRegistry`]): named counters, gauges, and
@@ -25,7 +25,7 @@
 #![deny(unsafe_code)]
 
 pub mod export;
-pub mod hist;
+pub(crate) mod hist;
 pub mod metrics;
 pub mod provenance;
 pub mod sink;
@@ -35,4 +35,4 @@ pub use hist::{HistSummary, LogHistogram};
 pub use metrics::{MetricEntry, MetricValue, MetricsRegistry, MetricsSnapshot};
 pub use provenance::{DelayReason, EpochOutcome, EpochTrace};
 pub use sink::{SpanGuard, Telemetry, TelemetrySink};
-pub use span::{SpanRecord, Tracer};
+pub use span::SpanRecord;

@@ -35,7 +35,7 @@ impl MetricsRegistry {
     }
 
     /// Add `by` to the named counter, creating it at zero first if needed.
-    pub fn inc(&mut self, name: &str, by: u64) {
+    pub(crate) fn inc(&mut self, name: &str, by: u64) {
         match self.metrics.get_mut(name) {
             Some(Metric::Counter(v)) => *v = v.saturating_add(by),
             Some(_) => {}
@@ -79,19 +79,6 @@ impl MetricsRegistry {
                 let mut h = LogHistogram::new();
                 h.record(value);
                 self.metrics.insert(name.to_string(), Metric::Histogram(h));
-            }
-        }
-    }
-
-    /// Install (or merge into) a histogram wholesale — used when a component
-    /// keeps its own [`LogHistogram`] and contributes it at snapshot time.
-    pub fn install_histogram(&mut self, name: &str, hist: &LogHistogram) {
-        match self.metrics.get_mut(name) {
-            Some(Metric::Histogram(h)) => h.merge(hist),
-            Some(_) => {}
-            None => {
-                self.metrics
-                    .insert(name.to_string(), Metric::Histogram(hist.clone()));
             }
         }
     }

@@ -22,7 +22,7 @@ use crate::span::{SpanRecord, Tracer};
 #[derive(Debug, Default)]
 pub struct Telemetry {
     /// Span log.
-    pub tracer: Tracer,
+    pub(crate) tracer: Tracer,
     /// Metrics registry.
     pub metrics: MetricsRegistry,
 }
@@ -117,13 +117,6 @@ impl TelemetrySink {
     pub fn observe(&self, name: &str, value: u64) {
         if let Some(rc) = &self.inner {
             rc.borrow_mut().metrics.observe(name, value);
-        }
-    }
-
-    /// Merge an externally kept histogram into the registry.
-    pub fn install_histogram(&self, name: &str, hist: &crate::hist::LogHistogram) {
-        if let Some(rc) = &self.inner {
-            rc.borrow_mut().metrics.install_histogram(name, hist);
         }
     }
 

@@ -27,7 +27,7 @@ pub struct SpanRecord {
 
 /// Append-only span log with a nesting-depth cursor.
 #[derive(Debug, Clone, Default)]
-pub struct Tracer {
+pub(crate) struct Tracer {
     spans: Vec<SpanRecord>,
     depth: u32,
     wall: bool,
@@ -45,7 +45,7 @@ impl Tracer {
     }
 
     /// Whether wall-clock stamping is enabled.
-    pub fn wall_enabled(&self) -> bool {
+    pub(crate) fn wall_enabled(&self) -> bool {
         self.wall
     }
 
@@ -75,12 +75,6 @@ impl Tracer {
     pub fn spans(&self) -> &[SpanRecord] {
         &self.spans
     }
-
-    /// Drop all recorded spans (depth cursor is reset too).
-    pub fn clear(&mut self) {
-        self.spans.clear();
-        self.depth = 0;
-    }
 }
 
 #[cfg(test)]
@@ -106,16 +100,5 @@ mod tests {
             spans.iter().map(|s| s.seq).collect::<Vec<_>>(),
             vec![0, 1, 2]
         );
-    }
-
-    #[test]
-    fn clear_resets_depth() {
-        let mut t = Tracer::new(true);
-        assert!(t.wall_enabled());
-        t.open("x", SimTime::ZERO);
-        t.clear();
-        assert!(t.spans().is_empty());
-        let idx = t.open("y", SimTime::ZERO);
-        assert_eq!(t.spans()[idx].depth, 0);
     }
 }

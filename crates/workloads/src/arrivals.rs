@@ -21,9 +21,7 @@ pub enum ArrivalMode {
 
 /// A generator of arrival timestamps.
 #[derive(Debug, Clone)]
-pub enum ArrivalProcess {
-    /// Every job arrives at `t = 0`.
-    AllAtZero,
+pub(crate) enum ArrivalProcess {
     /// Poisson process: exponential interarrival gaps with the given mean.
     Poisson {
         /// Mean interarrival time in seconds (`1/λ`).
@@ -63,7 +61,6 @@ impl ArrivalProcess {
     /// Generate `n` non-decreasing arrival times.
     pub fn generate(&self, n: usize, rng: &mut dyn Rng) -> Vec<SimTime> {
         match self {
-            ArrivalProcess::AllAtZero => vec![SimTime::ZERO; n],
             ArrivalProcess::Poisson {
                 mean_interarrival_secs,
             } => {
@@ -159,12 +156,6 @@ mod tests {
     }
 
     #[test]
-    fn all_at_zero() {
-        let t = ArrivalProcess::AllAtZero.generate(5, &mut rng());
-        assert_eq!(t, vec![SimTime::ZERO; 5]);
-    }
-
-    #[test]
     fn poisson_mean_gap_roughly_matches() {
         let p = ArrivalProcess::Poisson {
             mean_interarrival_secs: 30.0,
@@ -251,7 +242,9 @@ mod tests {
 
     #[test]
     fn zero_jobs_is_empty() {
-        let p = ArrivalProcess::AllAtZero;
+        let p = ArrivalProcess::Poisson {
+            mean_interarrival_secs: 30.0,
+        };
         assert!(p.generate(0, &mut rng()).is_empty());
     }
 }

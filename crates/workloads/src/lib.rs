@@ -38,19 +38,15 @@
 
 pub mod arrivals;
 pub mod error;
+mod factorize;
 pub mod polaris;
 pub mod registry;
 pub mod scenarios;
 pub mod swf;
 pub mod synth;
-pub mod trace;
 pub mod users;
 
-pub use arrivals::{ArrivalMode, ArrivalProcess};
+pub use arrivals::ArrivalMode;
 pub use error::WorkloadError;
-pub use registry::{
-    builtins as scenario_builtins, names, ScenarioContext, ScenarioGenerator, ScenarioInfo,
-    ScenarioRegistry,
-};
+pub use registry::{builtins as scenario_builtins, names, ScenarioContext, ScenarioRegistry};
 pub use scenarios::Workload;
-pub use users::UserModel;

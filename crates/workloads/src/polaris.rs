@@ -13,18 +13,14 @@
 //!    failed jobs, sort by submission, normalize timestamps to the earliest
 //!    submission, factorize user/group labels to anonymous ids, keep node
 //!    counts as-is and derive memory as 512 GB × nodes.
-//! 3. CSV round-trip ([`raw_to_csv`] / [`raw_from_csv`]) so a real exported
-//!    log with the same columns can be dropped in unchanged.
 //!
 //! For archive-scale (1M-row) streams in SWF form — calibrated to the
 //! same machine but carrying archive noise for the streaming parser —
 //! see [`crate::synth`] and the `polaris_synth:<n>` scenario name.
 
 use rsched_cluster::{ClusterConfig, JobSpec};
-use rsched_simkit::csv::{self, Table};
 
-use crate::error::WorkloadError;
-use crate::trace::{cell, Factorizer};
+use crate::factorize::Factorizer;
 use rsched_simkit::dist::{Categorical, Clamped, LogNormal, Sample, Uniform};
 use rsched_simkit::rng::{Rng, RngExt, SeedTree};
 use rsched_simkit::{SimDuration, SimTime};
@@ -32,25 +28,25 @@ use rsched_simkit::{SimDuration, SimTime};
 /// GB of memory per Polaris node.
 pub const POLARIS_GB_PER_NODE: u64 = 512;
 /// Polaris compute node count.
-pub const POLARIS_NODES: u32 = 560;
+pub(crate) const POLARIS_NODES: u32 = 560;
 /// Unix timestamp of 2024-11-01 00:00:00 UTC — the synthetic log's origin.
-pub const NOVEMBER_2024_EPOCH: i64 = 1_730_419_200;
+pub(crate) const NOVEMBER_2024_EPOCH: i64 = 1_730_419_200;
 
 /// One row of a raw (pre-preprocessing) Polaris-style job log.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PolarisRawJob {
     /// Opaque job name from the log.
-    pub job_name: String,
+    pub(crate) job_name: String,
     /// Raw user login.
     pub user: String,
     /// Raw group name.
     pub group: String,
     /// Submission timestamp (unix seconds).
-    pub queued_ts: i64,
+    pub(crate) queued_ts: i64,
     /// Start timestamp (unix seconds).
-    pub start_ts: i64,
+    pub(crate) start_ts: i64,
     /// End timestamp (unix seconds).
-    pub end_ts: i64,
+    pub(crate) end_ts: i64,
     /// Nodes used.
     pub nodes: u32,
     /// Requested walltime, seconds.
@@ -62,7 +58,7 @@ pub struct PolarisRawJob {
 impl PolarisRawJob {
     /// Actual runtime in seconds, saturating: the timestamps are log
     /// input and may lie a whole `i64` apart.
-    pub fn runtime_secs(&self) -> i64 {
+    pub(crate) fn runtime_secs(&self) -> i64 {
         self.end_ts.saturating_sub(self.start_ts)
     }
 }
@@ -175,71 +171,6 @@ pub fn preprocess(raw: &[PolarisRawJob], limit: usize) -> Vec<JobSpec> {
         .collect()
 }
 
-/// The canonical column set of a raw Polaris log export.
-const RAW_HEADER: [&str; 9] = [
-    "JOB_NAME",
-    "USER",
-    "GROUP",
-    "QUEUED_TIMESTAMP",
-    "START_TIMESTAMP",
-    "END_TIMESTAMP",
-    "NODES_USED",
-    "WALLTIME_SECONDS",
-    "EXIT_STATUS",
-];
-
-/// Serialize a raw log to CSV.
-pub fn raw_to_csv(rows: &[PolarisRawJob]) -> String {
-    let mut out: Vec<Vec<String>> = Vec::with_capacity(rows.len() + 1);
-    out.push(RAW_HEADER.iter().map(|s| s.to_string()).collect());
-    for r in rows {
-        out.push(vec![
-            r.job_name.clone(),
-            r.user.clone(),
-            r.group.clone(),
-            r.queued_ts.to_string(),
-            r.start_ts.to_string(),
-            r.end_ts.to_string(),
-            r.nodes.to_string(),
-            r.walltime_secs.to_string(),
-            r.exit_status.to_string(),
-        ]);
-    }
-    csv::write_rows(out)
-}
-
-/// Parse a raw log from CSV (column names as in [`raw_to_csv`]).
-pub fn raw_from_csv(text: &str) -> Result<Vec<PolarisRawJob>, WorkloadError> {
-    let table = Table::parse(text).map_err(|e| WorkloadError::Parse {
-        location: "csv".to_string(),
-        message: e.to_string(),
-    })?;
-    for col in RAW_HEADER {
-        if table.column(col).is_none() {
-            return Err(WorkloadError::Parse {
-                location: "header".to_string(),
-                message: format!("missing column `{col}`"),
-            });
-        }
-    }
-    (0..table.rows.len())
-        .map(|row| {
-            let get = |name: &str| table.get(row, name).expect("validated column");
-            Ok(PolarisRawJob {
-                job_name: get("JOB_NAME").to_string(),
-                user: get("USER").to_string(),
-                group: get("GROUP").to_string(),
-                queued_ts: cell(&table, row, "QUEUED_TIMESTAMP")?,
-                start_ts: cell(&table, row, "START_TIMESTAMP")?,
-                end_ts: cell(&table, row, "END_TIMESTAMP")?,
-                nodes: cell(&table, row, "NODES_USED")?,
-                walltime_secs: cell(&table, row, "WALLTIME_SECONDS")?,
-                exit_status: cell(&table, row, "EXIT_STATUS")?,
-            })
-        })
-        .collect()
-}
-
 /// The full §5 pipeline: synthesize a raw log, preprocess it, return `n`
 /// simulator-ready jobs (all feasible on the Polaris configuration).
 pub fn polaris_workload(n: usize, seed: u64) -> Vec<JobSpec> {
@@ -340,41 +271,6 @@ mod tests {
             assert!(j.nodes >= 1 && j.nodes <= config.nodes);
             assert!(j.memory_gb <= config.memory_gb);
         }
-    }
-
-    #[test]
-    fn raw_csv_roundtrip() {
-        let raw = synthesize_raw_trace(20, 11);
-        let text = raw_to_csv(&raw);
-        let back = raw_from_csv(&text).expect("parse");
-        assert_eq!(back, raw);
-    }
-
-    /// A count or duration below zero is not wrapped into 2³² − 1 nodes
-    /// or 2⁶⁴ − 5 seconds: it is refused where it stands.
-    #[test]
-    fn raw_csv_refuses_negative_nodes_and_walltime_with_their_location() {
-        let header = RAW_HEADER.join(",");
-        for (row, column) in [
-            ("a,u,g,0,10,20,-1,3600,0", "NODES_USED"),
-            ("a,u,g,0,10,20,4,-5,0", "WALLTIME_SECONDS"),
-        ] {
-            let text = format!("{header}\nok,u,g,0,10,20,4,3600,0\n{row}\n");
-            match raw_from_csv(&text) {
-                Err(WorkloadError::Parse { location, .. }) => {
-                    assert_eq!(location, format!("row 1, column {column}"));
-                }
-                other => panic!("{column}: {other:?}"),
-            }
-        }
-    }
-
-    #[test]
-    fn raw_csv_missing_column() {
-        assert!(raw_from_csv("JOB_NAME,USER\nx,y\n")
-            .unwrap_err()
-            .to_string()
-            .contains("missing column"));
     }
 
     #[test]

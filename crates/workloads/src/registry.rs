@@ -27,7 +27,7 @@ use crate::synth;
 /// `"Heterogeneous-Mix"` also resolves.
 pub mod names {
     /// Uniform 30–120 s jobs with 2 nodes / 4 GB — lightweight CI/test.
-    pub const HOMOGENEOUS_SHORT: &str = "homogeneous_short";
+    pub(crate) const HOMOGENEOUS_SHORT: &str = "homogeneous_short";
     /// Gamma(1.5, 300) runtimes with varied resources — production mix.
     pub const HETEROGENEOUS_MIX: &str = "heterogeneous_mix";
     /// 20 % extremely long jobs among short ones — convoy-effect probe.
@@ -41,29 +41,29 @@ pub mod names {
     /// One large blocking job followed by many small jobs.
     pub const ADVERSARIAL: &str = "adversarial";
     /// Production-mix jobs under a day/night sinusoidal arrival rate.
-    pub const DIURNAL_WAVE: &str = "diurnal_wave";
+    pub(crate) const DIURNAL_WAVE: &str = "diurnal_wave";
     /// Waves of 96–192-node jobs ahead of narrow ones — backfill stress.
-    pub const WIDE_JOB_CONVOY: &str = "wide_job_convoy";
+    pub(crate) const WIDE_JOB_CONVOY: &str = "wide_job_convoy";
     /// 35 % accelerator jobs: 4 GPUs + 32–64 GB per node, gpu-class pinned.
     pub const GPU_SKEWED_HETMIX: &str = "gpu_skewed_hetmix";
     /// Small jobs with log-normal runtimes spanning orders of magnitude.
-    pub const LONG_TAIL: &str = "long_tail";
+    pub(crate) const LONG_TAIL: &str = "long_tail";
     /// Bursts of 96–128 GB/node analytics jobs pinned to the bigmem class.
-    pub const BIGMEM_BURST: &str = "bigmem_burst";
+    pub(crate) const BIGMEM_BURST: &str = "bigmem_burst";
     /// The calibrated Polaris trace substrate (paper §5).
-    pub const POLARIS: &str = "polaris";
+    pub(crate) const POLARIS: &str = "polaris";
     /// Seeded synthetic Polaris-scale SWF stream (560-node machine) — the
     /// scale substrate for million-job replays without a fixture.
-    pub const POLARIS_SYNTH: &str = "polaris_synth";
+    pub(crate) const POLARIS_SYNTH: &str = "polaris_synth";
 
     /// Prefix that resolves a Standard Workload Format trace by file path
     /// (e.g. `swf:fixtures/sample.swf`) instead of a registered generator.
-    pub const SWF_PREFIX: &str = "swf:";
+    pub(crate) const SWF_PREFIX: &str = "swf:";
 
     /// Prefix form of [`POLARIS_SYNTH`] with an inline job count (e.g.
     /// `polaris_synth:1000000`), overriding the context's `n` — so sweep
     /// specs can name a scale tier without a separate jobs axis.
-    pub const POLARIS_SYNTH_PREFIX: &str = "polaris_synth:";
+    pub(crate) const POLARIS_SYNTH_PREFIX: &str = "polaris_synth:";
 
     /// The paper's seven scenarios, in presentation order.
     pub const LEGACY_SEVEN: [&str; 7] = [
@@ -182,25 +182,13 @@ impl ScenarioContext {
 }
 
 /// A scenario constructor: called once per workload instantiation.
-pub type ScenarioGenerator = Box<dyn Fn(&ScenarioContext) -> Workload + Send + Sync>;
+pub(crate) type ScenarioGenerator = Box<dyn Fn(&ScenarioContext) -> Workload + Send + Sync>;
 
 struct Entry {
     display: String,
     title: String,
     description: String,
     generator: ScenarioGenerator,
-}
-
-/// One row of [`ScenarioRegistry::catalog`]: a registered scenario's
-/// presentation metadata.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ScenarioInfo {
-    /// The registry name (as registered).
-    pub name: String,
-    /// Human-readable title (falls back to the name).
-    pub title: String,
-    /// One-line description (may be empty for bare registrations).
-    pub description: String,
 }
 
 /// A string-keyed, case- and separator-insensitive map from scenario names
@@ -289,7 +277,7 @@ impl ScenarioRegistry {
 
     /// [`ScenarioRegistry::register`] with a human-readable title and a
     /// one-line description, shown by scenario listings.
-    pub fn register_described<F>(
+    pub(crate) fn register_described<F>(
         &mut self,
         name: impl Into<String>,
         title: impl Into<String>,
@@ -423,19 +411,6 @@ impl ScenarioRegistry {
     /// Display names of every registered scenario, sorted by key.
     pub fn names(&self) -> Vec<&str> {
         self.entries.values().map(|e| e.display.as_str()).collect()
-    }
-
-    /// Presentation metadata for every registered scenario, sorted by key —
-    /// the data behind scenario listings (README, `--list-scenarios`).
-    pub fn catalog(&self) -> Vec<ScenarioInfo> {
-        self.entries
-            .values()
-            .map(|e| ScenarioInfo {
-                name: e.display.clone(),
-                title: e.title.clone(),
-                description: e.description.clone(),
-            })
-            .collect()
     }
 
     /// Number of registered scenarios.
@@ -622,10 +597,7 @@ mod tests {
             .expect("registered");
         assert!(w.is_empty());
         assert_eq!(registry.len(), 15);
-        assert!(registry
-            .catalog()
-            .iter()
-            .any(|info| info.name == "empty-queue"));
+        assert!(registry.names().contains(&"empty-queue"));
     }
 
     #[test]

@@ -31,7 +31,7 @@
 //! 144-byte rows, which are read through the keys once.
 //!
 //! The scenario registry resolves `swf:<path>` names through
-//! [`load_workload`], so any archive trace sweeps through the experiment
+//! `load_workload`, so any archive trace sweeps through the experiment
 //! harness by name alone — now end-to-end streaming: unusable rows are
 //! discarded as they are read and never buffered.
 
@@ -44,16 +44,16 @@ use rsched_simkit::{SimDuration, SimTime};
 
 use crate::arrivals::ArrivalMode;
 use crate::error::WorkloadError;
+use crate::factorize::Factorizer;
 use crate::registry::ScenarioContext;
 use crate::scenarios::Workload;
-use crate::trace::Factorizer;
 
 /// Fields per SWF job line.
-pub const SWF_FIELD_COUNT: usize = 18;
+pub(crate) const SWF_FIELD_COUNT: usize = 18;
 
 /// Memory ascribed to each processor when the trace records none
 /// (`used_memory_kb == -1`), in GB.
-pub const DEFAULT_GB_PER_PROC: u64 = 2;
+pub(crate) const DEFAULT_GB_PER_PROC: u64 = 2;
 
 /// One job line of an SWF trace, fields in archive order. `-1` means
 /// "unknown" throughout (field 6, average CPU time, is kept as `f64`; the
@@ -113,7 +113,7 @@ impl SwfJob {
 
     /// The runtime to simulate with: actual if known, else requested;
     /// `None` if the trace records neither.
-    pub fn runtime_secs(&self) -> Option<u64> {
+    pub(crate) fn runtime_secs(&self) -> Option<u64> {
         [self.run_secs, self.requested_secs]
             .into_iter()
             .find(|&r| r > 0)
@@ -127,7 +127,7 @@ impl SwfJob {
     /// (multi-core nodes packing several ranks per node). Dimensions the
     /// trace does not record (`-1`) stay zero, so flat machines and traces
     /// without the optional fields behave exactly as before.
-    pub fn per_node_demand(&self) -> ResourceVec {
+    pub(crate) fn per_node_demand(&self) -> ResourceVec {
         let mut demand = ResourceVec::ZERO;
         if let Some(kb) = [self.requested_memory_kb, self.used_memory_kb]
             .into_iter()
@@ -176,7 +176,7 @@ pub struct SwfTrace {
 impl SwfTrace {
     /// Parse SWF text. Header directives may appear anywhere; every
     /// non-comment, non-blank line must carry exactly
-    /// [`SWF_FIELD_COUNT`] numeric fields.
+    /// `SWF_FIELD_COUNT` numeric fields.
     ///
     /// This is a thin `collect()` over [`SwfReader`]; output and error
     /// text are identical to streaming the same bytes.
@@ -202,7 +202,7 @@ impl SwfTrace {
 
     /// The machine size from the `MaxNodes` (preferred) or `MaxProcs`
     /// directive, if present and numeric.
-    pub fn max_nodes(&self) -> Option<u32> {
+    pub(crate) fn max_nodes(&self) -> Option<u32> {
         ["MaxNodes", "MaxProcs"]
             .into_iter()
             .find_map(|key| self.directive(key))
@@ -210,7 +210,7 @@ impl SwfTrace {
     }
 
     /// A cluster sized to this trace: node count from the header (falling
-    /// back to the widest job), memory assuming [`DEFAULT_GB_PER_PROC`] per
+    /// back to the widest job), memory assuming `DEFAULT_GB_PER_PROC` per
     /// node.
     pub fn cluster(&self) -> ClusterConfig {
         let widest = self
@@ -232,9 +232,9 @@ impl SwfTrace {
     ///
     /// Aggregate memory per job is `used_memory_kb × procs` — falling back
     /// to `requested_memory_kb × procs` — rounded up to whole GB, or
-    /// `procs ×` [`DEFAULT_GB_PER_PROC`] when the trace records neither.
+    /// `procs ×` `DEFAULT_GB_PER_PROC` when the trace records neither.
     /// The recorded per-node demand (requested memory, surplus requested
-    /// processors) rides along as [`SwfJob::per_node_demand`].
+    /// processors) rides along as `SwfJob::per_node_demand`.
     pub fn to_jobs(&self, limit: usize) -> Vec<JobSpec> {
         convert_usable(&self.jobs, limit)
     }
@@ -379,7 +379,7 @@ impl<R: BufRead> SwfReader<R> {
     }
 
     /// Anchor error locations to a source label (usually a file path).
-    pub fn with_source(mut self, source: impl Into<String>) -> Self {
+    pub(crate) fn with_source(mut self, source: impl Into<String>) -> Self {
         self.source = Some(source.into());
         self
     }
@@ -637,11 +637,6 @@ fn is_complete_decimal(raw: &str) -> bool {
     }
 }
 
-/// Parse an SWF trace from text (see [`SwfTrace::parse`]).
-pub fn parse_trace(text: &str) -> Result<SwfTrace, WorkloadError> {
-    SwfTrace::parse(text)
-}
-
 /// Read and parse an SWF trace from a file — a `collect()` over
 /// [`SwfReader::open`], so the file streams through a reused line buffer
 /// instead of being materialized as one string. Parse locations are
@@ -665,7 +660,7 @@ pub fn load_trace(path: &str) -> Result<SwfTrace, WorkloadError> {
 ///
 /// End-to-end streaming: unusable rows are dropped as they are read, so
 /// peak memory is proportional to the *kept* jobs, not the file.
-pub fn load_workload(path: &str, ctx: &ScenarioContext) -> Result<Workload, WorkloadError> {
+pub(crate) fn load_workload(path: &str, ctx: &ScenarioContext) -> Result<Workload, WorkloadError> {
     let mut jobs = SwfReader::open(path)?.into_jobs(ctx.n)?;
     if ctx.mode == ArrivalMode::Static {
         for j in &mut jobs {
@@ -714,7 +709,7 @@ mod tests {
 
     #[test]
     fn header_directives_parse_case_insensitively() {
-        let trace = parse_trace(SAMPLE).expect("parses");
+        let trace = SwfTrace::parse(SAMPLE).expect("parses");
         assert_eq!(trace.directive("maxnodes"), Some("64"));
         assert_eq!(trace.directive("Computer"), Some("Example Machine"));
         assert_eq!(trace.directive("UNIXSTARTTIME"), Some("1100000000"));
@@ -724,7 +719,7 @@ mod tests {
 
     #[test]
     fn sentinel_fields_survive_and_fallbacks_apply() {
-        let trace = parse_trace(SAMPLE).expect("parses");
+        let trace = SwfTrace::parse(SAMPLE).expect("parses");
         // Job 2 has -1 wait and no memory record.
         let j2 = &trace.jobs[1];
         assert_eq!(j2.wait_secs, -1);
@@ -740,7 +735,7 @@ mod tests {
 
     #[test]
     fn conversion_drops_failed_sorts_and_normalizes() {
-        let trace = parse_trace(SAMPLE).expect("parses");
+        let trace = SwfTrace::parse(SAMPLE).expect("parses");
         // Job 3 failed (status 0), job 4 cancelled (status 5) → 5 remain.
         let jobs = trace.to_jobs(0);
         assert_eq!(jobs.len(), 5);
@@ -770,14 +765,14 @@ mod tests {
              2 1 0 60 1 -1 -1 1 60 -1 1 3 1 -1 1 1 -1 -1\n",
             i64::MIN
         );
-        let jobs = parse_trace(&text).expect("parses").to_jobs(0);
+        let jobs = SwfTrace::parse(&text).expect("parses").to_jobs(0);
         assert_eq!(jobs[0].submit, SimTime::ZERO);
         assert_eq!(jobs[1].submit, SimTime::from_secs(i64::MAX as u64));
     }
 
     #[test]
     fn per_node_demand_maps_requested_fields_with_sentinel_fallbacks() {
-        let trace = parse_trace(SAMPLE).expect("parses");
+        let trace = SwfTrace::parse(SAMPLE).expect("parses");
         let jobs = trace.to_jobs(0);
         // Job 6: 8 requested processors packed onto 4 allocated nodes → 2
         // cores per node; requested memory (2 GB per processor) becomes
@@ -799,7 +794,7 @@ mod tests {
 
     #[test]
     fn limit_truncates_after_sorting() {
-        let trace = parse_trace(SAMPLE).expect("parses");
+        let trace = SwfTrace::parse(SAMPLE).expect("parses");
         let jobs = trace.to_jobs(2);
         assert_eq!(jobs.len(), 2);
         assert_eq!(jobs[0].nodes, 16, "earliest submit survives the cut");
@@ -807,7 +802,7 @@ mod tests {
 
     #[test]
     fn malformed_lines_report_location() {
-        let err = parse_trace("1 2 3\n").unwrap_err();
+        let err = SwfTrace::parse("1 2 3\n").unwrap_err();
         match &err {
             WorkloadError::Parse { location, message } => {
                 assert_eq!(location, "line 1");
@@ -817,7 +812,7 @@ mod tests {
         }
 
         let bad_token = SAMPLE.replace("5 90 2 450", "5 90 2 banana");
-        let err = parse_trace(&bad_token).unwrap_err();
+        let err = SwfTrace::parse(&bad_token).unwrap_err();
         match &err {
             WorkloadError::Parse { location, message } => {
                 assert!(location.contains("field 4"), "{location}");
@@ -831,7 +826,7 @@ mod tests {
     fn non_finite_and_out_of_range_numbers_are_rejected() {
         for bad in ["nan", "inf", "-inf", "1e300"] {
             let line = format!("1 0 0 100 4 -1 -1 4 200 -1 {bad} 1 1 -1 1 1 -1 -1\n");
-            let err = parse_trace(&line).unwrap_err();
+            let err = SwfTrace::parse(&line).unwrap_err();
             match &err {
                 WorkloadError::Parse { location, message } => {
                     assert!(location.contains("field 11"), "{bad}: {location}");
@@ -847,7 +842,7 @@ mod tests {
         // run (900) exceeds requested (600): the job overran and was killed
         // late. Schedulers must never see duration > walltime.
         let line = "1 0 0 900 4 -1 -1 4 600 -1 1 1 1 -1 1 1 -1 -1\n";
-        let jobs = parse_trace(line).expect("parses").to_jobs(0);
+        let jobs = SwfTrace::parse(line).expect("parses").to_jobs(0);
         assert_eq!(jobs[0].duration, SimDuration::from_secs(900));
         assert_eq!(jobs[0].walltime, SimDuration::from_secs(900));
     }
@@ -859,7 +854,7 @@ mod tests {
     #[test]
     fn a_requested_time_too_long_to_represent_saturates() {
         let line = "1 0 12 1820 8 1650.5 1048576 8 9223372036854775807 -1 1 11 2 3 1 1 -1 -1\n";
-        let jobs = parse_trace(line).expect("parses").to_jobs(0);
+        let jobs = SwfTrace::parse(line).expect("parses").to_jobs(0);
         assert_eq!(jobs[0].duration, SimDuration::from_secs(1820));
         assert_eq!(jobs[0].walltime, SimDuration::MAX);
     }
@@ -870,7 +865,7 @@ mod tests {
     #[test]
     fn a_memory_field_too_large_to_multiply_saturates() {
         let line = "1 0 12 1820 8 1650.5 9223372036854775807 8 3600 -1 1 11 2 3 1 1 -1 -1\n";
-        let jobs = parse_trace(line).expect("parses").to_jobs(0);
+        let jobs = SwfTrace::parse(line).expect("parses").to_jobs(0);
         assert_eq!(jobs[0].nodes, 8);
         assert_eq!(jobs[0].memory_gb, u64::MAX.div_ceil(1024 * 1024));
     }
@@ -882,7 +877,7 @@ mod tests {
     fn a_derived_cluster_too_large_to_multiply_saturates() {
         let text = "; MaxNodes: 4194304\n\
             1 0 12 1820 8 1650.5 9223372036854775807 8 3600 -1 1 11 2 3 1 1 -1 -1\n";
-        let trace = parse_trace(text).expect("parses");
+        let trace = SwfTrace::parse(text).expect("parses");
         let cluster = trace.cluster();
         assert_eq!((cluster.nodes, cluster.memory_gb), (4_194_304, u64::MAX));
         assert!(trace.to_jobs(0)[0].memory_gb <= cluster.memory_gb);
@@ -890,14 +885,14 @@ mod tests {
 
     #[test]
     fn display_roundtrips_through_parse() {
-        let trace = parse_trace(SAMPLE).expect("parses");
-        let re = parse_trace(&trace.to_string()).expect("re-parses");
+        let trace = SwfTrace::parse(SAMPLE).expect("parses");
+        let re = SwfTrace::parse(&trace.to_string()).expect("re-parses");
         assert_eq!(re, trace);
     }
 
     #[test]
     fn derived_cluster_fits_every_usable_job() {
-        let trace = parse_trace(SAMPLE).expect("parses");
+        let trace = SwfTrace::parse(SAMPLE).expect("parses");
         let cluster = trace.cluster();
         assert_eq!(cluster.nodes, 64, "header MaxNodes wins");
         for j in trace.to_jobs(0) {
@@ -909,7 +904,7 @@ mod tests {
     #[test]
     fn headerless_trace_sizes_cluster_from_widest_job() {
         let text = "7 0 0 100 12 -1 -1 12 100 -1 1 1 1 -1 1 1 -1 -1\n";
-        let trace = parse_trace(text).expect("parses");
+        let trace = SwfTrace::parse(text).expect("parses");
         assert_eq!(trace.max_nodes(), None);
         assert_eq!(trace.cluster().nodes, 12);
     }
@@ -924,13 +919,13 @@ mod tests {
 
     #[test]
     fn empty_trace_converts_to_no_jobs() {
-        let trace = parse_trace("; Version: 2.2\n").expect("parses");
+        let trace = SwfTrace::parse("; Version: 2.2\n").expect("parses");
         assert!(trace.to_jobs(0).is_empty());
     }
 
     #[test]
     fn streaming_reader_matches_eager_parse() {
-        let eager = parse_trace(SAMPLE).expect("parses");
+        let eager = SwfTrace::parse(SAMPLE).expect("parses");
         let mut reader = SwfReader::from_text(SAMPLE);
         let jobs: Vec<SwfJob> = (&mut reader).map(|j| j.expect("streams")).collect();
         assert_eq!(jobs, eager.jobs);
@@ -942,7 +937,7 @@ mod tests {
     #[test]
     fn streaming_conversion_matches_eager_to_jobs() {
         for limit in [0, 2, 5, 100] {
-            let eager = parse_trace(SAMPLE).expect("parses").to_jobs(limit);
+            let eager = SwfTrace::parse(SAMPLE).expect("parses").to_jobs(limit);
             let streamed = SwfReader::from_text(SAMPLE)
                 .into_jobs(limit)
                 .expect("streams");
@@ -978,7 +973,7 @@ mod tests {
         // path.
         let good = "1 0 0 100 4 -1 -1 4 3600.25 -1 1 1 1 -1 1 1 -1 -1\n";
         assert_eq!(
-            parse_trace(good).expect("parses").jobs[0].requested_secs,
+            SwfTrace::parse(good).expect("parses").jobs[0].requested_secs,
             3600
         );
         for (bad, field) in [
@@ -987,7 +982,7 @@ mod tests {
             ("1 0 0 100 4 -1 -1 4 3600 -1 1 1 1 -1 1 1 -1 -\n", 18),
             ("1 0 0 100 4 .5. -1 4 3600 -1 1 1 1 -1 1 1 -1 -1\n", 6),
         ] {
-            let err = parse_trace(bad).unwrap_err();
+            let err = SwfTrace::parse(bad).unwrap_err();
             match &err {
                 WorkloadError::Parse { location, message } => {
                     assert_eq!(location, &format!("line 1, field {field}"), "{bad}");
@@ -1020,14 +1015,14 @@ mod tests {
     #[test]
     fn a_processor_count_too_wide_to_represent_saturates() {
         let line = "1 0 0 60 4294967297 -1 -1 8589934593 60 -1 1 1 1 -1 1 1 -1 -1\n";
-        let trace = parse_trace(line).expect("parses");
+        let trace = SwfTrace::parse(line).expect("parses");
         assert_eq!(trace.jobs[0].procs(), Some(u32::MAX));
         // The requested count saturates as well: equal to the node count,
         // so no per-node core demand, not `1.div_ceil(1)` by accident.
         assert!(trace.jobs[0].per_node_demand().is_zero());
         assert_eq!(trace.to_jobs(0)[0].nodes, u32::MAX);
         let requested_only = "1 0 0 60 -1 -1 -1 4294967297 60 -1 1 1 1 -1 1 1 -1 -1\n";
-        let trace = parse_trace(requested_only).expect("parses");
+        let trace = SwfTrace::parse(requested_only).expect("parses");
         assert_eq!(trace.jobs[0].procs(), Some(u32::MAX));
     }
 

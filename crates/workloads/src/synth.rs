@@ -41,7 +41,7 @@ use crate::swf::{jobs_from_rows, SwfJob, SwfTrace};
 /// rows, so the stream is *almost* but not exactly submit-sorted, like a
 /// mid-stream sample of a production log.
 #[derive(Debug)]
-pub struct SwfSynth {
+pub(crate) struct SwfSynth {
     rng: Xoshiro256PlusPlus,
     next_id: i64,
     clock_secs: i64,

@@ -10,7 +10,7 @@ use rsched_simkit::rng::Rng;
 
 /// Assigns users (and their groups) to generated jobs.
 #[derive(Debug, Clone)]
-pub struct UserModel {
+pub(crate) struct UserModel {
     weights: Categorical,
     groups_of_users: Vec<u32>,
 }
@@ -21,7 +21,7 @@ impl UserModel {
     ///
     /// # Panics
     /// Panics if `num_users == 0` or `num_groups == 0`.
-    pub fn zipf(num_users: usize, num_groups: usize, s: f64) -> Self {
+    pub(crate) fn zipf(num_users: usize, num_groups: usize, s: f64) -> Self {
         assert!(num_users > 0, "need at least one user");
         assert!(num_groups > 0, "need at least one group");
         let weights: Vec<f64> = (1..=num_users)
@@ -36,14 +36,9 @@ impl UserModel {
     /// A sensible default for an `n`-job workload: roughly one user per
     /// eight jobs (minimum 3), three groups, mild skew — matching the
     /// handful of users visible in the paper's traces (e.g. `user_6`).
-    pub fn for_job_count(n: usize) -> Self {
+    pub(crate) fn for_job_count(n: usize) -> Self {
         let users = (n / 8).max(3);
         UserModel::zipf(users, 3.min(users), 1.1)
-    }
-
-    /// Number of users in the population.
-    pub fn num_users(&self) -> usize {
-        self.groups_of_users.len()
     }
 
     /// Draw `(user, group)` for one job submission.
@@ -75,9 +70,9 @@ mod tests {
 
     #[test]
     fn for_job_count_scales() {
-        assert_eq!(UserModel::for_job_count(10).num_users(), 3);
-        assert_eq!(UserModel::for_job_count(60).num_users(), 7);
-        assert_eq!(UserModel::for_job_count(100).num_users(), 12);
+        assert_eq!(UserModel::for_job_count(10).groups_of_users.len(), 3);
+        assert_eq!(UserModel::for_job_count(60).groups_of_users.len(), 7);
+        assert_eq!(UserModel::for_job_count(100).groups_of_users.len(), 12);
     }
 
     #[test]

@@ -2,9 +2,8 @@
 //! job log (with failures, unsorted, absolute timestamps), run the paper's
 //! preprocessing (filter, sort, normalize, factorize, derive memory), and
 //! replay it under FCFS and the LLM agent on the 560-node machine.
-//!
-//! Drop a real exported log through `raw_from_csv` to replay production
-//! data instead.
+//! A real archive log replays through the `swf:<path>` scenario name
+//! instead (see the `swf_replay` example).
 //!
 //! ```text
 //! cargo run --release --example polaris_replay

@@ -36,7 +36,7 @@ pub mod prelude {
     pub use crate::prop;
     pub use crate::strategy::Strategy;
     pub use crate::test_runner::{ProptestConfig, TestCaseError};
-    pub use crate::{prop_assert, prop_assert_eq, prop_assert_ne, proptest};
+    pub use crate::{prop_assert, prop_assert_eq, proptest};
 }
 
 /// Runs each property as a `#[test]`-style loop over generated cases.
@@ -130,23 +130,6 @@ macro_rules! prop_assert_eq {
                 stringify!($right),
                 left,
                 right,
-            )));
-        }
-    }};
-}
-
-/// Fails the enclosing property if the two values are equal.
-#[macro_export]
-macro_rules! prop_assert_ne {
-    ($left:expr, $right:expr $(,)?) => {{
-        let left = &$left;
-        let right = &$right;
-        if *left == *right {
-            return ::std::result::Result::Err($crate::test_runner::TestCaseError::fail(format!(
-                "assertion failed: `{} != {}`\n  both: {:?}",
-                stringify!($left),
-                stringify!($right),
-                left,
             )));
         }
     }};

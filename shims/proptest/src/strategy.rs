@@ -61,7 +61,7 @@ macro_rules! int_range_strategy {
     )+ };
 }
 
-int_range_strategy!(u8, u16, u32, u64, usize);
+int_range_strategy!(u8, u32, u64, usize);
 
 macro_rules! signed_int_range_strategy {
     ($($t:ty),+) => { $(
@@ -82,7 +82,7 @@ macro_rules! signed_int_range_strategy {
     )+ };
 }
 
-signed_int_range_strategy!(i8, i16, i32, i64, isize);
+signed_int_range_strategy!(i64);
 
 impl Strategy for Range<f64> {
     type Value = f64;
@@ -120,7 +120,6 @@ tuple_strategy! {
     (A, B, C, D, E)
     (A, B, C, D, E, F)
     (A, B, C, D, E, F, G)
-    (A, B, C, D, E, F, G, H)
 }
 
 /// Strategy for vectors with lengths drawn from a size range.

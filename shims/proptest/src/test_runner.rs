@@ -64,7 +64,7 @@ impl TestRng {
     }
 
     /// Next raw 64-bit value (splitmix64 step).
-    pub fn next_u64(&mut self) -> u64 {
+    pub(crate) fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
         let mut z = self.state;
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -73,14 +73,14 @@ impl TestRng {
     }
 
     /// Uniform value in `[0, bound)`; `bound` must be non-zero.
-    pub fn below(&mut self, bound: u64) -> u64 {
+    pub(crate) fn below(&mut self, bound: u64) -> u64 {
         debug_assert!(bound > 0, "below(0) is meaningless");
         // Multiply-shift rejection-free mapping is fine for testing use.
         ((u128::from(self.next_u64()) * u128::from(bound)) >> 64) as u64
     }
 
     /// Uniform float in `[0, 1)`.
-    pub fn unit_f64(&mut self) -> f64 {
+    pub(crate) fn unit_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
     }
 }

@@ -32,7 +32,7 @@ use reasoned_scheduler::cluster::{
 use reasoned_scheduler::prelude::*;
 use reasoned_scheduler::sim::{CapacityCalendar, ReservationProfile};
 use reasoned_scheduler::workloads::scenario_builtins;
-use reasoned_scheduler::workloads::swf::parse_trace;
+use reasoned_scheduler::workloads::swf::SwfTrace;
 use reasoned_scheduler::workloads::{ArrivalMode, ScenarioContext};
 
 mod common;
@@ -568,7 +568,7 @@ fn a_job_that_never_ends_does_not_end_by_the_shadow() {
         2 1 0 50 17 -1 -1 17 50 -1 1 1 1 1 1 1 -1 -1\n\
         3 2 12 1820 8 1650.5 1048576 8 9223372036854775807 -1 1 11 2 3 1 1 -1 -1\n\
         4 3 0 50 1 -1 -1 1 50 -1 1 1 1 1 1 1 -1 -1\n";
-    let trace = parse_trace(text).expect("parses");
+    let trace = SwfTrace::parse(text).expect("parses");
     let (cluster, jobs) = (trace.cluster(), trace.to_jobs(0));
     assert_eq!(jobs[2].walltime, SimDuration::MAX);
     for mut policy in [EasyBackfill::new(), EasyBackfill::sjbf()] {

@@ -217,7 +217,13 @@ fn metrics_are_consistent_with_simulator_integrals() {
         .map(|r| r.spec.submit)
         .min()
         .expect("non-empty");
-    let makespan = outcome.makespan_end().since(first_submit).as_secs_f64();
+    let last_end = outcome
+        .records
+        .iter()
+        .map(|r| r.end)
+        .max()
+        .expect("non-empty");
+    let makespan = last_end.since(first_submit).as_secs_f64();
     let util_from_integral = outcome.node_seconds / (cluster.nodes as f64 * makespan);
     assert!(
         (report.node_utilization - util_from_integral).abs() < 1e-6,

@@ -1453,7 +1453,6 @@ proptest! {
 // ------------------------------------------------------------- swf ingest
 
 use reasoned_scheduler::workloads::swf::{SwfJob, SwfTrace};
-use reasoned_scheduler::workloads::trace::{jobs_from_csv, jobs_to_csv};
 
 /// Build a plausible SWF job line from a generated tuple.
 fn swf_job(id: i64, row: (i64, i64, i64, i64, i64, i64)) -> SwfJob {
@@ -1482,39 +1481,6 @@ fn swf_job(id: i64, row: (i64, i64, i64, i64, i64, i64)) -> SwfJob {
         partition: 1,
         preceding_job: -1,
         think_secs: -1,
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// SWF import → workload CSV export → CSV import is lossless, and
-    /// re-exporting the re-imported jobs reproduces the CSV byte for byte
-    /// (`jobs_to_csv` ∘ SWF import is stable under re-export).
-    #[test]
-    fn swf_import_is_stable_under_csv_reexport(
-        rows in prop::collection::vec(
-            (0i64..100_000, 1i64..50_000, 1i64..128, -1i64..4_000_000, 0i64..8, 0i64..60_000),
-            1..30,
-        )
-    ) {
-        let trace = SwfTrace {
-            directives: vec![("MaxNodes".to_string(), "128".to_string())],
-            jobs: rows
-                .iter()
-                .enumerate()
-                .map(|(i, row)| swf_job(i as i64 + 1, *row))
-                .collect(),
-        };
-        // The SWF text form itself round-trips through the parser.
-        let reparsed = SwfTrace::parse(&trace.to_string()).expect("re-parse");
-        prop_assert_eq!(&reparsed, &trace);
-
-        let jobs = trace.to_jobs(0);
-        let csv = jobs_to_csv(&jobs);
-        let back = jobs_from_csv(&csv).expect("csv reimport");
-        prop_assert_eq!(&back, &jobs);
-        prop_assert_eq!(jobs_to_csv(&back), csv);
     }
 }
 
@@ -1608,11 +1574,10 @@ proptest! {
         }
     }
 
-    /// `jobs_to_csv ∘ SwfReader` is stable: streaming conversion equals
-    /// eager conversion, and its CSV export re-imports losslessly and
-    /// re-exports byte-identically.
+    /// The SWF text form round-trips through the parser, and streaming
+    /// conversion equals eager conversion.
     #[test]
-    fn streaming_conversion_csv_roundtrip_is_stable(
+    fn swf_text_round_trips_and_streams_as_it_parses(
         rows in prop::collection::vec(
             (0i64..100_000, 1i64..50_000, 1i64..128, -1i64..4_000_000, 0i64..8, 0i64..60_000),
             1..30,
@@ -1627,12 +1592,84 @@ proptest! {
                 .collect(),
         };
         let text = trace.to_string();
+        prop_assert_eq!(&SwfTrace::parse(&text).expect("re-parse"), &trace);
         let streamed = SwfReader::from_text(&text).into_jobs(0).expect("streams");
         prop_assert_eq!(&streamed, &trace.to_jobs(0));
+    }
+}
 
-        let csv = jobs_to_csv(&streamed);
-        let back = jobs_from_csv(&csv).expect("csv reimport");
-        prop_assert_eq!(&back, &streamed);
-        prop_assert_eq!(jobs_to_csv(&back), csv);
+// ------------------------------------------------------------ campaign specs
+
+/// What campaign TOML is made of — every known key, both section headers,
+/// `=`, brackets, quotes, comments — and the numbers a value check has to
+/// refuse: signed, past `i64`, float, `nan` and `inf`.
+const CAMPAIGN_TOKENS: &[&str] = &[
+    "name",
+    "policies",
+    "scenarios",
+    "jobs",
+    "seeds",
+    "objectives",
+    "exclude",
+    "walltime_skew",
+    "sa_iterations_per_task",
+    "sa_iteration_cap",
+    "nodes",
+    "memory_gb",
+    "preset",
+    "[solver]",
+    "[cluster]",
+    " = ",
+    "=",
+    "[",
+    "]",
+    ",",
+    "\"",
+    "\"FCFS\"",
+    "\"long_tail\"",
+    "\"FCFS/20\"",
+    "\"mixed_256\"",
+    "#",
+    " ",
+    "\n",
+    "0",
+    "20",
+    "-1",
+    "+7",
+    "99999999999999999999",
+    "-9223372036854775808",
+    "1.5",
+    "-0.0",
+    "1e309",
+    "nan",
+    "inf",
+    "true",
+];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// A campaign spec is outside input too: `CampaignSpec::parse` answers
+    /// arbitrary text with `Ok` or `Err`, never a panic.
+    #[test]
+    fn campaign_spec_parser_never_panics(text in "\\PC*") {
+        let _ = CampaignSpec::parse(&text);
+    }
+
+    /// Nor on lines made of the subset's own tokens, which get past the
+    /// line grammar to the key and value checks.
+    #[test]
+    fn campaign_spec_parser_never_panics_on_its_own_tokens(
+        lines in prop::collection::vec(
+            prop::collection::vec(0usize..CAMPAIGN_TOKENS.len(), 0..8),
+            0..16,
+        )
+    ) {
+        let text = lines
+            .iter()
+            .map(|line| line.iter().map(|&t| CAMPAIGN_TOKENS[t]).collect::<String>())
+            .collect::<Vec<_>>()
+            .join("\n");
+        let _ = CampaignSpec::parse(&text);
     }
 }

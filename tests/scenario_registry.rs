@@ -181,10 +181,10 @@ fn extended_scenarios_produce_valid_schedulable_workloads() {
 #[test]
 fn swf_row_with_an_unrepresentable_memory_field_is_refused_as_infeasible() {
     use reasoned_scheduler::sim::{validate_workload, SimError};
-    use reasoned_scheduler::workloads::swf::parse_trace;
+    use reasoned_scheduler::workloads::swf::SwfTrace;
 
     let line = "1 0 12 1820 8 1650.5 9223372036854775807 8 3600 -1 1 11 2 3 1 1 -1 -1\n";
-    let jobs = parse_trace(line).expect("parses").to_jobs(0);
+    let jobs = SwfTrace::parse(line).expect("parses").to_jobs(0);
     let refused = validate_workload(ClusterConfig::polaris(), &jobs);
     assert_eq!(
         refused,
@@ -202,10 +202,10 @@ fn swf_row_with_an_unrepresentable_memory_field_is_refused_as_infeasible() {
 #[test]
 fn swf_row_with_an_unrepresentable_processor_count_is_refused_as_infeasible() {
     use reasoned_scheduler::sim::{validate_workload, SimError};
-    use reasoned_scheduler::workloads::swf::parse_trace;
+    use reasoned_scheduler::workloads::swf::SwfTrace;
 
     let line = "1 0 12 1820 4294967297 1650.5 -1 4294967297 3600 -1 1 11 2 3 1 1 -1 -1\n";
-    let jobs = parse_trace(line).expect("parses").to_jobs(0);
+    let jobs = SwfTrace::parse(line).expect("parses").to_jobs(0);
     let refused = validate_workload(ClusterConfig::polaris(), &jobs);
     assert_eq!(
         refused,
