@@ -17,15 +17,24 @@
 //! A driver keeps the slot beside the job's end time (the simulator's
 //! completion heap holds slots), so a completion is one index, not a
 //! look-up by id. Once the table has grown to the run's peak concurrency a
-//! start allocates nothing. Job ids are not checked here: they are proven
+//! start allocates nothing.
+//!
+//! The table is the one record of what runs. The orders readers ask of it
+//! — by id, by estimated end, by actual end ([`RunningOrder`]) — are
+//! indices of slots over it, each built from the table the first time
+//! [`ClusterState::running_in`] reads it and kept by every start and
+//! completion from then on: a run nothing reads them in pays nothing for
+//! them. Job ids are not checked here: they are proven
 //! unique where jobs enter — the simulator's workload validation and the
 //! service's admitted-id ledger — and a driver starts only the jobs waiting
 //! in its own queue.
 
+use std::cell::OnceCell;
+
 use rsched_simkit::SimTime;
 
 use crate::allocator::{Allocation, FirstFitAllocator, NodeAllocator, PlacementRequest};
-use crate::job::{JobRecord, JobSpec};
+use crate::job::{JobId, JobRecord, JobSpec};
 use crate::resources::ResourceVec;
 use crate::topology::{NodeClass, NodeClassSpec, Topology, MAX_CLASSES};
 
@@ -130,6 +139,87 @@ pub struct RunningJob {
     pub allocation: Allocation,
 }
 
+impl RunningJob {
+    /// `start + walltime`: when the scheduler expects it to finish.
+    pub fn expected_end(&self) -> SimTime {
+        self.start + self.spec.walltime
+    }
+}
+
+/// An order of the running jobs, as [`ClusterState::running_in`] reads
+/// them. Every key ends in the job id, so each order is total.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RunningOrder {
+    /// Ascending job id.
+    Id,
+    /// Ascending `(expected_end, id)`: the order the estimated capacity
+    /// calendar releases in.
+    ExpectedEnd,
+    /// Ascending `(end, id)`: the order the actual capacity calendar
+    /// releases in.
+    End,
+}
+
+impl RunningOrder {
+    const ALL: [RunningOrder; 3] = [
+        RunningOrder::Id,
+        RunningOrder::ExpectedEnd,
+        RunningOrder::End,
+    ];
+
+    fn key(self, job: &RunningJob) -> OrderKey {
+        let time = match self {
+            RunningOrder::Id => SimTime::ZERO,
+            RunningOrder::ExpectedEnd => job.expected_end(),
+            RunningOrder::End => job.end,
+        };
+        (time, job.spec.id)
+    }
+
+    /// The index entry of `job`, running in `slot`.
+    fn entry(self, job: &RunningJob, slot: usize) -> OrderEntry {
+        let slot = u32::try_from(slot).expect("the slot table holds fewer than 2^32 rows");
+        (self.key(job), slot)
+    }
+}
+
+/// A running job's key in one [`RunningOrder`].
+type OrderKey = (SimTime, JobId);
+
+/// One index entry: the key and the slot it names.
+type OrderEntry = (OrderKey, u32);
+
+/// The running jobs in one [`RunningOrder`]: the index's slots, read
+/// through the slot table.
+#[derive(Debug, Clone)]
+pub struct RunningIn<'a> {
+    entries: std::slice::Iter<'a, OrderEntry>,
+    rows: &'a [Option<RunningJob>],
+}
+
+impl<'a> Iterator for RunningIn<'a> {
+    type Item = &'a RunningJob;
+
+    fn next(&mut self) -> Option<&'a RunningJob> {
+        let &(_, slot) = self.entries.next()?;
+        self.rows[slot as usize].as_ref()
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.entries.size_hint()
+    }
+}
+
+impl ExactSizeIterator for RunningIn<'_> {}
+
+/// The indices of `orders` that have been built, each with its order.
+fn built(
+    orders: &mut [OnceCell<Vec<OrderEntry>>; 3],
+) -> impl Iterator<Item = (RunningOrder, &mut Vec<OrderEntry>)> {
+    let orders = RunningOrder::ALL.into_iter().zip(orders);
+    orders.filter_map(|(order, index)| Some((order, index.get_mut()?)))
+}
+
 /// Why a start request was rejected — the structured form behind the
 /// natural-language feedback of paper §2.4.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -185,8 +275,8 @@ impl CompletedStats {
     }
 }
 
-/// The mutable cluster state: allocator, the running jobs' slot table, and
-/// the completed records.
+/// The mutable cluster state: allocator, the running jobs' slot table and
+/// its indices, and the completed records.
 ///
 /// Every transition is checked: active node and memory demand can never
 /// exceed capacity (the paper's feasibility constraints), and a slot
@@ -199,6 +289,9 @@ pub struct ClusterState {
     running: Vec<Option<RunningJob>>,
     /// The empty rows of `running`, reused last-freed first.
     free_slots: Vec<usize>,
+    /// Per [`RunningOrder`], the running jobs' slots sorted by key: built
+    /// at the order's first read, kept by start and complete from then on.
+    orders: [OnceCell<Vec<OrderEntry>>; 3],
     completed: Vec<JobRecord>,
     completed_stats: CompletedStats,
 }
@@ -216,6 +309,7 @@ impl ClusterState {
             config,
             running: Vec::new(),
             free_slots: Vec::new(),
+            orders: Default::default(),
             completed: Vec::new(),
             completed_stats: CompletedStats::default(),
         }
@@ -288,6 +382,11 @@ impl ClusterState {
                 self.running.len() - 1
             }
         };
+        for (order, index) in built(&mut self.orders) {
+            let entry = order.entry(&job, slot);
+            let at = index.partition_point(|&e| e < entry);
+            index.insert(at, entry);
+        }
         Ok((slot, &*self.running[slot].insert(job)))
     }
 
@@ -310,6 +409,12 @@ impl ClusterState {
             job.spec.id, job.end, now
         );
         self.free_slots.push(slot);
+        for (order, index) in built(&mut self.orders) {
+            let entry = order.entry(&job, slot);
+            let at = index.partition_point(|&e| e < entry);
+            assert_eq!(index.get(at), Some(&entry), "{order:?} index drift");
+            index.remove(at);
+        }
         self.allocator.release(&job.allocation);
         let record = JobRecord {
             spec: job.spec,
@@ -324,6 +429,29 @@ impl ClusterState {
     /// Jobs currently executing, in slot order.
     pub fn running(&self) -> impl Iterator<Item = &RunningJob> {
         self.running.iter().flatten()
+    }
+
+    /// Jobs currently executing, in `order`. The order's index is built
+    /// from the slot table at its first read (one sort) and kept by every
+    /// start and completion from then on (a binary search and a shift).
+    pub fn running_in(&self, order: RunningOrder) -> RunningIn<'_> {
+        let index = self.orders[order as usize].get_or_init(|| {
+            let rows = self.running.iter().enumerate();
+            let mut index: Vec<OrderEntry> = rows
+                .filter_map(|(slot, row)| Some(order.entry(row.as_ref()?, slot)))
+                .collect();
+            index.sort_unstable();
+            index
+        });
+        RunningIn {
+            entries: index.iter(),
+            rows: &self.running,
+        }
+    }
+
+    /// Whether `order`'s index has been built (telemetry).
+    pub fn order_built(&self, order: RunningOrder) -> bool {
+        self.orders[order as usize].get().is_some()
     }
 
     /// Number of running jobs.
@@ -400,6 +528,24 @@ impl ClusterState {
             self.running_count(),
             "slot table drift"
         );
+        for (order, index) in RunningOrder::ALL.into_iter().zip(&self.orders) {
+            let Some(index) = index.get() else { continue };
+            // Strictly ascending keys, one per running job, each naming
+            // the row it was taken from: the index is the table's order.
+            assert_eq!(index.len(), self.running_count(), "{order:?} index size");
+            assert!(
+                index.windows(2).all(|w| w[0].0 < w[1].0),
+                "{order:?} index order"
+            );
+            for &(key, slot) in index {
+                let row = self.running[slot as usize].as_ref();
+                assert_eq!(
+                    row.map(|job| order.key(job)),
+                    Some(key),
+                    "{order:?} index row"
+                );
+            }
+        }
         assert_eq!(
             self.completed_stats.count,
             self.completed.len(),
@@ -483,6 +629,30 @@ mod tests {
         let mut ids: Vec<u32> = c.running().map(|j| j.spec.id.0).collect();
         ids.sort();
         assert_eq!(ids, [30, 40, 50, 60]);
+        c.check_invariants();
+    }
+
+    #[test]
+    fn an_order_is_built_at_its_first_read_and_kept_from_then_on() {
+        let mut c = ClusterState::new(ClusterConfig::paper_default());
+        let start = |c: &mut ClusterState, id, walltime, dur| {
+            let job = spec(id, dur, 1, 1).with_walltime(SimDuration::from_secs(walltime));
+            c.start_job(&job, SimTime::ZERO).expect("ok").0
+        };
+        let ids = |c: &ClusterState, order| -> Vec<u32> {
+            c.running_in(order).map(|j| j.spec.id.0).collect()
+        };
+        let first = start(&mut c, 5, 100, 30);
+        start(&mut c, 2, 50, 50);
+        assert!(!c.order_built(RunningOrder::End));
+        assert_eq!(ids(&c, RunningOrder::End), [5, 2]);
+        assert!(c.order_built(RunningOrder::End) && !c.order_built(RunningOrder::Id));
+        start(&mut c, 9, 40, 40);
+        c.complete_job(first, SimTime::from_secs(30));
+        assert_eq!(ids(&c, RunningOrder::End), [9, 2]);
+        assert_eq!(ids(&c, RunningOrder::Id), [2, 9]);
+        assert_eq!(ids(&c, RunningOrder::ExpectedEnd), [9, 2]);
+        assert_eq!(c.running_in(RunningOrder::Id).len(), 2);
         c.check_invariants();
     }
 

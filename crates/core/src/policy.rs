@@ -264,8 +264,7 @@ mod tests {
             free_memory_gb: 2048,
             free_by_class: [0; rsched_cluster::MAX_CLASSES],
             waiting: waiting.into(),
-            running: &[],
-            completed: &[],
+            running: Default::default(),
             completed_stats: rsched_cluster::CompletedStats::default(),
             pending_arrivals: 0,
             total_jobs: 1,

@@ -103,7 +103,7 @@ impl PromptBuilder {
             });
         }
         let p = &mut self.head;
-        // The O(1) aggregate — rendering never walks the completed slice.
+        // The O(1) aggregate — the view holds no completed records.
         let _ = writeln!(
             p,
             "\nCompleted Jobs: {} of {} total jobs; {} not yet submitted\n",
@@ -198,7 +198,7 @@ impl PromptBuilder {
 }
 
 /// A running job's id plus [`RUNNING`], then the fields its line renders.
-fn running(r: &RunningSummary) -> [u64; 6] {
+fn running(r: RunningSummary) -> [u64; 6] {
     [
         u64::from(r.id.0) | RUNNING,
         r.user.0.into(),
@@ -295,8 +295,7 @@ mod tests {
                 free_memory_gb: 576,
                 free_by_class: [0; rsched_cluster::MAX_CLASSES],
                 waiting: self.waiting.as_slice().into(),
-                running: &self.running,
-                completed: &self.completed,
+                running: self.running.as_slice().into(),
                 completed_stats: CompletedStats::from_records(&self.completed),
                 pending_arrivals: 3,
                 total_jobs: 80,

@@ -476,8 +476,7 @@ mod tests {
             free_memory_gb: 62,
             free_by_class: [0; MAX_CLASSES],
             waiting: waiting.as_slice().into(),
-            running: &running,
-            completed: &[],
+            running: running.as_slice().into(),
             completed_stats: CompletedStats::default(),
             pending_arrivals: 0,
             total_jobs: waiting.len() + running.len(),

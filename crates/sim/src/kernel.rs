@@ -1,9 +1,11 @@
 //! The driver-agnostic decision kernel.
 //!
 //! [`KernelState`] owns everything a scheduling run needs between clock
-//! ticks — the cluster ledger, the completion heap, the sorted
-//! rank-ordered wait queue, the running-summary mirror, utilization
-//! integrals, and the decision log — and exposes the one step both
+//! ticks — the cluster ledger (whose slot table is the one record of what
+//! runs; policies read it by id, calendars by end time, through indices
+//! built at their first read), the completion heap, the sorted
+//! rank-ordered wait queue, utilization integrals, and the decision log —
+//! and exposes the one step both
 //! drivers share: deliver arrivals, [`KernelState::advance_to`] the tick's
 //! instant, then [`KernelState::run_epoch`], the validated
 //! propose/apply/record loop of paper §2.4.
@@ -28,16 +30,18 @@
 //! at the same instants: the kernel is the single source of truth, the
 //! drivers only decide *when* it runs and *how* jobs reach it.
 
-use rsched_cluster::{ClusterConfig, ClusterState, JobRecord, JobSpec, StartError, StepIntegral};
+use rsched_cluster::{
+    ClusterConfig, ClusterState, JobRecord, JobSpec, RunningOrder, StartError, StepIntegral,
+};
 use rsched_simkit::{EventQueue, SimTime};
 use rsched_telemetry::{DelayReason, EpochOutcome, EpochTrace, TelemetrySink};
 
 use crate::outcome::{DecisionRecord, SimOutcome, SimStats};
 use crate::policy::{Action, ActionOutcome, RejectReason, SchedulingPolicy};
 use crate::profile::CapacityLedger;
-use crate::queue::{RunningSet, WaitQueue};
+use crate::queue::WaitQueue;
 use crate::simulator::{SimError, SimOptions};
-use crate::view::{RunningSummary, SystemView, Waiting};
+use crate::view::{SystemView, Waiting};
 
 /// The scheduling state machine shared by the virtual-time simulator and
 /// the wall-clock service daemon.
@@ -68,7 +72,6 @@ pub struct KernelState {
     /// slot in the cluster's running table.
     events: EventQueue<usize>,
     queue: WaitQueue,
-    running: RunningSet,
     ledger: CapacityLedger,
     node_integral: StepIntegral,
     mem_integral: StepIntegral,
@@ -89,7 +92,6 @@ impl KernelState {
             cluster: ClusterState::new(config),
             events: EventQueue::new(),
             queue: WaitQueue::new(config.topology),
-            running: RunningSet::new(),
             ledger: CapacityLedger::new(),
             node_integral: StepIntegral::new(start, 0.0),
             mem_integral: StepIntegral::new(start, 0.0),
@@ -169,13 +171,8 @@ impl KernelState {
     /// resources. [`advance_to`](Self::advance_to) calls it at the job's
     /// exact end time, which the cluster ledger asserts.
     fn complete(&mut self, slot: usize, now: SimTime) {
-        let record = self.cluster.complete_job(slot, now);
-        let (id, expected_end) = (record.spec.id, record.start + record.spec.walltime);
-        // Completions release at their exact end time, so the actual
-        // release key is `now`; the estimated key is what was recorded at
-        // start.
-        self.ledger.job_completed(id, expected_end, now);
-        self.running.remove(id);
+        self.cluster.complete_job(slot, now);
+        self.ledger.running_changed();
     }
 
     /// Fold the cluster's current occupancy into the node/memory
@@ -393,6 +390,11 @@ impl KernelState {
         let (rebuilds, hits) = self.ledger.calendar_counters();
         t.set_counter("sim_calendar_rebuilds_total", rebuilds);
         t.set_counter("sim_calendar_cache_hits_total", hits);
+        let built = |order| u64::from(self.cluster.order_built(order));
+        let running_builds = built(RunningOrder::Id);
+        t.set_counter("sim_running_index_builds_total", running_builds);
+        let release_builds = built(RunningOrder::ExpectedEnd) + built(RunningOrder::End);
+        t.set_counter("sim_release_index_builds_total", release_builds);
         let (builds, probes) = self.queue.order_counters();
         t.set_counter("sim_queue_index_builds_total", builds);
         t.set_counter("sim_queue_index_probes_total", probes);
@@ -451,15 +453,11 @@ impl KernelState {
                     // (`HeadReservation::admits`), asked of the ledger's
                     // cached *actual-end* calendar.
                     let free_by_class = self.cluster.free_by_class();
-                    let reservation = self
-                        .ledger
-                        .actual(
-                            now,
-                            self.cluster.free_nodes(),
-                            self.cluster.free_memory_gb(),
-                            free_by_class,
-                        )
-                        .head_reservation(&self.cluster.config().topology, free_by_class, head);
+                    let reservation = self.ledger.actual(now, &self.cluster).head_reservation(
+                        &self.cluster.config().topology,
+                        free_by_class,
+                        head,
+                    );
                     if !reservation.admits(&spec) {
                         return Err(RejectReason::WouldDelayHead {
                             job: spec.id,
@@ -483,38 +481,10 @@ impl KernelState {
     ) -> Result<(), RejectReason> {
         match self.cluster.start_job(spec, now) {
             Ok((running_slot, started)) => {
-                let end = started.end;
-                // The memory the cluster actually debited: equals the
-                // request on flat clusters, but classed clusters charge the
-                // hosting classes' capacity — and the summary must mirror
-                // the debit so policies' release math conserves capacity.
-                let held_memory_gb = started.allocation.memory_gb;
-                // Per-class release columns for the calendar: how many of
-                // this placement's nodes return to each class at completion
-                // (all zeros on a flat machine).
-                let released_by_class = started.allocation.by_class;
-                self.events.push(end, running_slot);
+                self.events.push(started.end, running_slot);
                 self.event_heap_peak = self.event_heap_peak.max(self.events.len());
                 self.queue.remove(slot);
-                // Maintain the running mirror incrementally — never rebuilt.
-                self.running.insert(RunningSummary {
-                    id: spec.id,
-                    user: spec.user,
-                    nodes: spec.nodes,
-                    memory_gb: held_memory_gb,
-                    start: now,
-                    submit: spec.submit,
-                    expected_end: now + spec.walltime,
-                    class: spec.class,
-                });
-                self.ledger.job_started(
-                    spec.id,
-                    now + spec.walltime,
-                    end,
-                    spec.nodes,
-                    held_memory_gb,
-                    released_by_class,
-                );
+                self.ledger.running_changed();
                 self.node_integral
                     .update(now, self.cluster.busy_nodes() as f64);
                 self.mem_integral
@@ -611,8 +581,7 @@ impl KernelState {
             free_memory_gb: self.cluster.free_memory_gb(),
             free_by_class: self.cluster.free_by_class(),
             waiting: self.queue.waiting(),
-            running: self.running.as_slice(),
-            completed: self.cluster.completed(),
+            running: (&self.cluster).into(),
             completed_stats: self.cluster.completed_stats(),
             pending_arrivals,
             total_jobs,

@@ -29,8 +29,8 @@
 //!
 //! The kernel is zero-copy: policies receive a lifetime-parameterized
 //! [`SystemView`] that *borrows* the simulator's incrementally-maintained
-//! queue/running/completed state (plus the O(1) [`CompletedStats`]
-//! aggregate), so a policy query costs nothing in allocation no matter how
+//! queue and the cluster's slot table of running jobs (plus the O(1)
+//! [`CompletedStats`] aggregate of the completed ones), so a policy query costs nothing in allocation no matter how
 //! deep the queue is. "Does anything waiting fit?" is answered by one
 //! serial column [`scan`] behind O(1) min-demand watermarks on a flat
 //! machine, and by a lookup in an exact per-compatibility index on a
@@ -62,7 +62,9 @@ pub use queue::WaitQueue;
 pub use scan::ScanOutcome;
 pub use simulator::{job_is_feasible, run_simulation, validate_workload, SimError, SimOptions};
 pub use store::JobStore;
-pub use view::{CompletedStats, RunningSummary, SystemView, Waiting, WaitingIter};
+pub use view::{
+    CompletedStats, Running, RunningIter, RunningSummary, SystemView, Waiting, WaitingIter,
+};
 
 // Telemetry vocabulary re-exported so policies and drivers can name the
 // provenance/sink types without a direct `rsched-telemetry` dependency.

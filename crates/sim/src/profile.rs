@@ -3,12 +3,15 @@
 //!
 //! The calendar keeps that work in one place, at two costs:
 //!
-//! * **maintenance** — the kernel owns a [`CapacityLedger`] and tells it
-//!   about every job start and completion; the ledger keeps its release
-//!   lists sorted incrementally (`O(log R)` binary-searched insert/remove,
-//!   never a full re-sort);
+//! * **maintenance** — a calendar releases the running jobs of the
+//!   cluster's slot table in order of end time (estimated or actual), ties
+//!   by id, read through the table's index for that order
+//!   ([`RunningOrder`]): built by the first calendar read, kept from then
+//!   on by each start and completion (`O(log R)` binary-searched
+//!   insert/remove, never a full re-sort), and never built in a run that
+//!   reads no calendar;
 //! * **materialization** — a [`CapacityCalendar`] skyline is built from a
-//!   sorted release list in one `O(R)` pass, and cached per
+//!   sorted release order in one `O(R)` pass, and cached per
 //!   `(now, queue-version, running-version)` stamp, so repeated reads
 //!   within one decision epoch (policy queries, kernel validations,
 //!   rejection retries) reuse the same skyline without rebuilding it.
@@ -50,13 +53,14 @@
 use std::cell::{Ref, RefCell};
 
 use rsched_cluster::{
-    classed_overlap_fits, JobId, JobSpec, PlacementRequest, Topology, MAX_CLASSES,
+    classed_overlap_fits, ClusterState, JobId, JobSpec, PlacementRequest, RunningJob, RunningOrder,
+    Topology, MAX_CLASSES,
 };
 use rsched_simkit::{BasePoint, SimDuration, SimTime};
 
 pub use rsched_simkit::{ReservationProfile, ReservedStep};
 
-use crate::view::RunningSummary;
+use crate::view::Running;
 
 /// One step of the free-capacity skyline: the free resources from
 /// [`time`](CalendarPoint::time) (inclusive) until the next point's time.
@@ -90,16 +94,6 @@ impl BasePoint for CalendarPoint {
     fn free_memory_gb(&self) -> u64 {
         self.free_memory_gb
     }
-}
-
-/// One future capacity release: `(time, id)`-sorted inside the ledger.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Release {
-    time: SimTime,
-    id: JobId,
-    nodes: u32,
-    memory_gb: u64,
-    by_class: [u32; MAX_CLASSES],
 }
 
 /// The free-capacity skyline: a step function of free resources over
@@ -178,16 +172,16 @@ impl CapacityCalendar {
         }
     }
 
-    /// Fallback construction from borrowed running summaries — the path a
+    /// Fallback construction from a view's running jobs — the path a
     /// hand-built [`SystemView`](crate::SystemView) without a kernel
     /// ledger takes. Scalar columns are bit-identical to the ledger-built
-    /// estimated calendar for the same summaries; class columns are zero
+    /// estimated calendar for the same jobs; class columns are zero
     /// (summaries do not expose per-class allocations).
     pub(crate) fn from_running(
         now: SimTime,
         free_nodes: u32,
         free_memory_gb: u64,
-        running: &[RunningSummary],
+        running: Running<'_>,
     ) -> Self {
         let mut releases: Vec<(SimTime, JobId, u32, u64)> = running
             .iter()
@@ -478,24 +472,20 @@ impl CachedCalendar {
     }
 }
 
-/// The kernel-owned side of the subsystem: incrementally sorted release
-/// lists (estimated and actual end times per running job) plus the
-/// per-epoch calendar caches.
+/// The kernel-owned side of the subsystem: the version stamps and the
+/// per-epoch calendar caches. The releases themselves are read from the
+/// cluster's slot table, through its `(expected_end, id)` and `(end, id)`
+/// indices ([`RunningOrder`]), which the first calendar read builds.
 ///
 /// Ownership and maintenance: `KernelState` is the **only writer** — it
-/// calls [`job_started`](Self::job_started) /
-/// `job_completed` from its start/complete paths
-/// and `queue_changed` on arrivals. Readers
-/// (policies via the [`SystemView`](crate::SystemView), the kernel's own
-/// strict-backfill validation) get shared [`Ref`]s to the cached
-/// calendars and must drop them before the next mutation (statically
-/// enforced by the borrow they hold on the ledger).
+/// calls `running_changed` from its start/complete paths and
+/// `queue_changed` on arrivals. Readers (policies via the
+/// [`SystemView`](crate::SystemView), the kernel's own strict-backfill
+/// validation) get shared [`Ref`]s to the cached calendars and must drop
+/// them before the next mutation (statically enforced by the borrow they
+/// hold on the ledger).
 #[derive(Debug, Default)]
 pub struct CapacityLedger {
-    /// Releases at `expected_end` (`start + walltime`), sorted `(time, id)`.
-    estimated: Vec<Release>,
-    /// Releases at the true completion time, sorted `(time, id)`.
-    actual: Vec<Release>,
     queue_version: u64,
     running_version: u64,
     estimated_cache: RefCell<CachedCalendar>,
@@ -518,36 +508,9 @@ impl CapacityLedger {
         }
     }
 
-    /// Record a placement: the job will release `(nodes, memory_gb,
-    /// by_class)` at `expected_end` per its walltime estimate and at
-    /// `actual_end` per the cluster's completion schedule.
-    pub fn job_started(
-        &mut self,
-        id: JobId,
-        expected_end: SimTime,
-        actual_end: SimTime,
-        nodes: u32,
-        memory_gb: u64,
-        by_class: [u32; MAX_CLASSES],
-    ) {
-        let release = |time| Release {
-            time,
-            id,
-            nodes,
-            memory_gb,
-            by_class,
-        };
-        Self::insert(&mut self.estimated, release(expected_end));
-        Self::insert(&mut self.actual, release(actual_end));
-        self.running_version += 1;
-    }
-
-    /// Drop the completed job's releases. `actual_end` is the completion
-    /// time (the completion event's own timestamp); `expected_end` is the
-    /// estimate recorded at start.
-    pub(crate) fn job_completed(&mut self, id: JobId, expected_end: SimTime, actual_end: SimTime) {
-        Self::remove(&mut self.estimated, expected_end, id);
-        Self::remove(&mut self.actual, actual_end, id);
+    /// Note a running-set mutation (a job start or completion) for the
+    /// epoch stamp.
+    pub(crate) fn running_changed(&mut self) {
         self.running_version += 1;
     }
 
@@ -558,7 +521,7 @@ impl CapacityLedger {
 
     /// Telemetry counters summed over both calendar caches:
     /// `(rebuilds, cache_hits)`. A rebuild is a skyline construction from
-    /// the release list; a hit reuses the cached skyline for the same
+    /// the release order; a hit reuses the cached skyline for the same
     /// [`CalendarStamp`].
     pub(crate) fn calendar_counters(&self) -> (u64, u64) {
         let est = self.estimated_cache.borrow();
@@ -566,82 +529,48 @@ impl CapacityLedger {
         (est.rebuilds + act.rebuilds, est.hits + act.hits)
     }
 
-    fn insert(list: &mut Vec<Release>, release: Release) {
-        let at = list.partition_point(|r| (r.time, r.id) < (release.time, release.id));
-        list.insert(at, release);
-    }
-
-    fn remove(list: &mut Vec<Release>, time: SimTime, id: JobId) {
-        let at = list.partition_point(|r| (r.time, r.id) < (time, id));
-        assert!(
-            at < list.len() && list[at].id == id && list[at].time == time,
-            "ledger release missing for completed job {id:?} at {time:?}"
-        );
-        list.remove(at);
-    }
-
-    /// The **estimated** skyline (releases at walltime-estimated ends) for
-    /// the epoch at `now` with the given current free levels — cached per
-    /// [`CalendarStamp`]. This is the calendar reservation-list policies
-    /// plan over.
-    pub fn estimated(
-        &self,
-        now: SimTime,
-        free_nodes: u32,
-        free_memory_gb: u64,
-        free_by_class: [u32; MAX_CLASSES],
-    ) -> Ref<'_, CapacityCalendar> {
-        CachedCalendar::refresh(&self.estimated_cache, self.stamp(now), |cal| {
-            Self::build_from(
-                cal,
-                &self.estimated,
-                now,
-                free_nodes,
-                free_memory_gb,
-                free_by_class,
-            )
-        })
+    /// The **estimated** skyline of `cluster` at `now` (releases at
+    /// walltime-estimated ends, from its current free levels) — cached
+    /// per [`CalendarStamp`]. This is the calendar reservation-list
+    /// policies plan over.
+    pub fn estimated(&self, now: SimTime, cluster: &ClusterState) -> Ref<'_, CapacityCalendar> {
+        self.calendar(
+            &self.estimated_cache,
+            now,
+            cluster,
+            RunningOrder::ExpectedEnd,
+            RunningJob::expected_end,
+        )
     }
 
     /// The **actual** skyline (releases at true completion times) — what
     /// the kernel's shadow-time validation reads; bit-identical to the
     /// sweep over `cluster.running()` ends.
-    pub fn actual(
-        &self,
-        now: SimTime,
-        free_nodes: u32,
-        free_memory_gb: u64,
-        free_by_class: [u32; MAX_CLASSES],
-    ) -> Ref<'_, CapacityCalendar> {
-        CachedCalendar::refresh(&self.actual_cache, self.stamp(now), |cal| {
-            Self::build_from(
-                cal,
-                &self.actual,
-                now,
-                free_nodes,
-                free_memory_gb,
-                free_by_class,
-            )
+    pub fn actual(&self, now: SimTime, cluster: &ClusterState) -> Ref<'_, CapacityCalendar> {
+        self.calendar(&self.actual_cache, now, cluster, RunningOrder::End, |job| {
+            job.end
         })
     }
 
-    fn build_from(
-        into: &mut CapacityCalendar,
-        releases: &[Release],
+    /// `cache`'s skyline at `now`, rebuilt when the stamp has moved from
+    /// `cluster`'s free levels and its running jobs in `order`, each
+    /// releasing at its `end`.
+    fn calendar<'a>(
+        &self,
+        cache: &'a RefCell<CachedCalendar>,
         now: SimTime,
-        free_nodes: u32,
-        free_memory_gb: u64,
-        free_by_class: [u32; MAX_CLASSES],
-    ) {
-        into.rebuild(
-            now,
-            free_nodes,
-            free_memory_gb,
-            free_by_class,
-            releases
-                .iter()
-                .map(|r| (r.time, r.nodes, r.memory_gb, r.by_class)),
-        );
+        cluster: &ClusterState,
+        order: RunningOrder,
+        end: impl Fn(&RunningJob) -> SimTime,
+    ) -> Ref<'a, CapacityCalendar> {
+        CachedCalendar::refresh(cache, self.stamp(now), |calendar| {
+            let releases = cluster.running_in(order).map(|job| {
+                let held = job.allocation;
+                (end(job), job.spec.nodes, held.memory_gb, held.by_class)
+            });
+            let free = (cluster.free_nodes(), cluster.free_memory_gb());
+            calendar.rebuild(now, free.0, free.1, cluster.free_by_class(), releases);
+        })
     }
 }
 
@@ -714,8 +643,8 @@ mod tests {
         )
     }
 
-    fn summary(id: u32, expected_end: u64, nodes: u32, mem: u64) -> RunningSummary {
-        RunningSummary {
+    fn summary(id: u32, expected_end: u64, nodes: u32, mem: u64) -> crate::RunningSummary {
+        crate::RunningSummary {
             id: JobId(id),
             user: UserId(0),
             nodes,
@@ -750,7 +679,7 @@ mod tests {
         assert_eq!(cal.points()[1].free_memory_gb, 64);
         // Same through the running-summary path.
         let running = [summary(1, 100, 3, 24), summary(2, 100, 3, 24)];
-        let from_running = CapacityCalendar::from_running(SimTime::ZERO, 2, 16, &running);
+        let from_running = CapacityCalendar::from_running(SimTime::ZERO, 2, 16, running[..].into());
         assert_eq!(from_running, cal);
     }
 
@@ -886,13 +815,26 @@ mod tests {
         );
     }
 
+    /// Start a flat job on `cluster` at t=0 and tell `ledger`: it is
+    /// estimated to end at `walltime`, ends at `duration`. Returns its slot.
+    fn start(cluster: &mut ClusterState, ledger: &mut CapacityLedger, job: JobSpec) -> usize {
+        let (slot, _) = cluster.start_job(&job, SimTime::ZERO).expect("fits");
+        ledger.running_changed();
+        slot
+    }
+
+    fn job(id: u32, walltime: u64, duration: u64, nodes: u32, mem: u64) -> JobSpec {
+        JobSpec::new(id, 0, SimTime::ZERO, d(duration), nodes, mem).with_walltime(d(walltime))
+    }
+
     #[test]
     fn ledger_caches_per_stamp_and_invalidates_on_mutation() {
+        let mut cluster = ClusterState::new(rsched_cluster::ClusterConfig::new(8, 64));
         let mut ledger = CapacityLedger::new();
-        ledger.job_started(JobId(1), t(100), t(90), 4, 32, [0; MAX_CLASSES]);
+        let slot = start(&mut cluster, &mut ledger, job(1, 100, 90, 4, 32));
         let stamp0 = ledger.stamp(t(0));
         {
-            let est = ledger.estimated(t(0), 4, 32, [0; MAX_CLASSES]);
+            let est = ledger.estimated(t(0), &cluster);
             assert_eq!(est.points().len(), 2);
             assert_eq!(est.points()[1].time, t(100), "estimated end");
             // Same stamp → the cached skyline is reused (pointer-free
@@ -900,45 +842,53 @@ mod tests {
             assert_eq!(ledger.stamp(t(0)), stamp0);
         }
         {
-            let act = ledger.actual(t(0), 4, 32, [0; MAX_CLASSES]);
+            let act = ledger.actual(t(0), &cluster);
             assert_eq!(act.points()[1].time, t(90), "actual end");
         }
-        ledger.job_completed(JobId(1), t(100), t(90));
+        cluster.complete_job(slot, t(90));
+        ledger.running_changed();
         assert_ne!(ledger.stamp(t(0)), stamp0, "mutation moved the stamp");
-        let est = ledger.estimated(t(90), 8, 64, [0; MAX_CLASSES]);
+        let est = ledger.estimated(t(90), &cluster);
         assert_eq!(est.points().len(), 1, "release gone after completion");
     }
 
     #[test]
     fn ledger_orders_equal_times_by_id_and_merges_in_the_skyline() {
+        let mut cluster = ClusterState::new(rsched_cluster::ClusterConfig::new(8, 64));
         let mut ledger = CapacityLedger::new();
-        ledger.job_started(JobId(7), t(100), t(100), 1, 8, [0; MAX_CLASSES]);
-        ledger.job_started(JobId(3), t(100), t(100), 2, 16, [0; MAX_CLASSES]);
-        let est = ledger.estimated(t(0), 5, 40, [0; MAX_CLASSES]);
+        let early = start(&mut cluster, &mut ledger, job(7, 100, 50, 1, 8));
+        start(&mut cluster, &mut ledger, job(3, 100, 100, 2, 16));
+        let est = ledger.estimated(t(0), &cluster);
         let times: Vec<u64> = est.points().iter().map(|p| p.time.as_secs()).collect();
         assert_eq!(times, vec![0, 100], "equal ends merged");
         assert_eq!(est.points()[1].free_nodes, 8);
         drop(est);
-        ledger.job_completed(JobId(7), t(100), t(100));
-        let est = ledger.estimated(t(0), 5, 40, [0; MAX_CLASSES]);
-        assert_eq!(est.points()[1].free_nodes, 7, "only job 3's release left");
+        cluster.complete_job(early, t(50));
+        ledger.running_changed();
+        let est = ledger.estimated(t(50), &cluster);
+        let steps: Vec<(u64, u32)> = est
+            .points()
+            .iter()
+            .map(|p| (p.time.as_secs(), p.free_nodes))
+            .collect();
+        assert_eq!(steps, vec![(50, 6), (100, 8)], "only job 3's release left");
     }
 
     #[test]
     fn classed_columns_flow_through_the_ledger() {
-        use rsched_cluster::ClusterConfig;
+        use rsched_cluster::{ClusterConfig, ResourceVec};
         let topology = ClusterConfig::mixed_256().topology;
+        let mut cluster = ClusterState::new(ClusterConfig::mixed_256());
         let mut ledger = CapacityLedger::new();
         // 40 gpu nodes busy until t=100.
-        let mut by_class = [0; MAX_CLASSES];
-        by_class[1] = 40;
-        ledger.job_started(JobId(1), t(100), t(100), 40, 2560, by_class);
-        let free_now = [192, 8, 16, 0];
-        let act = ledger.actual(t(0), 216, 14_000, free_now);
+        let gpu_job = job(1, 100, 100, 40, 0).with_per_node(ResourceVec::new(0, 1, 0, 0));
+        start(&mut cluster, &mut ledger, gpu_job);
+        assert_eq!(cluster.free_by_class(), [192, 8, 16, 0]);
+        let act = ledger.actual(t(0), &cluster);
         let demand = |nodes, gpus_per_node| PlacementRequest {
             nodes,
             memory_gb: 0,
-            per_node: rsched_cluster::ResourceVec::new(0, gpus_per_node, 0, 0),
+            per_node: ResourceVec::new(0, gpus_per_node, 0, 0),
             class: None,
         };
         // 30 scalar nodes fit the cpu class immediately; a 30-node gpu

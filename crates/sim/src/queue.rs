@@ -1,12 +1,11 @@
 //! Incrementally-maintained simulator state: the sorted waiting queue with
 //! its fit summary (min-demand watermarks on a flat machine, an exact
-//! per-compatibility index on a classed one), and the running-summary
-//! cache.
+//! per-compatibility index on a classed one).
 //!
-//! These are the data structures behind the zero-copy kernel, shared by
+//! This is the data structure behind the zero-copy kernel, shared by
 //! **both drivers** since the service split: the virtual-time simulator and
-//! the wall-clock scheduler daemon drive the same [`WaitQueue`] and
-//! [`RunningSet`] through [`KernelState`](crate::kernel::KernelState). The
+//! the wall-clock scheduler daemon drive the same [`WaitQueue`] through
+//! [`KernelState`](crate::kernel::KernelState). The
 //! old kernel re-sorted the waiting queue on every event-loop iteration and
 //! rebuilt the running-summary vector (plus a full clone of the completed
 //! records) on every policy query — O(n) per query, O(n²) per run. Here:
@@ -34,14 +33,11 @@
 //!   the virtual-time simulator always inserts at rank 0, which makes the
 //!   order exactly the paper's `(submit, id)` arrival order; the
 //!   multi-tenant service daemon inserts with usage-decayed tenant ranks so
-//!   low-usage tenants sort ahead without any per-query re-sort;
-//! * [`RunningSet`] mirrors the cluster's running jobs as
-//!   [`RunningSummary`]s sorted by id, updated on start/complete instead of
-//!   rebuilt per query.
+//!   low-usage tenants sort ahead without any per-query re-sort.
 //!
-//! Both expose their contents in place — the queue as a [`Waiting`] view
-//! over its slots, the running set as a slice — which is what lets
-//! [`SystemView`](crate::SystemView) borrow instead of clone.
+//! The queue exposes its contents in place, as a [`Waiting`] view over its
+//! slots, which is what lets [`SystemView`](crate::SystemView) borrow
+//! instead of clone.
 
 use std::cell::{Cell, OnceCell};
 use std::collections::{BTreeMap, BTreeSet};
@@ -57,7 +53,7 @@ use rsched_simkit::{SimDuration, SimTime};
 use crate::profile::HeadReservation;
 use crate::scan;
 use crate::store::JobStore;
-use crate::view::{RunningSummary, Waiting};
+use crate::view::Waiting;
 
 /// Key of the shortest-first order: a job's *demand class* — everything
 /// the machine's fit test reads of it — then `(walltime, id)`, so the first
@@ -598,42 +594,11 @@ impl WaitQueue {
     }
 }
 
-/// The running-job mirror: [`RunningSummary`]s sorted ascending by id,
-/// maintained on start/complete. Bounded by the node count (every running
-/// job holds ≥ 1 node), so the O(len) `Vec` shifts are trivially cheap.
-#[derive(Debug, Default)]
-pub(crate) struct RunningSet {
-    jobs: Vec<RunningSummary>,
-}
-
-impl RunningSet {
-    pub(crate) fn new() -> Self {
-        RunningSet { jobs: Vec::new() }
-    }
-
-    pub(crate) fn as_slice(&self) -> &[RunningSummary] {
-        &self.jobs
-    }
-
-    pub(crate) fn insert(&mut self, summary: RunningSummary) {
-        match self.jobs.binary_search_by_key(&summary.id, |r| r.id) {
-            Ok(_) => unreachable!("a job starts at most once"),
-            Err(at) => self.jobs.insert(at, summary),
-        }
-    }
-
-    pub(crate) fn remove(&mut self, id: JobId) {
-        if let Ok(at) = self.jobs.binary_search_by_key(&id, |r| r.id) {
-            self.jobs.remove(at);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use rsched_cluster::{ClusterConfig, NodeClass, ResourceVec, UserId};
+    use rsched_cluster::{ClusterConfig, NodeClass, ResourceVec};
     use rsched_simkit::{SimDuration, SimTime};
 
     fn spec(id: u32, submit_s: u64, nodes: u32, mem: u64) -> JobSpec {
@@ -857,29 +822,6 @@ mod tests {
         assert_eq!(q.min_memory_gb, 8);
         // From now on the same saturated state is proved in O(1).
         assert!(!q.any_fits(&busy));
-    }
-
-    #[test]
-    fn running_set_stays_sorted_by_id() {
-        let mut r = RunningSet::new();
-        for id in [7u32, 3, 9, 1] {
-            r.insert(RunningSummary {
-                id: JobId(id),
-                user: UserId(0),
-                nodes: 1,
-                memory_gb: 1,
-                start: SimTime::ZERO,
-                submit: SimTime::ZERO,
-                expected_end: SimTime::from_secs(10),
-                class: None,
-            });
-        }
-        let ids: Vec<u32> = r.as_slice().iter().map(|s| s.id.0).collect();
-        assert_eq!(ids, vec![1, 3, 7, 9]);
-        r.remove(JobId(7));
-        r.remove(JobId(42)); // absent: no-op
-        let ids: Vec<u32> = r.as_slice().iter().map(|s| s.id.0).collect();
-        assert_eq!(ids, vec![1, 3, 9]);
     }
 
     #[test]

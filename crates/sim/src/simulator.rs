@@ -19,12 +19,14 @@
 //! The kernel is **zero-copy and incremental**: the waiting queue stays
 //! sorted by `(rank, submit, id)` — an arrival is binary-searched to its
 //! place, which in time order is the back
-//! (rank is always 0 here, so the order is the paper's `(submit, id)`), the
-//! running-summary mirror is updated on start/complete instead of rebuilt
-//! per query, completed-job aggregates are folded in O(1) by the cluster
-//! ledger, and every policy query receives a [`SystemView`](crate::SystemView)
-//! that *borrows* this state. Per-event work is O(log n), which is what
-//! makes 100k-job SWF-archive replays run in seconds.
+//! (rank is always 0 here, so the order is the paper's `(submit, id)`), a
+//! start or completion writes one row of the cluster's slot table (the
+//! id and end-time orders policies and calendars read are indices over it,
+//! built at their first read and kept from then on), completed-job
+//! aggregates are folded in O(1) by the cluster ledger, and every policy
+//! query receives a [`SystemView`](crate::SystemView) that *borrows* this
+//! state. Per-event work is O(log n), which is what makes 100k-job
+//! SWF-archive replays run in seconds.
 
 use rsched_cluster::{ClusterConfig, JobId, JobSpec, PlacementRequest, MAX_CLASSES};
 use rsched_simkit::SimTime;

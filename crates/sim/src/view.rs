@@ -1,20 +1,22 @@
 //! The system snapshot handed to scheduling policies.
 //!
 //! This is the observable state `S_t` of the paper's formulation (§2.1):
-//! current time, free resources, the waiting queue with job metadata, and
-//! summaries of running and completed jobs. The ReAct agent renders this
-//! snapshot into its prompt; baseline policies read it directly.
+//! current time, free resources, the waiting queue with job metadata,
+//! summaries of the running jobs and aggregates of the completed ones. The
+//! ReAct agent renders this snapshot into its prompt; baseline policies
+//! read it directly.
 //!
 //! Since the zero-copy kernel refactor, [`SystemView`] **borrows** the
 //! simulator's incrementally-maintained state instead of cloning it:
-//! `running` and `completed` are slices and `waiting` a [`Waiting`] view of
-//! the queue's own slots, so building a view is O(1) regardless of queue
-//! depth, and a 100k-job trace no longer pays an O(n) deep copy per policy
-//! query. Policies that only need completed-job aggregates read the O(1)
-//! [`CompletedStats`] and never touch the record slice at all.
+//! `waiting` is a [`Waiting`] view of the queue's own slots and `running` a
+//! [`Running`] view of the cluster's slot table, so building a view is O(1)
+//! regardless of queue depth, and a 100k-job trace no longer pays an O(n)
+//! deep copy per policy query. Completed jobs are seen only through the
+//! O(1) [`CompletedStats`].
 
 use rsched_cluster::{
-    ClusterConfig, JobId, JobRecord, JobSpec, NodeClass, PlacementRequest, UserId, MAX_CLASSES,
+    ClusterConfig, ClusterState, JobId, JobSpec, NodeClass, PlacementRequest, RunningIn,
+    RunningJob, RunningOrder, UserId, MAX_CLASSES,
 };
 use rsched_simkit::SimTime;
 
@@ -23,7 +25,7 @@ pub use rsched_cluster::CompletedStats;
 /// A running job as visible to a policy: its demands and *estimated* end
 /// time (start + requested walltime). True durations stay hidden, as in a
 /// real scheduler.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RunningSummary {
     /// Job id.
     pub id: JobId,
@@ -47,6 +49,143 @@ pub struct RunningSummary {
     /// `None` on flat clusters).
     pub class: Option<NodeClass>,
 }
+
+impl RunningSummary {
+    /// What a policy may see of `job`.
+    fn of(job: &RunningJob) -> Self {
+        RunningSummary {
+            id: job.spec.id,
+            user: job.spec.user,
+            nodes: job.spec.nodes,
+            memory_gb: job.allocation.memory_gb,
+            start: job.start,
+            submit: job.spec.submit,
+            expected_end: job.expected_end(),
+            class: job.spec.class,
+        }
+    }
+}
+
+/// The running jobs as a policy sees them, in id order.
+///
+/// A kernel-built view reads the cluster's slot table through its id
+/// index ([`RunningOrder::Id`]), which the first [`iter`](Self::iter)
+/// builds; [`len`](Self::len) needs no index. A hand-built view
+/// (`Running::from(&summaries[..])`) is the same type over summaries
+/// already in id order. Two views are equal when they hold the same
+/// summaries in the same order.
+#[derive(Clone, Copy)]
+pub struct Running<'a>(RunningSource<'a>);
+
+#[derive(Clone, Copy)]
+enum RunningSource<'a> {
+    Summaries(&'a [RunningSummary]),
+    Table(&'a ClusterState),
+}
+
+impl<'a> Running<'a> {
+    /// Number of running jobs.
+    pub fn len(&self) -> usize {
+        match self.0 {
+            RunningSource::Summaries(jobs) => jobs.len(),
+            RunningSource::Table(cluster) => cluster.running_count(),
+        }
+    }
+
+    /// `true` if nothing is running.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The running jobs in id order.
+    pub fn iter(&self) -> RunningIter<'a> {
+        RunningIter(match self.0 {
+            RunningSource::Summaries(jobs) => RunningIterSource::Summaries(jobs.iter()),
+            RunningSource::Table(cluster) => {
+                RunningIterSource::Table(cluster.running_in(RunningOrder::Id))
+            }
+        })
+    }
+
+    /// The slot table behind a kernel-built view.
+    pub(crate) fn table(&self) -> Option<&'a ClusterState> {
+        match self.0 {
+            RunningSource::Summaries(_) => None,
+            RunningSource::Table(cluster) => Some(cluster),
+        }
+    }
+}
+
+impl Default for Running<'_> {
+    fn default() -> Self {
+        Running(RunningSource::Summaries(&[]))
+    }
+}
+
+impl<'a> From<&'a [RunningSummary]> for Running<'a> {
+    /// A hand-built view: `jobs`, which must be in id order.
+    fn from(jobs: &'a [RunningSummary]) -> Self {
+        Running(RunningSource::Summaries(jobs))
+    }
+}
+
+impl<'a> From<&'a ClusterState> for Running<'a> {
+    /// The jobs running on `cluster`, read through its slot table.
+    fn from(cluster: &'a ClusterState) -> Self {
+        Running(RunningSource::Table(cluster))
+    }
+}
+
+impl<'a> IntoIterator for Running<'a> {
+    type Item = RunningSummary;
+    type IntoIter = RunningIter<'a>;
+
+    fn into_iter(self) -> RunningIter<'a> {
+        self.iter()
+    }
+}
+
+impl PartialEq for Running<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.len() == other.len() && self.iter().eq(other.iter())
+    }
+}
+
+impl std::fmt::Debug for Running<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+/// The jobs of a [`Running`] view, in id order.
+#[derive(Debug, Clone)]
+pub struct RunningIter<'a>(RunningIterSource<'a>);
+
+#[derive(Debug, Clone)]
+enum RunningIterSource<'a> {
+    Summaries(std::slice::Iter<'a, RunningSummary>),
+    Table(RunningIn<'a>),
+}
+
+impl Iterator for RunningIter<'_> {
+    type Item = RunningSummary;
+
+    fn next(&mut self) -> Option<RunningSummary> {
+        match &mut self.0 {
+            RunningIterSource::Summaries(jobs) => jobs.next().copied(),
+            RunningIterSource::Table(jobs) => jobs.next().map(RunningSummary::of),
+        }
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        match &self.0 {
+            RunningIterSource::Summaries(jobs) => jobs.size_hint(),
+            RunningIterSource::Table(jobs) => jobs.size_hint(),
+        }
+    }
+}
+
+impl ExactSizeIterator for RunningIter<'_> {}
 
 /// The waiting jobs as a policy sees them: the live jobs of the kernel's
 /// wait queue, in queue order, read in place.
@@ -188,8 +327,9 @@ impl std::iter::FusedIterator for WaitingIter<'_> {}
 ///   arrival order with id tie-break, and the service daemon ranks jobs by
 ///   their tenants' fair-share usage; either way
 ///   [`head_of_queue`](SystemView::head_of_queue) is the first job;
-/// * `running` is sorted ascending by job id;
-/// * `completed_stats` equals the fold of `completed`;
+/// * `running` is sorted ascending by job id, and reads the kernel's
+///   cluster;
+/// * `completed_stats` is the fold of every completed record;
 /// * `calendar`, `telemetry` and `queue` are the kernel's own ledger, sink
 ///   and wait queue — `queue` holds exactly the jobs of `waiting`.
 ///
@@ -213,11 +353,9 @@ pub struct SystemView<'a> {
     /// order (submit time, then id).
     pub waiting: Waiting<'a>,
     /// Currently executing jobs, ordered by id.
-    pub running: &'a [RunningSummary],
-    /// Completed job records so far, in completion order.
-    pub completed: &'a [JobRecord],
-    /// O(1) aggregates over `completed` (count, wait/turnaround sums,
-    /// node-seconds) — maintained incrementally, never recomputed.
+    pub running: Running<'a>,
+    /// O(1) aggregates over the completed jobs (count, wait/turnaround
+    /// sums, node-seconds) — maintained incrementally, never recomputed.
     pub completed_stats: CompletedStats,
     /// Jobs known to the workload but not yet arrived.
     pub pending_arrivals: usize,
@@ -226,7 +364,8 @@ pub struct SystemView<'a> {
     /// The kernel's capacity ledger, when this view was built by a kernel —
     /// gives policies the cached per-epoch
     /// [`CapacityCalendar`](crate::profile::CapacityCalendar) through
-    /// [`capacity_calendar`](Self::capacity_calendar). Hand-built views
+    /// [`capacity_calendar`](Self::capacity_calendar), which reads the
+    /// releases from the slot table behind `running`. Hand-built views
     /// (tests, harnesses) leave it `None` and the accessor falls back to an
     /// equivalent calendar built from `running`.
     pub calendar: Option<&'a crate::profile::CapacityLedger>,
@@ -251,9 +390,14 @@ impl<'a> SystemView<'a> {
         self.telemetry.cloned().unwrap_or_default()
     }
 
-    /// The waiting job with the given id.
+    /// The waiting job with the given id. Kernel-built views ask the wait
+    /// queue, which finds it in its dense id column; hand-built views walk
+    /// `waiting`, the definition both agree on.
     pub fn waiting_job(&self, id: JobId) -> Option<&'a JobSpec> {
-        self.waiting.iter().find(|j| j.id == id)
+        let Some(queue) = self.queue else {
+            return self.waiting.iter().find(|j| j.id == id);
+        };
+        queue.find(id).map(|slot| queue.job(slot))
     }
 
     /// The head of the queue: the first waiting job in queue order — the
@@ -329,25 +473,22 @@ impl<'a> SystemView<'a> {
     /// level — what reservation-list backfill policies plan over.
     ///
     /// Kernel-built views answer from the ledger's per-epoch cache
-    /// (rebuilt only when `(now, queue-version, running-version)` moves);
-    /// hand-built views pay an O(R log R) construction from `running`,
-    /// yielding bit-identical scalar columns.
+    /// (rebuilt only when `(now, queue-version, running-version)` moves),
+    /// over the slot table's `(expected_end, id)` index; views without
+    /// both a ledger and a slot table pay an O(R log R) construction from
+    /// `running`, yielding bit-identical scalar columns.
     pub fn capacity_calendar(&self) -> crate::profile::CalendarRef<'a> {
-        match self.calendar {
-            Some(ledger) => crate::profile::CalendarRef::cached(ledger.estimated(
+        use crate::profile::{CalendarRef, CapacityCalendar};
+        match (self.calendar, self.running.table()) {
+            (Some(ledger), Some(cluster)) => {
+                CalendarRef::cached(ledger.estimated(self.now, cluster))
+            }
+            _ => CalendarRef::owned(CapacityCalendar::from_running(
                 self.now,
                 self.free_nodes,
                 self.free_memory_gb,
-                self.free_by_class,
+                self.running,
             )),
-            None => {
-                crate::profile::CalendarRef::owned(crate::profile::CapacityCalendar::from_running(
-                    self.now,
-                    self.free_nodes,
-                    self.free_memory_gb,
-                    self.running,
-                ))
-            }
         }
     }
 }
@@ -373,7 +514,6 @@ mod tests {
     struct Fixture {
         waiting: Vec<JobSpec>,
         running: Vec<RunningSummary>,
-        completed: Vec<JobRecord>,
         pending_arrivals: usize,
     }
 
@@ -395,7 +535,6 @@ mod tests {
                 expected_end: SimTime::from_secs(200),
                 class: None,
             }],
-            completed: vec![JobRecord::new(spec(7, 3, 0, 1, 1), SimTime::ZERO)],
             pending_arrivals: 2,
         }
     }
@@ -409,9 +548,8 @@ mod tests {
                 free_memory_gb: 512,
                 free_by_class: [0; MAX_CLASSES],
                 waiting: self.waiting.as_slice().into(),
-                running: &self.running,
-                completed: &self.completed,
-                completed_stats: CompletedStats::from_records(&self.completed),
+                running: self.running.as_slice().into(),
+                completed_stats: CompletedStats::default(),
                 pending_arrivals: self.pending_arrivals,
                 total_jobs: 6,
                 calendar: None,
@@ -477,14 +615,56 @@ mod tests {
         );
     }
 
+    /// Starts job 100 once, then delays.
+    struct StartsHundred;
+
+    impl crate::SchedulingPolicy for StartsHundred {
+        fn name(&self) -> &str {
+            "starts-100"
+        }
+        fn decide(&mut self, view: &SystemView<'_>) -> crate::Action {
+            match view.running.is_empty() {
+                true => crate::Action::StartJob(JobId(100)),
+                false => crate::Action::Delay,
+            }
+        }
+    }
+
+    /// A kernel-built view finds a job through the queue's id column, a
+    /// hand-built one by walking `waiting`: they agree on a waiting id, on
+    /// a started one whose tombstone still holds its id mid-queue, and on
+    /// an id the queue never saw.
     #[test]
     fn lookup_and_waits() {
+        use crate::kernel::KernelState;
         let f = fixture();
         let v = f.view();
         assert!(v.waiting_job(JobId(2)).is_some());
         assert!(v.waiting_job(JobId(99)).is_none());
         let j1 = v.waiting_job(JobId(1)).cloned().expect("present");
         assert_eq!(v.wait_so_far(&j1), SimDuration::from_secs(90));
+
+        let mut kernel = KernelState::new(ClusterConfig::new(8, 64), SimTime::ZERO);
+        for id in 0..200 {
+            kernel.arrive(spec(id, 0, 0, 1, 2));
+        }
+        kernel.advance_to(SimTime::ZERO);
+        let options = crate::SimOptions::default();
+        let queried = kernel.run_epoch(SimTime::ZERO, 0, 200, &mut StartsHundred, &options);
+        assert_eq!(queried, Ok(true));
+        let built = kernel.view(SimTime::ZERO, 0, 200);
+        assert!(built.queue.is_some());
+        let waiting: Vec<JobSpec> = kernel.waiting().iter().cloned().collect();
+        let by_hand = SystemView {
+            waiting: waiting.as_slice().into(),
+            queue: None,
+            ..built.clone()
+        };
+        for (id, waits) in [(5, true), (100, false), (199, true), (999, false)] {
+            let found = built.waiting_job(JobId(id));
+            assert_eq!(found, by_hand.waiting_job(JobId(id)), "job {id}");
+            assert_eq!(found.map(|j| j.id), waits.then_some(JobId(id)), "job {id}");
+        }
     }
 
     #[test]
@@ -495,13 +675,5 @@ mod tests {
         assert!(!f.view().all_jobs_started(), "arrivals still pending");
         f.pending_arrivals = 0;
         assert!(f.view().all_jobs_started());
-    }
-
-    #[test]
-    fn completed_stats_reflect_the_borrowed_slice() {
-        let f = fixture();
-        let v = f.view();
-        assert_eq!(v.completed_stats.count, v.completed.len());
-        assert_eq!(v.completed_stats, CompletedStats::from_records(v.completed));
     }
 }

@@ -116,8 +116,8 @@ pub mod prelude {
         TenantConfig, TenantId, WallClock,
     };
     pub use rsched_sim::{
-        run_simulation, Action, CompletedStats, DecisionRecord, RunningSummary, SchedulingPolicy,
-        SimOptions, SimOutcome, Simulation, SystemView, Waiting,
+        run_simulation, Action, CompletedStats, DecisionRecord, Running, RunningSummary,
+        SchedulingPolicy, SimOptions, SimOutcome, Simulation, SystemView, Waiting,
     };
     pub use rsched_simkit::{SimDuration, SimTime};
     pub use rsched_telemetry::{

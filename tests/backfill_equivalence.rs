@@ -165,7 +165,7 @@ fn free_profile(
     now: SimTime,
     free_nodes: u32,
     free_memory_gb: u64,
-    running: &[RunningSummary],
+    running: Running<'_>,
 ) -> Profile {
     let mut ends: Vec<(SimTime, u32, u64)> = running
         .iter()

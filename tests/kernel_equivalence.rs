@@ -12,16 +12,16 @@
 //! ```
 
 use reasoned_scheduler::cluster::{
-    classed_overlap_fits, ClusterState, CompletedStats, PlacementRequest, StartError, StepIntegral,
-    MAX_CLASSES,
+    classed_overlap_fits, ClusterState, CompletedStats, NodeClass, PlacementRequest, ResourceVec,
+    RunningJob, RunningOrder, StartError, StepIntegral, MAX_CLASSES,
 };
 use reasoned_scheduler::cpsolver::SolverConfig;
 use reasoned_scheduler::prelude::*;
 use reasoned_scheduler::registry::names;
 use reasoned_scheduler::sim::{
-    ActionOutcome, CapacityLedger, KernelState, RejectReason, RunningSummary, SimError, SimStats,
+    ActionOutcome, CapacityCalendar, CapacityLedger, KernelState, RejectReason, SimError, SimStats,
 };
-use reasoned_scheduler::simkit::EventQueue;
+use reasoned_scheduler::simkit::{EventQueue, Rng, Xoshiro256PlusPlus};
 
 mod common;
 use common::serve_with_fair_share;
@@ -112,52 +112,22 @@ fn reference_simulate(
                     });
                 }
                 // Straight-line snapshot: rebuild every collection and
-                // recompute the aggregate from scratch, per query. The
-                // cluster lists its running jobs in slot order; the view
-                // lists them by id.
-                let mut running: Vec<RunningSummary> = cluster
-                    .running()
-                    .map(|r| RunningSummary {
-                        id: r.spec.id,
-                        user: r.spec.user,
-                        nodes: r.spec.nodes,
-                        // What the cluster debited: the request on flat
-                        // machines, the hosting classes' capacity on
-                        // classed ones.
-                        memory_gb: r.allocation.memory_gb,
-                        start: r.start,
-                        submit: r.spec.submit,
-                        expected_end: r.start + r.spec.walltime,
-                        class: r.spec.class,
-                    })
-                    .collect();
-                running.sort_by_key(|r| r.id);
-                let completed = cluster.completed().to_vec();
-                // Straight-line calendar: the release ledger rebuilt from
-                // the running set per query, so a policy planning over
-                // `capacity_calendar()` reads the per-class columns here
-                // too (the running summaries carry none).
-                let mut ledger = CapacityLedger::new();
-                for r in cluster.running() {
-                    ledger.job_started(
-                        r.spec.id,
-                        r.start + r.spec.walltime,
-                        r.end,
-                        r.spec.nodes,
-                        r.allocation.memory_gb,
-                        r.allocation.by_class,
-                    );
-                }
+                // recompute the aggregate from scratch, per query. A fresh
+                // copy of the cluster carries no index, so the view's id
+                // order and the calendar's release order are each one
+                // sort of the slot table; a fresh ledger has no cached
+                // calendar.
+                let table = cluster.clone();
+                let ledger = CapacityLedger::new();
                 let view = SystemView {
                     now,
-                    config: cluster.config(),
-                    free_nodes: cluster.free_nodes(),
-                    free_memory_gb: cluster.free_memory_gb(),
-                    free_by_class: cluster.free_by_class(),
+                    config: table.config(),
+                    free_nodes: table.free_nodes(),
+                    free_memory_gb: table.free_memory_gb(),
+                    free_by_class: table.free_by_class(),
                     waiting: waiting.as_slice().into(),
-                    running: &running,
-                    completed: &completed,
-                    completed_stats: CompletedStats::from_records(&completed),
+                    running: Running::from(&table),
+                    completed_stats: CompletedStats::from_records(table.completed()),
                     pending_arrivals,
                     total_jobs: jobs.len(),
                     calendar: Some(&ledger),
@@ -1168,4 +1138,144 @@ fn fifty_thousand_jobs_complete_within_a_generous_bound() {
         wall.as_secs_f64() < 60.0,
         "50k jobs took {wall:?}; the kernel has regressed to superlinear per-query work"
     );
+}
+
+/// Starts a random eligible job, or — one query in three — delays.
+struct StartsSometimes(Xoshiro256PlusPlus);
+
+impl SchedulingPolicy for StartsSometimes {
+    fn name(&self) -> &str {
+        "starts-sometimes"
+    }
+
+    fn decide(&mut self, view: &SystemView<'_>) -> Action {
+        let eligible: Vec<JobId> = view.eligible_now().map(|j| j.id).collect();
+        if eligible.is_empty() || self.0.gen_index(3) == 0 {
+            return Action::Delay;
+        }
+        Action::StartJob(eligible[self.0.gen_index(eligible.len())])
+    }
+}
+
+/// A job arriving at `now`: up to 16 nodes, a walltime of up to 300 s that
+/// the job may end well before; on a classed machine some ask for GPUs and
+/// some for a class.
+fn interleaving_job(rng: &mut Xoshiro256PlusPlus, id: u32, now: SimTime, flat: bool) -> JobSpec {
+    let walltime = rng.gen_range_inclusive(10, 300);
+    let duration = rng.gen_range_inclusive(1, walltime);
+    let nodes = rng.gen_range_inclusive(1, 16) as u32;
+    let memory_gb = rng.gen_range_inclusive(1, 64);
+    let job = JobSpec::new(
+        id,
+        rng.gen_index(4) as u32,
+        now,
+        SimDuration::from_secs(duration),
+        nodes,
+        memory_gb,
+    )
+    .with_walltime(SimDuration::from_secs(walltime));
+    match (flat, rng.gen_index(4)) {
+        (true, _) | (false, 0 | 1) => job,
+        (false, 2) => job.with_per_node(ResourceVec::new(0, 2, 0, 0)),
+        (false, _) => job.with_class(NodeClass::BigMem),
+    }
+}
+
+/// The calendar a sorted sweep of `cluster.running()` gives, each job
+/// releasing at `end_of` it.
+fn swept_calendar(
+    cluster: &ClusterState,
+    now: SimTime,
+    end_of: fn(&RunningJob) -> SimTime,
+) -> CapacityCalendar {
+    let mut releases: Vec<_> = cluster
+        .running()
+        .map(|j| (end_of(j), j.spec.id, j.spec.nodes, j.allocation))
+        .collect();
+    releases.sort_by_key(|&(time, id, ..)| (time, id));
+    CapacityCalendar::build(
+        now,
+        cluster.free_nodes(),
+        cluster.free_memory_gb(),
+        cluster.free_by_class(),
+        releases
+            .into_iter()
+            .map(|(time, _, nodes, held)| (time, nodes, held.memory_gb, held.by_class)),
+    )
+}
+
+/// The slot table's three indices against a straight sweep: random starts
+/// and completions interleave on a flat machine and on `mixed_256`, each
+/// index is first read at its own random step, and from that read on every
+/// running view equals the id-sorted summaries of `cluster.running()` and
+/// every estimated and actual calendar the one built over its sorted sweep
+/// — so the maintenance of an index by starts and completions is checked
+/// against its definition after every epoch it lives through.
+#[test]
+fn slot_table_indices_match_a_sorted_sweep_from_their_first_read_on() {
+    const STEPS: u64 = 300;
+    for config in [ClusterConfig::new(64, 512), ClusterConfig::mixed_256()] {
+        for seed in 0..4u64 {
+            let mut rng = Xoshiro256PlusPlus::seed_from_u64(seed);
+            let mut policy = StartsSometimes(Xoshiro256PlusPlus::seed_from_u64(seed + 100));
+            let mut kernel = KernelState::new(config, SimTime::ZERO);
+            let first_read: [u64; 3] = std::array::from_fn(|_| rng.gen_range_u64(STEPS));
+            let [running_from, estimated_from, actual_from] = first_read;
+            let (mut next_id, mut peak) = (0u32, 0);
+            for step in 0..STEPS {
+                let now = SimTime::from_secs(step * 10);
+                for _ in 0..rng.gen_index(4) {
+                    kernel.arrive(interleaving_job(&mut rng, next_id, now, config.is_flat()));
+                    next_id += 1;
+                }
+                kernel.advance_to(now);
+                let options = SimOptions::default();
+                let epoch = kernel.run_epoch(now, 1, usize::MAX, &mut policy, &options);
+                epoch.expect("the epoch runs");
+
+                let cluster = kernel.cluster();
+                peak = peak.max(cluster.running_count());
+                let view = kernel.view(now, 1, usize::MAX);
+                let label = format!("seed {seed}, step {step}, flat: {}", config.is_flat());
+                // No index exists before its first read.
+                let orders = [
+                    RunningOrder::Id,
+                    RunningOrder::ExpectedEnd,
+                    RunningOrder::End,
+                ];
+                let built = orders.map(|order| cluster.order_built(order));
+                assert_eq!(built, first_read.map(|from| step > from), "{label}");
+                if step >= running_from {
+                    let mut summaries: Vec<RunningSummary> = cluster
+                        .running()
+                        .map(|j| RunningSummary {
+                            id: j.spec.id,
+                            user: j.spec.user,
+                            nodes: j.spec.nodes,
+                            memory_gb: j.allocation.memory_gb,
+                            start: j.start,
+                            submit: j.spec.submit,
+                            expected_end: j.expected_end(),
+                            class: j.spec.class,
+                        })
+                        .collect();
+                    summaries.sort_by_key(|r| r.id);
+                    assert_eq!(view.running, Running::from(&summaries[..]), "{label}");
+                }
+                if step >= estimated_from {
+                    let swept = swept_calendar(cluster, now, RunningJob::expected_end);
+                    assert_eq!(*view.capacity_calendar(), swept, "{label}");
+                }
+                if step >= actual_from {
+                    let ledger = view.calendar.expect("a kernel-built view");
+                    let swept = swept_calendar(cluster, now, |j| j.end);
+                    assert_eq!(*ledger.actual(now, cluster), swept, "{label}");
+                }
+            }
+            assert!(
+                peak >= 4,
+                "seed {seed}: at most {peak} jobs ever ran at once"
+            );
+        }
+    }
 }

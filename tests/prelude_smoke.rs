@@ -102,8 +102,7 @@ fn sim_types_construct_and_run() {
         free_memory_gb: config.memory_gb,
         free_by_class: [0; reasoned_scheduler::cluster::MAX_CLASSES],
         waiting: Waiting::default(),
-        running: &[],
-        completed: &[],
+        running: Default::default(),
         completed_stats: CompletedStats::default(),
         pending_arrivals: 0,
         total_jobs: 0,

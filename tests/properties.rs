@@ -570,8 +570,7 @@ proptest! {
             free_memory_gb: free_mem,
             free_by_class: [0; reasoned_scheduler::cluster::MAX_CLASSES],
             waiting: waiting_specs.as_slice().into(),
-            running: &running_summaries,
-            completed: &[],
+            running: running_summaries.as_slice().into(),
             completed_stats: reasoned_scheduler::cluster::CompletedStats::default(),
             pending_arrivals: pending,
             total_jobs: waiting_specs.len() + running_summaries.len() + pending,
@@ -731,8 +730,7 @@ proptest! {
                 free_memory_gb: 5,
                 free_by_class: [0; MAX_CLASSES],
                 waiting: waiting.as_slice().into(),
-                running: &running,
-                completed: &[],
+                running: running.as_slice().into(),
                 completed_stats: reasoned_scheduler::cluster::CompletedStats::default(),
                 pending_arrivals: 0,
                 total_jobs: waiting.len() + running.len(),
@@ -808,8 +806,7 @@ proptest! {
             free_memory_gb: 0,
             free_by_class: [0; MAX_CLASSES],
             waiting: waiting.as_slice().into(),
-            running: &running,
-            completed: &[],
+            running: running.as_slice().into(),
             completed_stats: reasoned_scheduler::cluster::CompletedStats::default(),
             pending_arrivals: 0,
             total_jobs: waiting.len(),
@@ -1386,7 +1383,7 @@ impl SchedulingPolicy for ShadowNoting {
         let action = self.inner.decide(view);
         if matches!(action, Action::BackfillJob(_)) {
             let head = view.head_of_queue().expect("a backfill passes a head");
-            let mut running: Vec<&RunningSummary> = view.running.iter().collect();
+            let mut running: Vec<RunningSummary> = view.running.iter().collect();
             running.sort_by_key(|r| r.expected_end);
             let (mut nodes, mut mem) = (view.free_nodes, view.free_memory_gb);
             let mut shadow = view.now;

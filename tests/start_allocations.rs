@@ -1,7 +1,8 @@
 //! A start holds counts, not nodes: once the cluster's slot table has grown
 //! to the run's concurrency and the record log has room, starting and
 //! completing a job touches no heap — on the flat Polaris machine and on
-//! the classed `mixed_256` alike. Nor does the agent's prompt, once its
+//! the classed `mixed_256` alike, and with the table's indices built as
+//! without them. Nor does the agent's prompt, once its
 //! builder has written one: each job line is copied from its line store or
 //! formatted into room the buffers already have.
 //!
@@ -15,7 +16,8 @@ use std::collections::VecDeque;
 
 use reasoned_scheduler::agent::{PromptBuilder, Scratchpad};
 use reasoned_scheduler::cluster::{
-    ClusterConfig, ClusterState, CompletedStats, JobSpec, NodeClass, ResourceVec, MAX_CLASSES,
+    ClusterConfig, ClusterState, CompletedStats, JobSpec, NodeClass, ResourceVec, RunningOrder,
+    MAX_CLASSES,
 };
 use reasoned_scheduler::sim::{RunningSummary, SystemView};
 use reasoned_scheduler::simkit::{SimDuration, SimTime};
@@ -81,11 +83,21 @@ fn job(i: u32) -> JobSpec {
 }
 
 /// `cycles` start→complete pairs on `config`, counted once a first round
-/// has grown the slot table to `WINDOW` rows: they allocate nothing.
-fn cycles_allocate_nothing(config: ClusterConfig, cycles: u32) {
+/// has grown the slot table to `WINDOW` rows (and, `indexed`, every order's
+/// index, read before the first start): they allocate nothing.
+fn cycles_allocate_nothing(config: ClusterConfig, cycles: u32, indexed: bool) {
     let warm = 2 * WINDOW as u32;
     let mut cluster = ClusterState::new(config);
     cluster.reserve_completed((warm + cycles) as usize);
+    if indexed {
+        for order in [
+            RunningOrder::Id,
+            RunningOrder::ExpectedEnd,
+            RunningOrder::End,
+        ] {
+            assert_eq!(cluster.running_in(order).len(), 0);
+        }
+    }
     let jobs: Vec<JobSpec> = (0..warm + cycles).map(job).collect();
     let mut held: VecDeque<(usize, SimTime)> = VecDeque::with_capacity(WINDOW + 1);
     let mut cycle = |cluster: &mut ClusterState, spec: &JobSpec| {
@@ -112,16 +124,20 @@ fn cycles_allocate_nothing(config: ClusterConfig, cycles: u32) {
     );
     assert_eq!(cluster.running_count(), WINDOW);
     assert_eq!(cluster.completed().len(), jobs.len() - WINDOW);
+    assert_eq!(cluster.running_in(RunningOrder::Id).len(), WINDOW);
+    cluster.check_invariants();
 }
 
 #[test]
 fn a_start_allocates_nothing_on_polaris() {
-    cycles_allocate_nothing(ClusterConfig::polaris(), 1000);
+    cycles_allocate_nothing(ClusterConfig::polaris(), 1000, false);
+    cycles_allocate_nothing(ClusterConfig::polaris(), 1000, true);
 }
 
 #[test]
 fn a_start_allocates_nothing_on_mixed_256() {
-    cycles_allocate_nothing(ClusterConfig::mixed_256(), 1000);
+    cycles_allocate_nothing(ClusterConfig::mixed_256(), 1000, false);
+    cycles_allocate_nothing(ClusterConfig::mixed_256(), 1000, true);
 }
 
 /// The agent's prompt for 60 waiting and 10 running jobs under a short
@@ -154,8 +170,7 @@ fn a_warm_prompt_builder_allocates_nothing() {
         free_memory_gb: 1000,
         free_by_class: [0; MAX_CLASSES],
         waiting: waiting.as_slice().into(),
-        running: &running,
-        completed: &[],
+        running: running.as_slice().into(),
         completed_stats: CompletedStats::default(),
         pending_arrivals: 0,
         total_jobs: 70,

@@ -215,6 +215,54 @@ fn queue_order_is_built_once_for_sjf_and_never_for_fcfs() {
     assert_eq!((builds, probes), (0, 0), "FCFS never asks, so never pays");
 }
 
+/// The slot table's indices, as work rather than seconds: each is built
+/// from the table at its first read and kept from then on, so a run builds
+/// only the orders its readers ask for, once. On the seed-7
+/// `heterogeneous_mix` cells FCFS and SJF read none; EASY and Conservative
+/// plan over the estimated calendar; the kernel's strict veto reads the
+/// actual one besides; the agent's prompt reads the running jobs by id.
+#[test]
+fn each_index_of_the_slot_table_is_built_once_and_only_for_its_readers() {
+    let builds = |policy_name: &str, options: SimOptions| {
+        let cluster = ClusterConfig::paper_default();
+        let jobs = workload_jobs(7);
+        let ctx = PolicyContext::new(&jobs, cluster).with_seed(7);
+        let mut policy = PolicyRegistry::with_builtins()
+            .build(policy_name, &ctx)
+            .expect("builtin policy");
+        let sink = TelemetrySink::recording();
+        let sim = Simulation::new(cluster).jobs(&jobs).options(options);
+        sim.telemetry(&sink)
+            .run(policy.as_mut())
+            .expect("simulation completes");
+        let snapshot = sink.snapshot().expect("recording sink snapshots");
+        (
+            counter(&snapshot, "sim_running_index_builds_total"),
+            counter(&snapshot, "sim_release_index_builds_total"),
+        )
+    };
+    let default = SimOptions::default();
+    let strict = SimOptions {
+        strict_backfill: true,
+        ..default
+    };
+    for (policy, options, expected) in [
+        ("FCFS", default, (0, 0)),
+        ("SJF", default, (0, 0)),
+        ("EASY", default, (0, 1)),
+        ("Conservative", default, (0, 1)),
+        ("EASY", strict, (0, 2)),
+        ("Claude-3.7", default, (1, 0)),
+    ] {
+        let strict = options.strict_backfill;
+        assert_eq!(
+            builds(policy, options),
+            expected,
+            "{policy}, strict: {strict}"
+        );
+    }
+}
+
 /// The wait queue's removals, as work rather than seconds: a started job
 /// leaves a tombstone wherever it sits, and the compaction that drops the
 /// tombstones moves each waiting job behind one once — on SJF's seed-7 cell
