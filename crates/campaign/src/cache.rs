@@ -29,7 +29,8 @@ pub(crate) fn render_cell(result: &CellResult, hash: u64) -> String {
     s.push_str(&format!("policy = \"{}\"\n", result.cell.policy));
     s.push_str(&format!("scenario = \"{}\"\n", result.cell.scenario));
     s.push_str(&format!("jobs = {}\n", result.cell.jobs));
-    s.push_str(&format!("seed = {}\n", result.cell.seed));
+    // The workload seed; the policy seed is covered by the hash alone.
+    s.push_str(&format!("seed = {}\n", result.cell.workload_seed));
     for (m, v) in Metric::all().into_iter().zip(result.metrics) {
         s.push_str(&format!("{} = {}\n", m.key(), fmt_float(v)));
     }
@@ -70,7 +71,7 @@ fn parse_cell(text: &str, expected: &CellSpec, expected_hash: u64) -> Option<Cel
     if table.get("policy")?.as_str()? != expected.policy
         || table.get("scenario")?.as_str()? != expected.scenario
         || table.get("jobs")?.as_int()? != i64::try_from(expected.jobs).ok()?
-        || table.get("seed")?.as_int()? != i64::try_from(expected.seed).ok()?
+        || table.get("seed")?.as_int()? != i64::try_from(expected.workload_seed).ok()?
     {
         return None;
     }
@@ -104,7 +105,8 @@ mod tests {
                 policy: "FCFS".to_string(),
                 scenario: "heterogeneous_mix".to_string(),
                 jobs: 60,
-                seed: 2025,
+                workload_seed: 2025,
+                policy_seed: 2025,
             },
             metrics: [
                 canon(1234.5),
@@ -149,7 +151,7 @@ mod tests {
         write_cell(&dir, &r, 0xfeed).expect("writes");
         assert!(read_cell(&dir, &r.cell, 0xbeef).is_none(), "hash mismatch");
         let mut other = r.cell.clone();
-        other.seed = 1;
+        other.workload_seed = 1;
         assert!(read_cell(&dir, &other, 0xfeed).is_none(), "absent cell");
         let _ = std::fs::remove_dir_all(&dir);
     }

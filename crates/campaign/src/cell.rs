@@ -1,4 +1,4 @@
-//! One grid cell: `(policy, scenario, jobs, seed)`, its content hash,
+//! One grid cell: `(policy, scenario, jobs, seeds)`, its content hash,
 //! and its canonical result.
 //!
 //! Cells are **content-addressed**: the hash folds in every input that
@@ -20,7 +20,8 @@ use rsched_simkit::rng::SeedTree;
 /// as first-fit with none).
 pub(crate) const CACHE_FORMAT: u32 = 3;
 
-/// One `(policy, scenario, jobs, seed)` coordinate of the campaign grid.
+/// One `(policy, scenario, jobs, seeds)` coordinate of a grid: a campaign
+/// cell, or a figure cell.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CellSpec {
     /// Policy registry name.
@@ -29,31 +30,30 @@ pub struct CellSpec {
     pub scenario: String,
     /// Queue size.
     pub jobs: usize,
-    /// Replication seed.
-    pub seed: u64,
+    /// The workload generator's seed: every policy at a given `(scenario,
+    /// jobs, workload_seed)` faces the identical workload.
+    pub workload_seed: u64,
+    /// The stochastic policies' seed (LLM sampling noise, the random
+    /// policy, solver restarts). A campaign derives it per policy from
+    /// the replication seed ([`crate::Campaign::grid`]), so policies never
+    /// share RNG streams.
+    pub policy_seed: u64,
+}
+
+/// The policy seed a campaign gives `policy` at replication seed `seed`.
+pub(crate) fn derived_policy_seed(policy: &str, seed: u64) -> u64 {
+    SeedTree::new(seed).derive(policy, 0)
 }
 
 impl CellSpec {
-    /// The workload generator seed: the replication seed itself, so every
-    /// policy at a given `(scenario, jobs, seed)` faces the identical
-    /// workload.
-    pub fn workload_seed(&self) -> u64 {
-        self.seed
-    }
-
-    /// The stochastic-policy seed, derived per policy from the
-    /// replication seed so policies never share RNG streams.
-    pub fn policy_seed(&self) -> u64 {
-        SeedTree::new(self.seed).derive(&self.policy, 0)
-    }
-
     /// Content hash of this cell under the given execution environment
     /// (solver budget + cluster + walltime skew), salted with the
     /// workspace version and [`CACHE_FORMAT`].
     ///
-    /// Classed topology and a non-unit walltime skew are folded in as
-    /// *conditional* trailing segments: a flat cluster with exact
-    /// estimates hashes exactly as it did before either knob existed, so
+    /// Classed topology, a non-unit walltime skew and a policy seed other
+    /// than the campaign's derivation are folded in as *conditional*
+    /// trailing segments: a campaign cell on a flat cluster with exact
+    /// estimates hashes exactly as it did before any of them existed, so
     /// no previously cached flat-grid cell is invalidated. The literals
     /// `9,500000` before the solver budget and `false` after it are where
     /// removed knobs were printed (the size limit and node budget of the
@@ -72,7 +72,7 @@ impl CellSpec {
             self.policy.to_lowercase(),
             self.scenario.to_lowercase(),
             self.jobs,
-            self.seed,
+            self.workload_seed,
             solver.sa_iterations_per_task,
             solver.sa_iteration_cap,
             cluster.nodes,
@@ -92,27 +92,31 @@ impl CellSpec {
         if skew != 1.0 {
             let _ = write!(canonical, "|skew:{}", crate::toml::fmt_float(skew));
         }
+        if self.policy_seed != derived_policy_seed(&self.policy, self.workload_seed) {
+            let _ = write!(canonical, "|policy_seed:{}", self.policy_seed);
+        }
         fnv1a64(canonical.as_bytes())
     }
 
-    /// A short human-readable label: `policy × scenario/jobs seed=N`.
+    /// A short human-readable label: `policy × scenario/jobs seed=N`, `N`
+    /// the workload seed.
     pub fn label(&self) -> String {
         format!(
             "{} × {}/{} seed={}",
-            self.policy, self.scenario, self.jobs, self.seed
+            self.policy, self.scenario, self.jobs, self.workload_seed
         )
     }
 
-    /// The cache file name for this cell: readable coordinates plus the
-    /// content hash, so a `ls` of the cells directory doubles as a grid
-    /// manifest.
+    /// The cache file name for this cell: readable coordinates (`s` is the
+    /// workload seed) plus the content hash, so a `ls` of the cells
+    /// directory doubles as a grid manifest.
     pub fn file_name(&self, hash: u64) -> String {
         format!(
             "{}__{}__j{}__s{}__{hash:016x}.toml",
             sanitize(&self.policy),
             sanitize(&self.scenario),
             self.jobs,
-            self.seed
+            self.workload_seed
         )
     }
 }
@@ -203,7 +207,8 @@ mod tests {
             policy: "FCFS".to_string(),
             scenario: "heterogeneous_mix".to_string(),
             jobs: 60,
-            seed: 2025,
+            workload_seed: 2025,
+            policy_seed: derived_policy_seed("FCFS", 2025),
         }
     }
 
@@ -228,7 +233,13 @@ mod tests {
         c.jobs = 61;
         assert_ne!(base, c.content_hash(&solver, cluster, 1.0));
         let mut c = cell();
-        c.seed = 2026;
+        c.workload_seed = 2026;
+        c.policy_seed = derived_policy_seed("FCFS", 2026);
+        assert_ne!(base, c.content_hash(&solver, cluster, 1.0));
+        // A derived policy seed adds nothing to the hash (the pinned test
+        // below); any other one does.
+        let mut c = cell();
+        c.policy_seed += 1;
         assert_ne!(base, c.content_hash(&solver, cluster, 1.0));
 
         let mut other_solver = solver;
@@ -254,8 +265,11 @@ mod tests {
     fn hash_is_case_insensitive_like_the_registries() {
         let solver = SolverConfig::default();
         let cluster = ClusterConfig::paper_default();
-        let mut c = cell();
-        c.policy = "fcfs".to_string();
+        let c = CellSpec {
+            policy: "fcfs".to_string(),
+            policy_seed: derived_policy_seed("fcfs", 2025),
+            ..cell()
+        };
         assert_eq!(
             cell().content_hash(&solver, cluster, 1.0),
             c.content_hash(&solver, cluster, 1.0)
@@ -286,10 +300,13 @@ mod tests {
     #[test]
     fn seeds_derive_per_policy() {
         let a = cell();
-        let mut b = cell();
-        b.policy = "Random".to_string();
-        assert_eq!(a.workload_seed(), b.workload_seed(), "same workload");
-        assert_ne!(a.policy_seed(), b.policy_seed(), "distinct policy noise");
+        let b = CellSpec {
+            policy: "Random".to_string(),
+            policy_seed: derived_policy_seed("Random", a.workload_seed),
+            ..cell()
+        };
+        assert_eq!(a.workload_seed, b.workload_seed, "same workload");
+        assert_ne!(a.policy_seed, b.policy_seed, "distinct policy noise");
     }
 
     #[test]

@@ -18,7 +18,7 @@ use rsched_sim::{OverheadReport, SimStats, Simulation};
 use rsched_workloads::{ArrivalMode, ScenarioContext, ScenarioRegistry};
 
 use crate::cache::{read_cell, write_cell};
-use crate::cell::{CellResult, CellSpec};
+use crate::cell::{derived_policy_seed, CellResult, CellSpec};
 use crate::error::CampaignError;
 use crate::observer::{CampaignObserver, NullObserver};
 use crate::spec::CampaignSpec;
@@ -97,7 +97,8 @@ impl Campaign {
     }
 
     /// The full grid in grid order: scenarios × jobs × policies × seeds,
-    /// minus exclusions.
+    /// minus exclusions. A seed is each cell's workload seed, and each
+    /// policy's seed is derived from it per policy.
     pub fn grid(&self) -> Vec<CellSpec> {
         let mut cells = Vec::new();
         for scenario in &self.spec.scenarios {
@@ -111,7 +112,8 @@ impl Campaign {
                             policy: policy.clone(),
                             scenario: scenario.clone(),
                             jobs,
-                            seed,
+                            workload_seed: seed,
+                            policy_seed: derived_policy_seed(policy, seed),
                         });
                     }
                 }
@@ -175,7 +177,13 @@ impl Campaign {
             let scenarios = Arc::clone(&self.scenarios);
             pool.spawn(move || {
                 let result = catch_unwind(AssertUnwindSafe(|| {
-                    run_cell(&policies, &scenarios, cell, solver, cluster, skew)
+                    let (cell, run) = run_cell(&policies, &scenarios, cell, solver, cluster, skew);
+                    CellResult::new(
+                        cell,
+                        &run.report,
+                        run.stats.placements as u64,
+                        run.stats.epochs as u64,
+                    )
                 }));
                 // The receiver bails on the first panic; later sends then
                 // fail, which is expected and ignorable.
@@ -243,8 +251,8 @@ pub struct PolicyRun {
 }
 
 /// Build `policy` from `policies` by registry name, run it over `jobs` on
-/// `cluster`, and score the schedule — the one way a campaign cell or a
-/// figure cell is run.
+/// `cluster`, and score the schedule — what [`run_cell`] does once it has
+/// the cell's workload.
 ///
 /// `policy_seed` feeds the stochastic policies (LLM sampling noise, the
 /// random policy, solver restarts); deterministic ones ignore it. Fails
@@ -280,10 +288,11 @@ pub fn run_policy(
     })
 }
 
-/// Execute one cell: generate the workload by scenario name, run the
-/// policy on it with [`run_policy`], and canonicalize the metrics.
+/// Execute one cell — the one way a campaign cell or a figure cell is
+/// run: generate the workload by scenario name, and run the policy on it
+/// with [`run_policy`].
 ///
-/// The cell is taken by value and handed back inside the result, so a
+/// The cell is taken by value and handed back beside its run, so a
 /// worker neither copies nor frees what the coordinating thread allocated.
 ///
 /// # Panics
@@ -296,10 +305,10 @@ pub fn run_cell(
     solver: SolverConfig,
     cluster: ClusterConfig,
     walltime_skew: f64,
-) -> CellResult {
+) -> (CellSpec, PolicyRun) {
     let ctx = ScenarioContext::new(cell.jobs)
         .with_mode(ArrivalMode::Dynamic)
-        .with_seed(cell.workload_seed())
+        .with_seed(cell.workload_seed)
         .with_cluster(cluster)
         .with_walltime_skew(walltime_skew);
     let workload = scenarios
@@ -310,16 +319,11 @@ pub fn run_cell(
         &cell.policy,
         &workload.jobs,
         cluster,
-        cell.policy_seed(),
+        cell.policy_seed,
         solver,
     )
     .unwrap_or_else(|e| panic!("policy `{}`: {e}", cell.policy));
-    CellResult::new(
-        cell,
-        &run.report,
-        run.stats.placements as u64,
-        run.stats.epochs as u64,
-    )
+    (cell, run)
 }
 
 #[cfg(test)]
@@ -419,14 +423,16 @@ exclude = ["SJF/10"]
             policy: "Random".to_string(),
             scenario: "long_tail".to_string(),
             jobs: 12,
-            seed: 5,
+            workload_seed: 5,
+            policy_seed: 9,
         };
         let solver = SolverConfig::default();
         let cluster = ClusterConfig::paper_default();
-        let a = run_cell(&policies, &scenarios, cell.clone(), solver, cluster, 1.0);
-        let b = run_cell(&policies, &scenarios, cell, solver, cluster, 1.0);
-        assert_eq!(a, b);
-        assert_eq!(a.placements, 12);
+        let (cell, a) = run_cell(&policies, &scenarios, cell, solver, cluster, 1.0);
+        let (back, b) = run_cell(&policies, &scenarios, cell.clone(), solver, cluster, 1.0);
+        assert_eq!(back, cell, "the cell comes back as it went in");
+        assert_eq!((a.report, a.stats), (b.report, b.stats));
+        assert_eq!(a.stats.placements, 12);
     }
 
     #[test]

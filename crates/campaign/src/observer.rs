@@ -185,7 +185,8 @@ mod tests {
             policy: "FCFS".to_string(),
             scenario: "long_tail".to_string(),
             jobs: 10,
-            seed: 1,
+            workload_seed: 1,
+            policy_seed: crate::cell::derived_policy_seed("FCFS", 1),
         }
     }
 

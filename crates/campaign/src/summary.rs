@@ -371,7 +371,8 @@ objectives = ["avg_wait", "node_util"]
                 policy: policy.to_string(),
                 scenario: "s1".to_string(),
                 jobs: 10,
-                seed,
+                workload_seed: seed,
+                policy_seed: seed,
             },
             metrics,
             placements: 10,

@@ -236,45 +236,6 @@ pub enum StartError {
     ExceedsCapacity,
 }
 
-/// O(1) running aggregates over the completed-job ledger.
-///
-/// Maintained incrementally by [`ClusterState::complete_job`], so policies
-/// and views that only need totals (count, wait/turnaround sums, delivered
-/// node-seconds) never have to walk — or worse, clone — the full
-/// [`JobRecord`] vector. This is one of the incremental hooks behind the
-/// zero-copy `SystemView` snapshot in `rsched-sim`.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct CompletedStats {
-    /// Number of completed jobs.
-    pub count: usize,
-    /// Sum of queued wait times (`x_j − s_j`), seconds.
-    pub(crate) total_wait_secs: f64,
-    /// Sum of turnaround times (`x_j + d_j − s_j`), seconds.
-    pub(crate) total_turnaround_secs: f64,
-    /// Sum of delivered node-seconds (`n_j · d_j`).
-    pub(crate) total_node_seconds: f64,
-}
-
-impl CompletedStats {
-    /// Fold one completed record into the aggregate.
-    pub fn absorb(&mut self, record: &JobRecord) {
-        self.count += 1;
-        self.total_wait_secs += record.wait().as_secs_f64();
-        self.total_turnaround_secs += record.turnaround().as_secs_f64();
-        self.total_node_seconds += record.spec.node_seconds();
-    }
-
-    /// The aggregate of a whole record slice (the straight-line reference
-    /// for the incremental path).
-    pub fn from_records(records: &[JobRecord]) -> Self {
-        let mut stats = CompletedStats::default();
-        for record in records {
-            stats.absorb(record);
-        }
-        stats
-    }
-}
-
 /// The mutable cluster state: allocator, the running jobs' slot table and
 /// its indices, and the completed records.
 ///
@@ -293,7 +254,6 @@ pub struct ClusterState {
     /// at the order's first read, kept by start and complete from then on.
     orders: [OnceCell<Vec<OrderEntry>>; 3],
     completed: Vec<JobRecord>,
-    completed_stats: CompletedStats,
 }
 
 impl ClusterState {
@@ -311,7 +271,6 @@ impl ClusterState {
             free_slots: Vec::new(),
             orders: Default::default(),
             completed: Vec::new(),
-            completed_stats: CompletedStats::default(),
         }
     }
 
@@ -421,7 +380,6 @@ impl ClusterState {
             start: job.start,
             end: job.end,
         };
-        self.completed_stats.absorb(&record);
         self.completed.push(record);
         self.completed.last().expect("just pushed")
     }
@@ -468,13 +426,6 @@ impl ClusterState {
     /// — the end-of-run hand-over, without a second copy of every record.
     pub fn into_completed(self) -> Vec<JobRecord> {
         self.completed
-    }
-
-    /// O(1) aggregates over the completed records, maintained incrementally
-    /// at every [`ClusterState::complete_job`] — never recomputed by
-    /// scanning.
-    pub fn completed_stats(&self) -> CompletedStats {
-        self.completed_stats
     }
 
     /// Nodes currently in use.
@@ -546,11 +497,6 @@ impl ClusterState {
                 );
             }
         }
-        assert_eq!(
-            self.completed_stats.count,
-            self.completed.len(),
-            "completed-stats ledger drift"
-        );
     }
 }
 
@@ -671,27 +617,6 @@ mod tests {
         let mut c = ClusterState::new(ClusterConfig::paper_default());
         let (slot, _) = c.start_job(&spec(1, 100, 1, 1), SimTime::ZERO).expect("ok");
         c.complete_job(slot, SimTime::from_secs(99));
-    }
-
-    #[test]
-    fn completed_stats_match_a_full_rescan() {
-        let mut c = ClusterState::new(ClusterConfig::paper_default());
-        for (i, (dur, nodes, start)) in [(100u64, 4u32, 0u64), (50, 8, 100), (70, 2, 150)]
-            .into_iter()
-            .enumerate()
-        {
-            let s = spec(i as u32 + 1, dur, nodes, 1);
-            let (slot, _) = c.start_job(&s, SimTime::from_secs(start)).expect("starts");
-            c.complete_job(slot, SimTime::from_secs(start + dur));
-        }
-        let incremental = c.completed_stats();
-        let rescan = CompletedStats::from_records(c.completed());
-        assert_eq!(incremental, rescan, "incremental == straight-line rescan");
-        assert_eq!(incremental.count, 3);
-        // All submits are t=0, so total wait is the sum of start times.
-        assert!((incremental.total_wait_secs - 250.0).abs() < 1e-9);
-        assert!((incremental.total_turnaround_secs - (100.0 + 150.0 + 220.0)).abs() < 1e-9);
-        assert!((incremental.total_node_seconds - (400.0 + 400.0 + 140.0)).abs() < 1e-9);
     }
 
     #[test]

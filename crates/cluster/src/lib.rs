@@ -70,9 +70,7 @@ pub mod utilization;
 pub use allocator::{
     compatible_slots, Allocation, ClassedAllocator, FirstFitAllocator, PlacementRequest, SlotSet,
 };
-pub use cluster::{
-    ClusterConfig, ClusterState, CompletedStats, RunningIn, RunningJob, RunningOrder, StartError,
-};
+pub use cluster::{ClusterConfig, ClusterState, RunningIn, RunningJob, RunningOrder, StartError};
 pub use job::{GroupId, JobId, JobRecord, JobSpec, UserId};
 pub use reservation::classed_overlap_fits;
 pub use resources::ResourceVec;

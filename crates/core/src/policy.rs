@@ -265,7 +265,7 @@ mod tests {
             free_by_class: [0; rsched_cluster::MAX_CLASSES],
             waiting: waiting.into(),
             running: Default::default(),
-            completed_stats: rsched_cluster::CompletedStats::default(),
+            completed: 0,
             pending_arrivals: 0,
             total_jobs: 1,
             calendar: None,

@@ -103,11 +103,11 @@ impl PromptBuilder {
             });
         }
         let p = &mut self.head;
-        // The O(1) aggregate — the view holds no completed records.
+        // A count — the view holds no completed records.
         let _ = writeln!(
             p,
             "\nCompleted Jobs: {} of {} total jobs; {} not yet submitted\n",
-            view.completed_stats.count, view.total_jobs, view.pending_arrivals
+            view.completed, view.total_jobs, view.pending_arrivals
         );
 
         p.push_str("Waiting Jobs (eligible to schedule):\n");
@@ -244,7 +244,7 @@ impl PromptBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rsched_cluster::{ClusterConfig, CompletedStats, JobId, JobRecord, JobSpec, UserId};
+    use rsched_cluster::{ClusterConfig, JobId, JobSpec, UserId};
     use rsched_llm::prompt_parse::parse_prompt;
     use rsched_sim::RunningSummary;
     use rsched_simkit::{SimDuration, SimTime};
@@ -253,7 +253,6 @@ mod tests {
     struct Fixture {
         waiting: Vec<JobSpec>,
         running: Vec<RunningSummary>,
-        completed: Vec<JobRecord>,
     }
 
     fn fixture() -> Fixture {
@@ -279,10 +278,6 @@ mod tests {
                 expected_end: SimTime::from_secs(10_000),
                 class: None,
             }],
-            completed: vec![JobRecord::new(
-                JobSpec::new(7, 0, SimTime::ZERO, SimDuration::from_secs(10), 1, 1),
-                SimTime::ZERO,
-            )],
         }
     }
 
@@ -296,7 +291,7 @@ mod tests {
                 free_by_class: [0; rsched_cluster::MAX_CLASSES],
                 waiting: self.waiting.as_slice().into(),
                 running: self.running.as_slice().into(),
-                completed_stats: CompletedStats::from_records(&self.completed),
+                completed: 1,
                 pending_arrivals: 3,
                 total_jobs: 80,
                 calendar: None,

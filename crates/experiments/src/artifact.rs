@@ -1,32 +1,37 @@
 //! Machine-readable per-cell JSON artifacts.
 //!
 //! Every figure run can dump its raw (pre-normalization) cells —
-//! scheduler, scenario label, the eight §3.2 metrics, simulator counters,
-//! and the LLM overhead ledger — as one JSON document per figure under
-//! `results/cells/`. Fixed key order and fixed-precision floats keep the
-//! files byte-diffable across commits, so the perf/quality trajectory of
-//! the harness is visible in plain `git diff`.
+//! scheduler, the cell's `<scenario>/<jobs>` and both seeds, the eight
+//! §3.2 metrics, simulator counters, and the LLM overhead ledger — as one
+//! JSON document per figure under `results/cells/`. Fixed key order and
+//! fixed-precision floats keep the files byte-diffable across commits, so
+//! the perf/quality trajectory of the harness is visible in plain
+//! `git diff`.
 
 use std::fs;
 use std::io;
 use std::path::Path;
 
+use rsched_campaign::{CellSpec, PolicyRun};
 use rsched_metrics::Metric;
 // The byte-stability contract (escape rules + six-decimal floats) is
 // shared with the campaign summary writer via `rsched_simkit::json`.
 use rsched_simkit::json::{escape, num};
 
+use crate::figures::metric_key;
 use crate::figures::overhead::latency_summary;
-use crate::figures::{metric_key, RunResult};
 
-fn cell_to_json(figure: &str, result: &RunResult) -> String {
-    let run = &result.run;
+fn cell_to_json(figure: &str, cell: &CellSpec, run: &PolicyRun) -> String {
     let mut s = String::with_capacity(512);
     s.push_str(&format!(
-        "{{\"figure\":\"{}\",\"scheduler\":\"{}\",\"scenario\":\"{}\",",
+        "{{\"figure\":\"{}\",\"scheduler\":\"{}\",\"scenario\":\"{}/{}\",\
+         \"workload_seed\":{},\"policy_seed\":{},",
         escape(figure),
         escape(&run.policy),
-        escape(&result.scenario)
+        escape(&cell.scenario),
+        cell.jobs,
+        cell.workload_seed,
+        cell.policy_seed
     ));
     s.push_str("\"metrics\":{");
     let metrics: Vec<String> = Metric::all()
@@ -64,11 +69,11 @@ fn cell_to_json(figure: &str, result: &RunResult) -> String {
 
 /// Serialize one figure's raw cells as a JSON array (one object per cell,
 /// one line per cell for readable diffs).
-pub fn cells_to_json(figure: &str, runs: &[RunResult]) -> String {
+pub fn cells_to_json(figure: &str, runs: &[(CellSpec, PolicyRun)]) -> String {
     let mut s = String::from("[\n");
     let body: Vec<String> = runs
         .iter()
-        .map(|r| format!("  {}", cell_to_json(figure, r)))
+        .map(|(cell, run)| format!("  {}", cell_to_json(figure, cell, run)))
         .collect();
     s.push_str(&body.join(",\n"));
     s.push_str("\n]\n");
@@ -86,36 +91,40 @@ pub fn write(path: &Path, content: &str) -> io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rsched_campaign::PolicyRun;
     use rsched_metrics::MetricsReport;
     use rsched_sim::{OverheadReport, SimStats};
 
-    fn result(overhead: Option<OverheadReport>) -> RunResult {
-        RunResult {
-            scenario: "long-job-dominant/60".to_string(),
-            run: PolicyRun {
-                policy: "Claude-3.7".to_string(),
-                report: MetricsReport {
-                    makespan_secs: 120.5,
-                    avg_wait_secs: 10.0,
-                    avg_turnaround_secs: 55.25,
-                    throughput: 0.5,
-                    node_utilization: 0.75,
-                    memory_utilization: 0.5,
-                    wait_fairness: 0.9,
-                    user_fairness: 0.8,
-                },
-                stats: SimStats {
-                    queries: 70,
-                    placements: 60,
-                    backfills: 5,
-                    delays: 9,
-                    rejections: 1,
-                    epochs: 64,
-                },
-                overhead,
+    fn result(overhead: Option<OverheadReport>) -> (CellSpec, PolicyRun) {
+        let cell = CellSpec {
+            policy: "Claude-3.7".to_string(),
+            scenario: "long_job_dominant".to_string(),
+            jobs: 60,
+            workload_seed: 11,
+            policy_seed: 12,
+        };
+        let run = PolicyRun {
+            policy: "Claude-3.7".to_string(),
+            report: MetricsReport {
+                makespan_secs: 120.5,
+                avg_wait_secs: 10.0,
+                avg_turnaround_secs: 55.25,
+                throughput: 0.5,
+                node_utilization: 0.75,
+                memory_utilization: 0.5,
+                wait_fairness: 0.9,
+                user_fairness: 0.8,
             },
-        }
+            stats: SimStats {
+                queries: 70,
+                placements: 60,
+                backfills: 5,
+                delays: 9,
+                rejections: 1,
+                epochs: 64,
+            },
+            overhead,
+        };
+        (cell, run)
     }
 
     /// Minimal structural validation: balanced braces/brackets outside
@@ -160,7 +169,7 @@ mod tests {
         for key in [
             "\"figure\":\"fig3\"",
             "\"scheduler\":\"Claude-3.7\"",
-            "\"scenario\":\"long-job-dominant/60\"",
+            "\"scenario\":\"long_job_dominant/60\",\"workload_seed\":11,\"policy_seed\":12,",
             "\"makespan\":120.500000",
             "\"user_fairness\":0.800000",
             "\"queries\":70",
@@ -182,7 +191,7 @@ mod tests {
     #[test]
     fn strings_are_escaped() {
         let mut r = result(None);
-        r.scenario = "weird \"label\"\nwith\tcontrol".to_string();
+        r.0.scenario = "weird \"label\"\nwith\tcontrol".to_string();
         let text = cells_to_json("x", &[r]);
         assert_balanced(&text);
         assert!(text.contains("weird \\\"label\\\"\\nwith\\tcontrol"));

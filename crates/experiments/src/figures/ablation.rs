@@ -9,6 +9,7 @@
 
 use std::sync::Arc;
 
+use rsched_campaign::CellSpec;
 use rsched_cluster::ClusterConfig;
 use rsched_core::LlmSchedulingPolicy;
 use rsched_llm::persona::{ObjectiveWeights, Persona};
@@ -19,7 +20,7 @@ use rsched_schedulers::Fcfs;
 use rsched_simkit::rng::SeedTree;
 use rsched_workloads::names as scenario_names;
 
-use crate::figures::{run_grid, scenario_jobs, Group, NormalizedFigure};
+use crate::figures::{run_cells, NormalizedFigure};
 use crate::options::ExperimentOptions;
 
 /// The swept weight profiles.
@@ -85,33 +86,39 @@ fn persona_registry() -> PolicyRegistry {
     registry
 }
 
+/// The ablation grid: FCFS and every profile over one workload, all
+/// under one policy seed.
+pub fn cells(opts: &ExperimentOptions) -> Vec<CellSpec> {
+    let tree = SeedTree::new(opts.seed).subtree("ablation", 0);
+    let policy_seed = tree.derive("policy", 0);
+    let workload_seed = tree.derive("workload", 0);
+    let profiles = weight_profiles().into_iter().map(|(name, _)| name);
+    std::iter::once(names::FCFS)
+        .chain(profiles)
+        .map(|policy| CellSpec {
+            policy: policy.to_string(),
+            scenario: scenario_names::HETEROGENEOUS_MIX.to_string(),
+            jobs: opts.scaled(60),
+            workload_seed,
+            policy_seed,
+        })
+        .collect()
+}
+
 /// Run the ablation sweep: FCFS and every profile over one workload.
 pub fn run(opts: &ExperimentOptions, pool: &ThreadPool) -> NormalizedFigure {
-    let n = opts.scaled(60);
-    let tree = SeedTree::new(opts.seed).subtree("ablation", 0);
-    let seed = tree.derive("policy", 0);
-    let mut policies = vec![(names::FCFS, seed)];
-    policies.extend(weight_profiles().into_iter().map(|(name, _)| (name, seed)));
-    let group = Group {
-        label: format!("heterogeneous-mix/{n}"),
-        jobs: scenario_jobs(
-            scenario_names::HETEROGENEOUS_MIX,
-            n,
-            tree.derive("workload", 0),
-        ),
-        policies,
-    };
-    let runs = run_grid(
+    let runs = run_cells(
         Arc::new(persona_registry()),
         ClusterConfig::paper_default(),
         opts.solver,
-        vec![group],
+        cells(opts),
         pool,
     );
     NormalizedFigure::new(
         format!(
-            "Persona ablation — objective-weight sweep, Heterogeneous Mix, {n} jobs \
-             (normalized vs FCFS)"
+            "Persona ablation — objective-weight sweep, Heterogeneous Mix, {} jobs \
+             (normalized vs FCFS)",
+            opts.scaled(60)
         ),
         None,
         "persona",

@@ -7,13 +7,14 @@
 
 use std::sync::Arc;
 
+use rsched_campaign::CellSpec;
 use rsched_cluster::ClusterConfig;
 use rsched_parallel::ThreadPool;
 use rsched_registry::PolicyRegistry;
 use rsched_simkit::rng::SeedTree;
 use rsched_workloads::{names as scenario_names, scenario_builtins};
 
-use crate::figures::{paper_set, run_grid, scenario_jobs, Group, NormalizedFigure};
+use crate::figures::{paper_cells, run_cells, NormalizedFigure};
 use crate::options::ExperimentOptions;
 
 /// Jobs per scenario instance (60 in the paper).
@@ -21,25 +22,29 @@ pub fn jobs(opts: &ExperimentOptions) -> usize {
     opts.scaled(60)
 }
 
+/// The Figure 3 grid: the paper's five schedulers over each scenario,
+/// scenario-major.
+pub fn cells(opts: &ExperimentOptions) -> Vec<CellSpec> {
+    let n = jobs(opts);
+    let tree = SeedTree::new(opts.seed).subtree("fig3", 0);
+    scenario_names::FIGURE3
+        .into_iter()
+        .enumerate()
+        .flat_map(|(s_idx, scenario)| {
+            let policy_seeds = SeedTree::new(tree.derive("policy", s_idx as u64));
+            paper_cells(scenario, n, tree.derive(scenario, 0), policy_seeds, 0)
+        })
+        .collect()
+}
+
 /// Run the Figure 3 experiment: one group per scenario, labelled by its
 /// title.
 pub fn run(opts: &ExperimentOptions, pool: &ThreadPool) -> NormalizedFigure {
-    let n = jobs(opts);
-    let tree = SeedTree::new(opts.seed).subtree("fig3", 0);
-    let groups = scenario_names::FIGURE3
-        .into_iter()
-        .enumerate()
-        .map(|(s_idx, scenario)| Group {
-            label: format!("{scenario}/{n}"),
-            jobs: scenario_jobs(scenario, n, tree.derive(scenario, 0)),
-            policies: paper_set(SeedTree::new(tree.derive("policy", s_idx as u64)), 0),
-        })
-        .collect();
-    let runs = run_grid(
+    let runs = run_cells(
         Arc::new(PolicyRegistry::with_builtins()),
         ClusterConfig::paper_default(),
         opts.solver,
-        groups,
+        cells(opts),
         pool,
     );
     let titles = scenario_names::FIGURE3
@@ -47,7 +52,10 @@ pub fn run(opts: &ExperimentOptions, pool: &ThreadPool) -> NormalizedFigure {
         .map(|s| scenario_builtins().title(s).unwrap_or(s).to_string())
         .collect();
     NormalizedFigure::new(
-        format!("Figure 3 — normalized metrics (vs FCFS = 1.00x), {n} jobs per scenario"),
+        format!(
+            "Figure 3 — normalized metrics (vs FCFS = 1.00x), {} jobs per scenario",
+            jobs(opts)
+        ),
         Some(("scenario", "")),
         "scheduler",
         titles,

@@ -3,51 +3,61 @@
 
 use std::sync::Arc;
 
+use rsched_campaign::CellSpec;
 use rsched_cluster::ClusterConfig;
 use rsched_parallel::ThreadPool;
 use rsched_registry::PolicyRegistry;
 use rsched_simkit::rng::SeedTree;
 use rsched_workloads::names as scenario_names;
 
-use crate::figures::{paper_set, run_grid, scenario_jobs, Group, NormalizedFigure};
+use crate::figures::{paper_cells, run_cells, NormalizedFigure};
 use crate::options::ExperimentOptions;
 
 /// The paper's queue sizes.
 pub(crate) const PAPER_SIZES: [usize; 6] = [10, 20, 40, 60, 80, 100];
 
-/// Run the Figure 4 experiment: one group per queue size, ascending.
-pub fn run(opts: &ExperimentOptions, pool: &ThreadPool) -> NormalizedFigure {
-    let sizes: Vec<usize> = if opts.quick {
-        vec![10, 20, 40]
+/// The queue sizes run: the paper's, or the first three under `--quick`.
+fn sizes(opts: &ExperimentOptions) -> &'static [usize] {
+    if opts.quick {
+        &PAPER_SIZES[..3]
     } else {
-        PAPER_SIZES.to_vec()
-    };
+        &PAPER_SIZES
+    }
+}
+
+/// The Figure 4 grid: the paper's five schedulers over Heterogeneous Mix
+/// at each queue size, ascending.
+pub fn cells(opts: &ExperimentOptions) -> Vec<CellSpec> {
     let tree = SeedTree::new(opts.seed).subtree("fig4", 0);
-    let groups = sizes
+    sizes(opts)
         .iter()
         .enumerate()
-        .map(|(i, &n)| Group {
-            label: format!("heterogeneous-mix/{n}"),
-            jobs: scenario_jobs(
+        .flat_map(|(i, &n)| {
+            paper_cells(
                 scenario_names::HETEROGENEOUS_MIX,
                 n,
                 tree.derive("workload", n as u64),
-            ),
-            policies: paper_set(SeedTree::new(tree.derive("policy", i as u64)), 0),
+                SeedTree::new(tree.derive("policy", i as u64)),
+                0,
+            )
         })
-        .collect();
-    let runs = run_grid(
+        .collect()
+}
+
+/// Run the Figure 4 experiment: one group per queue size, ascending.
+pub fn run(opts: &ExperimentOptions, pool: &ThreadPool) -> NormalizedFigure {
+    let runs = run_cells(
         Arc::new(PolicyRegistry::with_builtins()),
         ClusterConfig::paper_default(),
         opts.solver,
-        groups,
+        cells(opts),
         pool,
     );
     NormalizedFigure::new(
         "Figure 4 — scalability on Heterogeneous Mix (normalized vs FCFS)".to_string(),
         Some(("jobs", " jobs")),
         "scheduler",
-        sizes.iter().map(usize::to_string).collect(),
+        sizes(opts).iter().map(usize::to_string).collect(),
         runs,
     )
 }

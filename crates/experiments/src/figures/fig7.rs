@@ -9,6 +9,7 @@
 use std::fmt::Write as _;
 use std::sync::Arc;
 
+use rsched_campaign::{CellSpec, PolicyRun};
 use rsched_cluster::ClusterConfig;
 use rsched_metrics::{normalize_against, Metric, MetricDistributions, TextTable};
 use rsched_parallel::ThreadPool;
@@ -17,7 +18,7 @@ use rsched_simkit::csv;
 use rsched_simkit::rng::SeedTree;
 use rsched_workloads::names as scenario_names;
 
-use crate::figures::{metric_key, paper_set, run_grid, scenario_jobs, Group, RunResult};
+use crate::figures::{metric_key, paper_cells, run_cells};
 use crate::options::ExperimentOptions;
 
 /// Repetitions (5 in the paper; 3 under `--quick`).
@@ -32,33 +33,36 @@ pub struct Fig7Output {
     pub(crate) repetitions: usize,
     /// `(scheduler, distributions)` in paper order.
     pub distributions: Vec<(String, MetricDistributions)>,
-    /// The raw cells (rep-major), for the JSON artifacts.
-    pub runs: Vec<RunResult>,
+    /// The cells and their runs (rep-major), for the JSON artifacts.
+    pub runs: Vec<(CellSpec, PolicyRun)>,
 }
 
-/// Run the Figure 7 experiment: one group per repetition over the same
-/// workload.
-pub fn run(opts: &ExperimentOptions, pool: &ThreadPool) -> Fig7Output {
-    let n = opts.scaled(100);
-    let reps = if opts.quick { 3 } else { REPETITIONS };
+/// The Figure 7 grid: the paper's five schedulers once per repetition,
+/// rep-major, over one workload — only the policy seeds vary.
+pub fn cells(opts: &ExperimentOptions) -> Vec<CellSpec> {
     let tree = SeedTree::new(opts.seed).subtree("fig7", 0);
-    let jobs = scenario_jobs(
-        scenario_names::HETEROGENEOUS_MIX,
-        n,
-        tree.derive("workload", 0),
-    );
-    let groups = (0..reps as u64)
-        .map(|rep| Group {
-            label: format!("heterogeneous-mix/{n}/rep{rep}"),
-            jobs: jobs.clone(),
-            policies: paper_set(SeedTree::new(tree.derive("rep", rep)), rep),
+    let workload_seed = tree.derive("workload", 0);
+    let repetitions = if opts.quick { 3 } else { REPETITIONS };
+    (0..repetitions as u64)
+        .flat_map(|rep| {
+            paper_cells(
+                scenario_names::HETEROGENEOUS_MIX,
+                opts.scaled(100),
+                workload_seed,
+                SeedTree::new(tree.derive("rep", rep)),
+                rep,
+            )
         })
-        .collect();
-    let results = run_grid(
+        .collect()
+}
+
+/// Run the Figure 7 experiment.
+pub fn run(opts: &ExperimentOptions, pool: &ThreadPool) -> Fig7Output {
+    let results = run_cells(
         Arc::new(PolicyRegistry::with_builtins()),
         ClusterConfig::paper_default(),
         opts.solver,
-        groups,
+        cells(opts),
         pool,
     );
 
@@ -66,25 +70,25 @@ pub fn run(opts: &ExperimentOptions, pool: &ThreadPool) -> Fig7Output {
     // the normalization baseline for every repetition.
     let baseline = results
         .iter()
-        .find(|r| r.run.policy == names::FCFS)
+        .find(|(_, run)| run.policy == names::FCFS)
         .expect("FCFS present")
-        .run
+        .1
         .report;
 
     let mut distributions: Vec<(String, MetricDistributions)> = names::PAPER_SET
         .iter()
         .map(|name| (name.to_string(), MetricDistributions::new()))
         .collect();
-    for (i, result) in results.iter().enumerate() {
-        let normalized = normalize_against(&result.run.report, &baseline);
+    for (i, (_, run)) in results.iter().enumerate() {
+        let normalized = normalize_against(&run.report, &baseline);
         distributions[i % names::PAPER_SET.len()]
             .1
             .push_normalized(&normalized);
     }
 
     Fig7Output {
-        jobs: n,
-        repetitions: reps,
+        jobs: opts.scaled(100),
+        repetitions: results.len() / names::PAPER_SET.len(),
         distributions,
         runs: results,
     }

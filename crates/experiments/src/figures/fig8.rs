@@ -2,42 +2,48 @@
 //! jobs on the 560-node × 512 GB/node configuration, all five schedulers,
 //! normalized against FCFS (paper §5).
 //!
-//! The trace comes from the calibrated Polaris synthesizer + the paper's
-//! preprocessing pipeline (`rsched-workloads::polaris`).
+//! The trace is the `polaris` scenario: the calibrated Polaris synthesizer
+//! and the paper's preprocessing pipeline (`rsched-workloads::polaris`).
 
 use std::sync::Arc;
 
+use rsched_campaign::CellSpec;
 use rsched_cluster::ClusterConfig;
 use rsched_parallel::ThreadPool;
 use rsched_registry::PolicyRegistry;
 use rsched_simkit::rng::SeedTree;
-use rsched_workloads::polaris::polaris_workload;
+use rsched_workloads::names as scenario_names;
 
-use crate::figures::{paper_set, run_grid, Group, NormalizedFigure};
+use crate::figures::{paper_cells, run_cells, NormalizedFigure};
 use crate::options::ExperimentOptions;
+
+/// The Figure 8 grid: the paper's five schedulers over one Polaris trace.
+pub fn cells(opts: &ExperimentOptions) -> Vec<CellSpec> {
+    let tree = SeedTree::new(opts.seed).subtree("fig8", 0);
+    paper_cells(
+        scenario_names::POLARIS,
+        opts.scaled(100),
+        tree.derive("trace", 0),
+        SeedTree::new(tree.derive("policy", 0)),
+        0,
+    )
+    .collect()
+}
 
 /// Run the Figure 8 experiment: one table.
 pub fn run(opts: &ExperimentOptions, pool: &ThreadPool) -> NormalizedFigure {
-    let n = opts.scaled(100);
-    let tree = SeedTree::new(opts.seed).subtree("fig8", 0);
-    let jobs = polaris_workload(n, tree.derive("trace", 0));
-    let replayed = jobs.len();
-    let group = Group {
-        label: format!("polaris/{replayed}"),
-        jobs,
-        policies: paper_set(SeedTree::new(tree.derive("policy", 0)), 0),
-    };
-    let runs = run_grid(
+    let runs = run_cells(
         Arc::new(PolicyRegistry::with_builtins()),
         ClusterConfig::polaris(),
         opts.solver,
-        vec![group],
+        cells(opts),
         pool,
     );
     NormalizedFigure::new(
         format!(
-            "Figure 8 — Polaris trace replay, {replayed} jobs, 560 nodes × 512 GB \
-             (normalized vs FCFS)"
+            "Figure 8 — Polaris trace replay, {} jobs, 560 nodes × 512 GB \
+             (normalized vs FCFS)",
+            opts.scaled(100)
         ),
         None,
         "scheduler",

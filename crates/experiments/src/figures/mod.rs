@@ -1,9 +1,10 @@
 //! One module per experiment grid; Figures 5 and 6 are [`overhead`] views
 //! of the runs Figures 3 and 4 score.
 //!
-//! Every grid is a list of [`Group`]s run by [`run_grid`], whose cells go
-//! through [`rsched_campaign::run_policy`] — the function that runs a
-//! campaign cell too. Figures 3, 4, 8 and the ablation normalize each
+//! Every grid module lists its cells (`cells`) as campaign [`CellSpec`]s,
+//! each naming its workload seed and its policy seed, and runs them with
+//! `run_cells` through [`rsched_campaign::run_cell`] — the function that
+//! runs a campaign cell. Figures 3, 4, 8 and the ablation normalize each
 //! group against its FCFS run into a [`NormalizedFigure`].
 
 pub mod ablation;
@@ -16,8 +17,8 @@ pub mod overhead;
 use std::fmt::Write as _;
 use std::sync::Arc;
 
-use rsched_campaign::{run_policy, PolicyRun};
-use rsched_cluster::{ClusterConfig, JobSpec};
+use rsched_campaign::{run_cell, CellSpec, PolicyRun};
+use rsched_cluster::ClusterConfig;
 use rsched_cpsolver::SolverConfig;
 use rsched_metrics::table::fmt_ratio;
 use rsched_metrics::{normalize_against, Metric, NormalizedReport, TextTable};
@@ -25,81 +26,54 @@ use rsched_parallel::ThreadPool;
 use rsched_registry::{names, PolicyRegistry};
 use rsched_simkit::csv;
 use rsched_simkit::rng::SeedTree;
-use rsched_workloads::{scenario_builtins, ScenarioContext};
+use rsched_workloads::scenario_builtins;
 
-/// One cell of a figure grid.
-#[derive(Debug, Clone)]
-pub struct RunResult {
-    /// The label of the cell's workload (`"<scenario>/<n>"`, with a
-    /// `/rep<k>` suffix in Figure 7), carried into the cells JSON.
-    pub scenario: String,
-    /// What the run produced, labelled by the policy's registry name.
-    pub run: PolicyRun,
-}
-
-/// One workload of a figure grid and the policies run over it.
-#[derive(Debug, Clone)]
-pub struct Group {
-    /// The label every cell of the group carries ([`RunResult::scenario`]).
-    pub label: String,
-    /// The workload.
-    pub jobs: Vec<JobSpec>,
-    /// `(registry name, policy seed)` of each cell, in presentation order.
-    pub policies: Vec<(&'static str, u64)>,
-}
-
-/// Run every cell of `groups` on `pool` through
-/// [`rsched_campaign::run_policy`], returning the results group-major in
-/// input order.
+/// Run `cells` on `pool` through [`rsched_campaign::run_cell`] on
+/// `cluster`, returning each cell beside its run in input order.
 ///
 /// # Panics
-/// If a name is not in `policies`, or a run fails.
-pub fn run_grid(
+/// If a name is in neither `policies` nor the builtin scenarios, or a run
+/// fails.
+pub(crate) fn run_cells(
     policies: Arc<PolicyRegistry>,
     cluster: ClusterConfig,
     solver: SolverConfig,
-    groups: Vec<Group>,
+    cells: Vec<CellSpec>,
     pool: &ThreadPool,
-) -> Vec<RunResult> {
-    // Each cell carries its machine and solver budget rather than the
+) -> Vec<(CellSpec, PolicyRun)> {
+    // Each task carries its machine and solver budget rather than the
     // closure capturing them. A worker frees the task box the pool
     // allocated on this thread; at ~90 bytes that box lands in a size class
     // the runs' growing buffers reuse, and every later `realloc` of it then
     // takes glibc's main-arena lock against the other worker (Figure 7 on
     // 2 workers, x86-64 glibc: 40 → ~4 000 voluntary context switches,
-    // +15 % CPU). At ~250 bytes it does not.
-    let mut cells = Vec::new();
-    for group in groups {
-        let jobs: Arc<[JobSpec]> = group.jobs.into();
-        for (policy, seed) in group.policies {
-            let label = group.label.clone();
-            cells.push((label, Arc::clone(&jobs), policy, seed, cluster, solver));
-        }
-    }
-    pool.par_map(
-        cells,
-        move |(scenario, jobs, policy, seed, cluster, solver)| RunResult {
-            run: run_policy(&policies, policy, &jobs, cluster, seed, solver)
-                .unwrap_or_else(|e| panic!("figure cell `{scenario}`: {e}")),
-            scenario,
-        },
-    )
-}
-
-/// The paper's five schedulers, each seeded `seeds.derive(name, stream)`.
-pub(crate) fn paper_set(seeds: SeedTree, stream: u64) -> Vec<(&'static str, u64)> {
-    names::PAPER_SET
+    // +15 % CPU). At ~250 bytes it does not. The cell itself goes back to
+    // this thread inside the result.
+    let tasks = cells
         .into_iter()
-        .map(|name| (name, seeds.derive(name, stream)))
-        .collect()
+        .map(|cell| (cell, cluster, solver))
+        .collect();
+    pool.par_map(tasks, move |(cell, cluster, solver)| {
+        run_cell(&policies, scenario_builtins(), cell, solver, cluster, 1.0)
+    })
 }
 
-/// `n` jobs of a builtin scenario with dynamic arrivals (paper §3.1).
-pub(crate) fn scenario_jobs(scenario: &str, n: usize, seed: u64) -> Vec<JobSpec> {
-    scenario_builtins()
-        .generate(scenario, &ScenarioContext::new(n).with_seed(seed))
-        .unwrap_or_else(|e| panic!("figure scenario `{scenario}`: {e}"))
-        .jobs
+/// The paper's five schedulers over one workload, each seeded
+/// `policy_seeds.derive(name, stream)`.
+pub(crate) fn paper_cells(
+    scenario: &str,
+    jobs: usize,
+    workload_seed: u64,
+    policy_seeds: SeedTree,
+    stream: u64,
+) -> impl Iterator<Item = CellSpec> + '_ {
+    names::PAPER_SET.into_iter().map(move |name| CellSpec {
+        policy: name.to_string(),
+        scenario: scenario.to_string(),
+        jobs,
+        workload_seed,
+        policy_seed: policy_seeds.derive(name, stream),
+    })
 }
 
 /// A figure of FCFS-normalized tables (Figures 3, 4, 8 and the ablation):
@@ -117,8 +91,8 @@ pub struct NormalizedFigure {
     /// `(group label, (policy, FCFS-normalized report) rows)` in grid
     /// order.
     pub groups: Vec<(String, Vec<(String, NormalizedReport)>)>,
-    /// The raw cells, group-major, for the JSON artifacts.
-    pub runs: Vec<RunResult>,
+    /// The cells and their runs, group-major, for the JSON artifacts.
+    pub runs: Vec<(CellSpec, PolicyRun)>,
 }
 
 impl NormalizedFigure {
@@ -132,7 +106,7 @@ impl NormalizedFigure {
         group: Option<(&'static str, &'static str)>,
         rows_are: &'static str,
         labels: Vec<String>,
-        runs: Vec<RunResult>,
+        runs: Vec<(CellSpec, PolicyRun)>,
     ) -> Self {
         let per_group = runs.len() / labels.len();
         let groups = labels
@@ -141,18 +115,13 @@ impl NormalizedFigure {
             .map(|(label, cells)| {
                 let base = cells
                     .iter()
-                    .find(|r| r.run.policy == names::FCFS)
+                    .find(|(_, run)| run.policy == names::FCFS)
                     .unwrap_or_else(|| panic!("group `{label}` has no FCFS run"))
-                    .run
+                    .1
                     .report;
                 let rows = cells
                     .iter()
-                    .map(|r| {
-                        (
-                            r.run.policy.clone(),
-                            normalize_against(&r.run.report, &base),
-                        )
-                    })
+                    .map(|(_, run)| (run.policy.clone(), normalize_against(&run.report, &base)))
                     .collect();
                 (label, rows)
             })
@@ -222,11 +191,10 @@ pub(crate) fn metric_key(metric: Metric) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rsched_campaign::{run_cell, CellResult, CellSpec};
     use rsched_metrics::MetricsReport;
     use rsched_sim::{Action, SchedulingPolicy, SystemView};
     use rsched_simkit::csv::Table;
-    use rsched_workloads::{names as scenario_names, ScenarioRegistry};
+    use rsched_workloads::names as scenario_names;
 
     fn quick_solver() -> SolverConfig {
         SolverConfig {
@@ -240,22 +208,31 @@ mod tests {
         Arc::new(PolicyRegistry::with_builtins())
     }
 
-    fn one_group(jobs: Vec<JobSpec>, policies: &[&'static str], seed: u64) -> Vec<Group> {
-        vec![Group {
-            label: "label".to_string(),
+    fn one_cell(policy: &str, scenario: &str, jobs: usize, seed: u64) -> CellSpec {
+        CellSpec {
+            policy: policy.to_string(),
+            scenario: scenario.to_string(),
             jobs,
-            policies: policies.iter().map(|&p| (p, seed)).collect(),
-        }]
+            workload_seed: seed,
+            policy_seed: seed,
+        }
     }
 
     #[test]
     fn every_builtin_completes_a_small_scenario_with_overhead_only_for_the_agents() {
-        let jobs = scenario_jobs(scenario_names::HETEROGENEOUS_MIX, 10, 1);
-        let cluster = ClusterConfig::paper_default();
-        let registry = PolicyRegistry::with_builtins();
-        for name in names::ALL_BUILTIN {
-            let run =
-                run_policy(&registry, name, &jobs, cluster, 7, quick_solver()).expect("builtin");
+        let cells = names::ALL_BUILTIN
+            .into_iter()
+            .map(|name| one_cell(name, scenario_names::HETEROGENEOUS_MIX, 10, 7))
+            .collect();
+        let runs = run_cells(
+            builtins(),
+            ClusterConfig::paper_default(),
+            quick_solver(),
+            cells,
+            &ThreadPool::new(2),
+        );
+        for (cell, run) in &runs {
+            let name = cell.policy.as_str();
             assert!(run.report.makespan_secs > 0.0, "{name}");
             assert_eq!(run.stats.placements, 10, "{name}");
             assert_eq!(
@@ -268,10 +245,18 @@ mod tests {
 
     #[test]
     fn unknown_policy_name_errors_without_panicking() {
-        let jobs = scenario_jobs(scenario_names::RESOURCE_SPARSE, 8, 1);
+        let jobs = scenario_builtins()
+            .generate(
+                scenario_names::RESOURCE_SPARSE,
+                &rsched_workloads::ScenarioContext::new(8).with_seed(1),
+            )
+            .expect("builtin")
+            .jobs;
         let registry = PolicyRegistry::with_builtins();
         let cluster = ClusterConfig::paper_default();
-        assert!(run_policy(&registry, "pbs-pro", &jobs, cluster, 1, quick_solver()).is_err());
+        let run =
+            rsched_campaign::run_policy(&registry, "pbs-pro", &jobs, cluster, 1, quick_solver());
+        assert!(run.is_err());
     }
 
     #[test]
@@ -296,84 +281,41 @@ mod tests {
         registry
             .register("narrowest-first", |_| Box::new(NarrowestFirst))
             .expect("fresh name");
-        let jobs = scenario_jobs(scenario_names::HETEROGENEOUS_MIX, 10, 2);
-        let runs = run_grid(
+        let cells = ["narrowest-first", "fcfs"]
+            .into_iter()
+            .map(|p| one_cell(p, scenario_names::HETEROGENEOUS_MIX, 10, 2))
+            .collect();
+        let runs = run_cells(
             Arc::new(registry),
             ClusterConfig::paper_default(),
             quick_solver(),
-            one_group(jobs, &["narrowest-first", "fcfs"], 1),
+            cells,
             &ThreadPool::new(2),
         );
-        assert_eq!(runs[0].run.policy, "narrowest-first");
-        assert_eq!(runs[1].run.policy, "FCFS", "the registered case");
-        assert!(runs[0].run.overhead.is_none());
+        assert_eq!(runs[0].1.policy, "narrowest-first");
+        assert_eq!(runs[1].1.policy, "FCFS", "the registered case");
+        assert_eq!(runs[1].0.policy, "fcfs", "the cell as it was named");
+        assert!(runs[0].1.overhead.is_none());
     }
 
     #[test]
-    fn the_grid_keeps_cell_order_through_the_pool() {
-        let jobs = scenario_jobs(scenario_names::RESOURCE_SPARSE, 10, 2);
-        let groups = ["a", "b"]
+    fn the_cells_keep_their_order_through_the_pool() {
+        let cells: Vec<CellSpec> = [10, 12]
             .into_iter()
-            .map(|label| Group {
-                label: label.to_string(),
-                jobs: jobs.clone(),
-                policies: paper_set(SeedTree::new(3), 0),
-            })
+            .flat_map(|n| paper_cells(scenario_names::RESOURCE_SPARSE, n, 2, SeedTree::new(3), 0))
             .collect();
-        let runs = run_grid(
+        let runs = run_cells(
             builtins(),
             ClusterConfig::paper_default(),
             quick_solver(),
-            groups,
+            cells.clone(),
             &ThreadPool::new(4),
         );
-        let cells: Vec<(&str, &str)> = runs
-            .iter()
-            .map(|r| (r.scenario.as_str(), r.run.policy.as_str()))
-            .collect();
-        let expected: Vec<(&str, &str)> = ["a", "b"]
-            .into_iter()
-            .flat_map(|g| names::PAPER_SET.into_iter().map(move |p| (g, p)))
-            .collect();
-        assert_eq!(cells, expected);
-    }
-
-    /// A figure cell and a campaign cell at the same coordinates are the
-    /// same run: the two paths share one function and must not fork.
-    #[test]
-    fn a_figure_cell_is_the_campaign_cell_at_the_same_coordinates() {
-        let (scenario, n, seed) = (scenario_names::HETEROGENEOUS_MIX, 12, 2025);
-        let cluster = ClusterConfig::paper_default();
-        let policies = builtins();
-        let scenarios = ScenarioRegistry::with_builtins();
-        for policy in [names::FCFS, names::OR_TOOLS, names::CLAUDE37] {
-            let cell = CellSpec {
-                policy: policy.to_string(),
-                scenario: scenario.to_string(),
-                jobs: n,
-                seed,
-            };
-            let group = Group {
-                label: format!("{scenario}/{n}"),
-                jobs: scenario_jobs(scenario, n, cell.workload_seed()),
-                policies: vec![(policy, cell.policy_seed())],
-            };
-            let figure = run_grid(
-                Arc::clone(&policies),
-                cluster,
-                quick_solver(),
-                vec![group],
-                &ThreadPool::new(1),
-            );
-            let run = &figure[0].run;
-            let from_figure = CellResult::new(
-                cell.clone(),
-                &run.report,
-                run.stats.placements as u64,
-                run.stats.epochs as u64,
-            );
-            let from_campaign = run_cell(&policies, &scenarios, cell, quick_solver(), cluster, 1.0);
-            assert_eq!(from_figure, from_campaign, "{policy}");
+        let back: Vec<CellSpec> = runs.iter().map(|(cell, _)| cell.clone()).collect();
+        assert_eq!(back, cells);
+        for (cell, run) in &runs {
+            assert_eq!(run.policy, cell.policy);
+            assert_eq!(run.stats.placements, cell.jobs);
         }
     }
 
@@ -390,16 +332,16 @@ mod tests {
         }
     }
 
-    fn cell(policy: &str, wait: f64) -> RunResult {
-        RunResult {
-            scenario: "x/8".to_string(),
-            run: PolicyRun {
+    fn cell(policy: &str, wait: f64) -> (CellSpec, PolicyRun) {
+        (
+            one_cell(policy, "x", 8, 1),
+            PolicyRun {
                 policy: policy.to_string(),
                 report: report(wait),
                 stats: Default::default(),
                 overhead: None,
             },
-        }
+        )
     }
 
     #[test]

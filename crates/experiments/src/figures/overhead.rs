@@ -60,12 +60,9 @@ fn agent_rows(figure: &NormalizedFigure) -> Vec<(Vec<String>, OverheadReport)> {
     for (label, group) in &figure.groups {
         let (cells, rest) = runs.split_at(group.len());
         runs = rest;
-        for cell in cells {
-            if let Some(overhead) = &cell.run.overhead {
-                rows.push((
-                    vec![label.clone(), cell.run.policy.clone()],
-                    overhead.clone(),
-                ));
+        for (_, run) in cells {
+            if let Some(overhead) = &run.overhead {
+                rows.push((vec![label.clone(), run.policy.clone()], overhead.clone()));
             }
         }
     }
@@ -164,8 +161,9 @@ impl OverheadFigure {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::figures::{fig3, fig4, RunResult};
+    use crate::figures::{fig3, fig4};
     use crate::options::ExperimentOptions;
+    use rsched_campaign::{CellSpec, PolicyRun};
     use rsched_cpsolver::SolverConfig;
     use rsched_parallel::ThreadPool;
     use rsched_registry::names;
@@ -185,10 +183,10 @@ mod tests {
 
     /// The figure's rows are the `overhead` of the grid's agent cells, cell
     /// for cell and in order — nothing else was run.
-    fn assert_rows_are_the_agent_cells(figure: &OverheadFigure, runs: &[RunResult]) {
+    fn assert_rows_are_the_agent_cells(figure: &OverheadFigure, runs: &[(CellSpec, PolicyRun)]) {
         let agent_cells: Vec<_> = runs
             .iter()
-            .map(|r| &r.run)
+            .map(|(_, run)| run)
             .filter(|r| r.overhead.is_some())
             .collect();
         assert_eq!(figure.rows.len(), agent_cells.len());

@@ -1,5 +1,5 @@
-//! Shared experiment options and a minimal CLI-flag parser for the figure
-//! binaries.
+//! Shared experiment options and a minimal CLI-flag parser for
+//! `all_figures`.
 
 use rsched_cpsolver::SolverConfig;
 

@@ -446,7 +446,7 @@ mod tests {
 
     #[test]
     fn a_placement_that_fills_its_start_ends_the_pass() {
-        use rsched_cluster::{CompletedStats, UserId, MAX_CLASSES};
+        use rsched_cluster::{UserId, MAX_CLASSES};
         use rsched_sim::{RunningSummary, TelemetrySink};
 
         let running = |id: u32, nodes: u32, end_s: u64| RunningSummary {
@@ -477,7 +477,7 @@ mod tests {
             free_by_class: [0; MAX_CLASSES],
             waiting: waiting.as_slice().into(),
             running: running.as_slice().into(),
-            completed_stats: CompletedStats::default(),
+            completed: 0,
             pending_arrivals: 0,
             total_jobs: waiting.len() + running.len(),
             calendar: None,

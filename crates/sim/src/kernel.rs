@@ -582,7 +582,7 @@ impl KernelState {
             free_by_class: self.cluster.free_by_class(),
             waiting: self.queue.waiting(),
             running: (&self.cluster).into(),
-            completed_stats: self.cluster.completed_stats(),
+            completed: self.cluster.completed().len(),
             pending_arrivals,
             total_jobs,
             calendar: Some(&self.ledger),

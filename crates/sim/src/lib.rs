@@ -29,9 +29,9 @@
 //!
 //! The kernel is zero-copy: policies receive a lifetime-parameterized
 //! [`SystemView`] that *borrows* the simulator's incrementally-maintained
-//! queue and the cluster's slot table of running jobs (plus the O(1)
-//! [`CompletedStats`] aggregate of the completed ones), so a policy query costs nothing in allocation no matter how
-//! deep the queue is. "Does anything waiting fit?" is answered by one
+//! queue and the cluster's slot table of running jobs (and the count of the
+//! completed ones), so a policy query costs nothing in allocation no
+//! matter how deep the queue is. "Does anything waiting fit?" is answered by one
 //! serial column [`scan`] behind O(1) min-demand watermarks on a flat
 //! machine, and by a lookup in an exact per-compatibility index on a
 //! classed one.
@@ -62,9 +62,7 @@ pub use queue::WaitQueue;
 pub use scan::ScanOutcome;
 pub use simulator::{job_is_feasible, run_simulation, validate_workload, SimError, SimOptions};
 pub use store::JobStore;
-pub use view::{
-    CompletedStats, Running, RunningIter, RunningSummary, SystemView, Waiting, WaitingIter,
-};
+pub use view::{Running, RunningIter, RunningSummary, SystemView, Waiting, WaitingIter};
 
 // Telemetry vocabulary re-exported so policies and drivers can name the
 // provenance/sink types without a direct `rsched-telemetry` dependency.

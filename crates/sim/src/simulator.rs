@@ -22,8 +22,8 @@
 //! (rank is always 0 here, so the order is the paper's `(submit, id)`), a
 //! start or completion writes one row of the cluster's slot table (the
 //! id and end-time orders policies and calendars read are indices over it,
-//! built at their first read and kept from then on), completed-job
-//! aggregates are folded in O(1) by the cluster ledger, and every policy
+//! built at their first read and kept from then on), the completed jobs
+//! are counted by the cluster ledger, and every policy
 //! query receives a [`SystemView`](crate::SystemView) that *borrows* this
 //! state. Per-event work is O(log n), which is what makes 100k-job
 //! SWF-archive replays run in seconds.

@@ -2,7 +2,7 @@
 //!
 //! This is the observable state `S_t` of the paper's formulation (§2.1):
 //! current time, free resources, the waiting queue with job metadata,
-//! summaries of the running jobs and aggregates of the completed ones. The
+//! summaries of the running jobs and the count of the completed ones. The
 //! ReAct agent renders this snapshot into its prompt; baseline policies
 //! read it directly.
 //!
@@ -11,16 +11,13 @@
 //! `waiting` is a [`Waiting`] view of the queue's own slots and `running` a
 //! [`Running`] view of the cluster's slot table, so building a view is O(1)
 //! regardless of queue depth, and a 100k-job trace no longer pays an O(n)
-//! deep copy per policy query. Completed jobs are seen only through the
-//! O(1) [`CompletedStats`].
+//! deep copy per policy query. Completed jobs are seen only as a count.
 
 use rsched_cluster::{
     ClusterConfig, ClusterState, JobId, JobSpec, NodeClass, PlacementRequest, RunningIn,
     RunningJob, RunningOrder, UserId, MAX_CLASSES,
 };
 use rsched_simkit::SimTime;
-
-pub use rsched_cluster::CompletedStats;
 
 /// A running job as visible to a policy: its demands and *estimated* end
 /// time (start + requested walltime). True durations stay hidden, as in a
@@ -329,7 +326,7 @@ impl std::iter::FusedIterator for WaitingIter<'_> {}
 ///   [`head_of_queue`](SystemView::head_of_queue) is the first job;
 /// * `running` is sorted ascending by job id, and reads the kernel's
 ///   cluster;
-/// * `completed_stats` is the fold of every completed record;
+/// * `completed` is the number of completed records;
 /// * `calendar`, `telemetry` and `queue` are the kernel's own ledger, sink
 ///   and wait queue — `queue` holds exactly the jobs of `waiting`.
 ///
@@ -354,9 +351,8 @@ pub struct SystemView<'a> {
     pub waiting: Waiting<'a>,
     /// Currently executing jobs, ordered by id.
     pub running: Running<'a>,
-    /// O(1) aggregates over the completed jobs (count, wait/turnaround
-    /// sums, node-seconds) — maintained incrementally, never recomputed.
-    pub completed_stats: CompletedStats,
+    /// Jobs completed so far.
+    pub completed: usize,
     /// Jobs known to the workload but not yet arrived.
     pub pending_arrivals: usize,
     /// Total jobs in the workload instance.
@@ -549,7 +545,7 @@ mod tests {
                 free_by_class: [0; MAX_CLASSES],
                 waiting: self.waiting.as_slice().into(),
                 running: self.running.as_slice().into(),
-                completed_stats: CompletedStats::default(),
+                completed: 0,
                 pending_arrivals: self.pending_arrivals,
                 total_jobs: 6,
                 calendar: None,

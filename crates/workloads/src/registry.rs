@@ -51,7 +51,7 @@ pub mod names {
     /// Bursts of 96–128 GB/node analytics jobs pinned to the bigmem class.
     pub(crate) const BIGMEM_BURST: &str = "bigmem_burst";
     /// The calibrated Polaris trace substrate (paper §5).
-    pub(crate) const POLARIS: &str = "polaris";
+    pub const POLARIS: &str = "polaris";
     /// Seeded synthetic Polaris-scale SWF stream (560-node machine) — the
     /// scale substrate for million-job replays without a fixture.
     pub(crate) const POLARIS_SYNTH: &str = "polaris_synth";

@@ -3,6 +3,7 @@
 
 use reasoned_scheduler::cpsolver::SolverConfig;
 use reasoned_scheduler::prelude::*;
+use reasoned_scheduler::simkit::rng::SeedTree;
 use reasoned_scheduler::workloads::names as scenario_names;
 use reasoned_scheduler::workloads::polaris::polaris_workload;
 
@@ -163,19 +164,21 @@ fn the_or_tools_schedules_of_the_paper_grid_are_pinned() {
                 policy: "or-tools".to_string(),
                 scenario: scenario.to_string(),
                 jobs,
-                seed: 7,
+                workload_seed: 7,
+                // The campaign's derivation (`Campaign::grid`).
+                policy_seed: SeedTree::new(7).derive("or-tools", 0),
             };
             let workload = scenario_builtins()
                 .generate(
                     scenario,
                     &ScenarioContext::new(jobs)
                         .with_mode(ArrivalMode::Dynamic)
-                        .with_seed(cell.workload_seed())
+                        .with_seed(cell.workload_seed)
                         .with_cluster(cluster),
                 )
                 .unwrap_or_else(|e| panic!("{e}"));
             let ctx = PolicyContext::new(&workload.jobs, cluster)
-                .with_seed(cell.policy_seed())
+                .with_seed(cell.policy_seed)
                 .with_solver(SolverConfig::default());
             let mut policy = policies
                 .build(&cell.policy, &ctx)
@@ -199,6 +202,44 @@ fn the_or_tools_schedules_of_the_paper_grid_are_pinned() {
     assert_eq!(
         fnv, 7_323_820_500_526_429_882,
         "the 21 seed-7 OR-Tools schedules"
+    );
+}
+
+/// Every figure grid's coordinates at the default options, listed without
+/// running anything: 98 cells (Figures 3 and 4 have 30 each, Figure 7 has
+/// 25, Figure 8 has 5 and the ablation 8), and one FNV-1a hash over each
+/// cell's `(policy, scenario, jobs, workload_seed, policy_seed)`. A drift in
+/// any figure's seed derivation moves the hash here, before the full
+/// `all_figures` artifacts would show it.
+#[test]
+fn the_figure_grids_are_pinned() {
+    use reasoned_scheduler::campaign::cell::fnv1a64;
+    use reasoned_scheduler::experiments::figures::{ablation, fig3, fig4, fig7, fig8};
+    use reasoned_scheduler::experiments::ExperimentOptions;
+
+    let grids: [fn(&ExperimentOptions) -> Vec<CellSpec>; 5] = [
+        fig3::cells,
+        fig4::cells,
+        fig7::cells,
+        fig8::cells,
+        ablation::cells,
+    ];
+    let opts = ExperimentOptions::default();
+    let cells: Vec<CellSpec> = grids.iter().flat_map(|grid| grid(&opts)).collect();
+    let coordinates: String = cells
+        .iter()
+        .map(|c| {
+            format!(
+                "{}|{}|{}|{}|{}\n",
+                c.policy, c.scenario, c.jobs, c.workload_seed, c.policy_seed
+            )
+        })
+        .collect();
+    assert_eq!(cells.len(), 98);
+    assert_eq!(
+        fnv1a64(coordinates.as_bytes()),
+        11_102_353_358_683_809_865,
+        "the figure grids' coordinates"
     );
 }
 

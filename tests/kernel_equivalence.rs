@@ -12,8 +12,8 @@
 //! ```
 
 use reasoned_scheduler::cluster::{
-    classed_overlap_fits, ClusterState, CompletedStats, NodeClass, PlacementRequest, ResourceVec,
-    RunningJob, RunningOrder, StartError, StepIntegral, MAX_CLASSES,
+    classed_overlap_fits, ClusterState, NodeClass, PlacementRequest, ResourceVec, RunningJob,
+    RunningOrder, StartError, StepIntegral, MAX_CLASSES,
 };
 use reasoned_scheduler::cpsolver::SolverConfig;
 use reasoned_scheduler::prelude::*;
@@ -112,7 +112,7 @@ fn reference_simulate(
                     });
                 }
                 // Straight-line snapshot: rebuild every collection and
-                // recompute the aggregate from scratch, per query. A fresh
+                // recount the completed jobs, per query. A fresh
                 // copy of the cluster carries no index, so the view's id
                 // order and the calendar's release order are each one
                 // sort of the slot table; a fresh ledger has no cached
@@ -127,7 +127,7 @@ fn reference_simulate(
                     free_by_class: table.free_by_class(),
                     waiting: waiting.as_slice().into(),
                     running: Running::from(&table),
-                    completed_stats: CompletedStats::from_records(table.completed()),
+                    completed: table.completed().len(),
                     pending_arrivals,
                     total_jobs: jobs.len(),
                     calendar: Some(&ledger),

@@ -103,7 +103,7 @@ fn sim_types_construct_and_run() {
         free_by_class: [0; reasoned_scheduler::cluster::MAX_CLASSES],
         waiting: Waiting::default(),
         running: Default::default(),
-        completed_stats: CompletedStats::default(),
+        completed: 0,
         pending_arrivals: 0,
         total_jobs: 0,
         calendar: None,
@@ -111,7 +111,7 @@ fn sim_types_construct_and_run() {
         queue: None,
     };
     assert_eq!(view.free_nodes, config.nodes);
-    assert_eq!(view.completed_stats.count, 0);
+    assert_eq!(view.completed, 0);
 
     let summary = RunningSummary {
         id: JobId(1),

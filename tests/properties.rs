@@ -571,7 +571,7 @@ proptest! {
             free_by_class: [0; reasoned_scheduler::cluster::MAX_CLASSES],
             waiting: waiting_specs.as_slice().into(),
             running: running_summaries.as_slice().into(),
-            completed_stats: reasoned_scheduler::cluster::CompletedStats::default(),
+            completed: 0,
             pending_arrivals: pending,
             total_jobs: waiting_specs.len() + running_summaries.len() + pending,
             calendar: None,
@@ -731,7 +731,7 @@ proptest! {
                 free_by_class: [0; MAX_CLASSES],
                 waiting: waiting.as_slice().into(),
                 running: running.as_slice().into(),
-                completed_stats: reasoned_scheduler::cluster::CompletedStats::default(),
+                completed: 0,
                 pending_arrivals: 0,
                 total_jobs: waiting.len() + running.len(),
                 calendar: None,
@@ -807,7 +807,7 @@ proptest! {
             free_by_class: [0; MAX_CLASSES],
             waiting: waiting.as_slice().into(),
             running: running.as_slice().into(),
-            completed_stats: reasoned_scheduler::cluster::CompletedStats::default(),
+            completed: 0,
             pending_arrivals: 0,
             total_jobs: waiting.len(),
             calendar: None,

@@ -3,19 +3,18 @@
 //!
 //! * every builtin scenario resolves by name through the
 //!   `ScenarioRegistry`, case- and separator-insensitively;
-//! * an SWF fixture trace runs end to end through `run_policy` and a
-//!   figure grid, and lands in a per-cell JSON artifact;
+//! * an SWF fixture trace runs end to end through `run_policy`, and as
+//!   campaign cells through `run_cell` into a per-cell JSON artifact;
 //! * third-party scenarios register by name and flow through the
 //!   experiments harness — no workspace code touched.
 
 use std::path::Path;
 use std::sync::Arc;
 
-use reasoned_scheduler::campaign::{run_policy, PolicyRun};
+use reasoned_scheduler::campaign::{run_cell, run_policy, PolicyRun};
 use reasoned_scheduler::cluster::{ClusterConfig, JobSpec};
 use reasoned_scheduler::cpsolver::SolverConfig;
 use reasoned_scheduler::experiments::artifact::{cells_to_json, write};
-use reasoned_scheduler::experiments::figures::{run_grid, Group};
 use reasoned_scheduler::parallel::ThreadPool;
 use reasoned_scheduler::prelude::*;
 use reasoned_scheduler::workloads::names as scenario_names;
@@ -89,38 +88,40 @@ fn swf_trace_runs_end_to_end_through_run_policy() {
 #[test]
 fn swf_trace_sweeps_through_a_figure_grid_into_cell_artifacts() {
     let scenario = format!("swf:{}", fixture_path());
-    let jobs = scenario_builtins()
-        .generate(&scenario, &ScenarioContext::new(12))
-        .expect("fixture parses")
-        .jobs;
-    assert_eq!(jobs.len(), 12);
-    let group = Group {
-        label: format!("{scenario}/12"),
-        jobs,
-        policies: vec![("FCFS", 5), ("SJF", 5), ("Claude-3.7", 5)],
-    };
-    let results = run_grid(
-        Arc::new(PolicyRegistry::with_builtins()),
-        ClusterConfig::paper_default(),
-        quick_solver(),
-        vec![group],
-        &ThreadPool::new(2),
-    );
+    let cells: Vec<CellSpec> = ["FCFS", "SJF", "Claude-3.7"]
+        .into_iter()
+        .map(|policy| CellSpec {
+            policy: policy.to_string(),
+            scenario: scenario.clone(),
+            jobs: 12,
+            workload_seed: 5,
+            policy_seed: 5,
+        })
+        .collect();
+    let policies = Arc::new(PolicyRegistry::with_builtins());
+    let results = ThreadPool::new(2).par_map(cells, move |cell| {
+        let cluster = ClusterConfig::paper_default();
+        run_cell(
+            &policies,
+            scenario_builtins(),
+            cell,
+            quick_solver(),
+            cluster,
+            1.0,
+        )
+    });
     assert_eq!(results.len(), 3);
-    for r in &results {
-        assert!(r.scenario.starts_with("swf:"), "{}", r.scenario);
-        assert!(r.scenario.ends_with("/12"), "{}", r.scenario);
-        assert!(r.run.report.makespan_secs > 0.0, "{}", r.run.policy);
+    for (cell, run) in &results {
+        assert_eq!(run.stats.placements, 12, "{}", run.policy);
+        assert!(cell.scenario.starts_with("swf:"), "{}", cell.scenario);
+        assert!(run.report.makespan_secs > 0.0, "{}", run.policy);
     }
-    assert!(
-        results[2].run.overhead.is_some(),
-        "LLM cell tracks overhead"
-    );
+    assert!(results[2].1.overhead.is_some(), "LLM cell tracks overhead");
 
     // The sweep lands in a per-cell JSON artifact, scenario label intact.
     let json = cells_to_json("swf_smoke", &results);
     assert_eq!(json.matches("\"figure\":\"swf_smoke\"").count(), 3);
-    assert!(json.contains("sample.swf"));
+    assert!(json.contains("sample.swf/12\""), "{json}");
 
     let path = std::env::temp_dir()
         .join(format!("rsched_swf_artifact_test_{}", std::process::id()))

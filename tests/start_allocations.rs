@@ -16,8 +16,7 @@ use std::collections::VecDeque;
 
 use reasoned_scheduler::agent::{PromptBuilder, Scratchpad};
 use reasoned_scheduler::cluster::{
-    ClusterConfig, ClusterState, CompletedStats, JobSpec, NodeClass, ResourceVec, RunningOrder,
-    MAX_CLASSES,
+    ClusterConfig, ClusterState, JobSpec, NodeClass, ResourceVec, RunningOrder, MAX_CLASSES,
 };
 use reasoned_scheduler::sim::{RunningSummary, SystemView};
 use reasoned_scheduler::simkit::{SimDuration, SimTime};
@@ -171,7 +170,7 @@ fn a_warm_prompt_builder_allocates_nothing() {
         free_by_class: [0; MAX_CLASSES],
         waiting: waiting.as_slice().into(),
         running: running.as_slice().into(),
-        completed_stats: CompletedStats::default(),
+        completed: 0,
         pending_arrivals: 0,
         total_jobs: 70,
         calendar: None,
