@@ -37,8 +37,6 @@
 //!   and the completed records, with invariant checking.
 //! * [`reservation`] — shadow-time reservations used to validate EASY-style
 //!   backfilling.
-//! * [`utilization`] — step-function resource integrals for the utilization
-//!   objectives.
 //!
 //! ```
 //! use rsched_cluster::{ClusterConfig, FirstFitAllocator};
@@ -65,7 +63,6 @@ pub mod job;
 pub mod reservation;
 pub mod resources;
 pub mod topology;
-pub mod utilization;
 
 pub use allocator::{
     compatible_slots, Allocation, ClassedAllocator, FirstFitAllocator, PlacementRequest, SlotSet,
@@ -75,4 +72,3 @@ pub use job::{GroupId, JobId, JobRecord, JobSpec, UserId};
 pub use reservation::classed_overlap_fits;
 pub use resources::ResourceVec;
 pub use topology::{NodeClass, NodeClassSpec, Topology, MAX_CLASSES};
-pub use utilization::StepIntegral;

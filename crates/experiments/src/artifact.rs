@@ -18,7 +18,6 @@ use rsched_metrics::Metric;
 // shared with the campaign summary writer via `rsched_simkit::json`.
 use rsched_simkit::json::{escape, num};
 
-use crate::figures::metric_key;
 use crate::figures::overhead::latency_summary;
 
 fn cell_to_json(figure: &str, cell: &CellSpec, run: &PolicyRun) -> String {
@@ -36,7 +35,7 @@ fn cell_to_json(figure: &str, cell: &CellSpec, run: &PolicyRun) -> String {
     s.push_str("\"metrics\":{");
     let metrics: Vec<String> = Metric::all()
         .into_iter()
-        .map(|m| format!("\"{}\":{}", metric_key(m), num(run.report.get(m))))
+        .map(|m| format!("\"{}\":{}", m.key(), num(run.report.get(m))))
         .collect();
     s.push_str(&metrics.join(","));
     s.push_str("},\"stats\":{");

@@ -18,7 +18,7 @@ use rsched_simkit::csv;
 use rsched_simkit::rng::SeedTree;
 use rsched_workloads::names as scenario_names;
 
-use crate::figures::{metric_key, paper_cells, run_cells};
+use crate::figures::{paper_cells, run_cells};
 use crate::options::ExperimentOptions;
 
 /// Repetitions (5 in the paper; 3 under `--quick`).
@@ -173,7 +173,7 @@ impl Fig7Output {
                 if let Some(b) = dist.boxplot(metric) {
                     rows.push(vec![
                         name.clone(),
-                        metric_key(metric),
+                        metric.key().to_string(),
                         b.count.to_string(),
                         format!("{:.6}", b.min),
                         format!("{:.6}", b.q1),

@@ -166,7 +166,7 @@ impl NormalizedFigure {
     pub fn to_csv(&self) -> String {
         let mut header: Vec<String> = self.group.iter().map(|(c, _)| c.to_string()).collect();
         header.push(self.rows_are.to_string());
-        header.extend(Metric::all().into_iter().map(metric_key));
+        header.extend(Metric::all().into_iter().map(|m| m.key().to_string()));
         let mut table = vec![header];
         for (label, rows) in &self.groups {
             for (name, report) in rows {
@@ -181,11 +181,6 @@ impl NormalizedFigure {
         }
         csv::write_rows(table)
     }
-}
-
-/// A metric's machine-readable key (`avg_wait`, `node_util`, …).
-pub(crate) fn metric_key(metric: Metric) -> String {
-    metric.name().replace(' ', "_").to_lowercase()
 }
 
 #[cfg(test)]

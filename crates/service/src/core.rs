@@ -213,7 +213,7 @@ impl ServiceCore {
         start: SimTime,
     ) -> Self {
         ServiceCore {
-            kernel: KernelState::new(config.cluster, start),
+            kernel: KernelState::new(config.cluster),
             admission: AdmissionController::new(config.admission),
             policy,
             rx,

@@ -4,9 +4,9 @@
 //!
 //! Everything below the policy boundary is shared with the virtual-time
 //! simulator: both drivers advance the *same* [`rsched_sim::KernelState`]
-//! (waiting queue, running set, cluster ledger, utilization integrals,
-//! decision log) through the same three calls per tick — deliver arrivals,
-//! `advance_to(now)`, `run_epoch`. The simulator takes its arrivals from a
+//! (waiting queue, running set, cluster ledger, decision log) through the
+//! same three calls per tick — deliver arrivals, `advance_to(now)`,
+//! `run_epoch`. The simulator takes its arrivals from a
 //! cursor over a pre-known workload; this crate takes them from a live
 //! submission queue on a pluggable [`ServiceClock`]:
 //!

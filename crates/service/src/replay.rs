@@ -135,8 +135,6 @@ mod tests {
         assert_eq!(sim.stats, svc.stats);
         assert_eq!(sim.records, svc.records);
         assert_eq!(sim.end_time, svc.end_time);
-        assert!((sim.node_seconds - svc.node_seconds).abs() < 1e-12);
-        assert!((sim.memory_gb_seconds - svc.memory_gb_seconds).abs() < 1e-12);
     }
 
     #[test]

@@ -4,10 +4,9 @@
 //! ticks — the cluster ledger (whose slot table is the one record of what
 //! runs; policies read it by id, calendars by end time, through indices
 //! built at their first read), the completion heap, the sorted
-//! rank-ordered wait queue, utilization integrals, and the decision log —
-//! and exposes the one step both
-//! drivers share: deliver arrivals, [`KernelState::advance_to`] the tick's
-//! instant, then [`KernelState::run_epoch`], the validated
+//! rank-ordered wait queue and the decision log — and exposes the one step
+//! both drivers share: deliver arrivals, [`KernelState::advance_to`] the
+//! tick's instant, then [`KernelState::run_epoch`], the validated
 //! propose/apply/record loop of paper §2.4.
 //!
 //! Two drivers sit on top:
@@ -30,9 +29,7 @@
 //! at the same instants: the kernel is the single source of truth, the
 //! drivers only decide *when* it runs and *how* jobs reach it.
 
-use rsched_cluster::{
-    ClusterConfig, ClusterState, JobRecord, JobSpec, RunningOrder, StartError, StepIntegral,
-};
+use rsched_cluster::{ClusterConfig, ClusterState, JobRecord, JobSpec, RunningOrder, StartError};
 use rsched_simkit::{EventQueue, SimTime};
 use rsched_telemetry::{DelayReason, EpochOutcome, EpochTrace, TelemetrySink};
 
@@ -56,8 +53,7 @@ use crate::view::{SystemView, Waiting};
 ///    which alone knows them, so the kernel's heap holds completions only
 ///    and is never deeper than the running set;
 /// 2. [`advance_to(now)`](Self::advance_to): every completion due by `now`
-///    is retired at its own end time and the utilization integrals are
-///    folded up to `now`;
+///    is retired at its own end time;
 /// 3. [`run_epoch`](Self::run_epoch), which consults the policy if the
 ///    query discipline says to, and appends to
 ///    [`decisions`](Self::decisions) and [`epochs`](Self::epochs).
@@ -73,8 +69,6 @@ pub struct KernelState {
     events: EventQueue<usize>,
     queue: WaitQueue,
     ledger: CapacityLedger,
-    node_integral: StepIntegral,
-    mem_integral: StepIntegral,
     decisions: Vec<DecisionRecord>,
     stats: SimStats,
     stopped: bool,
@@ -85,16 +79,13 @@ pub struct KernelState {
 }
 
 impl KernelState {
-    /// A fresh kernel on an empty cluster, with the utilization integrals
-    /// anchored at `start`.
-    pub fn new(config: ClusterConfig, start: SimTime) -> Self {
+    /// A fresh kernel on an empty cluster.
+    pub fn new(config: ClusterConfig) -> Self {
         KernelState {
             cluster: ClusterState::new(config),
             events: EventQueue::new(),
             queue: WaitQueue::new(config.topology),
             ledger: CapacityLedger::new(),
-            node_integral: StepIntegral::new(start, 0.0),
-            mem_integral: StepIntegral::new(start, 0.0),
             decisions: Vec::new(),
             stats: SimStats::default(),
             stopped: false,
@@ -110,8 +101,8 @@ impl KernelState {
     /// so none of that is slack, and a log that grows past it has a few
     /// doublings left to do instead of all of them. The event heap is left
     /// to grow: it holds one completion per *running* job.
-    pub(crate) fn with_event_capacity(config: ClusterConfig, start: SimTime, jobs: usize) -> Self {
-        let mut kernel = KernelState::new(config, start);
+    pub(crate) fn with_event_capacity(config: ClusterConfig, jobs: usize) -> Self {
+        let mut kernel = KernelState::new(config);
         kernel.cluster.reserve_completed(jobs);
         kernel.decisions.reserve(jobs);
         kernel.epochs.reserve(jobs);
@@ -150,20 +141,16 @@ impl KernelState {
 
     /// Move the clock to `now`: retire every running job that ends at or
     /// before `now` at its own end time — an instant's completions in the
-    /// order their placements scheduled them — folding the utilization
-    /// integrals at each of those instants and then at `now`. Returns how
-    /// many jobs were retired. The simulator calls it once per event time;
-    /// a service tick may jump past several.
+    /// order their placements scheduled them. Returns how many jobs were
+    /// retired. The simulator calls it once per event time; a service tick
+    /// may jump past several.
     pub fn advance_to(&mut self, now: SimTime) -> usize {
         let mut retired = 0;
-        while let Some(at) = self.events.peek_time().filter(|&at| at <= now) {
-            while let Some(slot) = self.events.pop_if_at(at) {
-                self.complete(slot, at);
-                retired += 1;
-            }
-            self.observe_time(at);
+        while self.events.peek_time().is_some_and(|at| at <= now) {
+            let (at, slot) = self.events.pop().expect("peeked");
+            self.complete(slot, at);
+            retired += 1;
         }
-        self.observe_time(now);
         retired
     }
 
@@ -173,15 +160,6 @@ impl KernelState {
     fn complete(&mut self, slot: usize, now: SimTime) {
         self.cluster.complete_job(slot, now);
         self.ledger.running_changed();
-    }
-
-    /// Fold the cluster's current occupancy into the node/memory
-    /// utilization integrals at time `now`.
-    fn observe_time(&mut self, now: SimTime) {
-        self.node_integral
-            .update(now, self.cluster.busy_nodes() as f64);
-        self.mem_integral
-            .update(now, self.cluster.busy_memory_gb() as f64);
     }
 
     /// Should the policy be consulted this tick?
@@ -485,10 +463,6 @@ impl KernelState {
                 self.event_heap_peak = self.event_heap_peak.max(self.events.len());
                 self.queue.remove(slot);
                 self.ledger.running_changed();
-                self.node_integral
-                    .update(now, self.cluster.busy_nodes() as f64);
-                self.mem_integral
-                    .update(now, self.cluster.busy_memory_gb() as f64);
                 // The full ledger audit walks every running job; at 10k+
                 // placements per run that O(R) sweep dominates the apply
                 // path, so release builds trust the incremental counters.
@@ -601,8 +575,8 @@ impl KernelState {
         self.epochs.clear();
     }
 
-    /// Finish the run: consume the kernel into a [`SimOutcome`] with the
-    /// utilization integrals closed at `end_time`.
+    /// Finish the run: consume the kernel into a [`SimOutcome`] that ends
+    /// at `end_time`.
     pub fn into_outcome(self, policy_name: String, end_time: SimTime) -> SimOutcome {
         SimOutcome {
             policy_name,
@@ -610,8 +584,6 @@ impl KernelState {
             decisions: self.decisions,
             stats: self.stats,
             end_time,
-            node_seconds: self.node_integral.integral_through(end_time),
-            memory_gb_seconds: self.mem_integral.integral_through(end_time),
             epochs: self.epochs,
         }
     }
@@ -672,7 +644,7 @@ mod tests {
 
     /// Three one-node jobs started at 0, ending at 10, 20 and 30.
     fn three_running() -> KernelState {
-        let mut kernel = KernelState::new(ClusterConfig::new(8, 64), SimTime::ZERO);
+        let mut kernel = KernelState::new(ClusterConfig::new(8, 64));
         for (id, ends) in [(0, 10), (1, 20), (2, 30)] {
             kernel.arrive(JobSpec::new(
                 id,
@@ -699,22 +671,6 @@ mod tests {
         assert_eq!(kernel.next_event_time(), Some(secs(30)));
         assert_eq!(kernel.advance_to(secs(25)), 0);
         assert_eq!(kernel.running_count(), 1);
-    }
-
-    /// The service jumps a tick past several instants; the simulator steps
-    /// to each. The integrals cannot tell the two apart, to the bit.
-    #[test]
-    fn one_jump_and_single_steps_fold_the_same_integrals() {
-        let integrals = |stops: &[u64]| {
-            let mut kernel = three_running();
-            let retired: usize = stops.iter().map(|&t| kernel.advance_to(secs(t))).sum();
-            assert_eq!(retired, 3);
-            let out = kernel.into_outcome("greedy".into(), secs(30));
-            (out.node_seconds.to_bits(), out.memory_gb_seconds.to_bits())
-        };
-        let jumped = integrals(&[25, 30]);
-        assert_eq!(jumped, integrals(&[10, 20, 25, 30]));
-        assert_eq!(jumped, (60.0f64.to_bits(), 120.0f64.to_bits()));
     }
 
     /// Starts SJF's pick, then the same job again, then delays.
@@ -748,7 +704,7 @@ mod tests {
     /// view no longer holds it.
     #[test]
     fn a_job_started_twice_in_one_epoch_is_not_in_the_queue_the_second_time() {
-        let mut kernel = KernelState::new(ClusterConfig::new(8, 64), SimTime::ZERO);
+        let mut kernel = KernelState::new(ClusterConfig::new(8, 64));
         for i in 0..200u32 {
             let walltime = SimDuration::from_secs(100 + 10 * u64::from(i.abs_diff(100)));
             let job = JobSpec::new(i, 0, SimTime::ZERO, walltime, 1, 2);

@@ -63,11 +63,6 @@ pub struct SimOutcome {
     pub stats: SimStats,
     /// Time the last job completed.
     pub end_time: SimTime,
-    /// `∫ busy_nodes · dt` over the run, in node-seconds — cross-checks the
-    /// closed-form utilization metric.
-    pub node_seconds: f64,
-    /// `∫ busy_memory · dt` over the run, in GB-seconds.
-    pub memory_gb_seconds: f64,
     /// Per-epoch provenance: one record per decision epoch (and per
     /// watermark short-circuit), each carrying a machine-readable reason
     /// when no placement happened. Deterministic — recorded whether or not
@@ -118,8 +113,6 @@ mod tests {
             ],
             stats: SimStats::default(),
             end_time: SimTime::from_secs(7),
-            node_seconds: 5.0,
-            memory_gb_seconds: 5.0,
             epochs: vec![],
         };
         assert_eq!(outcome.placements().count(), 1);

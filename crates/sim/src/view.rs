@@ -640,7 +640,7 @@ mod tests {
         let j1 = v.waiting_job(JobId(1)).cloned().expect("present");
         assert_eq!(v.wait_so_far(&j1), SimDuration::from_secs(90));
 
-        let mut kernel = KernelState::new(ClusterConfig::new(8, 64), SimTime::ZERO);
+        let mut kernel = KernelState::new(ClusterConfig::new(8, 64));
         for id in 0..200 {
             kernel.arrive(spec(id, 0, 0, 1, 2));
         }

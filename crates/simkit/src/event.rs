@@ -119,17 +119,6 @@ impl<T> EventQueue<T> {
     pub fn clear(&mut self) {
         self.heap.clear();
     }
-
-    /// Remove and return the earliest event if it is scheduled at exactly
-    /// `time`. Called until it answers `None`, it hands over an instant's
-    /// events one at a time, in FIFO order, without collecting them.
-    pub fn pop_if_at(&mut self, time: SimTime) -> Option<T> {
-        if self.peek_time() == Some(time) {
-            self.pop().map(|(_, payload)| payload)
-        } else {
-            None
-        }
-    }
 }
 
 impl<T> Extend<(SimTime, T)> for EventQueue<T> {
@@ -188,24 +177,6 @@ mod tests {
         assert_eq!(q.pop(), Some((SimTime::from_secs(4), 'z')));
         assert!(q.is_empty());
         assert_eq!(q.peek_time(), None);
-    }
-
-    #[test]
-    fn pop_if_at_takes_only_matching_timestamp() {
-        let mut q = EventQueue::new();
-        let t1 = SimTime::from_secs(1);
-        let t2 = SimTime::from_secs(2);
-        q.push(t1, 1);
-        q.push(t1, 2);
-        q.push(t2, 3);
-        // The earliest event is not at `t2` yet.
-        assert_eq!(q.pop_if_at(t2), None);
-        assert_eq!(q.pop_if_at(t1), Some(1));
-        assert_eq!(q.pop_if_at(t1), Some(2));
-        assert_eq!(q.pop_if_at(t1), None);
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.pop_if_at(t2), Some(3));
-        assert_eq!(q.pop_if_at(t2), None);
     }
 
     #[test]

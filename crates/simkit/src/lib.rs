@@ -17,7 +17,7 @@
 //!   scratch; the workload scenarios and the LLM latency models sample from
 //!   these.
 //! * [`stats`] — streaming and descriptive statistics (Welford moments,
-//!   quantiles, box plots, histograms, Kahan summation) used by the metric
+//!   quantiles, box plots, Kahan summation) used by the metric
 //!   and experiment crates.
 //! * [`csv`] — a minimal, RFC-4180-compatible CSV reader/writer used for
 //!   trace and result files.
@@ -45,7 +45,7 @@ pub mod timetable;
 
 pub use event::EventQueue;
 pub use rng::{Rng, RngExt, SeedTree, Xoshiro256PlusPlus};
-pub use stats::{BoxplotStats, Histogram, RunningStats};
+pub use stats::{BoxplotStats, RunningStats};
 pub use time::{SimDuration, SimTime};
 pub use timetable::{BasePoint, ReservationProfile, ReservedStep};
 

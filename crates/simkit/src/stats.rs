@@ -3,7 +3,7 @@
 //! The metric crate aggregates per-run results with [`RunningStats`]
 //! (Welford's online algorithm), the robustness study (paper Figure 7)
 //! summarizes repeated runs with [`BoxplotStats`], and the overhead analysis
-//! (Figures 5–6) bins per-call latencies with [`Histogram`].
+//! (Figures 5–6) reads per-call latency percentiles with [`quantile`].
 
 /// Compensated (Kahan–Babuška) summation, for long metric accumulations.
 #[derive(Debug, Clone, Copy, Default)]
@@ -257,78 +257,6 @@ impl BoxplotStats {
     }
 }
 
-/// A fixed-width histogram over `[lo, hi)`; values outside the range land in
-/// the first/last bin (clamped), so no observation is dropped.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    bins: Vec<u64>,
-    count: u64,
-}
-
-impl Histogram {
-    /// A histogram with `bins` equal-width buckets spanning `[lo, hi)`.
-    ///
-    /// # Panics
-    /// Panics if `bins == 0` or `lo >= hi`.
-    pub fn new(lo: f64, hi: f64, bins: usize) -> Self {
-        assert!(bins > 0, "Histogram: zero bins");
-        assert!(lo < hi, "Histogram: lo >= hi");
-        Histogram {
-            lo,
-            hi,
-            bins: vec![0; bins],
-            count: 0,
-        }
-    }
-
-    /// Record one observation.
-    pub fn record(&mut self, x: f64) {
-        let n = self.bins.len();
-        let idx = if x < self.lo {
-            0
-        } else if x >= self.hi {
-            n - 1
-        } else {
-            let frac = (x - self.lo) / (self.hi - self.lo);
-            ((frac * n as f64) as usize).min(n - 1)
-        };
-        self.bins[idx] += 1;
-        self.count += 1;
-    }
-
-    /// Total recorded observations.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// `(bucket_lower_edge, count)` pairs.
-    pub(crate) fn iter_edges(&self) -> impl Iterator<Item = (f64, u64)> + '_ {
-        let width = (self.hi - self.lo) / self.bins.len() as f64;
-        self.bins
-            .iter()
-            .enumerate()
-            .map(move |(i, &c)| (self.lo + width * i as f64, c))
-    }
-
-    /// Render a compact ASCII bar chart (one line per bucket), for terminal
-    /// experiment reports.
-    pub fn ascii(&self, max_width: usize) -> String {
-        let peak = self.bins.iter().copied().max().unwrap_or(0).max(1);
-        let mut out = String::new();
-        for (edge, count) in self.iter_edges() {
-            let bar = "#".repeat(
-                (count as usize * max_width)
-                    .div_ceil(peak as usize)
-                    .min(max_width),
-            );
-            out.push_str(&format!("{edge:>10.2} | {bar} {count}\n"));
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -433,29 +361,5 @@ mod tests {
         assert_eq!(b.max, 5.0);
         assert_eq!(b.iqr(), 0.0);
         assert!(BoxplotStats::from_data(&[]).is_none());
-    }
-
-    #[test]
-    fn histogram_bins_and_clamping() {
-        let mut h = Histogram::new(0.0, 10.0, 5);
-        for x in [0.5, 1.5, 2.5, 9.9, -3.0, 50.0] {
-            h.record(x);
-        }
-        assert_eq!(h.count(), 6);
-        // -3.0 clamps to first bin, 50.0 clamps to last.
-        assert_eq!(h.bins, [3, 1, 0, 0, 2]);
-        let edges: Vec<f64> = h.iter_edges().map(|(e, _)| e).collect();
-        assert_eq!(edges, vec![0.0, 2.0, 4.0, 6.0, 8.0]);
-    }
-
-    #[test]
-    fn histogram_ascii_renders_all_bins() {
-        let mut h = Histogram::new(0.0, 4.0, 4);
-        h.record(0.5);
-        h.record(0.6);
-        h.record(3.2);
-        let art = h.ascii(10);
-        assert_eq!(art.lines().count(), 4);
-        assert!(art.contains('#'));
     }
 }

@@ -3,9 +3,9 @@
 use std::collections::HashMap;
 use std::hash::Hash;
 
-/// Dense-id factorization in first-appearance order, shared by the Polaris
-/// and SWF ingestion pipelines: the first distinct value becomes id 0, the
-/// next id 1, and so on. Hash-backed, so factorizing a multi-million-job
+/// Dense-id factorization in first-appearance order, as the SWF conversion
+/// (every trace, the Polaris substrate included) assigns user and group
+/// ids: the first distinct value becomes id 0, the next id 1, and so on. Hash-backed, so factorizing a multi-million-job
 /// archive trace stays linear in the job count.
 #[derive(Debug, Default)]
 pub(crate) struct Factorizer<T> {

@@ -232,7 +232,8 @@ impl ScenarioRegistry {
         self.register_described(
             names::POLARIS,
             "Polaris Trace",
-            "Synthesized Polaris-style log through the paper's \u{a7}5 preprocessing pipeline.",
+            "Synthesized Polaris-style log through the SWF conversion, the paper's \u{a7}5 \
+             preprocessing pipeline.",
             // Static-mode zeroing is applied centrally by `generate`.
             |ctx| Workload {
                 scenario: names::POLARIS.to_string(),

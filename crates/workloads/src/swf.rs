@@ -23,10 +23,12 @@
 //! of it; the collecting parser it replaced survives under `#[cfg(test)]`
 //! as the oracle of a differential property test.
 //!
-//! Conversion to simulator-ready [`JobSpec`]s follows the same discipline
-//! as the Polaris pipeline (paper §5): drop failed/cancelled jobs, sort by
-//! submission, normalize timestamps to the earliest submission, factorize
-//! user/group labels, and derive memory where the trace does not record it.
+//! Conversion to simulator-ready [`JobSpec`]s is the paper's §5
+//! preprocessing pipeline, and the Polaris substrate
+//! ([`crate::polaris`]) runs through it too: drop failed/cancelled jobs, sort
+//! by submission, normalize timestamps to the earliest submission,
+//! factorize user/group labels, and derive memory where the trace does not
+//! record it.
 //! The sort orders 24-byte `(submit, job_id, row index)` keys, not the
 //! 144-byte rows, which are read through the keys once.
 //!
@@ -224,7 +226,7 @@ impl SwfTrace {
         ClusterConfig::new(nodes, (nodes as u64).saturating_mul(gb_per_node))
     }
 
-    /// Convert to simulator-ready jobs, Polaris-pipeline style: keep
+    /// Convert to simulator-ready jobs by the §5 pipeline: keep
     /// [usable](SwfJob::is_usable) jobs, sort by `(submit, job_id)`, take at
     /// most `limit` (0 = all), normalize submissions to the earliest kept
     /// job, re-identify sequentially, and factorize users/groups in
@@ -244,7 +246,8 @@ impl SwfTrace {
 /// the same core as [`SwfTrace::to_jobs`]: unusable rows are dropped as
 /// they stream past, then the survivors are sorted, truncated to `limit`
 /// (0 = all), normalized, and factorized. Lets synthetic row generators
-/// (`rsched_workloads::synth`) share the exact SWF conversion semantics.
+/// (`rsched_workloads::synth`, `rsched_workloads::polaris`) share the exact
+/// SWF conversion semantics.
 pub fn jobs_from_rows(rows: impl IntoIterator<Item = SwfJob>, limit: usize) -> Vec<JobSpec> {
     let usable: Vec<SwfJob> = rows.into_iter().filter(SwfJob::is_usable).collect();
     convert_usable(&usable, limit)
@@ -298,8 +301,7 @@ fn convert_usable(rows: &[SwfJob], limit: usize) -> Vec<JobSpec> {
             };
             // Archive traces record overruns (run > requested, killed
             // late); pad to the actual runtime so schedulers never see
-            // a job outlive its declared walltime, as in the Polaris
-            // pipeline.
+            // a job outlive its declared walltime.
             let walltime = (j.requested_secs.max(0) as u64).max(runtime);
             JobSpec::new(
                 i as u32,

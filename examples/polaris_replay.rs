@@ -1,9 +1,10 @@
 //! The §5 real-trace pipeline end to end: synthesize a raw Polaris-style
-//! job log (with failures, unsorted, absolute timestamps), run the paper's
-//! preprocessing (filter, sort, normalize, factorize, derive memory), and
-//! replay it under FCFS and the LLM agent on the 560-node machine.
-//! A real archive log replays through the `swf:<path>` scenario name
-//! instead (see the `swf_replay` example).
+//! job log as SWF rows (with failures, unsorted, absolute timestamps), run
+//! them through the SWF conversion — the paper's preprocessing: filter,
+//! sort, normalize, factorize, derive memory — and replay the jobs under
+//! FCFS and the LLM agent on the 560-node machine. A real archive log
+//! replays through the `swf:<path>` scenario name instead (see the
+//! `swf_replay` example).
 //!
 //! ```text
 //! cargo run --release --example polaris_replay
@@ -12,20 +13,21 @@
 use reasoned_scheduler::prelude::*;
 use reasoned_scheduler::registry::names;
 use reasoned_scheduler::workloads::polaris;
+use reasoned_scheduler::workloads::swf::jobs_from_rows;
 
 fn main() {
-    // 1. A raw log, as exported: includes EXIT_STATUS=-1 failures and
+    // 1. A raw log, as exported: includes failed jobs (SWF status 0) and
     //    unsorted submissions.
     let raw = polaris::synthesize_raw_trace(100, 2024);
-    let failed = raw.iter().filter(|r| r.exit_status == -1).count();
+    let failed = raw.iter().filter(|r| !r.is_usable()).count();
     println!(
         "raw log: {} rows ({} failed jobs will be dropped)",
         raw.len(),
         failed
     );
 
-    // 2. The paper's preprocessing pipeline.
-    let jobs = polaris::preprocess(&raw, 100);
+    // 2. The paper's preprocessing pipeline: the SWF conversion.
+    let jobs = jobs_from_rows(raw, 100);
     println!(
         "preprocessed: {} jobs, users factorized to {} ids, memory = nodes × {} GB\n",
         jobs.len(),

@@ -13,7 +13,7 @@
 
 use reasoned_scheduler::cluster::{
     classed_overlap_fits, ClusterState, NodeClass, PlacementRequest, ResourceVec, RunningJob,
-    RunningOrder, StartError, StepIntegral, MAX_CLASSES,
+    RunningOrder, StartError, MAX_CLASSES,
 };
 use reasoned_scheduler::cpsolver::SolverConfig;
 use reasoned_scheduler::prelude::*;
@@ -69,10 +69,7 @@ fn reference_simulate(
     let mut stats = SimStats::default();
     let mut stopped = false;
 
-    let start_time = events.peek_time().unwrap_or(SimTime::ZERO);
-    let mut node_integral = StepIntegral::new(start_time, 0.0);
-    let mut mem_integral = StepIntegral::new(start_time, 0.0);
-    let mut now = start_time;
+    let mut now = events.peek_time().unwrap_or(SimTime::ZERO);
 
     while cluster.completed().len() < jobs.len() {
         let Some(t) = events.peek_time() else {
@@ -96,8 +93,6 @@ fn reference_simulate(
         }
         // Straight-line: re-sort the whole queue at every event time.
         waiting.sort_by_key(|j| (j.submit, j.id));
-        node_integral.update(now, cluster.busy_nodes() as f64);
-        mem_integral.update(now, cluster.busy_memory_gb() as f64);
 
         // Straight-line placeability: scan the whole queue.
         let placeable = waiting.iter().any(|j| cluster.can_fit(j));
@@ -144,8 +139,6 @@ fn reference_simulate(
                     pending_arrivals,
                     now,
                     options,
-                    &mut node_integral,
-                    &mut mem_integral,
                     action,
                 );
                 let rejected = verdict.as_ref().err().cloned();
@@ -208,20 +201,16 @@ fn reference_simulate(
         }
     }
 
-    let end_time = now;
     Ok(SimOutcome {
         policy_name: policy.name().to_string(),
         records: cluster.completed().to_vec(),
         decisions,
         stats,
-        end_time,
-        node_seconds: node_integral.integral_through(end_time),
-        memory_gb_seconds: mem_integral.integral_through(end_time),
+        end_time: now,
         epochs: vec![],
     })
 }
 
-#[allow(clippy::too_many_arguments)]
 fn reference_apply(
     cluster: &mut ClusterState,
     events: &mut EventQueue<RefEvent>,
@@ -229,8 +218,6 @@ fn reference_apply(
     pending_arrivals: usize,
     now: SimTime,
     options: &SimOptions,
-    node_integral: &mut StepIntegral,
-    mem_integral: &mut StepIntegral,
     action: Action,
 ) -> Result<Applied, RejectReason> {
     let lookup = |waiting: &[JobSpec], id: JobId| {
@@ -248,18 +235,16 @@ fn reference_apply(
             free_nodes: cluster.free_nodes(),
             free_memory_gb: cluster.free_memory_gb(),
         };
-    let mut start = |cluster: &mut ClusterState,
-                     events: &mut EventQueue<RefEvent>,
-                     waiting: &mut Vec<JobSpec>,
-                     spec: &JobSpec|
+    let start = |cluster: &mut ClusterState,
+                 events: &mut EventQueue<RefEvent>,
+                 waiting: &mut Vec<JobSpec>,
+                 spec: &JobSpec|
      -> Result<(), RejectReason> {
         match cluster.start_job(spec, now) {
             Ok((slot, running)) => {
                 let end = running.end;
                 events.push(end, RefEvent::Completion(slot));
                 waiting.retain(|j| j.id != spec.id);
-                node_integral.update(now, cluster.busy_nodes() as f64);
-                mem_integral.update(now, cluster.busy_memory_gb() as f64);
                 Ok(())
             }
             Err(StartError::InsufficientResources { .. }) => Err(insufficient(cluster, spec)),
@@ -405,18 +390,6 @@ fn assert_outcomes_identical(a: &SimOutcome, b: &SimOutcome, label: &str) {
     assert_eq!(a.decisions, b.decisions, "{label}: decision log");
     assert_eq!(a.stats, b.stats, "{label}: stats");
     assert_eq!(a.end_time, b.end_time, "{label}: end time");
-    assert!(
-        a.node_seconds == b.node_seconds,
-        "{label}: node integral {} vs {}",
-        a.node_seconds,
-        b.node_seconds
-    );
-    assert!(
-        a.memory_gb_seconds == b.memory_gb_seconds,
-        "{label}: memory integral {} vs {}",
-        a.memory_gb_seconds,
-        b.memory_gb_seconds
-    );
 }
 
 /// Scripted input for the strict-backfill validator: proposes
@@ -933,7 +906,7 @@ fn a_batch_of_arrivals_is_one_by_one_delivery() {
     let options = SimOptions::default();
     for policy in policies {
         let mut kernels = [true, false].map(|batched| {
-            let mut kernel = KernelState::new(ClusterConfig::new(16, 256), SimTime::ZERO);
+            let mut kernel = KernelState::new(ClusterConfig::new(16, 256));
             let mut policy = policy();
             for (now, ids) in [(0, 0..20), (100, 20..60)] {
                 let mut arrivals: Vec<_> = ids.map(|i| job(i, now)).collect();
@@ -1218,7 +1191,7 @@ fn slot_table_indices_match_a_sorted_sweep_from_their_first_read_on() {
         for seed in 0..4u64 {
             let mut rng = Xoshiro256PlusPlus::seed_from_u64(seed);
             let mut policy = StartsSometimes(Xoshiro256PlusPlus::seed_from_u64(seed + 100));
-            let mut kernel = KernelState::new(config, SimTime::ZERO);
+            let mut kernel = KernelState::new(config);
             let first_read: [u64; 3] = std::array::from_fn(|_| rng.gen_range_u64(STEPS));
             let [running_from, estimated_from, actual_from] = first_read;
             let (mut next_id, mut peak) = (0u32, 0);

@@ -973,7 +973,7 @@ proptest! {
             (13, 0, 0, String::new(), 0, 1),
             (13, 0, 0, String::new(), 0, 1),
         ];
-        let mut kernel = KernelState::new(ClusterConfig::paper_default(), SimTime::ZERO);
+        let mut kernel = KernelState::new(ClusterConfig::paper_default());
         kernel.arrive(JobSpec::new(32, 0, SimTime::ZERO, SimDuration::from_secs(60), 4, 8));
         let first = Scratchpad::new(BUDGETS[budgets.0]);
         let mut pads = [first.clone(), Scratchpad::new(BUDGETS[budgets.1]), first];
@@ -1047,7 +1047,7 @@ proptest! {
             let _ = model.complete_prompt(&Prompt { lines, key, ..parts });
 
             let prompt = PromptBuilder::render(
-                &KernelState::new(ClusterConfig::paper_default(), SimTime::ZERO).view(SimTime::ZERO, 0, 1),
+                &KernelState::new(ClusterConfig::paper_default()).view(SimTime::ZERO, 0, 1),
                 &{
                     let mut pad = Scratchpad::default();
                     pad.push_thought(1, text);
@@ -1069,7 +1069,7 @@ proptest! {
 /// waiting job (id 32) that fits it, with `feedback` on the scratchpad at
 /// `feedback_at`.
 fn prompt_with_feedback(feedback_at: u64, feedback: &str) -> String {
-    let mut kernel = KernelState::new(ClusterConfig::paper_default(), SimTime::ZERO);
+    let mut kernel = KernelState::new(ClusterConfig::paper_default());
     kernel.arrive(JobSpec::new(
         32,
         0,
@@ -1196,7 +1196,7 @@ proptest! {
             calls: 0,
         }));
 
-        let mut kernel = KernelState::new(ClusterConfig::paper_default(), SimTime::ZERO);
+        let mut kernel = KernelState::new(ClusterConfig::paper_default());
         kernel.arrive(JobSpec::new(32, 0, SimTime::ZERO, SimDuration::from_secs(60), 4, 8));
 
         // What the log must read, written down from the steps alone.
