@@ -4,23 +4,21 @@
 //! a campaign's output is a pure function of its spec, not of thread
 //! scheduling.
 
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::error::Error;
 use std::path::{Path, PathBuf};
-use std::sync::mpsc;
 use std::sync::Arc;
 
 use rsched_cluster::{ClusterConfig, JobSpec};
 use rsched_cpsolver::SolverConfig;
 use rsched_metrics::MetricsReport;
 use rsched_parallel::ThreadPool;
-use rsched_registry::{PolicyContext, PolicyRegistry, RegistryError};
+use rsched_registry::{PolicyContext, PolicyRegistry};
 use rsched_sim::{OverheadReport, SimStats, Simulation};
 use rsched_workloads::{ArrivalMode, ScenarioContext, ScenarioRegistry};
 
 use crate::cache::{read_cell, write_cell};
 use crate::cell::{derived_policy_seed, CellResult, CellSpec};
 use crate::error::CampaignError;
-use crate::observer::{CampaignObserver, NullObserver};
 use crate::spec::CampaignSpec;
 use crate::summary::CampaignSummary;
 
@@ -86,16 +84,6 @@ impl Campaign {
         self
     }
 
-    /// The campaign spec.
-    pub fn spec(&self) -> &CampaignSpec {
-        &self.spec
-    }
-
-    /// The output directory (`<root>/<name>`).
-    pub fn out_dir(&self) -> &Path {
-        &self.out_dir
-    }
-
     /// The full grid in grid order: scenarios × jobs × policies × seeds,
     /// minus exclusions. A seed is each cell's workload seed, and each
     /// policy's seed is derived from it per policy.
@@ -122,92 +110,61 @@ impl Campaign {
         cells
     }
 
-    /// Run the campaign without progress reporting.
-    pub fn run(&self, pool: &ThreadPool) -> Result<CampaignOutcome, CampaignError> {
-        self.run_observed(pool, &mut NullObserver)
-    }
-
-    /// Run the campaign, streaming progress to `observer`.
+    /// Run the campaign.
     ///
-    /// Validates the spec, probes the cache, executes every miss on
-    /// `pool`, persists fresh cells, writes `summary.json` and
-    /// `fronts.csv`, and returns the merged outcome. A policy or
-    /// simulation panic in a worker is re-raised here, mirroring
-    /// [`ThreadPool::par_map`].
-    pub fn run_observed(
-        &self,
-        pool: &ThreadPool,
-        observer: &mut dyn CampaignObserver,
-    ) -> Result<CampaignOutcome, CampaignError> {
+    /// Validates the spec, probes the cache on this thread, runs every
+    /// miss on `pool` (each worker runs its cell and writes the cell's
+    /// cache file), writes `summary.json` and `fronts.csv`, and returns
+    /// the outcome merged in grid order.
+    ///
+    /// A cell that fails is not cached: every other cell still runs and
+    /// is cached, and the error of the first failed cell in grid order is
+    /// returned.
+    pub fn run(&self, pool: &ThreadPool) -> Result<CampaignOutcome, CampaignError> {
         self.spec.validate(&self.policies, &self.scenarios)?;
-        let grid = self.grid();
         let cells_dir = self.out_dir.join("cells");
         let solver = self.spec.solver;
         let cluster = self.spec.cluster();
         let skew = self.spec.walltime_skew;
 
-        // Probe the cache in grid order.
-        let mut slots: Vec<Option<CellResult>> = Vec::with_capacity(grid.len());
-        let mut misses: Vec<(usize, CellSpec, u64)> = Vec::new();
-        for (index, cell) in grid.iter().enumerate() {
+        let mut hits: Vec<Option<CellResult>> = Vec::new();
+        let mut misses = Vec::new();
+        for cell in self.grid() {
             let hash = cell.content_hash(&solver, cluster, skew);
-            match read_cell(&cells_dir, cell, hash) {
-                Some(result) => slots.push(Some(result)),
-                None => {
-                    slots.push(None);
-                    misses.push((index, cell.clone(), hash));
-                }
+            let hit = read_cell(&cells_dir, &cell, hash);
+            if hit.is_none() {
+                // Each task carries its machine and solver budget, as
+                // `figures::run_cells`'s do, so the task box the worker
+                // frees stays out of the size classes its runs grow into.
+                misses.push((cell, hash, cluster, solver));
             }
+            hits.push(hit);
         }
-        let total = grid.len();
-        let cached = total - misses.len();
-        observer.on_start(total, cached);
-        for slot in slots.iter().flatten() {
-            observer.on_cell_cached(&slot.cell, slot);
-        }
+        let ran = misses.len();
+        let cached = hits.len() - ran;
 
-        // Execute the misses concurrently; settle results as they stream
-        // back. The channel carries the grid index so merge order is
-        // independent of completion order.
-        type TaskOutcome = (usize, u64, std::thread::Result<CellResult>);
-        let (tx, rx) = mpsc::channel::<TaskOutcome>();
-        for (index, cell, hash) in misses {
-            let tx = tx.clone();
-            let policies = Arc::clone(&self.policies);
-            let scenarios = Arc::clone(&self.scenarios);
-            pool.spawn(move || {
-                let result = catch_unwind(AssertUnwindSafe(|| {
-                    let (cell, run) = run_cell(&policies, &scenarios, cell, solver, cluster, skew);
-                    CellResult::new(
-                        cell,
-                        &run.report,
-                        run.stats.placements as u64,
-                        run.stats.epochs as u64,
-                    )
-                }));
-                // The receiver bails on the first panic; later sends then
-                // fail, which is expected and ignorable.
-                let _ = tx.send((index, hash, result));
-            });
-        }
-        drop(tx);
-        let mut done = cached;
-        for (index, hash, result) in rx {
-            match result {
-                Ok(result) => {
-                    write_cell(&cells_dir, &result, hash)?;
-                    done += 1;
-                    observer.on_cell_complete(&result.cell, &result, done, total);
-                    slots[index] = Some(result);
-                }
-                Err(payload) => resume_unwind(payload),
-            }
-        }
-        let results: Vec<CellResult> = slots
+        let policies = Arc::clone(&self.policies);
+        let scenarios = Arc::clone(&self.scenarios);
+        let mut fresh = pool
+            .par_map(misses, move |(cell, hash, cluster, solver)| {
+                let (cell, run) = run_cell(&policies, &scenarios, cell, solver, cluster, skew)?;
+                let result = CellResult::new(
+                    cell,
+                    &run.report,
+                    run.stats.placements as u64,
+                    run.stats.epochs as u64,
+                );
+                write_cell(&cells_dir, &result, hash)?;
+                Ok(result)
+            })
+            .into_iter();
+        let results = hits
             .into_iter()
-            .enumerate()
-            .map(|(i, slot)| slot.unwrap_or_else(|| panic!("cell {i} never delivered a result")))
-            .collect();
+            .map(|hit| match hit {
+                Some(result) => Ok(result),
+                None => fresh.next().expect("one run per miss"),
+            })
+            .collect::<Result<Vec<CellResult>, CampaignError>>()?;
 
         let summary = CampaignSummary::compute(&self.spec, &results);
         std::fs::create_dir_all(&self.out_dir).map_err(|e| CampaignError::Io {
@@ -224,10 +181,9 @@ impl Campaign {
                 message: e.to_string(),
             })?;
         }
-        observer.on_complete(&results);
         Ok(CampaignOutcome {
             cached,
-            ran: total - cached,
+            ran,
             results,
             summary,
             out_dir: self.out_dir.clone(),
@@ -255,12 +211,9 @@ pub struct PolicyRun {
 /// the cell's workload.
 ///
 /// `policy_seed` feeds the stochastic policies (LLM sampling noise, the
-/// random policy, solver restarts); deterministic ones ignore it. Fails
-/// only on an unknown name.
-///
-/// # Panics
-/// On simulation failure: a registered policy that cannot finish a
-/// workload is a harness bug, not an input error.
+/// random policy, solver restarts); deterministic ones ignore it. Fails on
+/// an unknown name ([`rsched_registry::RegistryError`]) or a run the
+/// simulator refuses or cannot finish ([`rsched_sim::SimError`]).
 pub fn run_policy(
     policies: &PolicyRegistry,
     policy: &str,
@@ -268,15 +221,12 @@ pub fn run_policy(
     cluster: ClusterConfig,
     policy_seed: u64,
     solver: SolverConfig,
-) -> Result<PolicyRun, RegistryError> {
+) -> Result<PolicyRun, Box<dyn Error + Send + Sync>> {
     let ctx = PolicyContext::new(jobs, cluster)
         .with_seed(policy_seed)
         .with_solver(solver);
     let mut built = policies.build(policy, &ctx)?;
-    let outcome = Simulation::new(cluster)
-        .jobs(jobs)
-        .run(built.as_mut())
-        .unwrap_or_else(|e| panic!("{policy} over {} jobs failed: {e}", jobs.len()));
+    let outcome = Simulation::new(cluster).jobs(jobs).run(built.as_mut())?;
     Ok(PolicyRun {
         policy: policies
             .display_name(policy)
@@ -294,10 +244,8 @@ pub fn run_policy(
 ///
 /// The cell is taken by value and handed back beside its run, so a
 /// worker neither copies nor frees what the coordinating thread allocated.
-///
-/// # Panics
-/// On an unknown name or a simulation failure — spec validation already
-/// proved the names resolve.
+/// A scenario or policy that does not resolve, or a run that fails, is a
+/// [`CampaignError::Cell`] naming the cell.
 pub fn run_cell(
     policies: &PolicyRegistry,
     scenarios: &ScenarioRegistry,
@@ -305,31 +253,37 @@ pub fn run_cell(
     solver: SolverConfig,
     cluster: ClusterConfig,
     walltime_skew: f64,
-) -> (CellSpec, PolicyRun) {
+) -> Result<(CellSpec, PolicyRun), CampaignError> {
     let ctx = ScenarioContext::new(cell.jobs)
         .with_mode(ArrivalMode::Dynamic)
         .with_seed(cell.workload_seed)
         .with_cluster(cluster)
         .with_walltime_skew(walltime_skew);
-    let workload = scenarios
+    let run = scenarios
         .generate(&cell.scenario, &ctx)
-        .unwrap_or_else(|e| panic!("scenario `{}`: {e}", cell.scenario));
-    let run = run_policy(
-        policies,
-        &cell.policy,
-        &workload.jobs,
-        cluster,
-        cell.policy_seed,
-        solver,
-    )
-    .unwrap_or_else(|e| panic!("policy `{}`: {e}", cell.policy));
-    (cell, run)
+        .map_err(Into::into)
+        .and_then(|workload| {
+            run_policy(
+                policies,
+                &cell.policy,
+                &workload.jobs,
+                cluster,
+                cell.policy_seed,
+                solver,
+            )
+        });
+    match run {
+        Ok(run) => Ok((cell, run)),
+        Err(e) => Err(CampaignError::Cell {
+            label: cell.label(),
+            reason: e.to_string(),
+        }),
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::observer::CountingCampaignObserver;
 
     fn small_spec() -> CampaignSpec {
         CampaignSpec::parse(
@@ -372,11 +326,9 @@ exclude = ["SJF/10"]
         let campaign = Campaign::new(small_spec()).out_root(&root);
         let pool = ThreadPool::new(2);
 
-        let mut cold = CountingCampaignObserver::new();
-        let outcome = campaign.run_observed(&pool, &mut cold).expect("runs");
+        let outcome = campaign.run(&pool).expect("runs");
         assert_eq!(outcome.results.len(), 6);
         assert_eq!((outcome.cached, outcome.ran), (0, 6));
-        assert_eq!((cold.cached, cold.ran, cold.completions), (0, 6, 1));
         let labels: Vec<String> = outcome.results.iter().map(|r| r.cell.label()).collect();
         assert_eq!(
             labels,
@@ -389,10 +341,8 @@ exclude = ["SJF/10"]
         assert!(outcome.out_dir.join("summary.json").is_file());
         assert!(outcome.out_dir.join("fronts.csv").is_file());
 
-        let mut warm = CountingCampaignObserver::new();
-        let rerun = campaign.run_observed(&pool, &mut warm).expect("reruns");
+        let rerun = campaign.run(&pool).expect("reruns");
         assert_eq!((rerun.cached, rerun.ran), (6, 0));
-        assert_eq!((warm.cached, warm.ran), (6, 0));
         assert_eq!(rerun.results, outcome.results, "cache is transparent");
         let _ = std::fs::remove_dir_all(&root);
     }
@@ -408,11 +358,52 @@ exclude = ["SJF/10"]
         let _ = std::fs::remove_dir_all(&root);
         let campaign = Campaign::new(spec).out_root(&root);
         let pool = ThreadPool::new(1);
-        let mut obs = CountingCampaignObserver::new();
-        let err = campaign.run_observed(&pool, &mut obs).expect_err("invalid");
+        let err = campaign.run(&pool).expect_err("invalid");
         assert!(err.to_string().contains("Slurm"));
-        assert_eq!(obs.starts, 0, "no callback before validation");
         assert!(!root.exists(), "no artifacts for invalid specs");
+    }
+
+    #[test]
+    fn the_first_failed_cell_is_the_error_and_only_the_others_are_cached() {
+        // No `mixed_256` node holds a Polaris job's 512 GB.
+        let spec = CampaignSpec::parse(
+            r#"
+name = "engine-failed-cell"
+policies = ["FCFS"]
+scenarios = ["polaris", "heterogeneous_mix"]
+jobs = [8]
+seeds = [1, 2]
+
+[cluster]
+preset = "mixed_256"
+"#,
+        )
+        .expect("parses");
+        let root = std::env::temp_dir().join(format!(
+            "rsched_campaign_engine_failed_{}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&root);
+        let campaign = Campaign::new(spec).out_root(&root);
+        let err = campaign
+            .run(&ThreadPool::new(2))
+            .expect_err("polaris fails");
+        match err {
+            CampaignError::Cell { label, reason } => {
+                assert_eq!(label, "FCFS × polaris/8 seed=1", "first in grid order");
+                assert!(reason.contains("exceeding machine capacity"), "{reason}");
+            }
+            other => panic!("{other:?}"),
+        }
+        let mut cached: Vec<String> = std::fs::read_dir(root.join("engine-failed-cell/cells"))
+            .expect("the cells that ran are cached")
+            .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
+            .collect();
+        cached.sort();
+        assert_eq!(cached.len(), 2, "{cached:?}");
+        assert!(cached.iter().all(|f| f.contains("heterogeneous_mix")));
+        assert!(!root.join("engine-failed-cell/summary.json").exists());
+        let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]
@@ -428,8 +419,9 @@ exclude = ["SJF/10"]
         };
         let solver = SolverConfig::default();
         let cluster = ClusterConfig::paper_default();
-        let (cell, a) = run_cell(&policies, &scenarios, cell, solver, cluster, 1.0);
-        let (back, b) = run_cell(&policies, &scenarios, cell.clone(), solver, cluster, 1.0);
+        let (cell, a) = run_cell(&policies, &scenarios, cell, solver, cluster, 1.0).expect("runs");
+        let (back, b) =
+            run_cell(&policies, &scenarios, cell.clone(), solver, cluster, 1.0).expect("runs");
         assert_eq!(back, cell, "the cell comes back as it went in");
         assert_eq!((a.report, a.stats), (b.report, b.stats));
         assert_eq!(a.stats.placements, 12);

@@ -1,4 +1,4 @@
-//! The campaign error type: spec parsing, validation, and I/O failures,
+//! The campaign error type: spec parsing, validation, cell and I/O failures,
 //! all carrying enough location context to fix the offending line.
 
 use std::fmt;
@@ -16,6 +16,14 @@ pub enum CampaignError {
     /// The spec parsed but names a policy, scenario, objective, or
     /// exclusion that does not resolve.
     Validation(String),
+    /// A cell could not be run: its workload or policy did not build, or
+    /// the simulator refused or could not finish the run.
+    Cell {
+        /// The cell's [`CellSpec::label`](crate::CellSpec::label).
+        label: String,
+        /// Why it failed.
+        reason: String,
+    },
     /// Reading the spec or writing campaign artifacts failed.
     Io {
         /// The path involved.
@@ -33,6 +41,9 @@ impl fmt::Display for CampaignError {
             }
             CampaignError::Validation(message) => {
                 write!(f, "campaign spec validation error: {message}")
+            }
+            CampaignError::Cell { label, reason } => {
+                write!(f, "campaign cell {label} failed: {reason}")
             }
             CampaignError::Io { path, message } => {
                 write!(f, "campaign I/O error on {path}: {message}")

@@ -14,15 +14,16 @@
 //!   executed on the [`rsched_parallel::ThreadPool`]; results persist
 //!   under `results/campaigns/<name>/cells/`, so a rerun skips every
 //!   already-computed cell and merges deterministically in grid order
-//!   regardless of completion order. A [`CampaignObserver`] streams
-//!   per-cell progress.
+//!   regardless of completion order. [`Campaign::run`] is the one entry
+//!   point; what a run did (cells cached, cells run, every result) is read
+//!   off the [`CampaignOutcome`] it returns.
 //! * **Analysis** ([`CampaignSummary`]) — per-`(scenario, jobs)` Pareto
 //!   fronts over the seed-averaged objective vectors with non-dominated
 //!   ranks and hypervolume, written as byte-stable `summary.json` +
 //!   `fronts.csv`.
 //!
 //! ```
-//! use rsched_campaign::{Campaign, CampaignSpec, CountingCampaignObserver};
+//! use rsched_campaign::{Campaign, CampaignSpec};
 //! use rsched_parallel::ThreadPool;
 //!
 //! let spec = CampaignSpec::parse(r#"
@@ -38,11 +39,10 @@
 //! # let _ = std::fs::remove_dir_all(&out);
 //! let campaign = Campaign::new(spec).out_root(&out);
 //! let pool = ThreadPool::new(2);
-//! let mut progress = CountingCampaignObserver::new();
-//! let outcome = campaign.run_observed(&pool, &mut progress).expect("runs");
+//! let outcome = campaign.run(&pool).expect("runs");
 //!
 //! assert_eq!(outcome.results.len(), 4); // 2 policies × 2 seeds
-//! assert_eq!(progress.ran, 4);
+//! assert_eq!(outcome.ran, 4);
 //! let front = &outcome.summary.fronts[0];
 //! assert!(!front.front().is_empty(), "somebody is non-dominated");
 //!
@@ -60,7 +60,6 @@ pub mod cache;
 pub mod cell;
 pub mod engine;
 pub mod error;
-pub mod observer;
 pub mod spec;
 pub mod summary;
 pub mod toml;
@@ -68,8 +67,5 @@ pub mod toml;
 pub use cell::{canon, CellResult, CellSpec};
 pub use engine::{run_cell, run_policy, Campaign, CampaignOutcome, PolicyRun};
 pub use error::CampaignError;
-pub use observer::{
-    CampaignObserver, CountingCampaignObserver, NullObserver, ProgressCampaignObserver,
-};
 pub use spec::CampaignSpec;
 pub use summary::{CampaignSummary, GroupFront, PolicyRow};

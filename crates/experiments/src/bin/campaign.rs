@@ -8,23 +8,21 @@
 //! machine-sized thread pool with a per-cell result cache under
 //! `results/campaigns/<name>/cells/` — rerunning skips every
 //! already-computed cell and reproduces `summary.json` byte for byte.
-//! Progress streams to stderr; the per-`(scenario, jobs)` Pareto-rank
-//! tables print to stdout at the end.
+//! When the run returns, the cell counts (cached and run) and the
+//! per-`(scenario, jobs)` Pareto-rank tables print to stdout. A cell that
+//! fails prints one line naming it to stderr and exits 1.
 //!
 //! Flags: `--out-root <dir>` redirects output (default
 //! `results/campaigns/`); `--workers <n>` sizes the pool explicitly
 //! (default: machine parallelism) — results are byte-identical for every
-//! worker count, cells merge in grid order; `--quiet` silences per-cell
-//! progress.
+//! worker count, cells merge in grid order.
 
-use rsched_campaign::{
-    Campaign, CampaignOutcome, CampaignSpec, NullObserver, ProgressCampaignObserver,
-};
+use rsched_campaign::{Campaign, CampaignOutcome, CampaignSpec};
 use rsched_metrics::TextTable;
 use rsched_parallel::ThreadPool;
 
 fn usage() -> ! {
-    eprintln!("usage: campaign [--out-root <dir>] [--workers <n>] [--quiet] <spec.toml>");
+    eprintln!("usage: campaign [--out-root <dir>] [--workers <n>] <spec.toml>");
     std::process::exit(2);
 }
 
@@ -32,11 +30,9 @@ fn main() {
     let mut spec_path: Option<String> = None;
     let mut out_root: Option<String> = None;
     let mut workers: Option<usize> = None;
-    let mut quiet = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--quiet" => quiet = true,
             "--out-root" => match args.next() {
                 Some(dir) => out_root = Some(dir),
                 None => usage(),
@@ -72,12 +68,7 @@ fn main() {
         Some(n) => ThreadPool::new(n),
         None => ThreadPool::available_parallelism(),
     };
-    let outcome = if quiet {
-        campaign.run_observed(&pool, &mut NullObserver)
-    } else {
-        campaign.run_observed(&pool, &mut ProgressCampaignObserver::stderr())
-    };
-    let outcome = match outcome {
+    let outcome = match campaign.run(&pool) {
         Ok(outcome) => outcome,
         Err(e) => {
             eprintln!("{e}");

@@ -55,6 +55,7 @@ pub(crate) fn run_cells(
         .collect();
     pool.par_map(tasks, move |(cell, cluster, solver)| {
         run_cell(&policies, scenario_builtins(), cell, solver, cluster, 1.0)
+            .unwrap_or_else(|e| panic!("{e}"))
     })
 }
 

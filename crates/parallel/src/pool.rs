@@ -28,9 +28,10 @@ impl Shared {
 
 /// A fixed-size thread pool over one shared task queue.
 ///
-/// Tasks are `'static` closures; results flow back through channels (see
-/// [`ThreadPool::par_map`]). Dropping the pool is the one way to stop it:
-/// the workers finish whatever is still queued, then exit and are joined.
+/// Work goes in through [`ThreadPool::par_map`], which queues one
+/// `'static` task per item and collects the results in input order.
+/// Dropping the pool is the one way to stop it: the workers finish
+/// whatever is still queued, then exit and are joined.
 pub struct ThreadPool {
     shared: Arc<Shared>,
     handles: Vec<JoinHandle<()>>,
@@ -78,7 +79,7 @@ impl ThreadPool {
     }
 
     /// Submit one fire-and-forget task.
-    pub fn spawn<F: FnOnce() + Send + 'static>(&self, task: F) {
+    fn spawn<F: FnOnce() + Send + 'static>(&self, task: F) {
         self.shared.locked().tasks.push_back(Box::new(task));
         self.shared.wakeup.notify_one();
     }
@@ -248,9 +249,9 @@ mod tests {
 
     #[test]
     fn spawn_wakes_a_fully_parked_pool_every_time() {
-        // The campaign engine's path: `spawn`, not `par_map`, into a pool
-        // whose workers have all gone to sleep. No poll hides a lost
-        // wake-up, so each task must report back promptly on its own.
+        // `par_map`'s path, one task at a time, into a pool whose workers
+        // have all gone to sleep. No poll hides a lost wake-up, so each task
+        // must report back promptly on its own.
         let pool = ThreadPool::new(2);
         let (tx, rx) = mpsc::channel::<usize>();
         for i in 0..20 {

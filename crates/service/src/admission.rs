@@ -10,6 +10,7 @@
 use std::collections::BTreeMap;
 
 use rsched_cluster::{JobId, JobSpec};
+use rsched_sim::SimError;
 use rsched_simkit::SimTime;
 
 use crate::tenant::{FairShare, FairShareConfig, TenantConfig, TenantId, TokenBucket};
@@ -87,13 +88,18 @@ impl std::fmt::Display for AdmissionError {
                 cap,
                 queued,
             } => write!(f, "{tenant} has {queued} queued jobs (cap {cap})"),
+            // The simulator's refusal of the same job, word for word.
             AdmissionError::Infeasible {
                 id,
                 nodes,
                 memory_gb,
-            } => write!(
+            } => std::fmt::Display::fmt(
+                &SimError::InfeasibleJob {
+                    id: *id,
+                    nodes: *nodes,
+                    memory_gb: *memory_gb,
+                },
                 f,
-                "job {id} requests {nodes} nodes / {memory_gb} GB, exceeding machine capacity"
             ),
             AdmissionError::DuplicateId(id) => write!(f, "duplicate job id {id}"),
             AdmissionError::Draining => write!(f, "service is draining"),
@@ -244,6 +250,19 @@ mod tests {
             let spelled = format!("service_rejected_{}_total", reason.code());
             assert_eq!(reason.counter_name(), spelled);
         }
+    }
+
+    #[test]
+    fn an_infeasible_job_is_refused_in_the_simulators_words() {
+        let refusal = AdmissionError::Infeasible {
+            id: JobId(3),
+            nodes: 9,
+            memory_gb: 600,
+        };
+        assert_eq!(
+            refusal.to_string(),
+            "job 3 requests 9 nodes / 600 GB, exceeding machine capacity"
+        );
     }
 
     #[test]

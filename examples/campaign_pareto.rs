@@ -6,7 +6,7 @@
 //! cargo run --release --example campaign_pareto
 //! ```
 
-use reasoned_scheduler::campaign::{Campaign, CampaignSpec, CountingCampaignObserver};
+use reasoned_scheduler::campaign::{Campaign, CampaignSpec};
 use reasoned_scheduler::parallel::ThreadPool;
 
 const SPEC: &str = r#"
@@ -64,13 +64,10 @@ fn main() {
 
     // Rerun: the content-addressed cache serves every cell.
     let started = std::time::Instant::now();
-    let mut observer = CountingCampaignObserver::new();
-    let warm = campaign
-        .run_observed(&pool, &mut observer)
-        .expect("warm rerun");
+    let warm = campaign.run(&pool).expect("warm rerun");
     println!(
         "\nwarm rerun: {}/{} cells from cache in {:.3} s (summary byte-identical: {})",
-        observer.cached,
+        warm.cached,
         warm.results.len(),
         started.elapsed().as_secs_f64(),
         warm.summary.to_json() == outcome.summary.to_json()

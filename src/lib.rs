@@ -96,10 +96,7 @@ pub use rsched_workloads as workloads;
 
 /// The most commonly used items across the workspace.
 pub mod prelude {
-    pub use rsched_campaign::{
-        Campaign, CampaignObserver, CampaignSpec, CampaignSummary, CellResult, CellSpec,
-        CountingCampaignObserver, ProgressCampaignObserver,
-    };
+    pub use rsched_campaign::{Campaign, CampaignSpec, CampaignSummary, CellResult, CellSpec};
     pub use rsched_cluster::{ClusterConfig, JobId, JobRecord, JobSpec, UserId};
     pub use rsched_core::{CallRecord, LlmSchedulingPolicy};
     pub use rsched_llm::{LanguageModel, SimulatedLlm};

@@ -12,9 +12,9 @@
 //!   scenarios (flat paper machine, the classed `mixed_256` machine, a
 //!   Polaris synthetic stream with inexact estimates) × 2 seeds runs both
 //!   implementations through the same kernel under `SimOptions::default()`
-//!   — every policy here owns its backfills' safety — and compares
-//!   [`SimOutcome`]s field-for-field, decision log included, down to the
-//!   f64 bit patterns of the integrated utilization curves.
+//!   — every policy here owns its backfills' safety — and compares the
+//!   [`SimOutcome`]s' policy names, job records, decision logs, stats and
+//!   `end_time`.
 //! * Proptests pin the [`CapacityCalendar`] itself against a naive model:
 //!   build/reserve sequences against a recompute-from-scratch profile, and
 //!   `earliest_window` against the quadratic candidate loop, on

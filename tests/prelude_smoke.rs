@@ -205,18 +205,13 @@ seeds = [3]
     let _ = std::fs::remove_dir_all(&out);
     let campaign = Campaign::new(spec).out_root(&out);
     let pool = reasoned_scheduler::parallel::ThreadPool::new(1);
-    let mut observer = CountingCampaignObserver::new();
-    // `CampaignObserver` is the prelude's trait handle.
-    let dynamic: &mut dyn CampaignObserver = &mut observer;
-    let _ = dynamic;
-    let outcome = campaign.run_observed(&pool, &mut observer).expect("runs");
+    let outcome = campaign.run(&pool).expect("runs");
     let results: &[CellResult] = &outcome.results;
     assert_eq!(results.len(), 2);
     let cell: &CellSpec = &results[0].cell;
     assert_eq!(cell.policy, "FCFS");
     let summary: &CampaignSummary = &outcome.summary;
     assert!(!summary.fronts[0].front().is_empty());
-    let _stderr_observer = ProgressCampaignObserver::stderr();
     let _ = std::fs::remove_dir_all(&out);
 }
 

@@ -5,8 +5,8 @@
 //! * streaming SWF parse/conversion vs the eager `SwfTrace` API, on the
 //!   shipped fixture and on seeded Polaris-scale synthetic text;
 //! * full simulations over streaming- vs eager-converted jobs, across
-//!   3 policies × 2 scenarios × 2 seeds, compared field-for-field down to
-//!   the f64 bit patterns of the integrated utilization curves;
+//!   3 policies × 2 scenarios × 2 seeds, compared by policy name, job
+//!   records, decision log, stats and `end_time`;
 //! * a campaign whose cells are sharded over a 2-worker pool vs the
 //!   1-worker run of the same grid, compared as `summary.json` bytes;
 //! * a replay on the largest machine an SWF header can declare, whose
@@ -16,7 +16,7 @@
 //!   run by CI: a per-epoch fan-out in the kernel blows the bound on any
 //!   multi-core runner.
 
-use reasoned_scheduler::campaign::{Campaign, CampaignSpec, NullObserver};
+use reasoned_scheduler::campaign::{Campaign, CampaignSpec};
 use reasoned_scheduler::cluster::ClusterConfig;
 use reasoned_scheduler::parallel::ThreadPool;
 use reasoned_scheduler::registry::{PolicyContext, PolicyRegistry};
@@ -150,7 +150,7 @@ seeds = [2025, 2026]
         let pool = ThreadPool::new(workers);
         let outcome = Campaign::new(spec)
             .out_root(&out_root)
-            .run_observed(&pool, &mut NullObserver)
+            .run(&pool)
             .expect("campaign runs");
         assert_eq!(
             outcome.results.len(),

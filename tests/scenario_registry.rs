@@ -109,6 +109,7 @@ fn swf_trace_sweeps_through_a_figure_grid_into_cell_artifacts() {
             cluster,
             1.0,
         )
+        .expect("builtin cell")
     });
     assert_eq!(results.len(), 3);
     for (cell, run) in &results {
