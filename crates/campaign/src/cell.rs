@@ -10,15 +10,19 @@
 
 use rsched_cluster::ClusterConfig;
 use rsched_cpsolver::SolverConfig;
-use rsched_metrics::{Metric, MetricsReport};
+use rsched_metrics::Metric;
 use rsched_simkit::rng::SeedTree;
+
+use crate::engine::PolicyRun;
 
 /// Bumped whenever the cached-cell layout changes incompatibly, or a
 /// policy's schedules do (2: the solver behind `OR-Tools` decodes on the
 /// shared timetable and starts tasks the old decoder placed late; 3:
 /// `EASY` keeps its own head reservation, where by name it used to run
-/// as first-fit with none).
-pub(crate) const CACHE_FORMAT: u32 = 3;
+/// as first-fit with none; 4: the record keeps the whole run — display
+/// name, both seeds, every counter, the agent's overhead — with exact
+/// floats, and figure cells are recorded too).
+pub(crate) const CACHE_FORMAT: u32 = 4;
 
 /// One `(policy, scenario, jobs, seeds)` coordinate of a grid: a campaign
 /// cell, or a figure cell.
@@ -90,7 +94,7 @@ impl CellSpec {
             }
         }
         if skew != 1.0 {
-            let _ = write!(canonical, "|skew:{}", crate::toml::fmt_float(skew));
+            let _ = write!(canonical, "|skew:{skew:.6}");
         }
         if self.policy_seed != derived_policy_seed(&self.policy, self.workload_seed) {
             let _ = write!(canonical, "|policy_seed:{}", self.policy_seed);
@@ -146,14 +150,14 @@ fn sanitize(name: &str) -> String {
         .collect()
 }
 
-/// Round to the canonical six-decimal precision every campaign artifact
-/// uses. All aggregation and Pareto analysis runs on canonical values, so
-/// a cell computed fresh and a cell read back from its cache file are
-/// **bit-identical** — the root of the byte-identical `summary.json`
+/// Round to the canonical six-decimal precision `summary.json` and
+/// `fronts.csv` are computed at. All aggregation and Pareto analysis runs
+/// on canonical values, so the analysis cannot see digits its six-decimal
+/// output would not show — the root of the byte-identical `summary.json`
 /// guarantee. Non-finite values pass through unchanged.
 pub fn canon(v: f64) -> f64 {
     if v.is_finite() {
-        crate::toml::fmt_float(v).parse().expect("fixed-precision")
+        format!("{v:.6}").parse().expect("fixed-precision")
     } else {
         v
     }
@@ -174,17 +178,13 @@ pub struct CellResult {
 }
 
 impl CellResult {
-    /// Canonicalize a freshly computed report into a cell result.
-    pub fn new(cell: CellSpec, report: &MetricsReport, placements: u64, epochs: u64) -> Self {
-        let mut metrics = [0.0; 8];
-        for (slot, m) in metrics.iter_mut().zip(Metric::all()) {
-            *slot = canon(report.get(m));
-        }
+    /// Canonicalize a cell's run into its result.
+    pub fn new(cell: CellSpec, run: &PolicyRun) -> Self {
         CellResult {
             cell,
-            metrics,
-            placements,
-            epochs,
+            metrics: Metric::all().map(|m| canon(run.report.get(m))),
+            placements: run.stats.placements as u64,
+            epochs: run.stats.epochs as u64,
         }
     }
 
@@ -335,13 +335,24 @@ mod tests {
     #[test]
     fn result_metrics_follow_metric_all_order() {
         use rsched_cluster::{JobRecord, JobSpec};
+        use rsched_metrics::MetricsReport;
         use rsched_simkit::{SimDuration, SimTime};
         let records = vec![JobRecord::new(
             JobSpec::new(1, 0, SimTime::ZERO, SimDuration::from_secs(100), 4, 32),
             SimTime::from_secs(7),
         )];
         let report = MetricsReport::compute(&records, ClusterConfig::new(8, 64));
-        let result = CellResult::new(cell(), &report, 1, 3);
+        let run = PolicyRun {
+            policy: "FCFS".to_string(),
+            report,
+            stats: rsched_sim::SimStats {
+                placements: 1,
+                epochs: 3,
+                ..Default::default()
+            },
+            overhead: None,
+        };
+        let result = CellResult::new(cell(), &run);
         assert_eq!(result.metric(Metric::Makespan), canon(report.makespan_secs));
         assert_eq!(
             result.metric(Metric::UserFairness),

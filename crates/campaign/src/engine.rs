@@ -1,9 +1,12 @@
-//! The campaign engine: expand the spec into its grid, serve cells from
-//! the content-addressed cache, execute the misses on the thread
-//! pool, and merge **in grid order regardless of completion order** — so
-//! a campaign's output is a pure function of its spec, not of thread
+//! The campaign engine: expand the spec into its grid, refuse a grid
+//! whose workloads do not fit the machine, and hand the cells to
+//! [`run_cells`] — the one runner, which a figure grid goes through too. It
+//! serves cells from their records, executes the misses on the thread pool,
+//! and merges **in grid order regardless of completion order** — so a
+//! campaign's output is a pure function of its spec, not of thread
 //! scheduling.
 
+use std::collections::BTreeSet;
 use std::error::Error;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -13,10 +16,11 @@ use rsched_cpsolver::SolverConfig;
 use rsched_metrics::MetricsReport;
 use rsched_parallel::ThreadPool;
 use rsched_registry::{PolicyContext, PolicyRegistry};
-use rsched_sim::{OverheadReport, SimStats, Simulation};
+use rsched_sim::{validate_workload, OverheadReport, SimStats, Simulation};
+use rsched_simkit::stats::quantile;
 use rsched_workloads::{ArrivalMode, ScenarioContext, ScenarioRegistry};
 
-use crate::cache::{read_cell, write_cell};
+use crate::cache::{io_err, read_record, write_record};
 use crate::cell::{derived_policy_seed, CellResult, CellSpec};
 use crate::error::CampaignError;
 use crate::spec::CampaignSpec;
@@ -112,74 +116,42 @@ impl Campaign {
 
     /// Run the campaign.
     ///
-    /// Validates the spec, probes the cache on this thread, runs every
-    /// miss on `pool` (each worker runs its cell and writes the cell's
-    /// cache file), writes `summary.json` and `fronts.csv`, and returns
-    /// the outcome merged in grid order.
+    /// Validates the spec, refuses it if a workload of the grid does not
+    /// fit the machine, runs the grid through [`run_cells`] with
+    /// `<out>/cells/` as its records, writes `summary.json` and
+    /// `fronts.csv`, and returns the outcome merged in grid order.
     ///
     /// A cell that fails is not cached: every other cell still runs and
     /// is cached, and the error of the first failed cell in grid order is
     /// returned.
     pub fn run(&self, pool: &ThreadPool) -> Result<CampaignOutcome, CampaignError> {
         self.spec.validate(&self.policies, &self.scenarios)?;
-        let cells_dir = self.out_dir.join("cells");
-        let solver = self.spec.solver;
-        let cluster = self.spec.cluster();
-        let skew = self.spec.walltime_skew;
-
-        let mut hits: Vec<Option<CellResult>> = Vec::new();
-        let mut misses = Vec::new();
-        for cell in self.grid() {
-            let hash = cell.content_hash(&solver, cluster, skew);
-            let hit = read_cell(&cells_dir, &cell, hash);
-            if hit.is_none() {
-                // Each task carries its machine and solver budget, as
-                // `figures::run_cells`'s do, so the task box the worker
-                // frees stays out of the size classes its runs grow into.
-                misses.push((cell, hash, cluster, solver));
-            }
-            hits.push(hit);
-        }
-        let ran = misses.len();
-        let cached = hits.len() - ran;
-
-        let policies = Arc::clone(&self.policies);
-        let scenarios = Arc::clone(&self.scenarios);
-        let mut fresh = pool
-            .par_map(misses, move |(cell, hash, cluster, solver)| {
-                let (cell, run) = run_cell(&policies, &scenarios, cell, solver, cluster, skew)?;
-                let result = CellResult::new(
-                    cell,
-                    &run.report,
-                    run.stats.placements as u64,
-                    run.stats.epochs as u64,
-                );
-                write_cell(&cells_dir, &result, hash)?;
-                Ok(result)
-            })
-            .into_iter();
-        let results = hits
+        let grid = self.grid();
+        self.check_workloads(&grid)?;
+        let CellRuns { records, cached } = run_cells(
+            Arc::clone(&self.policies),
+            Arc::clone(&self.scenarios),
+            grid,
+            self.spec.cluster(),
+            self.spec.solver,
+            self.spec.walltime_skew,
+            &self.out_dir.join("cells"),
+            pool,
+        )?;
+        let ran = records.len() - cached;
+        let results: Vec<CellResult> = records
             .into_iter()
-            .map(|hit| match hit {
-                Some(result) => Ok(result),
-                None => fresh.next().expect("one run per miss"),
-            })
-            .collect::<Result<Vec<CellResult>, CampaignError>>()?;
+            .map(|(cell, run)| CellResult::new(cell, &run))
+            .collect();
 
         let summary = CampaignSummary::compute(&self.spec, &results);
-        std::fs::create_dir_all(&self.out_dir).map_err(|e| CampaignError::Io {
-            path: self.out_dir.display().to_string(),
-            message: e.to_string(),
-        })?;
+        std::fs::create_dir_all(&self.out_dir).map_err(|e| io_err(&self.out_dir, e))?;
         for (file, content) in [
             ("summary.json", summary.to_json()),
             ("fronts.csv", summary.fronts_csv()),
         ] {
             let path = self.out_dir.join(file);
-            std::fs::write(&path, content).map_err(|e| CampaignError::Io {
-                path: path.display().to_string(),
-                message: e.to_string(),
-            })?;
+            std::fs::write(&path, content).map_err(|e| io_err(&path, e))?;
         }
         Ok(CampaignOutcome {
             cached,
@@ -189,11 +161,120 @@ impl Campaign {
             out_dir: self.out_dir.clone(),
         })
     }
+
+    /// Refuse the grid if a `(scenario, jobs, seed)` workload cannot be
+    /// generated or cannot run on the spec's machine: one line per such
+    /// workload, naming the machine and the generator's error or
+    /// [`validate_workload`]'s first offender.
+    fn check_workloads(&self, grid: &[CellSpec]) -> Result<(), CampaignError> {
+        let cluster = self.spec.cluster();
+        let mut checked = BTreeSet::new();
+        let refused: Vec<String> = grid
+            .iter()
+            .filter(|c| checked.insert((&c.scenario, c.jobs, c.workload_seed)))
+            .filter_map(|cell| {
+                let ctx = scenario_context(cell, cluster, self.spec.walltime_skew);
+                let reason = match self.scenarios.generate(&cell.scenario, &ctx) {
+                    Ok(workload) => validate_workload(cluster, &workload.jobs)
+                        .err()?
+                        .to_string(),
+                    Err(e) => e.to_string(),
+                };
+                let (scenario, jobs, seed) = (&cell.scenario, cell.jobs, cell.workload_seed);
+                let machine = self.spec.machine();
+                Some(format!(
+                    "{scenario}/{jobs} seed={seed} on {machine}: {reason}"
+                ))
+            })
+            .collect();
+        if refused.is_empty() {
+            Ok(())
+        } else {
+            Err(CampaignError::Validation(refused.join("\n")))
+        }
+    }
 }
 
-/// What one run of a policy produced: the §3.2 report, the simulator's
-/// counters and, for an agent, its overhead (paper §3.7).
+/// What [`run_cells`] returns.
 #[derive(Debug, Clone)]
+pub struct CellRuns {
+    /// Each cell beside its run, in the order the cells were given.
+    pub records: Vec<(CellSpec, PolicyRun)>,
+    /// How many of them were served from their records.
+    pub cached: usize,
+}
+
+/// The one runner: run `cells` on `cluster`, each cell recorded under
+/// `cells_dir`.
+///
+/// Probes each cell's record on this thread, runs every miss on `pool`
+/// (its worker runs the cell, then writes its record), and returns every
+/// cell beside its run in input order. Campaigns and figure grids both run
+/// through it. A cell that fails is not recorded: every other cell still
+/// runs and is recorded, and the error of the first failed cell in input
+/// order is returned.
+#[allow(clippy::too_many_arguments)]
+pub fn run_cells(
+    policies: Arc<PolicyRegistry>,
+    scenarios: Arc<ScenarioRegistry>,
+    cells: Vec<CellSpec>,
+    cluster: ClusterConfig,
+    solver: SolverConfig,
+    walltime_skew: f64,
+    cells_dir: &Path,
+    pool: &ThreadPool,
+) -> Result<CellRuns, CampaignError> {
+    let mut hits = Vec::with_capacity(cells.len());
+    let mut misses = Vec::new();
+    for cell in cells {
+        let hash = cell.content_hash(&solver, cluster, walltime_skew);
+        match read_record(cells_dir, &cell, hash) {
+            Some(run) => hits.push(Some((cell, run))),
+            None => {
+                hits.push(None);
+                // The task carries its machine and solver budget: a worker
+                // frees the task box this thread allocated, and at ~90 bytes
+                // its size class is one the runs' buffers then `realloc`
+                // under glibc's main-arena lock (Figure 7 on 2 workers: 40 →
+                // ~4 000 voluntary context switches). At ~250 bytes it is not.
+                misses.push((cell, hash, cluster, solver));
+            }
+        }
+    }
+    let cached = hits.len() - misses.len();
+
+    // Each task hands its cell back beside its run, so the coordinating
+    // thread frees what it allocated.
+    let cells_dir = cells_dir.to_path_buf();
+    let mut fresh = pool
+        .par_map(misses, move |(cell, hash, cluster, solver)| {
+            let ctx = scenario_context(&cell, cluster, walltime_skew);
+            let run = scenarios
+                .generate(&cell.scenario, &ctx)
+                .map_err(Into::into)
+                .and_then(|w| {
+                    let seed = cell.policy_seed;
+                    run_policy(&policies, &cell.policy, &w.jobs, cluster, seed, solver)
+                })
+                .map_err(|e| CampaignError::Cell {
+                    label: cell.label(),
+                    reason: e.to_string(),
+                })?;
+            write_record(&cells_dir, &cell, &run, hash)?;
+            Ok((cell, run))
+        })
+        .into_iter();
+    let records = hits
+        .into_iter()
+        .map(|hit| hit.map_or_else(|| fresh.next().expect("one run per miss"), Ok))
+        .collect::<Result<_, CampaignError>>()?;
+    Ok(CellRuns { records, cached })
+}
+
+/// What one run of a policy produced — the run a cell's record keeps: the
+/// §3.2 report, the simulator's counters and, for an agent, its overhead
+/// (paper §3.7).
+#[derive(Debug, Clone, PartialEq)]
 pub struct PolicyRun {
     /// The registry display name the policy was built under — the label of
     /// the run even when the policy's own `name()` differs.
@@ -203,12 +284,44 @@ pub struct PolicyRun {
     /// Simulator counters.
     pub stats: SimStats,
     /// The agent's overhead; `None` for the heuristics and the solver.
-    pub overhead: Option<OverheadReport>,
+    pub overhead: Option<OverheadSummary>,
+}
+
+/// An agent's overhead as a record keeps it, summarised once from the
+/// run's [`OverheadReport`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct OverheadSummary {
+    /// Oracle calls made.
+    pub call_count: usize,
+    /// Total elapsed scheduling time, seconds.
+    pub total_elapsed_secs: f64,
+    /// Mean, p50, p95 and max of the accepted placements' latencies,
+    /// seconds; `None` for an empty sample.
+    pub latency_s: Option<[f64; 4]>,
+}
+
+impl OverheadSummary {
+    fn of(report: &OverheadReport) -> Self {
+        let latencies = &report.placement_latencies;
+        let latency_s = match (quantile(latencies, 0.5), quantile(latencies, 0.95)) {
+            (Some(p50), Some(p95)) => {
+                let mean = latencies.iter().sum::<f64>() / latencies.len() as f64;
+                let max = latencies.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+                Some([mean, p50, p95, max])
+            }
+            _ => None,
+        };
+        OverheadSummary {
+            call_count: report.call_count,
+            total_elapsed_secs: report.total_elapsed_secs,
+            latency_s,
+        }
+    }
 }
 
 /// Build `policy` from `policies` by registry name, run it over `jobs` on
-/// `cluster`, and score the schedule — what [`run_cell`] does once it has
-/// the cell's workload.
+/// `cluster`, and score the schedule — what [`run_cells`] does with each
+/// cell once it has the cell's workload.
 ///
 /// `policy_seed` feeds the stochastic policies (LLM sampling noise, the
 /// random policy, solver restarts); deterministic ones ignore it. Fails on
@@ -234,51 +347,21 @@ pub fn run_policy(
             .to_string(),
         report: MetricsReport::compute(&outcome.records, cluster),
         stats: outcome.stats,
-        overhead: built.overhead_report(),
+        overhead: built.overhead_report().as_ref().map(OverheadSummary::of),
     })
 }
 
-/// Execute one cell — the one way a campaign cell or a figure cell is
-/// run: generate the workload by scenario name, and run the policy on it
-/// with [`run_policy`].
-///
-/// The cell is taken by value and handed back beside its run, so a
-/// worker neither copies nor frees what the coordinating thread allocated.
-/// A scenario or policy that does not resolve, or a run that fails, is a
-/// [`CampaignError::Cell`] naming the cell.
-pub fn run_cell(
-    policies: &PolicyRegistry,
-    scenarios: &ScenarioRegistry,
-    cell: CellSpec,
-    solver: SolverConfig,
+/// The scenario context a cell's workload is generated under.
+fn scenario_context(
+    cell: &CellSpec,
     cluster: ClusterConfig,
     walltime_skew: f64,
-) -> Result<(CellSpec, PolicyRun), CampaignError> {
-    let ctx = ScenarioContext::new(cell.jobs)
+) -> ScenarioContext {
+    ScenarioContext::new(cell.jobs)
         .with_mode(ArrivalMode::Dynamic)
         .with_seed(cell.workload_seed)
         .with_cluster(cluster)
-        .with_walltime_skew(walltime_skew);
-    let run = scenarios
-        .generate(&cell.scenario, &ctx)
-        .map_err(Into::into)
-        .and_then(|workload| {
-            run_policy(
-                policies,
-                &cell.policy,
-                &workload.jobs,
-                cluster,
-                cell.policy_seed,
-                solver,
-            )
-        });
-    match run {
-        Ok(run) => Ok((cell, run)),
-        Err(e) => Err(CampaignError::Cell {
-            label: cell.label(),
-            reason: e.to_string(),
-        }),
-    }
+        .with_walltime_skew(walltime_skew)
 }
 
 #[cfg(test)]
@@ -365,17 +448,28 @@ exclude = ["SJF/10"]
 
     #[test]
     fn the_first_failed_cell_is_the_error_and_only_the_others_are_cached() {
-        // No `mixed_256` node holds a Polaris job's 512 GB.
+        use rsched_sim::{Action, SchedulingPolicy, SystemView};
+        // A policy that never starts a job leaves the simulator stuck.
+        struct Idle;
+        impl SchedulingPolicy for Idle {
+            fn name(&self) -> &str {
+                "Idle"
+            }
+            fn decide(&mut self, _: &SystemView<'_>) -> Action {
+                Action::Delay
+            }
+        }
+        let mut policies = PolicyRegistry::with_builtins();
+        policies
+            .register("idle", |_| Box::new(Idle))
+            .expect("fresh name");
         let spec = CampaignSpec::parse(
             r#"
 name = "engine-failed-cell"
-policies = ["FCFS"]
-scenarios = ["polaris", "heterogeneous_mix"]
+policies = ["FCFS", "idle"]
+scenarios = ["heterogeneous_mix"]
 jobs = [8]
 seeds = [1, 2]
-
-[cluster]
-preset = "mixed_256"
 "#,
         )
         .expect("parses");
@@ -384,32 +478,97 @@ preset = "mixed_256"
             std::process::id()
         ));
         let _ = std::fs::remove_dir_all(&root);
-        let campaign = Campaign::new(spec).out_root(&root);
-        let err = campaign
-            .run(&ThreadPool::new(2))
-            .expect_err("polaris fails");
+        let campaign = Campaign::new(spec)
+            .out_root(&root)
+            .policies(Arc::new(policies));
+        let err = campaign.run(&ThreadPool::new(2)).expect_err("idle fails");
         match err {
             CampaignError::Cell { label, reason } => {
-                assert_eq!(label, "FCFS × polaris/8 seed=1", "first in grid order");
-                assert!(reason.contains("exceeding machine capacity"), "{reason}");
+                assert_eq!(
+                    label, "idle × heterogeneous_mix/8 seed=1",
+                    "first in grid order"
+                );
+                assert!(reason.contains("stuck"), "{reason}");
             }
             other => panic!("{other:?}"),
         }
-        let mut cached: Vec<String> = std::fs::read_dir(root.join("engine-failed-cell/cells"))
+        let cached: Vec<String> = std::fs::read_dir(root.join("engine-failed-cell/cells"))
             .expect("the cells that ran are cached")
             .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
             .collect();
-        cached.sort();
         assert_eq!(cached.len(), 2, "{cached:?}");
-        assert!(cached.iter().all(|f| f.contains("heterogeneous_mix")));
+        assert!(cached.iter().all(|f| f.starts_with("FCFS__")));
         assert!(!root.join("engine-failed-cell/summary.json").exists());
         let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]
-    fn run_cell_is_deterministic() {
-        let policies = PolicyRegistry::with_builtins();
-        let scenarios = ScenarioRegistry::with_builtins();
+    fn a_workload_too_big_for_the_machine_refuses_the_spec_before_anything_runs() {
+        // No `mixed_256` node holds a Polaris job's 512 GB; a
+        // 500 GB machine holds none at all.
+        for (cluster, machine) in [
+            ("preset = \"mixed_256\"", "preset mixed_256"),
+            ("nodes = 256\nmemory_gb = 500", "256 nodes × 500 GB"),
+        ] {
+            let spec = CampaignSpec::parse(&format!(
+                r#"
+name = "engine-refused"
+policies = ["FCFS", "SJF"]
+scenarios = ["polaris", "heterogeneous_mix"]
+jobs = [8]
+seeds = [1, 2]
+
+[cluster]
+{cluster}
+"#
+            ))
+            .expect("parses");
+            let root = std::env::temp_dir().join(format!(
+                "rsched_campaign_engine_refused_{}",
+                std::process::id()
+            ));
+            let _ = std::fs::remove_dir_all(&root);
+            let err = Campaign::new(spec)
+                .out_root(&root)
+                .run(&ThreadPool::new(2))
+                .expect_err("refused");
+            let CampaignError::Validation(message) = &err else {
+                panic!("{err:?}");
+            };
+            let lines: Vec<&str> = message.lines().collect();
+            assert_eq!(
+                lines.len(),
+                2,
+                "one line per workload, not per cell: {message}"
+            );
+            for (line, seed) in lines.iter().zip(["seed=1", "seed=2"]) {
+                assert!(
+                    line.starts_with(&format!("polaris/8 {seed} on {machine}: job ")),
+                    "{line}"
+                );
+                assert!(line.ends_with("exceeding machine capacity"), "{line}");
+            }
+            assert!(!root.exists(), "nothing ran, nothing was written");
+        }
+    }
+
+    #[test]
+    fn an_overhead_summary_is_mean_p50_p95_and_max() {
+        let summary = |placement_latencies: Vec<f64>| {
+            OverheadSummary::of(&OverheadReport {
+                total_elapsed_secs: 1500.0,
+                call_count: 61,
+                placement_latencies,
+            })
+        };
+        let full = summary(vec![30.0, 10.0, 20.0]);
+        assert_eq!(full.latency_s, Some([20.0, 20.0, 29.0, 30.0]));
+        assert_eq!((full.call_count, full.total_elapsed_secs), (61, 1500.0));
+        assert_eq!(summary(vec![]).latency_s, None);
+    }
+
+    #[test]
+    fn a_cell_runs_the_same_on_every_run() {
         let cell = CellSpec {
             policy: "Random".to_string(),
             scenario: "long_tail".to_string(),
@@ -417,14 +576,29 @@ preset = "mixed_256"
             workload_seed: 5,
             policy_seed: 9,
         };
-        let solver = SolverConfig::default();
-        let cluster = ClusterConfig::paper_default();
-        let (cell, a) = run_cell(&policies, &scenarios, cell, solver, cluster, 1.0).expect("runs");
-        let (back, b) =
-            run_cell(&policies, &scenarios, cell.clone(), solver, cluster, 1.0).expect("runs");
-        assert_eq!(back, cell, "the cell comes back as it went in");
-        assert_eq!((a.report, a.stats), (b.report, b.stats));
-        assert_eq!(a.stats.placements, 12);
+        let run = |dir: &str| {
+            let dir =
+                std::env::temp_dir().join(format!("rsched_campaign_{dir}_{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            let runs = run_cells(
+                Arc::new(PolicyRegistry::with_builtins()),
+                Arc::new(ScenarioRegistry::with_builtins()),
+                vec![cell.clone()],
+                ClusterConfig::paper_default(),
+                SolverConfig::default(),
+                1.0,
+                &dir,
+                &ThreadPool::new(1),
+            )
+            .expect("runs");
+            let _ = std::fs::remove_dir_all(&dir);
+            assert_eq!(runs.cached, 0, "a fresh directory");
+            runs.records
+        };
+        let (a, b) = (run("same_a"), run("same_b"));
+        assert_eq!(a, b);
+        assert_eq!(a[0].0, cell, "the cell comes back as it went in");
+        assert_eq!(a[0].1.stats.placements, 12);
     }
 
     #[test]

@@ -8,15 +8,17 @@
 //! experiment run:
 //!
 //! * **Spec** ([`CampaignSpec`]) — parsed and validated against the
-//!   registries *before any cell runs*; unknown names fail fast.
+//!   registries *before any cell runs*; unknown names fail fast, and so
+//!   does a workload that does not fit the spec's machine.
 //! * **Engine** ([`Campaign`]) — cells are content-hashed (grid
 //!   coordinates + solver budget + cluster + workspace-version salt) and
-//!   executed on the [`rsched_parallel::ThreadPool`]; results persist
-//!   under `results/campaigns/<name>/cells/`, so a rerun skips every
-//!   already-computed cell and merges deterministically in grid order
-//!   regardless of completion order. [`Campaign::run`] is the one entry
-//!   point; what a run did (cells cached, cells run, every result) is read
-//!   off the [`CampaignOutcome`] it returns.
+//!   run by [`run_cells`], the one runner (the figure grids use it too),
+//!   on the [`rsched_parallel::ThreadPool`]; each cell's run persists as
+//!   its record ([`cache`]) under `results/campaigns/<name>/cells/`, so a
+//!   rerun skips every already-computed cell and merges deterministically
+//!   in grid order regardless of completion order. [`Campaign::run`] is
+//!   the one entry point; what a run did (cells cached, cells run, every
+//!   result) is read off the [`CampaignOutcome`] it returns.
 //! * **Analysis** ([`CampaignSummary`]) — per-`(scenario, jobs)` Pareto
 //!   fronts over the seed-averaged objective vectors with non-dominated
 //!   ranks and hypervolume, written as byte-stable `summary.json` +
@@ -65,7 +67,9 @@ pub mod summary;
 pub mod toml;
 
 pub use cell::{canon, CellResult, CellSpec};
-pub use engine::{run_cell, run_policy, Campaign, CampaignOutcome, PolicyRun};
+pub use engine::{
+    run_cells, run_policy, Campaign, CampaignOutcome, CellRuns, OverheadSummary, PolicyRun,
+};
 pub use error::CampaignError;
 pub use spec::CampaignSpec;
 pub use summary::{CampaignSummary, GroupFront, PolicyRow};

@@ -207,6 +207,20 @@ impl CampaignSpec {
         self.cluster.unwrap_or_else(ClusterConfig::paper_default)
     }
 
+    /// The machine as a spec names it: `preset <name>` for a
+    /// `[cluster] preset` machine, `<nodes> nodes × <memory_gb> GB`
+    /// otherwise.
+    pub(crate) fn machine(&self) -> String {
+        let cluster = self.cluster();
+        match presets()
+            .into_iter()
+            .find(|&(_, machine)| machine == cluster)
+        {
+            Some((preset, _)) => format!("preset {preset}"),
+            None => format!("{} nodes × {} GB", cluster.nodes, cluster.memory_gb),
+        }
+    }
+
     fn check_internal(&self) -> Result<(), CampaignError> {
         for (axis, len) in [
             ("policies", self.policies.len()),
@@ -382,6 +396,15 @@ fn solver_from(table: &TomlTable) -> Result<SolverConfig, CampaignError> {
     Ok(solver)
 }
 
+/// The `[cluster] preset` names and the machines they stand for.
+fn presets() -> [(&'static str, ClusterConfig); 3] {
+    [
+        ("paper_default", ClusterConfig::paper_default()),
+        ("mixed_256", ClusterConfig::mixed_256()),
+        ("polaris", ClusterConfig::polaris()),
+    ]
+}
+
 fn cluster_from(table: &TomlTable) -> Result<Option<ClusterConfig>, CampaignError> {
     let nodes = table.get("cluster.nodes");
     let memory = table.get("cluster.memory_gb");
@@ -394,12 +417,11 @@ fn cluster_from(table: &TomlTable) -> Result<Option<ClusterConfig>, CampaignErro
         let name = preset.as_str().ok_or_else(|| {
             CampaignError::Validation("`cluster.preset` must be a string".to_string())
         })?;
-        return match name {
-            "paper_default" => Ok(Some(ClusterConfig::paper_default())),
-            "mixed_256" => Ok(Some(ClusterConfig::mixed_256())),
-            "polaris" => Ok(Some(ClusterConfig::polaris())),
-            other => Err(CampaignError::Validation(format!(
-                "unknown cluster preset `{other}` (known: paper_default, mixed_256, polaris)"
+        return match presets().into_iter().find(|&(preset, _)| preset == name) {
+            Some((_, machine)) => Ok(Some(machine)),
+            None => Err(CampaignError::Validation(format!(
+                "unknown cluster preset `{name}` (known: {})",
+                presets().map(|(preset, _)| preset).join(", ")
             ))),
         };
     }

@@ -17,7 +17,7 @@
 use rsched_metrics::pareto::{dominates, hypervolume, pareto_ranks};
 use rsched_metrics::Metric;
 // The byte-stability contract (escape rules + six-decimal floats) is
-// shared with the per-cell artifact writer via `rsched_simkit::json`.
+// shared with the telemetry exports via `rsched_simkit::json`.
 use rsched_simkit::json::{escape, num};
 
 use crate::cell::{canon, CellResult};

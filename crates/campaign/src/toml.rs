@@ -1,5 +1,5 @@
-//! A hand-rolled parser for the TOML subset campaign specs (and cached
-//! cell files) use — the build environment has no crates.io access, so
+//! A hand-rolled parser for the TOML subset campaign specs (and cell
+//! records) use — the build environment has no crates.io access, so
 //! this mirrors the SWF parser's discipline: line-based, every error
 //! carries a `line N` location.
 //!
@@ -241,22 +241,6 @@ fn parse_scalar(raw: &str, line_no: usize) -> Result<TomlValue, CampaignError> {
     ))
 }
 
-/// Render a float in the canonical six-decimal cache/summary spelling.
-/// Non-finite values (impossible for our metrics, but never emit an
-/// unparsable file) render as `nan`/`inf`/`-inf`, which
-/// `TomlTable::parse` reads back.
-pub fn fmt_float(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.6}")
-    } else if v.is_nan() {
-        "nan".to_string()
-    } else if v > 0.0 {
-        "inf".to_string()
-    } else {
-        "-inf".to_string()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -328,20 +312,7 @@ sa_iteration_cap = 50
     }
 
     #[test]
-    fn float_formatting_round_trips() {
-        for v in [0.0, 1.5, 123.456789, -7.25, 1e-7] {
-            let text = format!("x = {}", fmt_float(v));
-            let parsed = TomlTable::parse(&text)
-                .expect("parses")
-                .get("x")
-                .unwrap()
-                .as_float()
-                .unwrap();
-            // fmt_float is the canonical rounding, so one round trip is
-            // idempotent: re-rendering the parsed value reproduces the text.
-            assert_eq!(fmt_float(parsed), fmt_float(v));
-        }
-        assert_eq!(fmt_float(f64::NAN), "nan");
+    fn non_finite_floats_parse() {
         let t = TomlTable::parse("x = nan\ny = inf\nz = -inf").expect("parses");
         assert!(t.get("x").unwrap().as_float().unwrap().is_nan());
         assert_eq!(t.get("y").unwrap().as_float(), Some(f64::INFINITY));

@@ -27,6 +27,7 @@
 //!
 //! `NodeAllocator` dispatches between the two.
 
+use crate::cluster::ClusterConfig;
 use crate::job::JobSpec;
 use crate::resources::ResourceVec;
 use crate::topology::{NodeClass, Topology, MAX_CLASSES};
@@ -194,6 +195,22 @@ impl From<&JobSpec> for PlacementRequest {
             per_node: s.per_node,
             class: s.class,
         }
+    }
+}
+
+/// Could `job` ever run on an *empty* machine of this configuration?
+///
+/// A flat machine checks the scalar node and memory totals. On a classed
+/// machine a job is feasible exactly when some class combination could host
+/// it with every node free. The one feasibility rule: the simulator checks
+/// whole workloads with it upfront, the service daemon each submission at
+/// its front door, and `rsched_workloads::Workload::validate` each generated
+/// job.
+pub fn job_is_feasible(config: ClusterConfig, job: &JobSpec) -> bool {
+    if config.topology.is_flat() {
+        job.nodes <= config.nodes && job.memory_gb <= config.memory_gb
+    } else {
+        PlacementRequest::from(job).fits_classes(&config.topology, &class_counts(&config.topology))
     }
 }
 

@@ -65,7 +65,8 @@ pub mod resources;
 pub mod topology;
 
 pub use allocator::{
-    compatible_slots, Allocation, ClassedAllocator, FirstFitAllocator, PlacementRequest, SlotSet,
+    compatible_slots, job_is_feasible, Allocation, ClassedAllocator, FirstFitAllocator,
+    PlacementRequest, SlotSet,
 };
 pub use cluster::{ClusterConfig, ClusterState, RunningIn, RunningJob, RunningOrder, StartError};
 pub use job::{GroupId, JobId, JobRecord, JobSpec, UserId};

@@ -7,9 +7,10 @@
 //! the interpretability question behind the paper's Figure 3 discussion:
 //! *which* emphasis produces which profile.
 
+use std::path::Path;
 use std::sync::Arc;
 
-use rsched_campaign::CellSpec;
+use rsched_campaign::{run_cells, CampaignError, CellSpec};
 use rsched_cluster::ClusterConfig;
 use rsched_core::LlmSchedulingPolicy;
 use rsched_llm::persona::{ObjectiveWeights, Persona};
@@ -18,9 +19,9 @@ use rsched_parallel::ThreadPool;
 use rsched_registry::{names, PolicyRegistry};
 use rsched_schedulers::Fcfs;
 use rsched_simkit::rng::SeedTree;
-use rsched_workloads::names as scenario_names;
+use rsched_workloads::{names as scenario_names, ScenarioRegistry};
 
-use crate::figures::{run_cells, NormalizedFigure};
+use crate::figures::NormalizedFigure;
 use crate::options::ExperimentOptions;
 
 /// The swept weight profiles.
@@ -106,15 +107,22 @@ pub fn cells(opts: &ExperimentOptions) -> Vec<CellSpec> {
 }
 
 /// Run the ablation sweep: FCFS and every profile over one workload.
-pub fn run(opts: &ExperimentOptions, pool: &ThreadPool) -> NormalizedFigure {
+pub fn run(
+    opts: &ExperimentOptions,
+    cells_dir: &Path,
+    pool: &ThreadPool,
+) -> Result<NormalizedFigure, CampaignError> {
     let runs = run_cells(
         Arc::new(persona_registry()),
+        Arc::new(ScenarioRegistry::with_builtins()),
+        cells(opts),
         ClusterConfig::paper_default(),
         opts.solver,
-        cells(opts),
+        1.0,
+        cells_dir,
         pool,
-    );
-    NormalizedFigure::new(
+    )?;
+    Ok(NormalizedFigure::new(
         format!(
             "Persona ablation — objective-weight sweep, Heterogeneous Mix, {} jobs \
              (normalized vs FCFS)",
@@ -124,12 +132,13 @@ pub fn run(opts: &ExperimentOptions, pool: &ThreadPool) -> NormalizedFigure {
         "persona",
         vec![String::new()],
         runs,
-    )
+    ))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::figures::TempCells;
     use rsched_cpsolver::SolverConfig;
     use rsched_metrics::{Metric, NormalizedReport};
 
@@ -141,7 +150,7 @@ mod tests {
             quick: true,
             solver: SolverConfig::default(),
         };
-        let out = run(&opts, &pool);
+        let out = run(&opts, &TempCells::new("ablation_1").0, &pool).expect("runs");
         assert_eq!(out.groups[0].1.len(), 1 + weight_profiles().len());
 
         let throughput_only = out.row("", "throughput-only").expect("present");

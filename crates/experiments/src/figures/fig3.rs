@@ -5,16 +5,17 @@
 //! analysis), and average wait is omitted whenever FCFS achieved zero wait
 //! (the 0/0 rule) — both exactly as in the paper.
 
+use std::path::Path;
 use std::sync::Arc;
 
-use rsched_campaign::CellSpec;
+use rsched_campaign::{run_cells, CampaignError, CellSpec};
 use rsched_cluster::ClusterConfig;
 use rsched_parallel::ThreadPool;
 use rsched_registry::PolicyRegistry;
 use rsched_simkit::rng::SeedTree;
-use rsched_workloads::{names as scenario_names, scenario_builtins};
+use rsched_workloads::{names as scenario_names, scenario_builtins, ScenarioRegistry};
 
-use crate::figures::{paper_cells, run_cells, NormalizedFigure};
+use crate::figures::{paper_cells, NormalizedFigure};
 use crate::options::ExperimentOptions;
 
 /// Jobs per scenario instance (60 in the paper).
@@ -39,19 +40,26 @@ pub fn cells(opts: &ExperimentOptions) -> Vec<CellSpec> {
 
 /// Run the Figure 3 experiment: one group per scenario, labelled by its
 /// title.
-pub fn run(opts: &ExperimentOptions, pool: &ThreadPool) -> NormalizedFigure {
+pub fn run(
+    opts: &ExperimentOptions,
+    cells_dir: &Path,
+    pool: &ThreadPool,
+) -> Result<NormalizedFigure, CampaignError> {
     let runs = run_cells(
         Arc::new(PolicyRegistry::with_builtins()),
+        Arc::new(ScenarioRegistry::with_builtins()),
+        cells(opts),
         ClusterConfig::paper_default(),
         opts.solver,
-        cells(opts),
+        1.0,
+        cells_dir,
         pool,
-    );
+    )?;
     let titles = scenario_names::FIGURE3
         .into_iter()
         .map(|s| scenario_builtins().title(s).unwrap_or(s).to_string())
         .collect();
-    NormalizedFigure::new(
+    Ok(NormalizedFigure::new(
         format!(
             "Figure 3 — normalized metrics (vs FCFS = 1.00x), {} jobs per scenario",
             jobs(opts)
@@ -60,12 +68,13 @@ pub fn run(opts: &ExperimentOptions, pool: &ThreadPool) -> NormalizedFigure {
         "scheduler",
         titles,
         runs,
-    )
+    ))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::figures::TempCells;
     use rsched_cpsolver::SolverConfig;
     use rsched_metrics::Metric;
 
@@ -84,7 +93,7 @@ mod tests {
     #[test]
     fn produces_six_scenarios_with_five_schedulers() {
         let pool = ThreadPool::new(4);
-        let out = run(&tiny_opts(), &pool);
+        let out = run(&tiny_opts(), &TempCells::new("fig3_1").0, &pool).expect("runs");
         assert_eq!(out.groups.len(), 6);
         for (scenario, rows) in &out.groups {
             assert_eq!(rows.len(), 5, "{scenario}");
@@ -103,7 +112,7 @@ mod tests {
     fn adversarial_scenario_is_flat_across_methods() {
         // Paper: "Adversarial conditions lead to flattened differences."
         let pool = ThreadPool::new(4);
-        let out = run(&tiny_opts(), &pool);
+        let out = run(&tiny_opts(), &TempCells::new("fig3_2").0, &pool).expect("runs");
         let title = scenario_builtins()
             .title(scenario_names::ADVERSARIAL)
             .expect("builtin");

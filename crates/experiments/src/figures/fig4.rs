@@ -1,16 +1,17 @@
 //! Figure 4: scalability analysis — normalized metrics on the
 //! Heterogeneous Mix workload for queue sizes 10 → 100 (paper §3.6).
 
+use std::path::Path;
 use std::sync::Arc;
 
-use rsched_campaign::CellSpec;
+use rsched_campaign::{run_cells, CampaignError, CellSpec};
 use rsched_cluster::ClusterConfig;
 use rsched_parallel::ThreadPool;
 use rsched_registry::PolicyRegistry;
 use rsched_simkit::rng::SeedTree;
-use rsched_workloads::names as scenario_names;
+use rsched_workloads::{names as scenario_names, ScenarioRegistry};
 
-use crate::figures::{paper_cells, run_cells, NormalizedFigure};
+use crate::figures::{paper_cells, NormalizedFigure};
 use crate::options::ExperimentOptions;
 
 /// The paper's queue sizes.
@@ -45,26 +46,34 @@ pub fn cells(opts: &ExperimentOptions) -> Vec<CellSpec> {
 }
 
 /// Run the Figure 4 experiment: one group per queue size, ascending.
-pub fn run(opts: &ExperimentOptions, pool: &ThreadPool) -> NormalizedFigure {
+pub fn run(
+    opts: &ExperimentOptions,
+    cells_dir: &Path,
+    pool: &ThreadPool,
+) -> Result<NormalizedFigure, CampaignError> {
     let runs = run_cells(
         Arc::new(PolicyRegistry::with_builtins()),
+        Arc::new(ScenarioRegistry::with_builtins()),
+        cells(opts),
         ClusterConfig::paper_default(),
         opts.solver,
-        cells(opts),
+        1.0,
+        cells_dir,
         pool,
-    );
-    NormalizedFigure::new(
+    )?;
+    Ok(NormalizedFigure::new(
         "Figure 4 — scalability on Heterogeneous Mix (normalized vs FCFS)".to_string(),
         Some(("jobs", " jobs")),
         "scheduler",
         sizes(opts).iter().map(usize::to_string).collect(),
         runs,
-    )
+    ))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::figures::TempCells;
     use rsched_cpsolver::SolverConfig;
 
     #[test]
@@ -79,7 +88,7 @@ mod tests {
                 ..SolverConfig::default()
             },
         };
-        let out = run(&opts, &pool);
+        let out = run(&opts, &TempCells::new("fig4_1").0, &pool).expect("runs");
         assert_eq!(out.groups.len(), 3);
         assert!(out.row("10", "FCFS").is_some());
         for (n, rows) in &out.groups {

@@ -7,18 +7,19 @@
 //! sampling noise and the optimizer's restart seed.
 
 use std::fmt::Write as _;
+use std::path::Path;
 use std::sync::Arc;
 
-use rsched_campaign::{CellSpec, PolicyRun};
+use rsched_campaign::{run_cells, CampaignError, CellRuns, CellSpec};
 use rsched_cluster::ClusterConfig;
 use rsched_metrics::{normalize_against, Metric, MetricDistributions, TextTable};
 use rsched_parallel::ThreadPool;
 use rsched_registry::{names, PolicyRegistry};
 use rsched_simkit::csv;
 use rsched_simkit::rng::SeedTree;
-use rsched_workloads::names as scenario_names;
+use rsched_workloads::{names as scenario_names, ScenarioRegistry};
 
-use crate::figures::{paper_cells, run_cells};
+use crate::figures::paper_cells;
 use crate::options::ExperimentOptions;
 
 /// Repetitions (5 in the paper; 3 under `--quick`).
@@ -33,8 +34,8 @@ pub struct Fig7Output {
     pub(crate) repetitions: usize,
     /// `(scheduler, distributions)` in paper order.
     pub distributions: Vec<(String, MetricDistributions)>,
-    /// The cells and their runs (rep-major), for the JSON artifacts.
-    pub runs: Vec<(CellSpec, PolicyRun)>,
+    /// The grid's records, rep-major.
+    pub runs: CellRuns,
 }
 
 /// The Figure 7 grid: the paper's five schedulers once per repetition,
@@ -57,18 +58,26 @@ pub fn cells(opts: &ExperimentOptions) -> Vec<CellSpec> {
 }
 
 /// Run the Figure 7 experiment.
-pub fn run(opts: &ExperimentOptions, pool: &ThreadPool) -> Fig7Output {
-    let results = run_cells(
+pub fn run(
+    opts: &ExperimentOptions,
+    cells_dir: &Path,
+    pool: &ThreadPool,
+) -> Result<Fig7Output, CampaignError> {
+    let runs = run_cells(
         Arc::new(PolicyRegistry::with_builtins()),
+        Arc::new(ScenarioRegistry::with_builtins()),
+        cells(opts),
         ClusterConfig::paper_default(),
         opts.solver,
-        cells(opts),
+        1.0,
+        cells_dir,
         pool,
-    );
+    )?;
 
     // FCFS is deterministic over the fixed workload: its first-rep report is
     // the normalization baseline for every repetition.
-    let baseline = results
+    let baseline = runs
+        .records
         .iter()
         .find(|(_, run)| run.policy == names::FCFS)
         .expect("FCFS present")
@@ -79,19 +88,19 @@ pub fn run(opts: &ExperimentOptions, pool: &ThreadPool) -> Fig7Output {
         .iter()
         .map(|name| (name.to_string(), MetricDistributions::new()))
         .collect();
-    for (i, (_, run)) in results.iter().enumerate() {
+    for (i, (_, run)) in runs.records.iter().enumerate() {
         let normalized = normalize_against(&run.report, &baseline);
         distributions[i % names::PAPER_SET.len()]
             .1
             .push_normalized(&normalized);
     }
 
-    Fig7Output {
+    Ok(Fig7Output {
         jobs: opts.scaled(100),
-        repetitions: results.len() / names::PAPER_SET.len(),
+        repetitions: runs.records.len() / names::PAPER_SET.len(),
         distributions,
-        runs: results,
-    }
+        runs,
+    })
 }
 
 impl Fig7Output {
@@ -192,6 +201,7 @@ impl Fig7Output {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::figures::TempCells;
     use rsched_cpsolver::SolverConfig;
 
     #[test]
@@ -206,7 +216,7 @@ mod tests {
                 ..SolverConfig::default()
             },
         };
-        let out = run(&opts, &pool);
+        let out = run(&opts, &TempCells::new("fig7_1").0, &pool).expect("runs");
         assert_eq!(out.distributions.len(), 5);
 
         // FCFS and SJF plot flat: zero IQR on every defined metric.

@@ -5,16 +5,17 @@
 //! The trace is the `polaris` scenario: the calibrated Polaris synthesizer
 //! and the paper's preprocessing pipeline (`rsched-workloads::polaris`).
 
+use std::path::Path;
 use std::sync::Arc;
 
-use rsched_campaign::CellSpec;
+use rsched_campaign::{run_cells, CampaignError, CellSpec};
 use rsched_cluster::ClusterConfig;
 use rsched_parallel::ThreadPool;
 use rsched_registry::PolicyRegistry;
 use rsched_simkit::rng::SeedTree;
-use rsched_workloads::names as scenario_names;
+use rsched_workloads::{names as scenario_names, ScenarioRegistry};
 
-use crate::figures::{paper_cells, run_cells, NormalizedFigure};
+use crate::figures::{paper_cells, NormalizedFigure};
 use crate::options::ExperimentOptions;
 
 /// The Figure 8 grid: the paper's five schedulers over one Polaris trace.
@@ -31,15 +32,22 @@ pub fn cells(opts: &ExperimentOptions) -> Vec<CellSpec> {
 }
 
 /// Run the Figure 8 experiment: one table.
-pub fn run(opts: &ExperimentOptions, pool: &ThreadPool) -> NormalizedFigure {
+pub fn run(
+    opts: &ExperimentOptions,
+    cells_dir: &Path,
+    pool: &ThreadPool,
+) -> Result<NormalizedFigure, CampaignError> {
     let runs = run_cells(
         Arc::new(PolicyRegistry::with_builtins()),
+        Arc::new(ScenarioRegistry::with_builtins()),
+        cells(opts),
         ClusterConfig::polaris(),
         opts.solver,
-        cells(opts),
+        1.0,
+        cells_dir,
         pool,
-    );
-    NormalizedFigure::new(
+    )?;
+    Ok(NormalizedFigure::new(
         format!(
             "Figure 8 — Polaris trace replay, {} jobs, 560 nodes × 512 GB \
              (normalized vs FCFS)",
@@ -49,12 +57,13 @@ pub fn run(opts: &ExperimentOptions, pool: &ThreadPool) -> NormalizedFigure {
         "scheduler",
         vec![String::new()],
         runs,
-    )
+    ))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::figures::TempCells;
     use rsched_cpsolver::SolverConfig;
     use rsched_metrics::Metric;
 
@@ -70,7 +79,7 @@ mod tests {
                 ..SolverConfig::default()
             },
         };
-        let out = run(&opts, &pool);
+        let out = run(&opts, &TempCells::new("fig8_1").0, &pool).expect("runs");
         assert_eq!(out.groups[0].1.len(), 5);
         let fcfs = out.row("", "FCFS").expect("present");
         for (_, v) in fcfs.defined() {

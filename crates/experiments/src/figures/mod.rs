@@ -2,10 +2,11 @@
 //! of the runs Figures 3 and 4 score.
 //!
 //! Every grid module lists its cells (`cells`) as campaign [`CellSpec`]s,
-//! each naming its workload seed and its policy seed, and runs them with
-//! `run_cells` through [`rsched_campaign::run_cell`] — the function that
-//! runs a campaign cell. Figures 3, 4, 8 and the ablation normalize each
-//! group against its FCFS run into a [`NormalizedFigure`].
+//! each naming its workload seed and its policy seed, and runs them through
+//! [`rsched_campaign::run_cells`] — the runner a campaign's grid goes
+//! through — with a cells directory as their records, so a rerun reads each
+//! cell back instead of running it. Figures 3, 4, 8 and the ablation
+//! normalize each group against its FCFS run into a [`NormalizedFigure`].
 
 pub mod ablation;
 pub mod fig3;
@@ -15,49 +16,13 @@ pub mod fig8;
 pub mod overhead;
 
 use std::fmt::Write as _;
-use std::sync::Arc;
 
-use rsched_campaign::{run_cell, CellSpec, PolicyRun};
-use rsched_cluster::ClusterConfig;
-use rsched_cpsolver::SolverConfig;
+use rsched_campaign::{CellRuns, CellSpec};
 use rsched_metrics::table::fmt_ratio;
 use rsched_metrics::{normalize_against, Metric, NormalizedReport, TextTable};
-use rsched_parallel::ThreadPool;
-use rsched_registry::{names, PolicyRegistry};
+use rsched_registry::names;
 use rsched_simkit::csv;
 use rsched_simkit::rng::SeedTree;
-use rsched_workloads::scenario_builtins;
-
-/// Run `cells` on `pool` through [`rsched_campaign::run_cell`] on
-/// `cluster`, returning each cell beside its run in input order.
-///
-/// # Panics
-/// If a name is in neither `policies` nor the builtin scenarios, or a run
-/// fails.
-pub(crate) fn run_cells(
-    policies: Arc<PolicyRegistry>,
-    cluster: ClusterConfig,
-    solver: SolverConfig,
-    cells: Vec<CellSpec>,
-    pool: &ThreadPool,
-) -> Vec<(CellSpec, PolicyRun)> {
-    // Each task carries its machine and solver budget rather than the
-    // closure capturing them. A worker frees the task box the pool
-    // allocated on this thread; at ~90 bytes that box lands in a size class
-    // the runs' growing buffers reuse, and every later `realloc` of it then
-    // takes glibc's main-arena lock against the other worker (Figure 7 on
-    // 2 workers, x86-64 glibc: 40 → ~4 000 voluntary context switches,
-    // +15 % CPU). At ~250 bytes it does not. The cell itself goes back to
-    // this thread inside the result.
-    let tasks = cells
-        .into_iter()
-        .map(|cell| (cell, cluster, solver))
-        .collect();
-    pool.par_map(tasks, move |(cell, cluster, solver)| {
-        run_cell(&policies, scenario_builtins(), cell, solver, cluster, 1.0)
-            .unwrap_or_else(|e| panic!("{e}"))
-    })
-}
 
 /// The paper's five schedulers over one workload, each seeded
 /// `policy_seeds.derive(name, stream)`.
@@ -92,8 +57,8 @@ pub struct NormalizedFigure {
     /// `(group label, (policy, FCFS-normalized report) rows)` in grid
     /// order.
     pub groups: Vec<(String, Vec<(String, NormalizedReport)>)>,
-    /// The cells and their runs, group-major, for the JSON artifacts.
-    pub runs: Vec<(CellSpec, PolicyRun)>,
+    /// The grid's records, group-major.
+    pub runs: CellRuns,
 }
 
 impl NormalizedFigure {
@@ -107,12 +72,12 @@ impl NormalizedFigure {
         group: Option<(&'static str, &'static str)>,
         rows_are: &'static str,
         labels: Vec<String>,
-        runs: Vec<(CellSpec, PolicyRun)>,
+        runs: CellRuns,
     ) -> Self {
-        let per_group = runs.len() / labels.len();
+        let per_group = runs.records.len() / labels.len();
         let groups = labels
             .into_iter()
-            .zip(runs.chunks(per_group))
+            .zip(runs.records.chunks(per_group))
             .map(|(label, cells)| {
                 let base = cells
                     .iter()
@@ -184,13 +149,41 @@ impl NormalizedFigure {
     }
 }
 
+/// A cells directory under the system temp directory, removed on drop.
+#[cfg(test)]
+pub(crate) struct TempCells(pub(crate) std::path::PathBuf);
+
+#[cfg(test)]
+impl TempCells {
+    pub(crate) fn new(test: &str) -> Self {
+        let dir =
+            std::env::temp_dir().join(format!("rsched_figures_{test}_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        TempCells(dir)
+    }
+}
+
+#[cfg(test)]
+impl Drop for TempCells {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
+
+    use rsched_campaign::{run_cells, PolicyRun};
+    use rsched_cluster::ClusterConfig;
+    use rsched_cpsolver::SolverConfig;
     use rsched_metrics::MetricsReport;
+    use rsched_parallel::ThreadPool;
+    use rsched_registry::PolicyRegistry;
     use rsched_sim::{Action, SchedulingPolicy, SystemView};
     use rsched_simkit::csv::Table;
-    use rsched_workloads::names as scenario_names;
+    use rsched_workloads::{names as scenario_names, scenario_builtins, ScenarioRegistry};
 
     fn quick_solver() -> SolverConfig {
         SolverConfig {
@@ -200,8 +193,35 @@ mod tests {
         }
     }
 
-    fn builtins() -> Arc<PolicyRegistry> {
-        Arc::new(PolicyRegistry::with_builtins())
+    /// Run `cells` on `workers` workers, recorded under a temp directory
+    /// named after `test` — twice, the second time from the records, which
+    /// must give back the same runs.
+    fn run_twice(
+        test: &str,
+        policies: PolicyRegistry,
+        cells: Vec<CellSpec>,
+        workers: usize,
+    ) -> CellRuns {
+        let dir = TempCells::new(test);
+        let policies = Arc::new(policies);
+        let run = || {
+            run_cells(
+                Arc::clone(&policies),
+                Arc::new(ScenarioRegistry::with_builtins()),
+                cells.clone(),
+                ClusterConfig::paper_default(),
+                quick_solver(),
+                1.0,
+                &dir.0,
+                &ThreadPool::new(workers),
+            )
+            .expect("runs")
+        };
+        let cold = run();
+        let warm = run();
+        assert_eq!((cold.cached, warm.cached), (0, cells.len()));
+        assert_eq!(warm.records, cold.records, "a record is the run it keeps");
+        cold
     }
 
     fn one_cell(policy: &str, scenario: &str, jobs: usize, seed: u64) -> CellSpec {
@@ -220,14 +240,8 @@ mod tests {
             .into_iter()
             .map(|name| one_cell(name, scenario_names::HETEROGENEOUS_MIX, 10, 7))
             .collect();
-        let runs = run_cells(
-            builtins(),
-            ClusterConfig::paper_default(),
-            quick_solver(),
-            cells,
-            &ThreadPool::new(2),
-        );
-        for (cell, run) in &runs {
+        let runs = run_twice("builtins", PolicyRegistry::with_builtins(), cells, 2);
+        for (cell, run) in &runs.records {
             let name = cell.policy.as_str();
             assert!(run.report.makespan_secs > 0.0, "{name}");
             assert_eq!(run.stats.placements, 10, "{name}");
@@ -281,13 +295,7 @@ mod tests {
             .into_iter()
             .map(|p| one_cell(p, scenario_names::HETEROGENEOUS_MIX, 10, 2))
             .collect();
-        let runs = run_cells(
-            Arc::new(registry),
-            ClusterConfig::paper_default(),
-            quick_solver(),
-            cells,
-            &ThreadPool::new(2),
-        );
+        let runs = run_twice("labelled", registry, cells, 2).records;
         assert_eq!(runs[0].1.policy, "narrowest-first");
         assert_eq!(runs[1].1.policy, "FCFS", "the registered case");
         assert_eq!(runs[1].0.policy, "fcfs", "the cell as it was named");
@@ -300,13 +308,7 @@ mod tests {
             .into_iter()
             .flat_map(|n| paper_cells(scenario_names::RESOURCE_SPARSE, n, 2, SeedTree::new(3), 0))
             .collect();
-        let runs = run_cells(
-            builtins(),
-            ClusterConfig::paper_default(),
-            quick_solver(),
-            cells.clone(),
-            &ThreadPool::new(4),
-        );
+        let runs = run_twice("order", PolicyRegistry::with_builtins(), cells.clone(), 4).records;
         let back: Vec<CellSpec> = runs.iter().map(|(cell, _)| cell.clone()).collect();
         assert_eq!(back, cells);
         for (cell, run) in &runs {
@@ -340,14 +342,18 @@ mod tests {
         )
     }
 
+    fn records(records: Vec<(CellSpec, PolicyRun)>) -> CellRuns {
+        CellRuns { records, cached: 0 }
+    }
+
     #[test]
     fn groups_normalize_against_their_own_fcfs_run() {
-        let runs = vec![
+        let runs = records(vec![
             cell("SJF", 5.0),
             cell("FCFS", 10.0),
             cell("FCFS", 20.0),
             cell("SJF", 5.0),
-        ];
+        ]);
         let figure = NormalizedFigure::new(
             "Heading".to_string(),
             Some(("jobs", " jobs")),
@@ -376,7 +382,7 @@ mod tests {
             None,
             "persona",
             vec![String::new()],
-            vec![cell("FCFS", 0.0), cell("balanced", 0.0)],
+            records(vec![cell("FCFS", 0.0), cell("balanced", 0.0)]),
         );
         assert!(!figure.render().contains("##"));
         let table = Table::parse(&figure.to_csv()).expect("valid CSV");
@@ -394,7 +400,7 @@ mod tests {
             None,
             "scheduler",
             vec![String::new()],
-            vec![cell("SJF", 1.0)],
+            records(vec![cell("SJF", 1.0)]),
         );
     }
 }

@@ -1,7 +1,7 @@
 //! Figures 5 and 6: the agents' computational overhead (paper §3.7), read
-//! off the runs whose schedules Figures 3 and 4 score — the overhead of a
-//! schedule is the overhead of the run that produced it, so neither figure
-//! runs anything of its own.
+//! off the records of the runs whose schedules Figures 3 and 4 score — the
+//! overhead of a schedule is the overhead of the run that produced it, so
+//! neither figure runs anything of its own.
 //!
 //! * Figure 5 (§3.7.1): total elapsed time, LLM call counts and per-call
 //!   latency distributions for both models across the six Figure 3
@@ -12,10 +12,9 @@
 //!   a transient spike near 80 jobs in the paper's run), near-linear growth
 //!   for Claude 3.7, and linear call-count scaling for both.
 
+use rsched_campaign::OverheadSummary;
 use rsched_metrics::TextTable;
-use rsched_sim::OverheadReport;
 use rsched_simkit::csv;
-use rsched_simkit::stats::quantile;
 
 use crate::figures::NormalizedFigure;
 
@@ -28,7 +27,7 @@ pub struct OverheadFigure {
     /// the first label column; the second is always `"model"`.
     pub(crate) varies: &'static str,
     /// `([label, model], overhead)` in the order of the grid's runs.
-    pub rows: Vec<(Vec<String>, OverheadReport)>,
+    pub rows: Vec<(Vec<String>, OverheadSummary)>,
 }
 
 /// Figure 5: overhead per scenario, from Figure 3's runs of `jobs` jobs
@@ -52,10 +51,10 @@ pub fn fig6(fig4: &NormalizedFigure) -> OverheadFigure {
     }
 }
 
-/// The cells of `figure` that carry an overhead ledger, each labelled with
-/// its group.
-fn agent_rows(figure: &NormalizedFigure) -> Vec<(Vec<String>, OverheadReport)> {
-    let mut runs = figure.runs.as_slice();
+/// The cells of `figure` whose record carries an overhead summary, each
+/// labelled with its group.
+fn agent_rows(figure: &NormalizedFigure) -> Vec<(Vec<String>, OverheadSummary)> {
+    let mut runs = figure.runs.records.as_slice();
     let mut rows = Vec::new();
     for (label, group) in &figure.groups {
         let (cells, rest) = runs.split_at(group.len());
@@ -69,28 +68,9 @@ fn agent_rows(figure: &NormalizedFigure) -> Vec<(Vec<String>, OverheadReport)> {
     rows
 }
 
-/// Mean, p50, p95 and max of a latency sample, each through `fmt`, or
-/// `missing` four times if the sample is empty — computed once for the
-/// table, the CSV and the cells JSON, which print them to 1, 3 and 6
-/// decimals.
-pub(crate) fn latency_summary(
-    latencies: &[f64],
-    fmt: impl Fn(f64) -> String,
-    missing: &str,
-) -> [String; 4] {
-    match (quantile(latencies, 0.5), quantile(latencies, 0.95)) {
-        (Some(p50), Some(p95)) => {
-            let mean = latencies.iter().sum::<f64>() / latencies.len() as f64;
-            let max = latencies.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-            [mean, p50, p95, max].map(fmt)
-        }
-        _ => [(); 4].map(|_| missing.to_string()),
-    }
-}
-
 impl OverheadFigure {
     /// The overhead of one `(label, model)` cell.
-    pub fn cell(&self, label: &str, model: &str) -> Option<&OverheadReport> {
+    pub fn cell(&self, label: &str, model: &str) -> Option<&OverheadSummary> {
         self.rows
             .iter()
             .find(|(labels, _)| labels[0] == label && labels[1] == model)
@@ -110,11 +90,10 @@ impl OverheadFigure {
                     "{:.*}",
                     elapsed_decimals, overhead.total_elapsed_secs
                 ));
-                row.extend(latency_summary(
-                    &overhead.placement_latencies,
-                    |v| format!("{v:.decimals$}"),
-                    missing,
-                ));
+                row.extend(match overhead.latency_s {
+                    Some(summary) => summary.map(|v| format!("{v:.decimals$}")),
+                    None => [(); 4].map(|_| missing.to_string()),
+                });
                 row
             })
             .collect()
@@ -161,6 +140,7 @@ impl OverheadFigure {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::figures::TempCells;
     use crate::figures::{fig3, fig4};
     use crate::options::ExperimentOptions;
     use rsched_campaign::{CellSpec, PolicyRun};
@@ -200,10 +180,15 @@ mod tests {
     #[test]
     fn fig5_is_the_overhead_of_the_runs_fig3_scores() {
         let jobs = fig3::jobs(&quick(5));
-        let f3 = fig3::run(&quick(5), &ThreadPool::new(2));
+        let f3 = fig3::run(
+            &quick(5),
+            &TempCells::new("overhead_1").0,
+            &ThreadPool::new(2),
+        )
+        .expect("runs");
         let out = fig5(&f3, jobs);
         assert_eq!(out.rows.len(), 12, "6 scenarios × 2 models");
-        assert_rows_are_the_agent_cells(&out, &f3.runs);
+        assert_rows_are_the_agent_cells(&out, &f3.runs.records);
         // Claude is faster than O4-Mini on every scenario (paper: up to 7×).
         for (scenario, _) in &f3.groups {
             let claude = out.cell(scenario, "Claude-3.7").expect("present");
@@ -222,10 +207,15 @@ mod tests {
 
     #[test]
     fn fig6_is_the_overhead_of_the_runs_fig4_scores() {
-        let f4 = fig4::run(&quick(1), &ThreadPool::new(2));
+        let f4 = fig4::run(
+            &quick(1),
+            &TempCells::new("overhead_2").0,
+            &ThreadPool::new(2),
+        )
+        .expect("runs");
         let out = fig6(&f4);
         assert_eq!(out.rows.len(), 6, "3 sizes × 2 models");
-        assert_rows_are_the_agent_cells(&out, &f4.runs);
+        assert_rows_are_the_agent_cells(&out, &f4.runs.records);
         for (lo, hi) in [("10", "20"), ("20", "40")] {
             for model in ["Claude-3.7", "O4-Mini"] {
                 let small = out.cell(lo, model).expect("present");
@@ -244,16 +234,16 @@ mod tests {
         assert!(out.render().contains("jobs"));
     }
 
-    fn figure(placement_latencies: Vec<f64>) -> OverheadFigure {
+    fn figure(latency_s: Option<[f64; 4]>) -> OverheadFigure {
         OverheadFigure {
             heading: "Heading".to_string(),
             varies: "jobs",
             rows: vec![(
                 vec!["60".to_string(), "O4-Mini".to_string()],
-                OverheadReport {
+                OverheadSummary {
                     total_elapsed_secs: 1500.0,
                     call_count: 61,
-                    placement_latencies,
+                    latency_s,
                 },
             )],
         }
@@ -261,7 +251,7 @@ mod tests {
 
     #[test]
     fn the_table_and_the_csv_print_one_latency_summary() {
-        let out = figure(vec![10.0, 20.0, 30.0]);
+        let out = figure(Some([20.0, 20.0, 29.0, 30.0]));
         let table = Table::parse(&out.to_csv()).expect("valid CSV");
         assert_eq!(table.get(0, "jobs"), Some("60"));
         assert_eq!(table.get(0, "calls"), Some("61"));
@@ -278,7 +268,7 @@ mod tests {
 
     #[test]
     fn an_empty_sample_leaves_blank_cells() {
-        let out = figure(vec![]);
+        let out = figure(None);
         let table = Table::parse(&out.to_csv()).expect("valid CSV");
         assert_eq!(table.get(0, "latency_mean_s"), Some(""));
         assert_eq!(table.get(0, "latency_max_s"), Some(""));

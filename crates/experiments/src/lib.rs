@@ -3,8 +3,8 @@
 //! The figure-regeneration harness: one module per grid that is run (the
 //! two overhead figures are views of the grids of Figures 3 and 4, in
 //! `figures::overhead`). The `all_figures` binary runs them all and writes
-//! their CSVs and cells JSON; `campaign`, `serve` and `trace` run a
-//! campaign spec, the scheduling daemon and one traced run.
+//! their CSVs and one record per cell; `campaign`, `serve` and `trace` run
+//! a campaign spec, the scheduling daemon and one traced run.
 //!
 //! | Module | Paper artifact |
 //! |---|---|
@@ -17,15 +17,14 @@
 //! | `ablation` | Persona objective-weight sweep |
 //!
 //! Every grid is a list of campaign cells run through
-//! [`rsched_campaign::run_cell`], the function a campaign cell runs
-//! through too (see [`figures`]). Run
+//! [`rsched_campaign::run_cells`], the runner a campaign's grid goes
+//! through too, and recorded as campaign cell records (see [`figures`]). Run
 //! `cargo run --release -p rsched-experiments --bin all_figures`; every
 //! run is deterministic given `--seed`.
 
 #![deny(missing_docs)]
 #![deny(unsafe_code)]
 
-pub mod artifact;
 pub mod figures;
 pub mod options;
 

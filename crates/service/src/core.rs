@@ -39,11 +39,9 @@
 use std::collections::BTreeMap;
 use std::time::Instant;
 
-use rsched_cluster::{ClusterConfig, JobId, JobSpec};
+use rsched_cluster::{job_is_feasible, ClusterConfig, JobId, JobSpec};
 use rsched_sim::kernel::KernelState;
-use rsched_sim::{
-    job_is_feasible, Action, SchedulingPolicy, SimError, SimOptions, SimOutcome, SimStats,
-};
+use rsched_sim::{Action, SchedulingPolicy, SimError, SimOptions, SimOutcome, SimStats};
 use rsched_simkit::{SimDuration, SimTime};
 use rsched_telemetry::{HistSummary, LogHistogram, TelemetrySink};
 

@@ -60,7 +60,7 @@ pub use profile::{
 };
 pub use queue::WaitQueue;
 pub use scan::ScanOutcome;
-pub use simulator::{job_is_feasible, run_simulation, validate_workload, SimError, SimOptions};
+pub use simulator::{run_simulation, validate_workload, SimError, SimOptions};
 pub use store::JobStore;
 pub use view::{Running, RunningIter, RunningSummary, SystemView, Waiting, WaitingIter};
 

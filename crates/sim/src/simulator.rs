@@ -28,7 +28,7 @@
 //! state. Per-event work is O(log n), which is what makes 100k-job
 //! SWF-archive replays run in seconds.
 
-use rsched_cluster::{ClusterConfig, JobId, JobSpec, PlacementRequest, MAX_CLASSES};
+use rsched_cluster::{job_is_feasible, ClusterConfig, JobId, JobSpec};
 use rsched_simkit::SimTime;
 
 use crate::kernel::KernelState;
@@ -200,24 +200,6 @@ pub(crate) fn simulate_with_telemetry(
     }
 
     Ok(kernel.into_outcome(policy.name().to_string(), now))
-}
-
-/// Could `job` ever run on an *empty* machine of this configuration?
-///
-/// On a classed machine a job is feasible exactly when some class
-/// combination could host it with every node free. The simulator checks
-/// this for whole workloads upfront ([`validate_workload`]); the service
-/// daemon checks it per submission at the front door.
-pub fn job_is_feasible(config: ClusterConfig, job: &JobSpec) -> bool {
-    if config.topology.is_flat() {
-        job.nodes <= config.nodes && job.memory_gb <= config.memory_gb
-    } else {
-        let mut empty_free = [0u32; MAX_CLASSES];
-        for (slot, class) in config.topology.classes() {
-            empty_free[slot] = class.count;
-        }
-        PlacementRequest::from(job).fits_classes(&config.topology, &empty_free)
-    }
 }
 
 /// Reject workloads the run could never finish: duplicate ids and jobs

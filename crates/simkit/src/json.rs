@@ -1,11 +1,12 @@
 //! Byte-stable JSON fragment helpers.
 //!
-//! The workspace's machine-readable artifacts (`results/cells/*.json`,
-//! campaign `summary.json`) are hand-rendered with a fixed key order so
-//! they stay diffable across commits. The two rules every writer must
-//! agree on — string escaping and the canonical six-decimal float
-//! spelling — live here, once; a change in either would silently shift
-//! artifact bytes, so both writers share this single definition.
+//! The workspace's JSON artifacts (campaign `summary.json`, the telemetry
+//! exports) are hand-rendered with a fixed key order so they stay
+//! diffable across commits. The two rules every JSON writer must agree on
+//! — string escaping and the canonical six-decimal float spelling — live
+//! here, once; a change in either would silently shift artifact bytes, so
+//! every writer shares this single definition. (A cell's record is not
+//! JSON: `rsched_campaign::cache` writes it with exact floats.)
 
 /// JSON-escape a string body (quotes, backslashes, control characters).
 /// The common control characters use their short escapes (`\n`, `\r`,

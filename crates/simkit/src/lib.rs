@@ -22,7 +22,7 @@
 //! * [`csv`] — a minimal, RFC-4180-compatible CSV reader/writer used for
 //!   trace and result files.
 //! * [`json`] — the byte-stable JSON fragment rules (string escaping,
-//!   six-decimal floats) shared by every artifact writer.
+//!   six-decimal floats) shared by every JSON writer.
 //! * [`timetable`] — tentative reservations over a free-capacity step
 //!   function ([`ReservationProfile`]): the earliest-window search and
 //!   splice shared by conservative backfilling and the solver's serial

@@ -8,7 +8,7 @@
 //! [`ScenarioRegistry`](crate::ScenarioRegistry); this module holds the
 //! builtin definitions and the deterministic generation core.
 
-use rsched_cluster::{ClusterConfig, JobSpec, NodeClass, ResourceVec};
+use rsched_cluster::{job_is_feasible, ClusterConfig, JobSpec, NodeClass, ResourceVec};
 use rsched_simkit::dist::{Categorical, Clamped, Gamma, LogNormal, Sample, Uniform};
 use rsched_simkit::rng::{Rng, SeedTree};
 use rsched_simkit::{SimDuration, SimTime};
@@ -43,7 +43,9 @@ impl Workload {
         self.jobs.is_empty()
     }
 
-    /// Sanity-check every job against a machine configuration.
+    /// Sanity-check every job against a machine configuration: no zero-node
+    /// or zero-duration job, and every job feasible on the empty machine
+    /// ([`job_is_feasible`], the simulator's rule).
     pub fn validate(&self, config: ClusterConfig) -> Result<(), WorkloadError> {
         for j in &self.jobs {
             let fail = |message: String| {
@@ -55,16 +57,10 @@ impl Workload {
             if j.nodes == 0 {
                 return fail("requests zero nodes".to_string());
             }
-            if j.nodes > config.nodes {
+            if !job_is_feasible(config, j) {
                 return fail(format!(
-                    "requests {} nodes > capacity {}",
-                    j.nodes, config.nodes
-                ));
-            }
-            if j.memory_gb > config.memory_gb {
-                return fail(format!(
-                    "requests {} GB > capacity {}",
-                    j.memory_gb, config.memory_gb
+                    "requests {} nodes / {} GB, exceeding machine capacity",
+                    j.nodes, j.memory_gb
                 ));
             }
             if j.duration.is_zero() {

@@ -3,8 +3,9 @@
 //! builtin registries, run its 2-policy × 2-scenario × 60-job grid, and
 //! produce a non-empty Pareto front with hypervolume in every group —
 //! the same contract the CI smoke-campaign step checks through the
-//! `campaign` binary. A cell that cannot run, or a cache that cannot be
-//! written, comes back from `Campaign::run` as an error, never a panic.
+//! `campaign` binary. A workload too big for the machine, a cell that
+//! cannot run, or a cache that cannot be written comes back from
+//! `Campaign::run` as an error, never a panic.
 
 use std::path::PathBuf;
 
@@ -87,14 +88,14 @@ preset = "mixed_256"
         .out_root(&out)
         .run(&ThreadPool::new(2))
         .expect_err("the cell cannot run");
-    assert!(matches!(err, CampaignError::Cell { .. }), "{err:?}");
+    // Refused before anything runs, in one line naming the machine.
+    assert!(matches!(err, CampaignError::Validation(_)), "{err:?}");
     let text = err.to_string();
     assert!(text.contains("polaris/30"), "{text}");
+    assert!(text.contains("mixed_256"), "{text}");
     assert!(text.contains("exceeding machine capacity"), "{text}");
-    assert!(
-        !out.join("repro/cells").exists(),
-        "a failed cell is not cached"
-    );
+    assert_eq!(text.lines().count(), 1, "{text}");
+    assert!(!out.join("repro/cells").exists(), "nothing ran");
     let _ = std::fs::remove_dir_all(&out);
 }
 

@@ -4,17 +4,16 @@
 //! * every builtin scenario resolves by name through the
 //!   `ScenarioRegistry`, case- and separator-insensitively;
 //! * an SWF fixture trace runs end to end through `run_policy`, and as
-//!   campaign cells through `run_cell` into a per-cell JSON artifact;
+//!   campaign cells through `run_cells` into one record per cell;
 //! * third-party scenarios register by name and flow through the
 //!   experiments harness — no workspace code touched.
 
 use std::path::Path;
 use std::sync::Arc;
 
-use reasoned_scheduler::campaign::{run_cell, run_policy, PolicyRun};
+use reasoned_scheduler::campaign::{run_cells, run_policy, PolicyRun};
 use reasoned_scheduler::cluster::{ClusterConfig, JobSpec};
 use reasoned_scheduler::cpsolver::SolverConfig;
-use reasoned_scheduler::experiments::artifact::{cells_to_json, write};
 use reasoned_scheduler::parallel::ThreadPool;
 use reasoned_scheduler::prelude::*;
 use reasoned_scheduler::workloads::names as scenario_names;
@@ -98,39 +97,49 @@ fn swf_trace_sweeps_through_a_figure_grid_into_cell_artifacts() {
             policy_seed: 5,
         })
         .collect();
-    let policies = Arc::new(PolicyRegistry::with_builtins());
-    let results = ThreadPool::new(2).par_map(cells, move |cell| {
-        let cluster = ClusterConfig::paper_default();
-        run_cell(
-            &policies,
-            scenario_builtins(),
-            cell,
+    let dir = std::env::temp_dir().join(format!("rsched_swf_records_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let run = || {
+        run_cells(
+            Arc::new(PolicyRegistry::with_builtins()),
+            Arc::new(ScenarioRegistry::with_builtins()),
+            cells.clone(),
+            ClusterConfig::paper_default(),
             quick_solver(),
-            cluster,
             1.0,
+            &dir,
+            &ThreadPool::new(2),
         )
-        .expect("builtin cell")
-    });
-    assert_eq!(results.len(), 3);
-    for (cell, run) in &results {
+        .expect("builtin cells")
+    };
+    let cold = run();
+    assert_eq!(cold.cached, 0);
+    assert_eq!(cold.records.len(), 3);
+    for (cell, run) in &cold.records {
         assert_eq!(run.stats.placements, 12, "{}", run.policy);
         assert!(cell.scenario.starts_with("swf:"), "{}", cell.scenario);
         assert!(run.report.makespan_secs > 0.0, "{}", run.policy);
     }
-    assert!(results[2].1.overhead.is_some(), "LLM cell tracks overhead");
+    assert!(
+        cold.records[2].1.overhead.is_some(),
+        "LLM cell tracks overhead"
+    );
 
-    // The sweep lands in a per-cell JSON artifact, scenario label intact.
-    let json = cells_to_json("swf_smoke", &results);
-    assert_eq!(json.matches("\"figure\":\"swf_smoke\"").count(), 3);
-    assert!(json.contains("sample.swf/12\""), "{json}");
-
-    let path = std::env::temp_dir()
-        .join(format!("rsched_swf_artifact_test_{}", std::process::id()))
-        .join("swf_smoke.json");
-    write(&path, &json).expect("writable");
-    let on_disk = std::fs::read_to_string(&path).expect("written");
-    assert_eq!(on_disk, json);
-    let _ = std::fs::remove_dir_all(path.parent().expect("a directory"));
+    // The sweep lands as one record per cell, scenario label intact, and a
+    // rerun reads every cell back.
+    let records: Vec<String> = std::fs::read_dir(&dir)
+        .expect("records written")
+        .map(|e| std::fs::read_to_string(e.expect("entry").path()).expect("readable"))
+        .collect();
+    assert_eq!(records.len(), 3);
+    assert!(
+        records.iter().all(|r| r.contains("sample.swf\"\n")),
+        "{records:?}"
+    );
+    let warm = run();
+    assert_eq!(warm.cached, 3);
+    assert_eq!(warm.records, cold.records);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -217,4 +226,34 @@ fn swf_row_with_an_unrepresentable_processor_count_is_refused_as_infeasible() {
             memory_gb: u64::from(u32::MAX) * 2,
         })
     );
+}
+
+/// One feasibility rule: a Polaris job asks for 512 GB on one node, which
+/// no `mixed_256` node has, so the workload's own check and the
+/// simulator's both refuse job 0 — the workload check used to compare
+/// against the machine's scalar totals only and name job 1.
+#[test]
+fn the_workload_check_and_the_simulator_refuse_the_same_first_job() {
+    use reasoned_scheduler::sim::{validate_workload, SimError};
+    use reasoned_scheduler::workloads::WorkloadError;
+
+    let cluster = ClusterConfig::mixed_256();
+    let workload = scenario_builtins()
+        .generate(
+            scenario_names::POLARIS,
+            &ScenarioContext::new(30)
+                .with_mode(ArrivalMode::Dynamic)
+                .with_seed(7)
+                .with_cluster(cluster),
+        )
+        .expect("builtin");
+    let first = &workload.jobs[0];
+    assert!(matches!(
+        workload.validate(cluster),
+        Err(WorkloadError::Validation { job, .. }) if job == first.id.0
+    ));
+    assert!(matches!(
+        validate_workload(cluster, &workload.jobs),
+        Err(SimError::InfeasibleJob { id, .. }) if id == first.id
+    ));
 }
