@@ -1,12 +1,13 @@
-//! The campaign engine: expand the spec into its grid, refuse a grid
-//! whose workloads do not fit the machine, and hand the cells to
-//! [`run_cells`] — the one runner, which a figure grid goes through too. It
-//! serves cells from their records, executes the misses on the thread pool,
+//! The campaign engine: expand the spec into its grid and hand the cells
+//! to [`run_cells`]'s runner — the one runner, which a figure grid goes
+//! through too. It serves cells from their records, generates each
+//! distinct workload of the misses once (a campaign refuses its grid there
+//! if one does not fit the machine), executes the misses on the thread pool,
 //! and merges **in grid order regardless of completion order** — so a
 //! campaign's output is a pure function of its spec, not of thread
 //! scheduling.
 
-use std::collections::BTreeSet;
+use std::collections::BTreeMap;
 use std::error::Error;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -18,7 +19,7 @@ use rsched_parallel::ThreadPool;
 use rsched_registry::{PolicyContext, PolicyRegistry};
 use rsched_sim::{validate_workload, OverheadReport, SimStats, Simulation};
 use rsched_simkit::stats::quantile;
-use rsched_workloads::{ArrivalMode, ScenarioContext, ScenarioRegistry};
+use rsched_workloads::{ArrivalMode, ScenarioContext, ScenarioRegistry, Workload};
 
 use crate::cache::{io_err, read_record, write_record};
 use crate::cell::{derived_policy_seed, CellResult, CellSpec};
@@ -116,23 +117,23 @@ impl Campaign {
 
     /// Run the campaign.
     ///
-    /// Validates the spec, refuses it if a workload of the grid does not
-    /// fit the machine, runs the grid through [`run_cells`] with
-    /// `<out>/cells/` as its records, writes `summary.json` and
-    /// `fronts.csv`, and returns the outcome merged in grid order.
+    /// Validates the spec, runs the grid through [`run_cells`]'s runner
+    /// with `<out>/cells/` as its records — refused, before any cell runs,
+    /// if a workload of a cell without a record does not fit the machine —
+    /// writes `summary.json` and `fronts.csv`, and returns the outcome
+    /// merged in grid order.
     ///
     /// A cell that fails is not cached: every other cell still runs and
     /// is cached, and the error of the first failed cell in grid order is
     /// returned.
     pub fn run(&self, pool: &ThreadPool) -> Result<CampaignOutcome, CampaignError> {
         self.spec.validate(&self.policies, &self.scenarios)?;
-        let grid = self.grid();
-        self.check_workloads(&grid)?;
-        let CellRuns { records, cached } = run_cells(
+        let CellRuns { records, cached } = run_grid(
             Arc::clone(&self.policies),
             Arc::clone(&self.scenarios),
-            grid,
+            self.grid(),
             self.spec.cluster(),
+            Some(&self.spec.machine()),
             self.spec.solver,
             self.spec.walltime_skew,
             &self.out_dir.join("cells"),
@@ -161,38 +162,6 @@ impl Campaign {
             out_dir: self.out_dir.clone(),
         })
     }
-
-    /// Refuse the grid if a `(scenario, jobs, seed)` workload cannot be
-    /// generated or cannot run on the spec's machine: one line per such
-    /// workload, naming the machine and the generator's error or
-    /// [`validate_workload`]'s first offender.
-    fn check_workloads(&self, grid: &[CellSpec]) -> Result<(), CampaignError> {
-        let cluster = self.spec.cluster();
-        let mut checked = BTreeSet::new();
-        let refused: Vec<String> = grid
-            .iter()
-            .filter(|c| checked.insert((&c.scenario, c.jobs, c.workload_seed)))
-            .filter_map(|cell| {
-                let ctx = scenario_context(cell, cluster, self.spec.walltime_skew);
-                let reason = match self.scenarios.generate(&cell.scenario, &ctx) {
-                    Ok(workload) => validate_workload(cluster, &workload.jobs)
-                        .err()?
-                        .to_string(),
-                    Err(e) => e.to_string(),
-                };
-                let (scenario, jobs, seed) = (&cell.scenario, cell.jobs, cell.workload_seed);
-                let machine = self.spec.machine();
-                Some(format!(
-                    "{scenario}/{jobs} seed={seed} on {machine}: {reason}"
-                ))
-            })
-            .collect();
-        if refused.is_empty() {
-            Ok(())
-        } else {
-            Err(CampaignError::Validation(refused.join("\n")))
-        }
-    }
 }
 
 /// What [`run_cells`] returns.
@@ -207,18 +176,50 @@ pub struct CellRuns {
 /// The one runner: run `cells` on `cluster`, each cell recorded under
 /// `cells_dir`.
 ///
-/// Probes each cell's record on this thread, runs every miss on `pool`
-/// (its worker runs the cell, then writes its record), and returns every
-/// cell beside its run in input order. Campaigns and figure grids both run
-/// through it. A cell that fails is not recorded: every other cell still
-/// runs and is recorded, and the error of the first failed cell in input
-/// order is returned.
+/// Probes each cell's record on this thread, generates each distinct
+/// `(scenario, jobs, seed)` workload of the misses once, on this thread,
+/// runs every miss on `pool` against its shared workload (its worker runs
+/// the cell, then writes its record), and returns every cell beside its run
+/// in input order. Campaigns and figure grids both run through it. A cell
+/// that fails — its workload included — is not recorded: every other cell
+/// still runs and is recorded, and the error of the first failed cell in
+/// input order is returned.
 #[allow(clippy::too_many_arguments)]
 pub fn run_cells(
     policies: Arc<PolicyRegistry>,
     scenarios: Arc<ScenarioRegistry>,
     cells: Vec<CellSpec>,
     cluster: ClusterConfig,
+    solver: SolverConfig,
+    walltime_skew: f64,
+    cells_dir: &Path,
+    pool: &ThreadPool,
+) -> Result<CellRuns, CampaignError> {
+    run_grid(
+        policies,
+        scenarios,
+        cells,
+        cluster,
+        None,
+        solver,
+        walltime_skew,
+        cells_dir,
+        pool,
+    )
+}
+
+/// [`run_cells`], and with `refuse_as` set, a campaign's: a miss's workload
+/// that cannot be generated or cannot run on `cluster` then refuses the
+/// whole grid before any cell runs, one line per such workload naming the
+/// machine as `refuse_as` and the generator's error or
+/// [`validate_workload`]'s first offender.
+#[allow(clippy::too_many_arguments)]
+fn run_grid(
+    policies: Arc<PolicyRegistry>,
+    scenarios: Arc<ScenarioRegistry>,
+    cells: Vec<CellSpec>,
+    cluster: ClusterConfig,
+    refuse_as: Option<&str>,
     solver: SolverConfig,
     walltime_skew: f64,
     cells_dir: &Path,
@@ -232,25 +233,65 @@ pub fn run_cells(
             Some(run) => hits.push(Some((cell, run))),
             None => {
                 hits.push(None);
-                // The task carries its machine and solver budget: a worker
-                // frees the task box this thread allocated, and at ~90 bytes
-                // its size class is one the runs' buffers then `realloc`
-                // under glibc's main-arena lock (Figure 7 on 2 workers: 40 →
-                // ~4 000 voluntary context switches). At ~250 bytes it is not.
-                misses.push((cell, hash, cluster, solver));
+                misses.push((cell, hash));
             }
         }
     }
     let cached = hits.len() - misses.len();
 
-    // Each task hands its cell back beside its run, so the coordinating
-    // thread frees what it allocated.
+    // Each distinct workload of the misses, generated once, in the order
+    // the misses first name it.
+    let mut workloads: Vec<Result<Arc<Workload>, String>> = Vec::new();
+    let mut refused = Vec::new();
+    let mut first_seen = BTreeMap::new();
+    let slots: Vec<usize> = misses
+        .iter()
+        .map(|(cell, _)| {
+            let key = (cell.scenario.as_str(), cell.jobs, cell.workload_seed);
+            *first_seen.entry(key).or_insert_with(|| {
+                let ctx = scenario_context(cell, cluster, walltime_skew);
+                let workload = scenarios
+                    .generate(&cell.scenario, &ctx)
+                    .map(Arc::new)
+                    .map_err(|e| e.to_string());
+                if let Some(name) = refuse_as {
+                    let reason = match &workload {
+                        Ok(w) => validate_workload(cluster, &w.jobs)
+                            .err()
+                            .map(|e| e.to_string()),
+                        Err(e) => Some(e.clone()),
+                    };
+                    if let Some(reason) = reason {
+                        let (scenario, jobs, seed) = key;
+                        refused.push(format!("{scenario}/{jobs} seed={seed} on {name}: {reason}"));
+                    }
+                }
+                workloads.push(workload);
+                workloads.len() - 1
+            })
+        })
+        .collect();
+    if !refused.is_empty() {
+        return Err(CampaignError::Validation(refused.join("\n")));
+    }
+    // The task carries its machine and solver budget: a worker frees the
+    // task box this thread allocated, and at ~90 bytes its size class is
+    // one the runs' buffers then `realloc` under glibc's main-arena lock
+    // (Figure 7 on 2 workers: 40 → ~4 000 voluntary context switches). At
+    // ~250 bytes it is not.
+    let tasks: Vec<_> = misses
+        .into_iter()
+        .zip(slots)
+        .map(|((cell, hash), slot)| (cell, hash, cluster, solver, workloads[slot].clone()))
+        .collect();
+
+    // Each task hands its cell back beside its run, and `workloads` keeps
+    // one handle on every workload until the runs are in, so the
+    // coordinating thread frees what it allocated.
     let cells_dir = cells_dir.to_path_buf();
     let mut fresh = pool
-        .par_map(misses, move |(cell, hash, cluster, solver)| {
-            let ctx = scenario_context(&cell, cluster, walltime_skew);
-            let run = scenarios
-                .generate(&cell.scenario, &ctx)
+        .par_map(tasks, move |(cell, hash, cluster, solver, workload)| {
+            let run = workload
                 .map_err(Into::into)
                 .and_then(|w| {
                     let seed = cell.policy_seed;
@@ -267,8 +308,12 @@ pub fn run_cells(
     let records = hits
         .into_iter()
         .map(|hit| hit.map_or_else(|| fresh.next().expect("one run per miss"), Ok))
-        .collect::<Result<_, CampaignError>>()?;
-    Ok(CellRuns { records, cached })
+        .collect::<Result<_, CampaignError>>();
+    drop(workloads);
+    Ok(CellRuns {
+        records: records?,
+        cached,
+    })
 }
 
 /// What one run of a policy produced — the run a cell's record keeps: the
@@ -550,6 +595,49 @@ seeds = [1, 2]
             }
             assert!(!root.exists(), "nothing ran, nothing was written");
         }
+    }
+
+    /// A warm run generates no workload, and a cold one each distinct
+    /// `(scenario, jobs, seed)` once, however many cells share it.
+    #[test]
+    fn each_missing_workload_is_generated_once() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let generated = Arc::new(AtomicUsize::new(0));
+        let counter = Arc::clone(&generated);
+        let mut scenarios = ScenarioRegistry::with_builtins();
+        scenarios
+            .register("counted", move |ctx| {
+                counter.fetch_add(1, Ordering::Relaxed);
+                let mut workload = ScenarioRegistry::with_builtins()
+                    .generate("heterogeneous_mix", ctx)
+                    .expect("builtin");
+                workload.scenario = "counted".to_string();
+                workload
+            })
+            .expect("fresh name");
+        let mut spec = small_spec();
+        spec.name = "engine-generated-once".to_string();
+        spec.scenarios = vec!["counted".to_string()];
+        let root = std::env::temp_dir().join(format!(
+            "rsched_campaign_engine_once_{}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&root);
+        let campaign = Campaign::new(spec)
+            .out_root(&root)
+            .scenarios(Arc::new(scenarios));
+        let pool = ThreadPool::new(2);
+
+        let cold = campaign.run(&pool).expect("runs");
+        assert_eq!((cold.cached, cold.ran), (0, 6));
+        // Jobs 8 and 10 × seeds 1 and 2.
+        assert_eq!(generated.swap(0, Ordering::Relaxed), 4);
+
+        let warm = campaign.run(&pool).expect("reruns");
+        assert_eq!((warm.cached, warm.ran), (6, 0));
+        assert_eq!(generated.load(Ordering::Relaxed), 0);
+        assert_eq!(warm.results, cold.results);
+        let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]

@@ -9,7 +9,8 @@
 //!
 //! * **Spec** ([`CampaignSpec`]) — parsed and validated against the
 //!   registries *before any cell runs*; unknown names fail fast, and so
-//!   does a workload that does not fit the spec's machine.
+//!   does a workload of an uncached cell that does not fit the spec's
+//!   machine.
 //! * **Engine** ([`Campaign`]) — cells are content-hashed (grid
 //!   coordinates + solver budget + cluster + workspace-version salt) and
 //!   run by [`run_cells`], the one runner (the figure grids use it too),

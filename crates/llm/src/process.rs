@@ -54,15 +54,22 @@ impl LanguageModel for ProcessBackend {
             .map_err(|e| LlmError::new(format!("spawn `{}`: {e}", self.program)))?;
         let stdin = child.stdin.take();
         let mut stdin = stdin.ok_or_else(|| LlmError::new("child stdin unavailable"))?;
-        // A child that exits without reading its prompt breaks the pipe. Its
-        // own verdict says more than the write's, so reap it either way: a
-        // non-zero exit reports status and stderr, and a zero exit's
-        // completion stands — the command did not need the prompt.
-        let _ = stdin.write_all(prompt.as_bytes());
-        drop(stdin);
-        let output = child
-            .wait_with_output()
-            .map_err(|e| LlmError::new(format!("waiting for child: {e}")))?;
+        // The prompt is written from a thread of its own while this one
+        // drains stdout and stderr: a child that answers as it reads (`cat`)
+        // fills its output pipe long before a large prompt is through, and
+        // writing first would then wait on it forever.
+        let output = std::thread::scope(|scope| {
+            scope.spawn(move || {
+                // A child that exits without reading its prompt breaks the
+                // pipe. Its own verdict says more than the write's, so reap
+                // it either way: a non-zero exit reports status and stderr,
+                // and a zero exit's completion stands — the command did not
+                // need the prompt. Dropping `stdin` closes the pipe.
+                let _ = stdin.write_all(prompt.as_bytes());
+            });
+            child.wait_with_output()
+        })
+        .map_err(|e| LlmError::new(format!("waiting for child: {e}")))?;
         if !output.status.success() {
             return Err(LlmError::new(format!(
                 "`{}` exited with {}: {}",

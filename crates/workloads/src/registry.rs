@@ -222,6 +222,10 @@ impl ScenarioRegistry {
         registry
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "the builtin names are fixed and distinct; a clash is a bug here, not input"
+    )]
     fn register_builtins(&mut self) {
         for spec in &BUILTIN_SCENARIOS {
             self.register_described(spec.slug, spec.title, spec.description, move |ctx| {

@@ -163,6 +163,10 @@ pub(crate) static BUILTIN_SCENARIOS: [BuiltinScenario; 12] = [
             mean_interarrival_secs: 120.0,
         },
         shape: |_, _, rng| {
+            #[expect(
+                clippy::expect_used,
+                reason = "a five-weight categorical samples an index below five"
+            )]
             let nodes = *[64u32, 96, 128, 192, 256]
                 .get(Categorical::new(&[0.3, 0.25, 0.25, 0.12, 0.08]).sample_index(rng))
                 .expect("index in range");
@@ -409,6 +413,10 @@ pub(crate) fn generate_builtin(spec: &BuiltinScenario, ctx: &ScenarioContext) ->
 /// environments". Node counts follow a heavy-tailed categorical mix with
 /// memory correlated to node count; runtimes are the paper's
 /// Gamma(1.5, 300).
+#[expect(
+    clippy::expect_used,
+    reason = "a four-weight categorical samples an index below four"
+)]
 fn heterogeneous_mix_shape(rng: &mut dyn Rng) -> JobShape {
     let duration = Clamped::new(Gamma::new(1.5, 300.0), 10.0, 20_000.0).sample(rng);
     let class = Categorical::new(&[0.45, 0.30, 0.17, 0.08]).sample_index(rng);

@@ -6,22 +6,32 @@
 //! **18 whitespace-separated numeric fields**, where `-1` marks an unknown
 //! value. The parser is built around [`SwfReader`], a streaming iterator
 //! over job lines: header directives accumulate incrementally as they are
-//! encountered, the line buffer is reused, and nothing proportional to the
-//! file size is ever materialized — which is what lets million-job archive
-//! replays parse in one pass at constant overhead. The eager API
-//! ([`SwfTrace::parse`], [`load_trace`]) is a thin `collect()` wrapper over
-//! the same reader, byte-identical in output and error text.
+//! encountered, and nothing proportional to the file size is ever
+//! materialized — which is what lets million-job archive replays parse in
+//! one pass at constant overhead. The eager API ([`SwfTrace::parse`],
+//! [`load_trace`]) is a thin `collect()` wrapper over the same reader,
+//! byte-identical in output and error text.
 //!
-//! **One line parser.** Every path above ends in `parse_job_line`, and a
-//! job line costs it no heap traffic: the 18 tokens land in an array on the
-//! stack, and a field spelled `[+-]?[0-9]{1,18}` — nearly every field of
-//! every archive line — is read in the one pass that checks it. Whatever
-//! else a field holds (`3600.0`, `3600.`, `nan`, `1e3`, a 19th digit, a
-//! byte that is not ASCII) takes the general route, which alone decides
+//! **Lines are read in place.** The reader finds each line inside its
+//! input's own buffer (`fill_buf` / `consume`) and parses it there; a line
+//! is copied, into one reused carry buffer, only when it straddles the end
+//! of that buffer or ends the input without a newline. Each line is checked
+//! for UTF-8 as `read_line` checks it, with the same error at the same
+//! line number.
+//!
+//! **One line parser.** Every path above ends in `parse_job_line`, one scan
+//! that costs a job line no heap traffic: it finds each token's end and, in
+//! the same pass, reads a token spelled `[+-]?[0-9]{1,18}` — nearly every
+//! field of every archive line — as the number it is. Separators are
+//! `char::is_whitespace`: an ASCII byte is looked up in a table, and a char
+//! is decoded only where a byte ≥ 0x80 starts one. Whatever else a token
+//! holds (`3600.0`, `3600.`, `nan`, `1e3`, a 19th digit, a byte that is not
+//! ASCII) goes, that token alone, to the general route, which alone decides
 //! what is a number and words the error. A faster scanner is welcome only
 //! as a replacement for that function, never as a second parser in front
-//! of it; the collecting parser it replaced survives under `#[cfg(test)]`
-//! as the oracle of a differential property test.
+//! of it; the collecting parser it replaced, and the `read_line` loop the
+//! reader replaced, survive under `#[cfg(test)]` as the oracles of
+//! differential property tests.
 //!
 //! Conversion to simulator-ready [`JobSpec`]s is the paper's §5
 //! preprocessing pipeline, and the Polaris substrate
@@ -29,8 +39,8 @@
 //! by submission, normalize timestamps to the earliest submission,
 //! factorize user/group labels, and derive memory where the trace does not
 //! record it.
-//! The sort orders 24-byte `(submit, job_id, row index)` keys, not the
-//! 144-byte rows, which are read through the keys once.
+//! The sort orders `(submit, job_id, row index)` keys, not the 144-byte
+//! rows, which are read through the keys once.
 //!
 //! The scenario registry resolves `swf:<path>` names through
 //! `load_workload`, so any archive trace sweeps through the experiment
@@ -39,7 +49,8 @@
 
 use std::fmt;
 use std::fs::File;
-use std::io::{BufRead, BufReader};
+use std::io::{BufRead, BufReader, ErrorKind};
+use std::ops::Range;
 
 use rsched_cluster::{ClusterConfig, JobSpec, ResourceVec};
 use rsched_simkit::{SimDuration, SimTime};
@@ -151,10 +162,16 @@ impl SwfJob {
     /// `true` for jobs the conversion keeps: not failed (status 0), not
     /// cancelled (status 5), with a usable runtime and processor count.
     pub fn is_usable(&self) -> bool {
-        self.status != 0
-            && self.status != 5
-            && self.procs().is_some()
-            && self.runtime_secs().is_some()
+        self.usable().is_some()
+    }
+
+    /// The processor count and runtime the conversion schedules a kept job
+    /// with; `None` for a job it drops (see [`is_usable`](Self::is_usable)).
+    fn usable(&self) -> Option<(u32, u64)> {
+        if self.status == 0 || self.status == 5 {
+            return None;
+        }
+        Some((self.procs()?, self.runtime_secs()?))
     }
 }
 
@@ -260,31 +277,33 @@ pub fn jobs_from_rows(rows: impl IntoIterator<Item = SwfJob>, limit: usize) -> V
 /// they all land here.
 ///
 /// The order is `(submit, job_id)` with file order breaking ties — a stable
-/// sort of the rows, done on 24-byte `(submit, job_id, row index)` keys
-/// (the index makes `sort_unstable` stable); the 144-byte rows stay where
-/// they are and are read through the keys once.
+/// sort of the rows, done on `(submit, job_id, row index)` keys (the index
+/// makes `sort_unstable` stable, and no comparison reaches past it); each
+/// key carries the processor count and runtime its usable check found, and
+/// the 144-byte rows stay where they are and are read through the keys once.
 fn convert_usable(rows: &[SwfJob], limit: usize) -> Vec<JobSpec> {
-    let mut keys: Vec<(i64, i64, usize)> = rows
+    let mut keys: Vec<(i64, i64, usize, u32, u64)> = rows
         .iter()
         .enumerate()
-        .filter(|(_, j)| j.is_usable())
-        .map(|(at, j)| (j.submit_secs, j.job_id, at))
+        .filter_map(|(at, j)| {
+            let (procs, runtime) = j.usable()?;
+            Some((j.submit_secs, j.job_id, at, procs, runtime))
+        })
         .collect();
     keys.sort_unstable();
     if limit > 0 {
         keys.truncate(limit);
     }
-    let Some(&(origin, _, _)) = keys.first() else {
+    let Some(&(origin, ..)) = keys.first() else {
         return Vec::new();
     };
     let mut users = Factorizer::new();
     let mut groups = Factorizer::new();
     keys.iter()
         .enumerate()
-        .map(|(i, &(_, _, at))| {
+        .map(|(i, &(_, _, at, procs, runtime))| {
             let j = &rows[at];
-            let procs = j.procs().expect("usable");
-            let runtime = j.runtime_secs().expect("usable").max(1);
+            let runtime = runtime.max(1);
             // Aggregate memory prefers *used* (what actually happened);
             // the per-node demand prefers *requested* (what the user
             // asked the scheduler for).
@@ -305,13 +324,13 @@ fn convert_usable(rows: &[SwfJob], limit: usize) -> Vec<JobSpec> {
             let walltime = (j.requested_secs.max(0) as u64).max(runtime);
             JobSpec::new(
                 i as u32,
-                users.id(&j.user),
+                users.id(j.user),
                 SimTime::from_secs(j.submit_secs.saturating_sub(origin).max(0) as u64),
                 SimDuration::from_secs(runtime),
                 procs,
                 memory_gb,
             )
-            .with_group(groups.id(&j.group))
+            .with_group(groups.id(j.group))
             .with_walltime(SimDuration::from_secs(walltime))
             .with_per_node(j.per_node_demand())
         })
@@ -323,11 +342,14 @@ fn convert_usable(rows: &[SwfJob], limit: usize) -> Vec<JobSpec> {
 ///
 /// Header directives (`; Key: value`) accumulate incrementally in
 /// [`directives`](Self::directives) as the stream advances; comments and
-/// blank lines are skipped; the internal line buffer is reused, so memory
-/// stays constant regardless of trace size. After the first error the
-/// iterator is fused (subsequent `next()` returns `None`) — a malformed
-/// line poisons the rest of the stream exactly as it aborts an eager
-/// parse.
+/// blank lines are skipped. Lines are read in place, inside the input's
+/// own buffer; one that straddles the end of that buffer (or ends the
+/// input without a newline) is carried in a reused buffer, so memory stays
+/// constant regardless of trace size. A line that is not UTF-8 ends the
+/// stream with the [`WorkloadError::Io`] that `BufRead::read_line` gives.
+/// After the first error the iterator is fused (subsequent `next()`
+/// returns `None`) — a malformed line poisons the rest of the stream
+/// exactly as it aborts an eager parse.
 ///
 /// ```
 /// use rsched_workloads::swf::SwfReader;
@@ -344,7 +366,8 @@ pub struct SwfReader<R> {
     source: Option<String>,
     line_no: usize,
     directives: Vec<(String, String)>,
-    buf: String,
+    /// The start of a line that straddles the end of the input's buffer.
+    buf: Vec<u8>,
     done: bool,
 }
 
@@ -375,7 +398,7 @@ impl<R: BufRead> SwfReader<R> {
             source: None,
             line_no: 0,
             directives: Vec::new(),
-            buf: String::new(),
+            buf: Vec::new(),
             done: false,
         }
     }
@@ -426,6 +449,18 @@ impl<R: BufRead> SwfReader<R> {
         Ok(convert_usable(&usable, limit))
     }
 
+    /// End the stream on an I/O failure, reported against the source.
+    fn fail_io(&mut self, message: String) -> WorkloadError {
+        self.done = true;
+        WorkloadError::Io {
+            path: self
+                .source
+                .clone()
+                .unwrap_or_else(|| "<swf stream>".to_string()),
+            message,
+        }
+    }
+
     fn anchor(&self, err: WorkloadError) -> WorkloadError {
         match (&self.source, err) {
             (Some(path), WorkloadError::Parse { location, message }) => WorkloadError::Parse {
@@ -445,50 +480,119 @@ impl<R: BufRead> Iterator for SwfReader<R> {
             return None;
         }
         loop {
-            self.buf.clear();
-            match self.input.read_line(&mut self.buf) {
-                Ok(0) => {
-                    self.done = true;
-                    return None;
+            let available = match self.input.fill_buf() {
+                Ok(bytes) => bytes,
+                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                Err(e) => return Some(Err(self.fail_io(e.to_string()))),
+            };
+            let line_no = self.line_no + 1;
+            let newline = find_newline(available);
+            let (line, used) = match newline {
+                // The whole line lies in the input's buffer: read it there.
+                Some(end) if self.buf.is_empty() => {
+                    let line = read_swf_line(&available[..=end], line_no, &mut self.directives);
+                    (line, end + 1)
                 }
-                Ok(_) => {}
-                Err(e) => {
-                    self.done = true;
-                    return Some(Err(WorkloadError::Io {
-                        path: self
-                            .source
-                            .clone()
-                            .unwrap_or_else(|| "<swf stream>".to_string()),
-                        message: e.to_string(),
-                    }));
+                Some(end) => {
+                    self.buf.extend_from_slice(&available[..=end]);
+                    let line = read_swf_line(&self.buf, line_no, &mut self.directives);
+                    self.buf.clear();
+                    (line, end + 1)
                 }
-            }
-            self.line_no += 1;
-            let line = self.buf.trim();
-            if line.is_empty() {
-                continue;
-            }
-            if let Some(rest) = line.strip_prefix(';') {
-                // `; Key: value` is a directive; anything else is comment.
-                if let Some((key, value)) = rest.split_once(':') {
-                    let key = key.trim();
-                    if !key.is_empty() && !key.contains(char::is_whitespace) {
-                        self.directives
-                            .push((key.to_string(), value.trim().to_string()));
+                None if available.is_empty() => {
+                    if self.buf.is_empty() {
+                        self.done = true;
+                        return None;
                     }
+                    // The last line, without a newline.
+                    let line = read_swf_line(&self.buf, line_no, &mut self.directives);
+                    self.buf.clear();
+                    (line, 0)
                 }
-                continue;
-            }
-            let parsed = parse_job_line(line, self.line_no);
-            return match parsed {
-                Ok(job) => Some(Ok(job)),
-                Err(e) => {
-                    self.done = true;
-                    Some(Err(self.anchor(e)))
+                None => {
+                    self.buf.extend_from_slice(available);
+                    let used = available.len();
+                    self.input.consume(used);
+                    continue;
                 }
             };
+            self.input.consume(used);
+            match line {
+                Line::NotUtf8 => return Some(Err(self.fail_io(NOT_UTF8.to_string()))),
+                Line::Skip => self.line_no = line_no,
+                Line::Job(Ok(job)) => {
+                    self.line_no = line_no;
+                    return Some(Ok(job));
+                }
+                Line::Job(Err(e)) => {
+                    self.line_no = line_no;
+                    self.done = true;
+                    return Some(Err(self.anchor(e)));
+                }
+            }
         }
     }
+}
+
+/// The index of the first `\n` in `bytes`, eight bytes a step: a word
+/// holds one where `x - 0x01…01 & !x & 0x80…80` is non-zero for `x` the
+/// word XOR `\n`s, and its lowest set bit marks the first.
+fn find_newline(bytes: &[u8]) -> Option<usize> {
+    const ONES: u64 = u64::from_le_bytes([0x01; 8]);
+    const HIGHS: u64 = u64::from_le_bytes([0x80; 8]);
+    const NEWLINES: u64 = u64::from_le_bytes([b'\n'; 8]);
+    let mut words = bytes.chunks_exact(8);
+    let mut offset = 0;
+    for chunk in &mut words {
+        let mut word = [0u8; 8];
+        word.copy_from_slice(chunk);
+        let x = u64::from_le_bytes(word) ^ NEWLINES;
+        let hits = x.wrapping_sub(ONES) & !x & HIGHS;
+        if hits != 0 {
+            return Some(offset + hits.trailing_zeros() as usize / 8);
+        }
+        offset += 8;
+    }
+    let tail = words.remainder().iter().position(|&b| b == b'\n');
+    tail.map(|at| offset + at)
+}
+
+/// What `BufRead::read_line` reports for a line that is not UTF-8.
+const NOT_UTF8: &str = "stream did not contain valid UTF-8";
+
+/// What one line of a trace holds.
+enum Line {
+    /// A blank line, a comment or a directive (recorded as it is read).
+    Skip,
+    /// A job line, parsed.
+    Job(Result<SwfJob, WorkloadError>),
+    /// Bytes that are not UTF-8: the stream ends there, as `read_line`
+    /// ends it, without counting the line.
+    NotUtf8,
+}
+
+/// Read line `line_no` (its bytes, newline included if it has one): a
+/// directive lands in `directives`, a job line is parsed.
+fn read_swf_line(bytes: &[u8], line_no: usize, directives: &mut Vec<(String, String)>) -> Line {
+    let Ok(text) = std::str::from_utf8(bytes) else {
+        return Line::NotUtf8;
+    };
+    let line = text.trim_start();
+    if line.is_empty() {
+        return Line::Skip;
+    }
+    if let Some(rest) = line.strip_prefix(';') {
+        // `; Key: value` is a directive; anything else is comment.
+        if let Some((key, value)) = rest.split_once(':') {
+            let key = key.trim();
+            if !key.is_empty() && !key.contains(char::is_whitespace) {
+                directives.push((key.to_string(), value.trim().to_string()));
+            }
+        }
+        return Line::Skip;
+    }
+    // The scanner skips the trailing separators (`\r\n` among them).
+    Line::Job(parse_job_line(line, line_no))
 }
 
 impl fmt::Display for SwfTrace {
@@ -526,16 +630,108 @@ impl fmt::Display for SwfTrace {
     }
 }
 
+/// Field 6, average CPU time: the one `f64` field.
+const AVG_CPU_FIELD: usize = 5;
+
+/// Which ASCII bytes separate fields: those `char::is_whitespace` accepts,
+/// which unlike `u8::is_ascii_whitespace` include `\x0B`.
+const ASCII_SEPARATOR: [bool; 128] = {
+    let mut table = [false; 128];
+    let mut byte = 0;
+    while byte < 128 {
+        table[byte] = (byte as u8 as char).is_whitespace();
+        byte += 1;
+    }
+    table
+};
+
+/// The char that starts at byte `at` of `line`: whether it separates
+/// fields, and its length in bytes. Only a byte ≥ 0x80 is decoded, so
+/// U+00A0, U+2003 and the other Unicode spaces still split tokens.
+#[inline]
+fn char_at(line: &str, at: usize) -> (bool, usize) {
+    let byte = line.as_bytes()[at];
+    if let Some(&separator) = ASCII_SEPARATOR.get(usize::from(byte)) {
+        return (separator, 1);
+    }
+    match line[at..].chars().next() {
+        Some(c) => (c.is_whitespace(), c.len_utf8()),
+        None => (false, 1),
+    }
+}
+
+/// Parse one job line in one scan: each token's end is found and, in the
+/// same pass, a token spelled `[+-]?[0-9]{1,18}` is read as the number it
+/// spells — 18 digits cannot overflow an `i64`, so there is nothing to
+/// check but the bytes. Any other token takes the general route
+/// ([`general_int`], [`general_float`]), that token alone. A count other
+/// than 18 outranks a bad token; among bad tokens the first is reported.
 fn parse_job_line(line: &str, line_no: usize) -> Result<SwfJob, WorkloadError> {
-    // The tokens land on the stack; the ones past the 18th are only counted,
-    // for the error text.
-    let mut fields = [""; SWF_FIELD_COUNT];
+    let bytes = line.as_bytes();
+    let mut ints = [0i64; SWF_FIELD_COUNT];
+    let mut avg_cpu_secs = 0.0;
+    let mut first_bad: Option<(usize, Range<usize>)> = None;
     let mut found = 0usize;
-    for token in line.split_whitespace() {
-        if let Some(slot) = fields.get_mut(found) {
-            *slot = token;
+    let mut at = 0;
+    while at < bytes.len() {
+        let (separator, len) = char_at(line, at);
+        if separator {
+            at += len;
+            continue;
         }
+        let start = at;
+        let negative = bytes[at] == b'-';
+        if negative || bytes[at] == b'+' {
+            at += 1;
+        }
+        let digits_from = at;
+        let mut value = 0i64;
+        while let Some(digit) = bytes
+            .get(at)
+            .map(|b| b.wrapping_sub(b'0'))
+            .filter(|&d| d <= 9)
+        {
+            // Wraps only past 18 digits, where the value is not used.
+            value = value.wrapping_mul(10).wrapping_add(i64::from(digit));
+            at += 1;
+        }
+        let mut plain = (1..=18).contains(&(at - digits_from));
+        while at < bytes.len() {
+            let (separator, len) = char_at(line, at);
+            if separator {
+                break;
+            }
+            plain = false;
+            at += len;
+        }
+        let idx = found;
         found += 1;
+        if idx >= SWF_FIELD_COUNT || first_bad.is_some() {
+            continue;
+        }
+        let read = if idx == AVG_CPU_FIELD {
+            // `as f64` rounds an integer below 10^18 to the nearest double,
+            // as `parse::<f64>` rounds its digits, and `-0` stays `-0.0`.
+            let float = if plain {
+                let magnitude = value as f64;
+                Some(if negative { -magnitude } else { magnitude })
+            } else {
+                general_float(&line[start..at])
+            };
+            avg_cpu_secs = float.unwrap_or(avg_cpu_secs);
+            float.is_some()
+        } else {
+            let int = if plain {
+                Some(if negative { -value } else { value })
+            } else {
+                general_int(&line[start..at])
+            };
+            ints[idx] = int.unwrap_or(0);
+            int.is_some()
+        };
+        if !read {
+            first_bad = Some((idx, start..at));
+        }
     }
     if found != SWF_FIELD_COUNT {
         return Err(WorkloadError::Parse {
@@ -543,86 +739,57 @@ fn parse_job_line(line: &str, line_no: usize) -> Result<SwfJob, WorkloadError> {
             message: format!("expected {SWF_FIELD_COUNT} fields, found {found}"),
         });
     }
-    let bad = |idx: usize| WorkloadError::Parse {
-        location: format!("line {line_no}, field {}", idx + 1),
-        message: format!("`{}` is not a number", fields[idx]),
-    };
-    let int = |idx: usize| -> Result<i64, WorkloadError> {
-        let raw = fields[idx];
-        // What nearly every field of every archive line is: a sign and at
-        // most 18 digits, read in the one pass that checks them.
-        if let Some(value) = plain_int(raw) {
-            return Ok(value);
-        }
-        // The archive occasionally writes integral fields as floats
-        // ("3600.0"); accept those but reject anything that is not a
-        // *complete* decimal token — `nan`/`inf`, exponent forms, values
-        // outside the i64 range, and the truncated tails EOF-cut files
-        // produce ("3600." for "3600.25").
-        if !is_complete_decimal(raw) {
-            return Err(bad(idx));
-        }
-        raw.parse::<i64>()
-            .ok()
-            .or_else(|| {
-                raw.parse::<f64>()
-                    .ok()
-                    .filter(|v| v.is_finite() && (i64::MIN as f64..=i64::MAX as f64).contains(v))
-                    .map(|v| v as i64)
-            })
-            .ok_or_else(|| bad(idx))
-    };
-    let float = |idx: usize| -> Result<f64, WorkloadError> {
-        let raw = fields[idx];
-        if !is_complete_decimal(raw) {
-            return Err(bad(idx));
-        }
-        raw.parse::<f64>().map_err(|_| bad(idx))
-    };
+    if let Some((idx, token)) = first_bad {
+        return Err(WorkloadError::Parse {
+            location: format!("line {line_no}, field {}", idx + 1),
+            message: format!("`{}` is not a number", &line[token]),
+        });
+    }
     Ok(SwfJob {
-        job_id: int(0)?,
-        submit_secs: int(1)?,
-        wait_secs: int(2)?,
-        run_secs: int(3)?,
-        allocated_procs: int(4)?,
-        avg_cpu_secs: float(5)?,
-        used_memory_kb: int(6)?,
-        requested_procs: int(7)?,
-        requested_secs: int(8)?,
-        requested_memory_kb: int(9)?,
-        status: int(10)?,
-        user: int(11)?,
-        group: int(12)?,
-        executable: int(13)?,
-        queue: int(14)?,
-        partition: int(15)?,
-        preceding_job: int(16)?,
-        think_secs: int(17)?,
+        job_id: ints[0],
+        submit_secs: ints[1],
+        wait_secs: ints[2],
+        run_secs: ints[3],
+        allocated_procs: ints[4],
+        avg_cpu_secs,
+        used_memory_kb: ints[6],
+        requested_procs: ints[7],
+        requested_secs: ints[8],
+        requested_memory_kb: ints[9],
+        status: ints[10],
+        user: ints[11],
+        group: ints[12],
+        executable: ints[13],
+        queue: ints[14],
+        partition: ints[15],
+        preceding_job: ints[16],
+        think_secs: ints[17],
     })
 }
 
-/// `[+-]?[0-9]{1,18}` as the integer it spells — 18 digits cannot overflow
-/// an `i64`, so there is nothing to check but the bytes. Every other token
-/// (a 19th digit, a `.`, a letter, a lone sign) is `None` and takes the
-/// general route, which rules on it and words the error.
-fn plain_int(raw: &str) -> Option<i64> {
-    let (negative, digits) = match raw.as_bytes() {
-        [b'-', digits @ ..] => (true, digits),
-        [b'+', digits @ ..] => (false, digits),
-        digits => (false, digits),
-    };
-    if digits.is_empty() || digits.len() > 18 {
+/// The general route for an integral field. The archive occasionally
+/// writes integral fields as floats ("3600.0"); accept those but reject
+/// anything that is not a *complete* decimal token — `nan`/`inf`, exponent
+/// forms, values outside the i64 range, and the truncated tails EOF-cut
+/// files produce ("3600." for "3600.25").
+fn general_int(raw: &str) -> Option<i64> {
+    if !is_complete_decimal(raw) {
         return None;
     }
-    let mut value = 0i64;
-    for &byte in digits {
-        let digit = byte.wrapping_sub(b'0');
-        if digit > 9 {
-            return None;
-        }
-        value = value * 10 + i64::from(digit);
+    raw.parse::<i64>().ok().or_else(|| {
+        raw.parse::<f64>()
+            .ok()
+            .filter(|v| v.is_finite() && (i64::MIN as f64..=i64::MAX as f64).contains(v))
+            .map(|v| v as i64)
+    })
+}
+
+/// The general route for the average-CPU-time field.
+fn general_float(raw: &str) -> Option<f64> {
+    if !is_complete_decimal(raw) {
+        return None;
     }
-    Some(if negative { -value } else { value })
+    raw.parse::<f64>().ok()
 }
 
 /// A complete decimal token: optional sign, one or more digits, optionally
@@ -640,9 +807,10 @@ fn is_complete_decimal(raw: &str) -> bool {
 }
 
 /// Read and parse an SWF trace from a file — a `collect()` over
-/// [`SwfReader::open`], so the file streams through a reused line buffer
-/// instead of being materialized as one string. Parse locations are
-/// anchored to the file (`"{path}: line N"`) for multi-trace sweeps.
+/// [`SwfReader::open`], so the file's lines are read in place in its
+/// reader's buffer instead of being materialized as one string. Parse
+/// locations are anchored to the file (`"{path}: line N"`) for
+/// multi-trace sweeps.
 pub fn load_trace(path: &str) -> Result<SwfTrace, WorkloadError> {
     let mut reader = SwfReader::open(path)?;
     let mut jobs = Vec::new();
@@ -1155,6 +1323,208 @@ mod tests {
             let cpu_bits = |r: &Result<SwfJob, WorkloadError>| r.as_ref().ok().map(|j| j.avg_cpu_secs.to_bits());
             prop_assert_eq!(cpu_bits(&got), cpu_bits(&want));
             prop_assert_eq!(got, want);
+        }
+    }
+
+    /// The reader loop as it was before lines were read in place:
+    /// `read_line` into a reused `String`, `trim`, then the collecting line
+    /// parser. The oracle of `the_reader_reads_what_read_line_did`.
+    struct ReferenceReader<R> {
+        input: R,
+        line_no: usize,
+        directives: Vec<(String, String)>,
+        buf: String,
+        done: bool,
+    }
+
+    impl<R: BufRead> ReferenceReader<R> {
+        fn new(input: R) -> Self {
+            ReferenceReader {
+                input,
+                line_no: 0,
+                directives: Vec::new(),
+                buf: String::new(),
+                done: false,
+            }
+        }
+    }
+
+    impl<R: BufRead> Iterator for ReferenceReader<R> {
+        type Item = Result<SwfJob, WorkloadError>;
+
+        fn next(&mut self) -> Option<Self::Item> {
+            if self.done {
+                return None;
+            }
+            loop {
+                self.buf.clear();
+                match self.input.read_line(&mut self.buf) {
+                    Ok(0) => {
+                        self.done = true;
+                        return None;
+                    }
+                    Ok(_) => {}
+                    Err(e) => {
+                        self.done = true;
+                        return Some(Err(WorkloadError::Io {
+                            path: "<swf stream>".to_string(),
+                            message: e.to_string(),
+                        }));
+                    }
+                }
+                self.line_no += 1;
+                let line = self.buf.trim();
+                if line.is_empty() {
+                    continue;
+                }
+                if let Some(rest) = line.strip_prefix(';') {
+                    if let Some((key, value)) = rest.split_once(':') {
+                        let key = key.trim();
+                        if !key.is_empty() && !key.contains(char::is_whitespace) {
+                            self.directives
+                                .push((key.to_string(), value.trim().to_string()));
+                        }
+                    }
+                    continue;
+                }
+                let parsed = reference_parse_job_line(line, self.line_no);
+                self.done = parsed.is_err();
+                return Some(parsed);
+            }
+        }
+    }
+
+    /// Everything a reader says about `bytes`: its items (the CPU field as
+    /// bits, which `PartialEq` does not tell from `-0.0`), its directives
+    /// and its last line number.
+    type Reading = (
+        Vec<Result<(SwfJob, u64), WorkloadError>>,
+        Vec<(String, String)>,
+        usize,
+    );
+
+    fn read_with(bytes: &[u8], capacity: usize) -> Reading {
+        let mut reader = SwfReader::new(std::io::BufReader::with_capacity(capacity, bytes));
+        let items = (&mut reader)
+            .map(|r| r.map(|j| (j.clone(), j.avg_cpu_secs.to_bits())))
+            .collect();
+        // Fused after the first error.
+        assert!(reader.next().is_none());
+        (items, reader.directives().to_vec(), reader.line_no())
+    }
+
+    fn reference_read(bytes: &[u8]) -> Reading {
+        let mut reader = ReferenceReader::new(bytes);
+        let items = (&mut reader)
+            .map(|r| r.map(|j| (j.clone(), j.avg_cpu_secs.to_bits())))
+            .collect();
+        (items, reader.directives, reader.line_no)
+    }
+
+    /// Reads `bytes` through input buffers of 1 to 97 bytes, so lines
+    /// straddle every way they can, and through the whole slice at once,
+    /// and holds each reading to the `read_line` loop's.
+    fn assert_reads_as_read_line_did(bytes: &[u8]) {
+        let want = reference_read(bytes);
+        assert_eq!(read_with(bytes, bytes.len().max(1)), want, "{bytes:?}");
+        for capacity in 1..=97 {
+            assert_eq!(
+                read_with(bytes, capacity),
+                want,
+                "capacity {capacity}: {bytes:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn the_reader_reads_lines_where_read_line_did() {
+        let job = "1 0 0 60 2 -0 -1 2 60 -1 1 1 1 -1 1 1 -1 -1";
+        let cases: Vec<Vec<u8>> = vec![
+            format!("{job}\r\n{job}\r\n").into_bytes(),
+            format!("{job}\n{job}").into_bytes(),
+            format!("\n   \n\u{a0}\n; a comment\n; MaxNodes: 8 \r\n  ; Key : v\n{job}\n")
+                .into_bytes(),
+            format!("{}\n", job.replace(' ', "\u{2003}")).into_bytes(),
+            format!("{job}\n{}\n", job.replace("60", "6\u{e9}0")).into_bytes(),
+            format!("{job}\n1 2 3").into_bytes(),
+            Vec::new(),
+            b"\n\n".to_vec(),
+            b";".to_vec(),
+        ];
+        for bytes in cases {
+            assert_reads_as_read_line_did(&bytes);
+        }
+        // Bytes that are not UTF-8 on line 3, in a job line, a comment, and
+        // a line cut mid-char: the stream ends in `read_line`'s error, with
+        // line 2 the last one read.
+        for bad in [&b"1 \xff 3"[..], b"; \xc3", b"\xe2\x80"] {
+            let mut bytes = format!("; MaxNodes: 8\n{job}\n").into_bytes();
+            bytes.extend_from_slice(bad);
+            bytes.extend_from_slice(format!("\n{job}\n").as_bytes());
+            assert_reads_as_read_line_did(&bytes);
+            let (items, _, line_no) = read_with(&bytes, 16);
+            assert_eq!(line_no, 2);
+            assert_eq!(
+                items.last(),
+                Some(&Err(WorkloadError::Io {
+                    path: "<swf stream>".to_string(),
+                    message: NOT_UTF8.to_string(),
+                }))
+            );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Traces of blank, comment, directive and job lines (edge tokens
+        /// and Unicode separators among them), ending in `\n` or `\r\n`, the
+        /// last with or without one, and perhaps bytes that are not UTF-8
+        /// on one line: the reader says what the `read_line` loop said.
+        #[test]
+        fn the_reader_reads_what_read_line_did(
+            lines in prop::collection::vec(
+                (0usize..10, prop::collection::vec((0usize..8 * EDGE_TOKENS.len(), 0usize..SEPARATORS.len()), 16..20), 0usize..3),
+                0..12,
+            ),
+            bad_line in 0usize..24,
+            open_end in 0u32..2,
+        ) {
+            let mut bytes = Vec::new();
+            for (at, (kind, picks, ending)) in lines.iter().enumerate() {
+                let mut line = String::new();
+                match kind {
+                    0 => line.push_str(SEPARATORS[picks[0].1]),
+                    1 => line.push_str("; free text \u{e9}"),
+                    2 => line.push_str(&format!("; Key{}: {}", picks[0].1, EDGE_TOKENS[picks[1].0 % EDGE_TOKENS.len()])),
+                    // Any number of tokens, edge tokens among them.
+                    3 => {
+                        for &(token, separator) in picks {
+                            line.push_str(EDGE_TOKENS.get(token).unwrap_or(&PLAIN_TOKENS[token % PLAIN_TOKENS.len()]));
+                            line.push_str(SEPARATORS[separator]);
+                        }
+                    }
+                    // A job line that parses, so the lines after it are read.
+                    _ => {
+                        for &(token, separator) in picks.iter().cycle().take(SWF_FIELD_COUNT) {
+                            line.push_str(PLAIN_TOKENS[token % PLAIN_TOKENS.len()]);
+                            line.push_str(SEPARATORS[separator]);
+                        }
+                    }
+                }
+                bytes.extend_from_slice(line.as_bytes());
+                if at == bad_line {
+                    bytes.push(0xff);
+                }
+                let last = at + 1 == lines.len();
+                if !(last && open_end == 1) {
+                    bytes.extend_from_slice([&b"\n"[..], b"\r\n", b" \n"][*ending]);
+                }
+            }
+            let want = reference_read(&bytes);
+            for capacity in (1..=97).chain([bytes.len().max(1)]) {
+                prop_assert_eq!(read_with(&bytes, capacity), want.clone());
+            }
         }
     }
 

@@ -1,8 +1,8 @@
 //! The **scale path**, end to end: synthesize a Polaris-sized SWF archive
-//! on disk, stream it back through [`SwfReader`] (constant-memory,
-//! line-at-a-time parse — the eager `SwfTrace::parse` is a `collect()`
-//! over the same iterator), and replay it under FCFS with timings for
-//! each stage.
+//! on disk, stream it back through [`SwfReader`] (constant memory, each
+//! line read in place in the file reader's buffer — the eager
+//! `SwfTrace::parse` is a `collect()` over the same iterator), and replay
+//! it under FCFS with timings for each stage.
 //!
 //! ```text
 //! cargo run --release --example streaming_replay            # 100k jobs
