@@ -1,15 +1,19 @@
 //! Backfill-validation arithmetic shared with the allocator.
 //!
 //! The agent's `BackfillJob(job_id=Y)` action (paper §2.2) opportunistically
-//! runs a smaller job ahead of the blocked head of the queue. It is
-//! validated EASY-style: the backfilled job must fit **now** and must not
-//! delay the *shadow start* — the earliest time the head job could start
-//! given the currently running jobs' completion times. The sweep over
-//! those completions lives in the simulator's capacity calendar
-//! (`rsched_sim::profile`); this module holds what it shares with the
-//! allocator: the classed overlap test, over the allocator's own
-//! [`PlacementRequest`]. The per-class release columns it sweeps are the
-//! running jobs' [`Allocation::by_class`](crate::Allocation::by_class).
+//! runs a smaller job ahead of the blocked head of the queue. By default
+//! the kernel checks only that the backfilled job fits **now**: the
+//! paper's constraint module checks resource feasibility and eligibility
+//! (§2.4), nothing more. The EASY rule — the job must also not delay the
+//! *shadow start*, the earliest time the head job could start given the
+//! running jobs' completion times — is an opt-in veto,
+//! `rsched_sim::SimOptions::strict_backfill`, and the rule the
+//! `EasyBackfill` policy keeps itself. The sweep over those completions
+//! lives in the simulator's capacity calendar (`rsched_sim::profile`);
+//! this module holds what it shares with the allocator: the classed
+//! overlap test, over the allocator's own [`PlacementRequest`]. The
+//! per-class release columns it sweeps are the running jobs'
+//! [`Allocation::by_class`](crate::Allocation::by_class).
 
 use crate::allocator::{plan_take, PlacementRequest};
 use crate::topology::{Topology, MAX_CLASSES};

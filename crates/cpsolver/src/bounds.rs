@@ -9,21 +9,12 @@ use crate::model::Instance;
 /// 2. the node energy bound `⌈Σ nodes_i·dur_i / C⌉ + min_i release_i`,
 /// 3. the memory energy bound `⌈Σ mem_i·dur_i / M⌉ + min_i release_i`.
 pub fn lower_bound(instance: &Instance) -> u64 {
-    if instance.is_empty() {
+    let tasks = &instance.tasks;
+    let critical = tasks.iter().map(|t| t.release + t.duration).max();
+    let min_release = tasks.iter().map(|t| t.release).min();
+    let (Some(critical), Some(min_release)) = (critical, min_release) else {
         return 0;
-    }
-    let critical = instance
-        .tasks
-        .iter()
-        .map(|t| t.release + t.duration)
-        .max()
-        .expect("non-empty");
-    let min_release = instance
-        .tasks
-        .iter()
-        .map(|t| t.release)
-        .min()
-        .expect("non-empty");
+    };
     let node_energy: u128 = instance.tasks.iter().map(|t| t.node_energy()).sum();
     let memory_energy: u128 = instance.tasks.iter().map(|t| t.memory_energy()).sum();
     let node_bound =

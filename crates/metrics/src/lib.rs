@@ -11,6 +11,18 @@
 //!   `Σ m_j·d_j / (M·makespan)`.
 //! * **Fairness** — Jain's index over per-job waits and per-user mean waits.
 //!
+//! Every policy runs the same jobs for the same durations, so on one
+//! workload three of these are functions of a fourth, and any two complete
+//! schedules of it agree on
+//!
+//! * `avg_turnaround − avg_wait` — the mean duration `Σ d_j / n`;
+//! * `node_util · makespan` — `Σ n_j·d_j / C`;
+//! * `mem_util · makespan` — `Σ m_j·d_j / M`.
+//!
+//! Makespan, average wait and the two fairness indices are what a policy
+//! moves (throughput differs from `1 / makespan` only by where its span
+//! starts); `tests/properties.rs` holds the identities to relative `1e-12`.
+//!
 //! Plus the paper's presentation machinery: normalization against the FCFS
 //! baseline (with the 0/0 omission rule of §3.5), multi-run aggregation for
 //! the robustness boxplots (Figure 7), plain-text table rendering, and the

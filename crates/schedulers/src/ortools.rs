@@ -45,32 +45,32 @@ impl OrToolsPolicy {
         }
     }
 
-    fn ensure_plan(&mut self, view: &SystemView<'_>) {
-        if self.plan.is_some() {
-            return;
-        }
-        let tasks: Vec<Task> = self
-            .jobs
-            .iter()
-            .map(|j| Task {
-                id: j.id.0,
-                duration: j.walltime.as_millis().max(1),
-                nodes: j.nodes,
-                memory: j.memory_gb,
-                release: j.submit.as_millis(),
-            })
-            .collect();
-        let instance = Instance::new(tasks, view.config.nodes, view.config.memory_gb);
-        let solution = self.solver.solve(&instance);
-        let mut plan: Vec<(u64, JobId)> = solution
-            .schedule
-            .starts
-            .iter()
-            .zip(&self.jobs)
-            .map(|(&start, job)| (start, job.id))
-            .collect();
-        plan.sort();
-        self.plan = Some(plan);
+    /// The plan, solved at the first ask.
+    fn ensure_plan(&mut self, view: &SystemView<'_>) -> &[(u64, JobId)] {
+        self.plan.get_or_insert_with(|| {
+            let tasks: Vec<Task> = self
+                .jobs
+                .iter()
+                .map(|j| Task {
+                    id: j.id.0,
+                    duration: j.walltime.as_millis().max(1),
+                    nodes: j.nodes,
+                    memory: j.memory_gb,
+                    release: j.submit.as_millis(),
+                })
+                .collect();
+            let instance = Instance::new(tasks, view.config.nodes, view.config.memory_gb);
+            let solution = self.solver.solve(&instance);
+            let mut plan: Vec<(u64, JobId)> = solution
+                .schedule
+                .starts
+                .iter()
+                .zip(&self.jobs)
+                .map(|(&start, job)| (start, job.id))
+                .collect();
+            plan.sort();
+            plan
+        })
     }
 }
 
@@ -83,9 +83,8 @@ impl SchedulingPolicy for OrToolsPolicy {
         if view.all_jobs_started() {
             return Action::Stop;
         }
-        self.ensure_plan(view);
-        let plan = self.plan.as_ref().expect("ensured above");
-        let Some(&(_, next_id)) = plan.get(self.cursor) else {
+        let cursor = self.cursor;
+        let Some(&(_, next_id)) = self.ensure_plan(view).get(cursor) else {
             return Action::Delay;
         };
         match view.waiting_job(next_id) {

@@ -28,8 +28,13 @@
 //!   on a flat machine, a lookup in an exact count of waiting jobs per
 //!   compatible-slot set on a classed one; *which* job fits (SJF's pick)
 //!   from a shortest-first order, and *which* backfills (EASY's) from an
-//!   arrival order, each built from the live jobs the first time a policy
-//!   asks. The **rank** is a fair-share priority tag:
+//!   arrival order. Each order is a small map from a job's demand class —
+//!   `(memory or compatible slots, nodes)`, all the fit test reads — to
+//!   the set of that class's waiting jobs, by `(walltime, id)` or in queue
+//!   order; a query walks the map, one class at a time, however deep the
+//!   queue. Each is built from the live jobs, sorted once and bulk-built run
+//!   by run, the first time a policy asks. The **rank** is a fair-share
+//!   priority tag:
 //!   the virtual-time simulator always inserts at rank 0, which makes the
 //!   order exactly the paper's `(submit, id)` arrival order; the
 //!   multi-tenant service daemon inserts with usage-decayed tenant ranks so
@@ -40,8 +45,9 @@
 //! instead of clone.
 
 use std::cell::{Cell, OnceCell};
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
-use std::ops::Bound::{Excluded, Included, Unbounded};
+use std::ops::Bound::{Excluded, Unbounded};
 use std::ops::Range;
 
 use rsched_cluster::{
@@ -55,80 +61,57 @@ use crate::scan;
 use crate::store::JobStore;
 use crate::view::Waiting;
 
-/// Key of the shortest-first order: a job's *demand class* — everything
-/// the machine's fit test reads of it — then `(walltime, id)`, so the first
-/// key of each class is the only job of that class SJF can ever pick.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-struct OrderKey {
-    /// `memory_gb` (flat) or compatible-slot bits (classed); with `nodes`.
-    class: u64,
-    nodes: u32,
-    walltime: SimDuration,
-    id: JobId,
-}
+/// A job's *demand class*: everything the machine's fit test reads of it —
+/// `memory_gb` (flat) or compatible-slot bits (classed), then `nodes`. Jobs
+/// of one class fit or fail together.
+type Class = (u64, u32);
 
-// One key per waiting job: packed, not a 32-byte nested tuple.
-const _: () = assert!(std::mem::size_of::<OrderKey>() == 24);
-
-impl OrderKey {
-    fn of(topology: &Topology, job: &JobSpec) -> Self {
-        let class = if topology.is_flat() {
-            job.memory_gb
-        } else {
-            u64::from(compatible_slots(topology, &PlacementRequest::from(job)).bits())
-        };
-        OrderKey {
-            class,
-            nodes: job.nodes,
-            walltime: job.walltime,
-            id: job.id,
-        }
-    }
+fn demand_class(topology: &Topology, job: &JobSpec) -> Class {
+    let class = if topology.is_flat() {
+        job.memory_gb
+    } else {
+        u64::from(compatible_slots(topology, &PlacementRequest::from(job)).bits())
+    };
+    (class, job.nodes)
 }
 
 /// A job's place in the queue: `(rank, submit, id)`.
 type Place = (u64, SimTime, JobId);
 
-/// Key of the arrival order: `(class, nodes)` as in [`OrderKey`], then the
-/// job's [`Place`], so a class's keys run in queue order; last, where it
-/// never orders, the walltime a walk reads.
-type ArrivalKey = (u64, u32, Place, SimDuration);
+/// The live queue by demand class, each class's members in the order `M`
+/// sorts them. A class whose last member leaves is dropped, so no class
+/// maps to an empty set.
+type Classes<M> = BTreeMap<Class, BTreeSet<M>>;
 
-fn arrival_key(topology: &Topology, job: &JobSpec, rank: u64) -> ArrivalKey {
-    let OrderKey { class, nodes, .. } = OrderKey::of(topology, job);
-    (class, nodes, (rank, job.submit, job.id), job.walltime)
+/// A member of the shortest-first order: `(walltime, id)`, so a class's
+/// first is the only job of the class SJF can ever pick.
+type Shortest = (SimDuration, JobId);
+
+/// A member of the arrival order: the job's [`Place`], so a class's
+/// members run in queue order; last, where it never orders, the walltime
+/// a walk reads.
+type Arrival = (Place, SimDuration);
+
+/// The classes of `keys` in one pass: the keys sorted, then each run of one
+/// class bulk-built into its set, and the sets into the map.
+fn classes<M: Ord + Copy>(keys: impl Iterator<Item = (Class, M)>) -> Classes<M> {
+    let mut keys: Vec<(Class, M)> = keys.collect();
+    keys.sort_unstable();
+    let runs = keys.chunk_by(|a, b| a.0 == b.0);
+    runs.map(|run| (run[0].0, run.iter().map(|&(_, member)| member).collect()))
+        .collect()
 }
 
-/// What the class walk reads of either order's key: its `(class, nodes)`, and
-/// the last key a class of its memory value (slot set) and `nodes` could hold.
-trait ClassKey: Ord + Copy {
-    fn class(&self) -> (u64, u32);
-    fn last_of(self, nodes: u32) -> Self;
+fn join<M: Ord>(classes: &mut Classes<M>, class: Class, member: M) {
+    classes.entry(class).or_default().insert(member);
 }
 
-impl ClassKey for OrderKey {
-    fn class(&self) -> (u64, u32) {
-        (self.class, self.nodes)
-    }
-
-    fn last_of(self, nodes: u32) -> Self {
-        OrderKey {
-            nodes,
-            walltime: SimDuration::MAX,
-            id: JobId(u32::MAX),
-            ..self
+fn leave<M: Ord>(classes: &mut Classes<M>, class: Class, member: &M) {
+    if let Entry::Occupied(mut members) = classes.entry(class) {
+        members.get_mut().remove(member);
+        if members.get().is_empty() {
+            members.remove();
         }
-    }
-}
-
-impl ClassKey for ArrivalKey {
-    fn class(&self) -> (u64, u32) {
-        (self.0, self.1)
-    }
-
-    fn last_of(self, nodes: u32) -> Self {
-        let last = (u64::MAX, SimTime::MAX, JobId(u32::MAX));
-        (self.0, nodes, last, SimDuration::MAX)
     }
 }
 
@@ -176,17 +159,19 @@ pub struct WaitQueue {
     /// a job (see [`compatible_slots`]). Exact: inserts and removals keep
     /// it equal to a recount of the live queue, zero counts are dropped.
     index: BTreeMap<(SlotSet, u32), u32>,
-    /// The live queue by `(demand class, walltime, id)`, for "which job
-    /// fits?". Built at the first [`shortest`](Self::shortest), kept by
-    /// inserts and removals from then on: a run whose policy never asks
-    /// (FCFS, backfill, the agents, the daemon's burst) carries no order.
-    order: OnceCell<BTreeSet<OrderKey>>,
-    /// Keys `shortest` has examined so far (telemetry).
+    /// The live queue by demand class, each class's jobs by
+    /// `(walltime, id)`, for "which job fits?". Built at the first
+    /// [`shortest`](Self::shortest), kept by inserts and removals from then
+    /// on: a run whose policy never asks (FCFS, backfill, the agents, the
+    /// daemon's burst) carries no order.
+    order: OnceCell<Classes<Shortest>>,
+    /// Classes `shortest` has examined so far (telemetry).
     probes: Cell<u64>,
-    /// The live queue by [`ArrivalKey`], for "which job backfills?": built
-    /// at the first [`first_admitted`](Self::first_admitted), kept as `order` is.
-    arrival: OnceCell<BTreeSet<ArrivalKey>>,
-    /// Keys `first_admitted` has examined so far (telemetry).
+    /// The live queue by demand class, each class's jobs in queue order,
+    /// for "which job backfills?": built at the first
+    /// [`first_admitted`](Self::first_admitted), kept as `order` is.
+    arrival: OnceCell<Classes<Arrival>>,
+    /// Classes and members `first_admitted` has examined so far (telemetry).
     entries: Cell<u64>,
     /// Slots [`arrive`](Self::arrive) has moved to make room so far
     /// (telemetry).
@@ -321,10 +306,12 @@ impl WaitQueue {
                 *self.index.entry(self.index_key(job)).or_insert(0) += 1;
             }
             if let Some(order) = self.order.get_mut() {
-                order.insert(OrderKey::of(&self.topology, job));
+                let class = demand_class(&self.topology, job);
+                join(order, class, (job.walltime, job.id));
             }
             if let Some(arrival) = self.arrival.get_mut() {
-                arrival.insert(arrival_key(&self.topology, job, *rank));
+                let class = demand_class(&self.topology, job);
+                join(arrival, class, ((*rank, job.submit, job.id), job.walltime));
             }
             self.jobs.push(job.clone());
             self.ranks.push(*rank);
@@ -369,10 +356,13 @@ impl WaitQueue {
         );
         let job = &self.jobs.specs()[slot];
         if let Some(order) = self.order.get_mut() {
-            order.remove(&OrderKey::of(&self.topology, job));
+            let class = demand_class(&self.topology, job);
+            leave(order, class, &(job.walltime, job.id));
         }
         if let Some(arrival) = self.arrival.get_mut() {
-            arrival.remove(&arrival_key(&self.topology, job, self.ranks[slot]));
+            let class = demand_class(&self.topology, job);
+            let place = (self.ranks[slot], job.submit, job.id);
+            leave(arrival, class, &(place, job.walltime));
         }
         if !self.topology.is_flat() {
             let key = self.index_key(job);
@@ -475,7 +465,7 @@ impl WaitQueue {
 
     /// The waiting job with the least `(walltime, id)` among those that
     /// fit these free levels — `filter(can_fit).min_by_key(..)` for every
-    /// input, without the walk: a fitting class's first key is its only
+    /// input, without the walk: a fitting class's first member is its only
     /// candidate ([`fitting_classes`](Self::fitting_classes)).
     pub(crate) fn shortest(
         &self,
@@ -484,39 +474,39 @@ impl WaitQueue {
         free_by_class: &[u32; MAX_CLASSES],
     ) -> Option<JobId> {
         let order = self.order.get_or_init(|| {
-            let jobs = self.ranked();
-            jobs.map(|(job, _)| OrderKey::of(&self.topology, job))
-                .collect()
+            let key = |(job, _): (&JobSpec, u64)| {
+                (demand_class(&self.topology, job), (job.walltime, job.id))
+            };
+            classes(self.ranked().map(key))
         });
-        let mut best: Option<(SimDuration, JobId)> = None;
+        let mut best: Option<Shortest> = None;
         let free = (free_nodes, free_memory_gb, free_by_class);
-        self.fitting_classes(free, order, &self.probes, |key| {
-            if best.is_none_or(|least| (key.walltime, key.id) < least) {
-                best = Some((key.walltime, key.id));
+        self.fitting_classes(free, order, &self.probes, |members| {
+            if let Some(&first) = members.first() {
+                if best.is_none_or(|least| first < least) {
+                    best = Some(first);
+                }
             }
         });
         best.map(|(_, id)| id)
     }
 
-    /// Calls `visit` with the first key of every demand class of `keys`
-    /// that fits these free levels, counting in `examined` the keys it
-    /// looks at. Jobs of one demand class fit or fail
-    /// together, so only each class's first key is examined, however deep
-    /// the queue; a class that fails takes every wider `nodes` of its
-    /// memory value (slot set) with it, and a flat walk ends at the first
-    /// memory value above what is free.
-    fn fitting_classes<K: ClassKey>(
+    /// Calls `visit` with the members of every demand class of `classes`
+    /// that fits these free levels, counting in `examined` the classes it
+    /// looks at. A class that fails takes every wider `nodes` of its memory
+    /// value (slot set) with it, skipped by one `range` on the class map,
+    /// and a flat walk ends at the first memory value above what is free.
+    fn fitting_classes<M>(
         &self,
         (free_nodes, free_memory_gb, free_by_class): (u32, u64, &[u32; MAX_CLASSES]),
-        keys: &BTreeSet<K>,
+        classes: &Classes<M>,
         examined: &Cell<u64>,
-        mut visit: impl FnMut(K),
+        mut visit: impl FnMut(&BTreeSet<M>),
     ) {
         let flat = self.topology.is_flat();
-        let mut first = keys.first();
-        while let Some(&key) = first {
+        let mut walk = classes.range(..);
+        while let Some((&(class, nodes), members)) = walk.next() {
             examined.set(examined.get() + 1);
-            let (class, nodes) = key.class();
             if flat && class > free_memory_gb {
                 break;
             }
@@ -526,12 +516,11 @@ impl WaitQueue {
                 let slots = (0..MAX_CLASSES).filter(|slot| class >> slot & 1 == 1);
                 slots.map(|slot| free_by_class[slot]).sum()
             };
-            let fits = nodes <= free;
-            if fits {
-                visit(key);
+            if nodes <= free {
+                visit(members);
+            } else {
+                walk = classes.range((Excluded((class, u32::MAX)), Unbounded));
             }
-            let past = key.last_of(if fits { nodes } else { u32::MAX });
-            first = keys.range((Excluded(past), Unbounded)).next();
         }
     }
 
@@ -540,7 +529,7 @@ impl WaitQueue {
     /// `filter(can_fit).find(admits)` for every input, without the walk.
     /// Beyond its walltime the rule reads only a candidate's demand class,
     /// so a fitting class is asked once, of its first member's spec; if that
-    /// is turned down, the keys behind it are read until one ends by the
+    /// is turned down, the members behind it are read until one ends by the
     /// shadow or the walk passes the best place an earlier class found.
     pub(crate) fn first_admitted(
         &self,
@@ -548,32 +537,34 @@ impl WaitQueue {
         reservation: &HeadReservation,
     ) -> Option<JobId> {
         let arrival = self.arrival.get_or_init(|| {
-            let jobs = self.ranked();
-            jobs.map(|(job, rank)| arrival_key(&self.topology, job, rank))
-                .collect()
+            let key = |(job, rank): (&JobSpec, u64)| {
+                let place = (rank, job.submit, job.id);
+                (demand_class(&self.topology, job), (place, job.walltime))
+            };
+            classes(self.ranked().map(key))
         });
         let mut best: Option<Place> = None;
-        self.fitting_classes(free, arrival, &self.entries, |first| {
-            let ahead = |key: &ArrivalKey| best.is_none_or(|least| key.2 < least);
-            if !ahead(&first) {
+        self.fitting_classes(free, arrival, &self.entries, |members| {
+            let ahead = |(place, _): &&Arrival| best.is_none_or(|least| *place < least);
+            let mut members = members.iter().take_while(ahead);
+            let Some(&(first, _)) = members.next() else {
                 return;
-            }
-            let at = self.position(self.head..self.jobs.len(), first.2);
+            };
+            let at = self.position(self.head..self.jobs.len(), first);
             let at = at.expect("indexed jobs wait");
             let found = if reservation.admits(&self.jobs.specs()[at]) {
-                Some(&first)
+                Some(first)
             } else {
-                let behind = (Excluded(first), Included(first.last_of(first.1)));
-                let members = arrival.range(behind).take_while(|&key| ahead(key));
                 let mut members = members.inspect(|_| self.entries.set(self.entries.get() + 1));
-                members.find(|key| reservation.ends_by_shadow(key.3))
+                let found = members.find(|(_, walltime)| reservation.ends_by_shadow(*walltime));
+                found.map(|&(place, _)| place)
             };
-            best = found.map(|key| key.2).or(best);
+            best = found.or(best);
         });
         best.map(|(_, _, id)| id)
     }
 
-    /// Telemetry: the order's `(builds, probes)` — 0 or 1, keys examined.
+    /// Telemetry: the order's `(builds, probes)` — 0 or 1, classes examined.
     pub(crate) fn order_counters(&self) -> (u64, u64) {
         (u64::from(self.order.get().is_some()), self.probes.get())
     }
@@ -647,6 +638,32 @@ mod tests {
             }
         }
         recount
+    }
+
+    /// Both orders, where built, checked against a rebuild from the waiting
+    /// jobs by one insert each: the same classes with the same members, and
+    /// no class left with an empty set.
+    fn check_orders(q: &WaitQueue) -> Result<(), TestCaseError> {
+        fn rebuild<M: Ord>(keys: impl Iterator<Item = (Class, M)>) -> Classes<M> {
+            let mut rebuilt = Classes::new();
+            for (class, member) in keys {
+                rebuilt.entry(class).or_default().insert(member);
+            }
+            rebuilt
+        }
+        let class = |job| demand_class(&q.topology, job);
+        if let Some(order) = q.order.get() {
+            prop_assert!(order.values().all(|members| !members.is_empty()));
+            let keys = q.waiting().iter().map(|j| (class(j), (j.walltime, j.id)));
+            prop_assert_eq!(order, &rebuild(keys));
+        }
+        if let Some(arrival) = q.arrival.get() {
+            prop_assert!(arrival.values().all(|members| !members.is_empty()));
+            let member = |j: &JobSpec, rank| ((rank, j.submit, j.id), j.walltime);
+            let keys = q.ranked().map(|(j, rank)| (class(j), member(j, rank)));
+            prop_assert_eq!(arrival, &rebuild(keys));
+        }
+        Ok(())
     }
 
     #[test]
@@ -938,7 +955,8 @@ mod tests {
         /// waiting jobs; and the shortest-first and arrival orders — each
         /// first asked for at whatever point the ops put it, over a deep
         /// queue, one with tombstones in it, or an empty one — are from
-        /// then on a rebuild from the waiting jobs.
+        /// then on, class by class, a rebuild from the waiting jobs, with
+        /// no class left empty.
         #[test]
         fn any_fits_is_brute_force_and_watermarks_bound_the_minima(
             classed in 0u8..2,
@@ -994,14 +1012,7 @@ mod tests {
                     }
                 }
                 let live = q.waiting();
-                if let Some(order) = q.order.get() {
-                    let keys = live.iter().map(|j| OrderKey::of(&q.topology, j));
-                    prop_assert_eq!(order, &keys.collect::<BTreeSet<_>>());
-                }
-                if let Some(arrival) = q.arrival.get() {
-                    let keys = q.ranked().map(|(j, rank)| arrival_key(&q.topology, j, rank));
-                    prop_assert_eq!(arrival, &keys.collect::<BTreeSet<_>>());
-                }
+                check_orders(&q)?;
                 prop_assert_eq!(&q.index, &recount(&q));
                 if !classed {
                     let min_nodes = live.iter().map(|j| j.nodes).min().unwrap_or(u32::MAX);
@@ -1018,11 +1029,12 @@ mod tests {
         /// time, as they came; removals fall anywhere, leaving tombstones a
         /// later batch merges over, a run of head pops forces a compaction,
         /// and `shortest` / `first_admitted` are first asked wherever the
-        /// ops put them, so a batch meets the ordered sets built or not.
+        /// ops put them, so a batch meets the orders built or not.
         /// After every op the two agree slot for slot — live and dead — and
         /// on the rank column, the watermarks, the count index and both
-        /// sets, and every slot from the head on is in `(rank, submit, id)`
-        /// order with its columns beside it.
+        /// orders, each order is a rebuild from the waiting jobs with no
+        /// class left empty, and every slot from the head on is in
+        /// `(rank, submit, id)` order with its columns beside it.
         #[test]
         fn a_batch_leaves_the_queue_one_job_inserts_leave(
             classed in 0u8..2,
@@ -1107,6 +1119,8 @@ mod tests {
                 prop_assert_eq!(&q.index, &twin.index);
                 prop_assert_eq!(q.order.get(), twin.order.get());
                 prop_assert_eq!(q.arrival.get(), twin.arrival.get());
+                check_orders(&q)?;
+                check_orders(&twin)?;
                 crate::store::tests::assert_aligned(&q.jobs);
                 prop_assert_eq!(q.ranks.len(), q.jobs.len());
                 let slots = q.jobs.specs().iter().zip(&q.ranks).skip(q.head);

@@ -564,7 +564,7 @@ impl SchedulingPolicy for RandomThen {
 /// `gpu_skewed_hetmix` on `mixed_256` — under the policies that start jobs
 /// from the middle of the queue, alone and after 40 random starts: the
 /// queue holds hundreds of tombstones between compactions, the kernel finds
-/// every start through the id column, and SJF's and EASY's ordered sets are
+/// every start through the id column, and SJF's and EASY's class maps are
 /// built from the waiting jobs only. The incremental kernel and the
 /// straight-line reference, which closes each hole with `retain`, produce
 /// bit-identical outcomes.

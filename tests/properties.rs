@@ -1670,3 +1670,60 @@ proptest! {
         let _ = CampaignSpec::parse(&text);
     }
 }
+
+// ------------------------------------------------- objectives that collapse
+
+/// `a` and `b` agree to relative `1e-12` of the larger magnitude of `scale`.
+fn close(a: f64, b: f64, scale: &[f64]) -> bool {
+    let scale = scale.iter().fold(0.0f64, |m, v| m.max(v.abs()));
+    (a - b).abs() <= 1e-12 * scale
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Every policy runs the same jobs for the same durations, so on one
+    /// workload three of the §3.2 objectives are functions of a fourth, and
+    /// any two complete schedules agree on `avg_turnaround − avg_wait` (the
+    /// mean duration), `node_util · makespan` (`Σ n_j·d_j / C`) and
+    /// `mem_util · makespan` (`Σ m_j·d_j / M`): FCFS, SJF and EASY on
+    /// arbitrary workloads of millisecond submits and durations, to
+    /// relative 1e-12.
+    #[test]
+    fn three_objectives_are_functions_of_the_workload_and_makespan(
+        raw in prop::collection::vec(
+            (0u64..600_000, 1u64..3_600_000, 1u32..257, 0u64..2049, 0u32..4),
+            1..60,
+        )
+    ) {
+        let config = ClusterConfig::paper_default();
+        let jobs: Vec<JobSpec> = raw
+            .iter()
+            .zip(0u32..)
+            .map(|(&(submit, duration, nodes, memory_gb, user), id)| {
+                let (submit, duration) = (SimTime::from_millis(submit), SimDuration::from_millis(duration));
+                JobSpec::new(id, user, submit, duration, nodes, memory_gb)
+            })
+            .collect();
+        let report = |policy: &mut dyn SchedulingPolicy| {
+            let outcome = Simulation::new(config).jobs(&jobs).run(policy);
+            let outcome = outcome.expect("every job fits the machine");
+            prop_assert_eq!(outcome.records.len(), jobs.len());
+            Ok(MetricsReport::compute(&outcome.records, config))
+        };
+        let fcfs = report(&mut Fcfs::default())?;
+        for other in [report(&mut Sjf::default())?, report(&mut EasyBackfill::new())?] {
+            let (a, b) = (&fcfs, &other);
+            let turnarounds = [a.avg_turnaround_secs, b.avg_turnaround_secs];
+            prop_assert!(close(
+                a.avg_turnaround_secs - a.avg_wait_secs,
+                b.avg_turnaround_secs - b.avg_wait_secs,
+                &turnarounds,
+            ));
+            let node_seconds = [a.node_utilization * a.makespan_secs, b.node_utilization * b.makespan_secs];
+            prop_assert!(close(node_seconds[0], node_seconds[1], &node_seconds));
+            let memory_seconds = [a.memory_utilization * a.makespan_secs, b.memory_utilization * b.makespan_secs];
+            prop_assert!(close(memory_seconds[0], memory_seconds[1], &memory_seconds));
+        }
+    }
+}

@@ -189,13 +189,14 @@ fn long_tail_run(
 }
 
 /// The wait queue's shortest-first order, as work rather than seconds: SJF
-/// builds it once, and a query examines at most one key per demand class
-/// waiting (plus the one that ends a walk early) however deep the queue;
-/// a policy that never asks "which job fits?" never builds it.
+/// builds it once, and a query examines at most one demand class waiting
+/// (plus the one that ends a walk early) however deep the queue — exact
+/// counts on the seed-7 `long_tail` cells of 2000 and 8000 jobs; a policy
+/// that never asks "which job fits?" never builds it.
 #[test]
 fn queue_order_is_built_once_for_sjf_and_never_for_fcfs() {
-    let order_counters = |policy: &mut dyn SchedulingPolicy| {
-        let (jobs, outcome, snapshot) = long_tail_run(policy, 2000);
+    let order_counters = |policy: &mut dyn SchedulingPolicy, n: usize| {
+        let (jobs, outcome, snapshot) = long_tail_run(policy, n);
         let classes: std::collections::BTreeSet<(u64, u32)> =
             jobs.iter().map(|j| (j.memory_gb, j.nodes)).collect();
         (
@@ -205,13 +206,16 @@ fn queue_order_is_built_once_for_sjf_and_never_for_fcfs() {
             classes.len() as u64,
         )
     };
-    let (builds, probes, queries, classes) = order_counters(&mut Sjf::default());
+    let (builds, probes, queries, classes) = order_counters(&mut Sjf::default(), 2000);
     assert_eq!(builds, 1, "built at the first ask, maintained from then on");
     assert!(
         (1..=queries * (classes + 1)).contains(&probes),
         "{probes} probes over {queries} queries and {classes} demand classes"
     );
-    let (builds, probes, ..) = order_counters(&mut Fcfs::default());
+    assert_eq!(probes, 14_786);
+    let (builds, probes, ..) = order_counters(&mut Sjf::default(), 8000);
+    assert_eq!((builds, probes), (1, 61_076));
+    let (builds, probes, ..) = order_counters(&mut Fcfs::default(), 2000);
     assert_eq!((builds, probes), (0, 0), "FCFS never asks, so never pays");
 }
 
@@ -350,6 +354,7 @@ fn arrival_order_is_built_once_for_easy_and_examines_a_fraction_of_the_walk() {
     );
     let again = arrival_counters(&mut EasyBackfill::new(), 8000);
     assert_eq!(again, (1, entries), "exact counts");
+    assert_eq!(entries, 2_528_251);
 }
 
 /// The kernel's event heap, as a count rather than seconds: arrivals reach
