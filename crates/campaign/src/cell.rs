@@ -155,6 +155,10 @@ fn sanitize(name: &str) -> String {
 /// on canonical values, so the analysis cannot see digits its six-decimal
 /// output would not show — the root of the byte-identical `summary.json`
 /// guarantee. Non-finite values pass through unchanged.
+#[expect(
+    clippy::expect_used,
+    reason = "a finite f64 printed at fixed precision always parses back"
+)]
 pub fn canon(v: f64) -> f64 {
     if v.is_finite() {
         format!("{v:.6}").parse().expect("fixed-precision")
@@ -190,11 +194,8 @@ impl CellResult {
 
     /// The canonical value of one metric.
     pub fn metric(&self, metric: Metric) -> f64 {
-        let index = Metric::all()
-            .iter()
-            .position(|&m| m == metric)
-            .expect("Metric::all covers every variant");
-        self.metrics[index]
+        // `Metric` declares its variants in `Metric::all`'s order.
+        self.metrics[metric as usize]
     }
 }
 

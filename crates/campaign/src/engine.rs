@@ -129,8 +129,8 @@ impl Campaign {
     pub fn run(&self, pool: &ThreadPool) -> Result<CampaignOutcome, CampaignError> {
         self.spec.validate(&self.policies, &self.scenarios)?;
         let CellRuns { records, cached } = run_grid(
-            Arc::clone(&self.policies),
-            Arc::clone(&self.scenarios),
+            &self.policies,
+            &self.scenarios,
             self.grid(),
             self.spec.cluster(),
             Some(&self.spec.machine()),
@@ -178,16 +178,16 @@ pub struct CellRuns {
 ///
 /// Probes each cell's record on this thread, generates each distinct
 /// `(scenario, jobs, seed)` workload of the misses once, on this thread,
-/// runs every miss on `pool` against its shared workload (its worker runs
-/// the cell, then writes its record), and returns every cell beside its run
+/// runs every miss on `pool` against its workload (its worker runs the
+/// cell, then writes its record), and returns every cell beside its run
 /// in input order. Campaigns and figure grids both run through it. A cell
 /// that fails — its workload included — is not recorded: every other cell
 /// still runs and is recorded, and the error of the first failed cell in
 /// input order is returned.
 #[allow(clippy::too_many_arguments)]
 pub fn run_cells(
-    policies: Arc<PolicyRegistry>,
-    scenarios: Arc<ScenarioRegistry>,
+    policies: &PolicyRegistry,
+    scenarios: &ScenarioRegistry,
     cells: Vec<CellSpec>,
     cluster: ClusterConfig,
     solver: SolverConfig,
@@ -215,8 +215,8 @@ pub fn run_cells(
 /// [`validate_workload`]'s first offender.
 #[allow(clippy::too_many_arguments)]
 fn run_grid(
-    policies: Arc<PolicyRegistry>,
-    scenarios: Arc<ScenarioRegistry>,
+    policies: &PolicyRegistry,
+    scenarios: &ScenarioRegistry,
     cells: Vec<CellSpec>,
     cluster: ClusterConfig,
     refuse_as: Option<&str>,
@@ -241,7 +241,7 @@ fn run_grid(
 
     // Each distinct workload of the misses, generated once, in the order
     // the misses first name it.
-    let mut workloads: Vec<Result<Arc<Workload>, String>> = Vec::new();
+    let mut workloads: Vec<Result<Workload, String>> = Vec::new();
     let mut refused = Vec::new();
     let mut first_seen = BTreeMap::new();
     let slots: Vec<usize> = misses
@@ -252,7 +252,6 @@ fn run_grid(
                 let ctx = scenario_context(cell, cluster, walltime_skew);
                 let workload = scenarios
                     .generate(&cell.scenario, &ctx)
-                    .map(Arc::new)
                     .map_err(|e| e.to_string());
                 if let Some(name) = refuse_as {
                     let reason = match &workload {
@@ -274,46 +273,41 @@ fn run_grid(
     if !refused.is_empty() {
         return Err(CampaignError::Validation(refused.join("\n")));
     }
-    // The task carries its machine and solver budget: a worker frees the
-    // task box this thread allocated, and at ~90 bytes its size class is
-    // one the runs' buffers then `realloc` under glibc's main-arena lock
-    // (Figure 7 on 2 workers: 40 → ~4 000 voluntary context switches). At
-    // ~250 bytes it is not.
     let tasks: Vec<_> = misses
         .into_iter()
         .zip(slots)
-        .map(|((cell, hash), slot)| (cell, hash, cluster, solver, workloads[slot].clone()))
+        .map(|((cell, hash), slot)| (cell, hash, slot))
         .collect();
 
-    // Each task hands its cell back beside its run, and `workloads` keeps
-    // one handle on every workload until the runs are in, so the
-    // coordinating thread frees what it allocated.
-    let cells_dir = cells_dir.to_path_buf();
+    // Each task hands its cell back beside its run, so the coordinating
+    // thread frees what it allocated.
     let mut fresh = pool
-        .par_map(tasks, move |(cell, hash, cluster, solver, workload)| {
-            let run = workload
-                .map_err(Into::into)
+        .par_map(tasks, |(cell, hash, slot)| {
+            let run = workloads[slot]
+                .as_ref()
+                .map_err(String::clone)
                 .and_then(|w| {
                     let seed = cell.policy_seed;
-                    run_policy(&policies, &cell.policy, &w.jobs, cluster, seed, solver)
+                    run_policy(policies, &cell.policy, &w.jobs, cluster, seed, solver)
+                        .map_err(|e| e.to_string())
                 })
-                .map_err(|e| CampaignError::Cell {
+                .map_err(|reason| CampaignError::Cell {
                     label: cell.label(),
-                    reason: e.to_string(),
+                    reason,
                 })?;
-            write_record(&cells_dir, &cell, &run, hash)?;
+            write_record(cells_dir, &cell, &run, hash)?;
             Ok((cell, run))
         })
         .into_iter();
+    #[expect(
+        clippy::expect_used,
+        reason = "par_map returns one result per task, and there is one task per miss"
+    )]
     let records = hits
         .into_iter()
         .map(|hit| hit.map_or_else(|| fresh.next().expect("one run per miss"), Ok))
-        .collect::<Result<_, CampaignError>>();
-    drop(workloads);
-    Ok(CellRuns {
-        records: records?,
-        cached,
-    })
+        .collect::<Result<_, CampaignError>>()?;
+    Ok(CellRuns { records, cached })
 }
 
 /// What one run of a policy produced — the run a cell's record keeps: the
@@ -385,11 +379,15 @@ pub fn run_policy(
         .with_solver(solver);
     let mut built = policies.build(policy, &ctx)?;
     let outcome = Simulation::new(cluster).jobs(jobs).run(built.as_mut())?;
+    #[expect(
+        clippy::expect_used,
+        reason = "`build` resolved the same name on the line above"
+    )]
+    let display = policies
+        .display_name(policy)
+        .expect("build succeeded, so the name resolves");
     Ok(PolicyRun {
-        policy: policies
-            .display_name(policy)
-            .expect("build succeeded, so the name resolves")
-            .to_string(),
+        policy: display.to_string(),
         report: MetricsReport::compute(&outcome.records, cluster),
         stats: outcome.stats,
         overhead: built.overhead_report().as_ref().map(OverheadSummary::of),
@@ -669,8 +667,8 @@ seeds = [1, 2]
                 std::env::temp_dir().join(format!("rsched_campaign_{dir}_{}", std::process::id()));
             let _ = std::fs::remove_dir_all(&dir);
             let runs = run_cells(
-                Arc::new(PolicyRegistry::with_builtins()),
-                Arc::new(ScenarioRegistry::with_builtins()),
+                &PolicyRegistry::with_builtins(),
+                &ScenarioRegistry::with_builtins(),
                 vec![cell.clone()],
                 ClusterConfig::paper_default(),
                 SolverConfig::default(),

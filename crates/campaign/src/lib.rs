@@ -14,7 +14,8 @@
 //! * **Engine** ([`Campaign`]) — cells are content-hashed (grid
 //!   coordinates + solver budget + cluster + workspace-version salt) and
 //!   run by [`run_cells`], the one runner (the figure grids use it too),
-//!   on the [`rsched_parallel::ThreadPool`]; each cell's run persists as
+//!   on [`rsched_parallel::ThreadPool::par_map`]'s scoped workers, which
+//!   borrow the registries and workloads; each cell's run persists as
 //!   its record ([`cache`]) under `results/campaigns/<name>/cells/`, so a
 //!   rerun skips every already-computed cell and merges deterministically
 //!   in grid order regardless of completion order. [`Campaign::run`] is
@@ -58,6 +59,10 @@
 
 #![deny(missing_docs)]
 #![deny(unsafe_code)]
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 pub mod cache;
 pub mod cell;

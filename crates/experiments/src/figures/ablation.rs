@@ -8,7 +8,6 @@
 //! *which* emphasis produces which profile.
 
 use std::path::Path;
-use std::sync::Arc;
 
 use rsched_campaign::{run_cells, CampaignError, CellSpec};
 use rsched_cluster::ClusterConfig;
@@ -19,7 +18,7 @@ use rsched_parallel::ThreadPool;
 use rsched_registry::{names, PolicyRegistry};
 use rsched_schedulers::Fcfs;
 use rsched_simkit::rng::SeedTree;
-use rsched_workloads::{names as scenario_names, ScenarioRegistry};
+use rsched_workloads::{names as scenario_names, scenario_builtins};
 
 use crate::figures::NormalizedFigure;
 use crate::options::ExperimentOptions;
@@ -113,8 +112,8 @@ pub fn run(
     pool: &ThreadPool,
 ) -> Result<NormalizedFigure, CampaignError> {
     let runs = run_cells(
-        Arc::new(persona_registry()),
-        Arc::new(ScenarioRegistry::with_builtins()),
+        &persona_registry(),
+        scenario_builtins(),
         cells(opts),
         ClusterConfig::paper_default(),
         opts.solver,

@@ -6,14 +6,12 @@
 //! (the 0/0 rule) — both exactly as in the paper.
 
 use std::path::Path;
-use std::sync::Arc;
 
 use rsched_campaign::{run_cells, CampaignError, CellSpec};
 use rsched_cluster::ClusterConfig;
 use rsched_parallel::ThreadPool;
-use rsched_registry::PolicyRegistry;
 use rsched_simkit::rng::SeedTree;
-use rsched_workloads::{names as scenario_names, scenario_builtins, ScenarioRegistry};
+use rsched_workloads::{names as scenario_names, scenario_builtins};
 
 use crate::figures::{paper_cells, NormalizedFigure};
 use crate::options::ExperimentOptions;
@@ -46,8 +44,8 @@ pub fn run(
     pool: &ThreadPool,
 ) -> Result<NormalizedFigure, CampaignError> {
     let runs = run_cells(
-        Arc::new(PolicyRegistry::with_builtins()),
-        Arc::new(ScenarioRegistry::with_builtins()),
+        rsched_registry::builtins(),
+        scenario_builtins(),
         cells(opts),
         ClusterConfig::paper_default(),
         opts.solver,

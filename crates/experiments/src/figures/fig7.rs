@@ -8,16 +8,15 @@
 
 use std::fmt::Write as _;
 use std::path::Path;
-use std::sync::Arc;
 
 use rsched_campaign::{run_cells, CampaignError, CellRuns, CellSpec};
 use rsched_cluster::ClusterConfig;
 use rsched_metrics::{normalize_against, Metric, MetricDistributions, TextTable};
 use rsched_parallel::ThreadPool;
-use rsched_registry::{names, PolicyRegistry};
+use rsched_registry::names;
 use rsched_simkit::csv;
 use rsched_simkit::rng::SeedTree;
-use rsched_workloads::{names as scenario_names, ScenarioRegistry};
+use rsched_workloads::{names as scenario_names, scenario_builtins};
 
 use crate::figures::paper_cells;
 use crate::options::ExperimentOptions;
@@ -64,8 +63,8 @@ pub fn run(
     pool: &ThreadPool,
 ) -> Result<Fig7Output, CampaignError> {
     let runs = run_cells(
-        Arc::new(PolicyRegistry::with_builtins()),
-        Arc::new(ScenarioRegistry::with_builtins()),
+        rsched_registry::builtins(),
+        scenario_builtins(),
         cells(opts),
         ClusterConfig::paper_default(),
         opts.solver,

@@ -173,7 +173,6 @@ impl Drop for TempCells {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
 
     use rsched_campaign::{run_cells, PolicyRun};
     use rsched_cluster::ClusterConfig;
@@ -183,7 +182,7 @@ mod tests {
     use rsched_registry::PolicyRegistry;
     use rsched_sim::{Action, SchedulingPolicy, SystemView};
     use rsched_simkit::csv::Table;
-    use rsched_workloads::{names as scenario_names, scenario_builtins, ScenarioRegistry};
+    use rsched_workloads::{names as scenario_names, scenario_builtins};
 
     fn quick_solver() -> SolverConfig {
         SolverConfig {
@@ -203,11 +202,10 @@ mod tests {
         workers: usize,
     ) -> CellRuns {
         let dir = TempCells::new(test);
-        let policies = Arc::new(policies);
         let run = || {
             run_cells(
-                Arc::clone(&policies),
-                Arc::new(ScenarioRegistry::with_builtins()),
+                &policies,
+                scenario_builtins(),
                 cells.clone(),
                 ClusterConfig::paper_default(),
                 quick_solver(),

@@ -32,7 +32,8 @@ impl MetricDistributions {
 
     /// Samples recorded for one metric.
     pub fn samples(&self, metric: Metric) -> &[f64] {
-        &self.samples[index_of(metric)]
+        // `Metric` declares its variants in `Metric::all`'s order.
+        &self.samples[metric as usize]
     }
 
     /// Box-plot statistics for one metric; `None` if no samples.
@@ -54,13 +55,6 @@ impl MetricDistributions {
     pub fn is_empty(&self) -> bool {
         self.samples.iter().all(|s| s.is_empty())
     }
-}
-
-fn index_of(metric: Metric) -> usize {
-    Metric::all()
-        .into_iter()
-        .position(|m| m == metric)
-        .expect("metric is in all()")
 }
 
 #[cfg(test)]

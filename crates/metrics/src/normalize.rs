@@ -38,11 +38,8 @@ fn ratio(value: f64, base: f64) -> Option<f64> {
 impl NormalizedReport {
     /// The ratio for one metric; `None` if omitted.
     pub fn get(&self, metric: Metric) -> Option<f64> {
-        let idx = Metric::all()
-            .into_iter()
-            .position(|m| m == metric)
-            .expect("metric is in all()");
-        self.values[idx]
+        // `Metric` declares its variants in `Metric::all`'s order.
+        self.values[metric as usize]
     }
 
     /// `(metric, ratio)` pairs for the metrics that are defined.

@@ -7,10 +7,11 @@ use rsched_simkit::SimDuration;
 /// Makespan: elapsed time from the earliest job submission to the
 /// completion of the last job (`max_j (x_j + d_j) − min_j s_j`).
 pub fn makespan(records: &[JobRecord]) -> SimDuration {
-    let Some(first_submit) = records.iter().map(|r| r.spec.submit).min() else {
+    let first_submit = records.iter().map(|r| r.spec.submit).min();
+    let last_end = records.iter().map(|r| r.end).max();
+    let (Some(first_submit), Some(last_end)) = (first_submit, last_end) else {
         return SimDuration::ZERO;
     };
-    let last_end = records.iter().map(|r| r.end).max().expect("non-empty");
     last_end.since(first_submit)
 }
 
@@ -27,11 +28,11 @@ pub(crate) fn average_turnaround_secs(records: &[JobRecord]) -> f64 {
 /// Throughput: jobs completed per second of active schedule
 /// (`n / (last completion − first start)`).
 pub(crate) fn throughput_jobs_per_sec(records: &[JobRecord]) -> f64 {
-    if records.is_empty() {
+    let first_start = records.iter().map(|r| r.start).min();
+    let last_end = records.iter().map(|r| r.end).max();
+    let (Some(first_start), Some(last_end)) = (first_start, last_end) else {
         return 0.0;
-    }
-    let first_start = records.iter().map(|r| r.start).min().expect("non-empty");
-    let last_end = records.iter().map(|r| r.end).max().expect("non-empty");
+    };
     let span = last_end.since(first_start).as_secs_f64();
     if span <= 0.0 {
         0.0

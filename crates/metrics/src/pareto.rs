@@ -7,9 +7,8 @@
 //! that machinery:
 //!
 //! * [`ObjectiveSpace`] — the objectives compared, in a fixed order;
-//! * [`pareto_front`] — the non-dominated subset, computed with Kung's
-//!   divide-and-conquer (O(n log n) for two objectives via a sweep fast
-//!   path, far below the naive O(n²) pairwise scan);
+//! * [`pareto_front`] — the non-dominated subset, by one pairwise scan
+//!   (a campaign group holds one point per policy);
 //! * [`pareto_ranks`] — non-dominated sorting into successive fronts
 //!   (rank 0 = the Pareto front);
 //! * [`hypervolume`] — the exact Lebesgue measure of the region
@@ -88,77 +87,18 @@ pub fn dominates(a: &[f64], b: &[f64]) -> bool {
 /// ascending index order. Duplicated coordinate vectors are all kept:
 /// neither strictly dominates the other.
 ///
-/// Uses Kung's divide-and-conquer on the lexicographically sorted set,
-/// with an O(n log n) plane-sweep fast path for two objectives. Points
-/// containing NaN are never placed on the front (NaN compares
-/// incomparably, so they would otherwise poison the sort).
+/// Each point is checked against every other, O(n²). A point containing
+/// NaN, or of another length than the first non-empty point, is never on
+/// the front and dominates nothing.
 pub fn pareto_front(points: &[Vec<f64>]) -> Vec<usize> {
-    let dim = match points.iter().find(|p| !p.is_empty()) {
-        Some(p) => p.len(),
-        None => return Vec::new(),
+    let Some(dim) = points.iter().map(Vec::len).find(|&len| len > 0) else {
+        return Vec::new();
     };
-    let mut order: Vec<usize> = (0..points.len())
-        .filter(|&i| points[i].len() == dim && points[i].iter().all(|v| !v.is_nan()))
-        .collect();
-    // Lexicographic sort; ties broken by index so the recursion is
-    // deterministic.
-    order.sort_by(|&i, &j| lex_cmp(&points[i], &points[j]).then(i.cmp(&j)));
-    let mut front = if dim == 2 {
-        front_sweep_2d(points, &order)
-    } else {
-        kung_front(points, &order)
-    };
-    front.sort_unstable();
-    front
-}
-
-fn lex_cmp(a: &[f64], b: &[f64]) -> std::cmp::Ordering {
-    for (&x, &y) in a.iter().zip(b) {
-        match x.partial_cmp(&y).expect("NaN filtered before sorting") {
-            std::cmp::Ordering::Equal => continue,
-            other => return other,
-        }
-    }
-    std::cmp::Ordering::Equal
-}
-
-/// Two-objective fast path: after the lexicographic sort, sweep in order
-/// of ascending first coordinate keeping every point whose second
-/// coordinate strictly improves the best seen so far (ties on both
-/// coordinates are duplicates and stay).
-fn front_sweep_2d(points: &[Vec<f64>], order: &[usize]) -> Vec<usize> {
-    let mut front = Vec::new();
-    let mut best_y = f64::INFINITY;
-    let mut last_kept: Option<&[f64]> = None;
-    for &i in order {
-        let p = &points[i];
-        if p[1] < best_y || last_kept.is_some_and(|q| q == p.as_slice()) {
-            best_y = best_y.min(p[1]);
-            front.push(i);
-            last_kept = Some(p);
-        }
-    }
-    front
-}
-
-/// Kung's recursion over a lexicographically sorted index slice: the top
-/// half's front survives whole; the bottom half's front is filtered
-/// against it (a lexicographically earlier point can dominate a later
-/// one, never the reverse).
-fn kung_front(points: &[Vec<f64>], order: &[usize]) -> Vec<usize> {
-    if order.len() <= 1 {
-        return order.to_vec();
-    }
-    let (top, bottom) = order.split_at(order.len() / 2);
-    let top_front = kung_front(points, top);
-    let bottom_front = kung_front(points, bottom);
-    let mut merged = top_front.clone();
-    for &b in &bottom_front {
-        if !top_front.iter().any(|&t| dominates(&points[t], &points[b])) {
-            merged.push(b);
-        }
-    }
-    merged
+    let valid = |p: &Vec<f64>| p.len() == dim && !p.iter().any(|v| v.is_nan());
+    (0..points.len())
+        .filter(|&i| valid(&points[i]))
+        .filter(|&i| !points.iter().any(|q| valid(q) && dominates(q, &points[i])))
+        .collect()
 }
 
 /// Non-dominated sorting: rank 0 is the Pareto front, rank 1 the front
@@ -240,11 +180,9 @@ fn hv_recursive(points: &[&[f64]], reference: &[f64]) -> f64 {
     // cross-section is the (d−1)-dimensional hypervolume of the points
     // already "active" at that depth.
     let mut order: Vec<&[f64]> = points.to_vec();
-    order.sort_by(|a, b| {
-        a[dim - 1]
-            .partial_cmp(&b[dim - 1])
-            .expect("finiteness checked by caller")
-    });
+    // Finite coordinates (checked by the caller) order by `total_cmp` as
+    // by `<`, except that -0.0 sorts before 0.0; the two share one level.
+    order.sort_by(|a, b| a[dim - 1].total_cmp(&b[dim - 1]));
     let mut total = 0.0;
     let mut active: Vec<&[f64]> = Vec::with_capacity(order.len());
     let mut idx = 0;
@@ -321,6 +259,13 @@ mod tests {
             .filter(|&i| !pts.iter().any(|q| dominates(q, &pts[i])))
             .collect();
         assert_eq!(pareto_front(&pts), naive);
+    }
+
+    #[test]
+    fn an_infinite_coordinate_is_compared_like_any_other() {
+        // Nothing dominates (0, ∞); (0, ∞) dominates (1, ∞).
+        let pts = vec![vec![0.0, f64::INFINITY], vec![1.0, f64::INFINITY]];
+        assert_eq!(pareto_front(&pts), vec![0]);
     }
 
     #[test]

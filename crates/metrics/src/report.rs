@@ -11,7 +11,8 @@ use crate::objectives::{
 };
 
 /// One of the paper's evaluation metrics, in the order of Figure 7's
-/// panels.
+/// panels. The variants are declared in [`Metric::all`]'s order, so
+/// `metric as usize` is a metric's index there.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Metric {
     /// Total schedule length (lower is better).
@@ -220,6 +221,13 @@ mod tests {
         }
         assert_eq!(r.get(Metric::Makespan), r.makespan_secs);
         assert_eq!(r.get(Metric::UserFairness), r.user_fairness);
+    }
+
+    #[test]
+    fn a_metric_as_usize_is_its_index_in_all() {
+        for (index, m) in Metric::all().into_iter().enumerate() {
+            assert_eq!(m as usize, index, "{m:?}");
+        }
     }
 
     #[test]

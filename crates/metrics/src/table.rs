@@ -93,15 +93,6 @@ pub fn fmt_ratio(value: Option<f64>) -> String {
     }
 }
 
-/// Format a float with the given precision, using `-` for non-finite.
-pub fn fmt_float(value: f64, precision: usize) -> String {
-    if value.is_finite() {
-        format!("{value:.precision$}")
-    } else {
-        "-".to_string()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -135,13 +126,6 @@ mod tests {
         assert_eq!(fmt_ratio(Some(1.0)), "1.00x");
         assert_eq!(fmt_ratio(Some(0.309)), "0.31x");
         assert_eq!(fmt_ratio(None), "-");
-    }
-
-    #[test]
-    fn float_formatting() {
-        assert_eq!(fmt_float(1.23456, 2), "1.23");
-        assert_eq!(fmt_float(f64::NAN, 2), "-");
-        assert_eq!(fmt_float(f64::INFINITY, 1), "-");
     }
 
     #[test]

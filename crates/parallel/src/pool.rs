@@ -1,66 +1,28 @@
-//! The pool: one shared FIFO of boxed tasks behind a mutex, a condvar to
-//! park idle workers on, and a shutdown flag under the same lock.
+//! The pool: a width. Each [`ThreadPool::par_map`] call spawns its workers
+//! in a [`std::thread::scope`], they take items from one shared iterator
+//! behind a mutex, and they are joined before the call returns.
 
-use std::collections::VecDeque;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
-use std::thread::JoinHandle;
+use std::sync::{Mutex, PoisonError};
 
-type Task = Box<dyn FnOnce() + Send + 'static>;
-
-struct Queue {
-    tasks: VecDeque<Task>,
-    shutdown: bool,
-}
-
-struct Shared {
-    queue: Mutex<Queue>,
-    wakeup: Condvar,
-}
-
-impl Shared {
-    /// Tasks run outside the lock, so it is never poisoned by one; a
-    /// poisoned guard is still taken rather than panicking inside `Drop`.
-    fn locked(&self) -> MutexGuard<'_, Queue> {
-        self.queue.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-}
-
-/// A fixed-size thread pool over one shared task queue.
+/// A fixed-width parallel map.
 ///
-/// Work goes in through [`ThreadPool::par_map`], which queues one
-/// `'static` task per item and collects the results in input order.
-/// Dropping the pool is the one way to stop it: the workers finish
-/// whatever is still queued, then exit and are joined.
+/// Work goes in through [`ThreadPool::par_map`], which runs up to
+/// `threads` scoped workers over the items and collects the results in
+/// input order. No thread outlives the call, so the closure and the items
+/// may borrow from the caller.
+#[derive(Debug)]
 pub struct ThreadPool {
-    shared: Arc<Shared>,
-    handles: Vec<JoinHandle<()>>,
+    threads: usize,
 }
 
 impl ThreadPool {
-    /// A pool with `threads` workers.
+    /// A pool `threads` workers wide.
     ///
     /// # Panics
     /// Panics if `threads == 0`.
     pub fn new(threads: usize) -> Self {
         assert!(threads > 0, "pool needs at least one thread");
-        let shared = Arc::new(Shared {
-            queue: Mutex::new(Queue {
-                tasks: VecDeque::new(),
-                shutdown: false,
-            }),
-            wakeup: Condvar::new(),
-        });
-        let handles = (0..threads)
-            .map(|index| {
-                let shared = Arc::clone(&shared);
-                std::thread::Builder::new()
-                    .name(format!("rsched-worker-{index}"))
-                    .spawn(move || worker_loop(&shared))
-                    .expect("spawning pool worker")
-            })
-            .collect();
-        ThreadPool { shared, handles }
+        ThreadPool { threads }
     }
 
     /// A pool sized to the machine: one worker per available hardware
@@ -75,90 +37,51 @@ impl ThreadPool {
 
     /// Number of worker threads.
     pub fn threads(&self) -> usize {
-        self.handles.len()
+        self.threads
     }
 
-    /// Submit one fire-and-forget task.
-    fn spawn<F: FnOnce() + Send + 'static>(&self, task: F) {
-        self.shared.locked().tasks.push_back(Box::new(task));
-        self.shared.wakeup.notify_one();
-    }
-
-    /// Map `f` over `items` in parallel, preserving order.
+    /// Map `f` over `items` on `min(threads, items)` scoped workers,
+    /// preserving order.
     ///
     /// # Panics
-    /// If any task panics, the panic is re-raised here with its message.
+    /// If any task panics, the panic is re-raised here with its payload.
     pub fn par_map<T, R, F>(&self, items: Vec<T>, f: F) -> Vec<R>
     where
-        T: Send + 'static,
-        R: Send + 'static,
-        F: Fn(T) -> R + Send + Sync + 'static,
+        T: Send,
+        R: Send,
+        F: Fn(T) -> R + Sync,
     {
-        let n = items.len();
-        let f = Arc::new(f);
-        let (tx, rx) = mpsc::channel::<(usize, std::thread::Result<R>)>();
-        for (index, item) in items.into_iter().enumerate() {
-            let f = Arc::clone(&f);
-            let tx = tx.clone();
-            self.spawn(move || {
-                let result = catch_unwind(AssertUnwindSafe(|| f(item)));
-                // The receiver may have bailed on an earlier panic; a send
-                // failure is then expected and ignorable.
-                let _ = tx.send((index, result));
-            });
-        }
-        drop(tx);
-        let mut results: Vec<Option<R>> = (0..n).map(|_| None).collect();
-        for (index, result) in rx {
-            match result {
-                Ok(value) => results[index] = Some(value),
-                Err(payload) => std::panic::resume_unwind(payload),
-            }
-        }
-        results
-            .into_iter()
-            .enumerate()
-            .map(|(i, r)| r.unwrap_or_else(|| panic!("task {i} never delivered a result")))
-            .collect()
-    }
-}
-
-impl Drop for ThreadPool {
-    fn drop(&mut self) {
-        self.shared.locked().shutdown = true;
-        self.shared.wakeup.notify_all();
-        for handle in self.handles.drain(..) {
-            let _ = handle.join();
-        }
-    }
-}
-
-fn worker_loop(shared: &Shared) {
-    let mut queue = shared.locked();
-    loop {
-        if let Some(task) = queue.tasks.pop_front() {
-            drop(queue);
-            // A panicking task must not kill the worker; par_map transports
-            // the payload separately.
-            let _ = catch_unwind(AssertUnwindSafe(task));
-            queue = shared.locked();
-        } else if queue.shutdown {
-            return;
-        } else {
-            // Both `spawn` and `Drop` change the queue under the lock this
-            // guard holds, so no wake-up can fall between the checks above
-            // and the wait: no timeout is needed.
-            queue = shared
-                .wakeup
-                .wait(queue)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
+        let workers = self.threads.min(items.len());
+        let queue = Mutex::new(items.into_iter().enumerate());
+        // Tasks run outside the lock, so no panic can leave it poisoned.
+        let next = || queue.lock().unwrap_or_else(PoisonError::into_inner).next();
+        let mut slotted: Vec<(usize, R)> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers)
+                .map(|_| {
+                    scope.spawn(|| {
+                        std::iter::from_fn(next)
+                            .map(|(index, item)| (index, f(item)))
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .flat_map(|handle| match handle.join() {
+                    Ok(done) => done,
+                    Err(payload) => std::panic::resume_unwind(payload),
+                })
+                .collect()
+        });
+        slotted.sort_unstable_by_key(|&(index, _)| index);
+        slotted.into_iter().map(|(_, result)| result).collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::time::Duration;
 
@@ -172,10 +95,9 @@ mod tests {
     #[test]
     fn all_tasks_run_exactly_once() {
         let pool = ThreadPool::new(8);
-        let counter = Arc::new(AtomicUsize::new(0));
-        let c = Arc::clone(&counter);
-        let out = pool.par_map((0..1000).collect::<Vec<u32>>(), move |_| {
-            c.fetch_add(1, Ordering::SeqCst)
+        let counter = AtomicUsize::new(0);
+        let out = pool.par_map((0..1000).collect::<Vec<u32>>(), |_| {
+            counter.fetch_add(1, Ordering::SeqCst)
         });
         assert_eq!(out.len(), 1000);
         assert_eq!(counter.load(Ordering::SeqCst), 1000);
@@ -184,14 +106,13 @@ mod tests {
     #[test]
     fn work_actually_runs_concurrently() {
         let pool = ThreadPool::new(4);
-        let in_flight = Arc::new(AtomicUsize::new(0));
-        let peak = Arc::new(AtomicUsize::new(0));
-        let (inf, pk) = (Arc::clone(&in_flight), Arc::clone(&peak));
-        pool.par_map((0..16).collect::<Vec<u32>>(), move |_| {
-            let now = inf.fetch_add(1, Ordering::SeqCst) + 1;
-            pk.fetch_max(now, Ordering::SeqCst);
+        let in_flight = AtomicUsize::new(0);
+        let peak = AtomicUsize::new(0);
+        pool.par_map((0..16).collect::<Vec<u32>>(), |_| {
+            let now = in_flight.fetch_add(1, Ordering::SeqCst) + 1;
+            peak.fetch_max(now, Ordering::SeqCst);
             std::thread::sleep(Duration::from_millis(20));
-            inf.fetch_sub(1, Ordering::SeqCst);
+            in_flight.fetch_sub(1, Ordering::SeqCst);
         });
         assert!(
             peak.load(Ordering::SeqCst) >= 2,
@@ -211,7 +132,12 @@ mod tests {
                 x
             })
         }));
-        assert!(result.is_err(), "panic must propagate");
+        let payload = result.expect_err("panic must propagate");
+        assert_eq!(
+            payload.downcast_ref::<String>().map(String::as_str),
+            Some("boom on 2"),
+            "the task's own payload is re-raised"
+        );
     }
 
     #[test]
@@ -241,38 +167,26 @@ mod tests {
     }
 
     #[test]
-    fn drop_joins_workers() {
+    fn tasks_borrow_from_the_caller() {
+        // Neither the items nor the closure's capture are `'static`, and
+        // there are more items than workers.
+        let names: Vec<String> = (0..24).map(|i| format!("cell-{i}")).collect();
+        let suffix = String::from("!");
         let pool = ThreadPool::new(3);
-        pool.par_map(vec![1, 2, 3], |x| x);
-        drop(pool); // must not hang
-    }
-
-    #[test]
-    fn spawn_wakes_a_fully_parked_pool_every_time() {
-        // `par_map`'s path, one task at a time, into a pool whose workers
-        // have all gone to sleep. No poll hides a lost wake-up, so each task
-        // must report back promptly on its own.
-        let pool = ThreadPool::new(2);
-        let (tx, rx) = mpsc::channel::<usize>();
-        for i in 0..20 {
-            std::thread::sleep(Duration::from_millis(10));
-            let tx = tx.clone();
-            pool.spawn(move || tx.send(i).expect("receiver alive"));
-            assert_eq!(
-                rx.recv_timeout(Duration::from_secs(1)),
-                Ok(i),
-                "task {i} was not picked up by a parked worker"
-            );
-        }
+        let out = pool.par_map(names.iter().collect(), |name: &String| {
+            format!("{name}{suffix}")
+        });
+        let expected: Vec<String> = names.iter().map(|n| format!("{n}!")).collect();
+        assert_eq!(out, expected);
     }
 
     #[test]
     fn merge_order_is_input_order_for_every_worker_count() {
         // The sharded-campaign contract: results come back in input
         // (grid) order no matter how many workers race, because par_map
-        // slots each result by index on the channel's receive side. Tasks
-        // sleep in a scrambled pattern so completion order actively
-        // disagrees with submission order.
+        // slots each result by its index. Tasks sleep in a scrambled
+        // pattern so completion order actively disagrees with submission
+        // order.
         let reference: Vec<String> = (0..48u64).map(|i| format!("cell-{i}")).collect();
         let mut outputs = Vec::new();
         let machine = std::thread::available_parallelism()

@@ -9,7 +9,6 @@
 //!   experiments harness — no workspace code touched.
 
 use std::path::Path;
-use std::sync::Arc;
 
 use reasoned_scheduler::campaign::{run_cells, run_policy, PolicyRun};
 use reasoned_scheduler::cluster::{ClusterConfig, JobSpec};
@@ -101,8 +100,8 @@ fn swf_trace_sweeps_through_a_figure_grid_into_cell_artifacts() {
     let _ = std::fs::remove_dir_all(&dir);
     let run = || {
         run_cells(
-            Arc::new(PolicyRegistry::with_builtins()),
-            Arc::new(ScenarioRegistry::with_builtins()),
+            &PolicyRegistry::with_builtins(),
+            &ScenarioRegistry::with_builtins(),
             cells.clone(),
             ClusterConfig::paper_default(),
             quick_solver(),
