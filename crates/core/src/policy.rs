@@ -268,7 +268,6 @@ mod tests {
             completed: 0,
             pending_arrivals: 0,
             total_jobs: 1,
-            calendar: None,
             telemetry: None,
             queue: None,
         }

@@ -294,7 +294,6 @@ mod tests {
                 completed: 1,
                 pending_arrivals: 3,
                 total_jobs: 80,
-                calendar: None,
                 telemetry: None,
                 queue: None,
             }

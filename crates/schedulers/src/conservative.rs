@@ -11,11 +11,9 @@
 //! built from, which is exactly what the badly-estimated-walltime
 //! scenarios stress.
 //!
-//! Since the capacity-calendar refactor the policy no longer rebuilds the
-//! free-capacity profile from the whole running set on every `decide`: it
-//! reads the kernel's cached per-epoch
-//! [`CapacityCalendar`](rsched_sim::CapacityCalendar) (estimated-end
-//! skyline, shared by every consumer in the epoch) and lays a reusable
+//! A `decide` with a startable candidate rebuilds the estimated-end
+//! [`CapacityCalendar`] into a buffer the policy keeps, from the slot
+//! table's release index, and lays a reusable
 //! [`ReservationProfile`] over it — a reserved-amount step overlay whose
 //! fused `place` both finds and books each reservation against the
 //! immutable base without cloning it. The pass walks only as far as the
@@ -42,7 +40,9 @@
 //!   level is dropped on the spot.
 
 use rsched_cluster::{JobId, JobSpec};
-use rsched_sim::{Action, DelayReason, ReservationProfile, SchedulingPolicy, SystemView};
+use rsched_sim::{
+    Action, CapacityCalendar, DelayReason, ReservationProfile, SchedulingPolicy, SystemView,
+};
 use rsched_simkit::SimTime;
 
 /// Reservation-list depth cap: queue positions beyond this neither get a
@@ -66,8 +66,10 @@ pub struct ConservativeBackfill {
     last_time: Option<SimTime>,
     /// Pick the shortest startable candidate instead of the first.
     shortest_first: bool,
-    /// Reusable reservation overlay — reloaded from the epoch's base
-    /// calendar each pass, so steady state allocates nothing.
+    /// Reusable buffer the estimated base calendar is rebuilt into.
+    calendar: CapacityCalendar,
+    /// Reusable reservation overlay — cleared each pass and laid over the
+    /// base calendar, so steady state allocates nothing.
     profile: ReservationProfile,
     /// Why the most recent `decide` returned [`Action::Delay`]; harvested
     /// by the kernel through [`SchedulingPolicy::provenance`].
@@ -177,7 +179,8 @@ impl SchedulingPolicy for ConservativeBackfill {
             let considered = window.len() as u32;
             return self.delay(DelayReason::NoStartableCandidate { considered });
         }
-        let base = view.capacity_calendar();
+        view.capacity_calendar(&mut self.calendar);
+        let base = &self.calendar;
         // Pre-pass veto. The pass places the head first, against an empty
         // overlay, so its reservation always sits at its bare earliest fit
         // (a monotone base never fails a window). A candidate whose window
@@ -205,9 +208,9 @@ impl SchedulingPolicy for ConservativeBackfill {
                 shadow: head_start,
             });
         }
-        // Reservation pass in arrival order over the epoch's shared base
-        // calendar: clear the reusable reserved-amount overlay, reserve
-        // every considered job at its earliest feasible window, and pick
+        // Reservation pass in arrival order over the base calendar: clear
+        // the reusable reserved-amount overlay, reserve every considered
+        // job at its earliest feasible window, and pick
         // among the candidates whose window lands at `now` (they can start
         // without delaying anyone reserved before them).
         //
@@ -480,7 +483,6 @@ mod tests {
             completed: 0,
             pending_arrivals: 0,
             total_jobs: waiting.len() + running.len(),
-            calendar: None,
             telemetry: Some(&sink),
             queue: None,
         };

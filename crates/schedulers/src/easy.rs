@@ -5,12 +5,12 @@
 //! heads, and this policy isolates exactly that mechanism without any
 //! multiobjective reasoning.
 
-use rsched_sim::{Action, DelayReason, SchedulingPolicy, SystemView};
+use rsched_sim::{Action, CapacityCalendar, DelayReason, SchedulingPolicy, SystemView};
 
 /// FCFS head-first; when the head is blocked, backfill the first (arrival
 /// order) waiting job that fits now and does not move the head's
 /// reservation: the head's shadow start and the level free at it are read
-/// off the epoch's estimated capacity calendar — the one
+/// off the estimated capacity calendar at `now` — the one
 /// [`ConservativeBackfill`](crate::ConservativeBackfill) plans over, and
 /// the only future a scheduler may know — and a candidate must end by the
 /// shadow or fit beside the head there
@@ -25,6 +25,9 @@ use rsched_sim::{Action, DelayReason, SchedulingPolicy, SystemView};
 pub struct EasyBackfill {
     /// Order backfill candidates by shortest walltime instead of arrival.
     shortest_first: bool,
+    /// Reusable buffer the estimated calendar is rebuilt into whenever the
+    /// head is blocked, so steady state allocates nothing.
+    calendar: CapacityCalendar,
     /// Why the most recent `decide` returned [`Action::Delay`]; harvested
     /// by the kernel through [`SchedulingPolicy::provenance`].
     last_delay: Option<DelayReason>,
@@ -69,11 +72,10 @@ impl SchedulingPolicy for EasyBackfill {
         // Head blocked: reserve its shadow start, then take the first safe
         // candidate behind it in arrival order (or the shortest under
         // SJBF).
-        let reservation = view.capacity_calendar().head_reservation(
-            &view.config.topology,
-            view.free_by_class,
-            head,
-        );
+        view.capacity_calendar(&mut self.calendar);
+        let reservation =
+            self.calendar
+                .head_reservation(&view.config.topology, view.free_by_class, head);
         let pick = if self.shortest_first {
             // A minimum over walltime: no queue order answers it.
             let safe = view.eligible_now().filter(|j| reservation.admits(j));

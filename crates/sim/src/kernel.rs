@@ -2,8 +2,9 @@
 //!
 //! [`KernelState`] owns everything a scheduling run needs between clock
 //! ticks — the cluster ledger (whose slot table is the one record of what
-//! runs; policies read it by id, calendars by end time, through indices
-//! built at their first read), the completion heap, the sorted
+//! runs; policies read it by id, capacity calendars — built by whoever
+//! asks, into a buffer it keeps — by end time, through indices built at
+//! their first read), the completion heap, the sorted
 //! rank-ordered wait queue and the decision log — and exposes the one step
 //! both drivers share: deliver arrivals, [`KernelState::advance_to`] the
 //! tick's instant, then [`KernelState::run_epoch`], the validated
@@ -35,7 +36,7 @@ use rsched_telemetry::{DelayReason, EpochOutcome, EpochTrace, TelemetrySink};
 
 use crate::outcome::{DecisionRecord, SimOutcome, SimStats};
 use crate::policy::{Action, ActionOutcome, RejectReason, SchedulingPolicy};
-use crate::profile::CapacityLedger;
+use crate::profile::CapacityCalendar;
 use crate::queue::WaitQueue;
 use crate::simulator::{SimError, SimOptions};
 use crate::view::{SystemView, Waiting};
@@ -68,7 +69,9 @@ pub struct KernelState {
     /// slot in the cluster's running table.
     events: EventQueue<usize>,
     queue: WaitQueue,
-    ledger: CapacityLedger,
+    /// The strict-backfill veto's actual-end calendar, rebuilt per veto
+    /// into the same buffer.
+    calendar: CapacityCalendar,
     decisions: Vec<DecisionRecord>,
     stats: SimStats,
     stopped: bool,
@@ -85,7 +88,7 @@ impl KernelState {
             cluster: ClusterState::new(config),
             events: EventQueue::new(),
             queue: WaitQueue::new(config.topology),
-            ledger: CapacityLedger::new(),
+            calendar: CapacityCalendar::default(),
             decisions: Vec::new(),
             stats: SimStats::default(),
             stopped: false,
@@ -121,45 +124,33 @@ impl KernelState {
     /// `(submit, id)` order, the simulator's (and the paper's) behaviour.
     pub fn arrive(&mut self, job: JobSpec) {
         self.queue.insert(job);
-        self.ledger.queue_changed();
     }
 
     /// Every `(job, rank)` of `batch` joins the waiting queue in one merge
-    /// (the batch is sorted in place by queue key) and one queue-version
-    /// bump, leaving it as delivering the jobs one at a time in any order
-    /// would. A lower fair-share `rank` sorts earlier; ties fall back to
-    /// `(submit, id)`, so rank 0 is [`arrive`](Self::arrive)'s order. What
-    /// a driver that collects a tick's admissions before anything reads the
-    /// queue — the service daemon — hands over.
+    /// (the batch is sorted in place by queue key), leaving it as
+    /// delivering the jobs one at a time in any order would. A lower
+    /// fair-share `rank` sorts earlier; ties fall back to `(submit, id)`,
+    /// so rank 0 is [`arrive`](Self::arrive)'s order. What a driver that
+    /// collects a tick's admissions before anything reads the queue — the
+    /// service daemon — hands over.
     pub fn arrive_batch(&mut self, batch: &mut [(JobSpec, u64)]) {
-        if batch.is_empty() {
-            return;
-        }
         self.queue.arrive(batch);
-        self.ledger.queue_changed();
     }
 
     /// Move the clock to `now`: retire every running job that ends at or
     /// before `now` at its own end time — an instant's completions in the
-    /// order their placements scheduled them. Returns how many jobs were
-    /// retired. The simulator calls it once per event time; a service tick
-    /// may jump past several.
+    /// order their placements scheduled them, each releasing its resources
+    /// at its exact end time, which the cluster ledger asserts. Returns how
+    /// many jobs were retired. The simulator calls it once per event time;
+    /// a service tick may jump past several.
     pub fn advance_to(&mut self, now: SimTime) -> usize {
         let mut retired = 0;
-        while self.events.peek_time().is_some_and(|at| at <= now) {
-            let (at, slot) = self.events.pop().expect("peeked");
-            self.complete(slot, at);
+        while let Some((&at, &slot)) = self.events.peek().filter(|&(&at, _)| at <= now) {
+            self.events.pop();
+            self.cluster.complete_job(slot, at);
             retired += 1;
         }
         retired
-    }
-
-    /// The running job in `slot` finishes at `now`, releasing its
-    /// resources. [`advance_to`](Self::advance_to) calls it at the job's
-    /// exact end time, which the cluster ledger asserts.
-    fn complete(&mut self, slot: usize, now: SimTime) {
-        self.cluster.complete_job(slot, now);
-        self.ledger.running_changed();
     }
 
     /// Should the policy be consulted this tick?
@@ -365,9 +356,6 @@ impl KernelState {
         t.set_counter("sim_backfills_total", self.stats.backfills as u64);
         t.set_counter("sim_delays_total", self.stats.delays as u64);
         t.set_counter("sim_rejections_total", self.stats.rejections as u64);
-        let (rebuilds, hits) = self.ledger.calendar_counters();
-        t.set_counter("sim_calendar_rebuilds_total", rebuilds);
-        t.set_counter("sim_calendar_cache_hits_total", hits);
         let built = |order| u64::from(self.cluster.order_built(order));
         let running_builds = built(RunningOrder::Id);
         t.set_counter("sim_running_index_builds_total", running_builds);
@@ -416,24 +404,24 @@ impl KernelState {
             Action::BackfillJob(id) => {
                 let slot = self.queue.find(id).ok_or(RejectReason::NotInQueue(id))?;
                 let spec = self.queue.job(slot).clone();
-                // The head cursor rests on the first waiting job: O(1).
-                let head = self
-                    .queue
-                    .waiting()
-                    .first()
-                    .expect("waiting non-empty: spec was found in it");
+                // The head cursor rests on the first waiting job: O(1). The
+                // queue holds `spec`, so it has a head.
+                let Some(head) = self.queue.waiting().first() else {
+                    return Err(RejectReason::NotInQueue(id));
+                };
                 if head.id != spec.id && options.strict_backfill {
                     if !self.cluster.can_fit(&spec) {
                         return Err(insufficient(&self.cluster, &spec));
                     }
                     // The optional veto, for policies that cannot check a
                     // backfill themselves: the one EASY rule
-                    // (`HeadReservation::admits`), asked of the ledger's
-                    // cached *actual-end* calendar.
-                    let free_by_class = self.cluster.free_by_class();
-                    let reservation = self.ledger.actual(now, &self.cluster).head_reservation(
+                    // (`HeadReservation::admits`), asked of the
+                    // *actual-end* calendar.
+                    let calendar = &mut self.calendar;
+                    calendar.rebuild_from(now, &self.cluster, RunningOrder::End);
+                    let reservation = calendar.head_reservation(
                         &self.cluster.config().topology,
-                        free_by_class,
+                        self.cluster.free_by_class(),
                         head,
                     );
                     if !reservation.admits(&spec) {
@@ -462,7 +450,6 @@ impl KernelState {
                 self.events.push(started.end, running_slot);
                 self.event_heap_peak = self.event_heap_peak.max(self.events.len());
                 self.queue.remove(slot);
-                self.ledger.running_changed();
                 // The full ledger audit walks every running job; at 10k+
                 // placements per run that O(R) sweep dominates the apply
                 // path, so release builds trust the incremental counters.
@@ -559,7 +546,6 @@ impl KernelState {
             completed: self.cluster.completed().len(),
             pending_arrivals,
             total_jobs,
-            calendar: Some(&self.ledger),
             telemetry: Some(&self.telemetry),
             queue: Some(&self.queue),
         }

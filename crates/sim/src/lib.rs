@@ -34,10 +34,16 @@
 //! matter how deep the queue is. "Does anything waiting fit?" is answered by one
 //! serial column [`scan`] behind O(1) min-demand watermarks on a flat
 //! machine, and by a lookup in an exact per-compatibility index on a
-//! classed one.
+//! classed one. Backfilling policies read free capacity over time as a
+//! [`CapacityCalendar`], built when they ask for it
+//! ([`SystemView::capacity_calendar`]) into a buffer they keep.
 
 #![deny(missing_docs)]
 #![deny(unsafe_code)]
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 pub mod builder;
 pub mod kernel;
@@ -55,8 +61,7 @@ pub use kernel::KernelState;
 pub use outcome::{DecisionRecord, SimOutcome, SimStats};
 pub use policy::{Action, ActionOutcome, OverheadReport, RejectReason, SchedulingPolicy};
 pub use profile::{
-    CalendarPoint, CalendarRef, CalendarStamp, CapacityCalendar, CapacityLedger, HeadReservation,
-    ReservationProfile, ReservedStep,
+    CalendarPoint, CapacityCalendar, HeadReservation, ReservationProfile, ReservedStep,
 };
 pub use queue::WaitQueue;
 pub use scan::ScanOutcome;

@@ -1,34 +1,32 @@
-//! The shared, incrementally-maintained **capacity calendar**: the
-//! free-capacity skyline over time that every backfilling consumer reads.
+//! The **capacity calendar**: the free-capacity skyline over time that
+//! every backfilling consumer reads.
 //!
-//! The calendar keeps that work in one place, at two costs:
+//! A calendar is built when someone asks for it, into a buffer its reader
+//! keeps, from two things:
 //!
-//! * **maintenance** — a calendar releases the running jobs of the
-//!   cluster's slot table in order of end time (estimated or actual), ties
-//!   by id, read through the table's index for that order
-//!   ([`RunningOrder`]): built by the first calendar read, kept from then
-//!   on by each start and completion (`O(log R)` binary-searched
-//!   insert/remove, never a full re-sort), and never built in a run that
-//!   reads no calendar;
-//! * **materialization** — a [`CapacityCalendar`] skyline is built from a
-//!   sorted release order in one `O(R)` pass, and cached per
-//!   `(now, queue-version, running-version)` stamp, so repeated reads
-//!   within one decision epoch (policy queries, kernel validations,
-//!   rejection retries) reuse the same skyline without rebuilding it.
+//! * **the release order** — the running jobs of the cluster's slot table
+//!   in order of end time (estimated or actual), ties by id, read through
+//!   the table's index for that order ([`RunningOrder`]): built by the
+//!   first calendar read, kept from then on by each start and completion
+//!   (`O(log R)` binary-searched insert/remove, never a full re-sort), and
+//!   never built in a run that reads no calendar;
+//! * **the skyline build** — [`CapacityCalendar::rebuild_from`] walks that
+//!   order once, `O(R)`, into the reader's buffer, so a reader that keeps
+//!   its buffer allocates nothing in steady state.
 //!
-//! Two calendars hang off one ledger because the consumers legitimately
-//! disagree about the future:
+//! Readers legitimately disagree about the future, and each names the end
+//! its calendar releases at:
 //!
 //! * the **estimated** calendar releases capacity at each job's
 //!   `expected_end` (`start + walltime`) — what policies may know; the
-//!   reservation-list policies plan over this one (via
+//!   backfilling policies plan over this one (via
 //!   [`SystemView::capacity_calendar`](crate::SystemView::capacity_calendar));
 //! * the **actual** calendar releases capacity at each job's true end —
 //!   the cluster ledger's completion schedule, which is what the kernel's
-//!   shadow-time validation reads.
+//!   strict-backfill veto reads.
 //!
 //! Consumers that *overlay* tentative reservations (conservative
-//! backfilling) never clone or mutate the cached base. They keep a
+//! backfilling) never clone or mutate the base. They keep a
 //! reusable [`ReservationProfile`] — the workspace's one timetable, which
 //! lives in [`rsched_simkit::timetable`] because the solver's schedule
 //! decoder runs on it too — and call
@@ -50,17 +48,13 @@
 //! (`tests/kernel_equivalence.rs`, accept and refuse paths, flat and
 //! classed).
 
-use std::cell::{Ref, RefCell};
-
 use rsched_cluster::{
-    classed_overlap_fits, ClusterState, JobId, JobSpec, PlacementRequest, RunningJob, RunningOrder,
+    classed_overlap_fits, ClusterState, JobSpec, PlacementRequest, RunningJob, RunningOrder,
     Topology, MAX_CLASSES,
 };
 use rsched_simkit::{BasePoint, SimDuration, SimTime};
 
 pub use rsched_simkit::{ReservationProfile, ReservedStep};
-
-use crate::view::Running;
 
 /// One step of the free-capacity skyline: the free resources from
 /// [`time`](CalendarPoint::time) (inclusive) until the next point's time.
@@ -74,9 +68,10 @@ pub struct CalendarPoint {
     pub free_nodes: u32,
     /// Free memory (GB) over the same window.
     pub free_memory_gb: u64,
-    /// Free nodes per topology class slot. Populated only on
-    /// ledger-built calendars for classed clusters; all zeros on flat
-    /// clusters and on fallback calendars built from a bare
+    /// Free nodes per topology class slot. Populated only on calendars
+    /// rebuilt from a classed cluster
+    /// ([`rebuild_from`](CapacityCalendar::rebuild_from)); all zeros on
+    /// flat clusters and on the calendar of a hand-built
     /// [`SystemView`](crate::SystemView).
     pub free_by_class: [u32; MAX_CLASSES],
 }
@@ -101,13 +96,13 @@ impl BasePoint for CalendarPoint {
 /// (equal-time releases are merged at build time — the fix for the old
 /// `free_profile`'s duplicate boundary points).
 ///
-/// A **base** calendar (fresh from a ledger or running set) is monotone:
-/// releases only ever add capacity, so every column is non-decreasing in
-/// time and the last point is the fully-free machine. Overlaying
-/// reservations with [`reserve`](CapacityCalendar::reserve) breaks
-/// monotonicity (capacity dips inside the reserved window), which is why
-/// [`earliest_window`](CapacityCalendar::earliest_window) never assumes it
-/// while [`earliest_fit_flat`](CapacityCalendar::earliest_fit_flat) does.
+/// A **base** calendar (fresh from a cluster or a release sequence) is
+/// monotone: releases only ever add capacity, so every column is
+/// non-decreasing in time and the last point is the fully-free machine.
+/// Overlaying reservations with [`reserve`](CapacityCalendar::reserve)
+/// breaks monotonicity (capacity dips inside the reserved window), which is
+/// why [`earliest_window`](CapacityCalendar::earliest_window) never assumes
+/// it while [`earliest_fit_flat`](CapacityCalendar::earliest_fit_flat) does.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CapacityCalendar {
     points: Vec<CalendarPoint>,
@@ -131,10 +126,29 @@ impl CapacityCalendar {
         calendar
     }
 
-    /// [`build`](Self::build) into an existing calendar, reusing its
-    /// point buffer — the per-epoch cache refresh path, which would
-    /// otherwise pay an allocation per decision epoch.
-    pub fn rebuild(
+    /// Refill this calendar with `cluster`'s skyline at `now`: its free
+    /// levels, then its running jobs' releases in the slot table's `order`,
+    /// which names the end each job releases at — `End` its true end,
+    /// `ExpectedEnd` its walltime estimate (`Id`, no release order, reads
+    /// as `ExpectedEnd`). Reuses the point buffer, so a reader that keeps
+    /// its calendar allocates nothing once the buffer has grown.
+    pub fn rebuild_from(&mut self, now: SimTime, cluster: &ClusterState, order: RunningOrder) {
+        let (order, end): (_, fn(&RunningJob) -> SimTime) = match order {
+            RunningOrder::End => (RunningOrder::End, |job| job.end),
+            RunningOrder::Id | RunningOrder::ExpectedEnd => {
+                (RunningOrder::ExpectedEnd, RunningJob::expected_end)
+            }
+        };
+        let releases = cluster.running_in(order).map(|job| {
+            let held = job.allocation;
+            (end(job), job.spec.nodes, held.memory_gb, held.by_class)
+        });
+        let free = (cluster.free_nodes(), cluster.free_memory_gb());
+        self.rebuild(now, free.0, free.1, cluster.free_by_class(), releases);
+    }
+
+    /// [`build`](Self::build) into this calendar, reusing its point buffer.
+    fn rebuild(
         &mut self,
         now: SimTime,
         free_nodes: u32,
@@ -142,61 +156,27 @@ impl CapacityCalendar {
         free_by_class: [u32; MAX_CLASSES],
         releases: impl Iterator<Item = (SimTime, u32, u64, [u32; MAX_CLASSES])>,
     ) {
-        let points = &mut self.points;
-        points.clear();
-        points.push(CalendarPoint {
+        self.points.clear();
+        let mut level = CalendarPoint {
             time: now,
             free_nodes,
             free_memory_gb,
             free_by_class,
-        });
+        };
         for (t, nodes, mem, by_class) in releases {
-            let last = points.last_mut().expect("non-empty");
-            let mut merged = *last;
-            merged.free_nodes += nodes;
-            merged.free_memory_gb += mem;
-            for (slot, n) in by_class.into_iter().enumerate() {
-                merged.free_by_class[slot] += n;
+            // Overrun (t < now) or an equal-time release: fold into the
+            // level in force instead of emitting a duplicate timestamp.
+            if t > level.time {
+                self.points.push(level);
+                level.time = t;
             }
-            if t <= last.time {
-                // Overrun (t < now) or an equal-time release: fold into
-                // the existing point instead of emitting a duplicate
-                // timestamp.
-                last.free_nodes = merged.free_nodes;
-                last.free_memory_gb = merged.free_memory_gb;
-                last.free_by_class = merged.free_by_class;
-            } else {
-                merged.time = t;
-                points.push(merged);
+            level.free_nodes += nodes;
+            level.free_memory_gb += mem;
+            for (slot, n) in by_class.into_iter().enumerate() {
+                level.free_by_class[slot] += n;
             }
         }
-    }
-
-    /// Fallback construction from a view's running jobs — the path a
-    /// hand-built [`SystemView`](crate::SystemView) without a kernel
-    /// ledger takes. Scalar columns are bit-identical to the ledger-built
-    /// estimated calendar for the same jobs; class columns are zero
-    /// (summaries do not expose per-class allocations).
-    pub(crate) fn from_running(
-        now: SimTime,
-        free_nodes: u32,
-        free_memory_gb: u64,
-        running: Running<'_>,
-    ) -> Self {
-        let mut releases: Vec<(SimTime, JobId, u32, u64)> = running
-            .iter()
-            .map(|r| (r.expected_end, r.id, r.nodes, r.memory_gb))
-            .collect();
-        releases.sort_unstable();
-        CapacityCalendar::build(
-            now,
-            free_nodes,
-            free_memory_gb,
-            [0; MAX_CLASSES],
-            releases
-                .into_iter()
-                .map(|(t, _, n, m)| (t, n, m, [0; MAX_CLASSES])),
-        )
+        self.points.push(level);
     }
 
     /// The skyline steps, strictly ascending in time. Never empty: the
@@ -266,9 +246,9 @@ impl CapacityCalendar {
     /// then. `free_by_class` is the per-class free count right now (what a
     /// classed candidate's take is planned against; ignored on a flat
     /// machine). On a classed machine the shadow is read off the class
-    /// columns, which only ledger-built calendars carry: on a
-    /// `from_running` fallback the head never fits
-    /// and every candidate is admitted.
+    /// columns, which only calendars rebuilt from a cluster carry: on a
+    /// hand-built view's calendar the head never fits and every candidate
+    /// is admitted.
     ///
     /// Which future is asked is the caller's choice of calendar: the
     /// `EasyBackfill` policy asks the estimated one, all a scheduler may
@@ -428,194 +408,10 @@ impl HeadReservation {
     }
 }
 
-/// The epoch stamp a cached calendar is keyed by: rebuilt only when the
-/// clock moves or the queue/running state changes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CalendarStamp {
-    /// The epoch's clock reading.
-    pub now: SimTime,
-    /// Bumped on every queue mutation (arrivals; removals ride the
-    /// running-state bump of the start that caused them).
-    pub(crate) queue_version: u64,
-    /// Bumped on every running-set mutation (job start / completion).
-    pub(crate) running_version: u64,
-}
-
-/// One cached skyline with the stamp it was built at, plus rebuild/hit
-/// counters for telemetry (the kernel harvests them into
-/// `sim_calendar_rebuilds_total` / `sim_calendar_cache_hits_total`).
-#[derive(Debug, Default)]
-struct CachedCalendar {
-    stamp: Option<CalendarStamp>,
-    calendar: CapacityCalendar,
-    rebuilds: u64,
-    hits: u64,
-}
-
-impl CachedCalendar {
-    fn refresh<'a>(
-        cell: &'a RefCell<Self>,
-        stamp: CalendarStamp,
-        build: impl FnOnce(&mut CapacityCalendar),
-    ) -> Ref<'a, CapacityCalendar> {
-        {
-            let mut cache = cell.borrow_mut();
-            if cache.stamp != Some(stamp) {
-                build(&mut cache.calendar);
-                cache.stamp = Some(stamp);
-                cache.rebuilds += 1;
-            } else {
-                cache.hits += 1;
-            }
-        }
-        Ref::map(cell.borrow(), |c| &c.calendar)
-    }
-}
-
-/// The kernel-owned side of the subsystem: the version stamps and the
-/// per-epoch calendar caches. The releases themselves are read from the
-/// cluster's slot table, through its `(expected_end, id)` and `(end, id)`
-/// indices ([`RunningOrder`]), which the first calendar read builds.
-///
-/// Ownership and maintenance: `KernelState` is the **only writer** — it
-/// calls `running_changed` from its start/complete paths and
-/// `queue_changed` on arrivals. Readers (policies via the
-/// [`SystemView`](crate::SystemView), the kernel's own strict-backfill
-/// validation) get shared [`Ref`]s to the cached calendars and must drop
-/// them before the next mutation (statically enforced by the borrow they
-/// hold on the ledger).
-#[derive(Debug, Default)]
-pub struct CapacityLedger {
-    queue_version: u64,
-    running_version: u64,
-    estimated_cache: RefCell<CachedCalendar>,
-    actual_cache: RefCell<CachedCalendar>,
-}
-
-impl CapacityLedger {
-    /// A fresh, empty ledger.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The cache stamp for the current state at `now` — policies can key
-    /// their own per-epoch memoization off this.
-    pub fn stamp(&self, now: SimTime) -> CalendarStamp {
-        CalendarStamp {
-            now,
-            queue_version: self.queue_version,
-            running_version: self.running_version,
-        }
-    }
-
-    /// Note a running-set mutation (a job start or completion) for the
-    /// epoch stamp.
-    pub(crate) fn running_changed(&mut self) {
-        self.running_version += 1;
-    }
-
-    /// Note a waiting-queue mutation (arrival) for the epoch stamp.
-    pub(crate) fn queue_changed(&mut self) {
-        self.queue_version += 1;
-    }
-
-    /// Telemetry counters summed over both calendar caches:
-    /// `(rebuilds, cache_hits)`. A rebuild is a skyline construction from
-    /// the release order; a hit reuses the cached skyline for the same
-    /// [`CalendarStamp`].
-    pub(crate) fn calendar_counters(&self) -> (u64, u64) {
-        let est = self.estimated_cache.borrow();
-        let act = self.actual_cache.borrow();
-        (est.rebuilds + act.rebuilds, est.hits + act.hits)
-    }
-
-    /// The **estimated** skyline of `cluster` at `now` (releases at
-    /// walltime-estimated ends, from its current free levels) — cached
-    /// per [`CalendarStamp`]. This is the calendar reservation-list
-    /// policies plan over.
-    pub fn estimated(&self, now: SimTime, cluster: &ClusterState) -> Ref<'_, CapacityCalendar> {
-        self.calendar(
-            &self.estimated_cache,
-            now,
-            cluster,
-            RunningOrder::ExpectedEnd,
-            RunningJob::expected_end,
-        )
-    }
-
-    /// The **actual** skyline (releases at true completion times) — what
-    /// the kernel's shadow-time validation reads; bit-identical to the
-    /// sweep over `cluster.running()` ends.
-    pub fn actual(&self, now: SimTime, cluster: &ClusterState) -> Ref<'_, CapacityCalendar> {
-        self.calendar(&self.actual_cache, now, cluster, RunningOrder::End, |job| {
-            job.end
-        })
-    }
-
-    /// `cache`'s skyline at `now`, rebuilt when the stamp has moved from
-    /// `cluster`'s free levels and its running jobs in `order`, each
-    /// releasing at its `end`.
-    fn calendar<'a>(
-        &self,
-        cache: &'a RefCell<CachedCalendar>,
-        now: SimTime,
-        cluster: &ClusterState,
-        order: RunningOrder,
-        end: impl Fn(&RunningJob) -> SimTime,
-    ) -> Ref<'a, CapacityCalendar> {
-        CachedCalendar::refresh(cache, self.stamp(now), |calendar| {
-            let releases = cluster.running_in(order).map(|job| {
-                let held = job.allocation;
-                (end(job), job.spec.nodes, held.memory_gb, held.by_class)
-            });
-            let free = (cluster.free_nodes(), cluster.free_memory_gb());
-            calendar.rebuild(now, free.0, free.1, cluster.free_by_class(), releases);
-        })
-    }
-}
-
-/// A borrowed calendar: either the ledger's cached skyline or an owned
-/// fallback built on the spot from running summaries. Dereferences to
-/// [`CapacityCalendar`]; clone the target to get a mutable reservation
-/// overlay.
-pub struct CalendarRef<'a>(CalendarRefInner<'a>);
-
-enum CalendarRefInner<'a> {
-    Cached(Ref<'a, CapacityCalendar>),
-    Owned(Box<CapacityCalendar>),
-}
-
-impl<'a> CalendarRef<'a> {
-    pub(crate) fn cached(r: Ref<'a, CapacityCalendar>) -> Self {
-        CalendarRef(CalendarRefInner::Cached(r))
-    }
-
-    pub(crate) fn owned(c: CapacityCalendar) -> Self {
-        CalendarRef(CalendarRefInner::Owned(Box::new(c)))
-    }
-}
-
-impl std::ops::Deref for CalendarRef<'_> {
-    type Target = CapacityCalendar;
-
-    fn deref(&self) -> &CapacityCalendar {
-        match &self.0 {
-            CalendarRefInner::Cached(r) => r,
-            CalendarRefInner::Owned(c) => c,
-        }
-    }
-}
-
-impl std::fmt::Debug for CalendarRef<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        std::ops::Deref::deref(self).fmt(f)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rsched_cluster::UserId;
+    use rsched_cluster::{JobId, UserId};
 
     fn t(s: u64) -> SimTime {
         SimTime::from_secs(s)
@@ -677,10 +473,25 @@ mod tests {
         assert_eq!(times, vec![0, 100], "no duplicate timestamp");
         assert_eq!(cal.points()[1].free_nodes, 8);
         assert_eq!(cal.points()[1].free_memory_gb, 64);
-        // Same through the running-summary path.
+        // Same through a hand-built view's running summaries.
         let running = [summary(1, 100, 3, 24), summary(2, 100, 3, 24)];
-        let from_running = CapacityCalendar::from_running(SimTime::ZERO, 2, 16, running[..].into());
-        assert_eq!(from_running, cal);
+        let view = crate::SystemView {
+            now: SimTime::ZERO,
+            config: rsched_cluster::ClusterConfig::new(8, 64),
+            free_nodes: 2,
+            free_memory_gb: 16,
+            free_by_class: [0; MAX_CLASSES],
+            waiting: crate::Waiting::default(),
+            running: running[..].into(),
+            completed: 0,
+            pending_arrivals: 0,
+            total_jobs: 2,
+            telemetry: None,
+            queue: None,
+        };
+        let mut from_summaries = CapacityCalendar::default();
+        view.capacity_calendar(&mut from_summaries);
+        assert_eq!(from_summaries, cal);
     }
 
     #[test]
@@ -815,11 +626,9 @@ mod tests {
         );
     }
 
-    /// Start a flat job on `cluster` at t=0 and tell `ledger`: it is
-    /// estimated to end at `walltime`, ends at `duration`. Returns its slot.
-    fn start(cluster: &mut ClusterState, ledger: &mut CapacityLedger, job: JobSpec) -> usize {
+    /// Start a flat job on `cluster` at t=0. Returns its slot.
+    fn start(cluster: &mut ClusterState, job: JobSpec) -> usize {
         let (slot, _) = cluster.start_job(&job, SimTime::ZERO).expect("fits");
-        ledger.running_changed();
         slot
     }
 
@@ -827,45 +636,37 @@ mod tests {
         JobSpec::new(id, 0, SimTime::ZERO, d(duration), nodes, mem).with_walltime(d(walltime))
     }
 
+    fn rebuilt(now: u64, cluster: &ClusterState, order: RunningOrder) -> CapacityCalendar {
+        let mut calendar = CapacityCalendar::default();
+        calendar.rebuild_from(t(now), cluster, order);
+        calendar
+    }
+
     #[test]
-    fn ledger_caches_per_stamp_and_invalidates_on_mutation() {
+    fn rebuild_from_releases_at_the_estimated_or_the_actual_end() {
         let mut cluster = ClusterState::new(rsched_cluster::ClusterConfig::new(8, 64));
-        let mut ledger = CapacityLedger::new();
-        let slot = start(&mut cluster, &mut ledger, job(1, 100, 90, 4, 32));
-        let stamp0 = ledger.stamp(t(0));
-        {
-            let est = ledger.estimated(t(0), &cluster);
-            assert_eq!(est.points().len(), 2);
-            assert_eq!(est.points()[1].time, t(100), "estimated end");
-            // Same stamp → the cached skyline is reused (pointer-free
-            // check: stamp equality is the contract).
-            assert_eq!(ledger.stamp(t(0)), stamp0);
-        }
-        {
-            let act = ledger.actual(t(0), &cluster);
-            assert_eq!(act.points()[1].time, t(90), "actual end");
-        }
+        let slot = start(&mut cluster, job(1, 100, 90, 4, 32));
+        let est = rebuilt(0, &cluster, RunningOrder::ExpectedEnd);
+        assert_eq!(est.points().len(), 2);
+        assert_eq!(est.points()[1].time, t(100), "estimated end");
+        let act = rebuilt(0, &cluster, RunningOrder::End);
+        assert_eq!(act.points()[1].time, t(90), "actual end");
         cluster.complete_job(slot, t(90));
-        ledger.running_changed();
-        assert_ne!(ledger.stamp(t(0)), stamp0, "mutation moved the stamp");
-        let est = ledger.estimated(t(90), &cluster);
+        let est = rebuilt(90, &cluster, RunningOrder::ExpectedEnd);
         assert_eq!(est.points().len(), 1, "release gone after completion");
     }
 
     #[test]
-    fn ledger_orders_equal_times_by_id_and_merges_in_the_skyline() {
+    fn rebuild_from_orders_equal_times_by_id_and_merges_in_the_skyline() {
         let mut cluster = ClusterState::new(rsched_cluster::ClusterConfig::new(8, 64));
-        let mut ledger = CapacityLedger::new();
-        let early = start(&mut cluster, &mut ledger, job(7, 100, 50, 1, 8));
-        start(&mut cluster, &mut ledger, job(3, 100, 100, 2, 16));
-        let est = ledger.estimated(t(0), &cluster);
+        let early = start(&mut cluster, job(7, 100, 50, 1, 8));
+        start(&mut cluster, job(3, 100, 100, 2, 16));
+        let est = rebuilt(0, &cluster, RunningOrder::ExpectedEnd);
         let times: Vec<u64> = est.points().iter().map(|p| p.time.as_secs()).collect();
         assert_eq!(times, vec![0, 100], "equal ends merged");
         assert_eq!(est.points()[1].free_nodes, 8);
-        drop(est);
         cluster.complete_job(early, t(50));
-        ledger.running_changed();
-        let est = ledger.estimated(t(50), &cluster);
+        let est = rebuilt(50, &cluster, RunningOrder::ExpectedEnd);
         let steps: Vec<(u64, u32)> = est
             .points()
             .iter()
@@ -875,16 +676,15 @@ mod tests {
     }
 
     #[test]
-    fn classed_columns_flow_through_the_ledger() {
+    fn classed_columns_flow_through_rebuild_from() {
         use rsched_cluster::{ClusterConfig, ResourceVec};
         let topology = ClusterConfig::mixed_256().topology;
         let mut cluster = ClusterState::new(ClusterConfig::mixed_256());
-        let mut ledger = CapacityLedger::new();
         // 40 gpu nodes busy until t=100.
         let gpu_job = job(1, 100, 100, 40, 0).with_per_node(ResourceVec::new(0, 1, 0, 0));
-        start(&mut cluster, &mut ledger, gpu_job);
+        start(&mut cluster, gpu_job);
         assert_eq!(cluster.free_by_class(), [192, 8, 16, 0]);
-        let act = ledger.actual(t(0), &cluster);
+        let act = rebuilt(0, &cluster, RunningOrder::End);
         let demand = |nodes, gpus_per_node| PlacementRequest {
             nodes,
             memory_gb: 0,
@@ -901,5 +701,54 @@ mod tests {
             SimTime::MAX,
             "no class ever hosts 5 GPUs per node"
         );
+    }
+
+    /// A reused buffer keeps no trace of what it held: after a rebuild over
+    /// fewer releases it equals a fresh `build` of the same releases, class
+    /// columns included, on a flat and on a classed machine.
+    #[test]
+    fn a_rebuilt_buffer_equals_a_fresh_build() {
+        use rsched_cluster::{ClusterConfig, ResourceVec};
+        for config in [ClusterConfig::new(64, 512), ClusterConfig::mixed_256()] {
+            let mut cluster = ClusterState::new(config);
+            let mut started = Vec::new();
+            for id in 0..6u32 {
+                let walltime = 100 + 50 * u64::from(id);
+                let mut spec = job(id, walltime, walltime - 10, 2, 8);
+                if !config.is_flat() && id % 2 == 0 {
+                    spec = spec.with_per_node(ResourceVec::new(0, 1, 0, 0));
+                }
+                started.push((start(&mut cluster, spec), walltime - 10));
+            }
+            let mut buffer = CapacityCalendar::default();
+            buffer.rebuild_from(t(0), &cluster, RunningOrder::ExpectedEnd);
+            assert_eq!(buffer.len(), 7);
+            for &(slot, end) in &started[..4] {
+                cluster.complete_job(slot, t(end));
+            }
+            for order in [RunningOrder::ExpectedEnd, RunningOrder::End] {
+                let end = |job: &RunningJob| match order {
+                    RunningOrder::End => job.end,
+                    _ => job.expected_end(),
+                };
+                let mut releases: Vec<_> = cluster
+                    .running()
+                    .map(|j| (end(j), j.spec.id, j.spec.nodes, j.allocation))
+                    .collect();
+                releases.sort_by_key(|&(time, id, ..)| (time, id));
+                let fresh = CapacityCalendar::build(
+                    t(250),
+                    cluster.free_nodes(),
+                    cluster.free_memory_gb(),
+                    cluster.free_by_class(),
+                    releases
+                        .into_iter()
+                        .map(|(time, _, nodes, held)| (time, nodes, held.memory_gb, held.by_class)),
+                );
+                buffer.rebuild_from(t(250), &cluster, order);
+                assert_eq!(buffer, fresh, "{order:?}, flat: {}", config.is_flat());
+                assert_eq!(buffer.len(), 3);
+            }
+        }
     }
 }

@@ -287,6 +287,10 @@ impl WaitQueue {
     /// at most once per batch however many arrivals land ahead of it, and
     /// none ahead of the batch's first key moves at all. A dead slot moves
     /// as a dead slot. This is the only place arrivals shift the queue.
+    #[expect(
+        clippy::expect_used,
+        reason = "drivers refuse duplicate ids before delivery (validate_workload, admission)"
+    )]
     pub(crate) fn arrive(&mut self, batch: &mut [(JobSpec, u64)]) {
         let place = |(job, rank): &(JobSpec, u64)| -> Place { (*rank, job.submit, job.id) };
         batch.sort_unstable_by_key(place);
@@ -349,6 +353,10 @@ impl WaitQueue {
     ///
     /// # Panics
     /// Panics if no job waits in `slot`.
+    #[expect(
+        clippy::expect_used,
+        reason = "the class counts and the rank column track the live slots by construction"
+    )]
     pub(crate) fn remove(&mut self, slot: usize) {
         assert!(
             self.jobs.live()[slot],
@@ -531,6 +539,10 @@ impl WaitQueue {
     /// so a fitting class is asked once, of its first member's spec; if that
     /// is turned down, the members behind it are read until one ends by the
     /// shadow or the walk passes the best place an earlier class found.
+    #[expect(
+        clippy::expect_used,
+        reason = "the arrival class map holds exactly the waiting jobs"
+    )]
     pub(crate) fn first_admitted(
         &self,
         free: (u32, u64, &[u32; MAX_CLASSES]),

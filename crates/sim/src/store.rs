@@ -199,6 +199,10 @@ impl JobStore {
 
     /// Drop every dead slot from every column in one order-preserving pass,
     /// returning how many live jobs moved to a new slot.
+    #[expect(
+        clippy::expect_used,
+        reason = "every column holds one entry per slot, as `live` does"
+    )]
     pub(crate) fn retain_live(&mut self) -> u64 {
         let Some(first_dead) = self.live.iter().position(|&live| !live) else {
             return 0;

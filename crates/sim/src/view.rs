@@ -19,6 +19,8 @@ use rsched_cluster::{
 };
 use rsched_simkit::SimTime;
 
+use crate::profile::CapacityCalendar;
+
 /// A running job as visible to a policy: its demands and *estimated* end
 /// time (start + requested walltime). True durations stay hidden, as in a
 /// real scheduler.
@@ -327,8 +329,8 @@ impl std::iter::FusedIterator for WaitingIter<'_> {}
 /// * `running` is sorted ascending by job id, and reads the kernel's
 ///   cluster;
 /// * `completed` is the number of completed records;
-/// * `calendar`, `telemetry` and `queue` are the kernel's own ledger, sink
-///   and wait queue — `queue` holds exactly the jobs of `waiting`.
+/// * `telemetry` and `queue` are the kernel's own sink and wait queue —
+///   `queue` holds exactly the jobs of `waiting`.
 ///
 /// Hand-built views (tests, harnesses) must uphold the same ordering for
 /// the helper methods to be meaningful.
@@ -357,14 +359,6 @@ pub struct SystemView<'a> {
     pub pending_arrivals: usize,
     /// Total jobs in the workload instance.
     pub total_jobs: usize,
-    /// The kernel's capacity ledger, when this view was built by a kernel —
-    /// gives policies the cached per-epoch
-    /// [`CapacityCalendar`](crate::profile::CapacityCalendar) through
-    /// [`capacity_calendar`](Self::capacity_calendar), which reads the
-    /// releases from the slot table behind `running`. Hand-built views
-    /// (tests, harnesses) leave it `None` and the accessor falls back to an
-    /// equivalent calendar built from `running`.
-    pub calendar: Option<&'a crate::profile::CapacityLedger>,
     /// The kernel's telemetry sink, when this view was built by a kernel
     /// with one attached. Policies record spans and counters through
     /// [`sink`](Self::sink); hand-built views leave it `None` and the
@@ -464,28 +458,31 @@ impl<'a> SystemView<'a> {
         self.now.saturating_since(spec.submit)
     }
 
-    /// The **estimated** free-capacity skyline for this epoch: releases at
-    /// each running job's `expected_end`, starting from the current free
-    /// level — what reservation-list backfill policies plan over.
+    /// The **estimated** free-capacity skyline at `now`, built into
+    /// `into`: releases at each running job's `expected_end`, starting
+    /// from the current free level — what backfilling policies plan over.
     ///
-    /// Kernel-built views answer from the ledger's per-epoch cache
-    /// (rebuilt only when `(now, queue-version, running-version)` moves),
-    /// over the slot table's `(expected_end, id)` index; views without
-    /// both a ledger and a slot table pay an O(R log R) construction from
-    /// `running`, yielding bit-identical scalar columns.
-    pub fn capacity_calendar(&self) -> crate::profile::CalendarRef<'a> {
-        use crate::profile::{CalendarRef, CapacityCalendar};
-        match (self.calendar, self.running.table()) {
-            (Some(ledger), Some(cluster)) => {
-                CalendarRef::cached(ledger.estimated(self.now, cluster))
-            }
-            _ => CalendarRef::owned(CapacityCalendar::from_running(
-                self.now,
-                self.free_nodes,
-                self.free_memory_gb,
-                self.running,
-            )),
+    /// When `running` reads a kernel's cluster the calendar is rebuilt from
+    /// its slot table's `(expected_end, id)` index
+    /// ([`CapacityCalendar::rebuild_from`]), reusing `into`'s buffer. A
+    /// hand-built view sorts its running summaries instead, which gives
+    /// the same scalar columns and zero class columns.
+    pub fn capacity_calendar(&self, into: &mut CapacityCalendar) {
+        if let Some(cluster) = self.running.table() {
+            into.rebuild_from(self.now, cluster, RunningOrder::ExpectedEnd);
+            return;
         }
+        let mut releases: Vec<(SimTime, JobId, u32, u64)> = self
+            .running
+            .iter()
+            .map(|r| (r.expected_end, r.id, r.nodes, r.memory_gb))
+            .collect();
+        releases.sort_unstable();
+        let releases = releases
+            .into_iter()
+            .map(|(t, _, nodes, mem)| (t, nodes, mem, [0; MAX_CLASSES]));
+        let (nodes, mem) = (self.free_nodes, self.free_memory_gb);
+        *into = CapacityCalendar::build(self.now, nodes, mem, [0; MAX_CLASSES], releases);
     }
 }
 
@@ -548,7 +545,6 @@ mod tests {
                 completed: 0,
                 pending_arrivals: self.pending_arrivals,
                 total_jobs: 6,
-                calendar: None,
                 telemetry: None,
                 queue: None,
             }

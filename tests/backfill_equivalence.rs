@@ -99,7 +99,8 @@ fn easy_safe(view: &SystemView<'_>, head: &JobSpec, candidate: &JobSpec) -> bool
     } else {
         let topology = &view.config.topology;
         let head = PlacementRequest::from(head);
-        let calendar = view.capacity_calendar();
+        let mut calendar = CapacityCalendar::default();
+        view.capacity_calendar(&mut calendar);
         let at_shadow = calendar
             .points()
             .iter()

@@ -19,7 +19,7 @@ use reasoned_scheduler::cpsolver::SolverConfig;
 use reasoned_scheduler::prelude::*;
 use reasoned_scheduler::registry::names;
 use reasoned_scheduler::sim::{
-    ActionOutcome, CapacityCalendar, CapacityLedger, KernelState, RejectReason, SimError, SimStats,
+    ActionOutcome, CapacityCalendar, KernelState, RejectReason, SimError, SimStats,
 };
 use reasoned_scheduler::simkit::{EventQueue, Rng, Xoshiro256PlusPlus};
 
@@ -110,10 +110,8 @@ fn reference_simulate(
                 // recount the completed jobs, per query. A fresh
                 // copy of the cluster carries no index, so the view's id
                 // order and the calendar's release order are each one
-                // sort of the slot table; a fresh ledger has no cached
-                // calendar.
+                // sort of the slot table.
                 let table = cluster.clone();
-                let ledger = CapacityLedger::new();
                 let view = SystemView {
                     now,
                     config: table.config(),
@@ -125,7 +123,6 @@ fn reference_simulate(
                     completed: table.completed().len(),
                     pending_arrivals,
                     total_jobs: jobs.len(),
-                    calendar: Some(&ledger),
                     telemetry: None,
                     queue: None,
                 };
@@ -1235,14 +1232,16 @@ fn slot_table_indices_match_a_sorted_sweep_from_their_first_read_on() {
                     summaries.sort_by_key(|r| r.id);
                     assert_eq!(view.running, Running::from(&summaries[..]), "{label}");
                 }
+                let mut calendar = CapacityCalendar::default();
                 if step >= estimated_from {
                     let swept = swept_calendar(cluster, now, RunningJob::expected_end);
-                    assert_eq!(*view.capacity_calendar(), swept, "{label}");
+                    view.capacity_calendar(&mut calendar);
+                    assert_eq!(calendar, swept, "{label}");
                 }
                 if step >= actual_from {
-                    let ledger = view.calendar.expect("a kernel-built view");
                     let swept = swept_calendar(cluster, now, |j| j.end);
-                    assert_eq!(*ledger.actual(now, cluster), swept, "{label}");
+                    calendar.rebuild_from(now, cluster, RunningOrder::End);
+                    assert_eq!(calendar, swept, "{label}");
                 }
             }
             assert!(

@@ -106,7 +106,6 @@ fn sim_types_construct_and_run() {
         completed: 0,
         pending_arrivals: 0,
         total_jobs: 0,
-        calendar: None,
         telemetry: None,
         queue: None,
     };

@@ -574,7 +574,6 @@ proptest! {
             completed: 0,
             pending_arrivals: pending,
             total_jobs: waiting_specs.len() + running_summaries.len() + pending,
-            calendar: None,
             telemetry: None,
             queue: None,
         };
@@ -734,7 +733,6 @@ proptest! {
                 completed: 0,
                 pending_arrivals: 0,
                 total_jobs: waiting.len() + running.len(),
-                calendar: None,
                 telemetry: None,
                 queue: None,
             };
@@ -810,7 +808,6 @@ proptest! {
             completed: 0,
             pending_arrivals: 0,
             total_jobs: waiting.len(),
-            calendar: None,
             telemetry: None,
             queue: None,
         };

@@ -173,7 +173,6 @@ fn a_warm_prompt_builder_allocates_nothing() {
         completed: 0,
         pending_arrivals: 0,
         total_jobs: 70,
-        calendar: None,
         telemetry: None,
         queue: None,
     };
