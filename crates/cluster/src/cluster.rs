@@ -177,6 +177,10 @@ impl RunningOrder {
     }
 
     /// The index entry of `job`, running in `slot`.
+    #[expect(
+        clippy::expect_used,
+        reason = "one row per job running at once: 2^32 rows would hold 400 GB of jobs"
+    )]
     fn entry(self, job: &RunningJob, slot: usize) -> OrderEntry {
         let slot = u32::try_from(slot).expect("the slot table holds fewer than 2^32 rows");
         (self.key(job), slot)
@@ -356,6 +360,11 @@ impl ClusterState {
     /// Panics if the slot holds no job or `now` differs from its end time —
     /// either indicates a simulator bug (jobs are non-preemptive and finish
     /// exactly at `start + duration`).
+    #[expect(
+        clippy::panic,
+        clippy::expect_used,
+        reason = "slots come from `start_job`, never from input; the record is pushed just before"
+    )]
     pub fn complete_job(&mut self, slot: usize, now: SimTime) -> &JobRecord {
         let job = self
             .running

@@ -367,6 +367,8 @@ impl KernelState {
         let (builds, entries) = self.queue.arrival_counters();
         t.set_counter("sim_queue_arrival_index_builds_total", builds);
         t.set_counter("sim_queue_arrival_entries_total", entries);
+        let builds = self.queue.slot_index_builds();
+        t.set_counter("sim_queue_slot_index_builds_total", builds);
         let shifts = self.queue.arrival_shifts();
         t.set_counter("sim_queue_arrival_shifts_total", shifts);
         let moves = self.queue.removal_moves();
@@ -685,9 +687,9 @@ mod tests {
     }
 
     /// A started job leaves its tombstone in the middle of a deep queue,
-    /// where the id column still holds its id: a second start of it in the
-    /// same epoch finds no waiting job and is rejected, and the queue's
-    /// view no longer holds it.
+    /// where its spec still holds its id: a second start of it in the same
+    /// epoch finds no waiting job and is rejected, and the queue's view no
+    /// longer holds it.
     #[test]
     fn a_job_started_twice_in_one_epoch_is_not_in_the_queue_the_second_time() {
         let mut kernel = KernelState::new(ClusterConfig::new(8, 64));

@@ -22,17 +22,18 @@
 //!   maxed so no fit scan fits it — and a head cursor skips dead slots;
 //!   once dead slots outnumber live ones (and exceed 32) one pass compacts
 //!   every column (`sim_queue_removal_moves_total` counts the jobs it
-//!   moves). The kernel finds a job to start through the store's dense id
-//!   column. The queue answers "does anything fit?" without probing the
-//!   jobs: conservative min-demand watermarks ahead of a dense column scan
-//!   on a flat machine, a lookup in an exact count of waiting jobs per
-//!   compatible-slot set on a classed one; *which* job fits (SJF's pick)
-//!   from a shortest-first order, and *which* backfills (EASY's) from an
-//!   arrival order. Each order is a small map from a job's demand class —
-//!   `(memory or compatible slots, nodes)`, all the fit test reads — to
-//!   the set of that class's waiting jobs, by `(walltime, id)` or in queue
-//!   order; a query walks the map, one class at a time, however deep the
-//!   queue. Each is built from the live jobs, sorted once and bulk-built run
+//!   moves). The kernel finds a job to start at the head or, for any other
+//!   id, through an id → slot index the first such find builds and the
+//!   queue's mutators keep from then on. The queue answers "does anything
+//!   fit?" without probing the jobs: conservative min-demand watermarks
+//!   ahead of a dense column scan on a flat machine, a lookup in an exact
+//!   count of waiting jobs per compatible-slot set on a classed one;
+//!   *which* job fits (SJF's pick) from a shortest-first order, and
+//!   *which* backfills (EASY's) from an arrival order. Each order is a
+//!   small map from a job's demand class — `(memory or compatible slots,
+//!   nodes)`, all the fit test reads — to the set of that class's waiting
+//!   jobs, by `(walltime, id)` or in queue order; a query walks the map,
+//!   one class at a time, however deep the queue. Each is built from the live jobs, sorted once and bulk-built run
 //!   by run, the first time a policy asks. The **rank** is a fair-share
 //!   priority tag:
 //!   the virtual-time simulator always inserts at rank 0, which makes the
@@ -46,7 +47,7 @@
 
 use std::cell::{Cell, OnceCell};
 use std::collections::btree_map::Entry;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::ops::Bound::{Excluded, Unbounded};
 use std::ops::Range;
 
@@ -115,6 +116,15 @@ fn leave<M: Ord>(classes: &mut Classes<M>, class: Class, member: &M) {
     }
 }
 
+/// A slot as the id → slot index holds it.
+#[expect(
+    clippy::expect_used,
+    reason = "slots stay under twice the waiting jobs plus 33, and 2^31 waiting specs would take 200 GB"
+)]
+fn slot_entry(slot: usize) -> u32 {
+    u32::try_from(slot).expect("fewer than 2^32 slots")
+}
+
 /// The waiting queue: jobs sorted ascending by `(rank, submit, id)`.
 ///
 /// With every rank 0 (the simulator's only mode) this is exactly the
@@ -134,8 +144,7 @@ fn leave<M: Ord>(classes: &mut Classes<M>, class: Class, member: &M) {
 #[derive(Debug)]
 pub struct WaitQueue {
     /// SoA-packed backing storage: live and dead slots, the dense demand
-    /// columns feeding the flat-cluster fit scan, the id column feeding
-    /// [`find`](Self::find).
+    /// columns feeding the flat-cluster fit scan.
     jobs: JobStore,
     /// Fair-share rank per slot, aligned with the store.
     ranks: Vec<u64>,
@@ -173,6 +182,13 @@ pub struct WaitQueue {
     arrival: OnceCell<Classes<Arrival>>,
     /// Classes and members `first_admitted` has examined so far (telemetry).
     entries: Cell<u64>,
+    /// Every waiting job's slot by id, for the [`find`](Self::find)s the
+    /// head does not answer: built from the live slots at the first of
+    /// them, kept by arrivals, removals and compaction from then on — so
+    /// FCFS, whose every find is the head, carries none. Never iterated,
+    /// so its order reaches no schedule; the default hasher is seeded per
+    /// map, since the daemon's tenants choose their ids.
+    slot_of: OnceCell<HashMap<JobId, u32>>,
     /// Slots [`arrive`](Self::arrive) has moved to make room so far
     /// (telemetry).
     shifts: u64,
@@ -196,6 +212,7 @@ impl WaitQueue {
             probes: Cell::new(0),
             arrival: OnceCell::new(),
             entries: Cell::new(0),
+            slot_of: OnceCell::new(),
             shifts: 0,
             moves: 0,
         }
@@ -234,9 +251,29 @@ impl WaitQueue {
     }
 
     /// The slot of the waiting job with this id, `None` if no job with it
-    /// waits — one that has started finds its tombstone, not a match.
+    /// waits — a started job's tombstone is not a match. The head is
+    /// checked first; any other id is looked up in the id → slot index.
     pub(crate) fn find(&self, id: JobId) -> Option<usize> {
-        self.jobs.find(self.head, id)
+        let specs = self.jobs.specs();
+        if specs.get(self.head).is_some_and(|job| job.id == id) {
+            return Some(self.head);
+        }
+        let slot_of = self.slot_of.get_or_init(|| {
+            let mut slot_of = HashMap::with_capacity(self.live);
+            let live = (self.head..specs.len()).filter(|&slot| self.jobs.live()[slot]);
+            slot_of.extend(live.map(|slot| (specs[slot].id, slot_entry(slot))));
+            slot_of
+        });
+        slot_of.get(&id).map(|&slot| slot as usize)
+    }
+
+    /// Points the id → slot index, once built, at every live slot in `slots`.
+    fn reindex(&mut self, slots: Range<usize>) {
+        if let Some(slot_of) = self.slot_of.get_mut() {
+            for slot in slots.filter(|&slot| self.jobs.live()[slot]) {
+                slot_of.insert(self.jobs.specs()[slot].id, slot_entry(slot));
+            }
+        }
     }
 
     /// The job in a live `slot`, as [`find`](Self::find) returned it.
@@ -322,6 +359,7 @@ impl WaitQueue {
         }
         self.live += batch.len();
         if floor == end {
+            self.reindex(end..self.jobs.len());
             return;
         }
         // The slots `floor..end` are still to be merged; the slots behind
@@ -338,6 +376,8 @@ impl WaitQueue {
             }
             self.jobs.set(at + ahead, job.clone());
             self.ranks[at + ahead] = *rank;
+            // The arrival and the slots it moved, not the stale ones ahead.
+            self.reindex(at + ahead..end + ahead + 1);
             self.shifts += (end - at) as u64;
             end = at;
         }
@@ -349,7 +389,7 @@ impl WaitQueue {
     /// slots outnumber live ones — and exceed 32 — one pass drops them
     /// all, so the slots never exceed twice the waiting jobs plus 32 and
     /// each start pays for at most one later move. A queue that drains is
-    /// cleared outright.
+    /// cleared outright (its id index, once built, is empty then and kept).
     ///
     /// # Panics
     /// Panics if no job waits in `slot`.
@@ -371,6 +411,9 @@ impl WaitQueue {
             let class = demand_class(&self.topology, job);
             let place = (self.ranks[slot], job.submit, job.id);
             leave(arrival, class, &(place, job.walltime));
+        }
+        if let Some(slot_of) = self.slot_of.get_mut() {
+            slot_of.remove(&job.id);
         }
         if !self.topology.is_flat() {
             let key = self.index_key(job);
@@ -401,8 +444,11 @@ impl WaitQueue {
             let mut live = self.jobs.live().iter();
             self.ranks
                 .retain(|_| *live.next().expect("one rank per slot"));
-            self.moves += self.jobs.retain_live();
+            let moved = self.jobs.retain_live();
+            self.moves += moved;
             self.head = 0;
+            // The jobs behind the first dead slot moved: now the last ones.
+            self.reindex(self.jobs.len() - moved as usize..self.jobs.len());
         }
     }
 
@@ -584,6 +630,11 @@ impl WaitQueue {
     /// Telemetry: the same two numbers of the arrival order.
     pub(crate) fn arrival_counters(&self) -> (u64, u64) {
         (u64::from(self.arrival.get().is_some()), self.entries.get())
+    }
+
+    /// Telemetry: id → slot index builds, 0 or 1.
+    pub(crate) fn slot_index_builds(&self) -> u64 {
+        u64::from(self.slot_of.get().is_some())
     }
 
     /// Telemetry: slots moved to make room for arrivals.
@@ -1199,6 +1250,81 @@ mod tests {
                     prop_assert_eq!(q.find(id), None);
                 }
                 prop_assert!(q.jobs.len() <= 2 * q.len() + 33);
+            }
+        }
+
+        /// `find` against the scan the id index replaced — the first live
+        /// slot at or after the head holding the id — for every id ever
+        /// delivered and one never delivered: ranked batches merged among
+        /// what waits, starts of random waiting jobs, runs of starts at or
+        /// behind the head that force compactions or drain the queue, and
+        /// finds of random ids, the first of which that misses the head
+        /// builds the index wherever the ops put it. A find of the head never builds it;
+        /// once built, it holds exactly the waiting jobs — none after a
+        /// drain, which keeps it — and a started job's id is never found.
+        #[test]
+        fn find_is_the_first_live_slot_holding_the_id(
+            classed in 0u8..2,
+            ops in prop::collection::vec((0u8..4, 0u32..1000, 0u64..1000, 0u64..50), 1..120),
+        ) {
+            let classed = classed == 1;
+            let mut q = WaitQueue::new(cluster_at(classed, 0, 0, 0).config().topology);
+            let mut started: Vec<JobId> = Vec::new();
+            let mut next_id = 0u32;
+            let linear = |q: &WaitQueue, id: JobId| {
+                let slots = q.jobs.specs().iter().zip(q.jobs.live()).enumerate();
+                let mut slots = slots.skip(q.head);
+                slots.find(|(_, (job, &live))| live && job.id == id).map(|(slot, _)| slot)
+            };
+            for (kind, a, b, c) in ops {
+                match kind {
+                    0 => {
+                        let len = a % 16;
+                        let mut batch: Vec<(JobSpec, u64)> = (0..len)
+                            .map(|i| {
+                                let job = arbitrary_job(classed, next_id + i, a ^ i, b, c + u64::from(i % 5));
+                                (job, (b + u64::from(i)) % 3)
+                            })
+                            .collect();
+                        next_id += len;
+                        q.arrive(&mut batch);
+                    }
+                    1 if !q.is_empty() => {
+                        let nth = a as usize % q.len();
+                        started.push(remove_nth(&mut q, nth).id);
+                    }
+                    // Enough starts to compact or drain: of the head, or
+                    // (odd `c`) of jobs behind a head that stays, so the
+                    // jobs compaction moves need not start at the head.
+                    2 => {
+                        let behind = usize::from(c % 2 == 1);
+                        let starts = (q.len() / 2 + 1).max(33).min(q.len().saturating_sub(behind));
+                        for i in 0..starts {
+                            let nth = behind * (1 + (a as usize + i) % (q.len() - 1).max(1));
+                            started.push(remove_nth(&mut q, nth).id);
+                        }
+                    }
+                    _ => {
+                        let id = JobId(a % (next_id + 1));
+                        prop_assert_eq!(q.find(id), linear(&q, id));
+                    }
+                }
+                if let Some(head) = q.waiting().first() {
+                    let built = q.slot_index_builds();
+                    prop_assert_eq!(q.find(head.id), Some(q.head));
+                    prop_assert!(q.slot_index_builds() == built, "the head needs no index");
+                }
+                let Some(slot_of) = q.slot_of.get() else {
+                    continue;
+                };
+                prop_assert_eq!(slot_of.len(), q.len());
+                for id in (0..=next_id).map(JobId) {
+                    let (found, expect) = (q.find(id), linear(&q, id));
+                    prop_assert!(found == expect, "{id:?}: {found:?}, not {expect:?}");
+                }
+                for &id in &started {
+                    prop_assert_eq!(q.find(id), None);
+                }
             }
         }
     }

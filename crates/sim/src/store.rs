@@ -8,32 +8,31 @@
 //! *and* mirrors the scan-hot fields into dense parallel columns, so the
 //! flat-cluster fit scan — exactly `nodes ≤ free_nodes && memory_gb ≤
 //! free_memory_gb`, see `FirstFitAllocator::can_fit` — reads ~8× fewer
-//! cache lines and vectorizes, and [`find`](JobStore::find) reads 4 bytes
-//! of id per slot instead of a spec.
+//! cache lines and vectorizes.
 //!
 //! A slot is **live** or **dead**. [`kill`](JobStore::kill) turns a live
-//! slot into a tombstone in O(1): the spec and id stay where they were, so
-//! the slots keep their order and a lookup of a started id still lands on
-//! it, while the demand columns read `u32::MAX` / `u64::MAX` there, so no
-//! fit scan fits it (only a machine whose free levels are both at those
-//! maxima would — and that one fits every live job too) and no minimum
-//! reads it. `retain_live` drops every tombstone
+//! slot into a tombstone in O(1): the spec stays where it was, so the
+//! slots keep their order, while the demand columns read `u32::MAX` /
+//! `u64::MAX` there, so no fit scan fits it (only a machine whose free
+//! levels are both at those maxima would — and that one fits every live
+//! job too) and no minimum reads it. `retain_live` drops every tombstone
 //! in one pass. A live slot's columns mirror its spec exactly, so scans
 //! over them are bit-identical to scans over the specs.
 //!
 //! The store is position-indexed and order-preserving: it is the backing
 //! storage of the simulator's wait queue, which layers its head cursor,
-//! rank column, and sorted-merge logic on top. Room for arrivals is made
-//! by `shift_right`, one run of slots at a time,
-//! and filled by [`set`](JobStore::set). [`insert`](JobStore::insert)
-//! (their one-job case) and [`remove`](JobStore::remove) (a hole closed by
-//! shifting the tail) are what the benchmark package's store probe times;
-//! the queue calls neither.
+//! rank column, id → slot index and sorted-merge logic on top; the store
+//! itself has no lookup by id. Room for arrivals is made by
+//! `shift_right`, one run of slots at a time, and filled by
+//! [`set`](JobStore::set). [`insert`](JobStore::insert) (their one-job
+//! case) and [`remove`](JobStore::remove) (a hole closed by shifting the
+//! tail) are what the benchmark package's store probe times; the queue
+//! calls neither.
 
-use rsched_cluster::{JobId, JobSpec};
+use rsched_cluster::JobSpec;
 
 /// An order-preserving arena of [`JobSpec`]s with dense mirrors of the
-/// scan-hot columns (`nodes`, `memory_gb`, the id) and a liveness column.
+/// scan-hot columns (`nodes`, `memory_gb`) and a liveness column.
 ///
 /// All mutators keep the columns aligned with the specs; there is no way
 /// to update one without the others.
@@ -42,13 +41,8 @@ pub struct JobStore {
     specs: Vec<JobSpec>,
     nodes: Vec<u32>,
     memory_gb: Vec<u64>,
-    ids: Vec<u32>,
     live: Vec<bool>,
 }
-
-/// Ids compared per step of `JobStore::find`: a fixed-width block the
-/// compiler turns into a few vector compares and one reduction.
-const FIND_CHUNK: usize = 32;
 
 impl JobStore {
     /// An empty store.
@@ -62,7 +56,6 @@ impl JobStore {
             specs: Vec::with_capacity(n),
             nodes: Vec::with_capacity(n),
             memory_gb: Vec::with_capacity(n),
-            ids: Vec::with_capacity(n),
             live: Vec::with_capacity(n),
         }
     }
@@ -103,7 +96,6 @@ impl JobStore {
     pub fn push(&mut self, job: JobSpec) {
         self.nodes.push(job.nodes);
         self.memory_gb.push(job.memory_gb);
-        self.ids.push(job.id.0);
         self.live.push(true);
         self.specs.push(job);
     }
@@ -137,7 +129,6 @@ impl JobStore {
         }
         self.nodes.copy_within(from..to, from + by);
         self.memory_gb.copy_within(from..to, from + by);
-        self.ids.copy_within(from..to, from + by);
         self.live.copy_within(from..to, from + by);
     }
 
@@ -148,7 +139,6 @@ impl JobStore {
     pub fn set(&mut self, at: usize, job: JobSpec) {
         self.nodes[at] = job.nodes;
         self.memory_gb[at] = job.memory_gb;
-        self.ids[at] = job.id.0;
         self.live[at] = true;
         self.specs[at] = job;
     }
@@ -160,7 +150,6 @@ impl JobStore {
     pub fn remove(&mut self, at: usize) -> JobSpec {
         self.nodes.remove(at);
         self.memory_gb.remove(at);
-        self.ids.remove(at);
         self.live.remove(at);
         self.specs.remove(at)
     }
@@ -173,28 +162,6 @@ impl JobStore {
         self.live[at] = false;
         self.nodes[at] = u32::MAX;
         self.memory_gb[at] = u64::MAX;
-    }
-
-    /// The first live slot at or after `from` holding `id`, if any. The id
-    /// column is compared in fixed blocks of 32 slots; only a block with a
-    /// match is looked at slot by slot.
-    ///
-    /// # Panics
-    /// Panics if `from > len()`.
-    pub fn find(&self, from: usize, id: JobId) -> Option<usize> {
-        let id = id.0;
-        let live_match = |at: usize| self.ids[at] == id && self.live[at];
-        let blocks = self.ids[from..].chunks_exact(FIND_CHUNK);
-        let tail = from + blocks.len() * FIND_CHUNK;
-        for (block, ids) in blocks.enumerate() {
-            if ids.iter().fold(false, |hit, &x| hit | (x == id)) {
-                let start = from + block * FIND_CHUNK;
-                if let Some(at) = (start..start + FIND_CHUNK).find(|&at| live_match(at)) {
-                    return Some(at);
-                }
-            }
-        }
-        (tail..self.len()).find(|&at| live_match(at))
     }
 
     /// Drop every dead slot from every column in one order-preserving pass,
@@ -215,8 +182,6 @@ impl JobStore {
         let mut keep = self.live.iter().copied();
         self.memory_gb
             .retain(|_| keep.next().expect("aligned columns"));
-        let mut keep = self.live.iter().copied();
-        self.ids.retain(|_| keep.next().expect("aligned columns"));
         self.live.retain(|&live| live);
         moved as u64
     }
@@ -226,7 +191,6 @@ impl JobStore {
         self.specs.clear();
         self.nodes.clear();
         self.memory_gb.clear();
-        self.ids.clear();
         self.live.clear();
     }
 }
@@ -251,14 +215,12 @@ pub(crate) mod tests {
     }
 
     /// Columns must mirror the specs after any mutation sequence: exactly
-    /// at a live slot; the id, and the maxima for the demands, at a dead one.
+    /// at a live slot; the maxima for the demands at a dead one.
     pub(crate) fn assert_aligned(store: &JobStore) {
         assert_eq!(store.nodes().len(), store.len());
         assert_eq!(store.memory_gb().len(), store.len());
-        assert_eq!(store.ids.len(), store.len());
         assert_eq!(store.live().len(), store.len());
         for (i, job) in store.specs().iter().enumerate() {
-            assert_eq!(store.ids[i], job.id.0, "id column at {i}");
             let (nodes, memory_gb) = if store.live()[i] {
                 (job.nodes, job.memory_gb)
             } else {
@@ -303,25 +265,6 @@ pub(crate) mod tests {
         let store: JobStore = (0..5u32).map(|i| spec(i, 2, 8)).collect();
         assert_eq!(store.len(), 5);
         assert_eq!(store.nodes(), &[2, 2, 2, 2, 2]);
-    }
-
-    /// Every id, live or dead, at either side of a block edge and in the
-    /// tail the blocks leave: a live slot is found, a dead one is not, and
-    /// a search from past a slot does not see it.
-    #[test]
-    fn find_sees_live_slots_only() {
-        let mut store: JobStore = (0..100u32).map(|i| spec(i * 3, 1, 1)).collect();
-        for at in [0, 31, 32, 63, 64, 95, 99] {
-            store.kill(at);
-        }
-        for at in 0..100 {
-            let id = JobId(at as u32 * 3);
-            let found = store.find(0, id);
-            assert_eq!(found, store.live()[at].then_some(at), "slot {at}");
-            assert_eq!(store.find(at + 1, id), None, "slot {at} from past it");
-        }
-        assert_eq!(store.find(0, JobId(1)), None, "never stored");
-        assert_eq!(store.find(100, JobId(3)), None, "an empty range");
     }
 
     #[test]

@@ -381,8 +381,8 @@ impl<'a> SystemView<'a> {
     }
 
     /// The waiting job with the given id. Kernel-built views ask the wait
-    /// queue, which finds it in its dense id column; hand-built views walk
-    /// `waiting`, the definition both agree on.
+    /// queue, which checks its head and then its id → slot index;
+    /// hand-built views walk `waiting`, the definition both agree on.
     pub fn waiting_job(&self, id: JobId) -> Option<&'a JobSpec> {
         let Some(queue) = self.queue else {
             return self.waiting.iter().find(|j| j.id == id);
@@ -622,7 +622,7 @@ mod tests {
         }
     }
 
-    /// A kernel-built view finds a job through the queue's id column, a
+    /// A kernel-built view finds a job through the queue's id index, a
     /// hand-built one by walking `waiting`: they agree on a waiting id, on
     /// a started one whose tombstone still holds its id mid-queue, and on
     /// an id the queue never saw.

@@ -561,10 +561,10 @@ impl SchedulingPolicy for RandomThen {
 /// `gpu_skewed_hetmix` on `mixed_256` — under the policies that start jobs
 /// from the middle of the queue, alone and after 40 random starts: the
 /// queue holds hundreds of tombstones between compactions, the kernel finds
-/// every start through the id column, and SJF's and EASY's class maps are
-/// built from the waiting jobs only. The incremental kernel and the
-/// straight-line reference, which closes each hole with `retain`, produce
-/// bit-identical outcomes.
+/// every start off the head through the id → slot index, and SJF's and
+/// EASY's class maps are built from the waiting jobs only. The incremental
+/// kernel and the straight-line reference, which closes each hole with
+/// `retain`, produce bit-identical outcomes.
 #[test]
 fn incremental_kernel_matches_reference_on_deep_static_backlogs() {
     let registry = PolicyRegistry::with_builtins();

@@ -143,5 +143,8 @@ fn a_ticks_admissions_move_each_waiting_job_at_most_once() {
     let one_by_one = arrival_shifts(&mut single, &single_sink);
     assert!(merged <= live && live <= 3_900_000, "{merged} of {live}");
     assert_eq!(merged, 119_202);
+    // FCFS starts the head, which `find` answers without the id index.
+    let builds = counter(&batched_sink, "sim_queue_slot_index_builds_total");
+    assert_eq!(builds, 0);
     assert_eq!(one_by_one, 118_988_835);
 }

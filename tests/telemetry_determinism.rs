@@ -192,7 +192,9 @@ fn long_tail_run(
 /// builds it once, and a query examines at most one demand class waiting
 /// (plus the one that ends a walk early) however deep the queue — exact
 /// counts on the seed-7 `long_tail` cells of 2000 and 8000 jobs; a policy
-/// that never asks "which job fits?" never builds it.
+/// that never asks "which job fits?" never builds it. The queue's id → slot
+/// index likewise: SJF's first pick off the head builds it once, and FCFS,
+/// whose every start is the head, never does.
 #[test]
 fn queue_order_is_built_once_for_sjf_and_never_for_fcfs() {
     let order_counters = |policy: &mut dyn SchedulingPolicy, n: usize| {
@@ -202,21 +204,26 @@ fn queue_order_is_built_once_for_sjf_and_never_for_fcfs() {
         (
             counter(&snapshot, "sim_queue_index_builds_total"),
             counter(&snapshot, "sim_queue_index_probes_total"),
+            counter(&snapshot, "sim_queue_slot_index_builds_total"),
             outcome.stats.queries as u64,
             classes.len() as u64,
         )
     };
-    let (builds, probes, queries, classes) = order_counters(&mut Sjf::default(), 2000);
+    let (builds, probes, id_builds, queries, classes) = order_counters(&mut Sjf::default(), 2000);
     assert_eq!(builds, 1, "built at the first ask, maintained from then on");
     assert!(
         (1..=queries * (classes + 1)).contains(&probes),
         "{probes} probes over {queries} queries and {classes} demand classes"
     );
     assert_eq!(probes, 14_786);
-    let (builds, probes, ..) = order_counters(&mut Sjf::default(), 8000);
-    assert_eq!((builds, probes), (1, 61_076));
-    let (builds, probes, ..) = order_counters(&mut Fcfs::default(), 2000);
+    assert_eq!(id_builds, 1, "built at the first find off the head");
+    let (builds, probes, id_builds, ..) = order_counters(&mut Sjf::default(), 8000);
+    assert_eq!((builds, probes, id_builds), (1, 61_076, 1));
+    let (builds, probes, id_builds, ..) = order_counters(&mut Fcfs::default(), 2000);
     assert_eq!((builds, probes), (0, 0), "FCFS never asks, so never pays");
+    assert_eq!(id_builds, 0, "every FCFS start is the head");
+    let (.., id_builds, _, _) = order_counters(&mut Fcfs::default(), 8000);
+    assert_eq!(id_builds, 0);
 }
 
 /// The slot table's indices, as work rather than seconds: each is built
