@@ -300,7 +300,7 @@ impl SchedulingPolicy for ConservativeBackfill {
 mod tests {
     use super::*;
     use rsched_cluster::{ClusterConfig, JobId, JobSpec};
-    use rsched_sim::{run_simulation, SimOptions, SimOutcome};
+    use rsched_sim::{run_simulation, SimOptions, SimOutcome, Simulation};
     use rsched_simkit::{SimDuration, SimTime};
 
     fn spec(id: u32, submit_s: u64, dur_s: u64, nodes: u32) -> JobSpec {
@@ -315,15 +315,15 @@ mod tests {
     }
 
     /// Note: `strict_backfill` stays OFF — the reservation list itself must
-    /// keep every pick safe.
+    /// keep every pick safe. The decision log is kept.
     fn run_with(jobs: &[JobSpec], mut policy: ConservativeBackfill) -> SimOutcome {
-        run_simulation(
-            ClusterConfig::new(8, 64),
-            jobs,
-            &mut policy,
-            &SimOptions::default(),
-        )
-        .expect("completes")
+        let out = Simulation::new(ClusterConfig::new(8, 64))
+            .jobs(jobs)
+            .record_decisions()
+            .run(&mut policy)
+            .expect("completes");
+        assert_eq!(out.decisions.len(), out.stats.queries);
+        out
     }
 
     fn start(out: &SimOutcome, id: u32) -> SimTime {

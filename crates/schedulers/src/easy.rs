@@ -111,7 +111,7 @@ impl SchedulingPolicy for EasyBackfill {
 mod tests {
     use super::*;
     use rsched_cluster::{ClusterConfig, JobId, JobSpec};
-    use rsched_sim::{run_simulation, SimOptions};
+    use rsched_sim::{run_simulation, SimOptions, Simulation};
     use rsched_simkit::{SimDuration, SimTime};
 
     fn spec(id: u32, submit_s: u64, dur_s: u64, nodes: u32) -> JobSpec {
@@ -130,15 +130,15 @@ mod tests {
     }
 
     /// Default options: the kernel checks fit only, the reservation is the
-    /// policy's.
+    /// policy's. The decision log is kept.
     fn run_with(jobs: &[JobSpec], mut policy: EasyBackfill) -> rsched_sim::SimOutcome {
-        run_simulation(
-            ClusterConfig::new(8, 64),
-            jobs,
-            &mut policy,
-            &SimOptions::default(),
-        )
-        .expect("completes")
+        let out = Simulation::new(ClusterConfig::new(8, 64))
+            .jobs(jobs)
+            .record_decisions()
+            .run(&mut policy)
+            .expect("completes");
+        assert_eq!(out.decisions.len(), out.stats.queries);
+        out
     }
 
     fn start(out: &rsched_sim::SimOutcome, id: u32) -> SimTime {

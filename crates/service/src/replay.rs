@@ -120,8 +120,12 @@ mod tests {
             job(4, 120, 5, 1, 4),
         ];
         let options = SimOptions::default();
-        let sim =
-            rsched_sim::run_simulation(config, &jobs, &mut Fcfs::default(), &options).unwrap();
+        let sim = rsched_sim::Simulation::new(config)
+            .jobs(&jobs)
+            .options(options)
+            .record_decisions()
+            .run(&mut Fcfs::default())
+            .unwrap();
         let svc = replay(
             config,
             &jobs,
@@ -131,6 +135,7 @@ mod tests {
             &TelemetrySink::disabled(),
         )
         .unwrap();
+        assert_eq!(sim.decisions.len(), sim.stats.queries);
         assert_eq!(sim.decisions, svc.decisions);
         assert_eq!(sim.stats, svc.stats);
         assert_eq!(sim.records, svc.records);

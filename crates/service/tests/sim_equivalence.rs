@@ -13,7 +13,7 @@ use rsched_cpsolver::SolverConfig;
 use rsched_registry::{names, PolicyContext, PolicyRegistry};
 use rsched_service::replay;
 use rsched_service::{CountingServiceObserver, ServiceObserver};
-use rsched_sim::{run_simulation, SimOptions, SimOutcome, TelemetrySink};
+use rsched_sim::{SimOptions, SimOutcome, Simulation, TelemetrySink};
 use rsched_workloads::{scenario_builtins, ArrivalMode, ScenarioContext};
 
 /// Keep the OR-Tools planner quick: these grids run it dozens of times.
@@ -27,6 +27,11 @@ fn quick_solver() -> SolverConfig {
 
 fn assert_outcomes_identical(a: &SimOutcome, b: &SimOutcome, label: &str) {
     assert_eq!(a.policy_name, b.policy_name, "{label}: policy name");
+    assert_eq!(
+        a.decisions.len(),
+        a.stats.queries,
+        "{label}: logged queries"
+    );
     assert_eq!(a.decisions, b.decisions, "{label}: decision log");
     assert_eq!(a.records, b.records, "{label}: job records");
     assert_eq!(a.stats, b.stats, "{label}: stats");
@@ -59,7 +64,11 @@ fn service_replay_matches_virtual_time_simulation() {
                 let options = SimOptions::default();
                 let mut sim_policy = registry.build(name, &ctx).expect("builtin");
                 let svc_policy = registry.build(name, &ctx).expect("builtin");
-                let sim = run_simulation(cluster, &jobs, sim_policy.as_mut(), &options)
+                let sim = Simulation::new(cluster)
+                    .jobs(&jobs)
+                    .options(options)
+                    .record_decisions()
+                    .run(sim_policy.as_mut())
                     .unwrap_or_else(|e| panic!("{label} (simulator): {e}"));
                 let off = TelemetrySink::disabled();
                 let svc = replay(cluster, &jobs, svc_policy, &options, &mut [], &off)
@@ -105,6 +114,11 @@ fn replay_streams_observers_consistently() {
         counter.completions,
         out.records.len(),
         "completions streamed"
+    );
+    assert_eq!(
+        out.decisions.len(),
+        out.stats.queries,
+        "a replay keeps its log"
     );
     assert_eq!(counter.decisions, out.decisions.len(), "decisions streamed");
     assert!(counter.ticks > 0, "ticks observed");

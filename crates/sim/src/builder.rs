@@ -21,6 +21,7 @@
 //! let jobs = vec![JobSpec::new(1, 0, SimTime::ZERO, SimDuration::from_secs(60), 2, 8)];
 //! let outcome = Simulation::new(ClusterConfig::new(8, 64))
 //!     .jobs(&jobs)
+//!     .record_decisions()
 //!     .run(&mut Greedy)
 //!     .expect("completes");
 //! assert_eq!(outcome.records.len(), 1);
@@ -33,8 +34,8 @@ use crate::outcome::SimOutcome;
 use crate::policy::SchedulingPolicy;
 use crate::simulator::{SimError, SimOptions};
 
-/// Builder for one simulation run: cluster, workload, knobs, and an
-/// optional telemetry sink.
+/// Builder for one simulation run: cluster, workload, knobs, an optional
+/// telemetry sink, and whether to keep the decision log.
 ///
 /// [`run_simulation`](crate::run_simulation) remains as a thin wrapper for
 /// callers that need none of the builder's extras.
@@ -45,6 +46,7 @@ pub struct Simulation<'a> {
     /// the defaults with the query budget sized to the workload.
     options: Option<SimOptions>,
     telemetry: rsched_telemetry::TelemetrySink,
+    record_decisions: bool,
 }
 
 impl<'a> Simulation<'a> {
@@ -55,6 +57,7 @@ impl<'a> Simulation<'a> {
             jobs: &[],
             options: None,
             telemetry: rsched_telemetry::TelemetrySink::disabled(),
+            record_decisions: false,
         }
     }
 
@@ -84,6 +87,15 @@ impl<'a> Simulation<'a> {
         self
     }
 
+    /// Keep the decision log: one [`DecisionRecord`](crate::DecisionRecord)
+    /// per policy query in [`SimOutcome::decisions`]. A run that does not
+    /// ask leaves that log empty and unallocated; its records, counters,
+    /// epochs and end time are the same either way.
+    pub fn record_decisions(mut self) -> Self {
+        self.record_decisions = true;
+        self
+    }
+
     /// Drive `policy` over the configured workload until every job
     /// completes (or the run fails).
     pub fn run(self, policy: &mut dyn SchedulingPolicy) -> Result<SimOutcome, SimError> {
@@ -97,6 +109,7 @@ impl<'a> Simulation<'a> {
             policy,
             &options,
             self.telemetry,
+            self.record_decisions,
         )
     }
 }
@@ -159,8 +172,9 @@ mod tests {
         let b = crate::run_simulation(config, &jobs, &mut Greedy, &SimOptions::default())
             .expect("wrapper run completes");
         assert_eq!(a.records, b.records);
-        assert_eq!(a.decisions, b.decisions);
         assert_eq!(a.stats, b.stats);
+        assert_eq!(a.epochs, b.epochs);
+        assert!(a.decisions.is_empty() && b.decisions.is_empty());
     }
 
     #[test]
@@ -193,6 +207,7 @@ mod tests {
         let jobs = jobs();
         let outcome = Simulation::new(ClusterConfig::new(8, 64))
             .jobs(&jobs)
+            .record_decisions()
             .run(&mut Greedy)
             .expect("completes");
         assert_eq!(outcome.decisions.len(), outcome.stats.queries);

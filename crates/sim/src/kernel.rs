@@ -56,8 +56,8 @@ use crate::view::{SystemView, Waiting};
 /// 2. [`advance_to(now)`](Self::advance_to): every completion due by `now`
 ///    is retired at its own end time;
 /// 3. [`run_epoch`](Self::run_epoch), which consults the policy if the
-///    query discipline says to, and appends to
-///    [`decisions`](Self::decisions) and [`epochs`](Self::epochs).
+///    query discipline says to, and appends to [`epochs`](Self::epochs)
+///    and, when the kernel keeps one, to [`decisions`](Self::decisions).
 ///
 /// Determinism: given the same (time, arrivals) sequence and a
 /// deterministic policy, every field of the kernel evolves identically
@@ -72,6 +72,9 @@ pub struct KernelState {
     /// The strict-backfill veto's actual-end calendar, rebuilt per veto
     /// into the same buffer.
     calendar: CapacityCalendar,
+    /// Whether [`run_epoch`](Self::run_epoch) logs a [`DecisionRecord`]
+    /// per query into `decisions`; when not, `decisions` stays unallocated.
+    record_decisions: bool,
     decisions: Vec<DecisionRecord>,
     stats: SimStats,
     stopped: bool,
@@ -82,13 +85,16 @@ pub struct KernelState {
 }
 
 impl KernelState {
-    /// A fresh kernel on an empty cluster.
+    /// A fresh kernel on an empty cluster. It keeps the decision log: a
+    /// live driver (the service daemon) reads each tick's new
+    /// [`decisions`](Self::decisions) and then clears them.
     pub fn new(config: ClusterConfig) -> Self {
         KernelState {
             cluster: ClusterState::new(config),
             events: EventQueue::new(),
             queue: WaitQueue::new(config.topology),
             calendar: CapacityCalendar::default(),
+            record_decisions: true,
             decisions: Vec::new(),
             stats: SimStats::default(),
             stopped: false,
@@ -98,16 +104,25 @@ impl KernelState {
         }
     }
 
-    /// Same, pre-sized for a workload known to hold `jobs` jobs: the
-    /// completed-record, decision and epoch logs each reserve one entry
-    /// per job — every job leaves a record and takes at least one query,
-    /// so none of that is slack, and a log that grows past it has a few
-    /// doublings left to do instead of all of them. The event heap is left
-    /// to grow: it holds one completion per *running* job.
-    pub(crate) fn with_event_capacity(config: ClusterConfig, jobs: usize) -> Self {
+    /// A kernel for a workload known to hold `jobs` jobs, which logs its
+    /// decisions only if `record_decisions` is set. The completed-record
+    /// and epoch logs each reserve one entry per job, and so does the
+    /// decision log when it is kept (every job leaves a record and takes
+    /// at least one query, so none of that is slack, and a log that grows
+    /// past it has a few doublings left to do instead of all of them); a
+    /// decision log that is not kept reserves nothing. The event heap is
+    /// left to grow: it holds one completion per *running* job.
+    pub(crate) fn with_event_capacity(
+        config: ClusterConfig,
+        jobs: usize,
+        record_decisions: bool,
+    ) -> Self {
         let mut kernel = KernelState::new(config);
+        kernel.record_decisions = record_decisions;
         kernel.cluster.reserve_completed(jobs);
-        kernel.decisions.reserve(jobs);
+        if record_decisions {
+            kernel.decisions.reserve(jobs);
+        }
         kernel.epochs.reserve(jobs);
         kernel
     }
@@ -192,9 +207,9 @@ impl KernelState {
 
     /// The decision epoch at time `now`, if the query discipline (above)
     /// calls for one: query the policy, validate and apply each action,
-    /// log a [`DecisionRecord`] per query, until the epoch closes with a
-    /// `Delay`, `Stop`, or saturation. Returns whether the policy was
-    /// consulted.
+    /// log a [`DecisionRecord`] per query if the kernel keeps the log,
+    /// until the epoch closes with a `Delay`, `Stop`, or saturation.
+    /// Returns whether the policy was consulted.
     ///
     /// `pending_arrivals` is the driver's count of jobs known to be still
     /// on their way (unsent workload jobs for the simulator; a nonzero
@@ -238,21 +253,23 @@ impl KernelState {
 
             let verdict = self.validate_and_apply(now, pending_arrivals, options, action);
             // One clone of the rejection reason, shared by the outcome
-            // (moved into the record below).
+            // (moved into the record below, if one is kept).
             let outcome = ActionOutcome {
                 time: now,
                 action,
                 rejected: verdict.as_ref().err().cloned(),
             };
             policy.observe(&outcome);
-            self.decisions.push(DecisionRecord {
-                time: now,
-                action,
-                rejected: outcome.rejected,
-                queue_len: self.queue.len(),
-                free_nodes: self.cluster.free_nodes(),
-                free_memory_gb: self.cluster.free_memory_gb(),
-            });
+            if self.record_decisions {
+                self.decisions.push(DecisionRecord {
+                    time: now,
+                    action,
+                    rejected: outcome.rejected,
+                    queue_len: self.queue.len(),
+                    free_nodes: self.cluster.free_nodes(),
+                    free_memory_gb: self.cluster.free_memory_gb(),
+                });
+            }
 
             match verdict {
                 Ok(Applied::Placement) => {
@@ -502,7 +519,8 @@ impl KernelState {
         &self.stats
     }
 
-    /// The full decision log so far.
+    /// The decision log so far: one record per query, or empty for a
+    /// kernel that does not keep it.
     pub fn decisions(&self) -> &[DecisionRecord] {
         &self.decisions
     }

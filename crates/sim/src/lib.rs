@@ -24,8 +24,10 @@
 //!
 //! The public entry point is the [`Simulation`] builder; [`run_simulation`]
 //! is a thin compatibility wrapper over it. A run is written down once, in
-//! the [`SimOutcome`] it returns (`decisions`, `epochs`, `stats`); timing
-//! and counters go to an attached [`TelemetrySink`].
+//! the [`SimOutcome`] it returns (`records`, `epochs`, `stats`, and the
+//! per-query `decisions` when the run asks for them with
+//! [`Simulation::record_decisions`]); timing and counters go to an
+//! attached [`TelemetrySink`].
 //!
 //! The kernel is zero-copy: policies receive a lifetime-parameterized
 //! [`SystemView`] that *borrows* the simulator's incrementally-maintained

@@ -57,7 +57,10 @@ pub struct SimOutcome {
     pub policy_name: String,
     /// Completed job records — the input to every §3.2 metric.
     pub records: Vec<JobRecord>,
-    /// The full decision log.
+    /// The decision log, one record per policy query — kept only when the
+    /// run asks for it
+    /// ([`Simulation::record_decisions`](crate::Simulation::record_decisions));
+    /// otherwise empty and unallocated. A service replay always keeps it.
     pub decisions: Vec<DecisionRecord>,
     /// Aggregate counters.
     pub stats: SimStats,
@@ -72,7 +75,8 @@ pub struct SimOutcome {
 }
 
 impl SimOutcome {
-    /// Records of accepted placement decisions, in decision order.
+    /// Records of accepted placement decisions, in decision order (none
+    /// when the decision log was not kept).
     pub fn placements(&self) -> impl Iterator<Item = &DecisionRecord> {
         self.decisions
             .iter()

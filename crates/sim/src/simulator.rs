@@ -116,11 +116,13 @@ impl std::error::Error for SimError {}
 
 /// Run `policy` over `jobs` on a cluster of the given configuration.
 ///
-/// Returns the completed schedule, the full decision log and aggregate
-/// counters. The run is deterministic given a deterministic policy.
+/// Returns the completed schedule, the epoch log and aggregate counters;
+/// the decision log is left empty. The run is deterministic given a
+/// deterministic policy.
 ///
 /// This is a compatibility wrapper over the [`Simulation`](crate::Simulation)
-/// builder, which additionally takes a telemetry sink.
+/// builder, which additionally takes a telemetry sink and can keep the
+/// decision log ([`Simulation::record_decisions`](crate::Simulation::record_decisions)).
 pub fn run_simulation(
     config: ClusterConfig,
     jobs: &[JobSpec],
@@ -136,13 +138,15 @@ pub fn run_simulation(
 /// The virtual-time event loop shared by [`run_simulation`] and the
 /// [`Simulation`](crate::Simulation) builder: a thin driver over
 /// [`KernelState`] that jumps the clock straight to the next event.
-/// `telemetry` is installed into the kernel.
+/// `telemetry` is installed into the kernel, which logs its decisions only
+/// if `record_decisions` is set.
 pub(crate) fn simulate_with_telemetry(
     config: ClusterConfig,
     jobs: &[JobSpec],
     policy: &mut dyn SchedulingPolicy,
     options: &SimOptions,
     telemetry: rsched_telemetry::TelemetrySink,
+    record_decisions: bool,
 ) -> Result<SimOutcome, SimError> {
     validate_workload(config, jobs)?;
 
@@ -163,7 +167,7 @@ pub(crate) fn simulate_with_telemetry(
     };
 
     let start_time = arrival(0).map_or(SimTime::ZERO, |j| j.submit);
-    let mut kernel = KernelState::with_event_capacity(config, jobs.len());
+    let mut kernel = KernelState::with_event_capacity(config, jobs.len(), record_decisions);
     kernel.set_telemetry(telemetry);
 
     // The cursor: `arrived` jobs of the submit order have been delivered.
@@ -289,6 +293,22 @@ mod tests {
 
     fn small_cluster() -> ClusterConfig {
         ClusterConfig::new(8, 64)
+    }
+
+    /// [`run_simulation`] with the decision log kept: one record per query.
+    fn run_logged(
+        config: ClusterConfig,
+        jobs: &[JobSpec],
+        policy: &mut dyn SchedulingPolicy,
+        options: &SimOptions,
+    ) -> Result<SimOutcome, SimError> {
+        let out = crate::Simulation::new(config)
+            .jobs(jobs)
+            .options(*options)
+            .record_decisions()
+            .run(policy)?;
+        assert_eq!(out.decisions.len(), out.stats.queries);
+        Ok(out)
     }
 
     #[test]
@@ -418,7 +438,7 @@ mod tests {
                 }
             }
         }
-        let out = run_simulation(
+        let out = run_logged(
             small_cluster(),
             &jobs,
             &mut OneBadThenGreedy(false),
@@ -460,7 +480,7 @@ mod tests {
             }
         }
         let jobs = vec![spec(1, 0, 10, 1, 1), spec(2, 0, 10, 1, 1)];
-        let out = run_simulation(
+        let out = run_logged(
             small_cluster(),
             &jobs,
             &mut EagerStopper {
@@ -539,7 +559,7 @@ mod tests {
                 }
             }
         }
-        let out = run_simulation(
+        let out = run_logged(
             small_cluster(),
             &jobs,
             &mut Scripted(0),
@@ -602,14 +622,14 @@ mod tests {
                 )
             })
             .collect();
-        let a = run_simulation(
+        let a = run_logged(
             small_cluster(),
             &jobs,
             &mut GreedyFirstFit,
             &SimOptions::default(),
         )
         .expect("runs");
-        let b = run_simulation(
+        let b = run_logged(
             small_cluster(),
             &jobs,
             &mut GreedyFirstFit,

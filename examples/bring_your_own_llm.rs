@@ -66,6 +66,7 @@ fn main() {
 
     let outcome = Simulation::new(cluster)
         .jobs(&workload.jobs)
+        .record_decisions()
         .run(policy.as_mut())
         .expect("completes");
 

@@ -30,6 +30,7 @@ fn main() {
     let mut agent = LlmSchedulingPolicy::claude37(3);
     let outcome: SimOutcome = Simulation::new(cluster)
         .jobs(&workload.jobs)
+        .record_decisions()
         .run(&mut agent)
         .expect("workload completes");
 

@@ -76,6 +76,18 @@ fn main() {
         "makespan {:.0} s, avg wait {:.0} s, node utilization {:.3}",
         report.makespan_secs, report.avg_wait_secs, report.node_utilization
     );
+    if let Some(peak) = peak_rss_mb() {
+        println!("peak RSS {peak:.1} MB");
+    }
 
     let _ = std::fs::remove_file(&path);
+}
+
+/// This process's peak resident set so far (`VmHWM` in
+/// `/proc/self/status`), in MB; `None` where there is no such file.
+fn peak_rss_mb() -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
+    let kb: f64 = line.split_whitespace().nth(1)?.parse().ok()?;
+    Some(kb / 1024.0)
 }

@@ -64,8 +64,10 @@
 //! let ctx = PolicyContext::new(&workload.jobs, cluster).with_seed(42);
 //! let mut agent = registry.build("Claude-3.7", &ctx).expect("builtin policy");
 //!
+//! // Keep the per-query decision log, which a run leaves empty unless asked.
 //! let outcome = Simulation::new(cluster)
 //!     .jobs(&workload.jobs)
+//!     .record_decisions()
 //!     .run(agent.as_mut())
 //!     .expect("workload completes");
 //! assert_eq!(outcome.decisions.len(), outcome.stats.queries);

@@ -36,7 +36,7 @@ use reasoned_scheduler::workloads::swf::SwfTrace;
 use reasoned_scheduler::workloads::{ArrivalMode, ScenarioContext};
 
 mod common;
-use common::serve_with_fair_share;
+use common::{run_logged, serve_with_fair_share};
 
 // ------------------------------------------------------------------------
 // Straight-line reference policies
@@ -319,6 +319,11 @@ impl SchedulingPolicy for RefConservative {
 fn assert_outcomes_identical(a: &SimOutcome, b: &SimOutcome, label: &str) {
     assert_eq!(a.policy_name, b.policy_name, "{label}: policy name");
     assert_eq!(a.records, b.records, "{label}: job records");
+    assert_eq!(
+        a.decisions.len(),
+        a.stats.queries,
+        "{label}: logged queries"
+    );
     assert_eq!(a.decisions, b.decisions, "{label}: decision log");
     assert_eq!(a.stats, b.stats, "{label}: stats");
     assert_eq!(a.end_time, b.end_time, "{label}: end time");
@@ -381,9 +386,9 @@ fn run_pair(cluster: ClusterConfig, jobs: &[JobSpec], label_prefix: &str) {
     let options = SimOptions::default();
     for (mut calendar, mut reference) in policy_pairs() {
         let label = format!("{label_prefix}/{}", calendar.name());
-        let a = run_simulation(cluster, jobs, calendar.as_mut(), &options)
+        let a = run_logged(cluster, jobs, calendar.as_mut(), &options)
             .unwrap_or_else(|e| panic!("{label} (calendar): {e}"));
-        let b = run_simulation(cluster, jobs, reference.as_mut(), &options)
+        let b = run_logged(cluster, jobs, reference.as_mut(), &options)
             .unwrap_or_else(|e| panic!("{label} (reference): {e}"));
         assert_outcomes_identical(&a, &b, &label);
         assert_delays_explained(&a, &label);
@@ -609,9 +614,9 @@ fn deep_polaris_stream_matches_reference_in_release() {
     // The first two pairs are the EASY ones.
     for (mut calendar, mut reference) in policy_pairs().into_iter().take(2) {
         let label = format!("polaris_synth:50000/{}", calendar.name());
-        let a = run_simulation(cluster, &jobs, calendar.as_mut(), &options)
+        let a = run_logged(cluster, &jobs, calendar.as_mut(), &options)
             .unwrap_or_else(|e| panic!("{label} (calendar): {e}"));
-        let b = run_simulation(cluster, &jobs, reference.as_mut(), &options)
+        let b = run_logged(cluster, &jobs, reference.as_mut(), &options)
             .unwrap_or_else(|e| panic!("{label} (reference): {e}"));
         assert_outcomes_identical(&a, &b, &label);
     }

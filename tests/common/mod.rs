@@ -1,8 +1,24 @@
 //! Shared by the differential harnesses: the one driver they do not get
-//! from the library.
+//! from the library, and a simulation that keeps its decision log for
+//! them to compare.
 
 use reasoned_scheduler::prelude::*;
 use reasoned_scheduler::service::FairShareConfig;
+use reasoned_scheduler::sim::SimError;
+
+/// [`run_simulation`] with the decision log kept.
+pub fn run_logged(
+    cluster: ClusterConfig,
+    jobs: &[JobSpec],
+    policy: &mut dyn SchedulingPolicy,
+    options: &SimOptions,
+) -> Result<SimOutcome, SimError> {
+    Simulation::new(cluster)
+        .jobs(jobs)
+        .options(*options)
+        .record_decisions()
+        .run(policy)
+}
 
 /// `jobs` through the service core with fair-share ranking on — arrivals
 /// reach the queue a tick's batch at a time, at their tenants' usage-decayed

@@ -24,7 +24,7 @@ use reasoned_scheduler::sim::{
 use reasoned_scheduler::simkit::{EventQueue, Rng, Xoshiro256PlusPlus};
 
 mod common;
-use common::serve_with_fair_share;
+use common::{run_logged, serve_with_fair_share};
 
 /// The reference's event alphabet: it keeps arrivals on the same FIFO
 /// queue as completions, every arrival pushed before any completion. That
@@ -384,6 +384,11 @@ fn quick_solver() -> SolverConfig {
 fn assert_outcomes_identical(a: &SimOutcome, b: &SimOutcome, label: &str) {
     assert_eq!(a.policy_name, b.policy_name, "{label}: policy name");
     assert_eq!(a.records, b.records, "{label}: records");
+    assert_eq!(
+        a.decisions.len(),
+        a.stats.queries,
+        "{label}: logged queries"
+    );
     assert_eq!(a.decisions, b.decisions, "{label}: decision log");
     assert_eq!(a.stats, b.stats, "{label}: stats");
     assert_eq!(a.end_time, b.end_time, "{label}: end time");
@@ -468,7 +473,7 @@ fn incremental_kernel_matches_straight_line_reference() {
                 let options = SimOptions::default();
                 let mut incremental = registry.build(name, &ctx).expect("builtin");
                 let mut reference = registry.build(name, &ctx).expect("builtin");
-                let a = run_simulation(cluster, &jobs, incremental.as_mut(), &options)
+                let a = run_logged(cluster, &jobs, incremental.as_mut(), &options)
                     .unwrap_or_else(|e| panic!("{label} (incremental): {e}"));
                 let b = reference_simulate(cluster, &jobs, reference.as_mut(), &options)
                     .unwrap_or_else(|e| panic!("{label} (reference): {e}"));
@@ -497,7 +502,7 @@ fn incremental_kernel_matches_straight_line_reference() {
                 )
                 .expect("builtin scenario")
                 .jobs;
-            let a = run_simulation(cluster, &jobs, &mut BackfillEverything::default(), &strict)
+            let a = run_logged(cluster, &jobs, &mut BackfillEverything::default(), &strict)
                 .unwrap_or_else(|e| panic!("{label} (incremental): {e}"));
             let b = reference_simulate(cluster, &jobs, &mut BackfillEverything::default(), &strict)
                 .unwrap_or_else(|e| panic!("{label} (reference): {e}"));
@@ -596,7 +601,7 @@ fn incremental_kernel_matches_reference_on_deep_static_backlogs() {
                 random: RandomPolicy::new(seed),
                 then: registry.build(name, &ctx).expect("builtin"),
             };
-            let a = run_simulation(cluster, &jobs, &mut build(), &options)
+            let a = run_logged(cluster, &jobs, &mut build(), &options)
                 .unwrap_or_else(|e| panic!("{label} (incremental): {e}"));
             let b = reference_simulate(cluster, &jobs, &mut build(), &options)
                 .unwrap_or_else(|e| panic!("{label} (reference): {e}"));
@@ -684,7 +689,7 @@ fn sjf_on_the_queue_order_matches_the_linear_minimum() {
             if served {
                 serve_with_fair_share(cluster, &jobs, policy)
             } else {
-                run_simulation(cluster, &jobs, policy.as_mut(), &SimOptions::default())
+                run_logged(cluster, &jobs, policy.as_mut(), &SimOptions::default())
                     .unwrap_or_else(|e| panic!("{label}: {e}"))
             }
         };
@@ -865,7 +870,7 @@ fn classed_zero_node_job_runs_whatever_its_memory() {
         100_000_000,
     )];
     let options = SimOptions::default();
-    let a = run_simulation(cluster, &jobs, &mut Fcfs::default(), &options)
+    let a = run_logged(cluster, &jobs, &mut Fcfs::default(), &options)
         .expect("the allocator places the job, so the kernel must offer it");
     let b = reference_simulate(cluster, &jobs, &mut Fcfs::default(), &options)
         .expect("reference places it");
@@ -982,7 +987,7 @@ fn arrival_cursor_delivers_what_one_event_queue_did() {
                         let outcome = if reference {
                             reference_simulate(cluster, jobs, policy.as_mut(), &options)
                         } else {
-                            run_simulation(cluster, jobs, policy.as_mut(), &options)
+                            run_logged(cluster, jobs, policy.as_mut(), &options)
                         };
                         outcome.unwrap_or_else(|e| panic!("{label}: {e}"))
                     };

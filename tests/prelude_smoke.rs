@@ -168,6 +168,7 @@ fn registry_and_builder_types_construct_and_run() {
     let outcome: SimOutcome = Simulation::new(cluster)
         .jobs(&workload.jobs)
         .options(SimOptions::default())
+        .record_decisions()
         .run(policy.as_mut())
         .expect("tiny workload completes");
     assert_eq!(outcome.records.len(), 3);

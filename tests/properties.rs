@@ -1344,13 +1344,18 @@ fn easy_by_registry_name_keeps_the_head_reservation() {
         for name in ["EASY", "EASY-SJBF"] {
             let run = |options: &SimOptions| {
                 let mut policy = registry.build(name, &ctx).expect("builtin");
-                run_simulation(cluster, &jobs, policy.as_mut(), options)
+                Simulation::new(cluster)
+                    .jobs(&jobs)
+                    .options(*options)
+                    .record_decisions()
+                    .run(policy.as_mut())
                     .unwrap_or_else(|e| panic!("{name} on {scenario}: {e}"))
             };
             let (by_name, vetoed) = (run(&SimOptions::default()), run(&strict));
             // `assert!`, not `assert_eq!`: a failure should not print two
             // whole schedules.
             assert!(by_name.records == vetoed.records, "{name} on {scenario}");
+            assert_eq!(by_name.decisions.len(), by_name.stats.queries);
             assert!(
                 by_name.decisions == vetoed.decisions,
                 "{name} on {scenario}"

@@ -6,6 +6,8 @@
 //! * the `SimOutcome` a run returns is its record: decisions in
 //!   nondecreasing `SimTime`, one per query, the accepted placements among
 //!   them the ones the stats count — and a run that fails returns none;
+//! * the decision log is kept only when the run asks for it, and asking
+//!   changes nothing else the run returns;
 //! * a custom third-party policy registers by name and runs through
 //!   `Simulation` — no workspace code touched.
 
@@ -51,6 +53,7 @@ fn direct_policy(name: &str, jobs: &[JobSpec], seed: u64) -> Box<dyn SchedulingP
 fn outcomes_identical(a: &SimOutcome, b: &SimOutcome, label: &str) {
     assert_eq!(a.policy_name, b.policy_name, "{label}");
     assert_eq!(a.records, b.records, "{label}");
+    assert_eq!(a.decisions.len(), a.stats.queries, "{label}");
     assert_eq!(a.decisions, b.decisions, "{label}");
     assert_eq!(a.stats, b.stats, "{label}");
     assert_eq!(a.end_time, b.end_time, "{label}");
@@ -93,10 +96,12 @@ proptest! {
             let mut from_direct = direct_policy(name, &jobs, seed);
             let a = Simulation::new(cluster)
                 .jobs(&jobs)
+                .record_decisions()
                 .run(from_registry.as_mut())
                 .unwrap_or_else(|e| panic!("{name} (registry): {e}"));
             let b = Simulation::new(cluster)
                 .jobs(&jobs)
+                .record_decisions()
                 .run(from_direct.as_mut())
                 .unwrap_or_else(|e| panic!("{name} (direct): {e}"));
             outcomes_identical(&a, &b, name);
@@ -138,6 +143,7 @@ fn decision_log_is_ordered_and_agrees_with_the_stats() {
 
     let outcome = Simulation::new(cluster)
         .jobs(&workload.jobs)
+        .record_decisions()
         .run(&mut agent)
         .expect("completes");
 
@@ -150,6 +156,58 @@ fn decision_log_is_ordered_and_agrees_with_the_stats() {
         assert_eq!(call.time_secs, decision.time.as_secs());
         assert_eq!(call.action, Some(decision.action));
         assert_eq!(call.accepted, Some(decision.accepted()));
+    }
+}
+
+/// A run that does not ask for the decision log allocates none, and one
+/// that asks returns the same records, stats, epochs and end time — for
+/// every kind of builtin policy, on a flat and on a classed machine.
+#[test]
+fn a_run_keeps_its_decision_log_only_when_asked() {
+    let fixtures = [
+        (ClusterConfig::paper_default(), "heterogeneous_mix"),
+        (ClusterConfig::mixed_256(), "gpu_skewed_hetmix"),
+    ];
+    let registry = PolicyRegistry::with_builtins();
+    for (cluster, scenario) in fixtures {
+        let jobs = scenario_builtins()
+            .generate(
+                scenario,
+                &ScenarioContext::new(60)
+                    .with_mode(ArrivalMode::Dynamic)
+                    .with_seed(11),
+            )
+            .expect("builtin scenario")
+            .jobs;
+        let ctx = PolicyContext::new(&jobs, cluster)
+            .with_seed(11)
+            .with_solver(quick_solver());
+        for name in [
+            names::FCFS,
+            names::SJF,
+            names::EASY,
+            names::CONSERVATIVE,
+            names::RANDOM,
+            names::OR_TOOLS,
+        ] {
+            let label = format!("{name} on {scenario}");
+            let run = |logged: bool| {
+                let mut policy = registry.build(name, &ctx).expect("builtin");
+                let sim = Simulation::new(cluster).jobs(&jobs);
+                let sim = if logged { sim.record_decisions() } else { sim };
+                sim.run(policy.as_mut())
+                    .unwrap_or_else(|e| panic!("{label}: {e}"))
+            };
+            let (bare, logged) = (run(false), run(true));
+            assert!(bare.decisions.is_empty(), "{label}");
+            assert_eq!(bare.decisions.capacity(), 0, "{label}: nothing reserved");
+            assert_eq!(logged.decisions.len(), logged.stats.queries, "{label}");
+            assert!(!logged.decisions.is_empty(), "{label}");
+            assert_eq!(bare.records, logged.records, "{label}: records");
+            assert_eq!(bare.stats, logged.stats, "{label}: stats");
+            assert_eq!(bare.epochs, logged.epochs, "{label}: epochs");
+            assert_eq!(bare.end_time, logged.end_time, "{label}: end time");
+        }
     }
 }
 
@@ -219,6 +277,7 @@ fn third_party_policy_runs_by_name_through_simulation() {
 
     let outcome = Simulation::new(cluster)
         .jobs(&workload.jobs)
+        .record_decisions()
         .run(policy.as_mut())
         .expect("completes");
 

@@ -36,6 +36,11 @@ fn sample_swf_text() -> String {
 fn assert_outcomes_identical(a: &SimOutcome, b: &SimOutcome, label: &str) {
     assert_eq!(a.policy_name, b.policy_name, "{label}: policy name");
     assert_eq!(a.records, b.records, "{label}: job records");
+    assert_eq!(
+        a.decisions.len(),
+        a.stats.queries,
+        "{label}: logged queries"
+    );
     assert_eq!(a.decisions, b.decisions, "{label}: decision log");
     assert_eq!(a.stats, b.stats, "{label}: stats");
     assert_eq!(a.end_time, b.end_time, "{label}: end time");
@@ -115,12 +120,14 @@ fn simulation_outcomes_are_bit_identical_streaming_vs_eager() {
                 let mut p1 = registry.build(policy, &ctx).expect("builtin policy");
                 let a = Simulation::new(cluster)
                     .jobs(&eager_jobs)
+                    .record_decisions()
                     .run(p1.as_mut())
                     .unwrap_or_else(|e| panic!("{label} (eager): {e}"));
                 let ctx = PolicyContext::new(&stream_jobs, cluster).with_seed(seed);
                 let mut p2 = registry.build(policy, &ctx).expect("builtin policy");
                 let b = Simulation::new(cluster)
                     .jobs(&stream_jobs)
+                    .record_decisions()
                     .run(p2.as_mut())
                     .unwrap_or_else(|e| panic!("{label} (streaming): {e}"));
                 assert_outcomes_identical(&a, &b, &label);

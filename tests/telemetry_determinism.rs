@@ -36,7 +36,7 @@ fn run_with_sink(policy_name: &str, seed: u64, sink: Option<&TelemetrySink>) -> 
     let mut policy = PolicyRegistry::with_builtins()
         .build(policy_name, &ctx)
         .expect("builtin policy");
-    let mut sim = Simulation::new(cluster).jobs(&jobs);
+    let mut sim = Simulation::new(cluster).jobs(&jobs).record_decisions();
     if let Some(sink) = sink {
         sim = sim.telemetry(sink);
     }
@@ -119,6 +119,11 @@ fn sink_attachment_leaves_the_schedule_bit_unchanged() {
     let disabled = run_with_sink("Conservative", 7, Some(&TelemetrySink::disabled()));
     let recording_sink = TelemetrySink::recording();
     let recording = run_with_sink("Conservative", 7, Some(&recording_sink));
+    assert_eq!(
+        bare.decisions.len(),
+        bare.stats.queries,
+        "one record per query"
+    );
     for (label, other) in [("disabled", &disabled), ("recording", &recording)] {
         assert_eq!(bare.decisions, other.decisions, "{label}: decision log");
         assert_eq!(bare.records, other.records, "{label}: job records");
